@@ -1,10 +1,16 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: verify build test vet race bench benchsmoke boundedsmoke fmtcheck obscheck
+.PHONY: verify build test vet race bench benchsmoke boundedsmoke fmtcheck obscheck benchcheck
 
 # Tier-1 gate: a missing-module (or any build/test) regression fails here.
-verify: fmtcheck vet build test benchsmoke boundedsmoke obscheck
+verify: fmtcheck vet build test benchcheck benchsmoke boundedsmoke obscheck
+
+# bench/ is a nested module, so ./... above never compiles it: vet and
+# test it here, so renaming an internal/ symbol it uses fails verify and
+# its self-tests (TestSpecMatchesBenchmarkJSON among them) run.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Bounded-memory smoke: seed an on-disk instance ~4x the 16 MiB
 # page-cache budget and serve point lookups plus a spilling federated

@@ -4,6 +4,15 @@
 // in the paper's mixed instance, exposing the same query capabilities
 // the mediator relies on (term/hashtag/field lookup, boolean
 // combinations, ranking, stored-field retrieval, term statistics).
+//
+// Evaluation works on sorted lists: Add appends documents in order, so
+// every posting list holds ascending doc ids, and so does each query
+// node's answer. A keyword leaf is its posting list itself, with a
+// constant score. Conjunctions go smallest list first, galloping through
+// the others; disjunctions are a k-way merge, MustNot a galloping
+// difference; no map is built. Still allocated: merge and intersection
+// outputs, text terms' scored lists, Range ids (sorted afterwards),
+// AllQuery's list of every document, and Search's sorted hits.
 package fulltext
 
 import (

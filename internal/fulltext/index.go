@@ -237,6 +237,17 @@ func (ix *Index) FieldTerms(field string) []string {
 	return out
 }
 
+// KeywordCount returns the length of the posting list a KeywordQuery for
+// value in field reads, or -1 when the field is not in the schema.
+func (ix *Index) KeywordCount(field, value string) int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if _, declared := ix.schema[field]; !declared {
+		return -1
+	}
+	return len(ix.keyword[field][Fold(value)])
+}
+
 // DocFreq returns how many documents contain the analyzed token in the
 // text field.
 func (ix *Index) DocFreq(field, token string) int {

@@ -176,3 +176,39 @@ func TestAnalyzerIdempotentOnVocab(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTextQuery: any input either fails to parse or yields a query
+// that builds with NumParams parameters and runs; none of it panics.
+func FuzzParseTextQuery(f *testing.F) {
+	for _, seed := range []string{
+		`SEARCH tweets
+WHERE entities.hashtags = ? AND text CONTAINS 'solidarité'
+      AND retweet_count >= 100 AND created_at BETWEEN 2016-01-01T00:00:00Z AND 2016-12-31T00:00:00Z
+      AND favorite_count <= 1000 AND text PHRASE 'solidarité nationale'
+RETURN _id, user.screen_name, _score
+ORDER BY retweet_count DESC LIMIT 50`,
+		"SEARCH tweets RETURN _id LIMIT 3",
+		"SEARCH tweets WHERE text CONTAINS 'agriculteurs' AND retweet_count BETWEEN 1 AND 100 RETURN _id, retweet_count ORDER BY retweet_count",
+		"SEARCH tweets WHERE text CONTAINS 'solidarité' RETURN _score, user.missing",
+		"SEARCH tweets WHERE retweet_count BETWEEN ? AND ? RETURN _id",
+		"SEARCH tweets WHERE f BETWEEN 1 RETURN _id",
+		"SEARCH tweets WHERE f = 'unterminated RETURN _id",
+		"SEARCH tweets RETURN _id LIMIT xx",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		q, err := ParseTextQuery(input)
+		if err != nil {
+			return
+		}
+		params := make([]value.Value, q.NumParams)
+		for i := range params {
+			params[i] = value.NewString("SIA2016")
+		}
+		if _, _, err := q.Build(params); err != nil {
+			t.Fatalf("%q: Build with %d parameters: %v", input, q.NumParams, err)
+		}
+		q.Execute(testIndex(t), params)
+	})
+}

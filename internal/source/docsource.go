@@ -101,10 +101,9 @@ func (s *DocSource) Estimate(q SubQuery, numParams int) (rows, cost int) {
 	for _, c := range tq.Conds {
 		switch {
 		case c.Op == fulltext.CondEq && c.Param < 0:
-			// Exact: count documents holding this keyword value.
-			hits, err := s.ix.Search(fulltext.KeywordQuery{Field: c.Field, Value: c.Val.String()}, fulltext.SearchOptions{})
-			if err == nil && len(hits) < est {
-				est = len(hits)
+			// Exact: the length of this keyword value's posting list.
+			if n := s.ix.KeywordCount(c.Field, c.Val.String()); n >= 0 && n < est {
+				est = n
 			}
 		case c.Op == fulltext.CondEq:
 			if e := s.ix.Count() / 100; e < est {
