@@ -20,22 +20,39 @@ import (
 // overlapping key data (duplicates, nulls, dangling keys) so random
 // queries exercise joins that actually match, miss and cross-product.
 func randomFixture(t *testing.T, rng *rand.Rand) *Instance {
+	return randomSources(t, rng, 0, 6)
+}
+
+// randomSources builds sources sql://s0..s2. Source s draws its keys
+// from k<s*stride> .. k<s*stride+span-1> into two tables: t(k, v), with
+// some NULL v, and the directory d(k, src), whose src names one of the
+// three sources (or is NULL) — the designators random dynamic atoms
+// resolve at run time.
+func randomSources(t *testing.T, rng *rand.Rand, stride, span int) *Instance {
 	t.Helper()
 	in := NewInstance(nil)
 	for s := 0; s < 3; s++ {
 		db := relstore.NewDatabase(fmt.Sprintf("s%d", s))
-		if _, err := db.Exec("CREATE TABLE t (k TEXT, v TEXT)"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 12; i++ {
-			var stmt string
-			if rng.Intn(8) == 0 {
-				stmt = fmt.Sprintf("INSERT INTO t (k) VALUES ('k%d')", rng.Intn(6)) // NULL v
-			} else {
-				stmt = fmt.Sprintf("INSERT INTO t VALUES ('k%d', 'k%d')", rng.Intn(6), rng.Intn(6))
-			}
+		exec := func(stmt string) {
 			if _, err := db.Exec(stmt); err != nil {
 				t.Fatal(err)
+			}
+		}
+		key := func() string { return fmt.Sprintf("k%d", s*stride+rng.Intn(span)) }
+		exec("CREATE TABLE t (k TEXT, v TEXT)")
+		for i := 0; i < 12; i++ {
+			if rng.Intn(8) == 0 {
+				exec(fmt.Sprintf("INSERT INTO t (k) VALUES ('%s')", key())) // NULL v
+			} else {
+				exec(fmt.Sprintf("INSERT INTO t VALUES ('%s', '%s')", key(), key()))
+			}
+		}
+		exec("CREATE TABLE d (k TEXT, src TEXT)")
+		for i := 0; i < 4; i++ {
+			if rng.Intn(6) == 0 {
+				exec(fmt.Sprintf("INSERT INTO d (k) VALUES ('%s')", key())) // NULL src
+			} else {
+				exec(fmt.Sprintf("INSERT INTO d VALUES ('%s', 'sql://s%d')", key(), rng.Intn(3)))
 			}
 		}
 		if err := in.AddSource(source.NewRelSource(fmt.Sprintf("sql://s%d", s), db)); err != nil {
@@ -45,33 +62,55 @@ func randomFixture(t *testing.T, rng *rand.Rand) *Instance {
 	return in
 }
 
-// randomCMQ generates a valid random query: a seed scan followed by a
-// mix of scans and bind joins whose InVars are produced by earlier
-// atoms — the shapes the planner turns into multi-level DAGs.
+// randomCMQ generates a valid random query over randomSources: a seed
+// scan followed by a mix of scans (some joining on an earlier
+// variable), bind joins whose InVars are produced by earlier atoms,
+// directory scans binding source URIs, and dynamic FROM ?s atoms over
+// those URIs, with and without IN variables — the shapes the planner
+// turns into multi-level DAGs. About a third of the queries each are
+// DISTINCT, ORDER BY a head variable, and LIMITed.
 func randomCMQ(rng *rand.Rand) string {
 	nAtoms := 2 + rng.Intn(3)
-	var vars []string
+	var vars, keys, uris []string
 	fresh := 0
-	newVar := func() string {
+	newVar := func(pool *[]string) string {
 		v := fmt.Sprintf("x%d", fresh)
 		fresh++
 		vars = append(vars, v)
+		*pool = append(*pool, v)
 		return v
 	}
-	pickVar := func() string { return vars[rng.Intn(len(vars))] }
+	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	// joinKey is an OUT variable that reuses an earlier key a third of
+	// the time, so scans join instead of cross-multiplying.
+	joinKey := func() string {
+		if len(keys) > 0 && rng.Intn(3) == 0 {
+			return pick(keys)
+		}
+		return newVar(&keys)
+	}
 
 	var atoms []string
 	for i := 0; i < nAtoms; i++ {
-		src := fmt.Sprintf("sql://s%d", rng.Intn(3))
-		if i == 0 || rng.Intn(3) == 0 {
-			o1 := newVar()
-			o2 := newVar()
-			atoms = append(atoms, fmt.Sprintf("FROM <%s> OUT(?%s, ?%s) { SELECT k, v FROM t }", src, o1, o2))
-		} else {
-			iv := pickVar()
-			ov := newVar()
+		from := fmt.Sprintf("<sql://s%d>", rng.Intn(3))
+		kind := rng.Intn(5) // 0-1 bind join, 2-3 scan, 4 directory
+		if i == 0 && kind < 2 {
+			kind = 2
+		}
+		if kind < 4 && len(uris) > 0 && rng.Intn(2) == 0 {
+			from = "?" + pick(uris)
+		}
+		switch {
+		case kind < 2:
+			iv := pick(keys)
 			atoms = append(atoms, fmt.Sprintf(
-				"FROM <%s> IN(?%s) OUT(?%s, ?%s) { SELECT k, v FROM t WHERE k = ? }", src, iv, iv, ov))
+				"FROM %s IN(?%s) OUT(?%s, ?%s) { SELECT k, v FROM t WHERE k = ? }", from, iv, iv, newVar(&keys)))
+		case kind < 4:
+			k := joinKey()
+			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, v FROM t }", from, k, newVar(&keys)))
+		default:
+			k := joinKey()
+			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, src FROM d }", from, k, newVar(&uris)))
 		}
 	}
 	head := make([]string, len(vars))
@@ -82,47 +121,55 @@ func randomCMQ(rng *rand.Rand) string {
 	if rng.Intn(3) == 0 {
 		q += "\nDISTINCT"
 	}
+	if rng.Intn(3) == 0 {
+		q += "\nORDER BY ?" + pick(vars)
+		if rng.Intn(2) == 0 {
+			q += " DESC"
+		}
+	}
+	if rng.Intn(3) == 0 {
+		q += fmt.Sprintf("\nLIMIT %d", 1+rng.Intn(10))
+	}
 	return q
 }
 
-// TestDAGMatchesWaveBarrierProperty is the acceptance property of the
-// pipelined executor: over randomized CMQs, the operator-DAG execution
-// returns a row multiset identical to the wave-barrier path (both
-// parallel and sequential), mirroring the PR 4 saturation equivalence
-// test. Run under -race in CI.
-func TestDAGMatchesWaveBarrierProperty(t *testing.T) {
-	const seeds, queries = 5, 25
+// TestExecutorMatchesOracle is the executor's acceptance property: over
+// randomized CMQs — dynamic atoms, DISTINCT, ORDER BY and LIMIT
+// included — every execution mode returns the reference evaluator's
+// answer (oracle_test.go). Run under -race in CI.
+func TestExecutorMatchesOracle(t *testing.T) {
+	const seeds, queries = 20, 100
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomFixture(t, rng)
 		for qn := 0; qn < queries; qn++ {
 			text := randomCMQ(rng)
 			q := mustParse(t, text)
-			ref, err := in.ExecuteOpts(q, ExecOptions{WaveBarrier: true, Parallel: false})
+			want, err := newOracleAnswer(in, q)
 			if err != nil {
-				t.Fatalf("seed %d query %d (wave ref): %v\n%s", seed, qn, err, text)
+				t.Fatalf("seed %d query %d (oracle): %v\n%s", seed, qn, err, text)
 			}
 			for _, cfg := range []struct {
 				name string
 				opts ExecOptions
 			}{
-				{"dag-parallel", ExecOptions{Parallel: true}},
-				{"dag-sequential", ExecOptions{Parallel: false}},
-				{"dag-materialized", ExecOptions{Parallel: true, MaterializeFinal: true}},
-				{"dag-full-materialized", ExecOptions{Parallel: true, Materialized: true}},
+				{"parallel", ExecOptions{Parallel: true}},
+				{"sequential", ExecOptions{Parallel: false}},
+				{"materialize-final", ExecOptions{Parallel: true, MaterializeFinal: true}},
+				{"materialized", ExecOptions{Parallel: true, Materialized: true}},
+				{"wave-barrier", ExecOptions{WaveBarrier: true}},
 				{"wave-parallel", ExecOptions{WaveBarrier: true, Parallel: true}},
 			} {
 				res, err := in.ExecuteOpts(q, cfg.opts)
+				if err == nil {
+					err = want.check(q, res)
+				}
 				if err != nil {
-					t.Fatalf("seed %d query %d (%s): %v\n%s", seed, qn, cfg.name, err, text)
-				}
-				if !equalStrings(res.Cols, ref.Cols) {
-					t.Fatalf("seed %d query %d (%s): cols %v want %v\n%s",
-						seed, qn, cfg.name, res.Cols, ref.Cols, text)
-				}
-				if got, want := sortedRows(res), sortedRows(ref); !equalStrings(got, want) {
-					t.Fatalf("seed %d query %d (%s): row multiset diverges\n got %v\nwant %v\nquery:\n%s\nplan:\n%s",
-						seed, qn, cfg.name, got, want, text, res.Plan.Explain(q))
+					plan := ""
+					if res != nil {
+						plan = res.Plan.Explain(q)
+					}
+					t.Fatalf("seed %d query %d (%s): %v\nquery:\n%s\nplan:\n%s", seed, qn, cfg.name, err, text, plan)
 				}
 			}
 		}
