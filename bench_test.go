@@ -7,7 +7,6 @@ package tatooine_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -269,9 +268,10 @@ FROM <solr://tweets> OUT(?t, ?id)
 	})
 }
 
-// BenchmarkE6Parallelism isolates the wave-parallelism rule: three
-// independent sub-queries (no shared IN variables) land in one wave and
-// run concurrently when Parallel is on.
+// BenchmarkE6Parallelism isolates the parallelism rule: three
+// independent sub-queries (no shared IN variables) are DAG nodes with no
+// dependencies, so they run concurrently; NaiveOrder runs them one after
+// another.
 func BenchmarkE6Parallelism(b *testing.B) {
 	f := fix(b, 20000)
 	// Three searches over the corpus joined on the author variable: the
@@ -283,14 +283,16 @@ FROM <solr://tweets> OUT(?t2, ?a) { SEARCH tweets WHERE text CONTAINS 'parlement
 FROM <solr://tweets> OUT(?t3, ?a) { SEARCH tweets WHERE text CONTAINS 'vigilance' RETURN _id, user.screen_name LIMIT 50 }
 LIMIT 10
 `)
-	for _, par := range []bool{true, false} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		opts core.ExecOptions
+	}{
+		{"parallel", core.ExecOptions{Parallel: true}},
+		{"sequential", core.ExecOptions{Parallel: true, NaiveOrder: true}},
+	} {
+		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := f.in.ExecuteOpts(q, core.ExecOptions{Parallel: par}); err != nil {
+				if _, err := f.in.ExecuteOpts(q, m.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -747,15 +749,6 @@ FROM <sql://remote> IN(?k) OUT(?k, ?v) { SELECT k, v FROM targets WHERE k = ? }
 	}
 }
 
-// BenchmarkPipelinedExec measures the tentpole of the operator-DAG
-// executor on a latency-skewed multi-wave query: a local seed scan
-// feeds two branches — a CHAIN of three dependent bind joins against
-// fast remotes (10ms injected latency each) and one independent bind
-// join against a slow remote (30ms). The wave-barrier scheduler makes
-// every chain step wait for the slow branch's wave — ≈ slow + 2×fast
-// on top of the first wave — while the DAG overlaps the chain with the
-// slow probe, finishing in ≈ max(3×fast, slow). Expected: dag ≥1.5×
-// lower wall-clock than waveBarrier.
 // estMemoClient memoizes a remote's cost estimates (as the mediator's
 // source.Cached does) WITHOUT caching probe results, so the benchmark
 // measures execution latency rather than plan-time estimate round
@@ -786,100 +779,6 @@ func (e *estMemoClient) Estimate(q source.SubQuery, numParams int) (rows, cost i
 func (e *estMemoClient) EstimateCost(q source.SubQuery, numParams int) int {
 	rows, _ := e.Estimate(q, numParams)
 	return rows
-}
-
-func BenchmarkPipelinedExec(b *testing.B) {
-	const keys = 4
-	const fastRTT = 10 * time.Millisecond
-	const slowRTT = 30 * time.Millisecond
-
-	// Each remote maps k<i> -> k<i> so the chain re-probes the same key
-	// space at every hop.
-	makeRemote := func(name string, rtt time.Duration) source.DataSource {
-		db := relstore.NewDatabase(name)
-		if _, err := db.Exec("CREATE TABLE t (k TEXT, v TEXT)"); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < keys; i++ {
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', 'k%d')", i, i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		inner := federation.Handler(source.NewRelSource("sql://"+name, db))
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(rtt) // injected network latency
-			inner.ServeHTTP(w, r)
-		}))
-		b.Cleanup(ts.Close)
-		client, err := federation.Dial(ts.URL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return &estMemoClient{Client: client, m: make(map[string][2]int)}
-	}
-
-	seed := relstore.NewDatabase("seed")
-	if _, err := seed.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < keys; i++ {
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%d')", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	in := core.NewInstance(nil)
-	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range []struct {
-		name string
-		rtt  time.Duration
-	}{
-		{"fast1", fastRTT}, {"fast2", fastRTT}, {"fast3", fastRTT}, {"slow", slowRTT},
-	} {
-		if err := in.AddSource(makeRemote(r.name, r.rtt)); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	q, _, err := core.ParseCMQ(`
-QUERY q(?k, ?b, ?c, ?d, ?s)
-FROM <sql://seed> OUT(?k) { SELECT k FROM seed }
-FROM <sql://fast1> IN(?k) OUT(?k, ?b) { SELECT k, v FROM t WHERE k = ? }
-FROM <sql://fast2> IN(?b) OUT(?b, ?c) { SELECT k, v FROM t WHERE k = ? }
-FROM <sql://fast3> IN(?c) OUT(?c, ?d) { SELECT k, v FROM t WHERE k = ? }
-FROM <sql://slow> IN(?k) OUT(?k, ?s) { SELECT k, v FROM t WHERE k = ? }
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	for _, bench := range []struct {
-		name string
-		opts core.ExecOptions
-	}{
-		{"waveBarrier", core.ExecOptions{Parallel: true, WaveBarrier: true}},
-		{"dag", core.ExecOptions{Parallel: true}},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			// Warm the estimate memo so plan-time round trips do not
-			// pollute the executor measurement.
-			if _, err := in.ExecuteOpts(q, bench.opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := in.ExecuteOpts(q, bench.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != keys {
-					b.Fatalf("rows: %d", len(res.Rows))
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSemiJoinPruning measures the tentpole of digest-driven
@@ -979,117 +878,6 @@ FROM <sql://remote> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
 			b.StopTimer()
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 			b.ReportMetric(float64(requests.Load())/float64(b.N), "rtts/op")
-		})
-	}
-}
-
-// BenchmarkTimeToFirstRow measures the tentpole of tuple-level
-// streaming: on a large federated bind join against a latency-injected
-// remote, the streamed pipeline delivers its first row after roughly
-// one probe round trip — while the remaining probes are still in
-// flight — whereas the materialized ablation pays the full probe bill
-// before any row exists. Both modes drain through the same
-// ExecuteStream API (the materialized one replays), so full-drain
-// throughput is directly comparable; ttfr-ns/op reports the
-// first-row latency separately. Expected: streamed ttfr ≥3× lower,
-// full drain within noise of each other.
-func BenchmarkTimeToFirstRow(b *testing.B) {
-	const keys = 48
-	const rtt = 4 * time.Millisecond
-
-	remote := relstore.NewDatabase("remote")
-	if _, err := remote.Exec("CREATE TABLE t (k TEXT, v TEXT)"); err != nil {
-		b.Fatal(err)
-	}
-	seed := relstore.NewDatabase("seed")
-	if _, err := seed.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < keys; i++ {
-		if _, err := remote.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', 'v%d')", i, i)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%d')", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	inner := federation.Handler(source.NewRelSource("sql://remote", remote))
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(rtt) // injected network latency
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	client, err := federation.Dial(ts.URL)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	in := core.NewInstance(nil)
-	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
-		b.Fatal(err)
-	}
-	if err := in.AddSource(&estMemoClient{Client: client, m: make(map[string][2]int)}); err != nil {
-		b.Fatal(err)
-	}
-	q, _, err := core.ParseCMQ(`
-QUERY q(?k, ?v)
-FROM <sql://seed> OUT(?k) { SELECT k FROM seed }
-FROM <sql://remote> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// Small batches over a modest fan-out: the drain takes several probe
-	// rounds, so first-row and last-row latency genuinely diverge.
-	base := core.ExecOptions{Parallel: true, MaxFanout: 2, ProbeBatch: 4}
-	matOpts := base
-	matOpts.Materialized = true
-	for _, bench := range []struct {
-		name string
-		opts core.ExecOptions
-	}{
-		{"streamed", base},
-		{"materialized", matOpts},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			// Warm the estimate memo so plan-time round trips do not
-			// pollute the executor measurement.
-			if _, err := in.ExecuteOpts(q, bench.opts); err != nil {
-				b.Fatal(err)
-			}
-			var ttfr time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				sr, err := in.ExecuteStream(context.Background(), q, bench.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows, first := 0, true
-				for {
-					batch, err := sr.NextBatch()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(batch) == 0 {
-						break
-					}
-					if first {
-						ttfr += time.Since(start)
-						first = false
-					}
-					rows += len(batch)
-				}
-				if err := sr.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if rows != keys {
-					b.Fatalf("rows: %d", rows)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(ttfr.Nanoseconds())/float64(b.N), "ttfr-ns/op")
 		})
 	}
 }

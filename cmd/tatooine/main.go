@@ -188,10 +188,6 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		"bind-join probe batch size for batch-capable sources (0 = default 64, 1 disables batching)")
 	adaptiveBatch := fs.Bool("adaptive-batch", true,
 		"adapt per-source probe batch size from observed round-trip latency (within [16, 256])")
-	waveBarrier := fs.Bool("wave-barrier", false,
-		"schedule atoms in barrier-synchronized waves instead of the pipelined operator DAG (ablation)")
-	materialized := fs.Bool("materialized", false,
-		"materialize every node result before joining instead of streaming tuples through the DAG (ablation; also disables NDJSON row streaming)")
 	digestPlanning := fs.Bool("digest-planning", true,
 		"refine planner row estimates with per-source digest statistics and prune bind-join probes the digests exclude (false = source estimates only, no semi-join pruning; ablation)")
 	slowQuery := fs.Duration("slow-query", server.DefaultSlowQuery,
@@ -239,8 +235,6 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		Parallel:         true,
 		MaxFanout:        *fanout,
 		ProbeBatch:       *probeBatch,
-		WaveBarrier:      *waveBarrier,
-		Materialized:     *materialized,
 		NoDigestPlanning: !*digestPlanning,
 		JoinMemBudget:    int64(*joinMemBudgetMB) << 20,
 	}

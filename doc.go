@@ -165,29 +165,28 @@
 // implementing only the legacy single-int EstimateCost participate
 // through a default adapter (rows = cost).
 //
-// The executor (internal/core/exec.go) runs each DAG node as soon as
-// its OWN dependencies finish: independent subtrees overlap with
-// downstream bind joins instead of idling at wave boundaries, so on
-// latency-skewed plans the wall clock drops from sum-of-waves to the
-// longest dependency chain. A node's outer input is the natural join
-// of its dependencies' results — a superset of the full intermediate
-// projected on the variables it needs, so the final join (a streaming
-// left-deep hash-join pipeline feeding the finishing operators without
-// materializing) returns exactly the wave answer. Plan.Explain and
-// {"explain": true} render the DAG:
+// One executor (internal/core/exec_stream.go) runs every query. Each
+// DAG node starts at once in its own goroutine and waits only on its
+// OWN dependencies: independent subtrees overlap with downstream bind
+// joins instead of idling at wave boundaries, so on latency-skewed
+// plans the wall clock drops from sum-of-waves to the longest
+// dependency chain. Plan.Explain and {"explain": true} render the DAG:
 //
 //	plan for qSIA(?t, ?id) :- ... (2 nodes, depth 2)
 //	  node 0: atom 0 [G] scan rows=1 cost=3 wave 0 deps=(-) out=(x,id)
 //	  node 1: atom 1 [<solr://tweets>] bind-join(id) rows=2 cost=4 wave 1 deps=(0) out=(t,id)
 //
 // and ExecStats.Nodes reports per-node actual row counts next to the
-// estimates, so misestimates are visible per query. The pre-DAG
-// scheduler survives behind ExecOptions.WaveBarrier ("tatooine serve
-// -wave-barrier") for ablation; a property test keeps both paths
-// row-multiset-identical over randomized CMQs, and
-// BenchmarkPipelinedExec measures the overlap win (a three-hop fast
-// chain against a slow sibling branch: ≥1.6x lower wall clock than the
-// barrier path).
+// estimates, so misestimates are visible per query. ExecOptions.Parallel
+// only bounds bind-join fan-out (false is MaxFanout = 1); the E6
+// NaiveOrder ablation plans atoms in declaration order and runs each
+// only after the previous one finished. The DAG once had two
+// siblings: a barrier-synchronized wave scheduler, which it beat 1.64x
+// (BENCH_5.json), and a materialize-every-node path, over which
+// streaming cut time-to-first-row 4.4x (BENCH_6.json); both ablations
+// were then removed. A property test checks 2,000 randomized CMQs —
+// dynamic atoms, DISTINCT, ORDER BY and LIMIT included — against a
+// nested-loop reference evaluator (internal/core/oracle_test.go).
 //
 // Execution is cancellable end to end: the POST /cmq request context
 // flows through Instance.ExecuteContext into every DAG node, probe
@@ -204,21 +203,21 @@
 //
 // # Tuple-level streaming execution
 //
-// On the default DAG path, results stream wire-to-wire instead of
-// materializing between operators. Every DAG node publishes rows
-// progressively as its probe batches land (internal/core/stream.go): a
-// downstream bind join consumes its dependency through a cursor and
-// launches its first probe batch as soon as the first upstream rows
-// exist, and the most expensive terminal node feeds the root join
-// through a bounded channel of row batches — so the first result rows
-// reach the client after roughly one probe round trip, while the rest
-// of the fan-out is still in flight. Instance.ExecuteStream exposes
-// the incremental result (StreamingResult.NextBatch / Close);
-// ExecuteContext drains the same pipeline, so both APIs return
-// identical row multisets (pinned by a randomized property test).
-// Blocking operators (ORDER BY, aggregation) still consume their full
-// input before the first row; everything else — projection, DISTINCT,
-// LIMIT — passes rows through.
+// Results stream wire-to-wire instead of materializing between
+// operators. Every DAG node publishes rows progressively as its probe
+// batches land (internal/core/stream.go): a downstream bind join
+// consumes its dependency through a cursor and launches its first
+// probe batch as soon as the first upstream rows exist, and the most
+// expensive terminal node feeds the root join through a bounded channel
+// of row batches — so the first result rows reach the client after
+// roughly one probe round trip, while the rest of the fan-out is still
+// in flight. Instance.ExecuteStream returns the incremental result
+// (StreamingResult.NextBatch / Close); ExecuteContext drains the same
+// stream into a QueryResult. Blocking operators (ORDER BY, aggregation)
+// still consume their full input before the first row; everything else
+// — projection, DISTINCT, LIMIT — passes rows through. A dynamic atom
+// waits for its complete outer input, since the set of URIs to contact
+// comes from all of it (§2.2).
 //
 // Early termination flows upstream: a LIMIT that reaches its bound (a
 // LIMIT without DISTINCT/ORDER BY/aggregates is additionally pushed
@@ -243,13 +242,6 @@
 // returning to zero is the no-leak check). Streamed responses bypass
 // the single-flight guard and are not cached; cache hits produced by
 // the JSON path replay in the same NDJSON framing.
-//
-// ExecOptions.Materialized ("tatooine serve -materialized") disables
-// tuple streaming for ablation: every node materializes before its
-// consumers start, and /cmq answers from the old buffered path.
-// BenchmarkTimeToFirstRow measures the difference on a
-// latency-injected federated join: streamed time-to-first-row is ≥3x
-// lower, with full-drain throughput unchanged.
 //
 // # Digest-driven planning and bloom semi-join pruning
 //

@@ -86,9 +86,8 @@ ORDER BY ?val DESC
 	// {"stream": true}): a {"cols": [...]} header, one {"row": [...]}
 	// record per row flushed as batches land, and a {"stats": ...}
 	// trailer — or a terminal {"error": ...} record if a remote dies
-	// mid-stream. "tatooine serve -materialized" disables streaming for
-	// ablation: same rows, but nothing is sent before everything is
-	// computed. Note the ORDER BY above would block until the full
+	// mid-stream. Every query runs on this pipeline; in.Query above just
+	// drained it. Note the ORDER BY above would block until the full
 	// result exists, so the streamed query drops it.
 	q, _, err := core.ParseCMQ(`
 QUERY q(?region, ?src, ?ind, ?val)

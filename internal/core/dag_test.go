@@ -81,10 +81,10 @@ func randomCMQ(rng *rand.Rand) string {
 		return v
 	}
 	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
-	// joinKey is an OUT variable that reuses an earlier key a third of
+	// joinKey is an OUT variable that reuses an earlier key half of
 	// the time, so scans join instead of cross-multiplying.
 	joinKey := func() string {
-		if len(keys) > 0 && rng.Intn(3) == 0 {
+		if len(keys) > 0 && rng.Intn(2) == 0 {
 			return pick(keys)
 		}
 		return newVar(&keys)
@@ -155,10 +155,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 			}{
 				{"parallel", ExecOptions{Parallel: true}},
 				{"sequential", ExecOptions{Parallel: false}},
-				{"materialize-final", ExecOptions{Parallel: true, MaterializeFinal: true}},
-				{"materialized", ExecOptions{Parallel: true, Materialized: true}},
-				{"wave-barrier", ExecOptions{WaveBarrier: true}},
-				{"wave-parallel", ExecOptions{WaveBarrier: true, Parallel: true}},
+				{"naive-order-per-tuple", ExecOptions{Parallel: true, NaiveOrder: true, ProbeBatch: 1}},
 			} {
 				res, err := in.ExecuteOpts(q, cfg.opts)
 				if err == nil {

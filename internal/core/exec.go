@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tatooine/internal/obs"
@@ -19,8 +18,9 @@ import (
 
 // ExecOptions tune query execution.
 type ExecOptions struct {
-	// Parallel overlaps independent DAG nodes (and the per-binding
-	// probes of a bind join) concurrently.
+	// Parallel lets each bind join keep up to MaxFanout probe dispatches
+	// in flight. False is MaxFanout = 1: probes run one at a time, while
+	// independent DAG nodes still overlap.
 	Parallel bool
 	// MaxFanout bounds bind-join concurrency. Zero or negative derives
 	// the bound from the host via DefaultMaxFanout.
@@ -37,7 +37,8 @@ type ExecOptions struct {
 	// one tuner across queries so sizes converge over traffic.
 	Tuner *BatchTuner
 	// NaiveOrder disables selectivity-based ordering (ablation E6):
-	// atoms run one per wave in declaration order.
+	// atoms run in declaration order, each starting only after the
+	// previous one finished.
 	NaiveOrder bool
 	// NoDigestPlanning disables digest-driven planning and semi-join
 	// pruning ("tatooine serve -digest-planning=false", ablation): atom
@@ -45,28 +46,12 @@ type ExecOptions struct {
 	// probe every distinct outer binding, and no Bloom filters ship with
 	// batched probes. Results are identical either way.
 	NoDigestPlanning bool
-	// WaveBarrier restores the pre-DAG scheduler for ablation: steps
-	// are grouped by dependency depth and every step of depth d+1 waits
-	// for the *slowest* step of depth d, even when its own inputs were
-	// ready long before.
-	WaveBarrier bool
-	// MaterializeFinal materializes the root join pipeline into a
-	// relation before the finishing projection instead of streaming it
-	// straight into finish() (ablation/testing knob; results are
-	// identical either way).
-	MaterializeFinal bool
 	// JoinMemBudget bounds each residual hash join's build-side memory,
 	// in bytes ("tatooine serve -join-mem-budget"). A build side that
 	// outgrows it spills to a Grace-style partitioned on-disk join —
 	// same row multiset, bounded memory. Zero or negative disables
 	// spilling (builds stay fully in memory).
 	JoinMemBudget int64
-	// Materialized disables tuple-level streaming ("tatooine serve
-	// -materialized", ablation): every DAG node materializes its full
-	// relation before dependents start, the pre-streaming behavior.
-	// Row multisets are identical either way; only time-to-first-row
-	// and early-termination behavior differ.
-	Materialized bool
 }
 
 // DefaultProbeBatch is the bind-join batch size when ExecOptions leaves
@@ -154,27 +139,23 @@ func (in *Instance) ExecuteOpts(q *CMQ, opts ExecOptions) (*QueryResult, error) 
 // scheduled nodes from launching, refuses further probe fan-out, and
 // aborts in-flight federation round trips mid-request.
 func (in *Instance) ExecuteContext(ctx context.Context, q *CMQ, opts ExecOptions) (*QueryResult, error) {
-	ex, err := in.newExecutor(ctx, q, opts)
+	sr, err := in.ExecuteStream(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	if streamEligible(ex.opts) {
-		sr, err := ex.runDAGStream()
-		if err != nil {
-			return nil, err
-		}
-		return sr.drain()
-	}
-	return ex.runMaterialized()
+	return sr.drain()
 }
 
 // newExecutor normalizes the options, plans the query and wires an
-// executor — the shared front half of ExecuteContext and ExecuteStream.
+// executor — the front half of ExecuteStream.
 // The executor's "execute" span joins the context's trace when one is
 // there (a traced server request) and roots a fresh trace otherwise, so
 // every execution produces a span tree.
 func (in *Instance) newExecutor(ctx context.Context, q *CMQ, opts ExecOptions) (*executor, error) {
-	if opts.MaxFanout <= 0 {
+	switch {
+	case !opts.Parallel:
+		opts.MaxFanout = 1
+	case opts.MaxFanout <= 0:
 		opts.MaxFanout = DefaultMaxFanout()
 	}
 	if opts.ProbeBatch == 0 {
@@ -191,32 +172,6 @@ func (in *Instance) newExecutor(ctx context.Context, q *CMQ, opts ExecOptions) (
 	psp.SetAttr("nodes", strconv.Itoa(len(plan.Steps)))
 	return &executor{in: in, q: q, plan: plan, opts: opts, ctx: ctx, span: span,
 		nodeRows: make([]int, len(plan.Steps))}, nil
-}
-
-// runMaterialized is the pre-streaming execution path (and the
-// sequential / wave-barrier / ExecOptions.Materialized one): every DAG
-// node materializes its relation before dependents start, and the root
-// join drains into finish before anything is returned.
-func (ex *executor) runMaterialized() (*QueryResult, error) {
-	defer ex.span.End()
-	var it Iterator
-	var err error
-	if ex.opts.WaveBarrier {
-		it, err = ex.runWaves()
-	} else {
-		it, err = ex.runDAG()
-	}
-	if err != nil {
-		return nil, err
-	}
-	out, err := ex.finish(it)
-	if err != nil {
-		return nil, err
-	}
-	ex.span.SetAttr("rows", strconv.Itoa(len(out.Rows)))
-	ex.span.End()
-	return &QueryResult{Cols: out.Cols, Rows: out.Rows, Stats: ex.finalStats(),
-		Plan: ex.plan, Trace: ex.span.Data()}, nil
 }
 
 // finalStats assembles the per-node estimate-vs-actual report into the
@@ -239,8 +194,8 @@ type executor struct {
 	q    *CMQ
 	plan *Plan
 	opts ExecOptions
-	// ctx is the caller's context; runDAG narrows it to a cancellable
-	// child so one node's failure stops its siblings' probes.
+	// ctx is the caller's context; runDAGStream narrows it to a
+	// cancellable child so one node's failure stops its siblings' probes.
 	ctx context.Context
 
 	// span is the execution's root span ("execute"): node spans, probe
@@ -267,133 +222,6 @@ func (ex *executor) recordBatchSize(uri string, size int) {
 	ex.stats.BatchSizes[uri] = size
 	ex.mu.Unlock()
 	probeBatchSize.With(uri).Set(int64(size))
-}
-
-// errDepFailed marks a node skipped because one of its dependencies
-// already failed; the dependency's own error is what surfaces.
-var errDepFailed = errors.New("core: dependency failed")
-
-// runDAG executes the plan as a pipelined operator DAG: every node
-// waits only for its OWN dependencies, so independent subtrees overlap
-// with downstream bind joins instead of idling at wave boundaries. A
-// node's outer input is the natural join of its dependencies' results
-// — a superset of the full intermediate result projected onto the
-// variables it needs, so the final join yields exactly the
-// wave-barrier answer (extra probe rows cannot survive it). The root
-// of the DAG — the join of all node results — is returned as a
-// streaming iterator pipeline for finish() to consume without
-// materializing.
-func (ex *executor) runDAG() (Iterator, error) {
-	steps := ex.plan.Steps
-	results := make([]*Relation, len(steps))
-	nodeErr := make([]error, len(steps))
-	done := make([]chan struct{}, len(steps))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
-	ctx, cancel := context.WithCancel(ex.ctx)
-	defer cancel()
-	ex.ctx = ctx // probes observe sibling failures and caller cancellation alike
-
-	var failOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		failOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-
-	runNode := func(i int) {
-		defer close(done[i])
-		for _, d := range steps[i].Deps {
-			select {
-			case <-done[d]:
-				if nodeErr[d] != nil {
-					nodeErr[i] = errDepFailed
-					return
-				}
-			case <-ctx.Done():
-				nodeErr[i] = ctx.Err()
-				fail(ctx.Err())
-				return
-			}
-		}
-		outer, err := ex.outerInput(steps[i], results)
-		if err == nil {
-			results[i], err = ex.runStep(steps[i], outer)
-		}
-		if err != nil {
-			nodeErr[i] = err
-			if !errors.Is(err, errDepFailed) {
-				fail(err)
-			}
-			return
-		}
-		ex.nodeRows[i] = len(results[i].Rows)
-	}
-
-	if ex.opts.Parallel && len(steps) > 1 {
-		var wg sync.WaitGroup
-		for i := range steps {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runNode(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		// Steps are topologically ordered, so sequential execution in
-		// schedule order satisfies every dependency.
-		for i := range steps {
-			runNode(i)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for _, err := range nodeErr { // belt and braces: no failure escapes
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ex.rootPipeline(results)
-}
-
-// outerInput assembles the outer relation a bind-join or dynamic node
-// probes from: nothing for scans, the single dependency's result
-// as-is, or the natural join of several dependencies' results.
-func (ex *executor) outerInput(s PlanStep, results []*Relation) (*Relation, error) {
-	switch len(s.Deps) {
-	case 0:
-		return nil, nil
-	case 1:
-		return results[s.Deps[0]], nil
-	}
-	rels := make([]*Relation, len(s.Deps))
-	for i, d := range s.Deps {
-		rels[i] = results[d]
-	}
-	it := ex.joinPipeline(joinOrder(rels))
-	return Materialize(it)
-}
-
-// rootPipeline joins every node's result into the final body relation,
-// returned as a streaming iterator (materialized first only under the
-// MaterializeFinal ablation knob).
-func (ex *executor) rootPipeline(results []*Relation) (Iterator, error) {
-	if len(results) == 0 {
-		return NewScan(&Relation{}), nil
-	}
-	it := ex.joinPipeline(joinOrder(results))
-	if ex.opts.MaterializeFinal {
-		rel, err := Materialize(it)
-		if err != nil {
-			return nil, err
-		}
-		return NewScan(rel), nil
-	}
-	return it, nil
 }
 
 // joinOrder orders relations for a left-deep join chain: smallest
@@ -473,129 +301,6 @@ func (ex *executor) joinPipeline(ordered []*Relation) Iterator {
 	return it
 }
 
-// runWaves executes the plan wave by wave — the pre-DAG scheduler,
-// kept behind ExecOptions.WaveBarrier for ablation: steps are grouped
-// by dependency depth, each group joins into the growing intermediate
-// relation, and depth d+1 starts only after the slowest step of depth
-// d finished. Intermediate waves materialize (later bind joins consume
-// their rows); the final wave's join pipeline is returned
-// unmaterialized so finish() streams it.
-func (ex *executor) runWaves() (Iterator, error) {
-	var rel *Relation
-	last := ex.plan.NumWaves() - 1
-	for wave := 0; wave <= last; wave++ {
-		var steps []PlanStep
-		var positions []int
-		for i, s := range ex.plan.Steps {
-			if s.Wave == wave {
-				steps = append(steps, s)
-				positions = append(positions, i)
-			}
-		}
-		results := make([]*Relation, len(steps))
-		if ex.opts.Parallel && len(steps) > 1 {
-			var wg sync.WaitGroup
-			errs := make([]error, len(steps))
-			for i, s := range steps {
-				wg.Add(1)
-				go func(i int, s PlanStep) {
-					defer wg.Done()
-					results[i], errs[i] = ex.runStep(s, rel)
-				}(i, s)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for i, s := range steps {
-				r, err := ex.runStep(s, rel)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = r
-			}
-		}
-		for i, r := range results {
-			ex.nodeRows[positions[i]] = len(r.Rows)
-		}
-		// Join the wave's results into the intermediate relation,
-		// smallest first so intermediates grow from the tightest seed.
-		// The joins are composed into one left-deep iterator pipeline so
-		// the wave materializes at most once: the seed streams through
-		// the whole chain while each remaining relation is hashed as a
-		// join's build side. The final wave skips even that single
-		// materialization and streams into the finishing operators.
-		sort.SliceStable(results, func(i, j int) bool {
-			return len(results[i].Rows) < len(results[j].Rows)
-		})
-		var it Iterator
-		joins := 0
-		for _, r := range results {
-			if rel == nil {
-				rel = r
-				continue
-			}
-			if it == nil {
-				it = NewScan(rel)
-			}
-			it = ex.newJoin(it, NewScan(r))
-			joins++
-		}
-		if joins > 0 {
-			if wave == last && !ex.opts.MaterializeFinal {
-				return it, nil
-			}
-			joined, err := Materialize(it)
-			if err != nil {
-				return nil, err
-			}
-			rel = joined
-		}
-	}
-	if rel == nil {
-		rel = &Relation{}
-	}
-	return NewScan(rel), nil
-}
-
-// runStep executes one atom against its source(s). rel is the outer
-// relation bind joins and dynamic resolution consume: the assembled
-// dependency join under the DAG executor, the cumulative intermediate
-// relation under the wave-barrier one. Each step runs under its own
-// "node" span.
-func (ex *executor) runStep(s PlanStep, rel *Relation) (*Relation, error) {
-	a := ex.q.Atoms[s.AtomIndex]
-	outs := ex.plan.outs[s.AtomIndex]
-
-	sp := ex.span.StartChild("node")
-	sp.SetAttr("atom", strconv.Itoa(s.AtomIndex))
-	sp.SetAttr("target", a.Designator())
-	defer sp.End()
-
-	if s.Dynamic {
-		return ex.runDynamic(a, outs, rel, sp)
-	}
-
-	src, err := ex.atomSource(a)
-	if err != nil {
-		return nil, err
-	}
-	if s.BindJoin {
-		ex.mu.Lock()
-		ex.stats.BindJoins++
-		ex.mu.Unlock()
-		return ex.bindJoin(src, a, outs, rel, "", sp)
-	}
-	res, err := ex.scanSource(src, a, sp)
-	if err != nil {
-		return nil, err
-	}
-	return atomRelation(res, outs)
-}
-
 // scanSource executes an unparameterized sub-query — one native scan —
 // under a child span, observing its round trip into the per-source
 // probe histogram.
@@ -621,71 +326,61 @@ func (ex *executor) atomSource(a Atom) (source.DataSource, error) {
 }
 
 // runDynamic resolves the designating variable's distinct values from
-// the outer relation and ships the sub-query to each discovered
-// source; results carry the designator column so they join back to the
-// rows that mentioned that source (§2.2's per-embedding source
-// resolution).
-func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, sp *obs.Span) (*Relation, error) {
-	if rel == nil {
-		return nil, fmt.Errorf("core: dynamic source ?%s has no bindings yet", a.SourceVar)
-	}
+// the outer relation and ships the sub-query to each discovered source:
+// a scan, or — for an atom with IN variables — a bind join over the
+// outer rows that designate that source. Output rows carry the
+// designator column first, so they join back to the rows that mentioned
+// their source (§2.2's per-embedding source resolution).
+func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, emit func([]value.Row) error, sp *obs.Span) error {
 	ci := rel.colIndex(a.SourceVar)
 	if ci < 0 {
-		return nil, fmt.Errorf("core: dynamic source variable ?%s not in intermediate relation", a.SourceVar)
+		return fmt.Errorf("core: dynamic source variable ?%s not in intermediate relation", a.SourceVar)
 	}
-	uris := make(map[string]struct{})
+	byURI := make(map[string][]value.Row)
 	for _, row := range rel.Rows {
 		if !row[ci].IsNull() {
-			uris[row[ci].Str()] = struct{}{}
+			byURI[row[ci].Str()] = append(byURI[row[ci].Str()], row)
 		}
 	}
 	ex.mu.Lock()
-	ex.stats.Dynamic += len(uris)
+	ex.stats.Dynamic += len(byURI)
 	ex.mu.Unlock()
 
-	cols := []string{a.SourceVar}
-	var merged *Relation
-	ordered := make([]string, 0, len(uris))
-	for uri := range uris {
-		ordered = append(ordered, uri)
+	uris := make([]string, 0, len(byURI))
+	for uri := range byURI {
+		uris = append(uris, uri)
 	}
-	sort.Strings(ordered)
-	for _, uri := range ordered {
+	sort.Strings(uris)
+	for _, uri := range uris {
 		src, err := ex.in.ResolveSource(uri)
 		if err != nil {
-			return nil, fmt.Errorf("core: dynamic source ?%s: %w", a.SourceVar, err)
+			return fmt.Errorf("core: dynamic source ?%s: %w", a.SourceVar, err)
 		}
-		var part *Relation
+		tag := value.NewString(uri)
+		tagged := func(rows []value.Row) error {
+			out := make([]value.Row, len(rows))
+			for i, r := range rows {
+				out[i] = append(append(make(value.Row, 0, 1+len(r)), tag), r...)
+			}
+			return emit(out)
+		}
 		if len(a.Sub.InVars) > 0 {
-			part, err = ex.bindJoin(src, a, outs, rel, uri, sp)
+			outer := NewScan(&Relation{Cols: rel.Cols, Rows: byURI[uri]})
+			err = ex.streamBindJoin(src, a, outs, outer, tagged, sp)
 		} else {
 			var res *source.Result
-			res, err = ex.scanSource(src, a, sp)
-			if err == nil {
-				part, err = atomRelation(res, outs)
+			var part *Relation
+			if res, err = ex.scanSource(src, a, sp); err == nil {
+				if part, err = atomRelation(res, outs); err == nil {
+					err = tagged(part.Rows)
+				}
 			}
 		}
 		if err != nil {
-			return nil, err
-		}
-		// Tag rows with the source URI under the designator column.
-		tagged := &Relation{Cols: append(cols, part.Cols...)}
-		for _, r := range part.Rows {
-			row := make(value.Row, 0, 1+len(r))
-			row = append(row, value.NewString(uri))
-			row = append(row, r...)
-			tagged.Rows = append(tagged.Rows, row)
-		}
-		if merged == nil {
-			merged = tagged
-		} else {
-			merged.Rows = append(merged.Rows, tagged.Rows...)
+			return err
 		}
 	}
-	if merged == nil {
-		return &Relation{Cols: append(cols, outs...)}, nil
-	}
-	return merged, nil
+	return nil
 }
 
 // paramTuple is one distinct combination of bind-join parameter values.
@@ -695,10 +390,9 @@ type paramTuple struct {
 }
 
 // bindSpec is the column plumbing of one bind join, computed once from
-// the atom and the outer input's columns and shared by the
-// materialized and streaming paths: which outer positions feed the
-// sub-query parameters, what the output columns are, and how a probe
-// result filters back into output rows.
+// the atom and the outer input's columns: which outer positions feed
+// the sub-query parameters, what the output columns are, and how a
+// probe result filters back into output rows.
 type bindSpec struct {
 	ins      []string // parameter variable names, in InVars order
 	inPos    []int    // their positions in the outer input
@@ -785,221 +479,11 @@ func (sp *bindSpec) filterRows(t paramTuple, res *source.Result) ([]value.Row, e
 	return local, nil
 }
 
-// bindJoin executes the atom once per distinct combination of its
-// InVars values in rel, pushing the values as sub-query parameters, and
-// returns the relation (InVars ∪ OutVars). When the source supports
-// batched probes (source.BatchProber) and opts.ProbeBatch > 1, the
-// distinct tuples are chunked and each chunk ships as ONE native
-// sub-query (⌈N/batch⌉ round trips instead of N); the chunk size is
-// the per-source adaptive size when a Tuner is set. Sources without
-// the capability — or sub-query shapes a source cannot batch — keep
-// the per-tuple fan-out. When srcURI is non-empty the bindings
-// considered are restricted to rows designating that source.
-func (ex *executor) bindJoin(src source.DataSource, a Atom, outs []string, rel *Relation, srcURI string, sp *obs.Span) (*Relation, error) {
-	if rel == nil {
-		return nil, fmt.Errorf("core: bind join for atom %s has no outer bindings", a.Designator())
-	}
-	spec, err := newBindSpec(a, outs, rel.Cols)
-	if err != nil {
-		return nil, err
-	}
-	srcPos := -1
-	if srcURI != "" {
-		srcPos = rel.colIndex(a.SourceVar)
-	}
-
-	// Distinct parameter tuples.
-	seen := make(map[string]struct{})
-	var tuples []paramTuple
-	for _, row := range rel.Rows {
-		if srcPos >= 0 && row[srcPos].Str() != srcURI {
-			continue
-		}
-		t, ok := spec.extract(row)
-		if !ok {
-			continue
-		}
-		if _, dup := seen[t.key]; dup {
-			continue
-		}
-		seen[t.key] = struct{}{}
-		tuples = append(tuples, t)
-	}
-
-	// Digest semi-join pruning: bindings the source's digest proves
-	// absent are dropped before any round trip, and the per-position
-	// Bloom filters ride along with the sub-query so batch-capable
-	// federation endpoints can prune server-side as well.
-	if m := ex.probePruner(src, a); m != nil {
-		kept := make([]paramTuple, 0, len(tuples))
-		pruned := 0
-		for _, t := range tuples {
-			if m.MayMatch(t.params) {
-				kept = append(kept, t)
-			} else {
-				pruned++
-			}
-		}
-		if pruned > 0 {
-			tuples = kept
-			ex.mu.Lock()
-			ex.stats.PrunedProbes += pruned
-			ex.mu.Unlock()
-		}
-		a.Sub.Prune = m.Filters()
-	}
-
-	filterRows := spec.filterRows
-	out := &Relation{Cols: spec.cols}
-	var outMu sync.Mutex
-
-	probe := func(t paramTuple) error {
-		psp := sp.StartChild("probe")
-		psp.SetAttr("source", src.URI())
-		start := time.Now()
-		res, err := source.ExecuteWith(ex.ctx, src, a.Sub, t.params)
-		psp.End()
-		if err != nil {
-			return err
-		}
-		probeSeconds.With(src.URI()).ObserveSince(start)
-		ex.addStats(1, len(res.Rows))
-		local, err := filterRows(t, res)
-		if err != nil {
-			return err
-		}
-		outMu.Lock()
-		out.Rows = append(out.Rows, local...)
-		outMu.Unlock()
-		return nil
-	}
-
-	// Batch phase: when the source can really batch (source.CanBatch
-	// sees through decorators, so a probe cache over a plain source
-	// does not look batchable), ship chunks of the effective batch
-	// size, each as one job. Chunks the source rejects at run time as
-	// unbatchable (source.ErrBatchUnsupported, e.g. a remote endpoint
-	// without the batch route) collect their tuples for the per-tuple
-	// phase; real errors abort the join.
-	probeTuples := tuples
-	if source.CanBatch(src) && ex.opts.ProbeBatch > 1 && len(tuples) > 1 {
-		batch := ex.opts.ProbeBatch
-		if ex.opts.Tuner != nil {
-			batch = ex.opts.Tuner.Size(src.URI(), batch)
-		}
-		ex.recordBatchSize(src.URI(), batch)
-		bp := src.(source.BatchProber)
-		var rejectedMu sync.Mutex
-		var rejected []paramTuple
-		var jobs []func() error
-		for start := 0; start < len(tuples); start += batch {
-			chunk := tuples[start:min(start+batch, len(tuples))]
-			jobs = append(jobs, func() error {
-				unsupported, err := ex.batchProbe(bp, a, chunk, filterRows, out, &outMu, sp)
-				if err != nil {
-					return err
-				}
-				if unsupported {
-					rejectedMu.Lock()
-					rejected = append(rejected, chunk...)
-					rejectedMu.Unlock()
-				}
-				return nil
-			})
-		}
-		if err := ex.runJobs(jobs); err != nil {
-			return nil, err
-		}
-		probeTuples = rejected
-	}
-
-	// Per-tuple phase: everything the batch phase did not cover, one
-	// job per tuple so MaxFanout parallelism and the per-probe error
-	// short-circuit apply at tuple granularity either way.
-	var jobs []func() error
-	for _, t := range probeTuples {
-		t := t
-		jobs = append(jobs, func() error { return probe(t) })
-	}
-	if err := ex.runJobs(jobs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runJobs executes probe jobs, concurrently under MaxFanout when the
-// options allow. Once a job fails — or the query's context is done —
-// no further jobs launch: queued probes would only fire doomed network
-// sub-queries.
-func (ex *executor) runJobs(jobs []func() error) error {
-	if !ex.opts.Parallel || len(jobs) <= 1 {
-		for _, job := range jobs {
-			if err := ex.ctx.Err(); err != nil {
-				return err
-			}
-			if err := job(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sem := make(chan struct{}, ex.opts.MaxFanout)
-	var wg sync.WaitGroup
-	errOnce := sync.Once{}
-	var firstErr error
-	var failed atomic.Bool
-	for _, job := range jobs {
-		if failed.Load() {
-			break
-		}
-		if err := ex.ctx.Err(); err != nil {
-			errOnce.Do(func() { firstErr = err })
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(job func() error) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if failed.Load() {
-				return
-			}
-			if err := job(); err != nil {
-				errOnce.Do(func() { firstErr = err })
-				failed.Store(true)
-			}
-		}(job)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// batchProbe ships one chunk of parameter tuples as a single batched
-// sub-query and appends the merged per-tuple results to out.
-// unsupported=true reports the source rejected this sub-query's shape
-// (ErrBatchUnsupported); the caller then reprobes the chunk's tuples
-// individually.
-func (ex *executor) batchProbe(bp source.BatchProber, a Atom, chunk []paramTuple,
-	filterRows func(paramTuple, *source.Result) ([]value.Row, error),
-	out *Relation, outMu *sync.Mutex, sp *obs.Span) (unsupported bool, _ error) {
-
-	merged, unsupported, err := ex.batchProbeRows(bp, a, chunk, filterRows, sp)
-	if err != nil || unsupported {
-		return unsupported, err
-	}
-	outMu.Lock()
-	out.Rows = append(out.Rows, merged...)
-	outMu.Unlock()
-	return false, nil
-}
-
 // batchProbeRows ships one chunk of parameter tuples as a single
-// batched sub-query and returns the merged per-tuple result rows —
-// the transport shared by the materialized and streaming bind joins.
+// batched sub-query and returns the merged per-tuple result rows.
 // Successful round trips feed the adaptive tuner when one is
 // configured.
-func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, chunk []paramTuple,
-	filterRows func(paramTuple, *source.Result) ([]value.Row, error),
+func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, spec *bindSpec, chunk []paramTuple,
 	sp *obs.Span) (_ []value.Row, unsupported bool, _ error) {
 
 	if len(chunk) == 0 {
@@ -1039,7 +523,7 @@ func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, chunk []paramT
 			return nil, false, fmt.Errorf("core: atom %s: batched probe returned a nil result", a.Designator())
 		}
 		rows += len(res.Rows)
-		local, err := filterRows(chunk[i], res)
+		local, err := spec.filterRows(chunk[i], res)
 		if err != nil {
 			return nil, false, err
 		}
@@ -1127,10 +611,4 @@ func (ex *executor) finishIter(input Iterator) Iterator {
 		it = NewLimit(it, ex.q.Limit)
 	}
 	return it
-}
-
-// finish applies the finishing operators, consuming the body pipeline
-// without materializing it first.
-func (ex *executor) finish(input Iterator) (*Relation, error) {
-	return Materialize(ex.finishIter(input))
 }

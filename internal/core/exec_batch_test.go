@@ -235,10 +235,10 @@ func TestPartialBatchFailureAborts(t *testing.T) {
 	}
 }
 
-// TestStreamedFinishMatchesMaterialized checks the final wave's join
-// pipeline streaming straight into finish() returns exactly what the
-// materializing path returns, across projection, distinct, order and
-// limit.
+// TestStreamedFinishMatchesMaterialized checks the root join pipeline
+// streaming straight into the finishing operators returns exactly what
+// the materializing reference evaluator returns, across projection,
+// distinct, order and limit.
 func TestStreamedFinishMatchesMaterialized(t *testing.T) {
 	build := func() *Instance {
 		in := NewInstance(nil)
@@ -270,24 +270,13 @@ FROM <sql://d> OUT(?x, ?w) { SELECT k, w FROM t2 }
 DISTINCT ORDER BY ?w DESC LIMIT 3`,
 	} {
 		q := mustParse(t, text)
-		streamed, err := build().ExecuteOpts(q, ExecOptions{})
+		in := build()
+		streamed, err := in.ExecuteOpts(q, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		materialized, err := build().ExecuteOpts(q, ExecOptions{MaterializeFinal: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalStrings(streamed.Cols, materialized.Cols) {
-			t.Fatalf("cols diverge: %v vs %v", streamed.Cols, materialized.Cols)
-		}
-		if len(streamed.Rows) != len(materialized.Rows) {
-			t.Fatalf("row counts diverge: %d vs %d", len(streamed.Rows), len(materialized.Rows))
-		}
-		for i := range streamed.Rows {
-			if streamed.Rows[i].Key() != materialized.Rows[i].Key() {
-				t.Errorf("row %d diverges: %v vs %v", i, streamed.Rows[i], materialized.Rows[i])
-			}
+		if err := checkOracle(in, q, streamed); err != nil {
+			t.Fatalf("%v\n%s", err, text)
 		}
 	}
 }

@@ -32,35 +32,17 @@ const streamChanBatches = 4
 // away — not because anything failed.
 var errStreamDone = errors.New("core: stream consumer gone")
 
-// streamEligible reports whether execution can run as a tuple-streaming
-// pipeline: the DAG scheduler with parallelism on, none of the
-// materializing ablation knobs set.
-func streamEligible(opts ExecOptions) bool {
-	return opts.Parallel && !opts.WaveBarrier && !opts.Materialized && !opts.MaterializeFinal
-}
-
 // ExecuteStream runs a CMQ and returns its result as a stream of row
 // batches instead of a materialized relation: the first batch is
 // available as soon as the first rows clear the pipeline, while
 // upstream nodes are still probing. The caller must Close the result
-// (Close is idempotent; a full drain still requires it). When the
-// options are not stream-eligible — sequential, wave-barrier, or the
-// Materialized ablation — the query executes on the materialized path
-// and the result replays as batches, so callers get one API either
-// way.
+// (Close is idempotent; a full drain still requires it).
 func (in *Instance) ExecuteStream(ctx context.Context, q *CMQ, opts ExecOptions) (*StreamingResult, error) {
 	ex, err := in.newExecutor(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	if streamEligible(ex.opts) {
-		return ex.runDAGStream()
-	}
-	res, err := ex.runMaterialized()
-	if err != nil {
-		return nil, err
-	}
-	return replayResult(res), nil
+	return ex.runDAGStream(), nil
 }
 
 // StreamingResult is a query result consumed incrementally: NextBatch
@@ -76,10 +58,7 @@ type StreamingResult struct {
 
 	ex  *executor
 	run *streamRun
-	it  Iterator // finishing chain over the root join; nil in replay mode
-
-	rows []value.Row // replay mode: pre-materialized rows
-	pos  int
+	it  Iterator // finishing chain over the root join
 
 	stats     ExecStats
 	trace     *obs.SpanData
@@ -87,13 +66,6 @@ type StreamingResult struct {
 	opened    bool
 	done      bool
 	closed    bool
-}
-
-// replayResult wraps an already-materialized result in the streaming
-// interface.
-func replayResult(res *QueryResult) *StreamingResult {
-	return &StreamingResult{Cols: res.Cols, Plan: res.Plan,
-		rows: res.Rows, stats: res.Stats, trace: res.Trace, statsDone: true}
 }
 
 // NextBatch returns the next rows of the result, up to StreamBatchRows
@@ -104,16 +76,6 @@ func replayResult(res *QueryResult) *StreamingResult {
 func (r *StreamingResult) NextBatch() ([]value.Row, error) {
 	if r.done || r.closed {
 		return nil, nil
-	}
-	if r.it == nil { // replay mode
-		if r.pos >= len(r.rows) {
-			r.done = true
-			return nil, nil
-		}
-		end := min(r.pos+StreamBatchRows, len(r.rows))
-		batch := r.rows[r.pos:end]
-		r.pos = end
-		return batch, nil
 	}
 	if !r.opened {
 		r.opened = true
@@ -178,9 +140,7 @@ func (r *StreamingResult) Close() error {
 		return nil
 	}
 	r.closed = true
-	if r.it != nil {
-		r.shutdown()
-	}
+	r.shutdown()
 	return nil
 }
 
@@ -201,8 +161,8 @@ func (r *StreamingResult) Stats() ExecStats {
 // streaming server sends it as part of the trailer, after the rows.
 func (r *StreamingResult) Trace() *obs.SpanData { return r.trace }
 
-// drain consumes the whole stream into a QueryResult — how the
-// materialized ExecuteContext API is served off the streaming engine.
+// drain consumes the whole stream into a QueryResult — how
+// ExecuteContext is served.
 func (r *StreamingResult) drain() (*QueryResult, error) {
 	defer r.Close()
 	res := &QueryResult{Cols: r.Cols, Plan: r.Plan}
@@ -259,18 +219,9 @@ func (r *streamRun) err() error {
 // first rows land, not when the upstream materializes. The sink node
 // (no dependents, most expensive) feeds a bounded BatchStream that the
 // root hash join probes row by row; every other node's output doubles
-// as a hash-build input of that join, exactly as in the materialized
-// executor, so the row multiset is identical — only the timing moves.
-func (ex *executor) runDAGStream() (*StreamingResult, error) {
+// as a hash-build input of that join.
+func (ex *executor) runDAGStream() *StreamingResult {
 	steps := ex.plan.Steps
-	if len(steps) == 0 {
-		res, err := ex.runMaterialized()
-		if err != nil {
-			return nil, err
-		}
-		return replayResult(res), nil
-	}
-
 	pctx, cancel := context.WithCancel(ex.ctx)
 	ex.ctx = pctx // every probe observes sibling failures and consumer abandonment alike
 
@@ -294,7 +245,7 @@ func (ex *executor) runDAGStream() (*StreamingResult, error) {
 	}
 
 	it := ex.finishIter(run.rootChain())
-	return &StreamingResult{Cols: it.Cols(), Plan: ex.plan, ex: ex, run: run, it: it}, nil
+	return &StreamingResult{Cols: it.Cols(), Plan: ex.plan, ex: ex, run: run, it: it}
 }
 
 // rootChain assembles the final join: the sink's live stream probes a
@@ -390,17 +341,23 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 
 	if s.Dynamic {
 		// Dynamic resolution needs the complete outer result: the set of
-		// URIs to contact comes from all of it (§2.2), so this node — and
-		// only this node — waits for its dependencies to finish.
+		// URIs to contact comes from all of it (§2.2), so this node waits
+		// for its dependencies to finish.
 		outer, err := r.materializedOuter(s)
 		if err != nil {
 			return err
 		}
-		rel, err := ex.runDynamic(a, outs, outer, sp)
-		if err != nil {
-			return err
+		return ex.runDynamic(a, outs, outer, emit, sp)
+	}
+	// A scan reads none of its dependencies' rows: its Deps only order
+	// it, as in NaiveOrder's sequential chain. Under NaiveOrder a bind
+	// join waits too, so the ablation runs one atom after another.
+	if !s.BindJoin || ex.opts.NaiveOrder {
+		for _, d := range s.Deps {
+			if _, err := r.bufs[d].waitRelation(ex.ctx); err != nil {
+				return err
+			}
 		}
-		return emit(rel.Rows)
 	}
 
 	src, err := ex.atomSource(a)
@@ -452,8 +409,8 @@ func (r *streamRun) outerIter(s PlanStep) (Iterator, error) {
 	return it, nil
 }
 
-// materializedOuter assembles a node's complete outer relation — the
-// blocking variant outerInput used, for consumers that cannot stream.
+// materializedOuter assembles a node's complete outer relation, for
+// consumers that cannot stream it.
 func (r *streamRun) materializedOuter(s PlanStep) (*Relation, error) {
 	switch len(s.Deps) {
 	case 0:
@@ -474,7 +431,7 @@ func (r *streamRun) materializedOuter(s PlanStep) (*Relation, error) {
 
 // nodeCols computes a step's output columns without running it — the
 // streaming handoffs need their schema before any row exists. Must
-// mirror exactly what bindJoin / atomRelation / runDynamic produce.
+// mirror exactly what newBindSpec / atomRelation / runDynamic produce.
 func (ex *executor) nodeCols(s PlanStep) []string {
 	a := ex.q.Atoms[s.AtomIndex]
 	outs := ex.plan.outs[s.AtomIndex]
@@ -517,11 +474,15 @@ func (ex *executor) nodeCols(s PlanStep) []string {
 	}
 }
 
-// streamBindJoin is the streaming sibling of bindJoin: it consumes the
-// outer input incrementally, deduplicates parameter tuples on the fly,
-// and dispatches probe jobs under the fan-out bound as soon as a chunk
-// fills — or earlier, with whatever is pending, when the outer input
-// would block. Probe results emit as they land; with the sink's
+// streamBindJoin executes the atom once per distinct combination of its
+// InVars values in the outer input, pushing the values as sub-query
+// parameters. It consumes the outer input incrementally, deduplicates
+// parameter tuples on the fly, and dispatches probe jobs under the
+// fan-out bound as soon as a chunk fills — or earlier, with whatever is
+// pending, when the outer input would block. When the source supports
+// batched probes (source.BatchProber) and ProbeBatch > 1, a chunk of
+// tuples ships as ONE native sub-query; otherwise each tuple is a
+// probe. Probe results emit as they land; with the sink's
 // bounded stream downstream, a blocked emit holds the job's fan-out
 // slot, so backpressure reaches the probe dispatch itself.
 func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
@@ -540,10 +501,9 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 		return err
 	}
 
-	// Digest semi-join pruning, as in the materialized bindJoin: tuples
-	// the digest excludes never enter a chunk (so fully-pruned chunks
-	// never dispatch), and the Bloom filters ship with batched probes
-	// for server-side pruning.
+	// Digest semi-join pruning: tuples the digest excludes never enter a
+	// chunk (so fully-pruned chunks never dispatch), and the Bloom
+	// filters ship with batched probes for server-side pruning.
 	pruner := ex.probePruner(src, a)
 	if pruner != nil {
 		a.Sub.Prune = pruner.Filters()
@@ -595,7 +555,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 	}
 	runChunk := func(ts []paramTuple, batched bool) error {
 		if batched {
-			rows, unsupported, err := ex.batchProbeRows(bp, a, ts, spec.filterRows, sp)
+			rows, unsupported, err := ex.batchProbeRows(bp, a, spec, ts, sp)
 			if err != nil {
 				return err
 			}
@@ -643,7 +603,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 
 	seen := make(map[string]struct{})
 	var pending []paramTuple
-	total := 0  // distinct surviving tuples so far; a lone tuple ships per-tuple like the materialized path
+	total := 0  // distinct surviving tuples so far; a lone tuple ships as a plain probe
 	pruned := 0 // distinct tuples the digest excluded
 	aborted := false
 	flush := func(partial bool) bool {

@@ -174,9 +174,10 @@ func oracleJoin(in *Instance, q *CMQ, a Atom, outs []string, vars []string, bind
 // oracleAnswer is the reference answer to one query, computed once and
 // checked against any number of executions.
 type oracleAnswer struct {
-	cols []string
-	rows []value.Row // the answer, LIMIT applied
-	all  []value.Row // the answer without LIMIT
+	cols  []string
+	rows  []value.Row    // the answer, LIMIT applied
+	keys  []string       // without LIMIT: the rows' sorted keys
+	avail map[string]int // with LIMIT: key multiplicities of the unlimited answer
 }
 
 func newOracleAnswer(in *Instance, q *CMQ) (*oracleAnswer, error) {
@@ -184,13 +185,20 @@ func newOracleAnswer(in *Instance, q *CMQ) (*oracleAnswer, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &oracleAnswer{cols: cols, rows: rows, all: rows}
-	if q.Limit > 0 {
-		unlimited := *q
-		unlimited.Limit = 0
-		if _, o.all, err = oracleQuery(in, &unlimited); err != nil {
-			return nil, err
-		}
+	o := &oracleAnswer{cols: cols, rows: rows}
+	if q.Limit == 0 {
+		o.keys = sortedRows(&QueryResult{Rows: rows})
+		return o, nil
+	}
+	unlimited := *q
+	unlimited.Limit = 0
+	_, all, err := oracleQuery(in, &unlimited)
+	if err != nil {
+		return nil, err
+	}
+	o.avail = make(map[string]int, len(all))
+	for _, r := range all {
+		o.avail[r.Key()]++
 	}
 	return o, nil
 }
@@ -217,20 +225,16 @@ func (o *oracleAnswer) check(q *CMQ, res *QueryResult) error {
 	}
 	got := sortedRows(res)
 	if q.Limit == 0 {
-		if want := sortedRows(&QueryResult{Rows: o.rows}); !equalStrings(got, want) {
-			return fmt.Errorf("row multiset diverges\n got %v\nwant %v", got, want)
+		if !equalStrings(got, o.keys) {
+			return fmt.Errorf("row multiset diverges\n got %v\nwant %v", got, o.keys)
 		}
 		return nil
 	}
-	avail := map[string]int{}
-	for _, r := range o.all {
-		avail[r.Key()]++
-	}
+	used := map[string]int{}
 	for _, k := range got {
-		if avail[k] == 0 {
+		if used[k]++; used[k] > o.avail[k] {
 			return fmt.Errorf("LIMIT %d: row %q is missing from the unlimited answer, or too often", q.Limit, k)
 		}
-		avail[k]--
 	}
 	return nil
 }

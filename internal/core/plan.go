@@ -24,10 +24,9 @@ type PlanStep struct {
 	// rows produced, with remote sources carrying their round-trip
 	// overhead (-1 unknown).
 	EstCost int
-	// Wave is the step's dependency depth. The pipelined executor
-	// ignores it (nodes fire as soon as their own Deps finish); the
-	// WaveBarrier ablation executor runs depth d+1 only after every
-	// step of depth d completed — the pre-DAG behavior.
+	// Wave is the step's dependency depth, reported by explain output
+	// and ExecStats.Waves. The executor does not schedule by it: a node
+	// starts as soon as its own Deps let it.
 	Wave int
 	// Deps indexes the steps (positions in Plan.Steps) whose outputs
 	// feed this step: the producers of its InVars, plus — for dynamic
@@ -50,8 +49,7 @@ type Plan struct {
 }
 
 // NumWaves returns the depth of the DAG — the length of the longest
-// dependency chain, i.e. the number of barrier-synchronized waves the
-// ablation executor would run.
+// dependency chain.
 func (p *Plan) NumWaves() int {
 	n := 0
 	for _, s := range p.Steps {

@@ -56,15 +56,14 @@ FROM <sql://target> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? }
 // TestDigestPruningSkipsProbes checks the direct effect of semi-join
 // pruning: bindings the target's digest excludes never probe, the
 // skipped count surfaces in ExecStats.PrunedProbes, and the rows are
-// identical to the unpruned execution — on both the materialized and
-// the streaming executor.
+// identical to the unpruned execution — with probe fan-out and
+// without.
 func TestDigestPruningSkipsProbes(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts ExecOptions
 	}{
 		{"streaming", ExecOptions{Parallel: true, ProbeBatch: 2}},
-		{"materialized", ExecOptions{Parallel: true, Materialized: true, ProbeBatch: 2}},
 		{"sequential", ExecOptions{Parallel: false, ProbeBatch: 2}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -129,9 +128,8 @@ func TestPrunedExecutionMatchesUnprunedProperty(t *testing.T) {
 			}{
 				{"unpruned", ExecOptions{Parallel: false, NoDigestPlanning: true}},
 				{"pruned-streaming", ExecOptions{Parallel: true}},
-				{"pruned-materialized", ExecOptions{Parallel: true, Materialized: true}},
 				{"pruned-sequential", ExecOptions{Parallel: false}},
-				{"pruned-wave", ExecOptions{WaveBarrier: true, Parallel: true}},
+				{"pruned-naive-order", ExecOptions{Parallel: true, NaiveOrder: true}},
 			} {
 				res, err := in.ExecuteOpts(q, cfg.opts)
 				if err == nil {
@@ -275,7 +273,6 @@ FROM <sql://probe> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? }
 		opts ExecOptions
 	}{
 		{"streaming", ExecOptions{Parallel: true, ProbeBatch: 4}},
-		{"materialized", ExecOptions{Parallel: true, Materialized: true, ProbeBatch: 4}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			in, probe := newInstance(t)

@@ -162,68 +162,91 @@ func TestStreamAbandonmentLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamIneligibleReplays: stream-ineligible options (here:
-// sequential execution) still serve the streaming API, replaying the
-// materialized result in batches with identical rows and stats.
-func TestExecuteStreamIneligibleReplays(t *testing.T) {
-	in, _ := streamFixture(t, 5, 0)
-	q := mustParse(t, streamQuery)
-	ref, err := in.ExecuteOpts(q, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := in.ExecuteStream(context.Background(), q, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Close()
-	if !equalStrings(sr.Cols, ref.Cols) {
-		t.Fatalf("cols %v, want %v", sr.Cols, ref.Cols)
-	}
-	var rows []value.Row
-	for {
-		batch, err := sr.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		rows = append(rows, batch...)
-	}
-	if len(rows) != len(ref.Rows) {
-		t.Fatalf("replayed %d rows, want %d", len(rows), len(ref.Rows))
-	}
-	for i := range rows {
-		if rows[i].Key() != ref.Rows[i].Key() {
-			t.Fatalf("row %d: %v, want %v", i, rows[i], ref.Rows[i])
-		}
-	}
-	if got, want := sr.Stats().SubQueries, ref.Stats.SubQueries; got != want {
-		t.Fatalf("stats.SubQueries = %d, want %d", got, want)
-	}
-}
-
 // TestStreamedLimitPushdownMatchesMaterialized: the limit pushed below
-// the projection must not change results relative to the materialized
-// path applying it at the top.
+// the projection must not change results relative to the materializing
+// reference evaluator applying it at the top.
 func TestStreamedLimitPushdownMatchesMaterialized(t *testing.T) {
 	for _, limit := range []int{1, 3, 5, 32, 100} {
 		q := mustParse(t, fmt.Sprintf("%sLIMIT %d", streamQuery, limit))
 		in, _ := streamFixture(t, 8, 0)
-		ref, err := in.ExecuteOpts(q, ExecOptions{Parallel: true, Materialized: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, err := in.ExecuteOpts(q, ExecOptions{Parallel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != len(ref.Rows) {
-			t.Fatalf("LIMIT %d: streamed %d rows, materialized %d", limit, len(res.Rows), len(ref.Rows))
+		if err := checkOracle(in, q, res); err != nil {
+			t.Fatalf("LIMIT %d: %v", limit, err)
 		}
-		if got, want := sortedRows(res), sortedRows(ref); limit >= 8 && !equalStrings(got, want) {
-			t.Fatalf("LIMIT %d: row multiset diverges\n got %v\nwant %v", limit, got, want)
+	}
+}
+
+// callClock wraps a source, slows each call by delay and records when
+// its first call started and its last call ended.
+type callClock struct {
+	source.DataSource
+	delay time.Duration
+
+	mu          sync.Mutex
+	first, last time.Time
+}
+
+func (c *callClock) Execute(q source.SubQuery, params []value.Value) (*source.Result, error) {
+	c.mu.Lock()
+	if c.first.IsZero() {
+		c.first = time.Now()
+	}
+	c.mu.Unlock()
+	time.Sleep(c.delay)
+	res, err := c.DataSource.Execute(q, params)
+	c.mu.Lock()
+	c.last = time.Now()
+	c.mu.Unlock()
+	return res, err
+}
+
+// TestNaiveOrderRunsAtomsInSequence pins the E6 NaiveOrder ablation:
+// every atom's first source call starts after the previous atom's last
+// call ended — a bind join does not stream from its predecessor, and an
+// independent scan does not overlap the chain.
+func TestNaiveOrderRunsAtomsInSequence(t *testing.T) {
+	in := NewInstance(nil)
+	var clocks []*callClock
+	for _, tc := range []struct{ uri, table, rows string }{
+		{"sql://a", "t (k TEXT)", "('k0'), ('k1'), ('k2'), ('k3')"},
+		{"sql://b", "t (k TEXT, v TEXT)", "('k0', 'v0'), ('k1', 'v1'), ('k2', 'v2'), ('k3', 'v3')"},
+		{"sql://c", "t (k TEXT, v TEXT)", "('v0', 'w0'), ('v1', 'w1'), ('v2', 'w2'), ('v3', 'w3')"},
+		{"sql://d", "t (k TEXT)", "('x0'), ('x1')"},
+	} {
+		db := relstore.NewDatabase(tc.uri)
+		for _, stmt := range []string{"CREATE TABLE " + tc.table, "INSERT INTO t VALUES " + tc.rows} {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := &callClock{DataSource: source.NewRelSource(tc.uri, db), delay: 2 * time.Millisecond}
+		if err := in.AddSource(c); err != nil {
+			t.Fatal(err)
+		}
+		clocks = append(clocks, c)
+	}
+	q := mustParse(t, `
+QUERY q(?k, ?v, ?w, ?x)
+FROM <sql://a> OUT(?k) { SELECT k FROM t }
+FROM <sql://b> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
+FROM <sql://c> IN(?v) OUT(?v, ?w) { SELECT k, v FROM t WHERE k = ? }
+FROM <sql://d> OUT(?x) { SELECT k FROM t }
+`)
+	res, err := in.ExecuteOpts(q, ExecOptions{Parallel: true, NaiveOrder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 8 {
+		t.Fatalf("got %d rows, want 8", len(res.Rows))
+	}
+	for i := 1; i < len(clocks); i++ {
+		prev, cur := clocks[i-1], clocks[i]
+		if cur.first.Before(prev.last) {
+			t.Errorf("atom %d (%s) started %v before atom %d (%s) finished",
+				i, cur.URI(), prev.last.Sub(cur.first), i-1, prev.URI())
 		}
 	}
 }
