@@ -408,3 +408,36 @@ func TestConcurrentSearches(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentFirstRangeQueries runs the first range queries after a
+// write to a numeric field concurrently — the readers must not sort the
+// field's entries under the shared read lock. Run it under -race.
+func TestConcurrentFirstRangeQueries(t *testing.T) {
+	ix := testIndex(t)
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			id := fmt.Sprintf("extra%d", round)
+			if err := ix.Add(mkTweet(id, "x", "x", nil, 1000+round, "2016-04-01T00:00:00Z")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := make(chan struct{})
+		done := make(chan error, 8)
+		for i := 0; i < 8; i++ {
+			go func() {
+				<-start
+				hits, err := ix.Search(RangeQuery{Field: "retweet_count", Min: value.NewInt(100)}, SearchOptions{})
+				if err == nil && len(hits) != 2+round { // 469, 300 and the extras
+					err = fmt.Errorf("round %d: retweets >= 100: %v", round, ids(hits))
+				}
+				done <- err
+			}()
+		}
+		close(start)
+		for i := 0; i < 8; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

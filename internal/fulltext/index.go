@@ -51,8 +51,8 @@ type Index struct {
 
 	text     map[string]map[string][]posting // text field → token → postings
 	keyword  map[string]map[string][]int32   // keyword field → folded value → doc ids
-	numeric  map[string][]numEntry           // numeric/time field → entries (sorted lazily)
-	numDirty map[string]bool
+	numeric  map[string][]numEntry           // numeric/time field → entries, sorted by value unless dirty
+	numDirty map[string]bool                 // fields Add appended to since their last sort
 
 	docLen   map[string][]uint32 // text field → per-doc token count
 	totalLen map[string]uint64   // text field → total token count
@@ -208,14 +208,25 @@ func (ix *Index) Each(fn func(d *doc.Document) bool) {
 	}
 }
 
-// sortedNumeric returns the numeric entries for a field sorted by value.
-func (ix *Index) sortedNumeric(field string) []numEntry {
-	if ix.numDirty[field] {
-		entries := ix.numeric[field]
-		sort.Slice(entries, func(i, j int) bool { return entries[i].val < entries[j].val })
-		ix.numDirty[field] = false
+// rlockSorted takes the read lock with every numeric field's entries
+// sorted by value. Add only appends entries; the first reader after a
+// write sorts them under the write lock, so readers sharing the read
+// lock never write.
+func (ix *Index) rlockSorted() {
+	for {
+		ix.mu.RLock()
+		if len(ix.numDirty) == 0 {
+			return
+		}
+		ix.mu.RUnlock()
+		ix.mu.Lock()
+		for field := range ix.numDirty {
+			entries := ix.numeric[field]
+			sort.Slice(entries, func(i, j int) bool { return entries[i].val < entries[j].val })
+			delete(ix.numDirty, field)
+		}
+		ix.mu.Unlock()
 	}
-	return ix.numeric[field]
 }
 
 // FieldTerms returns the distinct tokens (text fields) or folded values

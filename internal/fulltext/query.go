@@ -100,7 +100,7 @@ const (
 // Search evaluates the query and returns hits ordered by descending
 // BM25 score (or by SortField when given).
 func (ix *Index) Search(q Query, opts SearchOptions) ([]Hit, error) {
-	ix.mu.RLock()
+	ix.rlockSorted()
 	set, err := ix.eval(q)
 	if err != nil {
 		ix.mu.RUnlock()
@@ -171,7 +171,7 @@ func (s docSet) score(i int) float64 {
 	return s.scores[i]
 }
 
-// eval answers the query. Caller holds the read lock.
+// eval answers the query. Caller holds the read lock from rlockSorted.
 func (ix *Index) eval(q Query) (docSet, error) {
 	switch x := q.(type) {
 	case AllQuery:
@@ -292,7 +292,7 @@ func (ix *Index) evalRange(q RangeQuery) (docSet, error) {
 	}
 	lo := rangeBound(q.Min, math.Inf(-1))
 	hi := rangeBound(q.Max, math.Inf(1))
-	entries := ix.sortedNumeric(q.Field)
+	entries := ix.numeric[q.Field] // sorted: the caller holds rlockSorted's lock
 	// Binary search the lower bound, scan to the upper; entries are in
 	// value order, so the ids are sorted and deduplicated afterwards.
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].val >= lo })

@@ -21,7 +21,7 @@ import (
 // scores are combined, bit for bit.
 
 func (ix *Index) refSearch(q Query, opts SearchOptions) ([]Hit, error) {
-	ix.mu.RLock()
+	ix.rlockSorted()
 	scores, err := ix.refEval(q)
 	if err != nil {
 		ix.mu.RUnlock()
@@ -159,7 +159,7 @@ func (ix *Index) refEvalRange(q RangeQuery) (map[int32]float64, error) {
 	lo := rangeBound(q.Min, math.Inf(-1))
 	hi := rangeBound(q.Max, math.Inf(1))
 	out := make(map[int32]float64)
-	entries := ix.sortedNumeric(q.Field)
+	entries := ix.numeric[q.Field]
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].val >= lo })
 	for ; i < len(entries) && entries[i].val <= hi; i++ {
 		out[entries[i].docID] = 1
