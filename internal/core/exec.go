@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,12 +348,7 @@ func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, emit func([
 	ex.stats.Dynamic += len(byURI)
 	ex.mu.Unlock()
 
-	uris := make([]string, 0, len(byURI))
-	for uri := range byURI {
-		uris = append(uris, uri)
-	}
-	sort.Strings(uris)
-	for _, uri := range uris {
+	for _, uri := range slices.Sorted(maps.Keys(byURI)) {
 		src, err := ex.in.ResolveSource(uri)
 		if err != nil {
 			return fmt.Errorf("core: dynamic source ?%s: %w", a.SourceVar, err)
@@ -366,17 +363,20 @@ func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, emit func([
 		}
 		if len(a.Sub.InVars) > 0 {
 			outer := NewScan(&Relation{Cols: rel.Cols, Rows: byURI[uri]})
-			err = ex.streamBindJoin(src, a, outs, outer, tagged, sp)
-		} else {
-			var res *source.Result
-			var part *Relation
-			if res, err = ex.scanSource(src, a, sp); err == nil {
-				if part, err = atomRelation(res, outs); err == nil {
-					err = tagged(part.Rows)
-				}
+			if err := ex.streamBindJoin(src, a, outs, outer, tagged, sp); err != nil {
+				return err
 			}
+			continue
 		}
+		res, err := ex.scanSource(src, a, sp)
 		if err != nil {
+			return err
+		}
+		part, err := atomRelation(res, outs)
+		if err != nil {
+			return err
+		}
+		if err := tagged(part.Rows); err != nil {
 			return err
 		}
 	}
