@@ -1,21 +1,19 @@
 // Benchmarks reproducing the paper's demonstrated behaviours, one per
-// experiment of DESIGN.md §4 (E1–E10). EXPERIMENTS.md records the
-// measured outcomes against the paper's claims. Run with:
+// experiment (E1–E12), plus a few substrate and bind-join
+// micro-benchmarks. They are plain, unrecorded go test benchmarks for
+// local profiling; the recorded performance numbers come from the
+// closed-loop workloads in bench/ (bench/README.md). Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 package tatooine_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -30,7 +28,6 @@ import (
 	"tatooine/internal/pager"
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
-	"tatooine/internal/server"
 	"tatooine/internal/source"
 	"tatooine/internal/store"
 	"tatooine/internal/viz"
@@ -549,121 +546,6 @@ func BenchmarkSourceEstimate(b *testing.B) {
 	}
 }
 
-// ---------- mediator service: end-to-end HTTP throughput ----------
-
-// BenchmarkServeThroughput drives the long-running mediator service
-// over HTTP with concurrent identical qSIA requests. After the first
-// execution the result cache (plus the per-source probe cache beneath
-// it) answers from memory, so this measures the serving hot path the
-// ROADMAP's heavy-traffic north star cares about. cold=true disables
-// the result cache (which also turns off single-flight coalescing) and
-// the probe cache, so every request fully re-executes.
-func BenchmarkServeThroughput(b *testing.B) {
-	ds := fix(b, 5000).ds
-	for _, cold := range []bool{false, true} {
-		name := "cached"
-		if cold {
-			name = "cold"
-		}
-		b.Run(name, func(b *testing.B) {
-			in, err := ds.Instance()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := server.Options{Exec: core.ExecOptions{Parallel: true}}
-			if cold {
-				opts.ResultCacheSize = -1
-				opts.ProbeCacheSize = -1
-			}
-			srv := server.New(in, opts)
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			body, err := json.Marshal(server.QueryRequest{Query: qSIAText})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					resp, err := http.Post(ts.URL+"/cmq", "application/json", bytes.NewReader(body))
-					if err != nil {
-						b.Fatal(err)
-					}
-					var qr server.QueryResponse
-					if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-						b.Fatal(err)
-					}
-					resp.Body.Close()
-					if qr.Error != "" || resp.StatusCode != http.StatusOK {
-						b.Fatalf("status %d: %s", resp.StatusCode, qr.Error)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkDeltaSaturation measures the tentpole of incremental
-// delta-saturation: a mutation-heavy serving loop (insert one triple,
-// then query over G∞) against a datagen-sized graph. In "full" mode
-// (the WithFullResaturation ablation, the pre-reason behavior) every
-// insert bumps the epoch and the next query recomputes the whole
-// saturation from scratch; in "delta" mode the insert flows through
-// reason.Engine's semi-naive rules in O(consequences-of-the-delta) and
-// the query serves the maintained G∞ directly.
-func BenchmarkDeltaSaturation(b *testing.B) {
-	cfg := datagen.DefaultConfig()
-	cfg.NumPoliticians = 1000
-	cfg.NumTweets = 0
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The query needs G∞ (being a :person is derived via rdfs9) but is
-	// selective, as serving-path queries are: the measured gap is the
-	// saturation maintenance itself, not the row scan.
-	q := core.MustParseCMQ("QUERY q(?x)\nGRAPH { ?x a :person . ?x :position :headOfState }")
-
-	for _, mode := range []struct {
-		name string
-		opt  core.InstanceOption
-	}{
-		{"delta", core.WithSaturation()},
-		{"full", core.WithFullResaturation()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			in := core.NewInstance(ds.Graph.Clone(), mode.opt,
-				core.WithPrefixes(map[string]string{"": datagen.NS}))
-			// Warm up: materialize the initial saturation outside the
-			// timed loop (both modes pay it once).
-			if _, err := in.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := in.AddTriples([]rdf.Triple{{
-					S: rdf.NewIRI(fmt.Sprintf("%sbench/p%d", datagen.NS, i)),
-					P: rdf.NewIRI(rdf.RDFType),
-					O: rdf.NewIRI(datagen.NS + "politician"),
-				}})
-				if n != 1 {
-					b.Fatal("insert did not apply")
-				}
-				res, err := in.Execute(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) == 0 {
-					b.Fatal("no rows")
-				}
-			}
-			b.StopTimer()
-			st := in.SaturationStats()
-			b.ReportMetric(float64(st.FullRecomputes), "recomputes")
-		})
-	}
-}
-
 // BenchmarkBatchedBindJoin measures the tentpole of the batched
 // bind-join pushdown: a bind join whose probes travel to a remote
 // federation endpoint behind an injected per-request latency. perProbe
@@ -749,220 +631,7 @@ FROM <sql://remote> IN(?k) OUT(?k, ?v) { SELECT k, v FROM targets WHERE k = ? }
 	}
 }
 
-// estMemoClient memoizes a remote's cost estimates (as the mediator's
-// source.Cached does) WITHOUT caching probe results, so the benchmark
-// measures execution latency rather than plan-time estimate round
-// trips — while every probe still pays its injected network latency.
-type estMemoClient struct {
-	*federation.Client
-	mu sync.Mutex
-	m  map[string][2]int
-}
-
-func (e *estMemoClient) Unwrap() source.DataSource { return e.Client }
-
-func (e *estMemoClient) Estimate(q source.SubQuery, numParams int) (rows, cost int) {
-	key := fmt.Sprintf("%s|%d", q.Text, numParams)
-	e.mu.Lock()
-	if v, ok := e.m[key]; ok {
-		e.mu.Unlock()
-		return v[0], v[1]
-	}
-	e.mu.Unlock()
-	rows, cost = e.Client.Estimate(q, numParams)
-	e.mu.Lock()
-	e.m[key] = [2]int{rows, cost}
-	e.mu.Unlock()
-	return rows, cost
-}
-
-func (e *estMemoClient) EstimateCost(q source.SubQuery, numParams int) int {
-	rows, _ := e.Estimate(q, numParams)
-	return rows
-}
-
-// BenchmarkSemiJoinPruning measures the tentpole of digest-driven
-// semi-join pruning on a low-match-rate bind join: 256 outer bindings
-// probe a latency-injected remote holding only 16 of the keys. With
-// digest planning the remote's digest is fetched once, the 240
-// provably-absent bindings are skipped before dispatch, and the few
-// survivors ship in one small batch; the noDigest ablation
-// (-digest-planning=false) ships every binding. Expected: ≥5× fewer
-// probes on the wire (probes/op) and ≥2× lower wall-clock. rtts/op
-// counts actual HTTP requests per executed query.
-func BenchmarkSemiJoinPruning(b *testing.B) {
-	const outerKeys = 256
-	const matching = 16
-	const rtt = 2 * time.Millisecond
-
-	db := relstore.NewDatabase("remote")
-	if _, err := db.Exec("CREATE TABLE t (k TEXT, v INT)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < matching; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seed := relstore.NewDatabase("seed")
-	if _, err := seed.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < outerKeys; i++ {
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%d')", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	var requests atomic.Int64
-	inner := federation.Handler(source.NewRelSource("sql://remote", db))
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		time.Sleep(rtt) // injected network latency
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	q, _, err := core.ParseCMQ(`
-QUERY q(?k, ?v)
-FROM <sql://seed> OUT(?k) { SELECT k FROM seed }
-FROM <sql://remote> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// Small batches over a small fan-out so the probe bill is paid in
-	// several serial rounds — the regime where skipping probes pays.
-	base := core.ExecOptions{Parallel: true, MaxFanout: 2, ProbeBatch: 16}
-	noDigest := base
-	noDigest.NoDigestPlanning = true
-	for _, bench := range []struct {
-		name string
-		opts core.ExecOptions
-	}{
-		{"digest", base},
-		{"noDigest", noDigest},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			client, err := federation.Dial(ts.URL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := core.NewInstance(nil)
-			if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
-				b.Fatal(err)
-			}
-			if err := in.AddSource(&estMemoClient{Client: client, m: make(map[string][2]int)}); err != nil {
-				b.Fatal(err)
-			}
-			// Warm up outside the timed loop: the digest fetch (one
-			// /digest round trip, memoized per mutation epoch) and the
-			// estimate memo are per-instance setup, not per-query cost.
-			if _, err := in.ExecuteOpts(q, bench.opts); err != nil {
-				b.Fatal(err)
-			}
-			requests.Store(0)
-			probes := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := in.ExecuteOpts(q, bench.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != matching {
-					b.Fatalf("rows: %d", len(res.Rows))
-				}
-				probes += outerKeys - res.Stats.PrunedProbes
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-			b.ReportMetric(float64(requests.Load())/float64(b.N), "rtts/op")
-		})
-	}
-}
-
-// BenchmarkWarmBoot measures the persistent-storage tentpole: reopening
-// a persistent instance (core.Open adopts the stored G∞ with zero
-// recompute) against rebuilding the same instance from its triples
-// (load + full saturation), each timed through to the first answered
-// G∞ query. The warm path should win by well over an order of
-// magnitude — it reads a catalog page and probes B-trees instead of
-// re-interning the graph and re-running the saturation fixpoint.
-func BenchmarkWarmBoot(b *testing.B) {
-	cfg := datagen.DefaultConfig()
-	cfg.NumPoliticians = 1000
-	cfg.NumTweets = 0
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := core.MustParseCMQ("QUERY q(?x)\nGRAPH { ?x a :person . ?x :position :headOfState }")
-	prefixes := core.WithPrefixes(map[string]string{"": datagen.NS})
-	ts := ds.Graph.Triples()
-
-	// Seed the store once: load the graph, materialize + persist G∞.
-	dir := b.TempDir()
-	seed, err := core.Open(dir, core.WithSaturation(), prefixes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed.AddTriples(ts)
-	if _, err := seed.Execute(q); err != nil {
-		b.Fatal(err)
-	}
-	if err := seed.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("warmOpen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in, err := core.Open(dir, core.WithSaturation(), prefixes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := in.Execute(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Rows) == 0 {
-				b.Fatal("no rows")
-			}
-			if in.SaturationStats().FullRecomputes != 0 {
-				b.Fatal("warm boot recomputed the saturation")
-			}
-			b.StopTimer()
-			in.Close()
-			b.StartTimer()
-		}
-	})
-	b.Run("loadSaturate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in := core.NewInstance(rdf.NewGraph(), core.WithSaturation(), prefixes)
-			in.AddTriples(ts)
-			res, err := in.Execute(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-}
-
 // ---------- bounded memory ----------
-
-// maxRSSBytes reads the process high-water resident set size. Linux
-// reports ru_maxrss in KiB.
-func maxRSSBytes(b *testing.B) int64 {
-	b.Helper()
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		b.Fatal(err)
-	}
-	return ru.Maxrss << 10
-}
 
 // heapInuse reports GC-settled live heap bytes.
 func heapInuse() int64 {
@@ -976,13 +645,12 @@ func heapInuse() int64 {
 // model (doc.go): an on-disk instance at least 4x the page-cache budget
 // serves point lookups and a deliberately overflowing federated join
 // while live-heap growth stays within 1.5x the budget and the
-// resident-page gauge never exceeds the cap. Max RSS is reported as a
-// benchmark metric so BENCH_10.json records the memory trajectory
-// alongside ns/op. The seeding phase inflates the process high-water
-// mark before serving starts, so the hard bound is asserted on
-// GC-settled heap growth across the serving phase — the budgeted
-// resources (page cache, join build sides, dictionary hot cache) all
-// live on the heap.
+// resident-page gauge never exceeds the cap. The seeding phase inflates
+// the process high-water mark before serving starts, so the bound is
+// asserted on GC-settled heap growth across the serving phase — the
+// budgeted resources (page cache, join build sides, dictionary hot
+// cache) all live on the heap. Process peak RSS is bench/'s
+// peak_rss_mb.
 func BenchmarkBoundedMemory(b *testing.B) {
 	const cacheBudget = 16 << 20 // -page-cache-mb 16
 	cfg := datagen.DefaultConfig()
@@ -1033,7 +701,6 @@ LIMIT 2000`)
 		}
 		b.StopTimer()
 		checkResident(b)
-		b.ReportMetric(float64(maxRSSBytes(b))/(1<<20), "max-rss-MB")
 	})
 	b.Run("spillJoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -1050,7 +717,6 @@ LIMIT 2000`)
 		}
 		b.StopTimer()
 		checkResident(b)
-		b.ReportMetric(float64(maxRSSBytes(b))/(1<<20), "max-rss-MB")
 		if grown := heapInuse() - baseHeap; grown > cacheBudget*3/2 {
 			b.Fatalf("live heap grew %d B across the serving phase, budget bound is %d B", grown, cacheBudget*3/2)
 		}
@@ -1112,55 +778,4 @@ func BenchmarkWarmBootAllocs(b *testing.B) {
 		// The timed body is a no-op: the benchmark exists for its
 		// metrics and the scaling assertion above.
 	}
-}
-
-// BenchmarkPointLookupDisk prices the disk-backed triple probe: the
-// same Contains workload against the in-memory map backend and the
-// store-backed B-tree backend with a warm page cache. The B-tree pays
-// key encoding plus a descent through cached pages; the target is
-// staying within a small constant factor (~2x) of the map.
-func BenchmarkPointLookupDisk(b *testing.B) {
-	cfg := datagen.DefaultConfig()
-	cfg.NumPoliticians = 1000
-	cfg.NumTweets = 0
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := ds.Graph.Triples()
-
-	b.Run("memory", func(b *testing.B) {
-		g := ds.Graph
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !g.Contains(ts[i%len(ts)]) {
-				b.Fatal("probe missed")
-			}
-		}
-	})
-	b.Run("disk", func(b *testing.B) {
-		st, err := store.Open(filepath.Join(b.TempDir(), "bench.db"), store.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		g, err := rdf.OpenGraph(st, "g")
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.AddAll(ts)
-		if err := st.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !g.Contains(ts[i%len(ts)]) {
-				b.Fatal("probe missed")
-			}
-		}
-		b.StopTimer()
-		if err := g.StoreErr(); err != nil {
-			b.Fatal(err)
-		}
-	})
 }

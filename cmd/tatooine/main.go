@@ -16,8 +16,7 @@
 //	                                     and invalidates dependent caches;
 //	                                     graph atoms answer over G∞,
 //	                                     maintained incrementally under
-//	                                     mutations unless
-//	                                     -delta-saturation=false)
+//	                                     mutations)
 //	tatooine keyword head of state SIA2016
 //	tatooine tagcloud -o tagcloud.html   Figure 3 tag clouds
 //	tatooine digest                      print per-source digests
@@ -84,8 +83,8 @@ func run(args []string) error {
 		time.Since(start).Round(time.Millisecond), ds.Graph.Size(), ds.Tweets.Count(),
 		ds.Facebook.Count(), len(ds.INSEE.Tables()))
 
-	// serve assembles its own instance (it adds the saturation option
-	// from its flags); every other subcommand shares the default one.
+	// serve assembles its own instance (saturated, and store-backed
+	// under -data-dir); every other subcommand shares the default one.
 	if rest[0] == "serve" {
 		return cmdServe(ds, rest[1:])
 	}
@@ -147,13 +146,18 @@ func cmdQuery(in *core.Instance, args []string, explainOnly bool) error {
 	if err != nil {
 		return err
 	}
+	if explainOnly {
+		// Plan only: nothing executes, so no probe reaches a source.
+		info, err := in.ExplainQuery(q, core.ExecOptions{Parallel: true})
+		if err != nil {
+			return err
+		}
+		fmt.Print(info.Plan)
+		return nil
+	}
 	res, err := in.Execute(q)
 	if err != nil {
 		return err
-	}
-	if explainOnly {
-		fmt.Print(res.Plan.Explain(q))
-		return nil
 	}
 	printResult(res)
 	return nil
@@ -161,10 +165,8 @@ func cmdQuery(in *core.Instance, args []string, explainOnly bool) error {
 
 // cmdServe runs the long-running HTTP mediator service around the
 // generated mixed instance. The serving instance evaluates graph atoms
-// over G∞ (the paper's answer semantics); by default the saturation is
-// maintained incrementally under mutations (internal/reason), and
-// -delta-saturation=false restores the recompute-per-epoch path for
-// ablation.
+// over G∞ (the paper's answer semantics), maintained incrementally
+// under mutations (internal/reason).
 func cmdServe(ds *datagen.Dataset, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -174,8 +176,6 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		"store page-cache budget in MiB — the hard cap on pages resident in memory (0 = default 16; requires -data-dir)")
 	joinMemBudgetMB := fs.Int("join-mem-budget", 0,
 		"per-join build-side memory budget in MiB: residual hash joins whose build side exceeds it spill to a partitioned on-disk join (0 = unbounded, never spill)")
-	deltaSat := fs.Bool("delta-saturation", true,
-		"maintain G∞ incrementally under mutations (false = full recompute per epoch move, for ablation)")
 	resultCache := fs.Int("result-cache", server.DefaultResultCacheSize,
 		"result-cache entries (negative disables)")
 	probeCache := fs.Int("probe-cache", 0,
@@ -186,10 +186,6 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		"bind-join fan-out per atom (0 = derive from GOMAXPROCS, clamped)")
 	probeBatch := fs.Int("probe-batch", 0,
 		"bind-join probe batch size for batch-capable sources (0 = default 64, 1 disables batching)")
-	adaptiveBatch := fs.Bool("adaptive-batch", true,
-		"adapt per-source probe batch size from observed round-trip latency (within [16, 256])")
-	digestPlanning := fs.Bool("digest-planning", true,
-		"refine planner row estimates with per-source digest statistics and prune bind-join probes the digests exclude (false = source estimates only, no semi-join pruning; ablation)")
 	slowQuery := fs.Duration("slow-query", server.DefaultSlowQuery,
 		"slow-query log threshold: completed queries at or over it are logged and flagged on GET /debug/queries (negative disables)")
 	traceRing := fs.Int("trace-ring", server.DefaultTraceRing,
@@ -201,14 +197,13 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	satOpt := core.WithSaturation()
-	if !*deltaSat {
-		satOpt = core.WithFullResaturation()
+	if *pageCacheMB != 0 && *dataDir == "" {
+		return fmt.Errorf("serve: -page-cache-mb requires -data-dir (an in-memory instance has no page cache)")
 	}
 	var in *core.Instance
 	var err error
 	if *dataDir != "" {
-		instOpts := []core.InstanceOption{satOpt}
+		instOpts := []core.InstanceOption{core.WithSaturation()}
 		if *pageCacheMB > 0 {
 			instOpts = append(instOpts, core.WithStoreOptions(store.Options{
 				Pager: pager.Options{CacheSize: (*pageCacheMB << 20) / pager.PageSize},
@@ -226,30 +221,25 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		fmt.Fprintf(os.Stderr, "persistent instance at %s: %s (epoch %d, G=%d triples)\n",
 			*dataDir, boot, in.Epoch(), in.Graph().Size())
 	} else {
-		in, err = ds.Instance(satOpt)
+		in, err = ds.Instance(core.WithSaturation())
 		if err != nil {
 			return err
 		}
-	}
-	exec := core.ExecOptions{
-		Parallel:         true,
-		MaxFanout:        *fanout,
-		ProbeBatch:       *probeBatch,
-		NoDigestPlanning: !*digestPlanning,
-		JoinMemBudget:    int64(*joinMemBudgetMB) << 20,
-	}
-	if *adaptiveBatch {
-		exec.Tuner = core.NewBatchTuner()
 	}
 	srv := server.New(in, server.Options{
 		ResultCacheSize: *resultCache,
 		ProbeCacheSize:  *probeCache,
 		ProbeTTL:        *probeTTL,
-		Exec:            exec,
-		SlowQuery:       *slowQuery,
-		TraceRing:       *traceRing,
-		LogRequests:     *logRequests,
-		EnablePprof:     *pprofOn,
+		Exec: core.ExecOptions{
+			Parallel:      true,
+			MaxFanout:     *fanout,
+			ProbeBatch:    *probeBatch,
+			JoinMemBudget: int64(*joinMemBudgetMB) << 20,
+		},
+		SlowQuery:   *slowQuery,
+		TraceRing:   *traceRing,
+		LogRequests: *logRequests,
+		EnablePprof: *pprofOn,
 	})
 	fmt.Fprintf(os.Stderr, "mediator service listening on %s\n", *addr)
 	fmt.Fprintln(os.Stderr, "  query:  POST /cmq · GET /stats · GET /healthz")

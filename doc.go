@@ -7,10 +7,13 @@
 // digests and PMI tag-cloud analytics.
 //
 // The implementation lives under internal/ (one package per
-// subsystem; see DESIGN.md for the inventory), the runnable
-// demonstrations under examples/, the CLI under cmd/, and the
-// experiment reproduction benchmarks in bench_test.go (indexed in
-// EXPERIMENTS.md).
+// subsystem), the runnable demonstrations under examples/ and the CLI
+// under cmd/. Performance is measured by bench/, a nested module with
+// four closed-loop workloads — serve_hot, serve_exec, federated_stream
+// and durable_mutate — that report end-to-end and per-layer metrics
+// and check every reply against an oracle (bench/README.md). The
+// per-experiment benchmarks in bench_test.go (E1–E12) are plain,
+// unrecorded go test benchmarks.
 //
 // # Serving queries
 //
@@ -34,8 +37,10 @@
 //     long-running mediator stops serving arbitrarily stale remote
 //     rows).
 //
-// BenchmarkServeThroughput measures the end-to-end HTTP path in both
-// cached and cold configurations.
+// bench/'s serve_hot workload measures the cached HTTP path (every
+// request a result-cache hit; server.overhead_ms_per_query is its
+// breakdown) and serve_exec the cold one (both caches off, every
+// request plans, probes and joins).
 //
 // # Mutation and epoch-based invalidation
 //
@@ -95,15 +100,16 @@
 //     graph (reason.Config.MaxDeleteFraction), falls back to a full
 //     recompute.
 //
-// core.WithFullResaturation ("tatooine serve -delta-saturation=false")
-// restores the recompute-per-epoch path for ablation, and GET /stats
-// carries a "saturation" block (mode, derived count, deltaApplies /
-// fullRecomputes, last apply duration). BenchmarkDeltaSaturation
-// measures the mutate-then-query loop: ~390x faster than the
-// full-recompute path on a 1000-politician graph. A property-style
-// test (internal/reason) keeps the maintained G∞ triple-identical to
-// rdf.Saturate-from-scratch under random mixed insert/delete
-// sequences.
+// GET /stats carries a "saturation" block (mode, derived count,
+// deltaApplies / fullRecomputes, last apply duration). bench/'s
+// durable_mutate workload interleaves writes and reads and reports
+// reason.apply_insert_us, reason.derived_per_write and
+// reason.full_recomputes (which must stay 0 after warm-up). Before the
+// full-recompute ablation was removed, a one-shot benchmark put the
+// delta path's mutate-then-query loop ~390x ahead of it on a
+// 1000-politician graph. A property-style test (internal/reason) keeps
+// the maintained G∞ triple-identical to rdf.Saturate-from-scratch
+// under random mixed insert/delete sequences.
 //
 // # Batched bind-join pushdown
 //
@@ -137,16 +143,11 @@
 // ExecStats.BatchProbes (and the /stats batchProbes counter) reports
 // how many batched dispatches ran; POST /cmq with {"explain": true}
 // returns the plan plus each atom's batched-vs-per-probe decision
-// without executing. BenchmarkBatchedBindJoin measures the round-trip
-// collapse against a latency-injected remote source.
-//
-// Batch sizes adapt per source when a core.BatchTuner is configured
-// (on by default under "tatooine serve", off with
-// -adaptive-batch=false): observed batch round-trip latency grows or
-// shrinks the effective size within [16, 256] — fast round trips are
-// paying proportionally too much per-request overhead, slow ones
-// serialize too much work behind one request. ExecStats.BatchSizes and
-// the /stats probeBatchSizes map report the current choice per source.
+// without executing. bench/'s federated_stream workload, whose sources
+// sit behind a 1 ms delay, reports the collapse as
+// core.batch_probes_per_query and federation.rtts_per_query;
+// BenchmarkBatchedBindJoin isolates it (per-tuple vs batches of 64)
+// against a latency-injected remote.
 //
 // # Pipelined operator-DAG execution
 //
@@ -181,10 +182,11 @@
 // only bounds bind-join fan-out (false is MaxFanout = 1); the E6
 // NaiveOrder ablation plans atoms in declaration order and runs each
 // only after the previous one finished. The DAG once had two
-// siblings: a barrier-synchronized wave scheduler, which it beat 1.64x
-// (BENCH_5.json), and a materialize-every-node path, over which
-// streaming cut time-to-first-row 4.4x (BENCH_6.json); both ablations
-// were then removed. A property test checks 2,000 randomized CMQs —
+// siblings, both since removed. One-shot benchmarks had it beating a
+// barrier-synchronized wave scheduler 1.64x. Streaming cut
+// time-to-first-row 4.4x against a materialize-every-node path, which
+// bench/ now tracks as ttfr_p50_ms and core.ttfr_ms on
+// federated_stream. A property test checks 2,000 randomized CMQs —
 // dynamic atoms, DISTINCT, ORDER BY and LIMIT included — against a
 // nested-loop reference evaluator (internal/core/oracle_test.go).
 //
@@ -284,8 +286,7 @@
 // ("prune"), letting the remote endpoint skip excluded tuples
 // server-side and answer them as empty results, position-aligned; old
 // endpoints ignore the unknown field. Fully pruned chunks never reach
-// the wire — and deliberately leave the adaptive BatchTuner untouched,
-// since no round trip was observed. ExecStats.PrunedProbes counts the
+// the wire. ExecStats.PrunedProbes counts the
 // skipped bindings, and {"explain": true} annotates each bind-join
 // atom with its pruning decision — the plan line carries the refined
 // row estimate and the atom entry says why pruning does or does not
@@ -296,12 +297,13 @@
 //	"pruning": "digest covers the parameter positions; bindings the
 //	            digest excludes are skipped before probing"
 //
-// "tatooine serve -digest-planning=false" is the ablation: flat source
-// estimates, no pruning, results identical either way (pinned by a
-// randomized property test over partially disjoint sources).
-// BenchmarkSemiJoinPruning measures a low-match-rate federated join
-// (256 outer bindings, 16 matching): ≥5x fewer probes on the wire and
-// ≥2x lower wall clock than the ablation.
+// A randomized property test over partially disjoint sources checks
+// pruned answers against a reference evaluator. bench/'s
+// federated_stream workload, whose politicians mostly never tweeted,
+// reports core.pruned_probe_ratio. Before the no-digest ablation was
+// removed, a one-shot benchmark of a low-match-rate federated join
+// (256 outer bindings, 16 matching) shipped 16 probes instead of 256
+// and ran ~7x faster with pruning.
 //
 // # Persistent storage engine
 //
@@ -348,9 +350,11 @@
 // requests and checkpoints the WAL on the way down, and GET /stats
 // grows a "store" block (pages, cacheHits / cacheMisses, walBytes,
 // commits, checkpoints). Without the flag everything runs in memory,
-// byte-identical to the pre-engine behavior. BenchmarkWarmBoot
-// measures adopt-vs-resaturate on reopen and BenchmarkPointLookupDisk
-// the disk-backed triple probe against the in-memory baseline; see
+// byte-identical to the pre-engine behavior. bench/'s durable_mutate
+// workload runs on such a store and reports reopen_s, space_amp, the
+// pager.* and btree.* layer costs, and post_write_query_p50_ms. A
+// one-shot benchmark once put a warm reopen of a 1000-politician
+// instance at ~1 ms against ~61 ms for load + saturate. See
 // examples/persistent for the end-to-end walkthrough.
 //
 // # Observability
@@ -376,7 +380,7 @@
 // exposition format — the server-scoped one (tat_requests_total,
 // result-cache hit/miss, tat_query_seconds and tat_query_ttfr_seconds
 // histograms, in-flight gauges) and the process-wide obs.Default
-// (per-source probe RTT and batch size, stream backpressure stalls,
+// (per-source probe RTT, stream backpressure stalls,
 // probe/digest cache hits, pager cache hits/misses, WAL commits and
 // fsync latency, federation RTT per remote). GET /stats reads the
 // same registry, so the two surfaces cannot disagree, and reports
@@ -436,7 +440,9 @@
 //
 // BenchmarkBoundedMemory pins the contract — an on-disk instance
 // several times the page-cache budget serving point lookups and a
-// deliberately overflowing join while max RSS stays within 1.5x the
-// budget — and "make verify" smoke-tests the same setup. See
-// examples/boundedmemory for the end-to-end walkthrough.
+// deliberately overflowing join while the resident-page gauge stays
+// under the cap and live-heap growth within 1.5x the budget — and
+// "make verify" runs it once (boundedsmoke). bench/ reports each
+// workload's process peak as peak_rss_mb. See examples/boundedmemory
+// for the end-to-end walkthrough.
 package tatooine

@@ -111,15 +111,6 @@ func (in *Instance) atomPruner(ctx context.Context, src source.DataSource, a Ato
 	return digest.NewParamMatcher(d, a.Sub, in.prefixesFor(extra))
 }
 
-// probePruner is the executor's view of atomPruner, honouring the
-// NoDigestPlanning ablation switch.
-func (ex *executor) probePruner(src source.DataSource, a Atom) *digest.ParamMatcher {
-	if ex.opts.NoDigestPlanning {
-		return nil
-	}
-	return ex.in.atomPruner(ex.ctx, src, a, ex.q.Prefixes)
-}
-
 // refineAtomRows tightens an atom's planner row estimate with the
 // source's digest statistics (exact counts, distinct counts, numeric
 // histograms). The refined estimate replaces an unknown base and can

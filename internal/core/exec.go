@@ -31,23 +31,12 @@ type ExecOptions struct {
 	// batched probes (source.BatchProber) the distinct outer tuples are
 	// chunked into batches of this size and each batch ships as one
 	// native sub-query. 0 uses DefaultProbeBatch; 1 or negative forces
-	// per-tuple probes (the pre-batching behavior). With a Tuner set,
-	// ProbeBatch only seeds the per-source adaptive size.
+	// per-tuple probes (the pre-batching behavior).
 	ProbeBatch int
-	// Tuner, when non-nil, adapts the effective per-source batch size
-	// from observed batch round-trip latency (see BatchTuner). Share
-	// one tuner across queries so sizes converge over traffic.
-	Tuner *BatchTuner
 	// NaiveOrder disables selectivity-based ordering (ablation E6):
 	// atoms run in declaration order, each starting only after the
 	// previous one finished.
 	NaiveOrder bool
-	// NoDigestPlanning disables digest-driven planning and semi-join
-	// pruning ("tatooine serve -digest-planning=false", ablation): atom
-	// row estimates fall back to the sources' own guesses, bind joins
-	// probe every distinct outer binding, and no Bloom filters ship with
-	// batched probes. Results are identical either way.
-	NoDigestPlanning bool
 	// JoinMemBudget bounds each residual hash join's build-side memory,
 	// in bytes ("tatooine serve -join-mem-budget"). A build side that
 	// outgrows it spills to a Grace-style partitioned on-disk join —
@@ -105,9 +94,6 @@ type ExecStats struct {
 	// Nodes lists per-DAG-node estimated vs actual rows, in schedule
 	// order.
 	Nodes []NodeStats `json:"Nodes,omitempty"`
-	// BatchSizes records the effective bind-join batch size used per
-	// source URI (adaptive when a Tuner is set, ProbeBatch otherwise).
-	BatchSizes map[string]int `json:"BatchSizes,omitempty"`
 }
 
 // QueryResult is the outcome of a CMQ execution.
@@ -214,16 +200,6 @@ func (ex *executor) addStats(subQueries, rows int) {
 	ex.stats.SubQueries += subQueries
 	ex.stats.RowsFetched += rows
 	ex.mu.Unlock()
-}
-
-func (ex *executor) recordBatchSize(uri string, size int) {
-	ex.mu.Lock()
-	if ex.stats.BatchSizes == nil {
-		ex.stats.BatchSizes = make(map[string]int)
-	}
-	ex.stats.BatchSizes[uri] = size
-	ex.mu.Unlock()
-	probeBatchSize.With(uri).Set(int64(size))
 }
 
 // joinOrder orders relations for a left-deep join chain: smallest
@@ -481,17 +457,9 @@ func (sp *bindSpec) filterRows(t paramTuple, res *source.Result) ([]value.Row, e
 
 // batchProbeRows ships one chunk of parameter tuples as a single
 // batched sub-query and returns the merged per-tuple result rows.
-// Successful round trips feed the adaptive tuner when one is
-// configured.
 func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, spec *bindSpec, chunk []paramTuple,
 	sp *obs.Span) (_ []value.Row, unsupported bool, _ error) {
 
-	if len(chunk) == 0 {
-		// A fully-pruned chunk never reaches the wire, so there is no
-		// round trip to make and no RTT signal for the tuner to learn
-		// from.
-		return nil, false, nil
-	}
 	sets := make([]value.Row, len(chunk))
 	for i, t := range chunk {
 		sets[i] = t.params
@@ -509,9 +477,6 @@ func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, spec *bindSpec
 		return nil, false, err
 	}
 	probeSeconds.With(bp.URI()).ObserveSince(start)
-	if ex.opts.Tuner != nil {
-		ex.opts.Tuner.Observe(bp.URI(), time.Since(start))
-	}
 	if len(results) != len(chunk) {
 		return nil, false, fmt.Errorf("core: atom %s: batched probe returned %d results for %d tuples",
 			a.Designator(), len(results), len(chunk))

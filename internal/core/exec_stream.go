@@ -504,21 +504,17 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 	// Digest semi-join pruning: tuples the digest excludes never enter a
 	// chunk (so fully-pruned chunks never dispatch), and the Bloom
 	// filters ship with batched probes for server-side pruning.
-	pruner := ex.probePruner(src, a)
+	pruner := ex.in.atomPruner(ex.ctx, src, a, ex.q.Prefixes)
 	if pruner != nil {
 		a.Sub.Prune = pruner.Filters()
 	}
 
-	// chunk is the dispatch granularity: the adaptive/configured batch
-	// size for batch-capable sources, a single tuple otherwise.
+	// chunk is the dispatch granularity: ProbeBatch for batch-capable
+	// sources, a single tuple otherwise.
 	chunk := 1
 	var bp source.BatchProber
 	if source.CanBatch(src) && ex.opts.ProbeBatch > 1 {
 		chunk = ex.opts.ProbeBatch
-		if ex.opts.Tuner != nil {
-			chunk = ex.opts.Tuner.Size(src.URI(), chunk)
-		}
-		ex.recordBatchSize(src.URI(), chunk)
 		bp = src.(source.BatchProber)
 	}
 

@@ -97,18 +97,13 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 			}
 		}
 		if s.BindJoin {
-			switch {
-			case opts.NoDigestPlanning:
-				ae.Pruning = "digest planning disabled (-digest-planning=false); every distinct binding probes"
-			case s.Dynamic:
+			if s.Dynamic {
 				ae.Pruning = "dynamic source: pruning decided per discovered source at run time"
-			default:
-				if src, err := in.atomExplainSource(a, q.Prefixes); err == nil {
-					if m := in.atomPruner(context.Background(), src, a, q.Prefixes); m != nil {
-						ae.Pruning = "digest covers the parameter positions; bindings the digest excludes are skipped before probing"
-					} else {
-						ae.Pruning = "no prunable digest statistics for this sub-query shape; every distinct binding probes"
-					}
+			} else if src, err := in.atomExplainSource(a, q.Prefixes); err == nil {
+				if m := in.atomPruner(context.Background(), src, a, q.Prefixes); m != nil {
+					ae.Pruning = "digest covers the parameter positions; bindings the digest excludes are skipped before probing"
+				} else {
+					ae.Pruning = "no prunable digest statistics for this sub-query shape; every distinct binding probes"
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tatooine/internal/rdf"
 	"tatooine/internal/reason"
@@ -25,33 +24,23 @@ import (
 // against it, so a mutation can never be answered with pre-mutation
 // state.
 //
-// The saturation G∞ is no longer epoch-invalidated by default: under
-// WithSaturation the instance feeds graph deltas straight into an
-// incremental reasoner (internal/reason) that maintains the
-// materialized G∞ in O(delta) instead of recomputing it from scratch
-// on every epoch move. WithFullResaturation restores the old
-// recompute-per-epoch behavior for ablation.
+// The saturation G∞ is not epoch-invalidated: under WithSaturation the
+// instance feeds graph deltas straight into an incremental reasoner
+// (internal/reason) that maintains the materialized G∞ in O(delta)
+// instead of recomputing it from scratch on every epoch move.
 type Instance struct {
 	graph    *rdf.Graph
 	sources  *source.Registry
 	prefixes map[string]string
 	saturate bool
-	fullSat  bool          // ablation: full recompute per epoch move instead of delta maintenance
 	epoch    atomic.Uint64 // bumped by every mutation
 
 	// satMu serializes graph mutations (so the base graph and the
 	// reasoner's maintained G∞ cannot diverge under concurrent mutators)
 	// and guards the saturation state below. Queries hold it only long
 	// enough to grab a graph pointer.
-	satMu    sync.Mutex
-	engine   *reason.Engine // maintained G∞ (delta mode; built on first saturated query)
-	satGraph *rdf.Graph     // cached saturation (full-recompute mode)
-	satEpoch uint64         // epoch satGraph was computed at
-
-	// Full-recompute-mode counters (the delta-mode equivalents live in
-	// the engine).
-	fullRecomputes int64
-	lastSatApply   time.Duration
+	satMu  sync.Mutex
+	engine *reason.Engine // maintained G∞ (built on first saturated query)
 
 	// dig caches per-source digests for digest-driven planning and
 	// bind-join semi-join pruning, epoch-validated like every other
@@ -108,14 +97,6 @@ func WithSaturation() InstanceOption {
 	return func(in *Instance) { in.saturate = true }
 }
 
-// WithFullResaturation makes a saturated instance recompute G∞ from
-// scratch whenever the epoch moves past the cached copy — the
-// pre-delta-saturation behavior, kept as an ablation path
-// ("tatooine serve -delta-saturation=false"). Implies WithSaturation.
-func WithFullResaturation() InstanceOption {
-	return func(in *Instance) { in.saturate, in.fullSat = true, true }
-}
-
 // NewInstance creates a mixed instance around a custom graph. A nil
 // graph starts empty.
 func NewInstance(g *rdf.Graph, opts ...InstanceOption) *Instance {
@@ -147,8 +128,8 @@ func (in *Instance) Prefixes() map[string]string { return in.prefixes }
 
 // Epoch returns the instance's mutation epoch. It starts at 0 and
 // increases monotonically with every mutation; caches derived from the
-// instance (result caches, full-mode saturation) key or validate
-// against it.
+// instance (result caches, the digest catalog) key or validate against
+// it.
 func (in *Instance) Epoch() uint64 { return in.epoch.Load() }
 
 // bump advances the epoch, invalidating every epoch-checked cache.
@@ -157,7 +138,7 @@ func (in *Instance) bump() uint64 { return in.epoch.Add(1) }
 // AddTriples inserts triples into the custom graph G and returns how
 // many were new. The batch is applied atomically with respect to
 // concurrent readers, the actual delta is propagated into the
-// maintained G∞ (delta mode), and any insertion bumps the epoch so
+// maintained G∞, and any insertion bumps the epoch so
 // epoch-keyed result caches miss instead of serving pre-mutation rows.
 // The epoch moves only after the saturation is maintained: a request
 // that observes the new epoch can never read a G∞ that predates the
@@ -196,7 +177,7 @@ func (in *Instance) RemoveTriples(ts []rdf.Triple) int {
 // AddSource registers a data source and bumps the epoch: queries whose
 // answers could now include the new source must not be served from a
 // pre-registration cache entry. The graph is untouched, so the
-// maintained G∞ is not (delta mode: no longer) recomputed.
+// maintained G∞ is not recomputed.
 func (in *Instance) AddSource(s source.DataSource) error {
 	if err := in.sources.Register(s); err != nil {
 		return err
@@ -233,18 +214,17 @@ func (in *Instance) DropSource(uri string) bool {
 // flushes the interposed per-source probe caches (returning how many
 // result entries they dropped), rebuilds the incrementally maintained
 // G∞ from the base graph (out-of-band Graph() writes become visible),
-// and bumps the epoch so epoch-keyed result caches and the full-mode
-// saturation recompute. Use it when sources or the graph mutated
-// underneath the mediator without going through the instance API. The
-// epoch bumps even when nothing was cached — the caller asked for a
-// hard reset and the bump is what guarantees it downstream.
+// and bumps the epoch so epoch-keyed result caches miss. Use it when
+// sources or the graph mutated underneath the mediator without going
+// through the instance API. The epoch bumps even when nothing was
+// cached — the caller asked for a hard reset and the bump is what
+// guarantees it downstream.
 func (in *Instance) Invalidate() (epoch uint64, probeEntries int) {
 	probeEntries = in.sources.InvalidateCaches()
 	in.satMu.Lock()
 	if in.engine != nil {
 		in.engine.Rebuild()
 	}
-	in.satGraph = nil
 	epoch = in.bump()
 	in.persistLocked()
 	in.satMu.Unlock()
@@ -273,72 +253,44 @@ func (in *Instance) InvalidateSource(uri string) (epoch uint64, probeEntries int
 // block, shared with the incremental reasoner.
 type SaturationStats = reason.Stats
 
-// SaturationStats reports how G∞ is being maintained: the mode ("off",
-// "delta" or "full"), how many implicit triples are materialized, and
-// the delta-apply / full-recompute counters behind the mediator's
-// /stats saturation block.
+// SaturationStats reports how G∞ is being maintained: the mode ("off"
+// or "delta"), how many implicit triples are materialized, and the
+// delta-apply / full-recompute counters behind the mediator's /stats
+// saturation block.
 func (in *Instance) SaturationStats() reason.Stats {
 	if !in.saturate {
 		return reason.Stats{Mode: "off"}
 	}
 	in.satMu.Lock()
 	defer in.satMu.Unlock()
-	if !in.fullSat {
-		if in.engine == nil {
-			return reason.Stats{Mode: "delta"}
-		}
-		return in.engine.Stats()
+	if in.engine == nil {
+		return reason.Stats{Mode: "delta"}
 	}
-	st := reason.Stats{
-		Mode:           "full",
-		FullRecomputes: in.fullRecomputes,
-		LastApply:      in.lastSatApply,
-	}
-	if in.satGraph != nil {
-		st.Derived = in.satGraph.Size() - in.graph.Size()
-	}
-	return st
+	return in.engine.Stats()
 }
 
 // queryGraph returns the graph BGPs evaluate over. Unsaturated
 // instances serve G directly. Saturated instances serve the
 // incrementally maintained G∞ (built on first use, then kept fresh by
 // AddTriples/RemoveTriples — no per-query staleness check needed
-// because maintenance happens synchronously with the mutation), or,
-// under WithFullResaturation, the old epoch-checked full recompute.
+// because maintenance happens synchronously with the mutation).
 func (in *Instance) queryGraph() *rdf.Graph {
 	if !in.saturate {
 		return in.graph
 	}
 	in.satMu.Lock()
 	defer in.satMu.Unlock()
-	if !in.fullSat {
-		if in.engine == nil {
-			cfg := reason.Config{}
-			if in.st != nil {
-				cfg.SatFactory = in.satFactory
-			}
-			in.engine = reason.New(in.graph, cfg)
-			// The initial saturation is derived state, but committing it
-			// now is what makes the next boot warm (Adopt, no recompute).
-			in.persistLocked()
+	if in.engine == nil {
+		cfg := reason.Config{}
+		if in.st != nil {
+			cfg.SatFactory = in.satFactory
 		}
-		return in.engine.Graph()
+		in.engine = reason.New(in.graph, cfg)
+		// The initial saturation is derived state, but committing it now
+		// is what makes the next boot warm (Adopt, no recompute).
+		in.persistLocked()
 	}
-	// The epoch is read under satMu so a query that raced a mutation
-	// cannot stamp a fresh saturation with an older epoch and force the
-	// next query to redo it. Reading it before Saturate is conservative:
-	// a mutation landing mid-saturation moves the epoch past the stamp
-	// and the next query recomputes — never the reverse.
-	epoch := in.epoch.Load()
-	if in.satGraph == nil || in.satEpoch != epoch {
-		start := time.Now()
-		in.satGraph = rdf.Saturate(in.graph).Graph
-		in.satEpoch = epoch
-		in.fullRecomputes++
-		in.lastSatApply = time.Since(start)
-	}
-	return in.satGraph
+	return in.engine.Graph()
 }
 
 // graphSource wraps G as an internal DataSource so the planner and

@@ -185,34 +185,6 @@ func TestDeltaSaturationMaintainsAnswers(t *testing.T) {
 	}
 }
 
-// TestFullResaturationAblation: WithFullResaturation restores the
-// recompute-per-epoch path; answers match delta mode, stats say "full".
-func TestFullResaturationAblation(t *testing.T) {
-	in := mutableInstance(t, WithFullResaturation())
-	const q = "QUERY q(?x)\nGRAPH { ?x a :person }"
-
-	if res, err := in.Query(q); err != nil || len(res.Rows) != 1 {
-		t.Fatalf("initial query: rows=%v err=%v", res, err)
-	}
-	in.AddTriples(rdf.MustParse("@prefix : <http://t.example/> .\n:p9 a :politician ."))
-	if res, err := in.Query(q); err != nil || len(res.Rows) != 2 {
-		t.Fatalf("post-insert query: rows=%v err=%v", res, err)
-	}
-	st := in.SaturationStats()
-	if st.Mode != "full" {
-		t.Errorf("mode = %q, want full", st.Mode)
-	}
-	if st.FullRecomputes != 2 {
-		t.Errorf("fullRecomputes = %d, want 2 (every epoch move recomputes)", st.FullRecomputes)
-	}
-	if st.DeltaApplies != 0 {
-		t.Errorf("deltaApplies = %d, want 0 in full mode", st.DeltaApplies)
-	}
-	if st.Derived <= 0 {
-		t.Errorf("derived = %d, want > 0 with a cached saturation", st.Derived)
-	}
-}
-
 // TestSaturationStatsOff: an unsaturated instance reports mode "off".
 func TestSaturationStatsOff(t *testing.T) {
 	in := mutableInstance(t)

@@ -9,9 +9,6 @@ var (
 	probeSeconds = obs.Default.HistogramVec("tat_probe_seconds",
 		"Source sub-query round-trip latency by source URI.",
 		"source", obs.DurationBuckets())
-	probeBatchSize = obs.Default.GaugeVec("tat_probe_batch_size",
-		"Effective bind-join probe batch size by source URI (adaptive when tuned).",
-		"source")
 	streamStallSeconds = obs.Default.Histogram("tat_stream_stall_seconds",
 		"Time stream producers spent blocked on consumer backpressure.",
 		obs.DurationBuckets())

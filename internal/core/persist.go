@@ -98,7 +98,7 @@ func openWithStore(st store.Store, opts ...InstanceOption) (*Instance, error) {
 	// was committed consistent with G and the epoch, so adopt it as-is.
 	// Generations share the base graph's dictionary (their triples are
 	// keyed by its TermIDs), so no second dictionary load happens here.
-	if in.saturate && !in.fullSat && in.satGen > 0 {
+	if in.saturate && in.satGen > 0 {
 		sat, err := rdf.OpenGraphSharedDict(st, satPrefix(in.satGen), g)
 		if err != nil {
 			return nil, err

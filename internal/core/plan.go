@@ -131,8 +131,8 @@ func (p *Plan) Explain(q *CMQ) string {
 // picks the smallest estimated row count (unknown estimates last,
 // estimated cost breaking ties). Row estimates are tightened with the
 // sources' digest statistics (exact counts, histograms — see
-// internal/digest.RefineEstimate) unless opts.NoDigestPlanning; the
-// source's own estimate remains the fallback and the upper bound.
+// internal/digest.RefineEstimate); the source's own estimate remains
+// the fallback and the upper bound.
 // opts.NaiveOrder disables ordering entirely (one atom per wave,
 // declaration order, a sequential dependency chain) for ablation
 // studies.
@@ -167,9 +167,7 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 			return nil, err
 		}
 		rows[i], costs[i] = in.estimateAtom(a, q.Prefixes)
-		if !opts.NoDigestPlanning {
-			rows[i] = in.refineAtomRows(ctx, a, q.Prefixes, rows[i])
-		}
+		rows[i] = in.refineAtomRows(ctx, a, q.Prefixes, rows[i])
 	}
 
 	plan := &Plan{outs: outs}

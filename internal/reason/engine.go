@@ -73,11 +73,10 @@ type Config struct {
 
 // Stats snapshots an engine's maintenance counters. It doubles as the
 // "saturation" block of the mediator's /stats (core.Instance fills the
-// same shape for the full-recompute ablation mode and when saturation
-// is off).
+// same shape when saturation is off).
 type Stats struct {
-	// Mode is "delta" (incrementally maintained), "full" (recompute per
-	// epoch move, the ablation path) or "off" (no saturation).
+	// Mode is "delta" (incrementally maintained) or "off" (no
+	// saturation).
 	Mode string `json:"mode"`
 	// Derived is the number of implicit triples currently materialized
 	// (saturated size minus base size).

@@ -140,15 +140,10 @@ type Stats struct {
 	ProbeInvalidations int64   `json:"probeInvalidations"` // probe-cache result entries force-dropped
 
 	// Saturation reports how the instance maintains G∞: the mode
-	// ("off", "delta", "full"), the materialized implicit-triple count,
-	// the deltaApplies / fullRecomputes counters and the last apply
+	// ("off" or "delta"), the materialized implicit-triple count, the
+	// deltaApplies / fullRecomputes counters and the last apply
 	// duration (ns).
 	Saturation core.SaturationStats `json:"saturation"`
-
-	// ProbeBatchSizes reports the current adaptive bind-join batch size
-	// per source URI, when the server runs with a core.BatchTuner
-	// (Options.Exec.Tuner).
-	ProbeBatchSizes map[string]int `json:"probeBatchSizes,omitempty"`
 
 	// Store reports the persistent backing store's counters (pages,
 	// cache hits/misses, WAL bytes, commits, checkpoints) when the
@@ -425,9 +420,6 @@ func (s *Server) Stats() Stats {
 			DigestStats:  s.in.DigestStats(),
 			PrunedProbes: s.prunedProbes.Value(),
 		},
-	}
-	if s.opts.Exec.Tuner != nil {
-		st.ProbeBatchSizes = s.opts.Exec.Tuner.Sizes()
 	}
 	st.Memory.JoinMemBudget = s.opts.Exec.JoinMemBudget
 	st.Memory.SpilledJoins, st.Memory.SpilledBytes = core.SpillCounters()
