@@ -176,9 +176,7 @@ func BenchmarkE4CatalogBuild(b *testing.B) {
 			f := fix(b, tweets)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := keyword.BuildCatalog(f.in, digest.DefaultBudget()); err != nil {
-					b.Fatal(err)
-				}
+				keyword.BuildCatalog(f.in)
 			}
 		})
 	}
@@ -186,10 +184,7 @@ func BenchmarkE4CatalogBuild(b *testing.B) {
 
 func BenchmarkE4KeywordToCMQ(b *testing.B) {
 	f := fix(b, 5000)
-	cat, err := keyword.BuildCatalog(f.in, digest.DefaultBudget())
-	if err != nil {
-		b.Fatal(err)
-	}
+	cat := keyword.BuildCatalog(f.in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands, err := cat.Search([]string{"head of state", "SIA2016"}, keyword.SearchOptions{MaxCandidates: 3})
@@ -540,7 +535,7 @@ func BenchmarkSourceEstimate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if docSrc.EstimateCost(sub, 0) < 0 {
+		if rows, _ := source.EstimateOf(docSrc, sub, 0); rows < 0 {
 			b.Fatal("estimate failed")
 		}
 	}

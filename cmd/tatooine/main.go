@@ -39,7 +39,6 @@ import (
 	"tatooine/internal/analytics"
 	"tatooine/internal/core"
 	"tatooine/internal/datagen"
-	"tatooine/internal/digest"
 	"tatooine/internal/keyword"
 	"tatooine/internal/pager"
 	"tatooine/internal/server"
@@ -281,10 +280,7 @@ func cmdKeyword(in *core.Instance, keywords []string) error {
 	if len(keywords) == 0 {
 		return fmt.Errorf("provide keywords")
 	}
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		return err
-	}
+	cat := keyword.BuildCatalog(in)
 	cands, err := cat.Search(keywords, keyword.SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		return err
@@ -329,10 +325,7 @@ func cmdTagcloud(ds *datagen.Dataset, args []string) error {
 }
 
 func cmdDigest(in *core.Instance) error {
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		return err
-	}
+	cat := keyword.BuildCatalog(in)
 	for _, d := range cat.Digests() {
 		fmt.Printf("== %s ==\n", d.Source)
 		for _, n := range d.NodeList() {
@@ -386,10 +379,7 @@ LIMIT 5
 	fmt.Print(viz.RenderText(tc, datagen.CurrentOfParty(), 6))
 
 	fmt.Println("\n=== keyword search: \"head of state\" + \"SIA2016\" → generated CMQ (§2.2) ===")
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		return err
-	}
+	cat := keyword.BuildCatalog(in)
 	cands, err := cat.Search([]string{"head of state", "SIA2016"}, keyword.SearchOptions{MaxCandidates: 1})
 	if err != nil {
 		return err

@@ -16,10 +16,9 @@ var errExecuted = errors.New("sub-query executed")
 // surfaces as errExecuted.
 type refusingSource struct{}
 
-func (refusingSource) URI() string                           { return "sql://refusing" }
-func (refusingSource) Model() source.Model                   { return source.RelationalModel }
-func (refusingSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (refusingSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (refusingSource) URI() string                  { return "sql://refusing" }
+func (refusingSource) Model() source.Model          { return source.RelationalModel }
+func (refusingSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 func (refusingSource) Execute(source.SubQuery, []value.Value) (*source.Result, error) {
 	return nil, errExecuted
 }

@@ -49,9 +49,9 @@
 // mid-session. core.Instance therefore carries a monotonically
 // increasing epoch, bumped by every mutation through its API —
 // AddTriples / RemoveTriples on G, AddSource / DropSource on D, and
-// the force-expiry entry points Invalidate / InvalidateSource. Every
-// cache derived from the instance validates against the epoch, so the
-// very next query after a mutation can never be answered from
+// the force-expiry entry points Invalidate / InvalidateSource. The
+// caches derived from the instance are invalidated by these calls, so
+// the very next query after a mutation can never be answered from
 // pre-mutation state:
 //
 //   - the server's result cache and single-flight map key on
@@ -64,14 +64,18 @@
 //     results AND cost estimates) for sources mutated underneath the
 //     mediator; Registry.InvalidateCaches reaches every interposed
 //     cache, including the memoized wrappers of dynamically
-//     discovered sources.
+//     discovered sources;
+//   - the digest catalog is not keyed by the epoch: only AddSource,
+//     DropSource, Invalidate and InvalidateSource reset it, since G
+//     is never digested for planning (see "Digest-driven planning"
+//     below).
 //
 // Over HTTP ("tatooine serve"): POST /graph inserts triples (JSON
 // {"triples": "<turtle>"} or raw Turtle body), DELETE /graph removes
 // them, POST /sources dials and registers a federation endpoint,
 // DELETE /sources/{uri} (path-escaped, or ?uri=) drops one, and
-// POST /admin/invalidate force-expires probe caches (optionally
-// scoped to one source). GET /stats reports the instance epoch plus
+// POST /admin/invalidate force-expires probe caches and the digest
+// catalog (optionally scoped to one source's probe cache). GET /stats reports the instance epoch plus
 // the mutation, generation-flush and probe-invalidation counters.
 //
 // # Incremental delta-saturation (internal/reason)
@@ -134,8 +138,9 @@
 //   - federation.Client ships the whole batch as one POST /batch
 //     request; the remote endpoint pushes it natively into its store
 //     when it can and loops server-side otherwise — either way the
-//     per-binding network round trips collapse into one. Endpoints
-//     predating the route degrade cleanly to per-tuple probes.
+//     per-binding network round trips collapse into one. Every
+//     federation.Handler serves the route, so a non-OK /batch reply
+//     is an error like any other.
 //   - source.Cached answers cached tuples from the probe cache and
 //     forwards only the misses as a smaller batch, filling the cache
 //     per tuple from the batch result.
@@ -162,9 +167,9 @@
 // source.Estimator capability, Estimate(q, numParams) = (rows, cost):
 // rows drives ordering (it is what intermediates grow with), cost
 // records total effort (scan work + rows, plus
-// federation.RemoteCostOverhead for remote sources); sources
-// implementing only the legacy single-int EstimateCost participate
-// through a default adapter (rows = cost).
+// federation.RemoteCostOverhead for remote sources). Estimator is
+// optional: a source without it estimates as unknown (-1, -1), which
+// ranks last.
 //
 // One executor (internal/core/exec_stream.go) runs every query. Each
 // DAG node starts at once in its own goroutine and waits only on its
@@ -249,14 +254,17 @@
 //
 // The per-source digests (internal/digest) that power keyword-based
 // query generation double as planner statistics and a semi-join
-// reducer. Each core.Instance keeps a digest catalog: the first query
-// that plans against a source fetches or builds its digest through
-// digest.ForSource (one /digest round trip for a federation.Client,
-// one scan for a local store — memoized in source.Cached under the
-// same generation as the probe cache), and catalog entries are keyed
-// by the instance's mutation epoch, so statistics can never outlive
-// the data they describe. GET /stats carries a "digest" block
-// (digestFetches / digestHits / prunedProbes).
+// reducer. Each core.Instance keeps one digest catalog, the only cache
+// of source digests: the first lookup after a reset fetches or builds a
+// source's digest through digest.ForSource (one /digest round trip for
+// a federation.Client, which builds it fresh on every request; one scan
+// for a local store), and concurrent lookups wait for that build.
+// Planning, pruning and keyword.BuildCatalog all read it
+// (Instance.SourceDigest). The calls that announce a changed source
+// reset it: AddSource, DropSource, Invalidate and InvalidateSource.
+// Graph writes do not, because the catalog never holds G. GET /stats
+// carries a "digest" block (digestFetches / digestHits /
+// prunedProbes).
 //
 // Planning: digest.RefineEstimate sharpens the source's flat
 // selectivity guess per atom — equality conjuncts contribute
@@ -265,8 +273,8 @@
 // histogram, and the tightest conjunct wins — so DAG ordering ranks
 // atoms by actual expected cardinality and ExecStats.Nodes shows
 // est-vs-actual drift tightening. Graph atoms are exempt (digesting G
-// per epoch would repay the full-saturation cost the incremental
-// reasoner removed).
+// on every graph write would repay the full-saturation cost the
+// incremental reasoner removed).
 //
 // Pruning: before a bind-join chunk dispatches, digest.ParamMatcher
 // maps each parameter position to the digest nodes its value must
@@ -284,8 +292,8 @@
 // federations degrade to no pruning, never to lost rows). Surviving
 // bindings ship their per-position bloom filters inside POST /batch
 // ("prune"), letting the remote endpoint skip excluded tuples
-// server-side and answer them as empty results, position-aligned; old
-// endpoints ignore the unknown field. Fully pruned chunks never reach
+// server-side and answer them as empty results, position-aligned.
+// Fully pruned chunks never reach
 // the wire. ExecStats.PrunedProbes counts the
 // skipped bindings, and {"explain": true} annotates each bind-join
 // atom with its pruning decision — the plan line carries the refined

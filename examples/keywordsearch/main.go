@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"tatooine/internal/datagen"
-	"tatooine/internal/digest"
 	"tatooine/internal/keyword"
 )
 
@@ -34,10 +33,7 @@ func main() {
 	}
 
 	// Digest every source under the default space budget.
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		log.Fatal(err)
-	}
+	cat := keyword.BuildCatalog(in)
 	fmt.Printf("catalog: %d digests\n", len(cat.Digests()))
 	for _, d := range cat.Digests() {
 		fmt.Printf("  %-18s %d nodes\n", d.Source, len(d.Nodes))

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"tatooine/internal/core"
-	"tatooine/internal/digest"
 	"tatooine/internal/doc"
 	"tatooine/internal/fulltext"
 	"tatooine/internal/keyword"
@@ -74,10 +73,7 @@ FROM <solr://tweets> IN(?id) OUT(?t, ?id)
 	// 5. The same query, discovered from keywords: digests are built
 	// for every source, the keywords located in them, and the shortest
 	// join path turned into a CMQ.
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		log.Fatal(err)
-	}
+	cat := keyword.BuildCatalog(in)
 	cands, err := cat.Search([]string{"head of state", "SIA2016"}, keyword.SearchOptions{MaxCandidates: 1})
 	if err != nil {
 		log.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"tatooine/internal/analytics"
 	"tatooine/internal/core"
 	"tatooine/internal/datagen"
-	"tatooine/internal/digest"
 	"tatooine/internal/federation"
 	"tatooine/internal/keyword"
 	"tatooine/internal/source"
@@ -118,10 +117,7 @@ ORDER BY ?n DESC
 	}
 
 	// Keyword search over the full instance.
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := keyword.BuildCatalog(in)
 	cands, err := cat.Search([]string{"head of state", "SIA2016"}, keyword.SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +175,7 @@ FROM <sql://insee> IN(?dept) OUT(?dept, ?taux)
 	}
 
 	// Keyword search pulls remote digests.
-	cat, err := keyword.BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := keyword.BuildCatalog(in)
 	if len(cat.Digests()) != 4 { // G + 3 remote
 		t.Errorf("digests: %d", len(cat.Digests()))
 	}

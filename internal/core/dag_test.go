@@ -206,10 +206,9 @@ type slowSource struct {
 	inFlight int
 }
 
-func (s *slowSource) URI() string                           { return s.uri }
-func (s *slowSource) Model() source.Model                   { return source.RelationalModel }
-func (s *slowSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (s *slowSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (s *slowSource) URI() string                  { return s.uri }
+func (s *slowSource) Model() source.Model          { return source.RelationalModel }
+func (s *slowSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 
 func (s *slowSource) Execute(q source.SubQuery, params []value.Value) (*source.Result, error) {
 	return s.ExecuteContext(context.Background(), q, params)

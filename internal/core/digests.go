@@ -9,24 +9,35 @@ import (
 	"tatooine/internal/source"
 )
 
-// digestCatalog caches per-source digests for the planner and the
-// bind-join pruner. Entries are keyed by source URI and valid for one
-// mutation epoch: the first digest request after a mutation clears the
-// catalog, so planning can never rank or prune against pre-mutation
-// statistics. A nil entry is a negative cache — the source is
-// undigestable (or its digest fetch failed) this epoch, and re-asking
-// would only re-pay the scan or the round trip.
-//
-// The catalog sits above the per-source memo in source.Cached: for
-// interposed registries the inner build/fetch is additionally memoized
-// under the probe cache's own invalidation generation, so the two
-// layers invalidate together (both are driven by the epoch).
+// digestCatalog is the instance's one cache of per-source digests, read
+// by the planner, the bind-join pruner and keyword search. Entries are
+// keyed by source URI and stay valid until the mediator is told a source
+// changed: AddSource, DropSource, Invalidate and InvalidateSource reset
+// the catalog. Graph writes (AddTriples, RemoveTriples) leave it alone,
+// because it never holds G: graph atoms are neither pruned nor refined.
+// A nil digest is a negative cache — the source is undigestable (or its
+// digest fetch failed) until the next reset, and re-asking would only
+// re-pay the scan or the round trip.
 type digestCatalog struct {
 	mu      sync.Mutex
-	epoch   uint64
-	entries map[string]*digest.Digest
+	entries map[string]*digestEntry
 	fetches int64
 	hits    int64
+}
+
+// digestEntry is one source's catalog slot. The first lookup fills it;
+// concurrent lookups wait for ready instead of building again.
+type digestEntry struct {
+	ready chan struct{}
+	d     *digest.Digest
+}
+
+// reset drops every entry. A fill already in flight still answers its
+// waiters, but its entry is no longer in the catalog, so it is not kept.
+func (c *digestCatalog) reset() {
+	c.mu.Lock()
+	c.entries = nil
+	c.mu.Unlock()
 }
 
 // DigestStats reports the digest catalog's activity: how many digests
@@ -44,30 +55,41 @@ func (in *Instance) DigestStats() DigestStats {
 	return DigestStats{Fetches: in.dig.fetches, Hits: in.dig.hits}
 }
 
-// sourceDigest returns the source's digest, building or fetching it on
-// first use per epoch. It fails open: an undigestable source or a
-// failed fetch yields nil (planning keeps the source estimate, pruning
-// stays off) and is negative-cached for the epoch. Fetches open a
-// "digest" span under ctx's trace so the (potentially remote) build
-// shows up in the query's span tree; catalog hits cost nothing.
-func (in *Instance) sourceDigest(ctx context.Context, s source.DataSource) *digest.Digest {
+// SourceDigest returns the source's digest, building or fetching it on
+// first use after a catalog reset; lookups that arrive while the first
+// build runs wait for it (or for ctx). It fails open: an undigestable
+// source, a failed fetch or a cancelled wait yields nil (planning keeps
+// the source estimate, pruning stays off, keyword search skips the
+// source), and a failed build is negative-cached until the next reset.
+// Fetches open a "digest" span under ctx's trace so the (potentially
+// remote) build shows up in the query's span tree; catalog hits cost
+// nothing.
+func (in *Instance) SourceDigest(ctx context.Context, s source.DataSource) *digest.Digest {
 	if s == nil {
 		return nil
 	}
-	epoch := in.Epoch()
 	c := &in.dig
 	c.mu.Lock()
-	if c.entries == nil || c.epoch != epoch {
-		c.entries = make(map[string]*digest.Digest)
-		c.epoch = epoch
-	}
-	if d, ok := c.entries[s.URI()]; ok {
+	if e, ok := c.entries[s.URI()]; ok {
 		c.hits++
 		c.mu.Unlock()
 		digestHitTotal.Inc()
-		return d
+		select {
+		case <-e.ready:
+			return e.d
+		case <-ctx.Done():
+			return nil
+		}
 	}
+	e := &digestEntry{ready: make(chan struct{})}
+	if c.entries == nil {
+		c.entries = make(map[string]*digestEntry)
+	}
+	c.entries[s.URI()] = e
+	c.fetches++
 	c.mu.Unlock()
+	digestFetchTotal.Inc()
+	defer close(e.ready)
 
 	// Build/fetch outside the lock: a slow remote /digest round trip
 	// must not serialize unrelated sources' lookups.
@@ -75,36 +97,22 @@ func (in *Instance) sourceDigest(ctx context.Context, s source.DataSource) *dige
 	sp.SetAttr("source", s.URI())
 	d, err := digest.ForSource(s, digest.DefaultBudget())
 	sp.End()
-	if err != nil {
-		d = nil
+	if err == nil {
+		e.d = d
 	}
-	digestFetchTotal.Inc()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fetches++
-	if c.epoch != epoch {
-		// A mutation landed mid-build: the digest may describe either
-		// side of it, so don't cache — the next lookup rebuilds fresh.
-		return d
-	}
-	if prev, ok := c.entries[s.URI()]; ok {
-		return prev // concurrent fill: first one in wins
-	}
-	c.entries[s.URI()] = d
-	return d
+	return e.d
 }
 
 // atomPruner builds the semi-join pruning matcher for a bind-join atom
 // against src's digest. nil when pruning cannot apply: graph atoms
-// (G's digest would be rebuilt every epoch, defeating the incremental
-// saturation), atoms without parameters, sources without a digest, or
-// sub-query shapes the digest cannot prune safely.
+// (G's digest would be rebuilt on every graph write, defeating the
+// incremental saturation), atoms without parameters, sources without a
+// digest, or sub-query shapes the digest cannot prune safely.
 func (in *Instance) atomPruner(ctx context.Context, src source.DataSource, a Atom, extra map[string]string) *digest.ParamMatcher {
 	if a.Kind == GraphAtom || len(a.Sub.InVars) == 0 {
 		return nil
 	}
-	d := in.sourceDigest(ctx, src)
+	d := in.SourceDigest(ctx, src)
 	if d == nil {
 		return nil
 	}
@@ -125,7 +133,7 @@ func (in *Instance) refineAtomRows(ctx context.Context, a Atom, extra map[string
 	if err != nil {
 		return base
 	}
-	d := in.sourceDigest(ctx, s)
+	d := in.SourceDigest(ctx, s)
 	if d == nil {
 		return base
 	}

@@ -26,10 +26,9 @@ type batchProbeSource struct {
 	unsupported bool // ExecuteBatch always reports ErrBatchUnsupported
 }
 
-func (s *batchProbeSource) URI() string                           { return s.uri }
-func (s *batchProbeSource) Model() source.Model                   { return source.RelationalModel }
-func (s *batchProbeSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (s *batchProbeSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (s *batchProbeSource) URI() string                  { return s.uri }
+func (s *batchProbeSource) Model() source.Model          { return source.RelationalModel }
+func (s *batchProbeSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 
 // rowsFor scripts the probe result per outer binding. "c" returns one
 // row whose echo column mismatches the binding, which the executor's

@@ -18,7 +18,6 @@ func (f failingSource) Languages() []source.Language { return []source.Language{
 func (f failingSource) Execute(source.SubQuery, []value.Value) (*source.Result, error) {
 	return nil, &sourceDown{}
 }
-func (f failingSource) EstimateCost(source.SubQuery, int) int { return 1 }
 
 type sourceDown struct{}
 

@@ -19,10 +19,11 @@ import (
 // tweets, INSEE tables and discovered endpoints mid-session — so the
 // instance carries a monotonically increasing epoch: every mutation
 // through the instance API (AddTriples, RemoveTriples, AddSource,
-// DropSource, Invalidate) bumps it, and every derived cache (the
-// mediator's result and probe caches in internal/server) is validated
-// against it, so a mutation can never be answered with pre-mutation
-// state.
+// DropSource, Invalidate, InvalidateSource) bumps it, and the
+// mediator's result cache in internal/server is validated against it,
+// so a mutation can never be answered with pre-mutation state. The
+// digest catalog is reset only by the calls that announce a changed
+// source (see digestCatalog).
 //
 // The saturation G∞ is not epoch-invalidated: under WithSaturation the
 // instance feeds graph deltas straight into an incremental reasoner
@@ -42,9 +43,8 @@ type Instance struct {
 	satMu  sync.Mutex
 	engine *reason.Engine // maintained G∞ (built on first saturated query)
 
-	// dig caches per-source digests for digest-driven planning and
-	// bind-join semi-join pruning, epoch-validated like every other
-	// derived cache.
+	// dig caches per-source digests for digest-driven planning,
+	// bind-join semi-join pruning and keyword search.
 	dig digestCatalog
 
 	// Persistence (nil/zero for in-memory instances; see persist.go).
@@ -127,9 +127,8 @@ func (in *Instance) Sources() *source.Registry { return in.sources }
 func (in *Instance) Prefixes() map[string]string { return in.prefixes }
 
 // Epoch returns the instance's mutation epoch. It starts at 0 and
-// increases monotonically with every mutation; caches derived from the
-// instance (result caches, the digest catalog) key or validate against
-// it.
+// increases monotonically with every mutation; result caches derived
+// from the instance key against it.
 func (in *Instance) Epoch() uint64 { return in.epoch.Load() }
 
 // bump advances the epoch, invalidating every epoch-checked cache.
@@ -174,14 +173,15 @@ func (in *Instance) RemoveTriples(ts []rdf.Triple) int {
 	return len(removed)
 }
 
-// AddSource registers a data source and bumps the epoch: queries whose
-// answers could now include the new source must not be served from a
-// pre-registration cache entry. The graph is untouched, so the
-// maintained G∞ is not recomputed.
+// AddSource registers a data source, resets the digest catalog and
+// bumps the epoch: queries whose answers could now include the new
+// source must not be served from a pre-registration cache entry. The
+// graph is untouched, so the maintained G∞ is not recomputed.
 func (in *Instance) AddSource(s source.DataSource) error {
 	if err := in.sources.Register(s); err != nil {
 		return err
 	}
+	in.dig.reset()
 	in.bump()
 	if in.st != nil {
 		in.satMu.Lock()
@@ -193,13 +193,14 @@ func (in *Instance) AddSource(s source.DataSource) error {
 }
 
 // DropSource removes the source registered under uri, discarding its
-// interposed probe cache with it, and bumps the epoch so cached
-// results that involved the source are not served after the drop. It
-// reports whether a source was removed.
+// interposed probe cache with it, resets the digest catalog and bumps
+// the epoch so cached results that involved the source are not served
+// after the drop. It reports whether a source was removed.
 func (in *Instance) DropSource(uri string) bool {
 	if !in.sources.Deregister(uri) {
 		return false
 	}
+	in.dig.reset()
 	in.bump()
 	if in.st != nil {
 		in.satMu.Lock()
@@ -212,15 +213,16 @@ func (in *Instance) DropSource(uri string) bool {
 
 // Invalidate force-expires every cache derived from the instance: it
 // flushes the interposed per-source probe caches (returning how many
-// result entries they dropped), rebuilds the incrementally maintained
-// G∞ from the base graph (out-of-band Graph() writes become visible),
-// and bumps the epoch so epoch-keyed result caches miss. Use it when
-// sources or the graph mutated underneath the mediator without going
-// through the instance API. The epoch bumps even when nothing was
-// cached — the caller asked for a hard reset and the bump is what
-// guarantees it downstream.
+// result entries they dropped) and the digest catalog, rebuilds the
+// incrementally maintained G∞ from the base graph (out-of-band Graph()
+// writes become visible), and bumps the epoch so epoch-keyed result
+// caches miss. Use it when sources or the graph mutated underneath the
+// mediator without going through the instance API. The epoch bumps
+// even when nothing was cached — the caller asked for a hard reset and
+// the bump is what guarantees it downstream.
 func (in *Instance) Invalidate() (epoch uint64, probeEntries int) {
 	probeEntries = in.sources.InvalidateCaches()
+	in.dig.reset()
 	in.satMu.Lock()
 	if in.engine != nil {
 		in.engine.Rebuild()
@@ -232,12 +234,13 @@ func (in *Instance) Invalidate() (epoch uint64, probeEntries int) {
 }
 
 // InvalidateSource flushes the probe cache of a single source
-// (registered, or dynamically discovered and currently memoized) and
-// bumps the epoch, so both the source's memoized probes and any
-// whole-query results built on them stop being served. Sources are
-// looked up without consulting the fallback resolver — invalidating a
-// URI must never dial it — so a URI with no materialized source (which
-// necessarily has no cache to flush) is an error.
+// (registered, or dynamically discovered and currently memoized),
+// resets the digest catalog and bumps the epoch, so the source's
+// memoized probes, its digest and any whole-query results built on
+// them stop being served. Sources are looked up without consulting the
+// fallback resolver — invalidating a URI must never dial it — so a URI
+// with no materialized source (which necessarily has no cache to
+// flush) is an error.
 func (in *Instance) InvalidateSource(uri string) (epoch uint64, probeEntries int, err error) {
 	s, ok := in.sources.Lookup(uri)
 	if !ok {
@@ -246,6 +249,7 @@ func (in *Instance) InvalidateSource(uri string) (epoch uint64, probeEntries int
 	if inv, ok := s.(source.Invalidator); ok {
 		probeEntries = inv.Invalidate()
 	}
+	in.dig.reset()
 	return in.bump(), probeEntries, nil
 }
 

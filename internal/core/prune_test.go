@@ -169,10 +169,9 @@ type prunableBatchSource struct {
 	batchCalls int
 }
 
-func (s *prunableBatchSource) URI() string                           { return s.uri }
-func (s *prunableBatchSource) Model() source.Model                   { return source.RelationalModel }
-func (s *prunableBatchSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (s *prunableBatchSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (s *prunableBatchSource) URI() string                  { return s.uri }
+func (s *prunableBatchSource) Model() source.Model          { return source.RelationalModel }
+func (s *prunableBatchSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 
 func (s *prunableBatchSource) Digest(digest.Budget) (*digest.Digest, error) { return s.dig, nil }
 

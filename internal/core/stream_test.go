@@ -27,10 +27,9 @@ type countingSource struct {
 	inFlight int
 }
 
-func (s *countingSource) URI() string                           { return s.uri }
-func (s *countingSource) Model() source.Model                   { return source.RelationalModel }
-func (s *countingSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (s *countingSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (s *countingSource) URI() string                  { return s.uri }
+func (s *countingSource) Model() source.Model          { return source.RelationalModel }
+func (s *countingSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 
 func (s *countingSource) Execute(q source.SubQuery, params []value.Value) (*source.Result, error) {
 	return s.ExecuteContext(context.Background(), q, params)

@@ -73,14 +73,14 @@ func TestXMLSourceEstimate(t *testing.T) {
 		}
 	}
 	s := source.NewXMLSource("xml://laws", store)
-	all := s.EstimateCost(source.SubQuery{Language: source.LangXPath,
+	all, _ := s.Estimate(source.SubQuery{Language: source.LangXPath,
 		Text: "XPATH /laws/law RETURN _id"}, 0)
-	filtered := s.EstimateCost(source.SubQuery{Language: source.LangXPath,
+	filtered, _ := s.Estimate(source.SubQuery{Language: source.LangXPath,
 		Text: "XPATH /laws/law[@year='2015'] RETURN _id"}, 0)
 	if all != 3 || filtered >= all {
 		t.Errorf("estimates: all=%d filtered=%d", all, filtered)
 	}
-	if s.EstimateCost(source.SubQuery{Language: source.LangXPath, Text: "garbage"}, 0) != -1 {
+	if rows, _ := s.Estimate(source.SubQuery{Language: source.LangXPath, Text: "garbage"}, 0); rows != -1 {
 		t.Error("bad query estimate should be -1")
 	}
 }

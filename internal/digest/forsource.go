@@ -1,10 +1,6 @@
 package digest
 
-import (
-	"fmt"
-
-	"tatooine/internal/source"
-)
+import "tatooine/internal/source"
 
 // Digester is implemented by sources that can produce (or fetch) their
 // own digest — e.g. federation clients pulling the remote endpoint's
@@ -21,30 +17,9 @@ func ForSource(s source.DataSource, budget Budget) (*Digest, error) {
 	switch src := s.(type) {
 	case Digester:
 		return src.Digest(budget)
-	case *source.Cached:
-		// The probe-cache decorator memoizes the inner digest under its
-		// invalidation generation (epoch-driven), so planning pays the
-		// build/fetch once, and a mutation drops the memo with the probe
-		// cache — a stale digest is impossible. The undigestable answer
-		// (nil, nil) is memoized too: re-asking cannot make a source
-		// digestable, but it can re-pay a failed scan.
-		v, err := src.MemoizeDigest(budgetKey(budget), func() (any, error) {
-			d, err := ForSource(src.Unwrap(), budget)
-			if err != nil {
-				return nil, err
-			}
-			if d == nil {
-				return nil, nil
-			}
-			return d, nil
-		})
-		if err != nil || v == nil {
-			return nil, err
-		}
-		d, _ := v.(*Digest)
-		return d, nil
 	case interface{ Unwrap() source.DataSource }:
-		// Other decorators digest as their inner source.
+		// Decorators (the probe cache among them) digest as their inner
+		// source.
 		return ForSource(src.Unwrap(), budget)
 	case *source.RDFSource:
 		return BuildRDF(s.URI(), src.Graph(), budget), nil
@@ -57,10 +32,4 @@ func ForSource(s source.DataSource, budget Budget) (*Digest, error) {
 	default:
 		return nil, nil
 	}
-}
-
-// budgetKey identifies a Budget inside the Cached digest memo.
-func budgetKey(b Budget) string {
-	return fmt.Sprintf("%d/%d/%d/%d/%d",
-		b.BloomBits, b.BloomHashes, b.HistBuckets, b.ExactThreshold, b.SampleSize)
 }

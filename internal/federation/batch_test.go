@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -87,44 +86,6 @@ func TestBatchEndpointServerSideLoopForPlainSources(t *testing.T) {
 	}
 	if len(results) != 2 || results[0].Len() != 1 || results[0].Rows[0][0].Str() != "Paris" {
 		t.Errorf("server-side loop results: %+v", results)
-	}
-}
-
-// TestBatchAgainstOldEndpointUnsupported checks a remote without the
-// /batch route makes ExecuteBatch report ErrBatchUnsupported, so the
-// executor's per-tuple fallback (via /query) still works.
-func TestBatchAgainstOldEndpointUnsupported(t *testing.T) {
-	srv, _ := servedRelSource(t)
-	var batchHits atomic.Int64
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/batch" {
-			batchHits.Add(1)
-			http.NotFound(w, r)
-			return
-		}
-		srv.Config.Handler.ServeHTTP(w, r)
-	}))
-	t.Cleanup(old.Close)
-	c, err := Dial(old.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.ExecuteBatch(batchQuery, codes("75"))
-	if !errors.Is(err, source.ErrBatchUnsupported) {
-		t.Errorf("err = %v, want ErrBatchUnsupported", err)
-	}
-	// The 404 latches: later batches fall back without re-trying the
-	// route.
-	_, err = c.ExecuteBatch(batchQuery, codes("92"))
-	if !errors.Is(err, source.ErrBatchUnsupported) {
-		t.Errorf("second batch err = %v, want ErrBatchUnsupported", err)
-	}
-	if got := batchHits.Load(); got != 1 {
-		t.Errorf("/batch tried %d times, want 1 (latched after the first 404)", got)
-	}
-	res, err := c.Execute(batchQuery, []value.Value{value.NewString("75")})
-	if err != nil || res.Len() != 1 {
-		t.Errorf("per-tuple fallback: %v, %+v", err, res)
 	}
 }
 

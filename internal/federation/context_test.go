@@ -81,34 +81,4 @@ func TestEstimateRowsAndCostOverWire(t *testing.T) {
 	if rows == cost {
 		t.Errorf("rows (%d) and cost (%d) collapsed: the richer estimate was lost on the wire", rows, cost)
 	}
-	// EstimateCost (the legacy single int) stays the cardinality.
-	if got := c.EstimateCost(q, 1); got != rows {
-		t.Errorf("EstimateCost = %d, want rows %d", got, rows)
-	}
-}
-
-// TestEstimateWithoutRowsFieldFallsBack: an endpoint predating the
-// rows field (cost only) degrades to rows = cost, not rows = 0.
-func TestEstimateWithoutRowsFieldFallsBack(t *testing.T) {
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/meta":
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"uri":"sql://legacy","model":"relational","languages":["sql"]}`))
-		case "/estimate":
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"cost":7}`))
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	t.Cleanup(legacy.Close)
-	c, err := Dial(legacy.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, cost := c.Estimate(source.SubQuery{Language: source.LangSQL, Text: "SELECT x FROM t"}, 0)
-	if rows != 7 || cost != 7+RemoteCostOverhead {
-		t.Errorf("legacy estimate = (%d, %d), want (7, %d)", rows, cost, 7+RemoteCostOverhead)
-	}
 }

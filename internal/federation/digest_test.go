@@ -4,16 +4,19 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"tatooine/internal/core"
 	"tatooine/internal/digest"
 	"tatooine/internal/doc"
 	"tatooine/internal/fulltext"
+	"tatooine/internal/rdf"
 	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
 
-func servedDocSource(t *testing.T) *httptest.Server {
+func servedDocSource(t *testing.T) (*httptest.Server, *fulltext.Index) {
 	t.Helper()
 	ix := fulltext.NewIndex("tweets", fulltext.Schema{
 		"text":              fulltext.TextField,
@@ -29,11 +32,11 @@ func servedDocSource(t *testing.T) *httptest.Server {
 	}
 	srv := httptest.NewServer(Handler(source.NewDocSource("solr://tweets", ix)))
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, ix
 }
 
 func TestDigestEndpoint(t *testing.T) {
-	srv := servedDocSource(t)
+	srv, _ := servedDocSource(t)
 	resp, err := http.Get(srv.URL + "/digest")
 	if err != nil {
 		t.Fatal(err)
@@ -55,23 +58,62 @@ func TestDigestEndpoint(t *testing.T) {
 	}
 }
 
-func TestDigestEndpointCached(t *testing.T) {
-	srv := servedDocSource(t)
-	// Two requests must both succeed (the second from cache).
-	for i := 0; i < 2; i++ {
-		resp, err := http.Get(srv.URL + "/digest")
+// TestDigestEndpointFollowsSource: GET /digest describes the served
+// source as it is now. A tweet from a new account, announced to the
+// mediator with InvalidateSource, must not be pruned by the Bloom filter
+// of a digest built before it existed.
+func TestDigestEndpointFollowsSource(t *testing.T) {
+	srv, ix := servedDocSource(t)
+	c, err := Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "@prefix : <http://t.example/> .\n"
+	in := core.NewInstance(rdf.NewGraph(), core.WithPrefixes(map[string]string{"": "http://t.example/"}))
+	in.AddTriples(rdf.MustParse(prefix + `:p1 :twitterAccount "fhollande" .`))
+	if err := in.AddSource(c); err != nil {
+		t.Fatal(err)
+	}
+	q := core.MustParseCMQ(`
+QUERY q(?t)
+GRAPH { ?x :twitterAccount ?id }
+FROM <solr://tweets> IN(?id) OUT(?t, ?id)
+  { SEARCH tweets WHERE user.screen_name = ? RETURN _id, user.screen_name }`)
+	tweets := func() []string {
+		t.Helper()
+		res, err := in.Execute(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: %s", i, resp.Status)
+		var ids []string
+		for _, r := range res.Rows {
+			ids = append(ids, r[0].Str())
 		}
+		slices.Sort(ids)
+		return ids
+	}
+	if got := tweets(); !slices.Equal(got, []string{"t1"}) {
+		t.Fatalf("before the write: %v, want [t1]", got)
+	}
+
+	d := &doc.Document{ID: "t2"}
+	d.Set("text", "au salon #SIA2016")
+	d.Set("user.screen_name", "jdupont")
+	d.Set("entities.hashtags", []any{"SIA2016"})
+	if err := ix.Add(d); err != nil {
+		t.Fatal(err)
+	}
+	in.AddTriples(rdf.MustParse(prefix + `:p2 :twitterAccount "jdupont" .`))
+	if _, _, err := in.InvalidateSource("solr://tweets"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tweets(); !slices.Equal(got, []string{"t1", "t2"}) {
+		t.Errorf("after the write: %v, want [t1 t2]", got)
 	}
 }
 
 func TestClientDigest(t *testing.T) {
-	srv := servedDocSource(t)
+	srv, _ := servedDocSource(t)
 	c, err := Dial(srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +143,6 @@ func (undigestableSource) Languages() []source.Language { return nil }
 func (undigestableSource) Execute(source.SubQuery, []value.Value) (*source.Result, error) {
 	return &source.Result{}, nil
 }
-func (undigestableSource) EstimateCost(source.SubQuery, int) int { return -1 }
 
 func TestDigestEndpointUndigestable(t *testing.T) {
 	srv := httptest.NewServer(Handler(undigestableSource{}))
@@ -117,7 +158,7 @@ func TestDigestEndpointUndigestable(t *testing.T) {
 }
 
 func TestHandlerBadRequests(t *testing.T) {
-	srv := servedDocSource(t)
+	srv, _ := servedDocSource(t)
 	resp, err := http.Post(srv.URL+"/query", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

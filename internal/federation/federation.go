@@ -17,7 +17,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,9 +60,8 @@ type BatchRequest struct {
 	// = no filter for that position), taken from the mediator's digest
 	// of this endpoint: tuples a filter provably excludes answer an
 	// empty result without touching the store. Filters have no false
-	// negatives, so results are identical with or without the field —
-	// endpoints predating it simply ignore the unknown key, and filters
-	// from a different wire version decode as pass-through.
+	// negatives, so results are identical with or without the field,
+	// and filters from a different wire version decode as pass-through.
 	Prune []*digest.Bloom `json:"prune,omitempty"`
 }
 
@@ -88,14 +86,11 @@ type EstimateRequest struct {
 	NumParams int    `json:"numParams"`
 }
 
-// EstimateResponse carries the estimated cost and, on endpoints that
-// implement the richer source.Estimator protocol, the estimated result
-// cardinality. Rows is a pointer so a pre-Estimator endpoint (which
-// omits the field) is distinguishable from a remote that really
-// estimates zero rows; clients fall back to rows = cost when absent.
+// EstimateResponse carries the estimated result cardinality and cost
+// (see source.Estimator); negative values mean unknown.
 type EstimateResponse struct {
 	Cost  int    `json:"cost"`
-	Rows  *int   `json:"rows,omitempty"`
+	Rows  int    `json:"rows"`
 	Error string `json:"error,omitempty"`
 }
 
@@ -110,31 +105,25 @@ func Handler(src source.DataSource) http.Handler {
 
 func handlerMux(src source.DataSource) http.Handler {
 	mux := http.NewServeMux()
-	var (
-		digestOnce sync.Once
-		digestJSON []byte
-		digestErr  error
-	)
+	// The digest is built on every request, so it always describes the
+	// source as it is now. The mediator's digest catalog is the one cache:
+	// it fetches once per catalog reset.
 	mux.HandleFunc("GET /digest", func(w http.ResponseWriter, r *http.Request) {
-		digestOnce.Do(func() {
-			d, err := digest.ForSource(src, digest.DefaultBudget())
-			if err != nil {
-				digestErr = err
-				return
-			}
-			if d == nil {
-				digestErr = fmt.Errorf("source %s cannot be digested", src.URI())
-				return
-			}
-			digestJSON, digestErr = json.Marshal(d)
-		})
-		if digestErr != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": digestErr.Error()})
+		d, err := digest.ForSource(src, digest.DefaultBudget())
+		if err == nil && d == nil {
+			err = fmt.Errorf("source %s cannot be digested", src.URI())
+		}
+		var body []byte
+		if err == nil {
+			body, err = json.Marshal(d)
+		}
+		if err != nil {
+			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(digestJSON)
+		_, _ = w.Write(body)
 	})
 	mux.HandleFunc("GET /meta", func(w http.ResponseWriter, r *http.Request) {
 		langs := make([]string, 0, len(src.Languages()))
@@ -250,7 +239,7 @@ func handlerMux(src source.DataSource) http.Handler {
 			Language: source.Language(req.Language),
 			Text:     req.Text,
 		}, req.NumParams)
-		writeJSON(w, http.StatusOK, EstimateResponse{Cost: cost, Rows: &rows})
+		writeJSON(w, http.StatusOK, EstimateResponse{Cost: cost, Rows: rows})
 	})
 	return mux
 }
@@ -288,13 +277,6 @@ type Client struct {
 	baseURL string
 	http    *http.Client
 	meta    MetaResponse
-	// noBatchUntil (unix nanos) backs the /batch route off after the
-	// remote rejects it (404/405): until that instant batches fall back
-	// immediately instead of paying a doomed round trip per chunk. The
-	// backoff is bounded rather than permanent because the 404 may come
-	// from an intermediary (a rolling deploy behind a proxy), not the
-	// endpoint itself.
-	noBatchUntil atomic.Int64
 	// rttEWMA (nanos) smooths observed round-trip latencies; see
 	// ObservedRTT. lastRTTWarn rate-limits the slow-remote warning.
 	rttEWMA     atomic.Int64
@@ -338,10 +320,6 @@ func (c *Client) observeRTT(d time.Duration) {
 		}
 	}
 }
-
-// batchRetryAfter is how long a Client avoids the /batch route after a
-// 404/405 before re-probing it.
-const batchRetryAfter = time.Minute
 
 // Dial fetches the remote source's metadata and returns a client. The
 // returned source's URI is the remote's advertised URI when available,
@@ -489,10 +467,7 @@ func (c *Client) ExecuteContext(ctx context.Context, q source.SubQuery, params [
 // batch as ONE request to the remote /batch endpoint — this is where
 // bind-join batching pays for remote sources: ⌈N/batch⌉ HTTP round
 // trips instead of N, with the remote side pushing the batch natively
-// into its store when it can. A remote that predates the batch route
-// (404/405) reports source.ErrBatchUnsupported so the mediator falls
-// back to per-tuple probes; the route is then avoided for
-// batchRetryAfter before being re-probed.
+// into its store when it can.
 func (c *Client) ExecuteBatch(q source.SubQuery, paramSets []value.Row) ([]*source.Result, error) {
 	return c.ExecuteBatchContext(context.Background(), q, paramSets)
 }
@@ -500,9 +475,6 @@ func (c *Client) ExecuteBatch(q source.SubQuery, paramSets []value.Row) ([]*sour
 // ExecuteBatchContext implements source.ContextBatchProber; see
 // ExecuteBatch and ExecuteContext.
 func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, paramSets []value.Row) ([]*source.Result, error) {
-	if time.Now().UnixNano() < c.noBatchUntil.Load() {
-		return nil, source.ErrBatchUnsupported
-	}
 	req := BatchRequest{
 		Language:  string(q.Language),
 		Text:      q.Text,
@@ -519,12 +491,6 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 		return nil, fmt.Errorf("federation: batch %s: %w", c.baseURL, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		// Endpoint without the batch route; back off so later batches
-		// skip the wasted round trip for a while.
-		c.noBatchUntil.Store(time.Now().Add(batchRetryAfter).UnixNano())
-		return nil, source.ErrBatchUnsupported
-	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusError("batch", resp)
 	}
@@ -603,18 +569,11 @@ const RemoteCostOverhead = 32
 // fixed so plan ordering remains deterministic across runs.
 const RemoteCostOverheadRTT = 10 * time.Millisecond
 
-// EstimateCost implements source.DataSource through Estimate.
-func (c *Client) EstimateCost(q source.SubQuery, numParams int) int {
-	rows, _ := c.Estimate(q, numParams)
-	return rows
-}
-
 // Estimate implements source.Estimator by asking the remote endpoint;
 // network and remote failures degrade to unknown (-1, -1). The status
 // and error envelope are checked before the payload is trusted: a
 // 404/502 JSON error body would otherwise decode to Cost: 0 and make a
-// broken remote look like the cheapest source in the plan. Endpoints
-// predating the rows field report rows = cost; either way the cost
+// broken remote look like the cheapest source in the plan. The cost
 // carries RemoteCostOverhead on top.
 func (c *Client) Estimate(q source.SubQuery, numParams int) (rows, cost int) {
 	body, err := json.Marshal(EstimateRequest{
@@ -642,10 +601,7 @@ func (c *Client) Estimate(q source.SubQuery, numParams int) (rows, cost int) {
 	if er.Error != "" {
 		return -1, -1
 	}
-	rows, cost = er.Cost, er.Cost
-	if er.Rows != nil {
-		rows = *er.Rows
-	}
+	rows, cost = er.Rows, er.Cost
 	if rows < 0 || cost < 0 {
 		return -1, -1
 	}

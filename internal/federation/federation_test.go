@@ -81,12 +81,12 @@ func TestRemoteQueryError(t *testing.T) {
 func TestRemoteEstimate(t *testing.T) {
 	srv, _ := servedRelSource(t)
 	c, _ := Dial(srv.URL)
-	cost := c.EstimateCost(source.SubQuery{
+	rows, _ := c.Estimate(source.SubQuery{
 		Language: source.LangSQL,
 		Text:     "SELECT * FROM departements",
 	}, 0)
-	if cost != 2 {
-		t.Errorf("remote estimate: %d", cost)
+	if rows != 2 {
+		t.Errorf("remote estimate: %d", rows)
 	}
 }
 

@@ -70,12 +70,12 @@ func TestExecuteJSONErrorKeepsMessage(t *testing.T) {
 	}
 }
 
-// TestEstimateCostNonOKIsUnknown is the regression test for the
+// TestEstimateNonOKIsUnknown is the regression test for the
 // trust-the-body bug: a 404/502 whose JSON (or HTML) error envelope
 // decodes with Cost: 0 used to make a broken remote look like the
 // cheapest source in the plan. Any non-OK status must degrade to
-// unknown (-1).
-func TestEstimateCostNonOKIsUnknown(t *testing.T) {
+// unknown (-1, -1).
+func TestEstimateNonOKIsUnknown(t *testing.T) {
 	for name, srv := range map[string]*httptest.Server{
 		"html 502":           brokenProxy(t, http.StatusBadGateway, "<html>502</html>"),
 		"json error 404":     brokenProxy(t, http.StatusNotFound, `{"cost":0,"error":"no such route"}`),
@@ -85,22 +85,22 @@ func TestEstimateCostNonOKIsUnknown(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := c.EstimateCost(source.SubQuery{Language: source.LangSQL, Text: "SELECT 1"}, 0); got != -1 {
-			t.Errorf("%s: EstimateCost = %d, want -1", name, got)
+		if rows, cost := c.Estimate(source.SubQuery{Language: source.LangSQL, Text: "SELECT 1"}, 0); rows != -1 || cost != -1 {
+			t.Errorf("%s: Estimate = (%d, %d), want (-1, -1)", name, rows, cost)
 		}
 	}
 }
 
-// TestEstimateCostErrorEnvelopeIsUnknown: even a 200 whose body names
-// an error must not be trusted for its zero Cost.
-func TestEstimateCostErrorEnvelopeIsUnknown(t *testing.T) {
+// TestEstimateErrorEnvelopeIsUnknown: even a 200 whose body names an
+// error must not be trusted for its zero Cost.
+func TestEstimateErrorEnvelopeIsUnknown(t *testing.T) {
 	srv := brokenProxy(t, http.StatusOK, `{"cost":0,"error":"estimator offline"}`)
 	c, err := Dial(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.EstimateCost(source.SubQuery{Language: source.LangSQL, Text: "SELECT 1"}, 0); got != -1 {
-		t.Errorf("EstimateCost with error envelope = %d, want -1", got)
+	if rows, cost := c.Estimate(source.SubQuery{Language: source.LangSQL, Text: "SELECT 1"}, 0); rows != -1 || cost != -1 {
+		t.Errorf("Estimate with error envelope = (%d, %d), want (-1, -1)", rows, cost)
 	}
 }
 

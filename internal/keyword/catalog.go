@@ -9,6 +9,7 @@ package keyword
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"sort"
 
@@ -30,28 +31,25 @@ type Catalog struct {
 	GraphURI string
 }
 
-// BuildCatalog digests the custom graph and every registered source of
-// the instance, then discovers cross-source join edges by value-set
-// overlap. The budget controls digest precision.
-func BuildCatalog(in *core.Instance, budget digest.Budget) (*Catalog, error) {
+// BuildCatalog collects the digests of a mixed instance — the custom
+// graph's, built here, and every registered source's, taken from the
+// instance's digest catalog — then discovers cross-source join edges by
+// value-set overlap. A source without a digest (undigestable, or its
+// fetch failed) does not take part.
+func BuildCatalog(in *core.Instance) *Catalog {
 	c := &Catalog{
 		nodes:    make(map[string]*digest.Node),
 		adj:      make(map[string][]digest.Edge),
 		GraphURI: "tatooine:G",
 	}
-	c.addDigest(digest.BuildRDF(c.GraphURI, in.Graph(), budget))
-
+	c.addDigest(digest.BuildRDF(c.GraphURI, in.Graph(), digest.DefaultBudget()))
 	for _, s := range in.Sources().All() {
-		d, err := digest.ForSource(s, budget)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil {
+		if d := in.SourceDigest(context.TODO(), s); d != nil {
 			c.addDigest(d)
 		}
 	}
 	c.discoverOverlaps()
-	return c, nil
+	return c
 }
 
 func (c *Catalog) addDigest(d *digest.Digest) {

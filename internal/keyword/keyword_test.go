@@ -69,18 +69,9 @@ pol:POL02 a :politician ;
 	return in
 }
 
-func catalog(t testing.TB, in *core.Instance) *Catalog {
-	t.Helper()
-	c, err := BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestCatalogDigestsAndOverlaps(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	if len(c.Digests()) != 3 { // G + tweets + insee
 		t.Fatalf("digests: %d", len(c.Digests()))
 	}
@@ -103,7 +94,7 @@ func TestCatalogDigestsAndOverlaps(t *testing.T) {
 
 func TestMatchesKeywordLocation(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	matches, err := c.Matches([]string{"head of state", "SIA2016"})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +129,7 @@ func TestMatchesKeywordLocation(t *testing.T) {
 // query equivalent to qSIA and its execution finds Hollande's tweet.
 func TestPaperExampleKeywordToQSIA(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"head of state", "SIA2016"}, SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +159,7 @@ func TestPaperExampleKeywordToQSIA(t *testing.T) {
 
 func TestSearchSingleKeyword(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"SIA2016"}, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +175,7 @@ func TestSearchSingleKeyword(t *testing.T) {
 
 func TestSearchWithinRelationalSource(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"Paris"}, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +191,7 @@ func TestSearchWithinRelationalSource(t *testing.T) {
 
 func TestSearchRanksShorterPathsFirst(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"fhollande", "SIA2016"}, SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +212,7 @@ func TestSearchNoJoinPath(t *testing.T) {
 	db.Exec("CREATE TABLE t (c TEXT)")
 	db.Exec("INSERT INTO t VALUES ('isolatedvalue2')")
 	in.AddSource(source.NewRelSource("sql://d", db))
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	if _, err := c.Search([]string{"isolatedvalue1", "isolatedvalue2"}, SearchOptions{}); err == nil {
 		t.Error("expected no-join-path error")
 	}
@@ -229,7 +220,7 @@ func TestSearchNoJoinPath(t *testing.T) {
 
 func TestExplainPath(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"head of state", "SIA2016"}, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +233,7 @@ func TestExplainPath(t *testing.T) {
 
 func TestGeneratedQueryIsBindJoinChain(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"head of state", "SIA2016"}, SearchOptions{MaxCandidates: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +254,7 @@ func TestGeneratedQueryIsBindJoinChain(t *testing.T) {
 // path must visit matches of all three keywords.
 func TestThreeKeywordSteinerPath(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"head of state", "fhollande", "SIA2016"}, SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +279,7 @@ func TestThreeKeywordSteinerPath(t *testing.T) {
 // non-decreasing weight order across mixed match sets.
 func TestCandidateWeightsOrdered(t *testing.T) {
 	in := fixture(t)
-	c := catalog(t, in)
+	c := BuildCatalog(in)
 	cands, err := c.Search([]string{"SIA2016", "jdupont"}, SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		t.Fatal(err)

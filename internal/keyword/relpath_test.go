@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tatooine/internal/core"
-	"tatooine/internal/digest"
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
@@ -31,10 +30,7 @@ func TestKeywordPathAcrossForeignKey(t *testing.T) {
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)
 	}
-	cat, err := BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := BuildCatalog(in)
 	cands, err := cat.Search([]string{"Paris", "SocParty"}, SearchOptions{MaxCandidates: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +70,7 @@ func TestKeywordPathAcrossForeignKey(t *testing.T) {
 // via a shared code field).
 func TestKeywordRelationalToDocPath(t *testing.T) {
 	in := fixture(t) // politics graph + tweets + insee
-	cat := catalog(t, in)
+	cat := BuildCatalog(in)
 	// "Paris" lives in departements.name only; "fhollande" in the graph
 	// and the tweet store. No path may exist (disconnected) — accept
 	// either an error or candidates; what must not happen is a panic or

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tatooine/internal/core"
-	"tatooine/internal/digest"
 	"tatooine/internal/doc"
 	"tatooine/internal/federation"
 	"tatooine/internal/fulltext"
@@ -50,10 +49,7 @@ func TestRemoteSourceParticipatesInKeywordSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cat, err := BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := BuildCatalog(in)
 	if len(cat.Digests()) != 2 { // G + remote tweets
 		t.Fatalf("digests: %d", len(cat.Digests()))
 	}
@@ -75,4 +71,48 @@ func TestRemoteSourceParticipatesInKeywordSearch(t *testing.T) {
 		}
 	}
 	t.Error("no candidate over the remote source produced the tweet")
+}
+
+// TestRemoteSourceChangeReachesCatalog: BuildCatalog reads source digests
+// from the instance's digest catalog, so a served source that changed
+// shows its new values once the mediator is told with InvalidateSource.
+func TestRemoteSourceChangeReachesCatalog(t *testing.T) {
+	ix := fulltext.NewIndex("tweets", fulltext.Schema{"entities.hashtags": fulltext.KeywordField})
+	add := func(id, tag string) {
+		t.Helper()
+		d := &doc.Document{ID: id}
+		d.Set("entities.hashtags", []any{tag})
+		if err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("t1", "SIA2016")
+	srv := httptest.NewServer(federation.Handler(source.NewDocSource("solr://tweets", ix)))
+	defer srv.Close()
+	client, err := federation.Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.NewInstance(nil)
+	if err := in.AddSource(client); err != nil {
+		t.Fatal(err)
+	}
+	hashtagHit := func() bool {
+		for _, n := range BuildCatalog(in).Lookup("EtatDurgence") {
+			if n.Source == "solr://tweets" {
+				return true
+			}
+		}
+		return false
+	}
+	if hashtagHit() {
+		t.Fatal("hashtag found before it was indexed")
+	}
+	add("t2", "EtatDurgence")
+	if _, _, err := in.InvalidateSource("solr://tweets"); err != nil {
+		t.Fatal(err)
+	}
+	if !hashtagHit() {
+		t.Error("the catalog built after InvalidateSource misses the new hashtag")
+	}
 }

@@ -38,10 +38,7 @@ func TestKeywordSearchThroughXMLSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cat, err := BuildCatalog(in, digest.DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := BuildCatalog(in)
 	// The speaker attribute must be digested and overlap with foaf:name.
 	sp := cat.NodeByLabel("xml://speeches", "speeches/speech/@speaker")
 	if sp == nil || sp.Kind != digest.XMLPath {

@@ -29,10 +29,9 @@ type ctxProbeSource struct {
 	completed int
 }
 
-func (s *ctxProbeSource) URI() string                           { return s.uri }
-func (s *ctxProbeSource) Model() source.Model                   { return source.RelationalModel }
-func (s *ctxProbeSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (s *ctxProbeSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (s *ctxProbeSource) URI() string                  { return s.uri }
+func (s *ctxProbeSource) Model() source.Model          { return source.RelationalModel }
+func (s *ctxProbeSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 
 func (s *ctxProbeSource) Execute(q source.SubQuery, params []value.Value) (*source.Result, error) {
 	return s.ExecuteContext(context.Background(), q, params)

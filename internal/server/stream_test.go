@@ -226,10 +226,9 @@ type dyingSource struct {
 	calls atomic.Int64
 }
 
-func (s *dyingSource) URI() string                           { return s.uri }
-func (s *dyingSource) Model() source.Model                   { return source.RelationalModel }
-func (s *dyingSource) Languages() []source.Language          { return []source.Language{source.LangSQL} }
-func (s *dyingSource) EstimateCost(source.SubQuery, int) int { return 1 }
+func (s *dyingSource) URI() string                  { return s.uri }
+func (s *dyingSource) Model() source.Model          { return source.RelationalModel }
+func (s *dyingSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
 
 func (s *dyingSource) Execute(q source.SubQuery, params []value.Value) (*source.Result, error) {
 	return s.ExecuteContext(context.Background(), q, params)

@@ -49,9 +49,9 @@ func TestRDFSourceWithPrefixes(t *testing.T) {
 
 func TestRDFSourceEstimate(t *testing.T) {
 	s := NewRDFSource("rdf://g", polGraph(t), false)
-	all := s.EstimateCost(SubQuery{Language: LangBGP,
+	all, _ := s.Estimate(SubQuery{Language: LangBGP,
 		Text: `q(?x, ?p, ?o) :- ?x ?p ?o`}, 0)
-	narrow := s.EstimateCost(SubQuery{Language: LangBGP,
+	narrow, _ := s.Estimate(SubQuery{Language: LangBGP,
 		Text: `q(?x) :- ?x <http://t.example/position> <http://t.example/headOfState> . ?x ?p ?o`}, 0)
 	if all <= 0 {
 		t.Errorf("all estimate: %d", all)
@@ -59,7 +59,7 @@ func TestRDFSourceEstimate(t *testing.T) {
 	if narrow >= all {
 		t.Errorf("selective pattern should shrink the estimate: %d vs %d", narrow, all)
 	}
-	if s.EstimateCost(SubQuery{Language: LangBGP, Text: "garbage :-"}, 0) != -1 {
+	if rows, _ := s.Estimate(SubQuery{Language: LangBGP, Text: "garbage :-"}, 0); rows != -1 {
 		t.Error("bad BGP estimate should be -1")
 	}
 }
@@ -94,7 +94,7 @@ func TestXMLSourceExecuteThroughAdapter(t *testing.T) {
 
 func TestSelectivityFactorShapes(t *testing.T) {
 	s := NewRelSource("sql://d", relDB(t))
-	base := s.EstimateCost(SubQuery{Language: LangSQL, Text: "SELECT * FROM departements"}, 0)
+	base, _ := s.Estimate(SubQuery{Language: LangSQL, Text: "SELECT * FROM departements"}, 0)
 	cases := []string{
 		"SELECT * FROM departements WHERE code = '75' AND name = 'Paris'",
 		"SELECT * FROM departements WHERE population > 1",
@@ -104,13 +104,13 @@ func TestSelectivityFactorShapes(t *testing.T) {
 		"SELECT * FROM departements LIMIT 1",
 	}
 	for _, q := range cases {
-		est := s.EstimateCost(SubQuery{Language: LangSQL, Text: q}, 0)
+		est, _ := s.Estimate(SubQuery{Language: LangSQL, Text: q}, 0)
 		if est < 0 || est > base {
 			t.Errorf("%q estimate %d out of range (base %d)", q, est, base)
 		}
 	}
 	// Joins keep the estimate at least at the larger side.
-	joined := s.EstimateCost(SubQuery{Language: LangSQL,
+	joined, _ := s.Estimate(SubQuery{Language: LangSQL,
 		Text: "SELECT * FROM departements d JOIN departements e ON d.code = e.code"}, 0)
 	if joined < base {
 		t.Errorf("join estimate %d below base %d", joined, base)

@@ -183,7 +183,6 @@ func (s *recordingBatchSource) Model() source.Model { return source.RelationalMo
 func (s *recordingBatchSource) Languages() []source.Language {
 	return []source.Language{source.LangSQL}
 }
-func (s *recordingBatchSource) EstimateCost(source.SubQuery, int) int { return 1 }
 
 func (s *recordingBatchSource) result(p value.Value) *source.Result {
 	return &source.Result{Cols: []string{"v"}, Rows: []value.Row{{p}}}

@@ -14,14 +14,12 @@ import (
 
 // CacheStats reports what a Cached decorator has done so far.
 type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Expired       int64 // misses caused by TTL expiry of an existing entry
-	Evictions     int64
-	Invalidated   int64 // result entries dropped by Invalidate
-	Entries       int
-	DigestFetches int64 // MemoizeDigest fills (the inner source was digested)
-	DigestHits    int64 // MemoizeDigest answers from memory
+	Hits        int64
+	Misses      int64
+	Expired     int64 // misses caused by TTL expiry of an existing entry
+	Evictions   int64
+	Invalidated int64 // result entries dropped by Invalidate
+	Entries     int
 }
 
 // Cached decorates a DataSource with a bounded LRU memoization of
@@ -44,7 +42,6 @@ type Cached struct {
 	gen       uint64 // bumped by Invalidate; fills from an older gen are discarded
 	cache     *lru.Cache[cacheEntry]
 	estimates *lru.Cache[estimateEntry]
-	digests   map[string]any // memoized digests by budget key (opaque: no digest import)
 	stats     CacheStats
 }
 
@@ -101,12 +98,6 @@ func (c *Cached) Model() Model { return c.inner.Model() }
 // Languages implements DataSource.
 func (c *Cached) Languages() []Language { return c.inner.Languages() }
 
-// EstimateCost implements DataSource through the memoized Estimate.
-func (c *Cached) EstimateCost(q SubQuery, numParams int) int {
-	rows, _ := c.Estimate(q, numParams)
-	return rows
-}
-
 // Estimate implements Estimator, memoizing the inner (rows, cost)
 // estimate: planning calls it per atom on every query, and for a
 // remote source each call is an HTTP round trip. Unknown estimates
@@ -146,51 +137,8 @@ func (c *Cached) Invalidate() int {
 	c.gen++
 	n := c.cache.Clear()
 	c.estimates.Clear()
-	c.digests = nil
 	c.stats.Invalidated += int64(n)
 	return n
-}
-
-// MemoizeDigest returns the memoized value for key, filling it with
-// fill() on the first call. It exists for digest.ForSource (which
-// cannot be imported from here without a cycle, hence the opaque any):
-// building or fetching a source digest costs a full scan or an HTTP
-// round trip, and planning wants one per query. The memo lives under
-// the same generation as the probe cache, so Invalidate — driven by
-// the instance's mutation epoch — makes a stale digest impossible:
-// a fill that started before the invalidation is returned to its
-// caller but not kept.
-func (c *Cached) MemoizeDigest(key string, fill func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if d, ok := c.digests[key]; ok {
-		c.stats.DigestHits++
-		c.mu.Unlock()
-		return d, nil
-	}
-	gen := c.gen
-	c.mu.Unlock()
-
-	d, err := fill()
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	if c.gen == gen {
-		if c.digests == nil {
-			c.digests = make(map[string]any)
-		}
-		if prev, ok := c.digests[key]; ok {
-			d = prev // concurrent fills share one digest
-		} else {
-			c.digests[key] = d
-			c.stats.DigestFetches++
-		}
-	} else {
-		c.stats.DigestFetches++
-	}
-	c.mu.Unlock()
-	return d, nil
 }
 
 // Stats returns a snapshot of the cache counters.

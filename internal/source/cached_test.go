@@ -21,11 +21,11 @@ type fakeSource struct {
 func (f *fakeSource) URI() string                  { return "fake://src" }
 func (f *fakeSource) Model() source.Model          { return source.RelationalModel }
 func (f *fakeSource) Languages() []source.Language { return []source.Language{source.LangSQL} }
-func (f *fakeSource) EstimateCost(source.SubQuery, int) int {
+func (f *fakeSource) Estimate(source.SubQuery, int) (rows, cost int) {
 	f.mu.Lock()
 	f.estimates++
 	f.mu.Unlock()
-	return 7
+	return 7, 7
 }
 
 func (f *fakeSource) Execute(q source.SubQuery, params []value.Value) (*source.Result, error) {
@@ -164,7 +164,7 @@ func TestCachedDelegatesMetadata(t *testing.T) {
 	if c.URI() != f.URI() || c.Model() != f.Model() {
 		t.Error("metadata not delegated")
 	}
-	if got := c.EstimateCost(sub("q"), 0); got != 7 {
+	if got, _ := c.Estimate(sub("q"), 0); got != 7 {
 		t.Errorf("estimate: %d", got)
 	}
 	if c.Unwrap() != source.DataSource(f) {
@@ -274,7 +274,7 @@ func TestCachedEstimateMemoized(t *testing.T) {
 	f := &fakeSource{}
 	c := source.NewCached(f, 8)
 	for i := 0; i < 3; i++ {
-		if got := c.EstimateCost(sub("q"), 1); got != 7 {
+		if got, _ := c.Estimate(sub("q"), 1); got != 7 {
 			t.Fatalf("estimate: %d", got)
 		}
 	}
@@ -282,10 +282,10 @@ func TestCachedEstimateMemoized(t *testing.T) {
 	n := f.estimates
 	f.mu.Unlock()
 	if n != 1 {
-		t.Errorf("inner EstimateCost called %d times, want 1", n)
+		t.Errorf("inner Estimate called %d times, want 1", n)
 	}
 	// Distinct numParams is a distinct planning question.
-	c.EstimateCost(sub("q"), 2)
+	c.Estimate(sub("q"), 2)
 	f.mu.Lock()
 	n = f.estimates
 	f.mu.Unlock()
@@ -352,8 +352,8 @@ func TestCachedInvalidate(t *testing.T) {
 	if f.calls() != 1 {
 		t.Fatalf("inner executes before Invalidate: %d", f.calls())
 	}
-	c.EstimateCost(q, 0)
-	c.EstimateCost(q, 0)
+	c.Estimate(q, 0)
+	c.Estimate(q, 0)
 	if f.estimateCalls() != 1 {
 		t.Fatalf("inner estimates before Invalidate: %d", f.estimateCalls())
 	}
@@ -371,7 +371,7 @@ func TestCachedInvalidate(t *testing.T) {
 	if f.calls() != 2 {
 		t.Errorf("probe after Invalidate did not reach the inner source: %d calls", f.calls())
 	}
-	c.EstimateCost(q, 0)
+	c.Estimate(q, 0)
 	if f.estimateCalls() != 2 {
 		t.Errorf("estimate after Invalidate did not reach the inner source: %d calls", f.estimateCalls())
 	}
@@ -426,103 +426,5 @@ func TestInvalidateCoversInFlightProbe(t *testing.T) {
 	}
 	if b.calls() != 2 {
 		t.Errorf("post-invalidate probe served the discarded fill: %d inner calls", b.calls())
-	}
-}
-
-func TestCachedMemoizeDigest(t *testing.T) {
-	f := &fakeSource{}
-	c := source.NewCached(f, 8)
-
-	fills := 0
-	fill := func() (any, error) {
-		fills++
-		return fmt.Sprintf("digest-%d", fills), nil
-	}
-
-	d1, err := c.MemoizeDigest("b/8192", fill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := c.MemoizeDigest("b/8192", fill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fills != 1 {
-		t.Fatalf("fill ran %d times, want 1", fills)
-	}
-	if d1 != d2 {
-		t.Fatalf("memoized digest changed between calls: %v vs %v", d1, d2)
-	}
-	// A different budget key is a different digest.
-	if _, err := c.MemoizeDigest("b/64", fill); err != nil {
-		t.Fatal(err)
-	}
-	if fills != 2 {
-		t.Fatalf("fill ran %d times after second key, want 2", fills)
-	}
-	st := c.Stats()
-	if st.DigestFetches != 2 || st.DigestHits != 1 {
-		t.Fatalf("DigestFetches/DigestHits = %d/%d, want 2/1", st.DigestFetches, st.DigestHits)
-	}
-
-	// Invalidate (the mutation-epoch hook) drops the memo: the next call
-	// refills instead of serving a stale digest.
-	c.Invalidate()
-	if _, err := c.MemoizeDigest("b/8192", fill); err != nil {
-		t.Fatal(err)
-	}
-	if fills != 3 {
-		t.Fatalf("fill ran %d times after Invalidate, want 3", fills)
-	}
-}
-
-func TestCachedMemoizeDigestErrorNotMemoized(t *testing.T) {
-	c := source.NewCached(&fakeSource{}, 8)
-	calls := 0
-	failing := func() (any, error) {
-		calls++
-		if calls == 1 {
-			return nil, fmt.Errorf("digest: remote down")
-		}
-		return "ok", nil
-	}
-	if _, err := c.MemoizeDigest("k", failing); err == nil {
-		t.Fatal("expected the first fill's error")
-	}
-	d, err := c.MemoizeDigest("k", failing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != "ok" {
-		t.Fatalf("second fill returned %v, want ok (errors must not be memoized)", d)
-	}
-	if st := c.Stats(); st.DigestFetches != 1 {
-		t.Fatalf("DigestFetches = %d, want 1 (failed fill must not count)", st.DigestFetches)
-	}
-}
-
-func TestCachedMemoizeDigestInvalidateDuringFill(t *testing.T) {
-	c := source.NewCached(&fakeSource{}, 8)
-	// A fill that races an Invalidate: the caller still gets the digest,
-	// but it must not be kept (it may predate the mutation).
-	d, err := c.MemoizeDigest("k", func() (any, error) {
-		c.Invalidate()
-		return "stale", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != "stale" {
-		t.Fatalf("fill result = %v, want stale", d)
-	}
-	refilled := false
-	if _, err := c.MemoizeDigest("k", func() (any, error) {
-		refilled = true
-		return "fresh", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !refilled {
-		t.Fatal("digest filled during an Invalidate was kept; stale statistics could mis-prune")
 	}
 }

@@ -81,14 +81,6 @@ func (s *DocSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, 
 	return out, nil
 }
 
-// EstimateCost implements DataSource: keyword equality conditions with
-// literal values use exact document frequencies; parameterized or
-// analyzed conditions fall back to corpus-size heuristics.
-func (s *DocSource) EstimateCost(q SubQuery, numParams int) int {
-	rows, _ := s.Estimate(q, numParams)
-	return rows
-}
-
 // Estimate implements Estimator: rows from the frequency heuristics
 // below, cost adds one posting-list probe per condition — the index
 // answers from postings, it never scans the corpus.

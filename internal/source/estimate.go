@@ -6,9 +6,7 @@ package source
 // effort (cost — access work plus rows produced, in comparable units
 // across sources; remote sources add their round-trip overhead).
 // The planner orders atoms by rows (selectivity-first) and uses cost
-// to break ties and to render plans; sources that only implement the
-// single-int EstimateCost keep working through EstimateOf's default
-// adapter.
+// to break ties and to render plans.
 type Estimator interface {
 	DataSource
 	// Estimate returns the expected result cardinality and the total
@@ -17,14 +15,11 @@ type Estimator interface {
 	Estimate(q SubQuery, numParams int) (rows, cost int)
 }
 
-// EstimateOf returns s's (rows, cost) estimate. Sources implementing
-// Estimator answer directly; everything else goes through the default
-// adapter — rows = cost = EstimateCost — so pre-Estimator sources keep
-// participating in planning unchanged.
+// EstimateOf returns s's (rows, cost) estimate, or (-1, -1) — unknown —
+// when s is not an Estimator.
 func EstimateOf(s DataSource, q SubQuery, numParams int) (rows, cost int) {
 	if e, ok := s.(Estimator); ok {
 		return e.Estimate(q, numParams)
 	}
-	c := s.EstimateCost(q, numParams)
-	return c, c
+	return -1, -1
 }

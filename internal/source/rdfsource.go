@@ -190,13 +190,6 @@ func (s *RDFSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, 
 	return out, nil
 }
 
-// EstimateCost implements DataSource: the minimum pattern cardinality
-// of the BGP (a cheap, index-backed upper bound on the first join step).
-func (s *RDFSource) EstimateCost(q SubQuery, numParams int) int {
-	rows, _ := s.Estimate(q, numParams)
-	return rows
-}
-
 // Estimate implements Estimator: rows is the minimum pattern
 // cardinality (the seed of the BGP join), cost adds one index probe
 // per pattern — an in-memory graph's whole effort is walking its

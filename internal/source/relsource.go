@@ -212,14 +212,6 @@ func joinAnd(conjuncts []sqlparse.Expr) sqlparse.Expr {
 	return out
 }
 
-// EstimateCost implements DataSource: the base table's row count (a
-// join multiplies by joined table sizes; predicates with parameters
-// divide by a default selectivity factor of 10).
-func (s *RelSource) EstimateCost(q SubQuery, numParams int) int {
-	rows, _ := s.Estimate(q, numParams)
-	return rows
-}
-
 // Estimate implements Estimator: rows is the selectivity-discounted
 // result cardinality (the quantity bind joins and intermediate
 // relations grow with), cost adds the scan work — the rows the engine

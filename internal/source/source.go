@@ -88,7 +88,8 @@ type Result struct {
 // Len returns the number of rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// DataSource is a queryable member of a mixed instance.
+// DataSource is a queryable member of a mixed instance. Sources that
+// can estimate a sub-query's cost also implement Estimator.
 type DataSource interface {
 	// URI is the source's identifier inside the mixed instance.
 	URI() string
@@ -99,9 +100,6 @@ type DataSource interface {
 	// Execute evaluates a native sub-query. params bind the query's
 	// placeholders in order (bind joins push outer bindings here).
 	Execute(q SubQuery, params []value.Value) (*Result, error)
-	// EstimateCost returns an estimated result cardinality used to
-	// order sub-queries by selectivity; negative means unknown.
-	EstimateCost(q SubQuery, numParams int) int
 }
 
 // Accepts reports whether the source accepts the given language.

@@ -187,15 +187,15 @@ func TestRelSourceExecute(t *testing.T) {
 
 func TestRelSourceEstimate(t *testing.T) {
 	s := NewRelSource("sql://insee", relDB(t))
-	all := s.EstimateCost(SubQuery{Language: LangSQL, Text: "SELECT * FROM departements"}, 0)
-	filtered := s.EstimateCost(SubQuery{Language: LangSQL, Text: "SELECT * FROM departements WHERE code = ?"}, 1)
+	all, _ := s.Estimate(SubQuery{Language: LangSQL, Text: "SELECT * FROM departements"}, 0)
+	filtered, _ := s.Estimate(SubQuery{Language: LangSQL, Text: "SELECT * FROM departements WHERE code = ?"}, 1)
 	if all != 2 {
 		t.Errorf("all estimate: %d", all)
 	}
 	if filtered >= all {
 		t.Errorf("equality filter should reduce estimate: %d vs %d", filtered, all)
 	}
-	if s.EstimateCost(SubQuery{Language: LangSQL, Text: "not sql"}, 0) != -1 {
+	if rows, _ := s.Estimate(SubQuery{Language: LangSQL, Text: "not sql"}, 0); rows != -1 {
 		t.Error("bad SQL estimate should be -1")
 	}
 }
@@ -220,7 +220,7 @@ func TestDocSourceExecute(t *testing.T) {
 
 func TestDocSourceEstimate(t *testing.T) {
 	s := NewDocSource("solr://tweets", tweetIndex(t))
-	exact := s.EstimateCost(SubQuery{
+	exact, _ := s.Estimate(SubQuery{
 		Language: LangSearch,
 		Text:     "SEARCH tweets WHERE entities.hashtags = 'EtatDurgence' RETURN _id",
 	}, 0)

@@ -68,13 +68,6 @@ func (s *XMLSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 	return out, nil
 }
 
-// EstimateCost implements DataSource: document count scaled by a
-// per-predicate selectivity factor.
-func (s *XMLSource) EstimateCost(q SubQuery, numParams int) int {
-	rows, _ := s.Estimate(q, numParams)
-	return rows
-}
-
 // Estimate implements Estimator: rows is the predicate-discounted
 // document count; cost stays at the full store size because the path
 // evaluator walks every document regardless of how few survive the
