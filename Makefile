@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: verify build test vet race benchsmoke boundedsmoke fmtcheck obscheck benchcheck
+.PHONY: verify build test vet race benchsmoke boundedsmoke fmtcheck obscheck benchcheck fuzzsmoke
 
 # Tier-1 gate: a missing-module (or any build/test) regression fails here.
-verify: fmtcheck vet build test benchcheck benchsmoke boundedsmoke obscheck
+verify: fmtcheck vet build test benchcheck benchsmoke boundedsmoke obscheck fuzzsmoke
 
 # bench/ is a nested module, so ./... above never compiles it: vet and
 # test it here, so renaming an internal/ symbol it uses fails verify and
@@ -27,6 +27,16 @@ benchsmoke:
 # boot's allocations do not scale with the stored term count.
 boundedsmoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(BoundedMemory|WarmBootAllocs)$$' -benchtime 1x ./
+
+# Fuzz smoke: every Fuzz* target for 10 s on two workers (go test
+# -fuzz takes one target per run). A panic, hang or broken property
+# fails verify and writes the failing input under the package's
+# testdata/fuzz, where plain go test replays it from then on.
+FUZZTIME ?= 10s
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDigestWire$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/fulltext
 
 # Observability hygiene: no printf logging outside cmd/, and a booted
 # mediator's GET /metrics must scrape as valid Prometheus text.

@@ -163,13 +163,16 @@
 // resolved from the full intermediate result). Join order is greedy
 // and selectivity-aware — atoms connected to what is already scheduled
 // beat disconnected ones (avoiding cross products), then smaller
-// estimated row counts win. Estimates come from the two-dimensional
-// source.Estimator capability, Estimate(q, numParams) = (rows, cost):
-// rows drives ordering (it is what intermediates grow with), cost
-// records total effort (scan work + rows, plus
-// federation.RemoteCostOverhead for remote sources). Estimator is
-// optional: a source without it estimates as unknown (-1, -1), which
-// ranks last.
+// estimated row counts win. Estimates are (rows, cost) pairs: rows
+// drives ordering (it is what intermediates grow with), cost records
+// total effort and breaks ties. They come from the source's catalog
+// digest first (digest.RefineEstimate, see "Digest-driven planning"
+// below), which costs no call to the source. Only where the digest
+// cannot answer (graph atoms, XPath, joins, aggregates, no digest) does
+// the planner fall back to the optional source.Estimator capability,
+// Estimate(q, numParams) = (rows, cost), whose cost is scan work + rows,
+// plus federation.RemoteCostOverhead for remote sources. A source
+// without either estimates as unknown (-1, -1), which ranks last.
 //
 // One executor (internal/core/exec_stream.go) runs every query. Each
 // DAG node starts at once in its own goroutine and waits only on its
@@ -266,15 +269,18 @@
 // carries a "digest" block (digestFetches / digestHits /
 // prunedProbes).
 //
-// Planning: digest.RefineEstimate sharpens the source's flat
-// selectivity guess per atom — equality conjuncts contribute
-// count/distinct from the target's value set (exactly zero when
-// membership proves a literal absent), numeric ranges integrate the
-// histogram, and the tightest conjunct wins — so DAG ordering ranks
-// atoms by actual expected cardinality and ExecStats.Nodes shows
-// est-vs-actual drift tightening. Graph atoms are exempt (digesting G
-// on every graph write would repay the full-saturation cost the
-// incremental reasoner removed).
+// Planning: digest.RefineEstimate is the planner's first estimator —
+// equality conjuncts contribute count/distinct from the target's value
+// set (exactly zero when membership proves a literal absent), numeric
+// ranges integrate the histogram, and the tightest conjunct wins — so
+// DAG ordering ranks atoms by expected cardinality and ExecStats.Nodes
+// shows est-vs-actual drift. A digest-answered estimate has cost =
+// rows, and the source is not consulted: no /estimate round trip to a
+// remote, no parse-and-count in a local store. Shapes the digest
+// refuses (XPath, joins, GROUP BY, aggregates) ask the source's
+// Estimator. Graph atoms are exempt (digesting G on every graph write
+// would repay the full-saturation cost the incremental reasoner
+// removed).
 //
 // Pruning: before a bind-join chunk dispatches, digest.ParamMatcher
 // maps each parameter position to the digest nodes its value must
@@ -289,18 +295,28 @@
 // bindings and digests decoded from a foreign wire version (every
 // bloom and digest carries a version field; unknown versions decode as
 // pass-through filters that never exclude, so mixed-version
-// federations degrade to no pruning, never to lost rows). Surviving
+// federations degrade to no pruning, never to lost rows). At the
+// current version the decoder refuses what the estimators and filters
+// could not walk safely: a bloom whose k lies outside [1, 32] (k bounds
+// each membership test's loop), a negative value count, and a
+// histogram unless len(bounds) = len(counts)+1 ≥ 2, its bounds are
+// finite and non-decreasing, counts and n are ≥ 0 and min ≤ max. A
+// refused /digest fails its fetch and is negative-cached, so planning
+// falls back to the source's estimate; a refused prune filter makes
+// POST /batch answer 400. FuzzDigestWire (make fuzzsmoke) drives
+// arbitrary bytes through the decoder, the estimator and the pruner.
+// Surviving
 // bindings ship their per-position bloom filters inside POST /batch
 // ("prune"), letting the remote endpoint skip excluded tuples
 // server-side and answer them as empty results, position-aligned.
 // Fully pruned chunks never reach
 // the wire. ExecStats.PrunedProbes counts the
 // skipped bindings, and {"explain": true} annotates each bind-join
-// atom with its pruning decision — the plan line carries the refined
-// row estimate and the atom entry says why pruning does or does not
-// apply:
+// atom with its pruning decision — the plan line carries the digest's
+// row estimate (cost = rows) and the atom entry says why pruning does
+// or does not apply:
 //
-//	node 1: atom 1 [<sql://remote>] bind-join(k) rows=1 cost=48 wave 1 deps=(0) out=(k,v)
+//	node 1: atom 1 [<sql://remote>] bind-join(k) rows=1 cost=1 wave 1 deps=(0) out=(k,v)
 //
 //	"pruning": "digest covers the parameter positions; bindings the
 //	            digest excludes are skipped before probing"

@@ -14,7 +14,8 @@ import (
 // keyed by source URI and stay valid until the mediator is told a source
 // changed: AddSource, DropSource, Invalidate and InvalidateSource reset
 // the catalog. Graph writes (AddTriples, RemoveTriples) leave it alone,
-// because it never holds G: graph atoms are neither pruned nor refined.
+// because it never holds G: graph atoms are neither pruned nor
+// estimated from a digest.
 // A nil digest is a negative cache — the source is undigestable (or its
 // digest fetch failed) until the next reset, and re-asking would only
 // re-pay the scan or the round trip.
@@ -58,8 +59,8 @@ func (in *Instance) DigestStats() DigestStats {
 // SourceDigest returns the source's digest, building or fetching it on
 // first use after a catalog reset; lookups that arrive while the first
 // build runs wait for it (or for ctx). It fails open: an undigestable
-// source, a failed fetch or a cancelled wait yields nil (planning keeps
-// the source estimate, pruning stays off, keyword search skips the
+// source, a failed fetch or a cancelled wait yields nil (planning asks
+// the source for its estimate, pruning stays off, keyword search skips the
 // source), and a failed build is negative-cached until the next reset.
 // Fetches open a "digest" span under ctx's trace so the (potentially
 // remote) build shows up in the query's span tree; catalog hits cost
@@ -117,32 +118,4 @@ func (in *Instance) atomPruner(ctx context.Context, src source.DataSource, a Ato
 		return nil
 	}
 	return digest.NewParamMatcher(d, a.Sub, in.prefixesFor(extra))
-}
-
-// refineAtomRows tightens an atom's planner row estimate with the
-// source's digest statistics (exact counts, distinct counts, numeric
-// histograms). The refined estimate replaces an unknown base and can
-// only lower a known one — digests summarize the same data the source
-// estimated from, so agreement means the smaller bound is the safer
-// ranking signal.
-func (in *Instance) refineAtomRows(ctx context.Context, a Atom, extra map[string]string, base int) int {
-	if a.SourceVar != "" || a.Kind == GraphAtom {
-		return base
-	}
-	s, err := in.sources.Resolve(a.SourceURI)
-	if err != nil {
-		return base
-	}
-	d := in.SourceDigest(ctx, s)
-	if d == nil {
-		return base
-	}
-	refined, ok := digest.RefineEstimate(d, a.Sub, in.prefixesFor(extra))
-	if !ok {
-		return base
-	}
-	if base >= 0 && refined > base {
-		return base
-	}
-	return refined
 }

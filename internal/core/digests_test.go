@@ -233,3 +233,66 @@ func TestDigestCatalogConcurrentFirstLookups(t *testing.T) {
 		t.Errorf("stats = %+v with %d builds, want 1 fetch and 1 build", st, s.digestCalls())
 	}
 }
+
+// estimatingSource is a relational source that answers every estimate
+// with one row, counting the calls, while its digest (built from the
+// same table) knows better.
+type estimatingSource struct {
+	*source.RelSource
+	dig *digest.Digest
+
+	mu    sync.Mutex
+	calls int
+}
+
+func (s *estimatingSource) Digest(digest.Budget) (*digest.Digest, error) { return s.dig, nil }
+
+func (s *estimatingSource) Estimate(source.SubQuery, int) (rows, cost int) {
+	s.mu.Lock()
+	s.calls++
+	s.mu.Unlock()
+	return 1, 1
+}
+
+// TestPlannerEstimatesFromDigestFirst: where the digest answers, its
+// estimate is the plan's and the source is not asked; where it cannot
+// (an aggregate), the source's estimate is asked once and used as is.
+func TestPlannerEstimatesFromDigestFirst(t *testing.T) {
+	db := relstore.NewDatabase("est")
+	for _, q := range []string{
+		"CREATE TABLE t (k TEXT, v TEXT)",
+		"INSERT INTO t VALUES ('a','1'), ('a','2'), ('a','3'), ('b','4'), ('b','5'), ('b','6')",
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &estimatingSource{
+		RelSource: source.NewRelSource("sql://est", db),
+		dig:       digest.BuildRelational("sql://est", db, digest.DefaultBudget()),
+	}
+	in := NewInstance(nil)
+	if err := in.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, query     string
+		rows, estimates int
+	}{
+		// Six rows over two distinct keys: three per key.
+		{"digest", `QUERY q(?v) FROM <sql://est> OUT(?v) { SELECT v FROM t WHERE k = 'a' }`, 3, 0},
+		{"group by", `QUERY q(?k, ?n) FROM <sql://est> OUT(?k, ?n) { SELECT k, COUNT(*) AS n FROM t WHERE k = 'a' GROUP BY k }`, 1, 1},
+	} {
+		src.calls = 0
+		info, err := in.ExplainQuery(mustParse(t, c.query), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := info.Atoms[0]; a.EstRows != c.rows || a.EstCost != c.rows {
+			t.Errorf("%s: planned rows=%d cost=%d, want %d and %d", c.name, a.EstRows, a.EstCost, c.rows, c.rows)
+		}
+		if src.calls != c.estimates {
+			t.Errorf("%s: the source was asked %d times for an estimate, want %d", c.name, src.calls, c.estimates)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"tatooine/internal/digest"
 	"tatooine/internal/source"
 )
 
@@ -21,8 +22,8 @@ type PlanStep struct {
 	// EstRows is the planner's result-cardinality estimate (-1 unknown).
 	EstRows int
 	// EstCost is the planner's total-effort estimate: access work plus
-	// rows produced, with remote sources carrying their round-trip
-	// overhead (-1 unknown).
+	// rows produced, with remote estimates carrying their round-trip
+	// overhead; EstRows itself when the digest answered (-1 unknown).
 	EstCost int
 	// Wave is the step's dependency depth, reported by explain output
 	// and ExecStats.Waves. The executor does not schedule by it: a node
@@ -129,19 +130,19 @@ func (p *Plan) Explain(q *CMQ) string {
 // what is already scheduled — connected atoms narrow the intermediate
 // result where disconnected ones cross-product it — and among those
 // picks the smallest estimated row count (unknown estimates last,
-// estimated cost breaking ties). Row estimates are tightened with the
-// sources' digest statistics (exact counts, histograms — see
-// internal/digest.RefineEstimate); the source's own estimate remains
-// the fallback and the upper bound.
+// estimated cost breaking ties). Estimates come from the sources'
+// catalog digests first (exact counts, histograms — see
+// internal/digest.RefineEstimate) and from the source's own Estimator
+// only where the digest cannot answer (see estimateAtom).
 // opts.NaiveOrder disables ordering entirely (one atom per wave,
 // declaration order, a sequential dependency chain) for ablation
 // studies.
 //
-// ctx bounds the estimation phase: remote sources answer estimates
-// over HTTP (sequentially, one per atom), so a dead request must stop
-// consulting them instead of paying up to one client timeout per
-// remaining atom. An estimate cut short degrades to unknown; a context
-// found dead between atoms aborts the plan.
+// ctx bounds the estimation phase: a digest fetch or a remote
+// estimate is a round trip, so a dead request must stop consulting
+// sources instead of paying up to one client timeout per remaining
+// atom. An estimate cut short degrades to unknown; a context found
+// dead between atoms aborts the plan.
 func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*Plan, error) {
 	if err := q.Validate(in.prefixesFor(q.Prefixes)); err != nil {
 		return nil, err
@@ -166,8 +167,7 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows[i], costs[i] = in.estimateAtom(a, q.Prefixes)
-		rows[i] = in.refineAtomRows(ctx, a, q.Prefixes, rows[i])
+		rows[i], costs[i] = in.estimateAtom(ctx, a, q.Prefixes)
 	}
 
 	plan := &Plan{outs: outs}
@@ -305,10 +305,14 @@ func pickAtom(runnable []int, q *CMQ, outs [][]string, rows, costs []int, produc
 	return best
 }
 
-// estimateAtom asks the target source for a (rows, cost) estimate.
-// Dynamic sources are unknown (-1, -1): they cannot be consulted
-// before the designating variable is bound.
-func (in *Instance) estimateAtom(a Atom, extra map[string]string) (rows, cost int) {
+// estimateAtom returns an atom's (rows, cost) estimate. The source's
+// catalog digest answers first: when digest.RefineEstimate speaks to
+// the sub-query, its row count is the estimate and its cost, and the
+// source is not consulted (for a remote source, no round trip). Graph
+// atoms, and shapes the digest refuses (XPath, joins, aggregates), ask
+// the source's Estimator. Dynamic sources are unknown (-1, -1): they
+// cannot be consulted before the designating variable is bound.
+func (in *Instance) estimateAtom(ctx context.Context, a Atom, extra map[string]string) (rows, cost int) {
 	if a.SourceVar != "" {
 		return -1, -1
 	}
@@ -318,6 +322,9 @@ func (in *Instance) estimateAtom(a Atom, extra map[string]string) (rows, cost in
 	s, err := in.sources.Resolve(a.SourceURI)
 	if err != nil {
 		return -1, -1
+	}
+	if r, ok := digest.RefineEstimate(in.SourceDigest(ctx, s), a.Sub, in.prefixesFor(extra)); ok {
+		return r, r
 	}
 	return source.EstimateOf(s, a.Sub, len(a.Sub.InVars))
 }

@@ -129,11 +129,11 @@ func TestPrunedExecutionMatchesUnprunedProperty(t *testing.T) {
 	}
 }
 
-// TestDigestPlanningTightensEstimates pins the planning half of the
-// tentpole: the digest's statistics replace the source's flat
-// selectivity guess. The query's predicate matches nothing; the digest
-// proves it (estimate 0 = actual 0, no drift in ExecStats.Nodes) where
-// the source's own estimate stays positive.
+// TestDigestPlanningTightensEstimates pins digest-first planning: where
+// the digest answers, its estimate is the plan's and the source's flat
+// selectivity guess is never asked for. The query's predicate matches
+// nothing; the digest proves it (estimate 0 = actual 0, no drift in
+// ExecStats.Nodes) where the source's own estimate stays positive.
 func TestDigestPlanningTightensEstimates(t *testing.T) {
 	in := pruneFixture(t)
 	q := mustParse(t, `

@@ -46,6 +46,10 @@ func NewBloom(expectedN int, fpr float64) *Bloom {
 	return &Bloom{bits: make([]uint64, (m+63)/64), m: m, k: k}
 }
 
+// maxBloomHashes bounds k: past a few dozen hashes a filter only gets
+// worse, and MayContain's cost is linear in k.
+const maxBloomHashes = 32
+
 // NewBloomWithBits builds a filter with an explicit bit budget (space-
 // budget experiments sweep this).
 func NewBloomWithBits(bits uint64, k int) *Bloom {
@@ -54,6 +58,9 @@ func NewBloomWithBits(bits uint64, k int) *Bloom {
 	}
 	if k < 1 {
 		k = 4
+	}
+	if k > maxBloomHashes {
+		k = maxBloomHashes
 	}
 	return &Bloom{bits: make([]uint64, (bits+63)/64), m: bits, k: k}
 }

@@ -214,7 +214,7 @@ func TestOverlapEstimate(t *testing.T) {
 	}
 }
 
-func relFixture(t *testing.T) *relstore.Database {
+func relFixture(t testing.TB) *relstore.Database {
 	t.Helper()
 	db := relstore.NewDatabase("insee")
 	for _, q := range []string{

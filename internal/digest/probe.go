@@ -340,11 +340,28 @@ func RefineEstimate(d *Digest, q source.SubQuery, prefixes map[string]string) (r
 // perKeyRows is the expected rows matching one equality key:
 // count/distinct, rounded up.
 func perKeyRows(vs *ValueSet) int {
-	dist := vs.DistinctEstimate()
+	n, dist := vs.Count(), vs.DistinctEstimate()
 	if dist <= 0 {
-		return vs.Count()
+		return n
 	}
-	return (vs.Count() + dist - 1) / dist
+	if n%dist != 0 {
+		return n/dist + 1
+	}
+	return n / dist
+}
+
+// rangeRows turns a histogram range estimate into rows, rounded up. A
+// decoded digest's counts are the peer's, so the conversion saturates
+// instead of overflowing int.
+func rangeRows(h *Histogram, lo, hi float64) int {
+	x := h.EstimateRange(lo, hi)
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= math.MaxInt32:
+		return math.MaxInt32
+	}
+	return int(math.Ceil(x))
 }
 
 // better folds one conjunct estimate into the running minimum.
@@ -395,7 +412,7 @@ func refineSQL(d *Digest, text string) (int, bool) {
 			if lo, hi, col, rok := sqlRange(x); rok {
 				if n := resolveAttr(byLabel, tables, col); n != nil && n.Values != nil {
 					if h := n.Values.Histogram(); h != nil {
-						best, found = better(best, int(math.Ceil(h.EstimateRange(lo, hi))), found)
+						best, found = better(best, rangeRows(h, lo, hi), found)
 					}
 				}
 			}
@@ -409,7 +426,7 @@ func refineSQL(d *Digest, text string) (int, bool) {
 			if cok && lok && hok {
 				if n := resolveAttr(byLabel, tables, col); n != nil && n.Values != nil {
 					if h := n.Values.Histogram(); h != nil {
-						best, found = better(best, int(math.Ceil(h.EstimateRange(lo, hi))), found)
+						best, found = better(best, rangeRows(h, lo, hi), found)
 					}
 				}
 			}
@@ -585,7 +602,7 @@ func refineSearch(d *Digest, text string) (int, bool) {
 				}
 				lo, hi = v1, v2
 			}
-			best, found = better(best, int(math.Ceil(h.EstimateRange(lo, hi))), found)
+			best, found = better(best, rangeRows(h, lo, hi), found)
 		}
 	}
 	if !found {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // Wire formats: digests travel between federation endpoints and
@@ -18,6 +19,11 @@ import (
 // (Digest.PruneCapable), and a bloom decoded at an unknown version
 // degrades to a filter whose MayContain always answers true — older
 // peers therefore lose the optimization, never answers.
+//
+// Decoding at this version checks what the planner and the pruners
+// later walk: a bloom k outside [1, maxBloomHashes], a negative value
+// count, or a histogram whose bounds and counts do not line up fails the
+// decode instead of panicking or stalling a query.
 
 // WireVersion is the digest wire-format version this build speaks.
 // Bump it whenever hash functions, normalization, or bit layout
@@ -68,18 +74,27 @@ type wireDigest struct {
 }
 
 // MarshalJSON implements json.Marshaler for Bloom.
-func (b *Bloom) MarshalJSON() ([]byte, error) {
+func (b *Bloom) MarshalJSON() ([]byte, error) { return json.Marshal(b.toWire()) }
+
+// toWire encodes b. A pass-through filter (k = 0, decoded from another
+// wire version) keeps no version: it decodes as pass-through again,
+// where a current-version filter without hashes would be refused.
+func (b *Bloom) toWire() *wireBloom {
 	raw := make([]byte, 8*len(b.bits))
 	for i, w := range b.bits {
 		binary.LittleEndian.PutUint64(raw[i*8:], w)
 	}
-	return json.Marshal(wireBloom{
+	w := &wireBloom{
 		V:      WireVersion,
 		M:      b.m,
 		K:      b.k,
 		Added:  b.nAdded,
 		Bits64: base64.StdEncoding.EncodeToString(raw),
-	})
+	}
+	if b.k == 0 {
+		w.V = 0
+	}
+	return w
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Bloom. A bloom encoded
@@ -91,9 +106,18 @@ func (b *Bloom) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
+	return b.fromWire(&w)
+}
+
+func (b *Bloom) fromWire(w *wireBloom) error {
 	if w.V != WireVersion {
 		*b = Bloom{bits: make([]uint64, 1), m: 64, k: 0, nAdded: w.Added}
 		return nil
+	}
+	// MayContain loops k times and stops early only on a zero bit, so an
+	// unbounded k over an all-ones filter would stall whoever probes it.
+	if w.K < 1 || w.K > maxBloomHashes {
+		return fmt.Errorf("digest: bloom k=%d outside [1, %d]", w.K, maxBloomHashes)
 	}
 	raw, err := base64.StdEncoding.DecodeString(w.Bits64)
 	if err != nil {
@@ -129,17 +153,7 @@ func (vs *ValueSet) toWire() *wireValueSet {
 		}
 	}
 	if vs.bloom != nil {
-		raw := make([]byte, 8*len(vs.bloom.bits))
-		for i, word := range vs.bloom.bits {
-			binary.LittleEndian.PutUint64(raw[i*8:], word)
-		}
-		w.Bloom = &wireBloom{
-			V:      WireVersion,
-			M:      vs.bloom.m,
-			K:      vs.bloom.k,
-			Added:  vs.bloom.nAdded,
-			Bits64: base64.StdEncoding.EncodeToString(raw),
-		}
+		w.Bloom = vs.bloom.toWire()
 	}
 	if vs.hist != nil {
 		w.Hist = &wireHistogram{
@@ -157,6 +171,12 @@ func valueSetFromWire(w *wireValueSet) (*ValueSet, error) {
 	if w == nil {
 		return nil, nil
 	}
+	if w.Count < 0 || w.NumericCount < 0 || w.TimeCount < 0 {
+		return nil, fmt.Errorf("digest: negative value count")
+	}
+	if err := w.Hist.check(); err != nil {
+		return nil, err
+	}
 	vs := &ValueSet{
 		count:        w.Count,
 		numericCount: w.NumericCount,
@@ -171,12 +191,8 @@ func valueSetFromWire(w *wireValueSet) (*ValueSet, error) {
 		}
 	}
 	if w.Bloom != nil {
-		data, err := json.Marshal(w.Bloom)
-		if err != nil {
-			return nil, err
-		}
 		vs.bloom = &Bloom{}
-		if err := vs.bloom.UnmarshalJSON(data); err != nil {
+		if err := vs.bloom.fromWire(w.Bloom); err != nil {
 			return nil, err
 		}
 	}
@@ -190,6 +206,32 @@ func valueSetFromWire(w *wireValueSet) (*ValueSet, error) {
 		}
 	}
 	return vs, nil
+}
+
+// check refuses a histogram that EstimateRange and MayContain could not
+// walk safely: one count per bucket, at least one bucket, finite
+// non-decreasing bounds, no negative counts, and Min ≤ Max.
+func (h *wireHistogram) check() error {
+	if h == nil {
+		return nil
+	}
+	if len(h.Bounds) < 2 || len(h.Bounds) != len(h.Counts)+1 {
+		return fmt.Errorf("digest: histogram has %d bounds for %d counts", len(h.Bounds), len(h.Counts))
+	}
+	for i, b := range h.Bounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) || i > 0 && b < h.Bounds[i-1] {
+			return fmt.Errorf("digest: histogram bound %d (%g) is not finite and non-decreasing", i, b)
+		}
+	}
+	for _, c := range h.Counts {
+		if c < 0 {
+			return fmt.Errorf("digest: histogram count %d is negative", c)
+		}
+	}
+	if h.N < 0 || !(h.Min <= h.Max) {
+		return fmt.Errorf("digest: histogram n=%d min=%g max=%g is inconsistent", h.N, h.Min, h.Max)
+	}
+	return nil
 }
 
 // MarshalJSON implements json.Marshaler for Digest. The current

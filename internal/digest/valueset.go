@@ -246,8 +246,10 @@ func (vs *ValueSet) DistinctEstimate() int {
 	if vs.distinct != nil {
 		return len(vs.distinct)
 	}
-	if est := vs.bloom.EstimatedDistinct(); est > 0 {
-		return est
+	if vs.bloom != nil {
+		if est := vs.bloom.EstimatedDistinct(); est > 0 {
+			return est
+		}
 	}
 	return 1
 }

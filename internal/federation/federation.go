@@ -557,7 +557,10 @@ func (c *Client) statusError(op string, resp *http.Response) error {
 // RemoteCostOverhead is the flat cost a Client adds to the remote's
 // self-reported estimate: shipping a sub-query pays an HTTP round trip
 // the remote does not account for, so with otherwise-equal estimates
-// the planner should prefer the local source.
+// the planner should prefer the local source. It applies only to
+// estimates the remote answers over /estimate: the planner estimates
+// from the catalog digest first, at cost = rows, and asks the remote
+// only for shapes the digest refuses.
 const RemoteCostOverhead = 32
 
 // RemoteCostOverheadRTT is the wall-clock round trip RemoteCostOverhead

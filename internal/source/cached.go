@@ -99,10 +99,10 @@ func (c *Cached) Model() Model { return c.inner.Model() }
 func (c *Cached) Languages() []Language { return c.inner.Languages() }
 
 // Estimate implements Estimator, memoizing the inner (rows, cost)
-// estimate: planning calls it per atom on every query, and for a
-// remote source each call is an HTTP round trip. Unknown estimates
-// (negative rows) are not cached so a recovering remote can start
-// answering.
+// estimate: planning calls it on every query for each atom the digest
+// cannot estimate, and for a remote source each call is an HTTP round
+// trip. Unknown estimates (negative rows) are not cached so a
+// recovering remote can start answering.
 func (c *Cached) Estimate(q SubQuery, numParams int) (rows, cost int) {
 	key := cacheKey(c.inner.URI(), q, nil) + "|" + strconv.Itoa(numParams)
 	c.mu.Lock()

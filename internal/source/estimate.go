@@ -6,7 +6,8 @@ package source
 // effort (cost — access work plus rows produced, in comparable units
 // across sources; remote sources add their round-trip overhead).
 // The planner orders atoms by rows (selectivity-first) and uses cost
-// to break ties and to render plans.
+// to break ties and to render plans. It asks an Estimator only for
+// sub-queries the source's digest cannot estimate.
 type Estimator interface {
 	DataSource
 	// Estimate returns the expected result cardinality and the total
