@@ -32,11 +32,10 @@ boundedsmoke:
 # -fuzz takes one target per run). A panic, hang or broken property
 # fails verify and writes the failing input under the package's
 # testdata/fuzz, where plain go test replays it from then on.
-FUZZTIME ?= 10s
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDigestWire$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/digest
-	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/digest
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/fulltext
+	$(GO) test -run '^$$' -fuzz '^FuzzDigestWire$$' -fuzztime 10s -parallel 2 ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime 10s -parallel 2 ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime 10s -parallel 2 ./internal/fulltext
 
 # Observability hygiene: no printf logging outside cmd/, and a booted
 # mediator's GET /metrics must scrape as valid Prometheus text.

@@ -280,7 +280,12 @@
 // refuses (XPath, joins, GROUP BY, aggregates) ask the source's
 // Estimator. Graph atoms are exempt (digesting G on every graph write
 // would repay the full-saturation cost the incremental reasoner
-// removed).
+// removed). Two known costs: a digest keeps no per-value counts, so a
+// fixed-value equality gets count/distinct even where a local
+// full-text index counts the value exactly (a rare value on skewed
+// data is overestimated); and digest-answered costs carry no scan
+// work or RemoteCostOverhead, so equal-row ties no longer favour local
+// sources and Plan.StreamSink can pick a local atom over a remote one.
 //
 // Pruning: before a bind-join chunk dispatches, digest.ParamMatcher
 // maps each parameter position to the digest nodes its value must

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"tatooine/internal/digest"
+	"tatooine/internal/doc"
+	"tatooine/internal/fulltext"
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
@@ -294,5 +297,41 @@ func TestPlannerEstimatesFromDigestFirst(t *testing.T) {
 		if src.calls != c.estimates {
 			t.Errorf("%s: the source was asked %d times for an estimate, want %d", c.name, src.calls, c.estimates)
 		}
+	}
+}
+
+// TestDigestEstimateWinsForRareKey pins a known loss of digest-first
+// planning on skewed data. A local DocSource counts a fixed-value
+// keyword condition exactly from its posting list (1 for the rare tag),
+// but the digest keeps no per-value counts, only count/distinct, so the
+// plan carries the digest's per-key average (29 docs over 2 tags: 15).
+// If digests learn per-value counts, this test should move to 1.
+func TestDigestEstimateWinsForRareKey(t *testing.T) {
+	ix := fulltext.NewIndex("posts", fulltext.Schema{"tag": fulltext.KeywordField})
+	for i := 0; i < 29; i++ {
+		d := &doc.Document{ID: fmt.Sprintf("p%d", i)}
+		d.Set("tag", "common")
+		if i == 0 {
+			d.Set("tag", "rare")
+		}
+		if err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := source.NewDocSource("solr://posts", ix)
+	in := NewInstance(nil)
+	if err := in.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	q := mustParse(t, `QUERY q(?p) FROM <solr://posts> OUT(?p) { SEARCH posts WHERE tag = 'rare' RETURN _id }`)
+	if rows, _ := src.Estimate(q.Atoms[0].Sub, 0); rows != 1 {
+		t.Fatalf("the source's own estimate is %d, want its exact count 1", rows)
+	}
+	info, err := in.ExplainQuery(q, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := info.Atoms[0]; a.EstRows != 15 || a.EstCost != 15 {
+		t.Errorf("planned rows=%d cost=%d, want the digest's per-key average 15 for both", a.EstRows, a.EstCost)
 	}
 }

@@ -78,8 +78,11 @@ func (p *Plan) Dependents() [][]int {
 // hash-build input). It must be a node nothing depends on — otherwise
 // its consumers would deadlock against the bounded sink channel — and
 // among those the most expensive one wins: the slowest drain is the
-// one worth overlapping with the client-facing stream. At least one
-// sink always exists (the last step: dependents only point forward).
+// one worth overlapping with the client-facing stream. A
+// digest-answered cost is its row count, with no scan work or remote
+// overhead, so a local atom can outrank a slower remote one here. At
+// least one sink always exists (the last step: dependents only point
+// forward).
 func (p *Plan) StreamSink() int {
 	deps := p.Dependents()
 	sink := len(p.Steps) - 1
@@ -264,7 +267,9 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 // pickAtom chooses the next atom to schedule: connected atoms (sharing
 // a variable with something already produced) beat disconnected ones,
 // then lower estimated rows beat higher (unknown last), then lower
-// cost, then declaration order for determinism.
+// cost, then declaration order for determinism. Digest-answered atoms
+// cost their row count, so an equal-row tie between two of them does
+// not favour the local source.
 func pickAtom(runnable []int, q *CMQ, outs [][]string, rows, costs []int, producer map[string]int) int {
 	connected := func(i int) bool {
 		if len(producer) == 0 {

@@ -560,7 +560,8 @@ func (c *Client) statusError(op string, resp *http.Response) error {
 // the planner should prefer the local source. It applies only to
 // estimates the remote answers over /estimate: the planner estimates
 // from the catalog digest first, at cost = rows, and asks the remote
-// only for shapes the digest refuses.
+// only for shapes the digest refuses. So equal-row ties between
+// digest-answered atoms no longer favour local sources.
 const RemoteCostOverhead = 32
 
 // RemoteCostOverheadRTT is the wall-clock round trip RemoteCostOverhead
