@@ -36,6 +36,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestWire$$' -fuzztime 10s -parallel 2 ./internal/digest
 	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime 10s -parallel 2 ./internal/digest
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime 10s -parallel 2 ./internal/fulltext
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBGP$$' -fuzztime 10s -parallel 2 ./internal/rdf
 
 # Observability hygiene: no printf logging outside cmd/, and a booted
 # mediator's GET /metrics must scrape as valid Prometheus text.

@@ -78,6 +78,18 @@
 // catalog (optionally scoped to one source's probe cache). GET /stats reports the instance epoch plus
 // the mutation, generation-flush and probe-invalidation counters.
 //
+// # Evaluating graph atoms (internal/rdf)
+//
+// rdf.EvaluateBound answers a graph atom's BGP over term IDs. Each
+// variable owns a slot holding its bound TermID, bound and unbound in
+// place as the search backtracks; constants and bind-join parameters
+// are looked up in the dictionary once per call. Patterns join greedily,
+// fewest matches under the current bindings first, and a zero count
+// ends the branch. A FILTER decodes only its own variable, and only the
+// head columns of an emitted row are decoded back to terms. A
+// differential test and FuzzParseBGP hold it to the map-binding
+// evaluator it replaced (internal/rdf/reference_test.go).
+//
 // # Incremental delta-saturation (internal/reason)
 //
 // Graph atoms of a saturated instance answer over G∞ — the paper's
@@ -173,6 +185,10 @@
 // Estimate(q, numParams) = (rows, cost), whose cost is scan work + rows,
 // plus federation.RemoteCostOverhead for remote sources. A source
 // without either estimates as unknown (-1, -1), which ranks last.
+// A graph atom's estimate is its smallest pattern count: O(1) on the
+// in-memory graph, which answers every pattern shape from its index
+// sizes and a per-predicate triple count, and a prefix scan on a
+// store-backed one.
 //
 // One executor (internal/core/exec_stream.go) runs every query. Each
 // DAG node starts at once in its own goroutine and waits only on its

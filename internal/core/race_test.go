@@ -15,10 +15,14 @@ import (
 // are applied under one write-lock hold (rdf.Graph.AddBatch /
 // RemoveBatch) and readers lock per operation. Run under
 // `go test -race` (the CI race job does) to make the guarantee
-// meaningful.
+// meaningful. The two-pattern text makes the BGP evaluator count, match
+// and join while the :position triple count moves under it.
 func TestConcurrentMutationAndUnsaturatedQuery(t *testing.T) {
 	in := mutableInstance(t) // saturation disabled
-	const q = "QUERY q(?x)\nGRAPH { ?x a :politician }"
+	queries := []string{
+		"QUERY q(?x)\nGRAPH { ?x a :politician }",
+		"QUERY q(?x, ?p)\nGRAPH { ?x a :politician . ?x :position ?p }",
+	}
 
 	stop := make(chan struct{})
 	var mutators sync.WaitGroup
@@ -57,13 +61,13 @@ func TestConcurrentMutationAndUnsaturatedQuery(t *testing.T) {
 
 	// Concurrent queries over the live graph. The seed politician is
 	// never touched, so every snapshot a query observes contains it.
-	var queries sync.WaitGroup
+	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
-		queries.Add(1)
+		readers.Add(1)
 		go func() {
-			defer queries.Done()
+			defer readers.Done()
 			for i := 0; i < 50; i++ {
-				res, err := in.Query(q)
+				res, err := in.Query(queries[(r+i)%len(queries)])
 				if err != nil {
 					t.Errorf("query under mutation: %v", err)
 					return
@@ -76,7 +80,7 @@ func TestConcurrentMutationAndUnsaturatedQuery(t *testing.T) {
 		}()
 	}
 
-	queries.Wait()
+	readers.Wait()
 	close(stop)
 	mutators.Wait()
 }

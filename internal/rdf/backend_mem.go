@@ -56,10 +56,14 @@ type mapTriples struct {
 	pos index
 	osp index
 	n   int
+	// perPred counts the triples of each predicate, so a (?, p, ?)
+	// count reads one entry instead of walking the predicate. An entry
+	// is deleted when it reaches zero.
+	perPred map[TermID]int
 }
 
 func newMapTriples() *mapTriples {
-	return &mapTriples{spo: make(index), pos: make(index), osp: make(index)}
+	return &mapTriples{spo: make(index), pos: make(index), osp: make(index), perPred: make(map[TermID]int)}
 }
 
 func (b *mapTriples) add(s, p, o TermID) bool {
@@ -69,6 +73,7 @@ func (b *mapTriples) add(s, p, o TermID) bool {
 	b.pos.add(p, o, s)
 	b.osp.add(o, s, p)
 	b.n++
+	b.perPred[p]++
 	return true
 }
 
@@ -79,6 +84,9 @@ func (b *mapTriples) remove(s, p, o TermID) bool {
 	b.pos.remove(p, o, s)
 	b.osp.remove(o, s, p)
 	b.n--
+	if b.perPred[p]--; b.perPred[p] == 0 {
+		delete(b.perPred, p)
+	}
 	return true
 }
 
@@ -183,24 +191,38 @@ func (b *mapTriples) match(s, p, o TermID, fn func(s, p, o TermID) bool) {
 	}
 }
 
+// count answers every pattern shape from index sizes; no shape walks
+// a predicate's triples.
 func (b *mapTriples) count(s, p, o TermID) int {
-	// Fast paths that avoid enumeration.
 	switch {
-	case s == NoTerm && p == NoTerm && o == NoTerm:
+	case s != NoTerm && p != NoTerm && o != NoTerm:
+		if b.contains(s, p, o) {
+			return 1
+		}
+		return 0
+	case s != NoTerm && p != NoTerm:
+		return len(b.spo[s][p])
+	case s != NoTerm && o != NoTerm:
+		return len(b.osp[o][s])
+	case p != NoTerm && o != NoTerm:
+		return len(b.pos[p][o])
+	case p != NoTerm:
+		return b.perPred[p]
+	case s != NoTerm:
+		return sumSets(b.spo[s])
+	case o != NoTerm:
+		return sumSets(b.osp[o])
+	default:
 		return b.n
-	case s != NoTerm && p != NoTerm && o == NoTerm:
-		if m, ok := b.spo[s]; ok {
-			return len(m[p])
-		}
-		return 0
-	case s == NoTerm && p != NoTerm && o != NoTerm:
-		if m, ok := b.pos[p]; ok {
-			return len(m[o])
-		}
-		return 0
 	}
+}
+
+// sumSets is the number of triples under one node of an index.
+func sumSets(m map[TermID]termSet) int {
 	n := 0
-	b.match(s, p, o, func(_, _, _ TermID) bool { n++; return true })
+	for _, set := range m {
+		n += len(set)
+	}
 	return n
 }
 

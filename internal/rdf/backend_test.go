@@ -63,8 +63,11 @@ func TestBackendsAddRemoveContains(t *testing.T) {
 }
 
 // TestBackendsMatchEquivalence drives a random triple workload through
-// both backends and checks every pattern shape returns identical triple
-// sets and counts.
+// both backends and checks that every pattern shape, over every term of
+// the vocabulary, returns identical triple sets and counts equal to the
+// number of matches. A second phase removes every triple of one
+// predicate and re-adds some, so per-predicate bookkeeping that drops
+// to zero is exercised too.
 func TestBackendsMatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	term := func(prefix string, n int) Term {
@@ -99,9 +102,6 @@ func TestBackendsMatchEquivalence(t *testing.T) {
 			t.Fatalf("op %d: add mem=%v disk=%v", i, am, ad)
 		}
 	}
-	if mem.Size() != disk.Size() {
-		t.Fatalf("size mem=%d disk=%d", mem.Size(), disk.Size())
-	}
 
 	render := func(ts []Triple) []string {
 		out := make([]string, len(ts))
@@ -111,40 +111,65 @@ func TestBackendsMatchEquivalence(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	wild := Term{}
-	patterns := []struct{ s, p, o Term }{
-		{wild, wild, wild},
-		{NewIRI("s3"), wild, wild},
-		{wild, NewIRI("p2"), wild},
-		{wild, wild, NewIRI("o7")},
-		{NewIRI("s3"), NewIRI("p2"), wild},
-		{NewIRI("s3"), wild, NewIRI("o7")},
-		{wild, NewIRI("p2"), NewIRI("o7")},
-		{NewIRI("s3"), NewIRI("p2"), NewIRI("o7")},
-		{NewIRI("absent"), wild, wild},
-	}
-	for _, pat := range patterns {
-		gm := render(mem.Match(pat.s, pat.p, pat.o))
-		gd := render(disk.Match(pat.s, pat.p, pat.o))
-		if fmt.Sprint(gm) != fmt.Sprint(gd) {
-			t.Fatalf("pattern (%v %v %v): mem %d triples, disk %d triples\nmem:  %v\ndisk: %v",
-				pat.s, pat.p, pat.o, len(gm), len(gd), gm, gd)
+	// Each position ranges over the wildcard, its whole vocabulary and
+	// one absent term, so all eight wildcard shapes are checked for
+	// every constant.
+	vocab := func(prefix string, n int) []Term {
+		out := []Term{{}, NewIRI("absent")}
+		for i := 0; i < n; i++ {
+			out = append(out, NewIRI(fmt.Sprintf("%s%d", prefix, i)))
 		}
-		cm := mem.CountMatch(pat.s, pat.p, pat.o)
-		cd := disk.CountMatch(pat.s, pat.p, pat.o)
-		if cm != len(gm) || cd != len(gd) || cm != cd {
-			t.Fatalf("pattern (%v %v %v): count mem=%d disk=%d match=%d",
-				pat.s, pat.p, pat.o, cm, cd, len(gm))
+		return out
+	}
+	subjects, preds, objects := vocab("s", 12), vocab("p", 5), vocab("o", 12)
+	check := func(phase string) {
+		t.Helper()
+		if mem.Size() != disk.Size() {
+			t.Fatalf("%s: size mem=%d disk=%d", phase, mem.Size(), disk.Size())
+		}
+		for _, s := range subjects {
+			for _, p := range preds {
+				for _, o := range objects {
+					gm := render(mem.Match(s, p, o))
+					gd := render(disk.Match(s, p, o))
+					if fmt.Sprint(gm) != fmt.Sprint(gd) {
+						t.Fatalf("%s: pattern (%v %v %v): mem %d triples, disk %d triples\nmem:  %v\ndisk: %v",
+							phase, s, p, o, len(gm), len(gd), gm, gd)
+					}
+					cm, cd := mem.CountMatch(s, p, o), disk.CountMatch(s, p, o)
+					if cm != len(gm) || cd != len(gd) {
+						t.Fatalf("%s: pattern (%v %v %v): count mem=%d disk=%d, match=%d",
+							phase, s, p, o, cm, cd, len(gm))
+					}
+				}
+			}
+		}
+		pm, pd := render(triplesFromTerms(mem.Properties())), render(triplesFromTerms(disk.Properties()))
+		if fmt.Sprint(pm) != fmt.Sprint(pd) {
+			t.Fatalf("%s: properties mem=%v disk=%v", phase, pm, pd)
+		}
+		if err := disk.StoreErr(); err != nil {
+			t.Fatalf("%s: store error: %v", phase, err)
 		}
 	}
+	check("random workload")
 
-	pm, pd := render(triplesFromTerms(mem.Properties())), render(triplesFromTerms(disk.Properties()))
-	if fmt.Sprint(pm) != fmt.Sprint(pd) {
-		t.Fatalf("properties mem=%v disk=%v", pm, pd)
+	p2 := NewIRI("p2")
+	gone := mem.Match(Term{}, p2, Term{})
+	if len(gone) == 0 {
+		t.Fatal("workload left no p2 triples to remove")
 	}
-	if err := disk.StoreErr(); err != nil {
-		t.Fatalf("store error: %v", err)
+	if rm, rd := len(mem.RemoveBatch(gone)), len(disk.RemoveBatch(gone)); rm != len(gone) || rd != len(gone) {
+		t.Fatalf("removed mem=%d disk=%d of %d p2 triples", rm, rd, len(gone))
 	}
+	if n, ok := mem.be.(*mapTriples).perPred[mem.dict.Lookup(p2)]; ok {
+		t.Fatalf("p2's per-predicate count survived at %d after its last triple went", n)
+	}
+	check("predicate removed")
+	if am, ad := mem.AddAll(gone[:len(gone)/2]), disk.AddAll(gone[:len(gone)/2]); am != len(gone)/2 || ad != am {
+		t.Fatalf("re-added mem=%d disk=%d of %d p2 triples", am, ad, len(gone)/2)
+	}
+	check("predicate re-added")
 }
 
 func triplesFromTerms(ts []Term) []Triple {

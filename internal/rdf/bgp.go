@@ -149,15 +149,6 @@ func (q BGP) String() string {
 // Bindings is one solution: variable name → bound term.
 type Bindings map[string]Term
 
-// Clone returns a copy of b.
-func (b Bindings) Clone() Bindings {
-	out := make(Bindings, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // Solutions is an ordered result set with named columns.
 type Solutions struct {
 	Vars []string
@@ -183,6 +174,13 @@ func Evaluate(g *Graph, q BGP) (*Solutions, error) {
 // mediator's bind joins: variables in init are constrained to the given
 // terms before evaluation. Head variables may be satisfied by init even
 // when absent from the body.
+//
+// Evaluation runs over term IDs. Each variable owns a slot holding its
+// bound TermID, bound and unbound in place as the search descends and
+// backtracks. Constants and init terms are looked up in the dictionary
+// once per call; an init term the dictionary lacks matches no triple
+// but is still projected as given. A filter decodes only its own
+// variable, and head columns are decoded once per emitted row.
 func EvaluateBound(g *Graph, q BGP, init Bindings) (*Solutions, error) {
 	if err := validateWithInit(q, init); err != nil {
 		return nil, err
@@ -195,73 +193,234 @@ func EvaluateBound(g *Graph, q BGP, init Bindings) (*Solutions, error) {
 	if len(q.Patterns) == 0 {
 		return sols, nil
 	}
+	e := newEvaluator(g, q, head, init, sols)
+	for slot, isInit := range e.isInit {
+		if isInit && !e.filtersPass(slot, e.initTerm[slot]) {
+			return sols, nil
+		}
+	}
+	e.join(0, len(e.groups[0]))
+	return sols, nil
+}
 
-	// evalPats enumerates embeddings of a pattern conjunction, applying
-	// the query filters as soon as their variable binds.
-	var evalPats func(bound Bindings, rem []TriplePattern, emit func(Bindings))
-	evalPats = func(bound Bindings, rem []TriplePattern, emit func(Bindings)) {
-		for _, f := range q.Filters {
-			if t, ok := bound[f.Var]; ok && !f.eval(t) {
-				return
+// absentID stands for a constant or init term the dictionary lacks: a
+// pattern position holding it matches nothing. The dictionary never
+// hands it out (its IDs are dense from 1).
+const absentID = ^TermID(0)
+
+// slotPos is one position of a compiled triple pattern: a variable's
+// slot, or a constant's ID when slot < 0.
+type slotPos struct {
+	slot int
+	id   TermID
+}
+
+// evaluator is the state of one EvaluateBound call.
+type evaluator struct {
+	g *Graph
+	// slots holds each variable's bound ID: NoTerm when unbound,
+	// absentID for an init term outside the dictionary.
+	slots    []TermID
+	isInit   []bool
+	initTerm []Term // projected as given, not decoded
+	filters  [][]Filter
+	// groups[0] is the required body, groups[1:] the OPTIONAL groups in
+	// order. done marks each group's patterns joined on the current
+	// search path; hit records whether an optional group matched the
+	// current solution.
+	groups [][][3]slotPos
+	done   [][]bool
+	hit    []bool
+	head   []int // slot per head column
+	// matches is a stack: each join level appends its pattern's
+	// matches, walks them, and truncates back.
+	matches [][3]TermID
+	sols    *Solutions
+}
+
+func newEvaluator(g *Graph, q BGP, head []string, init Bindings, sols *Solutions) *evaluator {
+	e := &evaluator{g: g, sols: sols}
+	index := make(map[string]int)
+	slotOf := func(name string) int {
+		if i, ok := index[name]; ok {
+			return i
+		}
+		index[name] = len(e.slots)
+		e.slots = append(e.slots, NoTerm)
+		e.isInit = append(e.isInit, false)
+		e.initTerm = append(e.initTerm, Term{})
+		e.filters = append(e.filters, nil)
+		return len(e.slots) - 1
+	}
+	for name, t := range init {
+		i := slotOf(name)
+		e.isInit[i] = true
+		e.initTerm[i] = t
+		e.slots[i] = e.lookup(t)
+	}
+	for _, group := range append([][]TriplePattern{q.Patterns}, q.Optionals...) {
+		compiled := make([][3]slotPos, len(group))
+		for i, p := range group {
+			for k, pt := range [3]PatternTerm{p.S, p.P, p.O} {
+				if pt.IsVar() {
+					compiled[i][k] = slotPos{slot: slotOf(pt.Var)}
+				} else {
+					compiled[i][k] = slotPos{slot: -1, id: e.lookup(pt.Term)}
+				}
 			}
 		}
-		if len(rem) == 0 {
-			emit(bound)
+		e.groups = append(e.groups, compiled)
+		e.done = append(e.done, make([]bool, len(group)))
+	}
+	e.hit = make([]bool, len(e.groups))
+	for _, f := range q.Filters {
+		i := slotOf(f.Var)
+		e.filters[i] = append(e.filters[i], f)
+	}
+	for _, v := range head {
+		e.head = append(e.head, slotOf(v))
+	}
+	return e
+}
+
+func (e *evaluator) lookup(t Term) TermID {
+	if id := e.g.dict.Lookup(t); id != NoTerm {
+		return id
+	}
+	return absentID
+}
+
+// resolve returns the IDs of p's positions under the current slots,
+// NoTerm for an unbound variable. ok is false when a position holds a
+// term outside the dictionary.
+func (e *evaluator) resolve(p *[3]slotPos) (ids [3]TermID, ok bool) {
+	for k, pos := range p {
+		id := pos.id
+		if pos.slot >= 0 {
+			id = e.slots[pos.slot]
+		}
+		if id == absentID {
+			return ids, false
+		}
+		ids[k] = id
+	}
+	return ids, true
+}
+
+// join enumerates the embeddings of group gi's left remaining patterns
+// under the current slots. It joins the pattern with the fewest matches
+// first (ties go to pattern position) and stops at the first zero.
+func (e *evaluator) join(gi, left int) {
+	if left == 0 {
+		e.hit[gi] = true
+		e.optional(gi + 1)
+		return
+	}
+	group, done := e.groups[gi], e.done[gi]
+	best, bestCount := -1, -1
+	var bestIDs [3]TermID
+	for i := range group {
+		if done[i] {
+			continue
+		}
+		ids, ok := e.resolve(&group[i])
+		c := 0
+		if ok {
+			c = e.g.countIDs(ids[0], ids[1], ids[2])
+		}
+		if bestCount < 0 || c < bestCount {
+			best, bestCount, bestIDs = i, c, ids
+		}
+		if c == 0 {
 			return
 		}
-		// Pick the most selective remaining pattern under current bindings.
-		best, bestCount := 0, -1
-		for i, p := range rem {
-			c := g.patternCount(p, bound)
-			if bestCount < 0 || c < bestCount {
-				best, bestCount = i, c
+	}
+	p := &group[best]
+	// Collect before descending: MatchIDs' callback holds the graph's
+	// read lock, and taking it again in a nested join deadlocks against
+	// a waiting writer.
+	start := len(e.matches)
+	e.g.MatchIDs(bestIDs[0], bestIDs[1], bestIDs[2], func(s, p, o TermID) bool {
+		e.matches = append(e.matches, [3]TermID{s, p, o})
+		return true
+	})
+	end := len(e.matches)
+	done[best] = true
+	for i := start; i < end; i++ {
+		// fresh marks the positions whose slot this triple binds; a
+		// variable repeated in the pattern must bind the same ID.
+		var fresh [3]bool
+		ok := true
+		for k, pos := range p {
+			if pos.slot < 0 || bestIDs[k] != NoTerm {
+				continue
 			}
-			if c == 0 {
-				best, bestCount = i, 0
+			id := e.matches[i][k]
+			switch e.slots[pos.slot] {
+			case NoTerm:
+				e.slots[pos.slot] = id
+				fresh[k] = true
+				ok = len(e.filters[pos.slot]) == 0 || e.filtersPass(pos.slot, e.g.dict.Term(id))
+			case id:
+			default:
+				ok = false
+			}
+			if !ok {
 				break
 			}
 		}
-		p := rem[best]
-		rest := make([]TriplePattern, 0, len(rem)-1)
-		rest = append(rest, rem[:best]...)
-		rest = append(rest, rem[best+1:]...)
-
-		g.matchPattern(p, bound, func(next Bindings) {
-			evalPats(next, rest, emit)
-		})
-	}
-
-	// applyOptionals extends a solution with each OPTIONAL group in
-	// order: matching groups multiply solutions, non-matching groups
-	// pass the solution through with their variables unbound.
-	var applyOptionals func(bound Bindings, groups [][]TriplePattern)
-	applyOptionals = func(bound Bindings, groups [][]TriplePattern) {
-		if len(groups) == 0 {
-			row := make([]Term, len(head))
-			for i, v := range head {
-				row[i] = bound[v] // zero Term when unbound (OPTIONAL miss)
+		if ok {
+			e.join(gi, left-1)
+		}
+		for k, f := range fresh {
+			if f {
+				e.slots[p[k].slot] = NoTerm
 			}
-			sols.Rows = append(sols.Rows, row)
-			return
-		}
-		matched := false
-		evalPats(bound, groups[0], func(ext Bindings) {
-			matched = true
-			applyOptionals(ext, groups[1:])
-		})
-		if !matched {
-			applyOptionals(bound, groups[1:])
 		}
 	}
+	done[best] = false
+	e.matches = e.matches[:start]
+}
 
-	start := make(Bindings, len(init))
-	for k, v := range init {
-		start[k] = v
+// filtersPass applies the filters on slot to its bound term t.
+func (e *evaluator) filtersPass(slot int, t Term) bool {
+	for _, f := range e.filters[slot] {
+		if !f.eval(t) {
+			return false
+		}
 	}
-	evalPats(start, append([]TriplePattern(nil), q.Patterns...), func(bound Bindings) {
-		applyOptionals(bound, q.Optionals)
-	})
-	return sols, nil
+	return true
+}
+
+// optional extends the current solution with OPTIONAL group gi and the
+// groups after it, then emits: a matching group multiplies solutions, a
+// non-matching one passes the solution through with its variables
+// unbound.
+func (e *evaluator) optional(gi int) {
+	if gi == len(e.groups) {
+		e.emit()
+		return
+	}
+	e.hit[gi] = false
+	e.join(gi, len(e.groups[gi]))
+	if !e.hit[gi] {
+		e.optional(gi + 1)
+	}
+}
+
+// emit decodes the head columns of the current solution into a row.
+func (e *evaluator) emit() {
+	row := make([]Term, len(e.head))
+	for i, slot := range e.head {
+		switch {
+		case e.isInit[slot]:
+			row[i] = e.initTerm[slot]
+		case e.slots[slot] != NoTerm:
+			row[i] = e.g.dict.Term(e.slots[slot])
+		}
+		// Otherwise the zero Term: unbound after an OPTIONAL miss.
+	}
+	e.sols.Rows = append(e.sols.Rows, row)
 }
 
 func validateWithInit(q BGP, init Bindings) error {
@@ -288,105 +447,6 @@ func validateWithInit(q BGP, init Bindings) error {
 		return fmt.Errorf("rdf: filter variable ?%s not in query body", f.Var)
 	}
 	return nil
-}
-
-// resolve maps a pattern position to a concrete TermID under bindings:
-// NoTerm means wildcard; ok=false means a constant/bound term is absent
-// from the dictionary so nothing can match.
-func (g *Graph) resolve(pt PatternTerm, bound Bindings) (TermID, bool) {
-	if pt.IsVar() {
-		if t, ok := bound[pt.Var]; ok {
-			id := g.dict.Lookup(t)
-			return id, id != NoTerm
-		}
-		return NoTerm, true
-	}
-	id := g.dict.Lookup(pt.Term)
-	return id, id != NoTerm
-}
-
-// patternCount estimates the number of triples matching p under bound.
-func (g *Graph) patternCount(p TriplePattern, bound Bindings) int {
-	s, ok := g.resolve(p.S, bound)
-	if !ok {
-		return 0
-	}
-	pp, ok := g.resolve(p.P, bound)
-	if !ok {
-		return 0
-	}
-	o, ok := g.resolve(p.O, bound)
-	if !ok {
-		return 0
-	}
-	return g.countIDs(s, pp, o)
-}
-
-// matchPattern enumerates extensions of bound that satisfy p.
-func (g *Graph) matchPattern(p TriplePattern, bound Bindings, fn func(Bindings)) {
-	s, ok := g.resolve(p.S, bound)
-	if !ok {
-		return
-	}
-	pp, ok := g.resolve(p.P, bound)
-	if !ok {
-		return
-	}
-	o, ok := g.resolve(p.O, bound)
-	if !ok {
-		return
-	}
-	// Repeated unbound variables within the pattern (e.g. ?x ?p ?x)
-	// require an equality check after matching.
-	type capture struct {
-		name string
-		pos  int // 0=s 1=p 2=o
-	}
-	var caps []capture
-	if p.S.IsVar() && s == NoTerm {
-		caps = append(caps, capture{p.S.Var, 0})
-	}
-	if p.P.IsVar() && pp == NoTerm {
-		caps = append(caps, capture{p.P.Var, 1})
-	}
-	if p.O.IsVar() && o == NoTerm {
-		caps = append(caps, capture{p.O.Var, 2})
-	}
-
-	var rows [][3]TermID
-	g.MatchIDs(s, pp, o, func(ms, mp, mo TermID) bool {
-		rows = append(rows, [3]TermID{ms, mp, mo})
-		return true
-	})
-	for _, r := range rows {
-		next := bound
-		cloned := false
-		ok := true
-		for _, c := range caps {
-			val := g.dict.Term(r[c.pos])
-			if prev, exists := next[c.name]; exists {
-				if prev != val {
-					ok = false
-					break
-				}
-				continue
-			}
-			if !cloned {
-				next = bound.Clone()
-				cloned = true
-			}
-			next[c.name] = val
-		}
-		if !ok {
-			continue
-		}
-		if !cloned && len(caps) > 0 {
-			// All captures matched pre-existing bindings; next == bound.
-			fn(bound)
-			continue
-		}
-		fn(next)
-	}
 }
 
 // Sort orders rows lexically by their term keys; useful for deterministic
