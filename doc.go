@@ -210,9 +210,27 @@
 // barrier-synchronized wave scheduler 1.64x. Streaming cut
 // time-to-first-row 4.4x against a materialize-every-node path, which
 // bench/ now tracks as ttfr_p50_ms and core.ttfr_ms on
-// federated_stream. A property test checks 2,000 randomized CMQs —
-// dynamic atoms, DISTINCT, ORDER BY and LIMIT included — against a
-// nested-loop reference evaluator (internal/core/oracle_test.go).
+// federated_stream.
+//
+// The planner fixes each node's column layout once: a prefix (the
+// designator of a dynamic atom, then a bind join's IN variables),
+// then the OUT variables. A variable never becomes a second column; an
+// OUT that repeats a variable already in the layout (another OUT, an
+// IN, the designator) is an equality check against that column, so a
+// dynamic atom that returns its own designator keeps only the rows
+// naming the source it was sent to. Before, such a node carried the
+// designator twice and a hash join keyed only one copy, which let
+// through rows of other sources. One function applies the layout to
+// every scan, probe and dynamic-source result. Every join chain (the
+// root join, a bind join's outer over several dependencies, a dynamic
+// atom's materialized outer) follows one rule: the next build side is
+// the first one sharing a column with what is joined so far, and a
+// cross product happens only when nothing connects. A property test
+// checks 2,000 randomized CMQs against a nested-loop reference
+// evaluator (internal/core/oracle_test.go). They include dynamic atoms
+// (directory atoms among them, some returning their own designator),
+// bind joins on two IN variables from different producers, repeated
+// OUT variables, DISTINCT, ORDER BY and LIMIT.
 //
 // Execution is cancellable end to end: the POST /cmq request context
 // flows through Instance.ExecuteContext into every DAG node, probe
@@ -353,9 +371,8 @@
 // # Persistent storage engine
 //
 // The mediator's own state — the custom graph G, its materialized
-// saturation G∞, the mutation epoch and registered-source metadata —
-// can live on disk instead of in process memory. The stack is built
-// from scratch, bottom-up:
+// saturation G∞ and the mutation epoch — can live on disk instead of
+// in process memory. The stack is built from scratch, bottom-up:
 //
 //   - internal/pager: a page file (4 KiB pages) behind a clock
 //     (second-chance) cache, fronted by a redo-only write-ahead log.
@@ -371,12 +388,11 @@
 //     above program against.
 //
 // rdf.Graph and relstore.Table are backend-split: the default
-// in-memory backends (nested triple maps; row slices + hash indexes)
+// in-memory backends (nested triple maps; row slices)
 // are bit-for-bit the pre-engine behavior, while rdf.OpenGraph and
 // relstore.OpenDatabase mount the same APIs on store keyspaces — SPO /
 // POS / OSP triple permutations as 12-byte composite keys, dictionary
-// write-through, binary-encoded rows with persisted secondary indexes
-// and primary keys. Equivalence tests drive both backends through
+// write-through, binary-encoded rows and primary keys. Equivalence tests drive both backends through
 // identical randomized operation sequences and compare every answer.
 //
 // core.Open(dir) opens a persistent Instance: each mutation commits

@@ -64,20 +64,23 @@ func randomSources(t *testing.T, rng *rand.Rand, stride, span int) *Instance {
 
 // randomCMQ generates a valid random query over randomSources: a seed
 // scan followed by a mix of scans (some joining on an earlier
-// variable), bind joins whose InVars are produced by earlier atoms,
-// directory scans binding source URIs, and dynamic FROM ?s atoms over
-// those URIs, with and without IN variables — the shapes the planner
-// turns into multi-level DAGs. About a third of the queries each are
-// DISTINCT, ORDER BY a head variable, and LIMITed.
+// variable, some repeating an OUT variable), bind joins on one IN
+// variable or on two from different producers, directory scans binding
+// source URIs, and dynamic FROM ?s atoms over those URIs — directory
+// atoms among them, some returning their own designator — the shapes
+// the planner turns into multi-level DAGs. About a third of the queries
+// each are DISTINCT, ORDER BY a head variable, and LIMITed.
 func randomCMQ(rng *rand.Rand) string {
 	nAtoms := 2 + rng.Intn(3)
 	var vars, keys, uris []string
-	fresh := 0
+	producer := map[string]int{} // variable -> atom that binds it first
+	fresh, atom := 0, 0
 	newVar := func(pool *[]string) string {
 		v := fmt.Sprintf("x%d", fresh)
 		fresh++
 		vars = append(vars, v)
 		*pool = append(*pool, v)
+		producer[v] = atom
 		return v
 	}
 	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
@@ -91,26 +94,48 @@ func randomCMQ(rng *rand.Rand) string {
 	}
 
 	var atoms []string
-	for i := 0; i < nAtoms; i++ {
+	for atom = 0; atom < nAtoms; atom++ {
 		from := fmt.Sprintf("<sql://s%d>", rng.Intn(3))
 		kind := rng.Intn(5) // 0-1 bind join, 2-3 scan, 4 directory
-		if i == 0 && kind < 2 {
+		if atom == 0 && kind < 2 {
 			kind = 2
 		}
-		if kind < 4 && len(uris) > 0 && rng.Intn(2) == 0 {
-			from = "?" + pick(uris)
+		designator := ""
+		if len(uris) > 0 && rng.Intn(2) == 0 {
+			designator = pick(uris)
+			from = "?" + designator
 		}
 		switch {
 		case kind < 2:
 			iv := pick(keys)
+			var others []string
+			for _, k := range keys {
+				if producer[k] != producer[iv] {
+					others = append(others, k)
+				}
+			}
+			if len(others) > 0 && rng.Intn(2) == 0 {
+				iv2 := pick(others)
+				atoms = append(atoms, fmt.Sprintf(
+					"FROM %s IN(?%s, ?%s) OUT(?%s, ?%s) { SELECT k, v FROM t WHERE k = ? AND v = ? }", from, iv, iv2, iv, iv2))
+				break
+			}
 			atoms = append(atoms, fmt.Sprintf(
 				"FROM %s IN(?%s) OUT(?%s, ?%s) { SELECT k, v FROM t WHERE k = ? }", from, iv, iv, newVar(&keys)))
 		case kind < 4:
 			k := joinKey()
-			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, v FROM t }", from, k, newVar(&keys)))
+			v := k // a repeated OUT variable keeps the rows with k = v
+			if rng.Intn(4) > 0 {
+				v = newVar(&keys)
+			}
+			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, v FROM t }", from, k, v))
 		default:
 			k := joinKey()
-			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, src FROM d }", from, k, newVar(&uris)))
+			u := designator // the directory returns its own designator
+			if u == "" || rng.Intn(2) == 0 {
+				u = newVar(&uris)
+			}
+			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, src FROM d }", from, k, u))
 		}
 	}
 	head := make([]string, len(vars))
@@ -133,6 +158,17 @@ func randomCMQ(rng *rand.Rand) string {
 	return q
 }
 
+// oracleModes are the executor configurations every oracle property
+// runs: parallel, sequential, and naive order with per-tuple probes.
+var oracleModes = []struct {
+	name string
+	opts ExecOptions
+}{
+	{"parallel", ExecOptions{Parallel: true}},
+	{"sequential", ExecOptions{Parallel: false}},
+	{"naive-order-per-tuple", ExecOptions{Parallel: true, NaiveOrder: true, ProbeBatch: 1}},
+}
+
 // TestExecutorMatchesOracle is the executor's acceptance property: over
 // randomized CMQs — dynamic atoms, DISTINCT, ORDER BY and LIMIT
 // included — every execution mode returns the reference evaluator's
@@ -149,14 +185,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d query %d (oracle): %v\n%s", seed, qn, err, text)
 			}
-			for _, cfg := range []struct {
-				name string
-				opts ExecOptions
-			}{
-				{"parallel", ExecOptions{Parallel: true}},
-				{"sequential", ExecOptions{Parallel: false}},
-				{"naive-order-per-tuple", ExecOptions{Parallel: true, NaiveOrder: true, ProbeBatch: 1}},
-			} {
+			for _, cfg := range oracleModes {
 				res, err := in.ExecuteOpts(q, cfg.opts)
 				if err == nil {
 					err = want.check(q, res)
@@ -169,6 +198,52 @@ func TestExecutorMatchesOracle(t *testing.T) {
 					t.Fatalf("seed %d query %d (%s): %v\nquery:\n%s\nplan:\n%s", seed, qn, cfg.name, err, text, plan)
 				}
 			}
+		}
+	}
+}
+
+// TestDynamicAtomReturnsItsDesignator pins a dynamic atom whose OUT
+// list names its own designator: the returned ?s must equal the URI the
+// atom was sent to. The disconnected s2 scan is bigger than the seed, so
+// it plans after the dynamic node and becomes the stream sink, leaving
+// the dynamic node as a hash-join build side.
+func TestDynamicAtomReturnsItsDesignator(t *testing.T) {
+	in := NewInstance(nil)
+	for s, srcs := range [][]string{{"s1", "s2"}, {"s1", "s2"}, {"s1", "s1", "s1"}} {
+		db := relstore.NewDatabase(fmt.Sprintf("s%d", s))
+		stmts := []string{"CREATE TABLE d (k TEXT, src TEXT)"}
+		for i, src := range srcs {
+			stmts = append(stmts, fmt.Sprintf("INSERT INTO d VALUES ('k%d%d', 'sql://%s')", s, i, src))
+		}
+		for _, stmt := range stmts {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.AddSource(source.NewRelSource(fmt.Sprintf("sql://s%d", s), db)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := `
+QUERY q(?k, ?s, ?k2, ?z, ?w)
+FROM <sql://s0> OUT(?k, ?s) { SELECT k, src FROM d }
+FROM ?s OUT(?k2, ?s) { SELECT k, src FROM d }
+FROM <sql://s2> OUT(?z, ?w) { SELECT k, src FROM d }`
+	q := mustParse(t, text)
+	want, err := newOracleAnswer(in, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.rows) != 3 {
+		t.Fatalf("oracle: %d rows, want 3 (s1 names itself once, times 3 s2 rows)", len(want.rows))
+	}
+	for _, cfg := range oracleModes {
+		res, err := in.ExecuteOpts(q, cfg.opts)
+		if err == nil {
+			err = want.check(q, res)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v\nplan:\n%s", cfg.name, err, res.Plan.Explain(q))
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"maps"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,6 +47,22 @@ type ExecOptions struct {
 // DefaultProbeBatch is the bind-join batch size when ExecOptions leaves
 // ProbeBatch at zero.
 const DefaultProbeBatch = 64
+
+// normalized resolves the defaults: Parallel off is MaxFanout 1, a
+// non-positive MaxFanout is DefaultMaxFanout, a zero ProbeBatch is
+// DefaultProbeBatch.
+func (o ExecOptions) normalized() ExecOptions {
+	switch {
+	case !o.Parallel:
+		o.MaxFanout = 1
+	case o.MaxFanout <= 0:
+		o.MaxFanout = DefaultMaxFanout()
+	}
+	if o.ProbeBatch == 0 {
+		o.ProbeBatch = DefaultProbeBatch
+	}
+	return o
+}
 
 // DefaultMaxFanout derives the bind-join fan-out bound from the host:
 // probes are I/O-bound (they mostly wait on remote sources), so twice
@@ -140,15 +155,7 @@ func (in *Instance) ExecuteContext(ctx context.Context, q *CMQ, opts ExecOptions
 // there (a traced server request) and roots a fresh trace otherwise, so
 // every execution produces a span tree.
 func (in *Instance) newExecutor(ctx context.Context, q *CMQ, opts ExecOptions) (*executor, error) {
-	switch {
-	case !opts.Parallel:
-		opts.MaxFanout = 1
-	case opts.MaxFanout <= 0:
-		opts.MaxFanout = DefaultMaxFanout()
-	}
-	if opts.ProbeBatch == 0 {
-		opts.ProbeBatch = DefaultProbeBatch
-	}
+	opts = opts.normalized()
 	ctx, span, _ := obs.EnsureSpan(ctx, "execute")
 	pctx, psp := obs.StartSpan(ctx, "plan")
 	plan, err := in.planQuery(pctx, q, opts)
@@ -202,51 +209,6 @@ func (ex *executor) addStats(subQueries, rows int) {
 	ex.mu.Unlock()
 }
 
-// joinOrder orders relations for a left-deep join chain: smallest
-// first, then greedily the smallest relation sharing a column with
-// what is already joined — disconnected relations (cross products)
-// only when nothing connected remains.
-func joinOrder(rels []*Relation) []*Relation {
-	if len(rels) <= 1 {
-		return rels
-	}
-	rest := append([]*Relation(nil), rels...)
-	sort.SliceStable(rest, func(i, j int) bool { return len(rest[i].Rows) < len(rest[j].Rows) })
-
-	ordered := []*Relation{rest[0]}
-	joined := make(map[string]struct{})
-	add := func(r *Relation) {
-		ordered = append(ordered, r)
-		for _, c := range r.Cols {
-			joined[c] = struct{}{}
-		}
-	}
-	for _, c := range rest[0].Cols {
-		joined[c] = struct{}{}
-	}
-	rest = rest[1:]
-	for len(rest) > 0 {
-		pick := -1
-		for i, r := range rest {
-			for _, c := range r.Cols {
-				if _, ok := joined[c]; ok {
-					pick = i
-					break
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			pick = 0 // nothing connects: unavoidable cross product
-		}
-		add(rest[pick])
-		rest = append(rest[:pick], rest[pick+1:]...)
-	}
-	return ordered
-}
-
 // newJoin builds a hash join under the executor's memory policy: with
 // JoinMemBudget set, an oversized build side spills to disk and the
 // spill surfaces in ExecStats and the process metrics.
@@ -268,17 +230,6 @@ func (ex *executor) newJoin(left, right Iterator) Iterator {
 	})
 }
 
-// joinPipeline chains relations into one left-deep streaming hash-join
-// pipeline: the first relation streams, every later one is hashed as a
-// build side.
-func (ex *executor) joinPipeline(ordered []*Relation) Iterator {
-	it := Iterator(NewScan(ordered[0]))
-	for _, r := range ordered[1:] {
-		it = ex.newJoin(it, NewScan(r))
-	}
-	return it
-}
-
 // scanSource executes an unparameterized sub-query — one native scan —
 // under a child span, observing its round trip into the per-source
 // probe histogram.
@@ -296,20 +247,23 @@ func (ex *executor) scanSource(src source.DataSource, a Atom, sp *obs.Span) (*so
 	return res, nil
 }
 
-func (ex *executor) atomSource(a Atom) (source.DataSource, error) {
+// atomSource resolves the source an atom executes against: the graph
+// under the query's prefixes, or the registered source its URI names.
+func (in *Instance) atomSource(a Atom, prefixes map[string]string) (source.DataSource, error) {
 	if a.Kind == GraphAtom {
-		return ex.in.graphSource(ex.q.Prefixes), nil
+		return in.graphSource(prefixes), nil
 	}
-	return ex.in.ResolveSource(a.SourceURI)
+	return in.ResolveSource(a.SourceURI)
 }
 
 // runDynamic resolves the designating variable's distinct values from
 // the outer relation and ships the sub-query to each discovered source:
 // a scan, or — for an atom with IN variables — a bind join over the
-// outer rows that designate that source. Output rows carry the
-// designator column first, so they join back to the rows that mentioned
-// their source (§2.2's per-embedding source resolution).
-func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, emit func([]value.Row) error, sp *obs.Span) error {
+// outer rows that designate that source. The URI heads the layout's
+// prefix, so output rows join back to the rows that mentioned their
+// source (§2.2's per-embedding source resolution).
+func (ex *executor) runDynamic(s PlanStep, rel *Relation, emit func([]value.Row) error, sp *obs.Span) error {
+	a := ex.q.Atoms[s.AtomIndex]
 	ci := rel.colIndex(a.SourceVar)
 	if ci < 0 {
 		return fmt.Errorf("core: dynamic source variable ?%s not in intermediate relation", a.SourceVar)
@@ -329,17 +283,10 @@ func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, emit func([
 		if err != nil {
 			return fmt.Errorf("core: dynamic source ?%s: %w", a.SourceVar, err)
 		}
-		tag := value.NewString(uri)
-		tagged := func(rows []value.Row) error {
-			out := make([]value.Row, len(rows))
-			for i, r := range rows {
-				out[i] = append(append(make(value.Row, 0, 1+len(r)), tag), r...)
-			}
-			return emit(out)
-		}
-		if len(a.Sub.InVars) > 0 {
+		head := value.Row{value.NewString(uri)}
+		if s.BindJoin {
 			outer := NewScan(&Relation{Cols: rel.Cols, Rows: byURI[uri]})
-			if err := ex.streamBindJoin(src, a, outs, outer, tagged, sp); err != nil {
+			if err := ex.streamBindJoin(src, s, head, outer, emit, sp); err != nil {
 				return err
 			}
 			continue
@@ -348,116 +295,63 @@ func (ex *executor) runDynamic(a Atom, outs []string, rel *Relation, emit func([
 		if err != nil {
 			return err
 		}
-		part, err := atomRelation(res, outs)
+		rows, err := s.layout.rows(a, head, res)
 		if err != nil {
 			return err
 		}
-		if err := tagged(part.Rows); err != nil {
+		if err := emit(rows); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// paramTuple is one distinct combination of bind-join parameter values.
+// paramTuple is one distinct combination of bind-join parameter values,
+// with the layout prefix they head output rows with.
 type paramTuple struct {
 	key    string
-	params value.Row
+	prefix value.Row // head values (a dynamic atom's URI), then params
+	params value.Row // the sub-query parameters: a suffix of prefix
 }
 
-// bindSpec is the column plumbing of one bind join, computed once from
-// the atom and the outer input's columns: which outer positions feed
-// the sub-query parameters, what the output columns are, and how a
-// probe result filters back into output rows.
-type bindSpec struct {
-	ins      []string // parameter variable names, in InVars order
-	inPos    []int    // their positions in the outer input
-	cols     []string // output columns: ins, then outs not among ins
-	outKeep  []int    // positions in the sub-result to append
-	outCheck []struct{ resPos, insPos int }
-	outs     []string
-	atom     Atom
+// binder pulls parameter tuples out of a bind join's outer rows.
+type binder struct {
+	head  value.Row // prefix values ahead of the parameters
+	inPos []int     // the InVars' positions in the outer input
 }
 
-// newBindSpec resolves the atom's InVars against the outer columns and
-// lays out the output relation. Output columns: InVars first, then
-// OutVars not already among the InVars (overlaps are equality-checked
-// instead of duplicated).
-func newBindSpec(a Atom, outs []string, outerCols []string) (*bindSpec, error) {
-	sp := &bindSpec{atom: a, outs: outs}
-	sp.ins = make([]string, len(a.Sub.InVars))
-	sp.inPos = make([]int, len(sp.ins))
-	for i, iv := range a.Sub.InVars {
-		sp.ins[i] = strings.TrimPrefix(iv, "?")
-		p, ok := indexOf(outerCols, sp.ins[i])
+// newBinder resolves the atom's InVars against the outer columns.
+func newBinder(a Atom, head value.Row, outerCols []string) (*binder, error) {
+	b := &binder{head: head}
+	for _, iv := range a.Sub.InVars {
+		v := strings.TrimPrefix(iv, "?")
+		p, ok := indexOf(outerCols, v)
 		if !ok {
-			return nil, fmt.Errorf("core: bind-join variable ?%s not in intermediate relation", sp.ins[i])
+			return nil, fmt.Errorf("core: bind-join variable ?%s not in intermediate relation", v)
 		}
-		sp.inPos[i] = p
+		b.inPos = append(b.inPos, p)
 	}
-	sp.cols = append([]string(nil), sp.ins...)
-	for i, o := range outs {
-		if j, dup := indexOf(sp.ins, o); dup {
-			sp.outCheck = append(sp.outCheck, struct{ resPos, insPos int }{i, j})
-			continue
-		}
-		sp.cols = append(sp.cols, o)
-		sp.outKeep = append(sp.outKeep, i)
-	}
-	return sp, nil
+	return b, nil
 }
 
 // extract pulls one outer row's parameter tuple; ok=false skips the
 // row (a NULL never binds a parameter).
-func (sp *bindSpec) extract(row value.Row) (paramTuple, bool) {
-	params := make(value.Row, len(sp.inPos))
-	for i, p := range sp.inPos {
+func (b *binder) extract(row value.Row) (paramTuple, bool) {
+	prefix := make(value.Row, len(b.head), len(b.head)+len(b.inPos))
+	copy(prefix, b.head)
+	for _, p := range b.inPos {
 		if row[p].IsNull() {
 			return paramTuple{}, false
 		}
-		params[i] = row[p]
+		prefix = append(prefix, row[p])
 	}
-	return paramTuple{params.Key(), params}, true
-}
-
-// filterRows turns one tuple's sub-result into output rows: the
-// overlap columns are equality-checked against the tuple, the rest
-// appended after the tuple's parameter values.
-func (sp *bindSpec) filterRows(t paramTuple, res *source.Result) ([]value.Row, error) {
-	if len(res.Cols) != len(sp.outs) {
-		if len(res.Cols) == 0 && len(res.Rows) == 0 {
-			// A schema-less empty result: how a federation endpoint answers
-			// a probe it pruned server-side against its digest.
-			return nil, nil
-		}
-		return nil, fmt.Errorf("core: atom %s returned %d columns for %d OUT variables",
-			sp.atom.Designator(), len(res.Cols), len(sp.outs))
-	}
-	var local []value.Row
-	for _, r := range res.Rows {
-		ok := true
-		for _, ch := range sp.outCheck {
-			if !value.Equal(r[ch.resPos], t.params[ch.insPos]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		row := make(value.Row, 0, len(sp.cols))
-		row = append(row, t.params...)
-		for _, p := range sp.outKeep {
-			row = append(row, r[p])
-		}
-		local = append(local, row)
-	}
-	return local, nil
+	params := prefix[len(b.head):]
+	return paramTuple{params.Key(), prefix, params}, true
 }
 
 // batchProbeRows ships one chunk of parameter tuples as a single
 // batched sub-query and returns the merged per-tuple result rows.
-func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, spec *bindSpec, chunk []paramTuple,
+func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, l *layout, chunk []paramTuple,
 	sp *obs.Span) (_ []value.Row, unsupported bool, _ error) {
 
 	sets := make([]value.Row, len(chunk))
@@ -488,7 +382,7 @@ func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, spec *bindSpec
 			return nil, false, fmt.Errorf("core: atom %s: batched probe returned a nil result", a.Designator())
 		}
 		rows += len(res.Rows)
-		local, err := spec.filterRows(chunk[i], res)
+		local, err := l.rows(a, chunk[i].prefix, res)
 		if err != nil {
 			return nil, false, err
 		}
@@ -500,49 +394,6 @@ func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, spec *bindSpec
 	ex.stats.RowsFetched += rows
 	ex.mu.Unlock()
 	return merged, false, nil
-}
-
-// atomRelation renames a source result's columns to the atom's OUT
-// variables. Repeated OUT variables become an equality filter plus a
-// single column.
-func atomRelation(res *source.Result, outs []string) (*Relation, error) {
-	if len(res.Cols) != len(outs) {
-		return nil, fmt.Errorf("core: sub-query returned %d columns for %d OUT variables", len(res.Cols), len(outs))
-	}
-	// Detect repeats.
-	first := make(map[string]int)
-	var keep []int
-	var checks [][2]int // (pos, firstPos) equality requirements
-	for i, o := range outs {
-		if j, dup := first[o]; dup {
-			checks = append(checks, [2]int{i, j})
-			continue
-		}
-		first[o] = i
-		keep = append(keep, i)
-	}
-	out := &Relation{}
-	for _, i := range keep {
-		out.Cols = append(out.Cols, outs[i])
-	}
-	for _, r := range res.Rows {
-		ok := true
-		for _, c := range checks {
-			if !value.Equal(r[c[0]], r[c[1]]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		row := make(value.Row, 0, len(keep))
-		for _, i := range keep {
-			row = append(row, r[i])
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
 }
 
 // finishIter chains the finishing operators — head projection (or

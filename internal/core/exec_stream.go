@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,7 +228,7 @@ func (ex *executor) runDAGStream() *StreamingResult {
 	run := &streamRun{ex: ex, sink: ex.plan.StreamSink(), cancel: cancel,
 		bufs: make([]*nodeBuffer, len(steps))}
 	for i, s := range steps {
-		cols := ex.nodeCols(s)
+		cols := s.layout.cols
 		if i == run.sink {
 			run.stream = NewBatchStream(cols, streamChanBatches)
 		} else {
@@ -249,48 +249,42 @@ func (ex *executor) runDAGStream() *StreamingResult {
 }
 
 // rootChain assembles the final join: the sink's live stream probes a
-// left-deep chain of hash joins whose build sides are the other nodes'
-// outputs (their Open blocks until those nodes complete — the builds
-// overlap with the sink's drain, which is where the time-to-first-row
-// win comes from). Build order is connectivity-greedy over the
-// statically known columns, avoiding cross products when anything
-// connected remains.
+// join chain whose build sides are the other nodes' outputs (their Open
+// blocks until those nodes complete — the builds overlap with the
+// sink's drain, which is where the time-to-first-row win comes from).
 func (r *streamRun) rootChain() Iterator {
-	it := Iterator(newStreamIterator(r.stream))
-	joined := make(map[string]struct{})
-	for _, c := range r.stream.Cols() {
-		joined[c] = struct{}{}
-	}
-	var remaining []int
+	var builds []Iterator
 	for i := range r.ex.plan.Steps {
 		if i != r.sink {
-			remaining = append(remaining, i)
+			builds = append(builds, r.cursor(i))
 		}
 	}
-	for len(remaining) > 0 {
-		pick := -1
-		for j, i := range remaining {
-			for _, c := range r.bufs[i].cols {
-				if _, ok := joined[c]; ok {
-					pick = j
-					break
-				}
-			}
-			if pick >= 0 {
+	return r.ex.joinChain(newStreamIterator(r.stream), builds)
+}
+
+// joinChain is the one rule every join chain is built by: stream probes
+// a left-deep chain of hash joins, and the next build side is the first
+// remaining one sharing a column with what is joined so far — a cross
+// product only when nothing connects.
+func (ex *executor) joinChain(stream Iterator, builds []Iterator) Iterator {
+	it := stream
+	for len(builds) > 0 {
+		pick := 0 // nothing connects: unavoidable cross product
+		for j, b := range builds {
+			if slices.ContainsFunc(b.Cols(), func(c string) bool { return slices.Contains(it.Cols(), c) }) {
+				pick = j
 				break
 			}
 		}
-		if pick < 0 {
-			pick = 0 // nothing connects: unavoidable cross product
-		}
-		i := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		it = r.ex.newJoin(it, newCursorIterator(r.bufs[i].cursor(r.ex.ctx)))
-		for _, c := range r.bufs[i].cols {
-			joined[c] = struct{}{}
-		}
+		it = ex.newJoin(it, builds[pick])
+		builds = slices.Delete(builds, pick, pick+1)
 	}
 	return it
+}
+
+// cursor reads node i's progressive output from the start.
+func (r *streamRun) cursor(i int) Iterator {
+	return newCursorIterator(r.bufs[i].cursor(r.ex.ctx))
 }
 
 // runNode produces one plan step's output, closing its handoff with
@@ -337,30 +331,29 @@ func (r *streamRun) runNode(i int) {
 func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Span) error {
 	ex := r.ex
 	a := ex.q.Atoms[s.AtomIndex]
-	outs := ex.plan.outs[s.AtomIndex]
 
 	if s.Dynamic {
 		// Dynamic resolution needs the complete outer result: the set of
 		// URIs to contact comes from all of it (§2.2), so this node waits
 		// for its dependencies to finish.
-		outer, err := r.materializedOuter(s)
+		outer, err := Materialize(r.outerIter(s))
 		if err != nil {
 			return err
 		}
-		return ex.runDynamic(a, outs, outer, emit, sp)
+		return ex.runDynamic(s, outer, emit, sp)
 	}
 	// A scan reads none of its dependencies' rows: its Deps only order
 	// it, as in NaiveOrder's sequential chain. Under NaiveOrder a bind
 	// join waits too, so the ablation runs one atom after another.
 	if !s.BindJoin || ex.opts.NaiveOrder {
 		for _, d := range s.Deps {
-			if _, err := r.bufs[d].waitRelation(ex.ctx); err != nil {
+			if err := r.bufs[d].wait(ex.ctx); err != nil {
 				return err
 			}
 		}
 	}
 
-	src, err := ex.atomSource(a)
+	src, err := ex.in.atomSource(a, ex.q.Prefixes)
 	if err != nil {
 		return err
 	}
@@ -368,110 +361,35 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 		ex.mu.Lock()
 		ex.stats.BindJoins++
 		ex.mu.Unlock()
-		outer, err := r.outerIter(s)
-		if err != nil {
-			return err
-		}
-		return ex.streamBindJoin(src, a, outs, outer, emit, sp)
+		return ex.streamBindJoin(src, s, nil, r.outerIter(s), emit, sp)
 	}
 	res, err := ex.scanSource(src, a, sp)
 	if err != nil {
 		return err
 	}
-	rel, err := atomRelation(res, outs)
+	rows, err := s.layout.rows(a, nil, res)
 	if err != nil {
 		return err
 	}
-	return emit(rel.Rows)
+	return emit(rows)
 }
 
-// outerIter builds the streaming outer input of a bind join: its
-// single dependency's progressive cursor, or — for several — a hash
-// join streaming the most-downstream dependency against the others as
-// build sides (their cursors drain to completion at Open).
-func (r *streamRun) outerIter(s PlanStep) (Iterator, error) {
+// outerIter builds a node's outer input from its dependencies: the
+// most downstream one streams through its progressive cursor, and the
+// others join in as build sides by the join-chain rule (their cursors
+// drain to completion at Open). Nil when the node has no dependencies.
+func (r *streamRun) outerIter(s PlanStep) Iterator {
 	if len(s.Deps) == 0 {
-		return nil, nil
+		return nil
 	}
-	stream := s.Deps[0]
-	for _, d := range s.Deps[1:] {
-		if d > stream {
-			stream = d
-		}
-	}
-	it := Iterator(newCursorIterator(r.bufs[stream].cursor(r.ex.ctx)))
+	stream := slices.Max(s.Deps)
+	var builds []Iterator
 	for _, d := range s.Deps {
-		if d == stream {
-			continue
+		if d != stream {
+			builds = append(builds, r.cursor(d))
 		}
-		it = r.ex.newJoin(it, newCursorIterator(r.bufs[d].cursor(r.ex.ctx)))
 	}
-	return it, nil
-}
-
-// materializedOuter assembles a node's complete outer relation, for
-// consumers that cannot stream it.
-func (r *streamRun) materializedOuter(s PlanStep) (*Relation, error) {
-	switch len(s.Deps) {
-	case 0:
-		return nil, nil
-	case 1:
-		return r.bufs[s.Deps[0]].waitRelation(r.ex.ctx)
-	}
-	rels := make([]*Relation, len(s.Deps))
-	for j, d := range s.Deps {
-		rel, err := r.bufs[d].waitRelation(r.ex.ctx)
-		if err != nil {
-			return nil, err
-		}
-		rels[j] = rel
-	}
-	return Materialize(r.ex.joinPipeline(joinOrder(rels)))
-}
-
-// nodeCols computes a step's output columns without running it — the
-// streaming handoffs need their schema before any row exists. Must
-// mirror exactly what newBindSpec / atomRelation / runDynamic produce.
-func (ex *executor) nodeCols(s PlanStep) []string {
-	a := ex.q.Atoms[s.AtomIndex]
-	outs := ex.plan.outs[s.AtomIndex]
-	bindCols := func() []string {
-		ins := make([]string, len(a.Sub.InVars))
-		for i, iv := range a.Sub.InVars {
-			ins[i] = strings.TrimPrefix(iv, "?")
-		}
-		cols := append([]string(nil), ins...)
-		for _, o := range outs {
-			if _, dup := indexOf(ins, o); !dup {
-				cols = append(cols, o)
-			}
-		}
-		return cols
-	}
-	scanCols := func() []string {
-		seen := make(map[string]struct{}, len(outs))
-		var cols []string
-		for _, o := range outs {
-			if _, dup := seen[o]; dup {
-				continue
-			}
-			seen[o] = struct{}{}
-			cols = append(cols, o)
-		}
-		return cols
-	}
-	switch {
-	case s.Dynamic:
-		inner := scanCols()
-		if len(a.Sub.InVars) > 0 {
-			inner = bindCols()
-		}
-		return append([]string{a.SourceVar}, inner...)
-	case s.BindJoin:
-		return bindCols()
-	default:
-		return scanCols()
-	}
+	return r.ex.joinChain(r.cursor(stream), builds)
 }
 
 // streamBindJoin executes the atom once per distinct combination of its
@@ -485,9 +403,10 @@ func (ex *executor) nodeCols(s PlanStep) []string {
 // probe. Probe results emit as they land; with the sink's
 // bounded stream downstream, a blocked emit holds the job's fan-out
 // slot, so backpressure reaches the probe dispatch itself.
-func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
+func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value.Row,
 	outer Iterator, emit func([]value.Row) error, sp *obs.Span) error {
 
+	a := ex.q.Atoms[s.AtomIndex]
 	if outer == nil {
 		return fmt.Errorf("core: bind join for atom %s has no outer bindings", a.Designator())
 	}
@@ -496,7 +415,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 		return err
 	}
 	defer outer.Close()
-	spec, err := newBindSpec(a, outs, outer.Cols())
+	bind, err := newBinder(a, head, outer.Cols())
 	if err != nil {
 		return err
 	}
@@ -543,7 +462,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 		}
 		probeSeconds.With(src.URI()).ObserveSince(start)
 		ex.addStats(1, len(res.Rows))
-		local, err := spec.filterRows(t, res)
+		local, err := s.layout.rows(a, t.prefix, res)
 		if err != nil {
 			return err
 		}
@@ -551,7 +470,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 	}
 	runChunk := func(ts []paramTuple, batched bool) error {
 		if batched {
-			rows, unsupported, err := ex.batchProbeRows(bp, a, spec, ts, sp)
+			rows, unsupported, err := ex.batchProbeRows(bp, a, &s.layout, ts, sp)
 			if err != nil {
 				return err
 			}
@@ -644,7 +563,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, a Atom, outs []string,
 		if !ok {
 			break
 		}
-		t, ok := spec.extract(row)
+		t, ok := bind.extract(row)
 		if !ok {
 			continue
 		}

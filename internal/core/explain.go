@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strconv"
-	"strings"
 
 	"tatooine/internal/source"
 )
@@ -50,9 +49,7 @@ type ExplainInfo struct {
 // Dynamic atoms resolve their sources only at run time, so their
 // decision is reported as undetermined.
 func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error) {
-	if opts.ProbeBatch == 0 {
-		opts.ProbeBatch = DefaultProbeBatch
-	}
+	opts = opts.normalized()
 	plan, err := in.planQuery(context.Background(), q, opts)
 	if err != nil {
 		return nil, err
@@ -67,13 +64,7 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 			Deps:       s.Deps,
 			EstRows:    s.EstRows,
 			EstCost:    s.EstCost,
-			Mode:       "scan",
-		}
-		if s.BindJoin {
-			ae.Mode = "bind-join(" + strings.Join(a.Sub.InVars, ",") + ")"
-		}
-		if s.Dynamic {
-			ae.Mode += " dynamic"
+			Mode:       s.mode(a),
 		}
 		switch {
 		case !s.BindJoin:
@@ -83,7 +74,7 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 		case s.Dynamic:
 			ae.Reason = "dynamic source: capability known only after the designator binds at run time"
 		default:
-			src, err := in.atomExplainSource(a, q.Prefixes)
+			src, err := in.atomSource(a, q.Prefixes)
 			if err != nil {
 				ae.Reason = "source unresolvable at plan time: " + err.Error()
 				break
@@ -99,7 +90,7 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 		if s.BindJoin {
 			if s.Dynamic {
 				ae.Pruning = "dynamic source: pruning decided per discovered source at run time"
-			} else if src, err := in.atomExplainSource(a, q.Prefixes); err == nil {
+			} else if src, err := in.atomSource(a, q.Prefixes); err == nil {
 				if m := in.atomPruner(context.Background(), src, a, q.Prefixes); m != nil {
 					ae.Pruning = "digest covers the parameter positions; bindings the digest excludes are skipped before probing"
 				} else {
@@ -122,12 +113,4 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 		info.Atoms = append(info.Atoms, ae)
 	}
 	return info, nil
-}
-
-// atomExplainSource resolves the source an atom would execute against.
-func (in *Instance) atomExplainSource(a Atom, prefixes map[string]string) (source.DataSource, error) {
-	if a.Kind == GraphAtom {
-		return in.graphSource(prefixes), nil
-	}
-	return in.ResolveSource(a.SourceURI)
 }

@@ -185,7 +185,6 @@ func (in *Instance) AddSource(s source.DataSource) error {
 	in.bump()
 	if in.st != nil {
 		in.satMu.Lock()
-		in.persistSourceLocked(s.URI(), s.Model().String(), false)
 		in.persistLocked()
 		in.satMu.Unlock()
 	}
@@ -204,7 +203,6 @@ func (in *Instance) DropSource(uri string) bool {
 	in.bump()
 	if in.st != nil {
 		in.satMu.Lock()
-		in.persistSourceLocked(uri, "", true)
 		in.persistLocked()
 		in.satMu.Unlock()
 	}

@@ -410,42 +410,6 @@ func (p *ProjectIterator) Close() error { return p.in.Close() }
 // row-at-a-time, so it adds no buffering of its own).
 func (p *ProjectIterator) Buffered() bool { return iterBuffered(p.in) }
 
-// ---------- select (filter) ----------
-
-// SelectIterator keeps rows satisfying a predicate.
-type SelectIterator struct {
-	in   Iterator
-	pred func(cols []string, row value.Row) (bool, error)
-}
-
-// NewSelect wraps in with a row predicate.
-func NewSelect(in Iterator, pred func(cols []string, row value.Row) (bool, error)) *SelectIterator {
-	return &SelectIterator{in: in, pred: pred}
-}
-
-func (s *SelectIterator) Cols() []string { return s.in.Cols() }
-func (s *SelectIterator) Open() error    { return s.in.Open() }
-func (s *SelectIterator) Close() error   { return s.in.Close() }
-
-// Buffered is best effort: a ready input row may yet be filtered out.
-func (s *SelectIterator) Buffered() bool { return iterBuffered(s.in) }
-
-func (s *SelectIterator) Next() (value.Row, bool, error) {
-	for {
-		row, ok, err := s.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep, err := s.pred(s.in.Cols(), row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return row, true, nil
-		}
-	}
-}
-
 // ---------- distinct ----------
 
 // DistinctIterator removes duplicate rows.

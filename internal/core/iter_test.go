@@ -122,19 +122,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	r := rel([]string{"n"}, []any{1}, []any{2}, []any{3}, []any{4})
-	got, err := Materialize(NewSelect(NewScan(r), func(cols []string, row value.Row) (bool, error) {
-		return row[0].Int()%2 == 0, nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 2 {
-		t.Errorf("select: %+v", got.Rows)
-	}
-}
-
 func TestDistinct(t *testing.T) {
 	r := rel([]string{"a", "b"}, []any{"x", 1}, []any{"x", 1}, []any{"x", 2})
 	got, err := Materialize(NewDistinct(NewScan(r)))

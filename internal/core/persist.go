@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -14,8 +13,8 @@ import (
 )
 
 // This file is the durable side of Instance: a persistent instance
-// keeps the custom graph G, the materialized saturation G∞, the
-// mutation epoch and registered-source metadata in one store.Store
+// keeps the custom graph G, the materialized saturation G∞ and the
+// mutation epoch in one store.Store
 // (paged B-trees + WAL), committing them in a single WAL transaction
 // per mutation. A process crash between commits rolls the whole
 // catalog back to the last committed mutation — epoch, G and G∞ can
@@ -30,21 +29,11 @@ const DataFileName = "tatooine.db"
 const (
 	catEpochKey  = "epoch"  // u64 BE: mutation epoch
 	catSatGenKey = "satgen" // u64 BE: live saturation generation (0 = none)
-	catSrcPrefix = "src/"   // + uri: JSON SourceMeta
 )
 
-// SourceMeta is the durable description of a registered source. Live
-// DataSource objects (indexes, databases, HTTP clients) are rebuilt by
-// the embedding application on boot; the catalog remembers what was
-// registered so a warm start can verify or re-resolve them.
-type SourceMeta struct {
-	URI   string `json:"uri"`
-	Model string `json:"model"`
-}
-
 // Open opens (or initializes) a persistent instance rooted at dir. The
-// custom graph, its saturation, the epoch and source metadata load
-// from dir/tatooine.db; a missing file starts an empty instance.
+// custom graph, its saturation and the epoch load from
+// dir/tatooine.db; a missing file starts an empty instance.
 // Options apply as in NewInstance. With WithSaturation, a stored
 // saturation is adopted without recompute (the warm-restart path);
 // full-resaturation mode ignores any stored saturation.
@@ -278,49 +267,4 @@ func (in *Instance) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// persistSourceLocked records (or clears) a source's catalog metadata.
-func (in *Instance) persistSourceLocked(uri, model string, drop bool) {
-	if in.st == nil {
-		return
-	}
-	key := []byte(catSrcPrefix + uri)
-	if drop {
-		if _, err := in.cat.Delete(key); err != nil {
-			in.noteStoreErrLocked(err)
-		}
-		return
-	}
-	buf, err := json.Marshal(SourceMeta{URI: uri, Model: model})
-	if err != nil {
-		in.noteStoreErrLocked(err)
-		return
-	}
-	if _, err := in.cat.Put(key, buf); err != nil {
-		in.noteStoreErrLocked(err)
-	}
-}
-
-// PersistedSources lists the source metadata stored in the catalog, in
-// URI order. Empty for in-memory instances.
-func (in *Instance) PersistedSources() ([]SourceMeta, error) {
-	if in.st == nil {
-		return nil, nil
-	}
-	var out []SourceMeta
-	var loadErr error
-	err := in.cat.Scan([]byte(catSrcPrefix), func(_, v []byte) bool {
-		var m SourceMeta
-		if err := json.Unmarshal(v, &m); err != nil {
-			loadErr = fmt.Errorf("core: corrupt source metadata: %v", err)
-			return false
-		}
-		out = append(out, m)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, loadErr
 }

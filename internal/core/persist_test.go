@@ -6,7 +6,6 @@ import (
 
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
-	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
 
@@ -120,36 +119,6 @@ func TestPersistentSaturationWarmRestart(t *testing.T) {
 	st = in2.SaturationStats()
 	if st.DeltaApplies != 1 || st.FullRecomputes != 0 {
 		t.Fatalf("post-mutation stats = %+v", st)
-	}
-}
-
-func TestPersistentSourceMetadata(t *testing.T) {
-	dir := t.TempDir()
-	in := persistentInstance(t, dir)
-	db := relstore.NewDatabase("insee")
-	if _, err := db.Exec("CREATE TABLE chomage (dept TEXT, taux FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	in2 := persistentInstance(t, dir)
-	defer in2.Close()
-	metas, err := in2.PersistedSources()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metas) != 1 || metas[0].URI != "sql://insee" || metas[0].Model != "relational" {
-		t.Fatalf("persisted sources = %+v", metas)
-	}
-	if !in2.DropSource("sql://insee") {
-		// The live source object is NOT persisted (only metadata); a
-		// reopened registry starts empty.
-		t.Log("source object not present after reopen (expected: metadata only)")
 	}
 }
 

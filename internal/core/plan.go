@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"tatooine/internal/digest"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // PlanStep schedules one atom as a node of the operator DAG.
@@ -35,6 +37,101 @@ type PlanStep struct {
 	// resolved from the full intermediate result, not a projection of
 	// it.
 	Deps []int
+
+	layout layout
+}
+
+// mode names how the step runs: "scan" or "bind-join(?a,...)", with
+// " dynamic" appended for a run-time-resolved source.
+func (s PlanStep) mode(a Atom) string {
+	mode := "scan"
+	if s.BindJoin {
+		mode = "bind-join(" + strings.Join(a.Sub.InVars, ",") + ")"
+	}
+	if s.Dynamic {
+		mode += " dynamic"
+	}
+	return mode
+}
+
+// layout is a plan step's output shape, decided once at plan time. The
+// columns are a prefix — the designator of a dynamic atom, then the IN
+// variables of a bind join — followed by the OUT variables. A variable
+// is never a second column: a prefix variable already in the prefix
+// takes its value from the same outer column and is dropped, and an
+// OUT variable already in the layout (repeated, an IN, the designator)
+// becomes an equality check against its column.
+type layout struct {
+	cols  []string // output columns
+	outs  []string // the atom's OUT variables, one per source-result column
+	pre   []int    // prefix value positions copied into each row
+	keep  []int    // source-result positions appended after them
+	check [][2]int // (source-result position, output column) that must be equal
+}
+
+func newLayout(a Atom, outs []string) layout {
+	var prefix []string
+	if a.SourceVar != "" {
+		prefix = append(prefix, a.SourceVar)
+	}
+	for _, iv := range a.Sub.InVars {
+		prefix = append(prefix, strings.TrimPrefix(iv, "?"))
+	}
+	l := layout{outs: outs}
+	for i, v := range prefix {
+		if !slices.Contains(l.cols, v) {
+			l.cols = append(l.cols, v)
+			l.pre = append(l.pre, i)
+		}
+	}
+	for i, o := range outs {
+		if j := slices.Index(l.cols, o); j >= 0 {
+			l.check = append(l.check, [2]int{i, j})
+			continue
+		}
+		l.cols = append(l.cols, o)
+		l.keep = append(l.keep, i)
+	}
+	return l
+}
+
+// rows applies the layout to a source result under prefix — nothing for
+// a scan, the parameter tuple for a probe, the URI plus the tuple (if
+// any) for a dynamic source — allocating one row per output row.
+func (l *layout) rows(a Atom, prefix value.Row, res *source.Result) ([]value.Row, error) {
+	if len(res.Cols) != len(l.outs) {
+		if len(res.Cols) == 0 && len(res.Rows) == 0 {
+			// A schema-less empty result: how a federation endpoint answers
+			// a probe it pruned server-side against its digest.
+			return nil, nil
+		}
+		return nil, fmt.Errorf("core: atom %s returned %d columns for %d OUT variables",
+			a.Designator(), len(res.Cols), len(l.outs))
+	}
+	var out []value.Row
+next:
+	for _, r := range res.Rows {
+		for _, c := range l.check {
+			var want value.Value
+			if j := c[1]; j < len(l.pre) {
+				want = prefix[l.pre[j]]
+			} else {
+				want = r[l.keep[j-len(l.pre)]]
+			}
+			if !value.Equal(r[c[0]], want) {
+				continue next
+			}
+		}
+		row := make(value.Row, 0, len(l.cols))
+		for _, p := range l.pre {
+			row = append(row, prefix[p])
+		}
+		for _, p := range l.keep {
+			row = append(row, r[p])
+		}
+		out = append(out, row)
+	}
+	return out, nil
 }
 
 // Plan is a dependency-DAG execution schedule for a CMQ, honouring the
@@ -46,7 +143,6 @@ type PlanStep struct {
 // dependency of a step precedes it.
 type Plan struct {
 	Steps []PlanStep
-	outs  [][]string // per-atom effective out variables
 }
 
 // NumWaves returns the depth of the DAG — the length of the longest
@@ -105,13 +201,6 @@ func (p *Plan) Explain(q *CMQ) string {
 	fmt.Fprintf(&b, "plan for %s (%d nodes, depth %d)\n", q.String(), len(p.Steps), p.NumWaves())
 	for i, s := range p.Steps {
 		a := q.Atoms[s.AtomIndex]
-		mode := "scan"
-		if s.BindJoin {
-			mode = "bind-join(" + strings.Join(a.Sub.InVars, ",") + ")"
-		}
-		if s.Dynamic {
-			mode += " dynamic"
-		}
 		deps := "-"
 		if len(s.Deps) > 0 {
 			parts := make([]string, len(s.Deps))
@@ -121,8 +210,8 @@ func (p *Plan) Explain(q *CMQ) string {
 			deps = strings.Join(parts, ",")
 		}
 		fmt.Fprintf(&b, "  node %d: atom %d [%s] %s rows=%d cost=%d wave %d deps=(%s) out=(%s)\n",
-			i, s.AtomIndex, a.Designator(), mode, s.EstRows, s.EstCost, s.Wave, deps,
-			strings.Join(p.outs[s.AtomIndex], ","))
+			i, s.AtomIndex, a.Designator(), s.mode(a), s.EstRows, s.EstCost, s.Wave, deps,
+			strings.Join(s.layout.outs, ","))
 	}
 	return b.String()
 }
@@ -173,7 +262,7 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 		rows[i], costs[i] = in.estimateAtom(ctx, a, q.Prefixes)
 	}
 
-	plan := &Plan{outs: outs}
+	plan := &Plan{}
 	scheduled := make([]bool, n)
 	// producer maps a bound variable to the first plan step producing it.
 	producer := make(map[string]int)
@@ -218,6 +307,7 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 			Dynamic:   a.SourceVar != "",
 			EstRows:   rows[pick],
 			EstCost:   costs[pick],
+			layout:    newLayout(a, outs[pick]),
 		}
 		pos := len(plan.Steps)
 		switch {

@@ -165,26 +165,21 @@ func (b *nodeBuffer) cursor(ctx context.Context) *bufCursor {
 	return &bufCursor{buf: b, ctx: ctx}
 }
 
-// waitRelation blocks until the buffer completes and returns its rows
-// as a relation — for consumers that genuinely need the whole input
-// (dynamic source resolution) rather than a stream.
-func (b *nodeBuffer) waitRelation(ctx context.Context) (*Relation, error) {
+// wait blocks until the buffer completes and returns its terminal
+// error — for a node that must run after its dependencies without
+// reading their rows.
+func (b *nodeBuffer) wait(ctx context.Context) error {
 	for {
 		b.mu.Lock()
-		if b.done {
-			rel, err := &Relation{Cols: b.cols, Rows: b.rows}, b.err
-			b.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return rel, nil
-		}
-		wake := b.wake
+		done, err, wake := b.done, b.err, b.wake
 		b.mu.Unlock()
+		if done {
+			return err
+		}
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }

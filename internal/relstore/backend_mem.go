@@ -7,21 +7,14 @@ import (
 )
 
 // memTable is the default in-memory table backend: an append-only row
-// slice, hash indexes mapping value keys to row ids, and a primary-key
-// set.
+// slice and a primary-key set.
 type memTable struct {
-	rows    []value.Row
-	indexes map[string]map[string][]int // column -> value key -> row ids
-	colIdx  map[string]int              // column -> position in schema
-	pkSet   map[string]struct{}
+	rows  []value.Row
+	pkSet map[string]struct{}
 }
 
 func newMemTable() *memTable {
-	return &memTable{
-		indexes: make(map[string]map[string][]int),
-		colIdx:  make(map[string]int),
-		pkSet:   make(map[string]struct{}),
-	}
+	return &memTable{pkSet: make(map[string]struct{})}
 }
 
 func (b *memTable) rowCount() int { return len(b.rows) }
@@ -33,12 +26,7 @@ func (b *memTable) insert(row value.Row, pkKey string) error {
 		}
 		b.pkSet[pkKey] = struct{}{}
 	}
-	id := len(b.rows)
 	b.rows = append(b.rows, row)
-	for col, idx := range b.indexes {
-		k := row[b.colIdx[col]].Key()
-		idx[k] = append(idx[k], id)
-	}
 	return nil
 }
 
@@ -72,31 +60,6 @@ func (b *memTable) scanProject(need []bool, fn func(row value.Row) bool) error {
 		}
 	}
 	return nil
-}
-
-func (b *memTable) createIndex(col string, ci int) error {
-	idx := make(map[string][]int)
-	for id, row := range b.rows {
-		k := row[ci].Key()
-		idx[k] = append(idx[k], id)
-	}
-	b.indexes[col] = idx
-	b.colIdx[col] = ci
-	return nil
-}
-
-func (b *memTable) hasIndex(col string) bool {
-	_, ok := b.indexes[col]
-	return ok
-}
-
-func (b *memTable) indexLookup(col string, k string) ([]value.Row, error) {
-	ids := b.indexes[col][k]
-	out := make([]value.Row, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, b.rows[id].Clone())
-	}
-	return out, nil
 }
 
 func (b *memTable) err() error { return nil }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"tatooine/internal/store"
@@ -13,23 +12,17 @@ import (
 )
 
 // storeTable is the B-tree-backed table backend. Rows live in a rows
-// keyspace keyed by dense 8-byte big-endian row ids; each hash index is
-// its own keyspace whose keys are a framed value key followed by the
-// row id (so equal-value rows are one prefix scan); the primary-key set
-// is a keyspace of PK value keys. Writes become durable at the owning
-// store's next Commit.
+// keyspace keyed by dense 8-byte big-endian row ids; the primary-key set
+// is a keyspace of framed PK value keys. Writes become durable at the
+// owning store's next Commit.
 type storeTable struct {
-	st     store.Store
-	prefix string
-	rows   store.KV
-	pk     store.KV
-	ixs    map[string]store.KV // column -> index keyspace
-	colIdx map[string]int
-	count  int
-	fe     error // first swallowed read error
+	rows  store.KV
+	pk    store.KV
+	count int
+	fe    error // first swallowed read error
 }
 
-func openStoreTable(st store.Store, prefix string, schema Schema, indexed []string) (*storeTable, error) {
+func openStoreTable(st store.Store, prefix string) (*storeTable, error) {
 	rows, err := st.Keyspace(prefix + "/rows")
 	if err != nil {
 		return nil, err
@@ -38,28 +31,7 @@ func openStoreTable(st store.Store, prefix string, schema Schema, indexed []stri
 	if err != nil {
 		return nil, err
 	}
-	b := &storeTable{
-		st:     st,
-		prefix: prefix,
-		rows:   rows,
-		pk:     pk,
-		ixs:    make(map[string]store.KV),
-		colIdx: make(map[string]int),
-		count:  rows.Len(),
-	}
-	for _, col := range indexed {
-		ci := schema.ColumnIndex(col)
-		if ci < 0 {
-			return nil, fmt.Errorf("relstore: table %s: catalog indexes unknown column %q", schema.Name, col)
-		}
-		kv, err := st.Keyspace(prefix + "/ix/" + strings.ToLower(col))
-		if err != nil {
-			return nil, err
-		}
-		b.ixs[schema.Columns[ci].Name] = kv
-		b.colIdx[schema.Columns[ci].Name] = ci
-	}
-	return b, nil
+	return &storeTable{rows: rows, pk: pk, count: rows.Len()}, nil
 }
 
 func (b *storeTable) fail(err error) {
@@ -78,11 +50,9 @@ func rowIDKey(id int) []byte {
 	return k[:]
 }
 
-// ixValPrefix encodes a value key for use as an index-scan prefix.
-// Short keys are length-framed verbatim (tag 0); long ones are replaced
-// by their SHA-256 (tag 1) so index keys stay within the store's inline
-// key budget. Both forms are self-delimiting, so appending the row id
-// keeps exact-match prefix scans sound.
+// ixValPrefix encodes a value key as a store key. Short keys are
+// length-framed verbatim (tag 0); long ones are replaced by their
+// SHA-256 (tag 1) so keys stay within the store's inline key budget.
 func ixValPrefix(valKey string) []byte {
 	if len(valKey) > 512 {
 		sum := sha256.Sum256([]byte(valKey))
@@ -109,15 +79,8 @@ func (b *storeTable) insert(row value.Row, pkKey string) error {
 			return err
 		}
 	}
-	id := b.count
-	if _, err := b.rows.Put(rowIDKey(id), encodeRow(row)); err != nil {
+	if _, err := b.rows.Put(rowIDKey(b.count), encodeRow(row)); err != nil {
 		return err
-	}
-	for col, kv := range b.ixs {
-		key := append(ixValPrefix(row[b.colIdx[col]].Key()), rowIDKey(id)...)
-		if _, err := kv.Put(key, nil); err != nil {
-			return err
-		}
 	}
 	b.count++
 	return nil
@@ -144,90 +107,8 @@ func (b *storeTable) scanProject(need []bool, fn func(row value.Row) bool) error
 	return err
 }
 
-func (b *storeTable) createIndex(col string, ci int) error {
-	kv, err := b.st.Keyspace(b.prefix + "/ix/" + strings.ToLower(col))
-	if err != nil {
-		return err
-	}
-	// Rebuild from scratch: drop stale entries, then walk the rows.
-	var stale [][]byte
-	if err := kv.Scan(nil, func(k, _ []byte) bool {
-		stale = append(stale, append([]byte(nil), k...))
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, k := range stale {
-		if _, err := kv.Delete(k); err != nil {
-			return err
-		}
-	}
-	id := 0
-	var insErr error
-	if err := b.rows.Scan(nil, func(_, v []byte) bool {
-		row, err := decodeRow(v)
-		if err != nil {
-			insErr = err
-			return false
-		}
-		key := append(ixValPrefix(row[ci].Key()), rowIDKey(id)...)
-		if _, err := kv.Put(key, nil); err != nil {
-			insErr = err
-			return false
-		}
-		id++
-		return true
-	}); err != nil {
-		return err
-	}
-	if insErr != nil {
-		return insErr
-	}
-	b.ixs[col] = kv
-	b.colIdx[col] = ci
-	return nil
-}
-
-func (b *storeTable) hasIndex(col string) bool {
-	_, ok := b.ixs[col]
-	return ok
-}
-
-func (b *storeTable) indexLookup(col string, k string) ([]value.Row, error) {
-	kv := b.ixs[col]
-	var ids []int
-	if err := kv.Scan(ixValPrefix(k), func(key, _ []byte) bool {
-		ids = append(ids, int(binary.BigEndian.Uint64(key[len(key)-8:])))
-		return true
-	}); err != nil {
-		b.fail(err)
-		return nil, err
-	}
-	sort.Ints(ids)
-	out := make([]value.Row, 0, len(ids))
-	for _, id := range ids {
-		v, ok, err := b.rows.Get(rowIDKey(id))
-		if err != nil {
-			b.fail(err)
-			return nil, err
-		}
-		if !ok {
-			err := fmt.Errorf("relstore: index %s points at missing row %d", col, id)
-			b.fail(err)
-			return nil, err
-		}
-		row, err := decodeRow(v)
-		if err != nil {
-			b.fail(err)
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// diskCatalog persists table schemas and indexed-column lists for a
-// store-backed database in a meta keyspace, so OpenDatabase can rebuild
+// diskCatalog persists table schemas for a store-backed database in a
+// meta keyspace, so OpenDatabase can rebuild
 // the table set on a warm start.
 type diskCatalog struct {
 	st     store.Store
@@ -236,8 +117,7 @@ type diskCatalog struct {
 }
 
 type tableMeta struct {
-	Schema  Schema   `json:"schema"`
-	Indexes []string `json:"indexes,omitempty"`
+	Schema Schema `json:"schema"`
 }
 
 func (c *diskCatalog) tablePrefix(name string) string {
@@ -254,24 +134,20 @@ func (c *diskCatalog) writeMeta(tm tableMeta) error {
 }
 
 // createTable materializes a store-backed Table and records its schema
-// (with indexed columns) in the catalog.
-func (c *diskCatalog) createTable(schema Schema, indexed []string) (*Table, error) {
-	be, err := openStoreTable(c.st, c.tablePrefix(schema.Name), schema, indexed)
+// in the catalog.
+func (c *diskCatalog) createTable(schema Schema) (*Table, error) {
+	be, err := openStoreTable(c.st, c.tablePrefix(schema.Name))
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{schema: schema, be: be}
-	t.persistIndexes = func(cols []string) error {
-		return c.writeMeta(tableMeta{Schema: schema, Indexes: cols})
-	}
-	if err := c.writeMeta(tableMeta{Schema: schema, Indexes: indexed}); err != nil {
+	if err := c.writeMeta(tableMeta{Schema: schema}); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &Table{schema: schema, be: be}, nil
 }
 
 // OpenDatabase opens (or creates) a database persisted in st. Table
-// schemas, rows and indexes are loaded from the store; changes become
+// schemas and rows are loaded from the store; changes become
 // durable at the store's next Commit.
 func OpenDatabase(st store.Store, name string) (*Database, error) {
 	meta, err := st.Keyspace("rel/" + name + "/meta")
@@ -300,7 +176,7 @@ func OpenDatabase(st store.Store, name string) (*Database, error) {
 		return nil, loadErr
 	}
 	for _, tm := range metas {
-		t, err := cat.createTable(tm.Schema, tm.Indexes)
+		t, err := cat.createTable(tm.Schema)
 		if err != nil {
 			return nil, err
 		}

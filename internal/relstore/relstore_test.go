@@ -347,40 +347,6 @@ func TestUnknownTableAndColumn(t *testing.T) {
 	}
 }
 
-func TestIndexLookup(t *testing.T) {
-	db := electionsDB(t)
-	tbl := db.Table("resultats")
-	if err := tbl.CreateIndex("dept"); err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.HasIndex("dept") {
-		t.Error("index not registered")
-	}
-	rows, ok := tbl.LookupIndex("dept", value.NewString("75"))
-	if !ok || len(rows) != 4 {
-		t.Errorf("index lookup: ok=%v n=%d", ok, len(rows))
-	}
-	// Index stays consistent after further inserts.
-	if _, err := db.Exec(`INSERT INTO resultats VALUES ('75', 2017, 'LREM', 600000)`); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = tbl.LookupIndex("dept", value.NewString("75"))
-	if len(rows) != 5 {
-		t.Errorf("index after insert: %d", len(rows))
-	}
-}
-
-func TestDistinctValues(t *testing.T) {
-	db := electionsDB(t)
-	vals, err := db.Table("resultats").DistinctValues("party")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0].Str() != "LR" || vals[1].Str() != "PS" {
-		t.Errorf("distinct values: %v", vals)
-	}
-}
-
 func TestTableScanEarlyStop(t *testing.T) {
 	db := electionsDB(t)
 	n := 0

@@ -1,10 +1,10 @@
 // Package relstore implements TATOOINE's relational substrate: a
-// column-typed table store with hash indexes, primary and foreign keys,
-// a SQL-subset executor, and CSV import. It stands in for the curated
-// relational databases (INSEE, Ministry of Interior) that the paper's
-// mixed instances contain. Tables live in memory by default; a database
-// opened with OpenDatabase keeps rows, indexes and schemas on a
-// persistent store.Store.
+// column-typed table store with primary and foreign keys, a SQL-subset
+// executor, and CSV import. It stands in for the curated relational
+// databases (INSEE, Ministry of Interior) that the paper's mixed
+// instances contain. Tables live in memory by default; a database
+// opened with OpenDatabase keeps rows and schemas on a persistent
+// store.Store.
 package relstore
 
 import (
@@ -48,14 +48,14 @@ func (s *Schema) ColumnIndex(name string) int {
 }
 
 // tableBackend is the storage engine behind a Table: row storage plus
-// hash-index and primary-key bookkeeping. All methods are called with
+// primary-key bookkeeping. All methods are called with
 // the Table's lock held, so implementations need no internal locking.
 // Row ids are dense append positions (0..rowCount-1).
 type tableBackend interface {
 	rowCount() int
-	// insert stores the row (already type-checked) under the next row id
-	// and maintains every existing index. pkKey is "" when the table has
-	// no primary key; otherwise insert must reject duplicates.
+	// insert stores the row (already type-checked) under the next row id.
+	// pkKey is "" when the table has no primary key; otherwise insert
+	// must reject duplicates.
 	insert(row value.Row, pkKey string) error
 	// scan iterates rows in id order; stops when fn returns false. The
 	// row passed to fn must not be retained.
@@ -65,26 +65,16 @@ type tableBackend interface {
 	// original positions (so positional references stay valid). need ==
 	// nil means every column.
 	scanProject(need []bool, fn func(row value.Row) bool) error
-	// createIndex builds (or rebuilds) the hash index for the column at
-	// position ci, canonically named col.
-	createIndex(col string, ci int) error
-	hasIndex(col string) bool
-	// indexLookup returns the rows whose indexed column has value key k.
-	indexLookup(col string, k string) ([]value.Row, error)
 	// err returns the first storage error swallowed by an error-less
 	// read path (scan callbacks that cannot propagate), or nil.
 	err() error
 }
 
-// Table is a relation with optional hash indexes. All methods are safe
-// for concurrent use.
+// Table is a relation. All methods are safe for concurrent use.
 type Table struct {
 	mu     sync.RWMutex
 	schema Schema
 	be     tableBackend
-	// persistIndexes, when non-nil, records the table's indexed-column
-	// list in the owning database's catalog (set for store-backed tables).
-	persistIndexes func(cols []string) error
 }
 
 // NewTable creates an empty in-memory table with the given schema.
@@ -158,63 +148,6 @@ func (t *Table) pkKeyLocked(row value.Row) string {
 	return parts.Key()
 }
 
-// CreateIndex builds (or rebuilds) a hash index on the named column.
-func (t *Table) CreateIndex(column string) error {
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return fmt.Errorf("relstore: table %s: no column %q", t.schema.Name, column)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.be.createIndex(t.schema.Columns[ci].Name, ci); err != nil {
-		return err
-	}
-	if t.persistIndexes != nil {
-		var cols []string
-		for _, c := range t.schema.Columns {
-			if t.be.hasIndex(c.Name) {
-				cols = append(cols, c.Name)
-			}
-		}
-		return t.persistIndexes(cols)
-	}
-	return nil
-}
-
-// HasIndex reports whether the column has a hash index.
-func (t *Table) HasIndex(column string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return false
-	}
-	return t.be.hasIndex(t.schema.Columns[ci].Name)
-}
-
-// LookupIndex returns copies of the rows whose indexed column equals v.
-// The boolean is false when the column has no index.
-func (t *Table) LookupIndex(column string, v value.Value) ([]value.Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, false
-	}
-	col := t.schema.Columns[ci].Name
-	if !t.be.hasIndex(col) {
-		return nil, false
-	}
-	rows, err := t.be.indexLookup(col, v.Key())
-	if err != nil {
-		// The signature predates storage errors; a failed disk lookup
-		// reports "no index" so callers fall back to a table scan, whose
-		// own error surfaces through StoreErr.
-		return nil, false
-	}
-	return rows, true
-}
-
 // Scan calls fn with each row. The row slice must not be retained or
 // mutated by fn; clone if needed. Iteration stops when fn returns false.
 func (t *Table) Scan(fn func(row value.Row) bool) {
@@ -235,16 +168,6 @@ func (t *Table) Rows() []value.Row {
 	return out
 }
 
-// ScanProject is Scan with column pruning: only columns need[i] marks
-// true are materialized; the rest arrive as Nulls at their original
-// positions so positional references stay valid. A nil need scans every
-// column. Store-backed tables skip decoding pruned values entirely.
-func (t *Table) ScanProject(need []bool, fn func(row value.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.be.scanProject(need, fn)
-}
-
 // RowsProject returns a deep copy of all rows with only the columns
 // need[i] marks true materialized (Nulls elsewhere). A nil need is
 // equivalent to Rows.
@@ -257,32 +180,6 @@ func (t *Table) RowsProject(need []bool) []value.Row {
 		return true
 	})
 	return out
-}
-
-// DistinctValues returns the sorted distinct non-null values of a column.
-func (t *Table) DistinctValues(column string) ([]value.Value, error) {
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("relstore: table %s: no column %q", t.schema.Name, column)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	seen := make(map[string]value.Value)
-	if err := t.be.scan(func(r value.Row) bool {
-		if r[ci].IsNull() {
-			return true
-		}
-		seen[r[ci].Key()] = r[ci]
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	out := make([]value.Value, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return value.Less(out[i], out[j]) })
-	return out, nil
 }
 
 // Database is a named collection of tables.
@@ -325,7 +222,7 @@ func (db *Database) CreateTable(schema Schema) (*Table, error) {
 	var t *Table
 	if db.disk != nil {
 		var err error
-		if t, err = db.disk.createTable(schema, nil); err != nil {
+		if t, err = db.disk.createTable(schema); err != nil {
 			return nil, err
 		}
 	} else {

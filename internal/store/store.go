@@ -4,7 +4,7 @@
 // on-disk B-tree engine (internal/pager + internal/btree).
 //
 // The layers above — rdf.Graph's SPO/POS/OSP indexes and dictionary,
-// relstore.Table's rows and secondary indexes, core.Instance's durable
+// relstore.Table's rows and primary keys, core.Instance's durable
 // catalog — talk only to this interface, so the hot probe paths are
 // backend-agnostic: a cursor over a B-tree page and a cursor over an
 // in-memory page behave identically, and everything written between
