@@ -225,12 +225,26 @@
 // root join, a bind join's outer over several dependencies, a dynamic
 // atom's materialized outer) follows one rule: the next build side is
 // the first one sharing a column with what is joined so far, and a
-// cross product happens only when nothing connects. A property test
-// checks 2,000 randomized CMQs against a nested-loop reference
-// evaluator (internal/core/oracle_test.go). They include dynamic atoms
-// (directory atoms among them, some returning their own designator),
-// bind joins on two IN variables from different producers, repeated
-// OUT variables, DISTINCT, ORDER BY and LIMIT.
+// cross product happens only when nothing connects. The plan resolves
+// every column to a position: each chain's join keys and appended
+// columns, a bind join's IN positions, a dynamic atom's designator
+// position, and the finish (projection, or group keys and aggregate
+// inputs, and the sort column). Operators carry no column names, so a
+// query the planner accepts cannot fail at run time for want of a
+// column. A plain head variable outside GROUP BY is refused when the
+// query is validated, before any source is called. An aggregated head
+// without GROUP BY answers an empty join with one row, as SQL does:
+// COUNT and COUNT DISTINCT 0, SUM, AVG, MIN and MAX NULL. A grouped
+// aggregate over an empty join has no rows. A property test checks
+// 2,000 randomized CMQs against a nested-loop reference evaluator
+// (internal/core/oracle_test.go). They include dynamic atoms (directory
+// atoms among them, some returning their own designator), bind joins
+// on two IN variables from different producers, repeated OUT
+// variables, heads that are a random subset of the variables in random
+// order, aggregated heads (GROUP BY a random subset or none; COUNT,
+// COUNT DISTINCT, MIN, MAX), DISTINCT, ORDER BY and LIMIT. The first
+// four seeds also run with a one-byte join memory budget, so every
+// keyed join spills to disk.
 //
 // Execution is cancellable end to end: the POST /cmq request context
 // flows through Instance.ExecuteContext into every DAG node, probe

@@ -79,31 +79,31 @@ func (h HeadItem) String() string {
 	return s
 }
 
-// AggregateIterator groups its input by key columns and computes
-// aggregate columns, emitting one row per group.
-type AggregateIterator struct {
-	in      Iterator
-	groupBy []string
-	items   []HeadItem
-	cols    []string
-	rows    []value.Row
-	pos     int
+// aggItem is one output column of an aggregated head: agg over the
+// input position pos, or (AggNone) the group's value at pos.
+type aggItem struct {
+	agg AggKind
+	pos int
 }
 
-// NewAggregate builds the grouping operator. Output columns follow the
-// items' order (group keys must appear among the plain items).
-func NewAggregate(in Iterator, groupBy []string, items []HeadItem) *AggregateIterator {
-	a := &AggregateIterator{in: in, groupBy: groupBy, items: items}
-	for _, it := range items {
-		a.cols = append(a.cols, it.Name())
-	}
-	return a
+// aggregateIterator groups its input by the key positions and computes
+// one output column per item, emitting one row per group. Without key
+// positions the whole input is one group, so an empty input still
+// yields one row: COUNT 0 and NULL for the other aggregates, as SQL
+// does.
+type aggregateIterator struct {
+	in    Iterator
+	group []int
+	items []aggItem
+	rows  []value.Row
+	pos   int
 }
 
-func (a *AggregateIterator) Cols() []string { return a.cols }
+func newAggregate(in Iterator, group []int, items []aggItem) *aggregateIterator {
+	return &aggregateIterator{in: in, group: group, items: items}
+}
 
 type aggState struct {
-	count    int
 	distinct map[string]struct{}
 	sum      float64
 	sumInt   int64
@@ -112,49 +112,9 @@ type aggState struct {
 	nonNull  int
 }
 
-func (a *AggregateIterator) Open() error {
+func (a *aggregateIterator) Open() error {
 	if err := a.in.Open(); err != nil {
 		return err
-	}
-	inCols := a.in.Cols()
-	colPos := func(name string) (int, error) {
-		i, ok := indexOf(inCols, name)
-		if !ok {
-			return 0, fmt.Errorf("core: aggregate input misses column %q (has %v)", name, inCols)
-		}
-		return i, nil
-	}
-	keyPos := make([]int, len(a.groupBy))
-	for i, g := range a.groupBy {
-		p, err := colPos(g)
-		if err != nil {
-			return err
-		}
-		keyPos[i] = p
-	}
-	itemPos := make([]int, len(a.items))
-	for i, it := range a.items {
-		p, err := colPos(it.Var)
-		if err != nil {
-			return err
-		}
-		itemPos[i] = p
-	}
-	// Validate: plain items must be group keys (or there is no grouping
-	// and exactly one global group with only aggregates).
-	for _, it := range a.items {
-		if it.Agg != AggNone {
-			continue
-		}
-		found := false
-		for _, g := range a.groupBy {
-			if g == it.Var {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: plain head variable ?%s must appear in GROUP BY", it.Var)
-		}
 	}
 
 	type group struct {
@@ -180,9 +140,9 @@ func (a *AggregateIterator) Open() error {
 			break
 		}
 		var key string
-		if len(a.groupBy) > 0 {
-			parts := make(value.Row, len(keyPos))
-			for i, p := range keyPos {
+		if len(a.group) > 0 {
+			parts := make(value.Row, len(a.group))
+			for i, p := range a.group {
 				parts[i] = row[p]
 			}
 			key = parts.Key()
@@ -194,17 +154,16 @@ func (a *AggregateIterator) Open() error {
 			order = append(order, key)
 		}
 		for i, it := range a.items {
-			if it.Agg == AggNone {
+			if it.agg == AggNone {
 				continue
 			}
 			st := g.states[i]
-			v := row[itemPos[i]]
-			st.count++
+			v := row[it.pos]
 			if v.IsNull() {
 				continue
 			}
 			st.nonNull++
-			switch it.Agg {
+			switch it.agg {
 			case AggCountDistinct:
 				st.distinct[v.Key()] = struct{}{}
 			case AggSum, AggAvg:
@@ -216,7 +175,7 @@ func (a *AggregateIterator) Open() error {
 					st.isFloat = true
 					st.sum += v.Float()
 				default:
-					return fmt.Errorf("core: %s over non-numeric value %s", it.Agg, v)
+					return fmt.Errorf("core: %s over non-numeric value %s", it.agg, v)
 				}
 			case AggMin:
 				if st.min.IsNull() || value.Less(v, st.min) {
@@ -230,15 +189,19 @@ func (a *AggregateIterator) Open() error {
 		}
 	}
 
+	if len(order) == 0 && len(a.group) == 0 {
+		groups[""] = &group{states: newStates()}
+		order = append(order, "")
+	}
 	a.rows = a.rows[:0]
 	for _, key := range order {
 		g := groups[key]
 		out := make(value.Row, len(a.items))
 		for i, it := range a.items {
 			st := g.states[i]
-			switch it.Agg {
+			switch it.agg {
 			case AggNone:
-				out[i] = g.rep[itemPos[i]]
+				out[i] = g.rep[it.pos]
 			case AggCount:
 				out[i] = value.NewInt(int64(st.nonNull))
 			case AggCountDistinct:
@@ -269,7 +232,7 @@ func (a *AggregateIterator) Open() error {
 	return nil
 }
 
-func (a *AggregateIterator) Next() (value.Row, bool, error) {
+func (a *aggregateIterator) Next() (value.Row, bool, error) {
 	if a.pos >= len(a.rows) {
 		return nil, false, nil
 	}
@@ -278,4 +241,4 @@ func (a *AggregateIterator) Next() (value.Row, bool, error) {
 	return row, true, nil
 }
 
-func (a *AggregateIterator) Close() error { return a.in.Close() }
+func (a *aggregateIterator) Close() error { return a.in.Close() }

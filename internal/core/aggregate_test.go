@@ -8,27 +8,27 @@ import (
 )
 
 func TestAggregateIteratorGrouping(t *testing.T) {
-	r := rel([]string{"party", "votes", "t"},
-		[]any{"PS", 10, "a"}, []any{"PS", 20, "b"}, []any{"LR", 5, "c"},
+	// Columns: party, votes, t.
+	r := mkRows([]any{"PS", 10, "a"}, []any{"PS", 20, "b"}, []any{"LR", 5, "c"},
 		[]any{"LR", 5, "c"}, []any{"PS", 30, "d"})
-	items := []HeadItem{
-		{Var: "party"},
-		{Var: "t", Agg: AggCount, Alias: "n"},
-		{Var: "t", Agg: AggCountDistinct, Alias: "dn"},
-		{Var: "votes", Agg: AggSum, Alias: "sum"},
-		{Var: "votes", Agg: AggAvg, Alias: "avg"},
-		{Var: "votes", Agg: AggMin, Alias: "lo"},
-		{Var: "votes", Agg: AggMax, Alias: "hi"},
+	items := []aggItem{
+		{AggNone, 0},
+		{AggCount, 2},
+		{AggCountDistinct, 2},
+		{AggSum, 1},
+		{AggAvg, 1},
+		{AggMin, 1},
+		{AggMax, 1},
 	}
-	got, err := Materialize(NewAggregate(NewScan(r), []string{"party"}, items))
+	got, err := Materialize(newAggregate(newScan(r), []int{0}, items))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 2 {
-		t.Fatalf("groups: %+v", got.Rows)
+	if len(got) != 2 {
+		t.Fatalf("groups: %+v", got)
 	}
 	byParty := map[string]value.Row{}
-	for _, row := range got.Rows {
+	for _, row := range got {
 		byParty[row[0].Str()] = row
 	}
 	ps := byParty["PS"]
@@ -40,59 +40,106 @@ func TestAggregateIteratorGrouping(t *testing.T) {
 	if lr[1].Int() != 2 || lr[2].Int() != 1 || lr[3].Int() != 10 {
 		t.Errorf("LR aggregates: %+v", lr)
 	}
-	if got.Cols[1] != "n" || got.Cols[3] != "sum" {
-		t.Errorf("cols: %v", got.Cols)
-	}
 }
 
 func TestAggregateGlobalGroup(t *testing.T) {
-	r := rel([]string{"v"}, []any{1}, []any{2}, []any{3})
-	got, err := Materialize(NewAggregate(NewScan(r), nil, []HeadItem{
-		{Var: "v", Agg: AggCount, Alias: "n"},
-		{Var: "v", Agg: AggSum, Alias: "s"},
-	}))
+	r := mkRows([]any{1}, []any{2}, []any{3})
+	got, err := Materialize(newAggregate(newScan(r), nil, []aggItem{{AggCount, 0}, {AggSum, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 1 || got.Rows[0][0].Int() != 3 || got.Rows[0][1].Int() != 6 {
-		t.Errorf("global group: %+v", got.Rows)
+	if len(got) != 1 || got[0][0].Int() != 3 || got[0][1].Int() != 6 {
+		t.Errorf("global group: %+v", got)
 	}
 }
 
 func TestAggregateNullHandling(t *testing.T) {
-	r := rel([]string{"g", "v"}, []any{"a", 1}, []any{"a", nil}, []any{"a", 3})
-	got, err := Materialize(NewAggregate(NewScan(r), []string{"g"}, []HeadItem{
-		{Var: "g"},
-		{Var: "v", Agg: AggCount, Alias: "n"},
-		{Var: "v", Agg: AggAvg, Alias: "avg"},
+	r := mkRows([]any{"a", 1}, []any{"a", nil}, []any{"a", 3})
+	got, err := Materialize(newAggregate(newScan(r), []int{0}, []aggItem{
+		{AggNone, 0},
+		{AggCount, 1},
+		{AggAvg, 1},
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// COUNT and AVG skip nulls.
-	if got.Rows[0][1].Int() != 2 || got.Rows[0][2].Float() != 2 {
-		t.Errorf("null handling: %+v", got.Rows[0])
+	if got[0][1].Int() != 2 || got[0][2].Float() != 2 {
+		t.Errorf("null handling: %+v", got[0])
 	}
 }
 
+// TestAggregatePlainVarMustBeGrouped: a plain head variable outside
+// GROUP BY is refused at plan time — by Validate, by explain and by
+// execution — before any source is called.
 func TestAggregatePlainVarMustBeGrouped(t *testing.T) {
-	r := rel([]string{"a", "b"}, []any{"x", 1})
-	_, err := Materialize(NewAggregate(NewScan(r), []string{"a"}, []HeadItem{
-		{Var: "b"}, // not in GROUP BY
-		{Var: "a", Agg: AggCount},
-	}))
-	if err == nil {
-		t.Error("ungrouped plain variable accepted")
+	in, probe := streamFixture(t, 3, 0)
+	q := mustParse(t, `
+QUERY q(?v, COUNT(?k) AS ?n)
+FROM <sql://seed> OUT(?k) { SELECT k FROM seed }
+FROM <sql://probe> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
+GROUP BY ?k
+`)
+	const want = "plain head variable ?v must appear in GROUP BY"
+	if err := q.Validate(nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	if _, err := in.ExplainQuery(q, ExecOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ExplainQuery = %v, want %q", err, want)
+	}
+	if _, err := in.ExecuteOpts(q, ExecOptions{Parallel: true}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Execute = %v, want %q", err, want)
+	}
+	if n := probe.calls.Load(); n != 0 {
+		t.Fatalf("refused query called the probe source %d times", n)
 	}
 }
 
 func TestAggregateSumNonNumericFails(t *testing.T) {
-	r := rel([]string{"v"}, []any{"text"})
-	_, err := Materialize(NewAggregate(NewScan(r), nil, []HeadItem{
-		{Var: "v", Agg: AggSum},
-	}))
+	_, err := Materialize(newAggregate(newScan(mkRows([]any{"text"})), nil, []aggItem{{AggSum, 0}}))
 	if err == nil {
 		t.Error("SUM over strings accepted")
+	}
+}
+
+// TestGlobalAggregateOverEmptyJoin: an aggregated head without GROUP BY
+// answers an empty join with one row, as SQL does — COUNT and COUNT
+// DISTINCT 0, SUM, AVG, MIN and MAX NULL — while a grouped aggregate
+// over the same empty join has no groups and so no rows.
+func TestGlobalAggregateOverEmptyJoin(t *testing.T) {
+	in := fixtureInstance(t)
+	const body = `
+GRAPH { ?x :twitterAccount ?id }
+FROM <solr://tweets> IN(?id) OUT(?t, ?id, ?rt)
+  { SEARCH tweets WHERE user.screen_name = ? AND entities.hashtags = 'nosuchtag' RETURN _id, user.screen_name, retweet_count }
+`
+	res, err := in.Query(`QUERY q(COUNT(?t) AS ?n, COUNT(DISTINCT ?id) AS ?authors, SUM(?rt) AS ?s,
+  AVG(?rt) AS ?a, MIN(?t) AS ?lo, MAX(?t) AS ?hi)` + body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalStrings(res.Cols, []string{"n", "authors", "s", "a", "lo", "hi"}) {
+		t.Fatalf("cols: %v", res.Cols)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("global aggregate over an empty join: %d rows, want 1", len(res.Rows))
+	}
+	row := res.Rows[0]
+	if row[0].Kind() != value.Int || row[0].Int() != 0 || row[1].Kind() != value.Int || row[1].Int() != 0 {
+		t.Errorf("COUNT, COUNT DISTINCT = %v, %v, want 0, 0", row[0], row[1])
+	}
+	for i := 2; i < len(row); i++ {
+		if !row[i].IsNull() {
+			t.Errorf("%s = %v, want NULL", res.Cols[i], row[i])
+		}
+	}
+
+	res, err = in.Query(`QUERY q(?id, COUNT(?t) AS ?n)` + body + `GROUP BY ?id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("grouped aggregate over an empty join: %+v, want no rows", res.Rows)
 	}
 }
 

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -166,8 +167,9 @@ func (a Atom) outVars(prefixes map[string]string) ([]string, error) {
 }
 
 // Validate checks the query's structural rules: head variables must be
-// produced by some atom, source designator variables must be produced
-// by another atom, and every atom needs a source designation.
+// produced by some atom, a plain variable of an aggregated head must be
+// grouped, source designator variables must be produced by another
+// atom, and every atom needs a source designation.
 func (q *CMQ) Validate(prefixes map[string]string) error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("core: query has no body atoms")
@@ -193,6 +195,9 @@ func (q *CMQ) Validate(prefixes map[string]string) error {
 	for _, it := range q.HeadItems {
 		if _, ok := produced[it.Var]; !ok {
 			return fmt.Errorf("core: head variable ?%s is not produced by any atom", it.Var)
+		}
+		if it.Agg == AggNone && !slices.Contains(q.GroupBy, it.Var) {
+			return fmt.Errorf("core: plain head variable ?%s must appear in GROUP BY", it.Var)
 		}
 	}
 	for _, v := range q.GroupBy {

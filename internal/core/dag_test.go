@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -68,8 +69,13 @@ func randomSources(t *testing.T, rng *rand.Rand, stride, span int) *Instance {
 // variable or on two from different producers, directory scans binding
 // source URIs, and dynamic FROM ?s atoms over those URIs — directory
 // atoms among them, some returning their own designator — the shapes
-// the planner turns into multi-level DAGs. About a third of the queries
-// each are DISTINCT, ORDER BY a head variable, and LIMITed.
+// the planner turns into multi-level DAGs. The head is a random subset
+// of the variables in random order, or, for about a third of the
+// queries, aggregated: GROUP BY a random subset of the variables (maybe
+// none), some of them as plain head items, and COUNT, COUNT DISTINCT,
+// MIN or MAX over variables. About a third of the queries each are
+// DISTINCT, ORDER BY a head column (an aggregate's alias included) and
+// LIMITed.
 func randomCMQ(rng *rand.Rand) string {
 	nAtoms := 2 + rng.Intn(3)
 	var vars, keys, uris []string
@@ -138,16 +144,39 @@ func randomCMQ(rng *rand.Rand) string {
 			atoms = append(atoms, fmt.Sprintf("FROM %s OUT(?%s, ?%s) { SELECT k, src FROM d }", from, k, u))
 		}
 	}
-	head := make([]string, len(vars))
-	for i, v := range vars {
-		head[i] = "?" + v
+	var head, named []string // head items, and the column names ORDER BY can use
+	var group []string
+	if rng.Intn(3) == 0 {
+		for _, v := range vars {
+			if rng.Intn(3) == 0 {
+				group = append(group, "?"+v)
+				if rng.Intn(2) == 0 {
+					head = append(head, "?"+v)
+					named = append(named, v)
+				}
+			}
+		}
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			agg := []string{"COUNT(?%s)", "COUNT(DISTINCT ?%s)", "MIN(?%s)", "MAX(?%s)"}[rng.Intn(4)]
+			head = append(head, fmt.Sprintf(agg+" AS ?a%d", pick(vars), n))
+			named = append(named, fmt.Sprintf("a%d", n))
+		}
+		rng.Shuffle(len(head), func(i, j int) { head[i], head[j] = head[j], head[i] })
+	} else {
+		for _, i := range rng.Perm(len(vars))[:1+rng.Intn(len(vars))] {
+			head = append(head, "?"+vars[i])
+			named = append(named, vars[i])
+		}
 	}
 	q := "QUERY q(" + strings.Join(head, ", ") + ")\n" + strings.Join(atoms, "\n")
+	if len(group) > 0 {
+		q += "\nGROUP BY " + strings.Join(group, ", ")
+	}
 	if rng.Intn(3) == 0 {
 		q += "\nDISTINCT"
 	}
 	if rng.Intn(3) == 0 {
-		q += "\nORDER BY ?" + pick(vars)
+		q += "\nORDER BY ?" + pick(named)
 		if rng.Intn(2) == 0 {
 			q += " DESC"
 		}
@@ -160,22 +189,30 @@ func randomCMQ(rng *rand.Rand) string {
 
 // oracleModes are the executor configurations every oracle property
 // runs: parallel, sequential, and naive order with per-tuple probes.
-var oracleModes = []struct {
+type oracleMode struct {
 	name string
 	opts ExecOptions
-}{
+}
+
+var oracleModes = []oracleMode{
 	{"parallel", ExecOptions{Parallel: true}},
 	{"sequential", ExecOptions{Parallel: false}},
 	{"naive-order-per-tuple", ExecOptions{Parallel: true, NaiveOrder: true, ProbeBatch: 1}},
 }
 
 // TestExecutorMatchesOracle is the executor's acceptance property: over
-// randomized CMQs — dynamic atoms, DISTINCT, ORDER BY and LIMIT
-// included — every execution mode returns the reference evaluator's
-// answer (oracle_test.go). Run under -race in CI.
+// randomized CMQs — dynamic atoms, aggregated heads, DISTINCT, ORDER BY
+// and LIMIT included — every execution mode returns the reference
+// evaluator's answer (oracle_test.go). The first seeds also run with a
+// one-byte join memory budget, so every keyed join spills. Run under
+// -race in CI.
 func TestExecutorMatchesOracle(t *testing.T) {
-	const seeds, queries = 20, 100
+	const seeds, queries, spillSeeds = 20, 100, 4
 	for seed := int64(0); seed < seeds; seed++ {
+		modes := oracleModes
+		if seed < spillSeeds {
+			modes = append(slices.Clip(modes), oracleMode{"spill", ExecOptions{Parallel: true, JoinMemBudget: 1}})
+		}
 		rng := rand.New(rand.NewSource(seed))
 		in := randomFixture(t, rng)
 		for qn := 0; qn < queries; qn++ {
@@ -185,7 +222,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d query %d (oracle): %v\n%s", seed, qn, err, text)
 			}
-			for _, cfg := range oracleModes {
+			for _, cfg := range modes {
 				res, err := in.ExecuteOpts(q, cfg.opts)
 				if err == nil {
 					err = want.check(q, res)

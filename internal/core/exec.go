@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -209,15 +208,12 @@ func (ex *executor) addStats(subQueries, rows int) {
 	ex.mu.Unlock()
 }
 
-// newJoin builds a hash join under the executor's memory policy: with
-// JoinMemBudget set, an oversized build side spills to disk and the
-// spill surfaces in ExecStats and the process metrics.
-func (ex *executor) newJoin(left, right Iterator) Iterator {
-	if ex.opts.JoinMemBudget <= 0 {
-		return NewHashJoin(left, right)
-	}
+// newJoin builds the hash join j under the executor's memory policy:
+// with JoinMemBudget set, an oversized build side spills to disk and
+// the spill surfaces in ExecStats and the process metrics.
+func (ex *executor) newJoin(left, right Iterator, j joinStep) Iterator {
 	counted := false
-	return NewHashJoinBudget(left, right, ex.opts.JoinMemBudget, func(bytes int64) {
+	return newHashJoin(left, right, j, ex.opts.JoinMemBudget, func(bytes int64) {
 		ex.mu.Lock()
 		if !counted {
 			counted = true
@@ -257,21 +253,17 @@ func (in *Instance) atomSource(a Atom, prefixes map[string]string) (source.DataS
 }
 
 // runDynamic resolves the designating variable's distinct values from
-// the outer relation and ships the sub-query to each discovered source:
+// the outer rows and ships the sub-query to each discovered source:
 // a scan, or — for an atom with IN variables — a bind join over the
 // outer rows that designate that source. The URI heads the layout's
 // prefix, so output rows join back to the rows that mentioned their
 // source (§2.2's per-embedding source resolution).
-func (ex *executor) runDynamic(s PlanStep, rel *Relation, emit func([]value.Row) error, sp *obs.Span) error {
+func (ex *executor) runDynamic(s PlanStep, outer []value.Row, emit func([]value.Row) error, sp *obs.Span) error {
 	a := ex.q.Atoms[s.AtomIndex]
-	ci := rel.colIndex(a.SourceVar)
-	if ci < 0 {
-		return fmt.Errorf("core: dynamic source variable ?%s not in intermediate relation", a.SourceVar)
-	}
 	byURI := make(map[string][]value.Row)
-	for _, row := range rel.Rows {
-		if !row[ci].IsNull() {
-			byURI[row[ci].Str()] = append(byURI[row[ci].Str()], row)
+	for _, row := range outer {
+		if u := row[s.desig]; !u.IsNull() {
+			byURI[u.Str()] = append(byURI[u.Str()], row)
 		}
 	}
 	ex.mu.Lock()
@@ -285,8 +277,7 @@ func (ex *executor) runDynamic(s PlanStep, rel *Relation, emit func([]value.Row)
 		}
 		head := value.Row{value.NewString(uri)}
 		if s.BindJoin {
-			outer := NewScan(&Relation{Cols: rel.Cols, Rows: byURI[uri]})
-			if err := ex.streamBindJoin(src, s, head, outer, emit, sp); err != nil {
+			if err := ex.streamBindJoin(src, s, head, newScan(byURI[uri]), emit, sp); err != nil {
 				return err
 			}
 			continue
@@ -318,20 +309,6 @@ type paramTuple struct {
 type binder struct {
 	head  value.Row // prefix values ahead of the parameters
 	inPos []int     // the InVars' positions in the outer input
-}
-
-// newBinder resolves the atom's InVars against the outer columns.
-func newBinder(a Atom, head value.Row, outerCols []string) (*binder, error) {
-	b := &binder{head: head}
-	for _, iv := range a.Sub.InVars {
-		v := strings.TrimPrefix(iv, "?")
-		p, ok := indexOf(outerCols, v)
-		if !ok {
-			return nil, fmt.Errorf("core: bind-join variable ?%s not in intermediate relation", v)
-		}
-		b.inPos = append(b.inPos, p)
-	}
-	return b, nil
 }
 
 // extract pulls one outer row's parameter tuple; ok=false skips the
@@ -396,35 +373,30 @@ func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, l *layout, chu
 	return merged, false, nil
 }
 
-// finishIter chains the finishing operators — head projection (or
-// grouped aggregation), distinct, order, limit — over the body
+// finishIter chains the plan's finishing operators — head projection
+// (or grouped aggregation), distinct, order, limit — over the body
 // pipeline. When the query is non-distinct, unordered and
 // non-aggregating, the limit pushes BELOW the projection: the bound
 // cuts the body pipeline (and, streaming, cancels upstream probes)
 // before any per-row projection work, not after.
-func (ex *executor) finishIter(input Iterator) Iterator {
-	it := input
-	pushLimit := ex.q.Limit > 0 && !ex.q.Distinct && ex.q.OrderBy == "" && len(ex.q.HeadItems) == 0
-	if pushLimit {
-		it = NewLimit(it, ex.q.Limit)
+func (ex *executor) finishIter(it Iterator) Iterator {
+	f := &ex.plan.finish
+	if f.pushLimit {
+		it = newLimit(it, ex.q.Limit)
 	}
-	if len(ex.q.HeadItems) > 0 {
-		it = NewAggregate(it, ex.q.GroupBy, ex.q.HeadItems)
+	if len(f.aggs) > 0 {
+		it = newAggregate(it, f.group, f.aggs)
 	} else {
-		head := ex.q.Head
-		if len(head) == 0 {
-			head = input.Cols()
-		}
-		it = NewProject(it, head)
+		it = newProject(it, f.proj)
 	}
 	if ex.q.Distinct {
-		it = NewDistinct(it)
+		it = newDistinct(it)
 	}
-	if ex.q.OrderBy != "" {
-		it = NewSort(it, ex.q.OrderBy, ex.q.OrderDesc)
+	if f.sort >= 0 {
+		it = newSort(it, f.sort, ex.q.OrderDesc)
 	}
-	if ex.q.Limit > 0 && !pushLimit {
-		it = NewLimit(it, ex.q.Limit)
+	if ex.q.Limit > 0 && !f.pushLimit {
+		it = newLimit(it, ex.q.Limit)
 	}
 	return it
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -225,14 +223,13 @@ func (ex *executor) runDAGStream() *StreamingResult {
 	pctx, cancel := context.WithCancel(ex.ctx)
 	ex.ctx = pctx // every probe observes sibling failures and consumer abandonment alike
 
-	run := &streamRun{ex: ex, sink: ex.plan.StreamSink(), cancel: cancel,
+	run := &streamRun{ex: ex, sink: ex.plan.root.stream, cancel: cancel,
 		bufs: make([]*nodeBuffer, len(steps))}
-	for i, s := range steps {
-		cols := s.layout.cols
+	for i := range steps {
 		if i == run.sink {
-			run.stream = NewBatchStream(cols, streamChanBatches)
+			run.stream = NewBatchStream(streamChanBatches)
 		} else {
-			run.bufs[i] = newNodeBuffer(cols)
+			run.bufs[i] = newNodeBuffer()
 		}
 	}
 
@@ -244,47 +241,30 @@ func (ex *executor) runDAGStream() *StreamingResult {
 		}(i)
 	}
 
-	it := ex.finishIter(run.rootChain())
-	return &StreamingResult{Cols: it.Cols(), Plan: ex.plan, ex: ex, run: run, it: it}
+	// The root chain: the sink's live stream probes hash joins whose
+	// build sides are the other nodes' outputs (their Open blocks until
+	// those nodes complete — the builds overlap with the sink's drain,
+	// which is where the time-to-first-row win comes from).
+	it := ex.finishIter(run.chainIter(&ex.plan.root))
+	return &StreamingResult{Cols: ex.plan.finish.cols, Plan: ex.plan, ex: ex, run: run, it: it}
 }
 
-// rootChain assembles the final join: the sink's live stream probes a
-// join chain whose build sides are the other nodes' outputs (their Open
-// blocks until those nodes complete — the builds overlap with the
-// sink's drain, which is where the time-to-first-row win comes from).
-func (r *streamRun) rootChain() Iterator {
-	var builds []Iterator
-	for i := range r.ex.plan.Steps {
-		if i != r.sink {
-			builds = append(builds, r.cursor(i))
-		}
-	}
-	return r.ex.joinChain(newStreamIterator(r.stream), builds)
-}
-
-// joinChain is the one rule every join chain is built by: stream probes
-// a left-deep chain of hash joins, and the next build side is the first
-// remaining one sharing a column with what is joined so far — a cross
-// product only when nothing connects.
-func (ex *executor) joinChain(stream Iterator, builds []Iterator) Iterator {
-	it := stream
-	for len(builds) > 0 {
-		pick := 0 // nothing connects: unavoidable cross product
-		for j, b := range builds {
-			if slices.ContainsFunc(b.Cols(), func(c string) bool { return slices.Contains(it.Cols(), c) }) {
-				pick = j
-				break
-			}
-		}
-		it = ex.newJoin(it, builds[pick])
-		builds = slices.Delete(builds, pick, pick+1)
+// chainIter builds a plan-time join chain over the nodes' outputs.
+func (r *streamRun) chainIter(c *chain) Iterator {
+	it := r.output(c.stream)
+	for _, j := range c.joins {
+		it = r.ex.newJoin(it, r.output(j.build), j)
 	}
 	return it
 }
 
-// cursor reads node i's progressive output from the start.
-func (r *streamRun) cursor(i int) Iterator {
-	return newCursorIterator(r.bufs[i].cursor(r.ex.ctx))
+// output reads node i's output from the start: the sink's live stream
+// or a cursor over the node's progressive buffer.
+func (r *streamRun) output(i int) Iterator {
+	if i == r.sink {
+		return &chunkIterator{in: r.stream, cancel: r.stream.Cancel}
+	}
+	return &chunkIterator{in: r.bufs[i].cursor(r.ex.ctx)}
 }
 
 // runNode produces one plan step's output, closing its handoff with
@@ -336,7 +316,7 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 		// Dynamic resolution needs the complete outer result: the set of
 		// URIs to contact comes from all of it (§2.2), so this node waits
 		// for its dependencies to finish.
-		outer, err := Materialize(r.outerIter(s))
+		outer, err := Materialize(r.chainIter(&s.outer))
 		if err != nil {
 			return err
 		}
@@ -361,7 +341,7 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 		ex.mu.Lock()
 		ex.stats.BindJoins++
 		ex.mu.Unlock()
-		return ex.streamBindJoin(src, s, nil, r.outerIter(s), emit, sp)
+		return ex.streamBindJoin(src, s, nil, r.chainIter(&s.outer), emit, sp)
 	}
 	res, err := ex.scanSource(src, a, sp)
 	if err != nil {
@@ -372,24 +352,6 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 		return err
 	}
 	return emit(rows)
-}
-
-// outerIter builds a node's outer input from its dependencies: the
-// most downstream one streams through its progressive cursor, and the
-// others join in as build sides by the join-chain rule (their cursors
-// drain to completion at Open). Nil when the node has no dependencies.
-func (r *streamRun) outerIter(s PlanStep) Iterator {
-	if len(s.Deps) == 0 {
-		return nil
-	}
-	stream := slices.Max(s.Deps)
-	var builds []Iterator
-	for _, d := range s.Deps {
-		if d != stream {
-			builds = append(builds, r.cursor(d))
-		}
-	}
-	return r.ex.joinChain(r.cursor(stream), builds)
 }
 
 // streamBindJoin executes the atom once per distinct combination of its
@@ -407,18 +369,12 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 	outer Iterator, emit func([]value.Row) error, sp *obs.Span) error {
 
 	a := ex.q.Atoms[s.AtomIndex]
-	if outer == nil {
-		return fmt.Errorf("core: bind join for atom %s has no outer bindings", a.Designator())
-	}
 	if err := outer.Open(); err != nil {
 		outer.Close()
 		return err
 	}
 	defer outer.Close()
-	bind, err := newBinder(a, head, outer.Cols())
-	if err != nil {
-		return err
-	}
+	bind := binder{head: head, inPos: s.inPos}
 
 	// Digest semi-join pruning: tuples the digest excludes never enter a
 	// chunk (so fully-pruned chunks never dispatch), and the Bloom

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 
@@ -10,10 +9,9 @@ import (
 )
 
 // Iterator is the Volcano-style operator interface of the residual-join
-// engine: Open, repeated Next until exhausted, Close.
+// engine: Open, repeated Next until exhausted, Close. Operators carry
+// no column names: the plan resolved every column to a position.
 type Iterator interface {
-	// Cols returns the output column names, stable across the iteration.
-	Cols() []string
 	// Open prepares the iterator; it must be called before Next.
 	Open() error
 	// Next returns the next row. ok=false signals exhaustion.
@@ -22,32 +20,16 @@ type Iterator interface {
 	Close() error
 }
 
-// Relation is a materialized intermediate result.
-type Relation struct {
-	Cols []string
-	Rows []value.Row
-}
-
-// colIndex returns the position of name, or -1.
-func (r *Relation) colIndex(name string) int {
-	for i, c := range r.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Materialize drains an iterator into a Relation. A Close error on a
-// cleanly drained input surfaces (a streaming input may only learn of
-// an upstream failure when it releases its resources); after an Open
-// or Next error the Close error is secondary and the original wins.
-func Materialize(it Iterator) (*Relation, error) {
+// Materialize drains an iterator into rows. A Close error on a cleanly
+// drained input surfaces (a streaming input may only learn of an
+// upstream failure when it releases its resources); after an Open or
+// Next error the Close error is secondary and the original wins.
+func Materialize(it Iterator) ([]value.Row, error) {
 	if err := it.Open(); err != nil {
 		it.Close()
 		return nil, err
 	}
-	out := &Relation{Cols: it.Cols()}
+	var out []value.Row
 	for {
 		row, ok, err := it.Next()
 		if err != nil {
@@ -60,7 +42,7 @@ func Materialize(it Iterator) (*Relation, error) {
 			}
 			return out, nil
 		}
-		out.Rows = append(out.Rows, row)
+		out = append(out, row)
 	}
 }
 
@@ -87,97 +69,63 @@ func iterBuffered(it Iterator) bool {
 
 // ---------- scan ----------
 
-// ScanIterator iterates a materialized relation.
-type ScanIterator struct {
-	rel    *Relation
+// scanIterator iterates materialized rows.
+type scanIterator struct {
+	rows   []value.Row
 	pos    int
 	closed bool
 }
 
-// NewScan returns an iterator over rel.
-func NewScan(rel *Relation) *ScanIterator { return &ScanIterator{rel: rel} }
+func newScan(rows []value.Row) *scanIterator { return &scanIterator{rows: rows} }
 
-func (s *ScanIterator) Cols() []string { return s.rel.Cols }
-func (s *ScanIterator) Open() error    { s.pos = 0; return nil }
+func (s *scanIterator) Open() error { s.pos = 0; return nil }
 
 // Close is idempotent; a closed scan stops yielding rows.
-func (s *ScanIterator) Close() error {
+func (s *scanIterator) Close() error {
 	s.closed = true
 	return nil
 }
 
-func (s *ScanIterator) Next() (value.Row, bool, error) {
-	if s.closed || s.pos >= len(s.rel.Rows) {
+func (s *scanIterator) Next() (value.Row, bool, error) {
+	if s.closed || s.pos >= len(s.rows) {
 		return nil, false, nil
 	}
-	row := s.rel.Rows[s.pos]
+	row := s.rows[s.pos]
 	s.pos++
 	return row, true, nil
 }
 
 // ---------- hash join ----------
 
-// HashJoinIterator joins two inputs on their shared column names
-// (natural join); with no shared columns it degrades to a cross
-// product. The right input is materialized into a hash table on Open;
-// the left side streams. With a budget set (NewHashJoinBudget) a build
-// side that outgrows it spills to a Grace-style partitioned on-disk
-// join instead of growing without bound — see spilljoin.go.
-type HashJoinIterator struct {
+// hashJoin joins two inputs on the key positions of a plan-time
+// joinStep; with no keys it degrades to a cross product. The right
+// input is materialized into a hash table on Open; the left side
+// streams. With a positive budget, a build side that outgrows it
+// spills to a Grace-style partitioned on-disk join instead of growing
+// without bound — see spilljoin.go.
+type hashJoin struct {
 	left, right Iterator
-	cols        []string
-	shared      []string
-	leftKey     []int // positions of shared cols in left
-	rightKey    []int // positions of shared cols in right
-	rightPass   []int // positions of right cols not shared
-	table       map[string][]value.Row
-	rightRows   []value.Row // used for cross product
-	cur         value.Row   // current left row
-	matches     []value.Row // pending right matches for cur
-	mi          int
-	closed      bool
+	joinStep
+	table     map[string][]value.Row
+	rightRows []value.Row // used for cross product
+	cur       value.Row   // current left row
+	matches   []value.Row // pending right matches for cur
+	mi        int
+	closed    bool
 
-	budget  int64             // build-side byte budget; 0 = unbounded
+	budget  int64             // build-side byte budget; <= 0 never spills
 	onSpill func(bytes int64) // called with byte deltas as spill files grow
 	sj      *spillJoin        // non-nil once the build side spilled
 }
 
-// NewHashJoin builds a natural-join iterator over the inputs.
-func NewHashJoin(left, right Iterator) *HashJoinIterator {
-	h := &HashJoinIterator{left: left, right: right}
-	lcols, rcols := left.Cols(), right.Cols()
-	rset := make(map[string]int, len(rcols))
-	for i, c := range rcols {
-		rset[c] = i
-	}
-	for i, c := range lcols {
-		if j, ok := rset[c]; ok {
-			h.shared = append(h.shared, c)
-			h.leftKey = append(h.leftKey, i)
-			h.rightKey = append(h.rightKey, j)
-		}
-	}
-	h.cols = append(h.cols, lcols...)
-	for i, c := range rcols {
-		if _, dup := indexOf(lcols, c); !dup {
-			h.cols = append(h.cols, c)
-			h.rightPass = append(h.rightPass, i)
-		}
-	}
-	return h
-}
-
-// NewHashJoinBudget is NewHashJoin with a build-side memory budget in
-// bytes; when the right input's estimated footprint exceeds it, the
-// join spills both sides to a temporary on-disk store and joins
-// partition-at-a-time (same row multiset, different order). budget <= 0
-// never spills. onSpill, when non-nil, receives byte deltas as spill
-// files grow. Cross products (no shared columns) never spill.
-func NewHashJoinBudget(left, right Iterator, budget int64, onSpill func(bytes int64)) *HashJoinIterator {
-	h := NewHashJoin(left, right)
-	h.budget = budget
-	h.onSpill = onSpill
-	return h
+// newHashJoin builds the join j of left and right under a build-side
+// memory budget in bytes: when the right input's estimated footprint
+// exceeds it, the join spills both sides to a temporary on-disk store
+// and joins partition-at-a-time (same row multiset, different order).
+// onSpill, when non-nil, receives byte deltas as spill files grow.
+// Cross products never spill.
+func newHashJoin(left, right Iterator, j joinStep, budget int64, onSpill func(bytes int64)) *hashJoin {
+	return &hashJoin{left: left, right: right, joinStep: j, budget: budget, onSpill: onSpill}
 }
 
 // rowFootprint estimates a resident row's memory cost: slice and value
@@ -194,25 +142,14 @@ func rowFootprint(r value.Row) int64 {
 	return n
 }
 
-func indexOf(cols []string, name string) (int, bool) {
-	for i, c := range cols {
-		if c == name {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-func (h *HashJoinIterator) Cols() []string { return h.cols }
-
-func (h *HashJoinIterator) Open() error {
+func (h *hashJoin) Open() error {
 	if err := h.left.Open(); err != nil {
 		return err
 	}
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	if len(h.shared) == 0 {
+	if len(h.leftKey) == 0 {
 		for {
 			row, ok, err := h.right.Next()
 			if err != nil {
@@ -297,7 +234,7 @@ func joinKey(row value.Row, positions []int) (string, bool) {
 	return b.String(), false
 }
 
-func (h *HashJoinIterator) Next() (value.Row, bool, error) {
+func (h *hashJoin) Next() (value.Row, bool, error) {
 	if h.sj != nil {
 		return h.sj.next()
 	}
@@ -313,7 +250,7 @@ func (h *HashJoinIterator) Next() (value.Row, bool, error) {
 		}
 		h.cur = row
 		h.mi = 0
-		if len(h.shared) == 0 {
+		if len(h.leftKey) == 0 {
 			h.matches = h.rightRows
 			continue
 		}
@@ -326,10 +263,10 @@ func (h *HashJoinIterator) Next() (value.Row, bool, error) {
 	}
 }
 
-func (h *HashJoinIterator) combine(l, r value.Row) value.Row {
-	out := make(value.Row, 0, len(h.cols))
+func (h *hashJoin) combine(l, r value.Row) value.Row {
+	out := make(value.Row, 0, len(l)+len(h.pass))
 	out = append(out, l...)
-	for _, p := range h.rightPass {
+	for _, p := range h.pass {
 		out = append(out, r[p])
 	}
 	return out
@@ -338,7 +275,7 @@ func (h *HashJoinIterator) combine(l, r value.Row) value.Row {
 // Close closes both inputs exactly once, combining their errors
 // (errors.Join) so a failure in either child surfaces instead of one
 // masking the other. Repeated calls are no-ops returning nil.
-func (h *HashJoinIterator) Close() error {
+func (h *hashJoin) Close() error {
 	if h.closed {
 		return nil
 	}
@@ -356,7 +293,7 @@ func (h *HashJoinIterator) Close() error {
 // nothing. A spilled join's first Next blocks draining the probe side
 // (a grace join barriers on both inputs); afterwards everything is
 // local, so it defers to the left input's readiness either way.
-func (h *HashJoinIterator) Buffered() bool {
+func (h *hashJoin) Buffered() bool {
 	if h.sj != nil && h.sj.leftDone {
 		return true
 	}
@@ -365,34 +302,20 @@ func (h *HashJoinIterator) Buffered() bool {
 
 // ---------- project ----------
 
-// ProjectIterator reorders/narrows columns by name.
-type ProjectIterator struct {
-	in   Iterator
-	cols []string
-	pos  []int
+// projectIterator reorders/narrows columns: output column i is input
+// position pos[i].
+type projectIterator struct {
+	in  Iterator
+	pos []int
 }
 
-// NewProject projects the input onto cols (which must exist in the
-// input); construction errors surface at Open.
-func NewProject(in Iterator, cols []string) *ProjectIterator {
-	return &ProjectIterator{in: in, cols: cols}
+func newProject(in Iterator, pos []int) *projectIterator {
+	return &projectIterator{in: in, pos: pos}
 }
 
-func (p *ProjectIterator) Cols() []string { return p.cols }
+func (p *projectIterator) Open() error { return p.in.Open() }
 
-func (p *ProjectIterator) Open() error {
-	p.pos = p.pos[:0]
-	for _, c := range p.cols {
-		i, ok := indexOf(p.in.Cols(), c)
-		if !ok {
-			return fmt.Errorf("core: projection column %q not in input %v", c, p.in.Cols())
-		}
-		p.pos = append(p.pos, i)
-	}
-	return p.in.Open()
-}
-
-func (p *ProjectIterator) Next() (value.Row, bool, error) {
+func (p *projectIterator) Next() (value.Row, bool, error) {
 	row, ok, err := p.in.Next()
 	if err != nil || !ok {
 		return nil, false, err
@@ -404,36 +327,33 @@ func (p *ProjectIterator) Next() (value.Row, bool, error) {
 	return out, true, nil
 }
 
-func (p *ProjectIterator) Close() error { return p.in.Close() }
+func (p *projectIterator) Close() error { return p.in.Close() }
 
 // Buffered reports whether the input has a row ready (projection is
 // row-at-a-time, so it adds no buffering of its own).
-func (p *ProjectIterator) Buffered() bool { return iterBuffered(p.in) }
+func (p *projectIterator) Buffered() bool { return iterBuffered(p.in) }
 
 // ---------- distinct ----------
 
-// DistinctIterator removes duplicate rows.
-type DistinctIterator struct {
+// distinctIterator removes duplicate rows.
+type distinctIterator struct {
 	in   Iterator
 	seen map[string]struct{}
 }
 
-// NewDistinct wraps in with duplicate elimination.
-func NewDistinct(in Iterator) *DistinctIterator { return &DistinctIterator{in: in} }
+func newDistinct(in Iterator) *distinctIterator { return &distinctIterator{in: in} }
 
-func (d *DistinctIterator) Cols() []string { return d.in.Cols() }
-
-func (d *DistinctIterator) Open() error {
+func (d *distinctIterator) Open() error {
 	d.seen = make(map[string]struct{})
 	return d.in.Open()
 }
 
-func (d *DistinctIterator) Close() error { return d.in.Close() }
+func (d *distinctIterator) Close() error { return d.in.Close() }
 
 // Buffered is best effort: a ready input row may be a duplicate.
-func (d *DistinctIterator) Buffered() bool { return iterBuffered(d.in) }
+func (d *distinctIterator) Buffered() bool { return iterBuffered(d.in) }
 
-func (d *DistinctIterator) Next() (value.Row, bool, error) {
+func (d *distinctIterator) Next() (value.Row, bool, error) {
 	for {
 		row, ok, err := d.in.Next()
 		if err != nil || !ok {
@@ -450,29 +370,22 @@ func (d *DistinctIterator) Next() (value.Row, bool, error) {
 
 // ---------- sort ----------
 
-// SortIterator materializes and orders rows by one column.
-type SortIterator struct {
+// sortIterator materializes and orders rows by the column at pos.
+type sortIterator struct {
 	in   Iterator
-	col  string
+	pos  int
 	desc bool
 	rows []value.Row
-	pos  int
+	next int
 }
 
-// NewSort sorts the input by the named column.
-func NewSort(in Iterator, col string, desc bool) *SortIterator {
-	return &SortIterator{in: in, col: col, desc: desc}
+func newSort(in Iterator, pos int, desc bool) *sortIterator {
+	return &sortIterator{in: in, pos: pos, desc: desc}
 }
 
-func (s *SortIterator) Cols() []string { return s.in.Cols() }
-
-func (s *SortIterator) Open() error {
+func (s *sortIterator) Open() error {
 	if err := s.in.Open(); err != nil {
 		return err
-	}
-	ci, ok := indexOf(s.in.Cols(), s.col)
-	if !ok {
-		return fmt.Errorf("core: sort column %q not in input %v", s.col, s.in.Cols())
 	}
 	s.rows = nil
 	for {
@@ -486,50 +399,49 @@ func (s *SortIterator) Open() error {
 		s.rows = append(s.rows, row)
 	}
 	sort.SliceStable(s.rows, func(i, j int) bool {
-		c, _ := value.Compare(s.rows[i][ci], s.rows[j][ci])
+		c, _ := value.Compare(s.rows[i][s.pos], s.rows[j][s.pos])
 		if s.desc {
 			return c > 0
 		}
 		return c < 0
 	})
-	s.pos = 0
+	s.next = 0
 	return nil
 }
 
-func (s *SortIterator) Next() (value.Row, bool, error) {
-	if s.pos >= len(s.rows) {
+func (s *sortIterator) Next() (value.Row, bool, error) {
+	if s.next >= len(s.rows) {
 		return nil, false, nil
 	}
-	row := s.rows[s.pos]
-	s.pos++
+	row := s.rows[s.next]
+	s.next++
 	return row, true, nil
 }
 
-func (s *SortIterator) Close() error { return s.in.Close() }
+func (s *sortIterator) Close() error { return s.in.Close() }
 
 // ---------- limit ----------
 
-// LimitIterator truncates the input after n rows.
-type LimitIterator struct {
+// limitIterator truncates the input after n rows.
+type limitIterator struct {
 	in   Iterator
 	n    int
 	seen int
 }
 
-// NewLimit bounds the input to n rows (n <= 0 passes everything).
-func NewLimit(in Iterator, n int) *LimitIterator { return &LimitIterator{in: in, n: n} }
+// newLimit bounds the input to n rows (n <= 0 passes everything).
+func newLimit(in Iterator, n int) *limitIterator { return &limitIterator{in: in, n: n} }
 
-func (l *LimitIterator) Cols() []string { return l.in.Cols() }
-func (l *LimitIterator) Open() error    { l.seen = 0; return l.in.Open() }
-func (l *LimitIterator) Close() error   { return l.in.Close() }
+func (l *limitIterator) Open() error  { l.seen = 0; return l.in.Open() }
+func (l *limitIterator) Close() error { return l.in.Close() }
 
 // Buffered reports whether Next returns without blocking — trivially
 // true once the bound is reached (exhaustion is immediate).
-func (l *LimitIterator) Buffered() bool {
+func (l *limitIterator) Buffered() bool {
 	return (l.n > 0 && l.seen >= l.n) || iterBuffered(l.in)
 }
 
-func (l *LimitIterator) Next() (value.Row, bool, error) {
+func (l *limitIterator) Next() (value.Row, bool, error) {
 	if l.n > 0 && l.seen >= l.n {
 		return nil, false, nil
 	}

@@ -8,11 +8,11 @@ import (
 	"tatooine/internal/value"
 )
 
-func rel(cols []string, rows ...[]any) *Relation {
-	r := &Relation{Cols: cols}
-	for _, raw := range rows {
-		row := make(value.Row, len(raw))
-		for i, v := range raw {
+func mkRows(raw ...[]any) []value.Row {
+	var out []value.Row
+	for _, r := range raw {
+		row := make(value.Row, len(r))
+		for i, v := range r {
 			switch x := v.(type) {
 			case string:
 				row[i] = value.NewString(x)
@@ -27,141 +27,141 @@ func rel(cols []string, rows ...[]any) *Relation {
 				row[i] = t
 			}
 		}
-		r.Rows = append(r.Rows, row)
+		out = append(out, row)
 	}
-	return r
+	return out
+}
+
+// naturalJoin joins two scans on their shared columns, resolved the way
+// the planner resolves a chain's joins.
+func naturalJoin(left, right Iterator, lcols, rcols []string, budget int64, onSpill func(int64)) *hashJoin {
+	j, _ := joinOn(lcols, rcols)
+	return newHashJoin(left, right, j, budget, onSpill)
 }
 
 func TestScanAndMaterialize(t *testing.T) {
-	r := rel([]string{"a", "b"}, []any{"x", 1}, []any{"y", 2})
-	got, err := Materialize(NewScan(r))
+	got, err := Materialize(newScan(mkRows([]any{"x", 1}, []any{"y", 2})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 2 || got.Cols[1] != "b" {
+	if len(got) != 2 || got[1][1].Int() != 2 {
 		t.Errorf("materialize: %+v", got)
 	}
 }
 
 func TestHashJoinShared(t *testing.T) {
-	left := rel([]string{"id", "name"},
-		[]any{"p1", "Hollande"}, []any{"p2", "Dupont"}, []any{"p3", "Martin"})
-	right := rel([]string{"id", "party"},
-		[]any{"p1", "PS"}, []any{"p2", "LR"}, []any{"p2", "UDI"}, []any{"p9", "X"})
-	got, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+	lcols, rcols := []string{"id", "name"}, []string{"id", "party"}
+	left := mkRows([]any{"p1", "Hollande"}, []any{"p2", "Dupont"}, []any{"p3", "Martin"})
+	right := mkRows([]any{"p1", "PS"}, []any{"p2", "LR"}, []any{"p2", "UDI"}, []any{"p9", "X"})
+	if _, cols := joinOn(lcols, rcols); !equalStrings(cols, []string{"id", "name", "party"}) {
+		t.Fatalf("cols: %v", cols)
+	}
+	got, err := Materialize(naturalJoin(newScan(left), newScan(right), lcols, rcols, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Cols) != 3 {
-		t.Fatalf("cols: %v", got.Cols)
-	}
-	if len(got.Rows) != 3 { // p1×1, p2×2
-		t.Errorf("rows: %d %v", len(got.Rows), got.Rows)
+	if len(got) != 3 { // p1×1, p2×2
+		t.Errorf("rows: %d %v", len(got), got)
 	}
 }
 
 func TestHashJoinMultiColumn(t *testing.T) {
-	left := rel([]string{"a", "b", "x"}, []any{"1", "1", "l1"}, []any{"1", "2", "l2"})
-	right := rel([]string{"a", "b", "y"}, []any{"1", "1", "r1"}, []any{"2", "2", "r2"})
-	got, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+	left := mkRows([]any{"1", "1", "l1"}, []any{"1", "2", "l2"})
+	right := mkRows([]any{"1", "1", "r1"}, []any{"2", "2", "r2"})
+	got, err := Materialize(naturalJoin(newScan(left), newScan(right),
+		[]string{"a", "b", "x"}, []string{"a", "b", "y"}, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 1 || got.Rows[0][3].Str() != "r1" {
-		t.Errorf("multi-col join: %+v", got.Rows)
+	if len(got) != 1 || got[0][3].Str() != "r1" {
+		t.Errorf("multi-col join: %+v", got)
 	}
 }
 
 func TestHashJoinCrossProduct(t *testing.T) {
-	left := rel([]string{"a"}, []any{"x"}, []any{"y"})
-	right := rel([]string{"b"}, []any{1}, []any{2}, []any{3})
-	got, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+	left := mkRows([]any{"x"}, []any{"y"})
+	right := mkRows([]any{1}, []any{2}, []any{3})
+	got, err := Materialize(naturalJoin(newScan(left), newScan(right), []string{"a"}, []string{"b"}, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 6 {
-		t.Errorf("cross product: %d rows", len(got.Rows))
+	if len(got) != 6 {
+		t.Errorf("cross product: %d rows", len(got))
 	}
 }
 
 func TestHashJoinNullsNeverJoin(t *testing.T) {
-	left := rel([]string{"k", "l"}, []any{nil, "ln"}, []any{"a", "la"})
-	right := rel([]string{"k", "r"}, []any{nil, "rn"}, []any{"a", "ra"})
-	got, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+	left := mkRows([]any{nil, "ln"}, []any{"a", "la"})
+	right := mkRows([]any{nil, "rn"}, []any{"a", "ra"})
+	got, err := Materialize(naturalJoin(newScan(left), newScan(right),
+		[]string{"k", "l"}, []string{"k", "r"}, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 1 {
-		t.Errorf("null join rows: %+v", got.Rows)
+	if len(got) != 1 {
+		t.Errorf("null join rows: %+v", got)
 	}
 }
 
 func TestHashJoinCrossNumericKeys(t *testing.T) {
-	left := rel([]string{"k", "l"}, []any{1, "int"})
-	right := rel([]string{"k", "r"}, []any{1.0, "float"})
-	got, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+	left := mkRows([]any{1, "int"})
+	right := mkRows([]any{1.0, "float"})
+	got, err := Materialize(naturalJoin(newScan(left), newScan(right),
+		[]string{"k", "l"}, []string{"k", "r"}, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 1 {
-		t.Errorf("1 and 1.0 must hash-join: %+v", got.Rows)
+	if len(got) != 1 {
+		t.Errorf("1 and 1.0 must hash-join: %+v", got)
 	}
 }
 
 func TestProject(t *testing.T) {
-	r := rel([]string{"a", "b", "c"}, []any{"1", "2", "3"})
-	got, err := Materialize(NewProject(NewScan(r), []string{"c", "a"}))
+	got, err := Materialize(newProject(newScan(mkRows([]any{"1", "2", "3"})), []int{2, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rows[0][0].Str() != "3" || got.Rows[0][1].Str() != "1" {
-		t.Errorf("project: %+v", got.Rows)
-	}
-	if _, err := Materialize(NewProject(NewScan(r), []string{"zz"})); err == nil {
-		t.Error("projecting missing column should fail")
+	if got[0][0].Str() != "3" || got[0][1].Str() != "1" {
+		t.Errorf("project: %+v", got)
 	}
 }
 
 func TestDistinct(t *testing.T) {
-	r := rel([]string{"a", "b"}, []any{"x", 1}, []any{"x", 1}, []any{"x", 2})
-	got, err := Materialize(NewDistinct(NewScan(r)))
+	got, err := Materialize(newDistinct(newScan(mkRows([]any{"x", 1}, []any{"x", 1}, []any{"x", 2}))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 2 {
-		t.Errorf("distinct: %+v", got.Rows)
+	if len(got) != 2 {
+		t.Errorf("distinct: %+v", got)
 	}
 }
 
 func TestSortAndLimit(t *testing.T) {
-	r := rel([]string{"n", "s"}, []any{3, "c"}, []any{1, "a"}, []any{2, "b"})
-	got, err := Materialize(NewLimit(NewSort(NewScan(r), "n", true), 2))
+	r := mkRows([]any{3, "c"}, []any{1, "a"}, []any{2, "b"})
+	got, err := Materialize(newLimit(newSort(newScan(r), 0, true), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 2 || got.Rows[0][0].Int() != 3 || got.Rows[1][0].Int() != 2 {
-		t.Errorf("sort desc limit: %+v", got.Rows)
-	}
-	if _, err := Materialize(NewSort(NewScan(r), "zz", false)); err == nil {
-		t.Error("sorting by missing column should fail")
+	if len(got) != 2 || got[0][0].Int() != 3 || got[1][0].Int() != 2 {
+		t.Errorf("sort desc limit: %+v", got)
 	}
 }
 
 func TestIteratorComposition(t *testing.T) {
 	// Join → project → distinct → sort asc → limit pipeline.
-	left := rel([]string{"id", "v"}, []any{"a", 3}, []any{"b", 1}, []any{"c", 2})
-	right := rel([]string{"id"}, []any{"a"}, []any{"b"}, []any{"c"}, []any{"a"})
-	var it Iterator = NewHashJoin(NewScan(left), NewScan(right))
-	it = NewProject(it, []string{"v"})
-	it = NewDistinct(it)
-	it = NewSort(it, "v", false)
-	it = NewLimit(it, 2)
+	left := mkRows([]any{"a", 3}, []any{"b", 1}, []any{"c", 2})
+	right := mkRows([]any{"a"}, []any{"b"}, []any{"c"}, []any{"a"})
+	var it Iterator = naturalJoin(newScan(left), newScan(right), []string{"id", "v"}, []string{"id"}, 0, nil)
+	it = newProject(it, []int{1})
+	it = newDistinct(it)
+	it = newSort(it, 0, false)
+	it = newLimit(it, 2)
 	got, err := Materialize(it)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 2 || got.Rows[0][0].Int() != 1 || got.Rows[1][0].Int() != 2 {
-		t.Errorf("pipeline: %+v", got.Rows)
+	if len(got) != 2 || got[0][0].Int() != 1 || got[1][0].Int() != 2 {
+		t.Errorf("pipeline: %+v", got)
 	}
 }
 
@@ -183,7 +183,7 @@ func (c *closeTrackIterator) Close() error {
 }
 
 func TestScanCloseIdempotent(t *testing.T) {
-	s := NewScan(rel([]string{"a"}, []any{"x"}, []any{"y"}))
+	s := newScan(mkRows([]any{"x"}, []any{"y"}))
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,14 @@ func TestScanCloseIdempotent(t *testing.T) {
 
 func TestHashJoinCloseIdempotentAndPropagates(t *testing.T) {
 	left := &closeTrackIterator{
-		Iterator: NewScan(rel([]string{"a"}, []any{"x"})),
+		Iterator: newScan(mkRows([]any{"x"})),
 		closeErr: errors.New("left: flush failed"),
 	}
 	right := &closeTrackIterator{
-		Iterator: NewScan(rel([]string{"a"}, []any{"x"})),
+		Iterator: newScan(mkRows([]any{"x"})),
 		closeErr: errors.New("right: flush failed"),
 	}
-	j := NewHashJoin(left, right)
+	j := naturalJoin(left, right, []string{"a"}, []string{"a"}, 0, nil)
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestHashJoinCloseIdempotentAndPropagates(t *testing.T) {
 
 func TestMaterializeSurfacesCloseError(t *testing.T) {
 	it := &closeTrackIterator{
-		Iterator: NewScan(rel([]string{"a"}, []any{"x"})),
+		Iterator: newScan(mkRows([]any{"x"})),
 		closeErr: errors.New("close: flush failed"),
 	}
 	if _, err := Materialize(it); err == nil || !strings.Contains(err.Error(), "flush failed") {

@@ -18,15 +18,12 @@ import (
 // source for scans — no batching, pruning, digests, planning or
 // streaming — and the body joins by nested loops over bindings, in
 // declaration order as far as designators and IN variables allow.
-// Head projection, DISTINCT, ORDER BY and LIMIT are then applied in
-// plain loops. Aggregated heads are out of its scope.
+// Head projection or grouping, DISTINCT, ORDER BY and LIMIT are then
+// applied in plain loops.
 
 // oracleQuery evaluates q over in and returns the head columns and the
 // finished rows.
 func oracleQuery(in *Instance, q *CMQ) ([]string, []value.Row, error) {
-	if len(q.HeadItems) > 0 {
-		return nil, nil, fmt.Errorf("oracle: aggregated heads are not supported")
-	}
 	prefixes := in.prefixesFor(q.Prefixes)
 	var vars []string           // bound variables, in binding order
 	bindings := []value.Row{{}} // one row of values per embedding
@@ -53,21 +50,28 @@ func oracleQuery(in *Instance, q *CMQ) ([]string, []value.Row, error) {
 		}
 	}
 
-	cols := q.Head
-	var rows []value.Row
-	seen := map[string]bool{}
-	for _, b := range bindings {
-		row := make(value.Row, len(cols))
-		for i, c := range cols {
-			row[i] = b[slices.Index(vars, c)]
+	cols, rows := q.Head, []value.Row(nil)
+	if len(q.HeadItems) > 0 {
+		var err error
+		if cols, rows, err = oracleGroup(q, vars, bindings); err != nil {
+			return nil, nil, err
 		}
-		if q.Distinct {
-			if seen[row.Key()] {
-				continue
+	} else {
+		for _, b := range bindings {
+			row := make(value.Row, len(cols))
+			for i, c := range cols {
+				row[i] = b[slices.Index(vars, c)]
 			}
-			seen[row.Key()] = true
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
+	}
+	if q.Distinct {
+		seen := map[string]bool{}
+		rows = slices.DeleteFunc(rows, func(r value.Row) bool {
+			dup := seen[r.Key()]
+			seen[r.Key()] = true
+			return dup
+		})
 	}
 	if q.OrderBy != "" {
 		ci := slices.Index(cols, q.OrderBy)
@@ -81,6 +85,65 @@ func oracleQuery(in *Instance, q *CMQ) ([]string, []value.Row, error) {
 	}
 	if q.Limit > 0 && len(rows) > q.Limit {
 		rows = rows[:q.Limit]
+	}
+	return cols, rows, nil
+}
+
+// oracleGroup evaluates an aggregated head: one row per distinct
+// combination of GROUP BY values, and exactly one row — over no
+// bindings too — without GROUP BY. COUNT counts non-NULL values, COUNT
+// DISTINCT distinct ones, and MIN and MAX are NULL over no values.
+func oracleGroup(q *CMQ, vars []string, bindings []value.Row) ([]string, []value.Row, error) {
+	var cols []string
+	for _, it := range q.HeadItems {
+		cols = append(cols, it.Name())
+	}
+	groups := map[string][]value.Row{}
+	var keys []string
+	for _, b := range bindings {
+		var k value.Row
+		for _, g := range q.GroupBy {
+			k = append(k, b[slices.Index(vars, g)])
+		}
+		if _, ok := groups[k.Key()]; !ok {
+			keys = append(keys, k.Key())
+		}
+		groups[k.Key()] = append(groups[k.Key()], b)
+	}
+	if len(q.GroupBy) == 0 && len(keys) == 0 {
+		keys = []string{value.Row(nil).Key()}
+	}
+	var rows []value.Row
+	for _, k := range keys {
+		row := make(value.Row, len(q.HeadItems))
+		for i, it := range q.HeadItems {
+			pos := slices.Index(vars, it.Var)
+			var vals []value.Value // the group's non-NULL values
+			for _, b := range groups[k] {
+				if !b[pos].IsNull() {
+					vals = append(vals, b[pos])
+				}
+			}
+			slices.SortFunc(vals, func(a, b value.Value) int { c, _ := value.Compare(a, b); return c })
+			switch it.Agg {
+			case AggNone:
+				row[i] = groups[k][0][pos]
+			case AggCount:
+				row[i] = value.NewInt(int64(len(vals)))
+			case AggCountDistinct:
+				row[i] = value.NewInt(int64(len(slices.CompactFunc(vals, value.Equal))))
+			case AggMin, AggMax:
+				row[i] = value.NewNull()
+				if len(vals) > 0 && it.Agg == AggMin {
+					row[i] = vals[0]
+				} else if len(vals) > 0 {
+					row[i] = vals[len(vals)-1]
+				}
+			default:
+				return nil, nil, fmt.Errorf("oracle: %s is not supported", it.Agg)
+			}
+		}
+		rows = append(rows, row)
 	}
 	return cols, rows, nil
 }

@@ -39,6 +39,12 @@ type PlanStep struct {
 	Deps []int
 
 	layout layout
+	// outer is a bind join's or dynamic atom's input: its dependencies
+	// joined into one chain. inPos are the InVars' positions in it, and
+	// desig is a dynamic atom's designator position.
+	outer chain
+	inPos []int
+	desig int
 }
 
 // mode names how the step runs: "scan" or "bind-join(?a,...)", with
@@ -143,6 +149,113 @@ next:
 // dependency of a step precedes it.
 type Plan struct {
 	Steps []PlanStep
+
+	root   chain  // the final join over every step's output
+	finish finish // the head, DISTINCT, ORDER BY and LIMIT over root
+}
+
+// joinStep is one hash join of a chain: the plan step whose output is
+// the build side, the key positions on both sides, and the build-side
+// positions appended to each probe row.
+type joinStep struct {
+	build    int
+	leftKey  []int
+	rightKey []int
+	pass     []int
+}
+
+// chain is a left-deep hash-join chain: the stream step's output
+// probes the joins in order. Each join's build side is the first
+// remaining one sharing a column with what is joined so far, and a
+// cross product happens only when nothing connects.
+type chain struct {
+	stream int
+	joins  []joinStep
+	cols   []string // output columns
+}
+
+// newChain joins the outputs of the steps in inputs, stream among
+// them, into one chain.
+func newChain(steps []PlanStep, stream int, inputs []int) chain {
+	c := chain{stream: stream, cols: steps[stream].layout.cols}
+	builds := slices.DeleteFunc(slices.Clone(inputs), func(i int) bool { return i == stream })
+	for len(builds) > 0 {
+		pick := 0 // nothing connects: unavoidable cross product
+		for j, b := range builds {
+			if slices.ContainsFunc(steps[b].layout.cols, func(v string) bool { return slices.Contains(c.cols, v) }) {
+				pick = j
+				break
+			}
+		}
+		var j joinStep
+		j, c.cols = joinOn(c.cols, steps[builds[pick]].layout.cols)
+		j.build = builds[pick]
+		c.joins = append(c.joins, j)
+		builds = slices.Delete(builds, pick, pick+1)
+	}
+	return c
+}
+
+// joinOn is the natural join of left and right columns: the shared
+// columns are the keys, in left order, and the output is left followed
+// by right's other columns.
+func joinOn(left, right []string) (joinStep, []string) {
+	var j joinStep
+	for i, v := range left {
+		if k := slices.Index(right, v); k >= 0 {
+			j.leftKey = append(j.leftKey, i)
+			j.rightKey = append(j.rightKey, k)
+		}
+	}
+	cols := slices.Clip(left)
+	for k, v := range right {
+		if !slices.Contains(left, v) {
+			j.pass = append(j.pass, k)
+			cols = append(cols, v)
+		}
+	}
+	return j, cols
+}
+
+// finish is the plan's finishing stage over the root chain's columns:
+// a projection (proj) or a grouped aggregation (group, aggs), then the
+// sort position in the result columns (-1 without ORDER BY). pushLimit
+// puts LIMIT below the projection.
+type finish struct {
+	cols      []string // result columns
+	proj      []int
+	group     []int
+	aggs      []aggItem
+	sort      int
+	pushLimit bool
+}
+
+// newFinish resolves the head against the root chain's columns. The
+// query was validated, so every name is there.
+func newFinish(q *CMQ, in []string) finish {
+	f := finish{sort: -1,
+		pushLimit: q.Limit > 0 && !q.Distinct && q.OrderBy == "" && len(q.HeadItems) == 0}
+	if len(q.HeadItems) > 0 {
+		for _, g := range q.GroupBy {
+			f.group = append(f.group, slices.Index(in, g))
+		}
+		for _, it := range q.HeadItems {
+			f.aggs = append(f.aggs, aggItem{agg: it.Agg, pos: slices.Index(in, it.Var)})
+			f.cols = append(f.cols, it.Name())
+		}
+	} else {
+		f.cols = q.Head
+		if len(f.cols) == 0 {
+			f.cols = in
+		}
+		for _, v := range f.cols {
+			f.proj = append(f.proj, slices.Index(in, v))
+		}
+	}
+	if q.OrderBy != "" {
+		f.sort = slices.Index(f.cols, q.OrderBy)
+	}
+	return f
 }
 
 // NumWaves returns the depth of the DAG — the length of the longest
@@ -342,6 +455,15 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 				step.Wave = w
 			}
 		}
+		if step.BindJoin || step.Dynamic {
+			// The most downstream dependency streams; the others are
+			// build sides.
+			step.outer = newChain(plan.Steps, slices.Max(step.Deps), step.Deps)
+			for _, iv := range a.Sub.InVars {
+				step.inPos = append(step.inPos, slices.Index(step.outer.cols, strings.TrimPrefix(iv, "?")))
+			}
+			step.desig = slices.Index(step.outer.cols, a.SourceVar)
+		}
 		plan.Steps = append(plan.Steps, step)
 		scheduled[pick] = true
 		remaining--
@@ -351,6 +473,12 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 			}
 		}
 	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	plan.root = newChain(plan.Steps, plan.StreamSink(), all)
+	plan.finish = newFinish(q, plan.root.cols)
 	return plan, nil
 }
 

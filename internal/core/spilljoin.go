@@ -12,7 +12,7 @@ import (
 	"tatooine/internal/value"
 )
 
-// Grace-style spill path for HashJoinIterator. When a join's build side
+// Grace-style spill path for hashJoin. When a join's build side
 // exceeds ExecOptions.JoinMemBudget the iterator stops growing its
 // in-memory hash table and instead hash-partitions BOTH inputs into a
 // temporary on-disk store, then joins partition-at-a-time: one
@@ -43,7 +43,7 @@ const (
 
 // spillJoin holds the on-disk state of a spilled hash join.
 type spillJoin struct {
-	h   *HashJoinIterator
+	h   *hashJoin
 	dir string
 	st  store.Store
 
@@ -64,7 +64,7 @@ type spillJoin struct {
 
 // newSpillJoin creates the temp store. The caller moves already-built
 // rows in via addRight.
-func newSpillJoin(h *HashJoinIterator) (*spillJoin, error) {
+func newSpillJoin(h *hashJoin) (*spillJoin, error) {
 	dir, err := os.MkdirTemp("", "tat-spill-")
 	if err != nil {
 		return nil, fmt.Errorf("core: spill join: %w", err)

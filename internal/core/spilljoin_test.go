@@ -9,28 +9,32 @@ import (
 	"tatooine/internal/value"
 )
 
-// spillFixtureRels builds a join pair with duplicate keys, null keys
-// and string payloads: enough entropy that any multiset divergence
-// between the in-memory and spilled paths shows.
-func spillFixtureRels(nLeft, nRight, keySpace int, seed int64) (*Relation, *Relation) {
+// spillFixtureRels builds a join pair, left (a, k) and right (k, v),
+// with duplicate keys, null keys and string payloads: enough entropy
+// that any multiset divergence between the in-memory and spilled paths
+// shows.
+func spillFixtureRels(nLeft, nRight, keySpace int, seed int64) (left, right []value.Row) {
 	rng := rand.New(rand.NewSource(seed))
-	left := &Relation{Cols: []string{"a", "k"}}
 	for i := 0; i < nLeft; i++ {
 		k := value.NewString(fmt.Sprintf("key%03d", rng.Intn(keySpace)))
 		if rng.Intn(20) == 0 {
 			k = value.NewNull() // null keys never join
 		}
-		left.Rows = append(left.Rows, value.Row{value.NewInt(int64(i)), k})
+		left = append(left, value.Row{value.NewInt(int64(i)), k})
 	}
-	right := &Relation{Cols: []string{"k", "v"}}
 	for i := 0; i < nRight; i++ {
 		k := value.NewString(fmt.Sprintf("key%03d", rng.Intn(keySpace)))
 		if rng.Intn(20) == 0 {
 			k = value.NewNull()
 		}
-		right.Rows = append(right.Rows, value.Row{k, value.NewString(fmt.Sprintf("payload-%04d-%s", i, string(make([]byte, rng.Intn(40)))))})
+		right = append(right, value.Row{k, value.NewString(fmt.Sprintf("payload-%04d-%s", i, string(make([]byte, rng.Intn(40)))))})
 	}
 	return left, right
+}
+
+// spillJoinOn is the fixture's join on k, under budget.
+func spillJoinOn(left, right []value.Row, budget int64, onSpill func(int64)) *hashJoin {
+	return naturalJoin(newScan(left), newScan(right), []string{"a", "k"}, []string{"k", "v"}, budget, onSpill)
 }
 
 func rowMultiset(t *testing.T, rows []value.Row) []string {
@@ -58,21 +62,19 @@ func TestHashJoinSpillMatchesInMemory(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			left, right := spillFixtureRels(tc.nLeft, tc.nRight, tc.keys, tc.seed)
-			ref, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+			ref, err := Materialize(spillJoinOn(left, right, 0, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var spilled int64
-			j := NewHashJoinBudget(NewScan(left), NewScan(right), 1<<10,
-				func(b int64) { spilled += b })
-			got, err := Materialize(j)
+			got, err := Materialize(spillJoinOn(left, right, 1<<10, func(b int64) { spilled += b }))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if spilled <= 0 {
 				t.Fatalf("build side of %d rows under a 1 KiB budget did not spill", tc.nRight)
 			}
-			wantRows, gotRows := rowMultiset(t, ref.Rows), rowMultiset(t, got.Rows)
+			wantRows, gotRows := rowMultiset(t, ref), rowMultiset(t, got)
 			if len(gotRows) != len(wantRows) {
 				t.Fatalf("spilled join returned %d rows, in-memory %d", len(gotRows), len(wantRows))
 			}
@@ -91,21 +93,19 @@ func TestHashJoinSpillMatchesInMemory(t *testing.T) {
 func TestHashJoinBudgetNoSpillUnderBudget(t *testing.T) {
 	left, right := spillFixtureRels(50, 40, 20, 7)
 	var spilled int64
-	j := NewHashJoinBudget(NewScan(left), NewScan(right), 1<<30,
-		func(b int64) { spilled += b })
-	got, err := Materialize(j)
+	got, err := Materialize(spillJoinOn(left, right, 1<<30, func(b int64) { spilled += b }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spilled != 0 {
 		t.Fatalf("join within budget spilled %d bytes", spilled)
 	}
-	ref, err := Materialize(NewHashJoin(NewScan(left), NewScan(right)))
+	ref, err := Materialize(spillJoinOn(left, right, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != len(ref.Rows) {
-		t.Fatalf("got %d rows, want %d", len(got.Rows), len(ref.Rows))
+	if len(got) != len(ref) {
+		t.Fatalf("got %d rows, want %d", len(got), len(ref))
 	}
 }
 
@@ -113,24 +113,22 @@ func TestHashJoinBudgetNoSpillUnderBudget(t *testing.T) {
 // no key to partition on; the join must run in memory regardless of
 // budget rather than failing or spilling uselessly.
 func TestHashJoinCrossProductNeverSpills(t *testing.T) {
-	left := &Relation{Cols: []string{"a"}}
-	right := &Relation{Cols: []string{"b"}}
+	var left, right []value.Row
 	for i := 0; i < 100; i++ {
-		left.Rows = append(left.Rows, value.Row{value.NewInt(int64(i))})
-		right.Rows = append(right.Rows, value.Row{value.NewString(fmt.Sprintf("r%d", i))})
+		left = append(left, value.Row{value.NewInt(int64(i))})
+		right = append(right, value.Row{value.NewString(fmt.Sprintf("r%d", i))})
 	}
 	var spilled int64
-	j := NewHashJoinBudget(NewScan(left), NewScan(right), 1,
-		func(b int64) { spilled += b })
-	got, err := Materialize(j)
+	got, err := Materialize(naturalJoin(newScan(left), newScan(right), []string{"a"}, []string{"b"}, 1,
+		func(b int64) { spilled += b }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spilled != 0 {
 		t.Fatalf("cross product spilled %d bytes", spilled)
 	}
-	if len(got.Rows) != 100*100 {
-		t.Fatalf("cross product returned %d rows, want %d", len(got.Rows), 100*100)
+	if len(got) != 100*100 {
+		t.Fatalf("cross product returned %d rows, want %d", len(got), 100*100)
 	}
 }
 

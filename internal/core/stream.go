@@ -11,13 +11,13 @@ import (
 // BatchStream is a bounded channel of row batches with an error/done
 // side-band — the tuple-granularity handoff of the streaming executor.
 // The producer Sends batches and Closes with its terminal error; the
-// consumer Recvs until the channel drains, then reads Err. Either side
-// can end the flow early: the consumer Cancels (a LIMIT reached its
-// bound, a client disconnected) and every pending Send returns false,
-// so the producer unwinds instead of blocking on a channel nobody
-// reads; the producer's context cancelling unblocks Send the same way.
+// consumer reads batches until the channel drains, and the terminal
+// error comes with the end. Either side can end the flow early: the
+// consumer Cancels (a LIMIT reached its bound, a client disconnected)
+// and every pending Send returns false, so the producer unwinds instead
+// of blocking on a channel nobody reads; the producer's context
+// cancelling unblocks Send the same way.
 type BatchStream struct {
-	cols []string
 	ch   chan []value.Row
 	done chan struct{} // closed by Cancel: the consumer is gone
 
@@ -28,21 +28,17 @@ type BatchStream struct {
 	err error
 }
 
-// NewBatchStream builds a stream carrying rows with the given columns,
-// buffering up to capacity batches before Send blocks (backpressure).
-func NewBatchStream(cols []string, capacity int) *BatchStream {
+// NewBatchStream builds a stream buffering up to capacity batches
+// before Send blocks (backpressure).
+func NewBatchStream(capacity int) *BatchStream {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &BatchStream{
-		cols: cols,
 		ch:   make(chan []value.Row, capacity),
 		done: make(chan struct{}),
 	}
 }
-
-// Cols returns the column names of every batch.
-func (s *BatchStream) Cols() []string { return s.cols }
 
 // Send delivers one batch, blocking while the channel is full. It
 // reports false when the consumer cancelled the stream or ctx ended —
@@ -87,26 +83,22 @@ func (s *BatchStream) Close(err error) {
 	})
 }
 
-// Recv returns the next batch; ok=false means the stream closed and
-// Err carries its terminal status.
-func (s *BatchStream) Recv() ([]value.Row, bool) {
-	batch, ok := <-s.ch
-	return batch, ok
-}
-
-// Err returns the terminal error set by Close. Only meaningful after
-// Recv reported ok=false.
-func (s *BatchStream) Err() error {
+// next returns the next batch; done=true means the stream closed and
+// err is its terminal status.
+func (s *BatchStream) next() (batch []value.Row, done bool, err error) {
+	if batch, ok := <-s.ch; ok {
+		return batch, false, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.err
+	return nil, true, s.err
 }
 
 // Cancel tells the producer the consumer will read no further batches.
 // Idempotent; safe to call concurrently with Send and Close.
 func (s *BatchStream) Cancel() { s.cancelOnce.Do(func() { close(s.done) }) }
 
-// buffered reports whether a Recv would return without blocking. Best
+// buffered reports whether next would return without blocking. Best
 // effort: a closed-but-drained channel reads as not buffered.
 func (s *BatchStream) buffered() bool { return len(s.ch) > 0 }
 
@@ -119,8 +111,6 @@ func (s *BatchStream) buffered() bool { return len(s.ch) > 0 }
 // Memory-wise it holds exactly what the materialize-then-join executor
 // held: one relation per node.
 type nodeBuffer struct {
-	cols []string
-
 	mu   sync.Mutex
 	rows []value.Row
 	done bool
@@ -128,8 +118,8 @@ type nodeBuffer struct {
 	wake chan struct{} // closed and replaced on every append/close (broadcast)
 }
 
-func newNodeBuffer(cols []string) *nodeBuffer {
-	return &nodeBuffer{cols: cols, wake: make(chan struct{})}
+func newNodeBuffer() *nodeBuffer {
+	return &nodeBuffer{wake: make(chan struct{})}
 }
 
 // emit appends rows and wakes every waiting cursor.
@@ -226,25 +216,36 @@ func (c *bufCursor) buffered() bool {
 	return c.pos < len(c.buf.rows)
 }
 
-// ---------- stream/cursor iterator adapters ----------
+// ---------- chunk iterator ----------
 
-// streamIterator adapts a BatchStream to the Iterator interface, so
-// the sink node's live output slots straight into the hash-join /
-// finishing pipeline. Close cancels the stream, which is what carries
-// a downstream LIMIT's early termination back to the producer.
-type streamIterator struct {
-	s    *BatchStream
-	cur  []value.Row
-	pos  int
-	done bool
+// chunkReader is a chunked handoff between DAG nodes: the sink's
+// BatchStream or a cursor over a node's progressive output.
+type chunkReader interface {
+	// next returns the next chunk; done=true ends the input with err as
+	// its terminal status.
+	next() (chunk []value.Row, done bool, err error)
+	// buffered reports whether next would return without blocking.
+	buffered() bool
 }
 
-func newStreamIterator(s *BatchStream) *streamIterator { return &streamIterator{s: s} }
+// chunkIterator adapts a chunkReader to the Iterator interface: the
+// sink node's live output slots straight into the root join, and a
+// downstream bind join consumes its dependency's progressive output,
+// launching probes as soon as rows land instead of waiting for the node
+// to materialize. Close runs cancel when set — on the sink's stream,
+// that carries a downstream LIMIT's early termination back to the
+// producer.
+type chunkIterator struct {
+	in     chunkReader
+	cancel func()
+	cur    []value.Row
+	pos    int
+	done   bool
+}
 
-func (it *streamIterator) Cols() []string { return it.s.Cols() }
-func (it *streamIterator) Open() error    { return nil }
+func (it *chunkIterator) Open() error { return nil }
 
-func (it *streamIterator) Next() (value.Row, bool, error) {
+func (it *chunkIterator) Next() (value.Row, bool, error) {
 	for {
 		if it.pos < len(it.cur) {
 			row := it.cur[it.pos]
@@ -254,70 +255,23 @@ func (it *streamIterator) Next() (value.Row, bool, error) {
 		if it.done {
 			return nil, false, nil
 		}
-		batch, ok := it.s.Recv()
-		if !ok {
-			it.done = true
-			if err := it.s.Err(); err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
-		}
-		it.cur, it.pos = batch, 0
-	}
-}
-
-func (it *streamIterator) Close() error {
-	it.s.Cancel()
-	return nil
-}
-
-// Buffered reports whether Next would return without blocking.
-func (it *streamIterator) Buffered() bool {
-	return it.done || it.pos < len(it.cur) || it.s.buffered()
-}
-
-// cursorIterator adapts a bufCursor to the Iterator interface: a
-// downstream bind join consumes its dependency's progressive output
-// through one of these, launching probes as soon as rows land instead
-// of waiting for the node to materialize.
-type cursorIterator struct {
-	c    *bufCursor
-	cur  []value.Row
-	pos  int
-	done bool
-}
-
-func newCursorIterator(c *bufCursor) *cursorIterator { return &cursorIterator{c: c} }
-
-func (it *cursorIterator) Cols() []string { return it.c.buf.cols }
-func (it *cursorIterator) Open() error    { return nil }
-
-func (it *cursorIterator) Next() (value.Row, bool, error) {
-	for {
-		if it.pos < len(it.cur) {
-			row := it.cur[it.pos]
-			it.pos++
-			return row, true, nil
-		}
-		if it.done {
-			return nil, false, nil
-		}
-		chunk, done, err := it.c.next()
-		if err != nil {
-			it.done = true
-			return nil, false, err
-		}
+		chunk, done, err := it.in.next()
 		if done {
 			it.done = true
-			return nil, false, nil
+			return nil, false, err
 		}
 		it.cur, it.pos = chunk, 0
 	}
 }
 
-func (it *cursorIterator) Close() error { return nil }
+func (it *chunkIterator) Close() error {
+	if it.cancel != nil {
+		it.cancel()
+	}
+	return nil
+}
 
 // Buffered reports whether Next would return without blocking.
-func (it *cursorIterator) Buffered() bool {
-	return it.done || it.pos < len(it.cur) || it.c.buffered()
+func (it *chunkIterator) Buffered() bool {
+	return it.done || it.pos < len(it.cur) || it.in.buffered()
 }
