@@ -35,6 +35,7 @@ boundedsmoke:
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestWire$$' -fuzztime 10s -parallel 2 ./internal/digest
 	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime 10s -parallel 2 ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeSubQuery$$' -fuzztime 10s -parallel 2 ./internal/digest
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime 10s -parallel 2 ./internal/fulltext
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBGP$$' -fuzztime 10s -parallel 2 ./internal/rdf
 

@@ -178,7 +178,7 @@
 // estimated row counts win. Estimates are (rows, cost) pairs: rows
 // drives ordering (it is what intermediates grow with), cost records
 // total effort and breaks ties. They come from the source's catalog
-// digest first (digest.RefineEstimate, see "Digest-driven planning"
+// digest first (digest.Analyze, see "Digest-driven planning"
 // below), which costs no call to the source. Only where the digest
 // cannot answer (graph atoms, XPath, joins, aggregates, no digest) does
 // the planner fall back to the optional source.Estimator capability,
@@ -317,13 +317,20 @@
 // carries a "digest" block (digestFetches / digestHits /
 // prunedProbes).
 //
-// Planning: digest.RefineEstimate is the planner's first estimator —
-// equality conjuncts contribute count/distinct from the target's value
-// set (exactly zero when membership proves a literal absent), numeric
-// ranges integrate the histogram, and the tightest conjunct wins — so
-// DAG ordering ranks atoms by expected cardinality and ExecStats.Nodes
-// shows est-vs-actual drift. A digest-answered estimate has cost =
-// rows, and the source is not consulted: no /estimate round trip to a
+// Planning: digest.Analyze answers both of a bind join's questions in
+// one pass: it parses an atom's sub-query once and walks its
+// conjuncts once, returning the row estimate and the per-parameter
+// pruning nodes (a digest.ParamMatcher) together. The planner runs it
+// once per static non-graph atom and records the matcher on the
+// PlanStep, where the executor and explain read it; only a dynamic
+// atom analyzes per discovered source at run time. The estimate is
+// the planner's first estimator — equality conjuncts contribute
+// count/distinct from the target's value set (exactly zero when
+// membership proves a literal absent), numeric ranges integrate the
+// histogram, and the tightest conjunct wins — so DAG ordering ranks
+// atoms by expected cardinality and ExecStats.Nodes shows
+// est-vs-actual drift. A digest-answered estimate has cost = rows,
+// and the source is not consulted: no /estimate round trip to a
 // remote, no parse-and-count in a local store. Shapes the digest
 // refuses (XPath, joins, GROUP BY, aggregates) ask the source's
 // Estimator. Graph atoms are exempt (digesting G on every graph write
@@ -332,42 +339,43 @@
 // fixed-value equality gets count/distinct even where a local
 // full-text index counts the value exactly (a rare value on skewed
 // data is overestimated); and digest-answered costs carry no scan
-// work or RemoteCostOverhead, so equal-row ties no longer favour local
-// sources and Plan.StreamSink can pick a local atom over a remote one.
+// work or RemoteCostOverhead, so equal-row ties no longer favour
+// local sources and Plan.StreamSink can pick a local atom over a
+// remote one.
 //
-// Pruning: before a bind-join chunk dispatches, digest.ParamMatcher
-// maps each parameter position to the digest nodes its value must
-// appear in (`col = ?` equality targets for SQL, constant-predicate
-// object / rdf:type subject positions for BGPs, non-analyzed
-// keyword-equality fields for full-text) and skips outer bindings
-// whose values the digest proves absent. Membership "no" is definitive
-// because digest construction and probing normalize through the same
-// function; false positives only cost a wasted probe. Shapes where an
-// empty match still yields rows (aggregates, OPTIONAL patterns,
-// analyzed CONTAINS fields) refuse pruning entirely, as do NULL
-// bindings and digests decoded from a foreign wire version (every
-// bloom and digest carries a version field; unknown versions decode as
-// pass-through filters that never exclude, so mixed-version
-// federations degrade to no pruning, never to lost rows). At the
-// current version the decoder refuses what the estimators and filters
-// could not walk safely: a bloom whose k lies outside [1, 32] (k bounds
-// each membership test's loop), a negative value count, and a
-// histogram unless len(bounds) = len(counts)+1 ≥ 2, its bounds are
-// finite and non-decreasing, counts and n are ≥ 0 and min ≤ max. A
-// refused /digest fails its fetch and is negative-cached, so planning
-// falls back to the source's estimate; a refused prune filter makes
-// POST /batch answer 400. FuzzDigestWire (make fuzzsmoke) drives
-// arbitrary bytes through the decoder, the estimator and the pruner.
-// Surviving
-// bindings ship their per-position bloom filters inside POST /batch
-// ("prune"), letting the remote endpoint skip excluded tuples
-// server-side and answer them as empty results, position-aligned.
-// Fully pruned chunks never reach
-// the wire. ExecStats.PrunedProbes counts the
-// skipped bindings, and {"explain": true} annotates each bind-join
-// atom with its pruning decision — the plan line carries the digest's
-// row estimate (cost = rows) and the atom entry says why pruning does
-// or does not apply:
+// Pruning: before a bind-join chunk dispatches, the plan step's
+// digest.ParamMatcher maps each parameter position to the digest
+// nodes its value must appear in (`col = ?` equality targets for SQL,
+// constant-predicate object / rdf:type subject positions for BGPs,
+// non-analyzed keyword-equality fields for full-text) and skips outer
+// bindings whose values the digest proves absent. Membership "no" is
+// definitive because digest construction and probing normalize
+// through the same function; false positives only cost a wasted
+// probe. Shapes where an empty match still yields rows (aggregates,
+// OPTIONAL patterns, analyzed CONTAINS fields) refuse pruning
+// entirely, as do NULL bindings and digests decoded from a foreign
+// wire version (every bloom and digest carries a version field;
+// unknown versions decode as pass-through filters that never exclude,
+// so mixed-version federations degrade to no pruning, never to lost
+// rows). At the current version the decoder refuses what the
+// estimators and filters could not walk safely: a bloom whose k lies
+// outside [1, 32] (k bounds each membership test's loop), a negative
+// value count, and a histogram unless len(bounds) = len(counts)+1 ≥
+// 2, its bounds are finite and non-decreasing, counts and n are ≥ 0
+// and min ≤ max. A refused /digest fails its fetch and is
+// negative-cached, so planning falls back to the source's estimate.
+// FuzzDigestWire (make fuzzsmoke) drives arbitrary bytes through the
+// decoder and digest.Analyze, and FuzzAnalyzeSubQuery drives
+// arbitrary sub-query texts through it. Pruning happens on the
+// mediator only: surviving bindings ship in POST /batch as plain
+// parameter tuples, and the endpoint runs every tuple it receives (no
+// filter travels; the mediator's matcher already tested every covered
+// position against the exact set or Bloom filter a shipped filter
+// would have repeated). Fully pruned chunks never reach the wire.
+// ExecStats.PrunedProbes counts the skipped bindings, and {"explain":
+// true} annotates each bind-join atom with its pruning decision — the
+// plan line carries the digest's row estimate (cost = rows) and the
+// atom entry says why pruning does or does not apply:
 //
 //	node 1: atom 1 [<sql://remote>] bind-join(k) rows=1 cost=1 wave 1 deps=(0) out=(k,v)
 //

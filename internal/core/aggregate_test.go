@@ -70,7 +70,7 @@ func TestAggregateNullHandling(t *testing.T) {
 }
 
 // TestAggregatePlainVarMustBeGrouped: a plain head variable outside
-// GROUP BY is refused at plan time — by Validate, by explain and by
+// GROUP BY is refused at plan time — by validate, by explain and by
 // execution — before any source is called.
 func TestAggregatePlainVarMustBeGrouped(t *testing.T) {
 	in, probe := streamFixture(t, 3, 0)
@@ -81,8 +81,8 @@ FROM <sql://probe> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
 GROUP BY ?k
 `)
 	const want = "plain head variable ?v must appear in GROUP BY"
-	if err := q.Validate(nil); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Validate = %v, want %q", err, want)
+	if _, err := q.validate(nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("validate = %v, want %q", err, want)
 	}
 	if _, err := in.ExplainQuery(q, ExecOptions{}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("ExplainQuery = %v, want %q", err, want)
@@ -221,7 +221,7 @@ func TestParseAggregateErrors(t *testing.T) {
 	for _, text := range cases {
 		q, _, err := ParseCMQ(text)
 		if err == nil {
-			err = q.Validate(nil)
+			_, err = q.validate(nil)
 		}
 		if err == nil {
 			t.Errorf("expected error for %q", text)

@@ -166,57 +166,62 @@ func (a Atom) outVars(prefixes map[string]string) ([]string, error) {
 	return nil, fmt.Errorf("core: atom %s has no OUT variables", a.Designator())
 }
 
-// Validate checks the query's structural rules: head variables must be
+// validate checks the query's structural rules: head variables must be
 // produced by some atom, a plain variable of an aggregated head must be
 // grouped, source designator variables must be produced by another
-// atom, and every atom needs a source designation.
-func (q *CMQ) Validate(prefixes map[string]string) error {
+// atom, and every atom needs a source designation. It returns each
+// atom's OUT variables without the '?' sigil, so the planner derives
+// them (a BGP parse for a graph atom) once.
+func (q *CMQ) validate(prefixes map[string]string) ([][]string, error) {
 	if len(q.Atoms) == 0 {
-		return fmt.Errorf("core: query has no body atoms")
+		return nil, fmt.Errorf("core: query has no body atoms")
 	}
+	outs := make([][]string, len(q.Atoms))
 	produced := make(map[string]struct{})
 	for i, a := range q.Atoms {
 		if a.Kind == SourceAtom && a.SourceURI == "" && a.SourceVar == "" {
-			return fmt.Errorf("core: atom %d has no source designator", i)
+			return nil, fmt.Errorf("core: atom %d has no source designator", i)
 		}
-		outs, err := a.outVars(prefixes)
+		o, err := a.outVars(prefixes)
 		if err != nil {
-			return fmt.Errorf("core: atom %d: %w", i, err)
+			return nil, fmt.Errorf("core: atom %d: %w", i, err)
 		}
-		for _, v := range outs {
-			produced[strings.TrimPrefix(v, "?")] = struct{}{}
+		outs[i] = make([]string, len(o))
+		for j, v := range o {
+			outs[i][j] = strings.TrimPrefix(v, "?")
+			produced[outs[i][j]] = struct{}{}
 		}
 	}
 	for _, v := range q.Head {
 		if _, ok := produced[v]; !ok {
-			return fmt.Errorf("core: head variable ?%s is not produced by any atom", v)
+			return nil, fmt.Errorf("core: head variable ?%s is not produced by any atom", v)
 		}
 	}
 	for _, it := range q.HeadItems {
 		if _, ok := produced[it.Var]; !ok {
-			return fmt.Errorf("core: head variable ?%s is not produced by any atom", it.Var)
+			return nil, fmt.Errorf("core: head variable ?%s is not produced by any atom", it.Var)
 		}
 		if it.Agg == AggNone && !slices.Contains(q.GroupBy, it.Var) {
-			return fmt.Errorf("core: plain head variable ?%s must appear in GROUP BY", it.Var)
+			return nil, fmt.Errorf("core: plain head variable ?%s must appear in GROUP BY", it.Var)
 		}
 	}
 	for _, v := range q.GroupBy {
 		if _, ok := produced[v]; !ok {
-			return fmt.Errorf("core: GROUP BY variable ?%s is not produced by any atom", v)
+			return nil, fmt.Errorf("core: GROUP BY variable ?%s is not produced by any atom", v)
 		}
 	}
 	if len(q.GroupBy) > 0 && len(q.HeadItems) == 0 {
-		return fmt.Errorf("core: GROUP BY requires an aggregated head")
+		return nil, fmt.Errorf("core: GROUP BY requires an aggregated head")
 	}
 	for i, a := range q.Atoms {
 		if a.SourceVar != "" {
 			if _, ok := produced[a.SourceVar]; !ok {
-				return fmt.Errorf("core: atom %d: source variable ?%s is not produced by any atom", i, a.SourceVar)
+				return nil, fmt.Errorf("core: atom %d: source variable ?%s is not produced by any atom", i, a.SourceVar)
 			}
 		}
 		for _, in := range a.Sub.InVars {
 			if _, ok := produced[strings.TrimPrefix(in, "?")]; !ok {
-				return fmt.Errorf("core: atom %d: input variable ?%s is not produced by any atom", i, in)
+				return nil, fmt.Errorf("core: atom %d: input variable ?%s is not produced by any atom", i, in)
 			}
 		}
 	}
@@ -233,10 +238,10 @@ func (q *CMQ) Validate(prefixes map[string]string) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("core: ORDER BY variable ?%s is not in the head", q.OrderBy)
+			return nil, fmt.Errorf("core: ORDER BY variable ?%s is not in the head", q.OrderBy)
 		}
 	}
-	return nil
+	return outs, nil
 }
 
 // String renders the CMQ in the paper's datalog-like notation.

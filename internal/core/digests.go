@@ -103,19 +103,3 @@ func (in *Instance) SourceDigest(ctx context.Context, s source.DataSource) *dige
 	}
 	return e.d
 }
-
-// atomPruner builds the semi-join pruning matcher for a bind-join atom
-// against src's digest. nil when pruning cannot apply: graph atoms
-// (G's digest would be rebuilt on every graph write, defeating the
-// incremental saturation), atoms without parameters, sources without a
-// digest, or sub-query shapes the digest cannot prune safely.
-func (in *Instance) atomPruner(ctx context.Context, src source.DataSource, a Atom, extra map[string]string) *digest.ParamMatcher {
-	if a.Kind == GraphAtom || len(a.Sub.InVars) == 0 {
-		return nil
-	}
-	d := in.SourceDigest(ctx, src)
-	if d == nil {
-		return nil
-	}
-	return digest.NewParamMatcher(d, a.Sub, in.prefixesFor(extra))
-}

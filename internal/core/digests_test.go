@@ -335,3 +335,47 @@ func TestDigestEstimateWinsForRareKey(t *testing.T) {
 		t.Errorf("planned rows=%d cost=%d, want the digest's per-key average 15 for both", a.EstRows, a.EstCost)
 	}
 }
+
+// TestExplainStopsOnCancelledContext: explain plans under the caller's
+// context, so a client that goes away stops the planner consulting
+// sources — the digest fetch in flight returns, and no source after it
+// is asked.
+func TestExplainStopsOnCancelledContext(t *testing.T) {
+	in := NewInstance(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered := make(chan struct{})
+	slow := &digesterSource{uri: "sql://slow", onDigest: func() {
+		close(entered)
+		<-ctx.Done()
+	}}
+	next := &digesterSource{uri: "sql://next"}
+	for _, s := range []source.DataSource{slow, next} {
+		if err := in.AddSource(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := mustParse(t, `
+QUERY q(?a, ?b)
+FROM <sql://slow> OUT(?a) { SELECT a FROM t }
+FROM <sql://next> OUT(?b) { SELECT b FROM u }
+`)
+	done := make(chan error, 1)
+	go func() {
+		_, err := in.ExplainQueryContext(ctx, q, ExecOptions{})
+		done <- err
+	}()
+	<-entered
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled explain returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled explain is still planning")
+	}
+	if got := next.digestCalls(); got != 0 {
+		t.Errorf("the source after the cancellation was asked for its digest %d times", got)
+	}
+}

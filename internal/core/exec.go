@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"tatooine/internal/digest"
 	"tatooine/internal/obs"
 	"tatooine/internal/source"
 	"tatooine/internal/value"
@@ -277,6 +278,7 @@ func (ex *executor) runDynamic(s PlanStep, outer []value.Row, emit func([]value.
 		}
 		head := value.Row{value.NewString(uri)}
 		if s.BindJoin {
+			s.pruner = digest.Analyze(ex.in.SourceDigest(ex.ctx, src), a.Sub, ex.in.prefixesFor(ex.q.Prefixes)).Matcher
 			if err := ex.streamBindJoin(src, s, head, newScan(byURI[uri]), emit, sp); err != nil {
 				return err
 			}

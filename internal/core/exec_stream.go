@@ -376,14 +376,6 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 	defer outer.Close()
 	bind := binder{head: head, inPos: s.inPos}
 
-	// Digest semi-join pruning: tuples the digest excludes never enter a
-	// chunk (so fully-pruned chunks never dispatch), and the Bloom
-	// filters ship with batched probes for server-side pruning.
-	pruner := ex.in.atomPruner(ex.ctx, src, a, ex.q.Prefixes)
-	if pruner != nil {
-		a.Sub.Prune = pruner.Filters()
-	}
-
 	// chunk is the dispatch granularity: ProbeBatch for batch-capable
 	// sources, a single tuple otherwise.
 	chunk := 1
@@ -527,7 +519,9 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 			continue
 		}
 		seen[t.key] = struct{}{}
-		if pruner != nil && !pruner.MayMatch(t.params) {
+		// Digest semi-join pruning: a binding the digest excludes never
+		// enters a chunk, so a fully pruned chunk never dispatches.
+		if !s.pruner.MayMatch(t.params) {
 			pruned++
 			continue
 		}

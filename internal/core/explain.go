@@ -44,13 +44,20 @@ type ExplainInfo struct {
 	Atoms []AtomExplain `json:"atoms"`
 }
 
-// ExplainQuery plans q under opts and reports, per atom, whether its
-// bind-join probes would be batched, without executing the query.
+// ExplainQuery is ExplainQueryContext without a caller context.
+func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error) {
+	return in.ExplainQueryContext(context.Background(), q, opts)
+}
+
+// ExplainQueryContext plans q under opts and reports, per atom, whether
+// its bind-join probes would be batched and pruned, without executing
+// the query. ctx bounds planning as it does for an execution: a dead
+// request stops consulting sources (digest fetches, remote estimates).
 // Dynamic atoms resolve their sources only at run time, so their
 // decision is reported as undetermined.
-func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error) {
+func (in *Instance) ExplainQueryContext(ctx context.Context, q *CMQ, opts ExecOptions) (*ExplainInfo, error) {
 	opts = opts.normalized()
-	plan, err := in.planQuery(context.Background(), q, opts)
+	plan, err := in.planQuery(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -66,6 +73,11 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 			EstCost:    s.EstCost,
 			Mode:       s.mode(a),
 		}
+		var src source.DataSource
+		var srcErr error
+		if s.BindJoin && !s.Dynamic {
+			src, srcErr = in.atomSource(a, q.Prefixes)
+		}
 		switch {
 		case !s.BindJoin:
 			ae.Reason = "not a bind join: single sub-query, nothing to batch"
@@ -73,30 +85,23 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 			ae.Reason = "batching disabled (ProbeBatch <= 1)"
 		case s.Dynamic:
 			ae.Reason = "dynamic source: capability known only after the designator binds at run time"
+		case srcErr != nil:
+			ae.Reason = "source unresolvable at plan time: " + srcErr.Error()
+		case source.CanBatch(src):
+			ae.Batched = true
+			ae.BatchSize = opts.ProbeBatch
+			ae.Reason = "source supports batched probes; tuples ship in batches of " + strconv.Itoa(opts.ProbeBatch)
 		default:
-			src, err := in.atomSource(a, q.Prefixes)
-			if err != nil {
-				ae.Reason = "source unresolvable at plan time: " + err.Error()
-				break
-			}
-			if source.CanBatch(src) {
-				ae.Batched = true
-				ae.BatchSize = opts.ProbeBatch
-				ae.Reason = "source supports batched probes; tuples ship in batches of " + strconv.Itoa(opts.ProbeBatch)
-			} else {
-				ae.Reason = "source lacks the BatchProber capability; probes ship per tuple"
-			}
+			ae.Reason = "source lacks the BatchProber capability; probes ship per tuple"
 		}
-		if s.BindJoin {
-			if s.Dynamic {
-				ae.Pruning = "dynamic source: pruning decided per discovered source at run time"
-			} else if src, err := in.atomSource(a, q.Prefixes); err == nil {
-				if m := in.atomPruner(context.Background(), src, a, q.Prefixes); m != nil {
-					ae.Pruning = "digest covers the parameter positions; bindings the digest excludes are skipped before probing"
-				} else {
-					ae.Pruning = "no prunable digest statistics for this sub-query shape; every distinct binding probes"
-				}
-			}
+		switch {
+		case !s.BindJoin:
+		case s.Dynamic:
+			ae.Pruning = "dynamic source: pruning decided per discovered source at run time"
+		case s.pruner != nil:
+			ae.Pruning = "digest covers the parameter positions; bindings the digest excludes are skipped before probing"
+		case srcErr == nil:
+			ae.Pruning = "no prunable digest statistics for this sub-query shape; every distinct binding probes"
 		}
 		if opts.JoinMemBudget > 0 {
 			switch {

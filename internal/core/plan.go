@@ -45,6 +45,10 @@ type PlanStep struct {
 	outer chain
 	inPos []int
 	desig int
+	// pruner skips a static bind join's bindings its source's digest
+	// excludes (nil: probe every binding). A dynamic atom's source is
+	// known only at run time, so it is analyzed per discovered source.
+	pruner *digest.ParamMatcher
 }
 
 // mode names how the step runs: "scan" or "bind-join(?a,...)", with
@@ -106,11 +110,6 @@ func newLayout(a Atom, outs []string) layout {
 // any) for a dynamic source — allocating one row per output row.
 func (l *layout) rows(a Atom, prefix value.Row, res *source.Result) ([]value.Row, error) {
 	if len(res.Cols) != len(l.outs) {
-		if len(res.Cols) == 0 && len(res.Rows) == 0 {
-			// A schema-less empty result: how a federation endpoint answers
-			// a probe it pruned server-side against its digest.
-			return nil, nil
-		}
 		return nil, fmt.Errorf("core: atom %s returned %d columns for %d OUT variables",
 			a.Designator(), len(res.Cols), len(l.outs))
 	}
@@ -337,8 +336,9 @@ func (p *Plan) Explain(q *CMQ) string {
 // picks the smallest estimated row count (unknown estimates last,
 // estimated cost breaking ties). Estimates come from the sources'
 // catalog digests first (exact counts, histograms — see
-// internal/digest.RefineEstimate) and from the source's own Estimator
-// only where the digest cannot answer (see estimateAtom).
+// internal/digest.Analyze) and from the source's own Estimator only
+// where the digest cannot answer (see analyzeAtom). The same digest
+// analysis gives each static bind join its pruner.
 // opts.NaiveOrder disables ordering entirely (one atom per wave,
 // declaration order, a sequential dependency chain) for ablation
 // studies.
@@ -349,30 +349,19 @@ func (p *Plan) Explain(q *CMQ) string {
 // atom. An estimate cut short degrades to unknown; a context found
 // dead between atoms aborts the plan.
 func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*Plan, error) {
-	if err := q.Validate(in.prefixesFor(q.Prefixes)); err != nil {
+	outs, err := q.validate(in.prefixesFor(q.Prefixes))
+	if err != nil {
 		return nil, err
 	}
 	n := len(q.Atoms)
-	outs := make([][]string, n)
-	for i, a := range q.Atoms {
-		o, err := a.outVars(in.prefixesFor(q.Prefixes))
-		if err != nil {
-			return nil, err
-		}
-		clean := make([]string, len(o))
-		for j, v := range o {
-			clean[j] = strings.TrimPrefix(v, "?")
-		}
-		outs[i] = clean
-	}
-
 	rows := make([]int, n)
 	costs := make([]int, n)
+	pruners := make([]*digest.ParamMatcher, n)
 	for i, a := range q.Atoms {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows[i], costs[i] = in.estimateAtom(ctx, a, q.Prefixes)
+		rows[i], costs[i], pruners[i] = in.analyzeAtom(ctx, a, q.Prefixes)
 	}
 
 	plan := &Plan{}
@@ -421,6 +410,7 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 			EstRows:   rows[pick],
 			EstCost:   costs[pick],
 			layout:    newLayout(a, outs[pick]),
+			pruner:    pruners[pick],
 		}
 		pos := len(plan.Steps)
 		switch {
@@ -528,26 +518,31 @@ func pickAtom(runnable []int, q *CMQ, outs [][]string, rows, costs []int, produc
 	return best
 }
 
-// estimateAtom returns an atom's (rows, cost) estimate. The source's
-// catalog digest answers first: when digest.RefineEstimate speaks to
-// the sub-query, its row count is the estimate and its cost, and the
-// source is not consulted (for a remote source, no round trip). Graph
-// atoms, and shapes the digest refuses (XPath, joins, aggregates), ask
-// the source's Estimator. Dynamic sources are unknown (-1, -1): they
-// cannot be consulted before the designating variable is bound.
-func (in *Instance) estimateAtom(ctx context.Context, a Atom, extra map[string]string) (rows, cost int) {
+// analyzeAtom returns an atom's (rows, cost) estimate and its pruner.
+// The source's catalog digest answers first (digest.Analyze, one pass
+// over the sub-query): when it estimates the sub-query, its row count
+// is the estimate and its cost, and the source is not consulted (for a
+// remote source, no round trip). Graph atoms, and shapes the digest
+// refuses (XPath, joins, aggregates), ask the source's Estimator.
+// Graph atoms are never pruned: G's digest would be rebuilt on every
+// graph write. Dynamic sources are unknown (-1, -1) and unpruned here:
+// they cannot be consulted before the designating variable is bound.
+func (in *Instance) analyzeAtom(ctx context.Context, a Atom, extra map[string]string) (rows, cost int, _ *digest.ParamMatcher) {
 	if a.SourceVar != "" {
-		return -1, -1
+		return -1, -1, nil
 	}
 	if a.Kind == GraphAtom {
-		return source.EstimateOf(in.graphSource(extra), a.Sub, len(a.Sub.InVars))
+		rows, cost = source.EstimateOf(in.graphSource(extra), a.Sub, len(a.Sub.InVars))
+		return rows, cost, nil
 	}
 	s, err := in.sources.Resolve(a.SourceURI)
 	if err != nil {
-		return -1, -1
+		return -1, -1, nil
 	}
-	if r, ok := digest.RefineEstimate(in.SourceDigest(ctx, s), a.Sub, in.prefixesFor(extra)); ok {
-		return r, r
+	an := digest.Analyze(in.SourceDigest(ctx, s), a.Sub, in.prefixesFor(extra))
+	if an.Estimated {
+		return an.Rows, an.Rows, an.Matcher
 	}
-	return source.EstimateOf(s, a.Sub, len(a.Sub.InVars))
+	rows, cost = source.EstimateOf(s, a.Sub, len(a.Sub.InVars))
+	return rows, cost, an.Matcher
 }

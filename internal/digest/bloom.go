@@ -106,11 +106,6 @@ func (b *Bloom) MayContain(s string) bool {
 	return true
 }
 
-// MayContainKey implements the probe-filter contract used by semi-join
-// pruning (source.ProbeFilter): the key is a pre-normalized digest key
-// (see ProbeKey), tested directly against the filter.
-func (b *Bloom) MayContainKey(key string) bool { return b.MayContain(key) }
-
 // Bits returns the filter's bit capacity.
 func (b *Bloom) Bits() uint64 { return b.m }
 

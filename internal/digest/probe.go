@@ -11,12 +11,13 @@ import (
 	"tatooine/internal/value"
 )
 
-// This file turns digests into executable statistics: ProbeKey maps a
-// binding value to the normalized key digests index, ParamMatcher maps
-// a sub-query's parameter positions to the digest nodes their values
-// must appear in (semi-join pruning), and RefineEstimate derives row
-// estimates from value-set counts and histograms (digest-driven
-// planning).
+// This file turns digests into executable statistics. Analyze reads a
+// sub-query once against its source's digest and answers both
+// questions a bind join asks (§2.3): how many rows the sub-query
+// returns (digest-driven planning: value-set counts and histograms),
+// and which digest nodes each parameter's value must appear in
+// (semi-join pruning: ParamMatcher). probeKey maps a binding value to
+// the normalized key digests index.
 //
 // Safety contract: both digest construction (ValueSet.Add) and probing
 // go through Value.String() + Normalize, and normalization is a
@@ -29,10 +30,10 @@ import (
 // (an empty match still yields a row), optional BGP patterns, and
 // digests decoded at a foreign wire version (PruneCapable).
 
-// ProbeKey maps a binding value to its digest key. ok is false when
+// probeKey maps a binding value to its digest key. ok is false when
 // the value cannot be tested against a digest (Null, or nothing
 // survives normalization) — such bindings must never be pruned.
-func ProbeKey(v value.Value) (string, bool) {
+func probeKey(v value.Value) (string, bool) {
 	if v.IsNull() {
 		return "", false
 	}
@@ -43,12 +44,12 @@ func ProbeKey(v value.Value) (string, bool) {
 	return key, true
 }
 
-// MayContainKey is the pruning-grade membership test for a
+// mayContainKey is the pruning-grade membership test for a
 // pre-normalized key: exact set when it survived the budget, Bloom
 // filter otherwise. Unlike MayContain it skips the NumericOnly keyword
 // heuristic, which may reject keys that were genuinely added —
 // acceptable for ranked keyword lookup, fatal for pruning.
-func (vs *ValueSet) MayContainKey(key string) bool {
+func (vs *ValueSet) mayContainKey(key string) bool {
 	if vs == nil || key == "" {
 		return true
 	}
@@ -70,44 +71,6 @@ type ParamMatcher struct {
 	nodes [][]*Node // per parameter position; empty = cannot prune
 }
 
-// NewParamMatcher analyzes q against d. It returns nil when nothing
-// can be pruned: no digest, foreign wire version, unparsable text, or
-// no parameter position resolving to a digested equality target —
-// callers treat nil as "probe everything".
-func NewParamMatcher(d *Digest, q source.SubQuery, prefixes map[string]string) *ParamMatcher {
-	if !d.PruneCapable() || len(q.InVars) == 0 {
-		return nil
-	}
-	m := &ParamMatcher{nodes: make([][]*Node, len(q.InVars))}
-	switch q.Language {
-	case source.LangSQL:
-		m.analyzeSQL(d, q.Text)
-	case source.LangBGP:
-		m.analyzeBGP(d, q, prefixes)
-	case source.LangSearch:
-		m.analyzeSearch(d, q.Text)
-	default:
-		return nil
-	}
-	if !m.Prunable() {
-		return nil
-	}
-	return m
-}
-
-// Prunable reports whether at least one parameter position is covered.
-func (m *ParamMatcher) Prunable() bool {
-	if m == nil {
-		return false
-	}
-	for _, ns := range m.nodes {
-		if len(ns) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // MayMatch reports whether the binding tuple may produce rows. False
 // is definitive (some equality target provably lacks the value); true
 // means "probe it".
@@ -119,12 +82,12 @@ func (m *ParamMatcher) MayMatch(params value.Row) bool {
 		if len(ns) == 0 || i >= len(params) {
 			continue
 		}
-		key, ok := ProbeKey(params[i])
+		key, ok := probeKey(params[i])
 		if !ok {
 			continue
 		}
 		for _, n := range ns {
-			if !n.Values.MayContainKey(key) {
+			if !n.Values.mayContainKey(key) {
 				return false
 			}
 		}
@@ -132,43 +95,97 @@ func (m *ParamMatcher) MayMatch(params value.Row) bool {
 	return true
 }
 
-// Filters returns one wire-shippable membership filter per parameter
-// position (nil where the position is uncovered or the node keeps no
-// Bloom filter), so federation endpoints can re-run the same pruning
-// server-side.
-func (m *ParamMatcher) Filters() []source.ProbeFilter {
-	if m == nil {
-		return nil
+// Analysis is what a digest says about one sub-query.
+type Analysis struct {
+	// Rows is the expected result cardinality when Estimated: equality
+	// conjuncts contribute count/distinct (zero when membership proves a
+	// literal absent), numeric ranges integrate the histogram, the
+	// tightest conjunct wins and LIMIT caps it.
+	Rows      int
+	Estimated bool
+	// Matcher prunes bindings the digest proves absent; nil when no
+	// parameter position resolves to a digested equality target.
+	Matcher *ParamMatcher
+}
+
+// Analyze parses q once and walks its conjuncts once against d,
+// collecting the row estimate and the per-parameter prune nodes
+// together. It returns the zero Analysis (no estimate, probe
+// everything) when d is nil or from a foreign wire version, the text
+// does not parse, or the language has no digest analysis (XPath).
+func Analyze(d *Digest, q source.SubQuery, prefixes map[string]string) Analysis {
+	if !d.PruneCapable() {
+		return Analysis{}
 	}
-	out := make([]source.ProbeFilter, len(m.nodes))
-	any := false
-	for i, ns := range m.nodes {
-		for _, n := range ns {
-			if b := n.Values.Bloom(); b != nil && b.Added() >= 0 {
-				out[i] = b
-				any = true
-				break
-			}
+	a := analyzer{d: d, nodes: make([][]*Node, len(q.InVars))}
+	switch q.Language {
+	case source.LangSQL:
+		a.sql(q.Text)
+	case source.LangBGP:
+		a.bgp(q, prefixes)
+	case source.LangSearch:
+		a.search(q.Text)
+	}
+	out := Analysis{Rows: a.rows, Estimated: a.found}
+	for _, ns := range a.nodes {
+		if len(ns) > 0 {
+			out.Matcher = &ParamMatcher{nodes: a.nodes}
+			break
 		}
-	}
-	if !any {
-		return nil
 	}
 	return out
 }
 
-func (m *ParamMatcher) add(pos int, n *Node) {
-	if pos < 0 || pos >= len(m.nodes) || n == nil || n.Values == nil || n.Analyzed {
-		return
-	}
-	m.nodes[pos] = append(m.nodes[pos], n)
+// analyzer accumulates one Analyze walk.
+type analyzer struct {
+	d     *Digest
+	nodes [][]*Node // per parameter position
+	rows  int       // tightest conjunct estimate so far
+	found bool      // some conjunct gave an estimate
 }
 
-// analyzeSQL maps top-level `col = ?` conjuncts to attribute nodes.
-// Aggregate statements are refused entirely: an empty WHERE match
-// still yields one output row, so skipping the probe would change
-// results.
-func (m *ParamMatcher) analyzeSQL(d *Digest, text string) {
+// prune records that a binding at parameter position pos must appear
+// in n's values. Analyzed fields match by CONTAINS, which membership
+// cannot decide.
+func (a *analyzer) prune(pos int, n *Node) {
+	if pos < 0 || pos >= len(a.nodes) || n == nil || n.Values == nil || n.Analyzed {
+		return
+	}
+	a.nodes[pos] = append(a.nodes[pos], n)
+}
+
+// estimate folds one conjunct's row estimate into the running minimum.
+func (a *analyzer) estimate(rows int) {
+	if !a.found || rows < a.rows {
+		a.rows = rows
+	}
+	a.found = true
+}
+
+// inRange folds in a numeric range conjunct over n from its histogram.
+func (a *analyzer) inRange(n *Node, lo, hi float64) {
+	if n == nil || n.Values == nil {
+		return
+	}
+	if h := n.Values.Histogram(); h != nil {
+		a.estimate(rangeRows(h, lo, hi))
+	}
+}
+
+// limit caps the estimate at a LIMIT.
+func (a *analyzer) limit(n int) {
+	if a.found && a.rows > n {
+		a.rows = n
+	}
+}
+
+// sql maps top-level `col = ?` conjuncts to attribute nodes and
+// estimates from equality and numeric range conjuncts. Aggregate
+// statements are refused entirely: an empty WHERE match still yields
+// one output row, so skipping the probe would change results. Joins,
+// GROUP BY and HAVING refuse only the estimate — their row count is
+// not the conjuncts'.
+func (a *analyzer) sql(text string) {
 	stmt, err := sqlparse.ParseSelect(text)
 	if err != nil || stmt.Where == nil {
 		return
@@ -178,29 +195,55 @@ func (m *ParamMatcher) analyzeSQL(d *Digest, text string) {
 			return
 		}
 	}
-	byLabel := lowerLabelIndex(d)
+	byLabel := lowerLabelIndex(a.d)
 	tables := sqlTableBindings(stmt)
 	for _, c := range sqlConjuncts(stmt.Where) {
-		be, ok := c.(*sqlparse.BinaryExpr)
-		if !ok || be.Op != sqlparse.OpEq {
-			continue
+		switch x := c.(type) {
+		case *sqlparse.BinaryExpr:
+			if x.Op != sqlparse.OpEq {
+				if lo, hi, col, ok := sqlRange(x); ok {
+					a.inRange(resolveAttr(byLabel, tables, col), lo, hi)
+				}
+				continue
+			}
+			if col, p := sqlEqOperand[*sqlparse.Param](x); col != nil {
+				n := resolveAttr(byLabel, tables, col)
+				a.prune(p.Index, n)
+				if n != nil && !n.Analyzed {
+					a.estimate(perKeyRows(n.Values))
+				}
+			} else if col, lit := sqlEqOperand[*sqlparse.Literal](x); col != nil {
+				if n := resolveAttr(byLabel, tables, col); n != nil && !n.Analyzed {
+					key, _ := probeKey(lit.Val)
+					a.estimate(eqRows(n.Values, key))
+				}
+			}
+		case *sqlparse.BetweenExpr:
+			col, cok := x.X.(*sqlparse.ColumnRef)
+			lo, lok := sqlNumericLiteral(x.Lo)
+			hi, hok := sqlNumericLiteral(x.Hi)
+			if !x.Negate && cok && lok && hok {
+				a.inRange(resolveAttr(byLabel, tables, col), lo, hi)
+			}
 		}
-		col, p := sqlEqColParam(be)
-		if col == nil || p == nil {
-			continue
-		}
-		if n := resolveAttr(byLabel, tables, col); n != nil {
-			m.add(p.Index, n)
-		}
+	}
+	if len(stmt.Joins) > 0 || len(stmt.GroupBy) > 0 || stmt.Having != nil {
+		a.rows, a.found = 0, false
+		return
+	}
+	if stmt.Limit >= 0 {
+		a.limit(stmt.Limit)
 	}
 }
 
-// analyzeBGP maps pre-bound variables to property nodes (variable in
-// object position of a constant-predicate pattern) and class nodes
-// (variable in subject position of a constant rdf:type pattern). Only
-// required patterns count — OPTIONAL groups may leave the variable
+// bgp maps pre-bound variables to property nodes (variable in object
+// position of a constant-predicate pattern) and class nodes (variable
+// in subject position of a constant rdf:type pattern), and estimates
+// each such pattern: zero for a constant the node provably lacks,
+// count/distinct for a known value, the node's count otherwise. Only
+// required patterns count — OPTIONAL groups may leave a variable
 // unmatched without emptying the solution.
-func (m *ParamMatcher) analyzeBGP(d *Digest, q source.SubQuery, prefixes map[string]string) {
+func (a *analyzer) bgp(q source.SubQuery, prefixes map[string]string) {
 	bgp, err := rdf.ParseBGP(q.Text, prefixes)
 	if err != nil {
 		return
@@ -214,39 +257,81 @@ func (m *ParamMatcher) analyzeBGP(d *Digest, q source.SubQuery, prefixes map[str
 		if p.P.IsVar() {
 			continue
 		}
+		// A property node's values are its objects; a class node's are
+		// its instances, the subjects of `?s a C`.
+		key, v := p.P.Term.Value, p.O
 		if p.P.Term == typ {
-			if p.S.IsVar() && !p.O.IsVar() {
-				if i, ok := pos[p.S.Var]; ok {
-					m.add(i, d.Nodes[d.Source+"#"+p.O.Term.Value])
-				}
+			if p.O.IsVar() {
+				continue
 			}
+			key, v = p.O.Term.Value, p.S
+		}
+		n := a.d.Nodes[a.d.Source+"#"+key]
+		i, bound := pos[v.Var]
+		if v.IsVar() && bound {
+			a.prune(i, n)
+		}
+		if n == nil || n.Values == nil {
 			continue
 		}
-		if p.O.IsVar() {
-			if i, ok := pos[p.O.Var]; ok {
-				m.add(i, d.Nodes[d.Source+"#"+p.P.Term.Value])
-			}
+		switch {
+		case !v.IsVar():
+			a.estimate(eqRows(n.Values, Normalize(v.Term.Value)))
+		case bound:
+			a.estimate(perKeyRows(n.Values))
+		default:
+			a.estimate(n.Values.Count())
 		}
 	}
 }
 
-// analyzeSearch maps `field = ?` keyword-equality conditions to
-// non-analyzed path nodes (analyzed fields match via CONTAINS
-// semantics, which membership bits cannot decide).
-func (m *ParamMatcher) analyzeSearch(d *Digest, text string) {
+// search maps `field = ?` keyword-equality conditions to non-analyzed
+// path nodes and estimates from keyword equalities and literal numeric
+// ranges; LIMIT caps the estimate.
+func (a *analyzer) search(text string) {
 	tq, err := fulltext.ParseTextQuery(text)
 	if err != nil {
 		return
 	}
 	for _, c := range tq.Conds {
-		if c.Op != fulltext.CondEq || c.Param < 0 {
-			continue
+		n := a.d.Nodes[a.d.Source+"#"+c.Field]
+		switch c.Op {
+		case fulltext.CondEq:
+			a.prune(c.Param, n)
+			if n == nil || n.Values == nil || n.Analyzed {
+				continue
+			}
+			key := ""
+			if c.Param < 0 {
+				key, _ = probeKey(c.Val)
+			}
+			a.estimate(eqRows(n.Values, key))
+		case fulltext.CondGe, fulltext.CondLe, fulltext.CondBetween:
+			if c.Param >= 0 || (c.Op == fulltext.CondBetween && c.Param2 >= 0) {
+				continue
+			}
+			lo, hi := math.Inf(-1), math.Inf(1)
+			var ok bool
+			switch c.Op {
+			case fulltext.CondGe:
+				lo, ok = numericValue(c.Val)
+			case fulltext.CondLe:
+				hi, ok = numericValue(c.Val)
+			case fulltext.CondBetween:
+				var ok2 bool
+				lo, ok = numericValue(c.Val)
+				hi, ok2 = numericValue(c.Val2)
+				ok = ok && ok2
+			}
+			if ok {
+				a.inRange(n, lo, hi)
+			}
 		}
-		m.add(c.Param, d.Nodes[d.Source+"#"+c.Field])
+	}
+	if tq.Limit > 0 {
+		a.limit(tq.Limit)
 	}
 }
-
-// ---------- shared sub-query analysis helpers ----------
 
 // lowerLabelIndex indexes value-bearing nodes by lower-cased label
 // (relational digests preserve schema case; SQL identifiers are
@@ -271,8 +356,9 @@ func sqlTableBindings(stmt *sqlparse.SelectStmt) map[string]string {
 	return out
 }
 
-// resolveAttr resolves a column reference to its attribute node, or
-// nil when the table is unknown or an unqualified column is ambiguous.
+// resolveAttr resolves a column reference to its value-bearing
+// attribute node, or nil when the table is unknown or an unqualified
+// column is ambiguous.
 func resolveAttr(byLabel map[string]*Node, tables map[string]string, col *sqlparse.ColumnRef) *Node {
 	if col.Table != "" {
 		t, ok := tables[strings.ToLower(col.Table)]
@@ -297,44 +383,21 @@ func sqlConjuncts(e sqlparse.Expr) []sqlparse.Expr {
 	return []sqlparse.Expr{e}
 }
 
-// sqlEqColParam extracts (column, param) from `col = ?` / `? = col`.
-func sqlEqColParam(be *sqlparse.BinaryExpr) (*sqlparse.ColumnRef, *sqlparse.Param) {
+// sqlEqOperand extracts (column, operand) from `col = x` / `x = col`
+// where x is a T (a parameter or a literal); col is nil otherwise.
+func sqlEqOperand[T sqlparse.Expr](be *sqlparse.BinaryExpr) (*sqlparse.ColumnRef, T) {
 	if c, ok := be.Left.(*sqlparse.ColumnRef); ok {
-		if p, ok := be.Right.(*sqlparse.Param); ok {
-			return c, p
+		if x, ok := be.Right.(T); ok {
+			return c, x
 		}
 	}
 	if c, ok := be.Right.(*sqlparse.ColumnRef); ok {
-		if p, ok := be.Left.(*sqlparse.Param); ok {
-			return c, p
+		if x, ok := be.Left.(T); ok {
+			return c, x
 		}
 	}
-	return nil, nil
-}
-
-// ---------- estimate refinement ----------
-
-// RefineEstimate derives an expected result cardinality for q from the
-// digest's value statistics: equality conjuncts contribute
-// count/distinct (zero when membership proves absence), numeric range
-// conjuncts integrate the histogram, and the tightest conjunct wins.
-// ok is false when the digest cannot say anything (no statistics, a
-// foreign wire version, unsupported query shape) — callers keep their
-// flat estimate then.
-func RefineEstimate(d *Digest, q source.SubQuery, prefixes map[string]string) (rows int, ok bool) {
-	if !d.PruneCapable() {
-		return 0, false
-	}
-	switch q.Language {
-	case source.LangSQL:
-		return refineSQL(d, q.Text)
-	case source.LangBGP:
-		return refineBGP(d, q, prefixes)
-	case source.LangSearch:
-		return refineSearch(d, q.Text)
-	default:
-		return 0, false
-	}
+	var none T
+	return nil, none
 }
 
 // perKeyRows is the expected rows matching one equality key:
@@ -350,6 +413,16 @@ func perKeyRows(vs *ValueSet) int {
 	return n / dist
 }
 
+// eqRows is the expected rows matching key: none when membership
+// proves it absent, count/distinct otherwise (and for the unknown key
+// "", a parameter's).
+func eqRows(vs *ValueSet, key string) int {
+	if !vs.mayContainKey(key) {
+		return 0
+	}
+	return perKeyRows(vs)
+}
+
 // rangeRows turns a histogram range estimate into rows, rounded up. A
 // decoded digest's counts are the peer's, so the conversion saturates
 // instead of overflowing int.
@@ -362,98 +435,6 @@ func rangeRows(h *Histogram, lo, hi float64) int {
 		return math.MaxInt32
 	}
 	return int(math.Ceil(x))
-}
-
-// better folds one conjunct estimate into the running minimum.
-func better(best, est int, found bool) (int, bool) {
-	if !found || est < best {
-		return est, true
-	}
-	return best, true
-}
-
-func refineSQL(d *Digest, text string) (int, bool) {
-	stmt, err := sqlparse.ParseSelect(text)
-	if err != nil || stmt.Where == nil || len(stmt.Joins) > 0 ||
-		len(stmt.GroupBy) > 0 || stmt.Having != nil {
-		return 0, false
-	}
-	for _, it := range stmt.Columns {
-		if sqlparse.HasAggregate(it.Expr) {
-			return 0, false
-		}
-	}
-	byLabel := lowerLabelIndex(d)
-	tables := sqlTableBindings(stmt)
-	best, found := 0, false
-	for _, c := range sqlConjuncts(stmt.Where) {
-		switch x := c.(type) {
-		case *sqlparse.BinaryExpr:
-			if x.Op == sqlparse.OpEq {
-				if col, p := sqlEqColParam(x); col != nil && p != nil {
-					if n := resolveAttr(byLabel, tables, col); n != nil && n.Values != nil && !n.Analyzed {
-						best, found = better(best, perKeyRows(n.Values), found)
-					}
-					continue
-				}
-				if col, lit := sqlEqColLiteral(x); col != nil {
-					n := resolveAttr(byLabel, tables, col)
-					if n == nil || n.Values == nil || n.Analyzed {
-						continue
-					}
-					if key, kok := ProbeKey(lit.Val); kok && !n.Values.MayContainKey(key) {
-						best, found = better(best, 0, found)
-						continue
-					}
-					best, found = better(best, perKeyRows(n.Values), found)
-				}
-				continue
-			}
-			if lo, hi, col, rok := sqlRange(x); rok {
-				if n := resolveAttr(byLabel, tables, col); n != nil && n.Values != nil {
-					if h := n.Values.Histogram(); h != nil {
-						best, found = better(best, rangeRows(h, lo, hi), found)
-					}
-				}
-			}
-		case *sqlparse.BetweenExpr:
-			if x.Negate {
-				continue
-			}
-			col, cok := x.X.(*sqlparse.ColumnRef)
-			lo, lok := sqlNumericLiteral(x.Lo)
-			hi, hok := sqlNumericLiteral(x.Hi)
-			if cok && lok && hok {
-				if n := resolveAttr(byLabel, tables, col); n != nil && n.Values != nil {
-					if h := n.Values.Histogram(); h != nil {
-						best, found = better(best, rangeRows(h, lo, hi), found)
-					}
-				}
-			}
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	if stmt.Limit >= 0 && best > stmt.Limit {
-		best = stmt.Limit
-	}
-	return best, true
-}
-
-// sqlEqColLiteral extracts (column, literal) from `col = lit` / `lit = col`.
-func sqlEqColLiteral(be *sqlparse.BinaryExpr) (*sqlparse.ColumnRef, *sqlparse.Literal) {
-	if c, ok := be.Left.(*sqlparse.ColumnRef); ok {
-		if l, ok := be.Right.(*sqlparse.Literal); ok {
-			return c, l
-		}
-	}
-	if c, ok := be.Right.(*sqlparse.ColumnRef); ok {
-		if l, ok := be.Left.(*sqlparse.Literal); ok {
-			return c, l
-		}
-	}
-	return nil, nil
 }
 
 // sqlRange decodes `col OP numeric-literal` (either operand order)
@@ -500,118 +481,6 @@ func sqlNumericLiteral(e sqlparse.Expr) (float64, bool) {
 		return l.Val.Float(), true
 	}
 	return 0, false
-}
-
-func refineBGP(d *Digest, q source.SubQuery, prefixes map[string]string) (int, bool) {
-	bgp, err := rdf.ParseBGP(q.Text, prefixes)
-	if err != nil || len(bgp.Patterns) == 0 {
-		return 0, false
-	}
-	bound := make(map[string]bool, len(q.InVars))
-	for _, name := range q.InVars {
-		bound[strings.TrimPrefix(name, "?")] = true
-	}
-	typ := rdf.NewIRI(rdf.RDFType)
-	best, found := 0, false
-	for _, p := range bgp.Patterns {
-		if p.P.IsVar() {
-			continue
-		}
-		var n *Node
-		var objKey string
-		var objKnown, objExact bool
-		if p.P.Term == typ {
-			if p.O.IsVar() {
-				continue
-			}
-			n = d.Nodes[d.Source+"#"+p.O.Term.Value]
-			// Subject position plays the "value" role for class nodes.
-			if !p.S.IsVar() {
-				objKey, objExact = Normalize(p.S.Term.Value), true
-			}
-			objKnown = !p.S.IsVar() || bound[p.S.Var]
-		} else {
-			n = d.Nodes[d.Source+"#"+p.P.Term.Value]
-			if !p.O.IsVar() {
-				objKey, objExact = Normalize(p.O.Term.Value), true
-			}
-			objKnown = !p.O.IsVar() || bound[p.O.Var]
-		}
-		if n == nil || n.Values == nil {
-			continue
-		}
-		switch {
-		case objExact && objKey != "" && !n.Values.MayContainKey(objKey):
-			best, found = better(best, 0, found)
-		case objKnown:
-			best, found = better(best, perKeyRows(n.Values), found)
-		default:
-			best, found = better(best, n.Values.Count(), found)
-		}
-	}
-	return best, found
-}
-
-func refineSearch(d *Digest, text string) (int, bool) {
-	tq, err := fulltext.ParseTextQuery(text)
-	if err != nil {
-		return 0, false
-	}
-	best, found := 0, false
-	for _, c := range tq.Conds {
-		n := d.Nodes[d.Source+"#"+c.Field]
-		if n == nil || n.Values == nil {
-			continue
-		}
-		switch c.Op {
-		case fulltext.CondEq:
-			if n.Analyzed {
-				continue
-			}
-			if c.Param < 0 {
-				if key, kok := ProbeKey(c.Val); kok && !n.Values.MayContainKey(key) {
-					best, found = better(best, 0, found)
-					continue
-				}
-			}
-			best, found = better(best, perKeyRows(n.Values), found)
-		case fulltext.CondGe, fulltext.CondLe, fulltext.CondBetween:
-			h := n.Values.Histogram()
-			if h == nil || c.Param >= 0 || (c.Op == fulltext.CondBetween && c.Param2 >= 0) {
-				continue
-			}
-			lo, hi := math.Inf(-1), math.Inf(1)
-			switch c.Op {
-			case fulltext.CondGe:
-				v, vok := numericValue(c.Val)
-				if !vok {
-					continue
-				}
-				lo = v
-			case fulltext.CondLe:
-				v, vok := numericValue(c.Val)
-				if !vok {
-					continue
-				}
-				hi = v
-			case fulltext.CondBetween:
-				v1, ok1 := numericValue(c.Val)
-				v2, ok2 := numericValue(c.Val2)
-				if !ok1 || !ok2 {
-					continue
-				}
-				lo, hi = v1, v2
-			}
-			best, found = better(best, rangeRows(h, lo, hi), found)
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	if tq.Limit > 0 && best > tq.Limit {
-		best = tq.Limit
-	}
-	return best, true
 }
 
 func numericValue(v value.Value) (float64, bool) {

@@ -5,9 +5,34 @@ import (
 	"fmt"
 	"testing"
 
+	"tatooine/internal/doc"
+	"tatooine/internal/fulltext"
 	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
+
+// docFixture is a small tweets index: an analyzed text field, two
+// keyword fields and a numeric one.
+func docFixture(t testing.TB) *fulltext.Index {
+	t.Helper()
+	ix := fulltext.NewIndex("tweets", fulltext.Schema{
+		"text":              fulltext.TextField,
+		"user.screen_name":  fulltext.KeywordField,
+		"entities.hashtags": fulltext.KeywordField,
+		"retweets":          fulltext.NumericField,
+	})
+	for i, u := range []string{"fhollande", "jdupont", "fhollande"} {
+		d := &doc.Document{ID: fmt.Sprintf("t%d", i)}
+		d.Set("text", "solidarité #SIA2016")
+		d.Set("user.screen_name", u)
+		d.Set("entities.hashtags", []any{"SIA2016"})
+		d.Set("retweets", float64(3*i))
+		if err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix
+}
 
 func probeSub(text string, inVars ...string) source.SubQuery {
 	return source.SubQuery{Language: source.LangSQL, Text: text, InVars: inVars}
@@ -15,7 +40,7 @@ func probeSub(text string, inVars ...string) source.SubQuery {
 
 func TestParamMatcherSQLEquality(t *testing.T) {
 	d := BuildRelational("sql://insee", relFixture(t), DefaultBudget())
-	m := NewParamMatcher(d, probeSub("SELECT name FROM departements WHERE code = ?", "code"), nil)
+	m := Analyze(d, probeSub("SELECT name FROM departements WHERE code = ?", "code"), nil).Matcher
 	if m == nil {
 		t.Fatal("equality on a digested column must be prunable")
 	}
@@ -42,7 +67,7 @@ func TestParamMatcherRefusals(t *testing.T) {
 		"unknown table": probeSub("SELECT x FROM nowhere WHERE x = ?", "x"),
 		"no params":     probeSub("SELECT name FROM departements"),
 	} {
-		if m := NewParamMatcher(d, q, nil); m != nil {
+		if m := Analyze(d, q, nil).Matcher; m != nil {
 			t.Errorf("%s: matcher %+v, want nil (probe everything)", name, m)
 		}
 	}
@@ -68,23 +93,30 @@ func TestParamMatcherForeignVersionNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := probeSub("SELECT name FROM departements WHERE code = ?", "code")
-	if pm := NewParamMatcher(&foreign, q, nil); pm != nil {
-		t.Error("foreign-version digest produced a matcher; cross-version pruning is unsafe")
+	if a := Analyze(&foreign, q, nil); a.Matcher != nil || a.Estimated {
+		t.Errorf("foreign-version digest analyzed as %+v; cross-version pruning is unsafe", a)
 	}
 }
 
-func TestParamMatcherFilters(t *testing.T) {
-	d := BuildRelational("sql://insee", relFixture(t), DefaultBudget())
-	m := NewParamMatcher(d, probeSub("SELECT name FROM departements WHERE code = ?", "code"), nil)
-	fs := m.Filters()
-	if len(fs) != 1 || fs[0] == nil {
-		t.Fatalf("filters: %+v, want one per parameter position", fs)
+// TestParamMatcherBloomOnly: with the exact set over budget, the
+// matcher tests bindings against the node's Bloom filter — present
+// keys probe, absent ones are pruned.
+func TestParamMatcherBloomOnly(t *testing.T) {
+	b := DefaultBudget()
+	b.ExactThreshold = 0
+	d := BuildRelational("sql://insee", relFixture(t), b)
+	if vs := d.Nodes["sql://insee#departements.code"].Values; vs.exact != nil || vs.bloom == nil {
+		t.Fatal("the fixture no longer drops the exact set")
 	}
-	if !fs[0].MayContainKey(Normalize("75")) {
-		t.Error("wire filter excludes a present key")
+	m := Analyze(d, probeSub("SELECT name FROM departements WHERE code = ?", "code"), nil).Matcher
+	if m == nil {
+		t.Fatal("a Bloom-only node must still prune")
 	}
-	if fs[0].MayContainKey(Normalize("code-definitely-not-present")) {
-		t.Error("wire filter admits an absent key (flaky only if the Bloom false-positives; seed data is tiny)")
+	if !m.MayMatch(value.Row{value.NewString("75")}) {
+		t.Error("Bloom-only matcher excludes a present key")
+	}
+	if m.MayMatch(value.Row{value.NewString("code-definitely-not-present")}) {
+		t.Error("Bloom-only matcher admits an absent key (flaky only if the Bloom false-positives; seed data is tiny)")
 	}
 }
 
@@ -109,8 +141,8 @@ func TestRefineEstimateSQL(t *testing.T) {
 		{"aggregate", "SELECT COUNT(*) FROM departements WHERE code = '75'", 0, false},
 	}
 	for _, c := range cases {
-		rows, ok := RefineEstimate(d, probeSub(c.text, "p"), nil)
-		if ok != c.ok || (ok && rows != c.rows) {
+		a := Analyze(d, probeSub(c.text, "p"), nil)
+		if rows, ok := a.Rows, a.Estimated; ok != c.ok || (ok && rows != c.rows) {
 			t.Errorf("%s: (%d, %v), want (%d, %v)", c.name, rows, ok, c.rows, c.ok)
 		}
 	}
@@ -174,11 +206,52 @@ func FuzzBloomMayContain(f *testing.F) {
 			if !bl.MayContain(s) {
 				t.Fatalf("false negative for %q", s)
 			}
-			if !bl.MayContainKey(s) {
-				t.Fatalf("MayContainKey false negative for %q", s)
-			}
 			if !decoded.MayContain(s) {
 				t.Fatalf("false negative for %q after wire round trip", s)
+			}
+		}
+	})
+}
+
+// FuzzAnalyzeSubQuery drives arbitrary sub-query texts, in each
+// language, with 0–3 IN variables through Analyze against fixed
+// relational, document and RDF digests. Nothing may panic, an estimate
+// is never negative, and the matcher answers any binding tuple.
+func FuzzAnalyzeSubQuery(f *testing.F) {
+	digests := []*Digest{
+		BuildRelational("sql://insee", relFixture(f), DefaultBudget()),
+		BuildDocument("solr://tweets", docFixture(f), DefaultBudget()),
+		BuildRDF("tatooine:G", rdfFixture(), DefaultBudget()),
+	}
+	langs := []source.Language{source.LangSQL, source.LangSearch, source.LangBGP}
+	prefixes := map[string]string{"": "http://t.example/"}
+
+	f.Add(uint8(0), "SELECT name FROM departements WHERE code = ? AND population > 3 LIMIT 2", uint8(1), "75", int64(3))
+	f.Add(uint8(0), "SELECT d.name FROM departements d JOIN resultats r ON d.code = r.dept WHERE r.party = ? AND ? = d.code", uint8(2), "PS", int64(0))
+	f.Add(uint8(0), "SELECT name FROM departements WHERE population BETWEEN 0 AND 5000000 AND code = '75'", uint8(0), "", int64(-1))
+	f.Add(uint8(1), "SEARCH tweets WHERE user.screen_name = ? AND entities.hashtags = 'SIA2016' RETURN _id LIMIT 5", uint8(1), "fhollande", int64(1))
+	f.Add(uint8(1), "SEARCH tweets WHERE retweets BETWEEN ? AND ? AND text CONTAINS 'x' RETURN _id", uint8(2), "1", int64(9))
+	f.Add(uint8(2), "q(?x) :- ?x :twitterAccount ?id . ?x a :politician . OPTIONAL { ?x :position ?p }", uint8(1), "fhollande", int64(2))
+	f.Add(uint8(2), "?x ?p ?o . :POL1 a ?c", uint8(3), "", int64(7))
+	f.Fuzz(func(t *testing.T, lang uint8, text string, nIn uint8, s string, n int64) {
+		q := source.SubQuery{Language: langs[int(lang)%len(langs)], Text: text}
+		for i := 0; i < int(nIn%4); i++ {
+			q.InVars = append(q.InVars, []string{"id", "x", "code", "p"}[i])
+		}
+		tuples := []value.Row{
+			{value.NewString(s), value.NewInt(n), value.NewNull()},
+			{value.NewInt(n), value.NewNull(), value.NewString(s)},
+			{value.NewNull(), value.NewString(s), value.NewInt(n)},
+			{value.NewString(s)},
+			nil,
+		}
+		for _, d := range digests {
+			a := Analyze(d, q, prefixes)
+			if a.Rows < 0 || (!a.Estimated && a.Rows != 0) {
+				t.Fatalf("%s against %s: rows %d, estimated %v", text, d.Source, a.Rows, a.Estimated)
+			}
+			for _, tu := range tuples {
+				a.Matcher.MayMatch(tu)
 			}
 		}
 	})

@@ -80,9 +80,6 @@ func TestBloomCrossVersionDecodesPassThrough(t *testing.T) {
 			if !b.MayContain(key) {
 				t.Fatalf("%s: degraded bloom answered false for %q — could mis-prune", name, key)
 			}
-			if !b.MayContainKey(key) {
-				t.Fatalf("%s: degraded bloom MayContainKey answered false for %q", name, key)
-			}
 		}
 	}
 }
@@ -279,9 +276,9 @@ func TestBloomPassThroughSurvivesWire(t *testing.T) {
 }
 
 // FuzzDigestWire feeds arbitrary bytes to the digest decoder and, when
-// they decode, runs what a remote digest reaches in the mediator: the
-// planner's RefineEstimate and the pruner's ParamMatcher over SQL,
-// search and BGP sub-queries. Whatever a peer sends must neither panic
+// they decode, runs what a remote digest reaches in the mediator:
+// Analyze's estimate and its ParamMatcher over SQL, search and BGP
+// sub-queries. Whatever a peer sends must neither panic
 // nor hang there, and an estimate the digest gives is never negative.
 func FuzzDigestWire(f *testing.F) {
 	good, err := json.Marshal(BuildRelational("sql://insee", relFixture(f), DefaultBudget()))
@@ -322,22 +319,16 @@ func FuzzDigestWire(f *testing.F) {
 			return
 		}
 		for _, q := range subs {
-			if rows, ok := RefineEstimate(&d, q, nil); ok && rows < 0 {
-				t.Fatalf("%s: estimate %d", q.Text, rows)
+			a := Analyze(&d, q, nil)
+			if a.Estimated && a.Rows < 0 {
+				t.Fatalf("%s: estimate %d", q.Text, a.Rows)
 			}
-			if m := NewParamMatcher(&d, q, nil); m != nil {
-				for _, p := range probes {
-					m.MayMatch(p)
-				}
-				for _, fl := range m.Filters() {
-					if fl != nil {
-						fl.MayContainKey("75")
-					}
-				}
+			for _, p := range probes {
+				a.Matcher.MayMatch(p)
 			}
 		}
 		for _, n := range d.Nodes {
-			n.Values.MayContainKey("75")
+			n.Values.mayContainKey("75")
 		}
 	})
 }

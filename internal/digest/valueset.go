@@ -260,9 +260,6 @@ func (vs *ValueSet) Samples() []string { return vs.samples }
 // Histogram returns the numeric histogram, or nil.
 func (vs *ValueSet) Histogram() *Histogram { return vs.hist }
 
-// Bloom returns the membership filter.
-func (vs *ValueSet) Bloom() *Bloom { return vs.bloom }
-
 // OverlapEstimate estimates the fraction of a's values present in b by
 // probing b with a's samples; used to discover cross-source join
 // edges. When b answers through a Bloom filter, the raw hit rate is

@@ -51,18 +51,14 @@ type QueryResponse struct {
 
 // BatchRequest is the wire form of a batched sub-query execution
 // (POST /batch): one sub-query, many parameter tuples, one round trip.
+// Every tuple executes: digest pruning happens on the mediator, which
+// ships only the bindings its digest of this endpoint does not exclude
+// (an unknown field such as an older client's "prune" is ignored).
 type BatchRequest struct {
 	Language  string      `json:"language"`
 	Text      string      `json:"text"`
 	InVars    []string    `json:"inVars,omitempty"`
 	ParamSets []value.Row `json:"paramSets"`
-	// Prune optionally carries one Bloom filter per InVar position (nil
-	// = no filter for that position), taken from the mediator's digest
-	// of this endpoint: tuples a filter provably excludes answer an
-	// empty result without touching the store. Filters have no false
-	// negatives, so results are identical with or without the field,
-	// and filters from a different wire version decode as pass-through.
-	Prune []*digest.Bloom `json:"prune,omitempty"`
 }
 
 // BatchResponse carries one result per parameter tuple, aligned with
@@ -164,54 +160,26 @@ func handlerMux(src source.DataSource) http.Handler {
 			Text:     req.Text,
 			InVars:   req.InVars,
 		}
-		// Digest semi-join pruning, server side: tuples the shipped
-		// per-position Bloom filters provably exclude answer an empty
-		// result (no cols, no rows) without reaching the store. keep maps
-		// surviving tuples back to their request positions; nil means
-		// nothing was pruned.
-		params := req.ParamSets
-		var keep []int
-		if len(req.Prune) > 0 {
-			survivors := make([]value.Row, 0, len(params))
-			keep = make([]int, 0, len(params))
-			for i, t := range params {
-				if pruneTuple(req.Prune, t) {
-					continue
-				}
-				keep = append(keep, i)
-				survivors = append(survivors, t)
-			}
-			if len(keep) == len(params) {
-				keep = nil
-			} else {
-				params = survivors
-			}
-		}
 		// Native pushdown when the source batches; otherwise loop the
 		// tuples server-side — the caller still saved N-1 network round
 		// trips, which is the point of the endpoint.
 		var results []*source.Result
 		var err error
-		switch {
-		case len(params) == 0:
-			// Every tuple pruned: nothing to execute.
-		default:
-			if bp, ok := src.(source.BatchProber); ok {
-				results, err = bp.ExecuteBatch(q, params)
-				if errors.Is(err, source.ErrBatchUnsupported) {
-					results, err = source.ExecuteSerially(src, q, params)
-				}
-			} else {
-				results, err = source.ExecuteSerially(src, q, params)
+		if bp, ok := src.(source.BatchProber); ok {
+			results, err = bp.ExecuteBatch(q, req.ParamSets)
+			if errors.Is(err, source.ErrBatchUnsupported) {
+				results, err = source.ExecuteSerially(src, q, req.ParamSets)
 			}
+		} else {
+			results, err = source.ExecuteSerially(src, q, req.ParamSets)
 		}
 		if err != nil {
 			writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: err.Error()})
 			return
 		}
-		if len(results) != len(params) {
+		if len(results) != len(req.ParamSets) {
 			writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: fmt.Sprintf(
-				"federation: source returned %d results for %d tuples", len(results), len(params))})
+				"federation: source returned %d results for %d tuples", len(results), len(req.ParamSets))})
 			return
 		}
 		resp := BatchResponse{Results: make([]QueryResponse, len(req.ParamSets))}
@@ -221,11 +189,7 @@ func handlerMux(src source.DataSource) http.Handler {
 					"federation: source returned a nil result for tuple %d", j)})
 				return
 			}
-			pos := j
-			if keep != nil {
-				pos = keep[j]
-			}
-			resp.Results[pos] = QueryResponse{Cols: res.Cols, Rows: res.Rows}
+			resp.Results[j] = QueryResponse{Cols: res.Cols, Rows: res.Rows}
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -242,26 +206,6 @@ func handlerMux(src source.DataSource) http.Handler {
 		writeJSON(w, http.StatusOK, EstimateResponse{Cost: cost, Rows: rows})
 	})
 	return mux
-}
-
-// pruneTuple reports whether a parameter tuple is provably excluded by
-// the per-position Bloom filters of a batch request. Positions without
-// a filter, values without a probe key (NULLs), and filters from a
-// foreign wire version (which decode as pass-through) never prune.
-func pruneTuple(filters []*digest.Bloom, t value.Row) bool {
-	for pos, b := range filters {
-		if b == nil || pos >= len(t) {
-			continue
-		}
-		key, ok := digest.ProbeKey(t[pos])
-		if !ok {
-			continue
-		}
-		if !b.MayContainKey(key) {
-			return true
-		}
-	}
-	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -480,7 +424,6 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 		Text:      q.Text,
 		InVars:    q.InVars,
 		ParamSets: paramSets,
-		Prune:     pruneFilters(q.Prune),
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -512,30 +455,6 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 		out[i] = &source.Result{Cols: qr.Cols, Rows: qr.Rows}
 	}
 	return out, nil
-}
-
-// pruneFilters projects a sub-query's per-position probe filters onto
-// the wire: only digest Bloom filters serialize (other ProbeFilter
-// implementations stay mediator-local), and an all-nil set is dropped
-// entirely so unfiltered batches carry no extra bytes.
-func pruneFilters(filters []source.ProbeFilter) []*digest.Bloom {
-	any := false
-	for _, f := range filters {
-		if b, ok := f.(*digest.Bloom); ok && b != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	out := make([]*digest.Bloom, len(filters))
-	for i, f := range filters {
-		if b, ok := f.(*digest.Bloom); ok {
-			out[i] = b
-		}
-	}
-	return out
 }
 
 // statusError turns a non-OK response into an error. The status is

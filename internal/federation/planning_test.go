@@ -5,10 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tatooine/internal/core"
 	"tatooine/internal/datagen"
@@ -209,24 +207,5 @@ FROM <sql://x> OUT(?v) { SELECT v FROM t WHERE v > 3 }`)
 	if rc.count("/digest") != 1 || rc.count("/estimate") != 1 {
 		t.Errorf("/digest %d, /estimate %d: want the refused digest fetched once and the endpoint's estimate used",
 			rc.count("/digest"), rc.count("/estimate"))
-	}
-}
-
-// TestBatchEndpointRefusesUnboundedBloomHashes: a prune filter claiming
-// 2^40 hash functions would keep the endpoint testing bits for minutes;
-// it is a bad request.
-func TestBatchEndpointRefusesUnboundedBloomHashes(t *testing.T) {
-	srv, _ := servedRelSource(t)
-	body := `{"language":"sql","text":"SELECT name FROM departements WHERE code = ?","inVars":["code"],` +
-		`"paramSets":[[{"k":"string","v":"75"}]],` +
-		`"prune":[{"v":1,"m":64,"k":1099511627776,"added":1,"bits":"//////////8="}]}`
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Post(srv.URL+"/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %s, want 400", resp.Status)
 	}
 }

@@ -1,24 +1,28 @@
 package federation
 
 import (
-	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
-	"tatooine/internal/digest"
+	"tatooine/internal/core"
+	"tatooine/internal/relstore"
 	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
 
 // countingBatchSource forwards to an inner batch-capable source and
-// records how many parameter tuples actually reach it, so tests can
-// measure what server-side pruning saved.
+// records how many parameter tuples reach it. It digests as the inner
+// source, so the endpoint's GET /digest still describes the data.
 type countingBatchSource struct {
 	source.DataSource
 	mu     sync.Mutex
 	tuples int
 }
+
+func (s *countingBatchSource) Unwrap() source.DataSource { return s.DataSource }
 
 func (s *countingBatchSource) ExecuteBatch(q source.SubQuery, paramSets []value.Row) ([]*source.Result, error) {
 	s.mu.Lock()
@@ -33,132 +37,89 @@ func (s *countingBatchSource) probed() int {
 	return s.tuples
 }
 
-// TestBatchEndpointPrunesWithBloom ships a bind-join batch whose
-// request carries a bloom filter over the parameter position: the
-// endpoint must answer excluded tuples as empty results without
-// executing them, and keep the surviving results position-aligned.
-func TestBatchEndpointPrunesWithBloom(t *testing.T) {
-	_, db := servedRelSource(t)
-	inner := &countingBatchSource{DataSource: source.NewRelSource("sql://insee", db)}
-	srv := httptest.NewServer(Handler(inner))
-	t.Cleanup(srv.Close)
-	c, err := Dial(srv.URL)
-	if err != nil {
-		t.Fatal(err)
+// TestRemoteBindJoinShipsOnlySurvivingTuples: a bind join into a remote
+// endpoint whose digest excludes most outer keys prunes them on the
+// mediator, so the endpoint's /batch receives exactly the distinct
+// bindings that survive — and the answer is the nested-loop join of the
+// two tables.
+func TestRemoteBindJoinShipsOnlySurvivingTuples(t *testing.T) {
+	var seedKeys []string
+	for i := 0; i < 40; i++ {
+		seedKeys = append(seedKeys, fmt.Sprintf("k%d", i))
 	}
+	seedKeys = append(seedKeys, "k0", "k7", "k10") // repeated bindings probe once
+	type pair struct{ k, v string }
+	var target []pair
+	for i := 0; i < 40; i += 5 {
+		target = append(target, pair{fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)})
+	}
+	target = append(target, pair{"k10", "v10b"}, pair{"z1", "vz"})
 
-	b := digest.NewBloom(8, 0.01)
-	b.Add(digest.Normalize("75"))
-	b.Add(digest.Normalize("92"))
-	q := batchQuery
-	q.Prune = []source.ProbeFilter{b}
-
-	sets := codes("75", "00", "92", "nope")
-	results, err := c.ExecuteBatch(q, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(sets) {
-		t.Fatalf("results: %d, want %d (position alignment)", len(results), len(sets))
-	}
-	if inner.probed() != 2 {
-		t.Fatalf("source probed %d tuples, want 2 (bloom excludes '00' and 'nope')", inner.probed())
-	}
-	if results[0].Len() != 1 || results[0].Rows[0][0].Str() != "Paris" {
-		t.Errorf("surviving tuple 0 misaligned: %+v", results[0])
-	}
-	if results[2].Len() != 1 || results[2].Rows[0][0].Str() != "Hauts-de-Seine" {
-		t.Errorf("surviving tuple 2 misaligned: %+v", results[2])
-	}
-	for _, i := range []int{1, 3} {
-		if results[i].Len() != 0 {
-			t.Errorf("pruned tuple %d returned rows: %+v", i, results[i])
+	exec := func(db *relstore.Database, stmts ...string) {
+		t.Helper()
+		for _, s := range stmts {
+			if _, err := db.Exec(s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-}
+	seed := relstore.NewDatabase("seed")
+	exec(seed, "CREATE TABLE seed (k TEXT)")
+	for _, k := range seedKeys {
+		exec(seed, fmt.Sprintf("INSERT INTO seed VALUES ('%s')", k))
+	}
+	tdb := relstore.NewDatabase("target")
+	exec(tdb, "CREATE TABLE t (k TEXT, v TEXT)")
+	for _, p := range target {
+		exec(tdb, fmt.Sprintf("INSERT INTO t VALUES ('%s', '%s')", p.k, p.v))
+	}
 
-// TestBatchEndpointAllPruned covers the degenerate batch: every tuple
-// excluded, nothing executes, every answer is empty.
-func TestBatchEndpointAllPruned(t *testing.T) {
-	_, db := servedRelSource(t)
-	inner := &countingBatchSource{DataSource: source.NewRelSource("sql://insee", db)}
-	srv := httptest.NewServer(Handler(inner))
+	remote := &countingBatchSource{DataSource: source.NewRelSource("sql://target", tdb)}
+	srv := httptest.NewServer(Handler(remote))
 	t.Cleanup(srv.Close)
 	c, err := Dial(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := digest.NewBloom(8, 0.01)
-	b.Add(digest.Normalize("75"))
-	q := batchQuery
-	q.Prune = []source.ProbeFilter{b}
-	results, err := c.ExecuteBatch(q, codes("00", "nope"))
+	in := core.NewInstance(nil)
+	for _, s := range []source.DataSource{source.NewRelSource("sql://seed", seed), c} {
+		if err := in.AddSource(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := core.MustParseCMQ(`
+QUERY q(?x, ?y)
+FROM <sql://seed> OUT(?x) { SELECT k FROM seed }
+FROM <sql://target> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? }
+`)
+	res, err := in.ExecuteOpts(q, core.ExecOptions{Parallel: true, ProbeBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inner.probed() != 0 {
-		t.Fatalf("source probed %d tuples, want 0", inner.probed())
-	}
-	if len(results) != 2 || results[0].Len() != 0 || results[1].Len() != 0 {
-		t.Fatalf("all-pruned results: %+v", results)
-	}
-}
 
-// TestBatchEndpointForeignVersionBloomIsPassThrough pins the
-// cross-version safety property: a bloom from a different wire version
-// decodes as a filter that never excludes, so a mixed-version
-// federation degrades to no pruning instead of losing rows.
-func TestBatchEndpointForeignVersionBloomIsPassThrough(t *testing.T) {
-	_, db := servedRelSource(t)
-	inner := &countingBatchSource{DataSource: source.NewRelSource("sql://insee", db)}
-	srv := httptest.NewServer(Handler(inner))
-	t.Cleanup(srv.Close)
-	c, err := Dial(srv.URL)
-	if err != nil {
-		t.Fatal(err)
+	var want, got []string
+	for _, k := range seedKeys {
+		for _, p := range target {
+			if p.k == k {
+				want = append(want, value.Row{value.NewString(k), value.NewString(p.v)}.Key())
+			}
+		}
 	}
-	// A hypothetical future encoding this version cannot interpret.
-	var foreign digest.Bloom
-	if err := json.Unmarshal([]byte(`{"v":999,"m":64,"k":9,"added":2,"bits":"opaque-future-format"}`), &foreign); err != nil {
-		t.Fatalf("foreign bloom must decode as pass-through, got %v", err)
+	for _, r := range res.Rows {
+		got = append(got, r.Key())
 	}
-	q := batchQuery
-	q.Prune = []source.ProbeFilter{&foreign}
-	sets := codes("75", "00")
-	results, err := c.ExecuteBatch(q, sets)
-	if err != nil {
-		t.Fatal(err)
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("answer %v, nested-loop join %v", got, want)
 	}
-	if inner.probed() != len(sets) {
-		t.Fatalf("foreign-version bloom pruned: %d tuples probed, want %d", inner.probed(), len(sets))
-	}
-	if results[0].Len() != 1 {
-		t.Errorf("matching tuple lost under pass-through bloom: %+v", results[0])
-	}
-}
 
-// TestBatchEndpointNilFilterSkipsPosition checks a nil entry in the
-// prune list means "no statistics for this position" — nothing is
-// excluded by it.
-func TestBatchEndpointNilFilterSkipsPosition(t *testing.T) {
-	_, db := servedRelSource(t)
-	inner := &countingBatchSource{DataSource: source.NewRelSource("sql://insee", db)}
-	srv := httptest.NewServer(Handler(inner))
-	t.Cleanup(srv.Close)
-	c, err := Dial(srv.URL)
-	if err != nil {
-		t.Fatal(err)
+	distinct := len(slices.Compact(slices.Sorted(slices.Values(seedKeys))))
+	pruned := res.Stats.PrunedProbes
+	if pruned == 0 {
+		t.Fatal("nothing pruned: the fixture no longer exercises digest pruning")
 	}
-	q := batchQuery
-	q.Prune = []source.ProbeFilter{nil}
-	results, err := c.ExecuteBatch(q, codes("75", "00"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inner.probed() != 2 {
-		t.Fatalf("nil filter pruned: %d tuples probed, want 2", inner.probed())
-	}
-	if len(results) != 2 {
-		t.Fatalf("results: %d", len(results))
+	if got := remote.probed(); got != distinct-pruned {
+		t.Errorf("/batch received %d tuples, want %d distinct bindings - %d pruned", got, distinct, pruned)
 	}
 }

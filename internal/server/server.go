@@ -612,8 +612,9 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Explain {
-		// Plan only — nothing executes, no cache interaction.
-		info, err := s.in.ExplainQuery(q, s.opts.Exec)
+		// Plan only — nothing executes, no cache interaction. A client
+		// that disconnects stops the planner consulting sources.
+		info, err := s.in.ExplainQueryContext(r.Context(), q, s.opts.Exec)
 		if err != nil {
 			s.errors.Add(1)
 			writeJSON(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})

@@ -63,20 +63,6 @@ type SubQuery struct {
 	// for BGP texts they name pattern variables to pre-bind. The
 	// mediator supplies the bound values via Execute's params.
 	InVars []string
-	// Prune optionally carries one membership filter per InVar position
-	// (nil entries mean "no filter"). Executors and federation
-	// endpoints may skip binding tuples a filter provably excludes.
-	// Filters never change results — only avoid empty probes — so they
-	// take no part in cache keys or equality.
-	Prune []ProbeFilter `json:"-"`
-}
-
-// ProbeFilter tests whether a normalized probe key may match at the
-// target source (implemented by digest Bloom filters). Implementations
-// must never answer false for a key that is actually present —
-// semi-join pruning relies on the no-false-negative contract.
-type ProbeFilter interface {
-	MayContainKey(key string) bool
 }
 
 // Result is a uniform tuple result: column names and rows of values.
