@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet race benchsmoke boundedsmoke fmtcheck obscheck benchcheck fuzzsmoke
+.PHONY: verify build test vet race benchsmoke boundedsmoke fmtcheck obscheck benchcheck fuzzsmoke loc
 
 # Tier-1 gate: a missing-module (or any build/test) regression fails here.
 verify: fmtcheck vet build test benchcheck benchsmoke boundedsmoke obscheck fuzzsmoke
@@ -43,6 +43,14 @@ fuzzsmoke:
 # mediator's GET /metrics must scrape as valid Prometheus text.
 obscheck:
 	sh scripts/obs_vet.sh
+
+# Non-test Go lines per package under internal/ and cmd/, then the
+# total: the size figure a simplification quotes. Not part of verify.
+loc:
+	@total=0; for d in internal/*/ cmd/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-22s %6d\n' "$${d%/}" $$n; total=$$((total + n)); \
+	done; printf '%-22s %6d\n' total $$total
 
 # Fail on any file gofmt would rewrite (prints the offenders).
 fmtcheck:

@@ -231,7 +231,6 @@ func BenchmarkE6PlanAblation(b *testing.B) {
 	}{
 		{"selectivity+parallel", core.ExecOptions{Parallel: true}},
 		{"selectivity+sequential", core.ExecOptions{Parallel: false}},
-		{"naive-order", core.ExecOptions{NaiveOrder: true}},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -258,38 +257,6 @@ FROM <solr://tweets> OUT(?t, ?id)
 			}
 		}
 	})
-}
-
-// BenchmarkE6Parallelism isolates the parallelism rule: three
-// independent sub-queries (no shared IN variables) are DAG nodes with no
-// dependencies, so they run concurrently; NaiveOrder runs them one after
-// another.
-func BenchmarkE6Parallelism(b *testing.B) {
-	f := fix(b, 20000)
-	// Three searches over the corpus joined on the author variable: the
-	// sub-queries dominate the cost, the residual join is small.
-	q := core.MustParseCMQ(`
-QUERY q(?a, ?t1, ?t2, ?t3)
-FROM <solr://tweets> OUT(?t1, ?a) { SEARCH tweets WHERE text CONTAINS 'urgence' RETURN _id, user.screen_name LIMIT 50 }
-FROM <solr://tweets> OUT(?t2, ?a) { SEARCH tweets WHERE text CONTAINS 'parlement' RETURN _id, user.screen_name LIMIT 50 }
-FROM <solr://tweets> OUT(?t3, ?a) { SEARCH tweets WHERE text CONTAINS 'vigilance' RETURN _id, user.screen_name LIMIT 50 }
-LIMIT 10
-`)
-	for _, m := range []struct {
-		name string
-		opts core.ExecOptions
-	}{
-		{"parallel", core.ExecOptions{Parallel: true}},
-		{"sequential", core.ExecOptions{Parallel: true, NaiveOrder: true}},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := f.in.ExecuteOpts(q, m.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // ---------- E7: digest precision vs. space budget (§2.2) ----------
@@ -541,12 +508,19 @@ func BenchmarkSourceEstimate(b *testing.B) {
 	}
 }
 
+// perTupleSource hides a source's ExecuteBatch, so bind joins probe it
+// one tuple at a time; Unwrap keeps its digest reachable.
+type perTupleSource struct{ source.DataSource }
+
+func (s perTupleSource) Unwrap() source.DataSource { return s.DataSource }
+
 // BenchmarkBatchedBindJoin measures the tentpole of the batched
 // bind-join pushdown: a bind join whose probes travel to a remote
 // federation endpoint behind an injected per-request latency. perProbe
-// ships one HTTP round trip per distinct binding; batched chunks the
-// bindings into ProbeBatch-sized IN-list pushdowns, collapsing the
-// round trips by the batch factor. The rtts/op metric counts actual
+// ships one HTTP round trip per distinct binding (the client is
+// registered through perTupleSource, which hides its batches); batched
+// chunks the bindings into DefaultProbeBatch-sized IN-list pushdowns,
+// collapsing the round trips by the batch factor. The rtts/op metric counts actual
 // HTTP requests per executed query.
 func BenchmarkBatchedBindJoin(b *testing.B) {
 	const keys = 256
@@ -595,24 +569,24 @@ FROM <sql://remote> IN(?k) OUT(?k, ?v) { SELECT k, v FROM targets WHERE k = ? }
 	}
 
 	for _, bench := range []struct {
-		name       string
-		probeBatch int
+		name   string
+		remote source.DataSource
 	}{
-		{"perProbe", 1},
-		{"batched64", 64},
+		{"perProbe", perTupleSource{client}},
+		{"batched64", client},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			in := core.NewInstance(nil)
 			if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
 				b.Fatal(err)
 			}
-			if err := in.AddSource(client); err != nil {
+			if err := in.AddSource(bench.remote); err != nil {
 				b.Fatal(err)
 			}
 			requests.Store(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := in.ExecuteOpts(q, core.ExecOptions{Parallel: true, ProbeBatch: bench.probeBatch})
+				res, err := in.ExecuteOpts(q, core.ExecOptions{Parallel: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -181,10 +181,6 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		"per-source sub-query cache entries (0 = default, negative disables)")
 	probeTTL := fs.Duration("probe-ttl", 0,
 		"probe-cache entry TTL, e.g. 5m (0 = entries never expire)")
-	fanout := fs.Int("fanout", 0,
-		"bind-join fan-out per atom (0 = derive from GOMAXPROCS, clamped)")
-	probeBatch := fs.Int("probe-batch", 0,
-		"bind-join probe batch size for batch-capable sources (0 = default 64, 1 disables batching)")
 	slowQuery := fs.Duration("slow-query", server.DefaultSlowQuery,
 		"slow-query log threshold: completed queries at or over it are logged and flagged on GET /debug/queries (negative disables)")
 	traceRing := fs.Int("trace-ring", server.DefaultTraceRing,
@@ -231,8 +227,6 @@ func cmdServe(ds *datagen.Dataset, args []string) error {
 		ProbeTTL:        *probeTTL,
 		Exec: core.ExecOptions{
 			Parallel:      true,
-			MaxFanout:     *fanout,
-			ProbeBatch:    *probeBatch,
 			JoinMemBudget: int64(*joinMemBudgetMB) << 20,
 		},
 		SlowQuery:   *slowQuery,

@@ -134,9 +134,9 @@
 // binding. Sources may implement the optional source.BatchProber
 // capability (ExecuteBatch: one sub-query, many parameter tuples, one
 // native round trip); the executor then chunks a bind join's distinct
-// outer tuples into batches of ExecOptions.ProbeBatch (default 64,
-// "tatooine serve -probe-batch") and ships each chunk as ONE
-// sub-query, turning O(bindings) round trips into O(bindings/batch).
+// outer tuples into batches of core.DefaultProbeBatch (64, not
+// configurable) and ships each chunk as ONE sub-query, turning
+// O(bindings) round trips into O(bindings/batch).
 //
 //   - source.RelSource pushes batches down as SQL: each `col = ?`
 //     probe predicate is rewritten into `col IN (v1, ..., vk)` per
@@ -203,13 +203,11 @@
 //
 // and ExecStats.Nodes reports per-node actual row counts next to the
 // estimates, so misestimates are visible per query. ExecOptions.Parallel
-// only bounds bind-join fan-out (false is MaxFanout = 1); the E6
-// NaiveOrder ablation plans atoms in declaration order and runs each
-// only after the previous one finished. The DAG once had two
-// siblings, both since removed. One-shot benchmarks had it beating a
-// barrier-synchronized wave scheduler 1.64x. Streaming cut
-// time-to-first-row 4.4x against a materialize-every-node path, which
-// bench/ now tracks as ttfr_p50_ms and core.ttfr_ms on
+// only bounds bind-join fan-out (false keeps one probe in flight). The
+// DAG once had two siblings, both since removed. One-shot benchmarks
+// had it beating a barrier-synchronized wave scheduler 1.64x.
+// Streaming cut time-to-first-row 4.4x against a materialize-every-node
+// path, which bench/ now tracks as ttfr_p50_ms and core.ttfr_ms on
 // federated_stream.
 //
 // The planner fixes each node's column layout once: a prefix (the
@@ -255,9 +253,9 @@
 // of leaking goroutines. The mediator's single-flight guard counts
 // interested requests per flight and cancels the shared execution only
 // when the LAST one disconnects — a leader's disconnect never poisons
-// coalesced followers. ExecOptions.MaxFanout defaults to a
-// GOMAXPROCS-derived bound (DefaultMaxFanout, clamped to [8, 64]);
-// "tatooine serve -fanout" overrides it.
+// coalesced followers. With ExecOptions.Parallel a bind join keeps up
+// to DefaultMaxFanout probes in flight: a GOMAXPROCS-derived bound,
+// clamped to [8, 64].
 //
 // # Tuple-level streaming execution
 //

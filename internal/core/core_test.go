@@ -235,7 +235,7 @@ QUERY q(?dept, ?taux, ?region)
 FROM <sql://insee> OUT(?dept, ?year, ?taux) { SELECT dept, year, taux FROM chomage WHERE year = 2016 }
 FROM <sql://insee> OUT(?region, ?src) { SELECT region, uri FROM endpoints }
 `)
-	plan, err := in.planQuery(context.Background(), q, ExecOptions{})
+	plan, err := in.planQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ QUERY q(?region, ?val)
 FROM ?src OUT(?ind, ?val) { SELECT indicator, val FROM stats }
 FROM <sql://insee> OUT(?region, ?src) { SELECT region, uri FROM endpoints }
 `)
-	plan, err := in.planQuery(context.Background(), q, ExecOptions{})
+	plan, err := in.planQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,23 +283,8 @@ func TestPlanCircularDependency(t *testing.T) {
 				OutVars: []string{"b"}},
 		},
 	}
-	if _, err := in.planQuery(context.Background(), q, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "circular") {
+	if _, err := in.planQuery(context.Background(), q); err == nil || !strings.Contains(err.Error(), "circular") {
 		t.Errorf("circular dependency: %v", err)
-	}
-}
-
-func TestNaiveOrderAblation(t *testing.T) {
-	in := fixtureInstance(t)
-	q := MustParseCMQ(qSIAText)
-	res, err := in.ExecuteOpts(q, ExecOptions{NaiveOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "t1" {
-		t.Errorf("naive order result mismatch: %+v", res.Rows)
-	}
-	if res.Stats.Waves != 2 {
-		t.Errorf("naive order should use one wave per atom: %+v", res.Stats)
 	}
 }
 
@@ -473,7 +458,7 @@ func TestParseCMQErrors(t *testing.T) {
 func TestExplain(t *testing.T) {
 	in := fixtureInstance(t)
 	q := MustParseCMQ(qSIAText)
-	plan, err := in.planQuery(context.Background(), q, ExecOptions{})
+	plan, err := in.planQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,16 +188,27 @@ func randomCMQ(rng *rand.Rand) string {
 }
 
 // oracleModes are the executor configurations every oracle property
-// runs: parallel, sequential, and naive order with per-tuple probes.
+// runs: parallel, sequential, and parallel with per-tuple probes.
 type oracleMode struct {
 	name string
 	opts ExecOptions
+	// perTuple runs the mode on a twin instance whose sources hide
+	// their batches (hideBatches), so every bind join probes per tuple.
+	perTuple bool
 }
 
 var oracleModes = []oracleMode{
-	{"parallel", ExecOptions{Parallel: true}},
-	{"sequential", ExecOptions{Parallel: false}},
-	{"naive-order-per-tuple", ExecOptions{Parallel: true, NaiveOrder: true, ProbeBatch: 1}},
+	{"parallel", ExecOptions{Parallel: true}, false},
+	{"sequential", ExecOptions{Parallel: false}, false},
+	{"per-tuple", ExecOptions{Parallel: true}, true},
+}
+
+// run executes q in the mode: on twin when perTuple, on in otherwise.
+func (m oracleMode) run(in, twin *Instance, q *CMQ) (*QueryResult, error) {
+	if m.perTuple {
+		in = twin
+	}
+	return in.ExecuteOpts(q, m.opts)
 }
 
 // TestExecutorMatchesOracle is the executor's acceptance property: over
@@ -211,10 +222,11 @@ func TestExecutorMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		modes := oracleModes
 		if seed < spillSeeds {
-			modes = append(slices.Clip(modes), oracleMode{"spill", ExecOptions{Parallel: true, JoinMemBudget: 1}})
+			modes = append(slices.Clip(modes), oracleMode{"spill", ExecOptions{Parallel: true, JoinMemBudget: 1}, false})
 		}
 		rng := rand.New(rand.NewSource(seed))
 		in := randomFixture(t, rng)
+		twin := hideBatches(randomFixture(t, rand.New(rand.NewSource(seed))))
 		for qn := 0; qn < queries; qn++ {
 			text := randomCMQ(rng)
 			q := mustParse(t, text)
@@ -223,7 +235,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d query %d (oracle): %v\n%s", seed, qn, err, text)
 			}
 			for _, cfg := range modes {
-				res, err := in.ExecuteOpts(q, cfg.opts)
+				res, err := cfg.run(in, twin, q)
 				if err == nil {
 					err = want.check(q, res)
 				}
@@ -245,22 +257,26 @@ func TestExecutorMatchesOracle(t *testing.T) {
 // it plans after the dynamic node and becomes the stream sink, leaving
 // the dynamic node as a hash-join build side.
 func TestDynamicAtomReturnsItsDesignator(t *testing.T) {
-	in := NewInstance(nil)
-	for s, srcs := range [][]string{{"s1", "s2"}, {"s1", "s2"}, {"s1", "s1", "s1"}} {
-		db := relstore.NewDatabase(fmt.Sprintf("s%d", s))
-		stmts := []string{"CREATE TABLE d (k TEXT, src TEXT)"}
-		for i, src := range srcs {
-			stmts = append(stmts, fmt.Sprintf("INSERT INTO d VALUES ('k%d%d', 'sql://%s')", s, i, src))
-		}
-		for _, stmt := range stmts {
-			if _, err := db.Exec(stmt); err != nil {
+	build := func() *Instance {
+		in := NewInstance(nil)
+		for s, srcs := range [][]string{{"s1", "s2"}, {"s1", "s2"}, {"s1", "s1", "s1"}} {
+			db := relstore.NewDatabase(fmt.Sprintf("s%d", s))
+			stmts := []string{"CREATE TABLE d (k TEXT, src TEXT)"}
+			for i, src := range srcs {
+				stmts = append(stmts, fmt.Sprintf("INSERT INTO d VALUES ('k%d%d', 'sql://%s')", s, i, src))
+			}
+			for _, stmt := range stmts {
+				if _, err := db.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := in.AddSource(source.NewRelSource(fmt.Sprintf("sql://s%d", s), db)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := in.AddSource(source.NewRelSource(fmt.Sprintf("sql://s%d", s), db)); err != nil {
-			t.Fatal(err)
-		}
+		return in
 	}
+	in, twin := build(), hideBatches(build())
 	text := `
 QUERY q(?k, ?s, ?k2, ?z, ?w)
 FROM <sql://s0> OUT(?k, ?s) { SELECT k, src FROM d }
@@ -275,7 +291,7 @@ FROM <sql://s2> OUT(?z, ?w) { SELECT k, src FROM d }`
 		t.Fatalf("oracle: %d rows, want 3 (s1 names itself once, times 3 s2 rows)", len(want.rows))
 	}
 	for _, cfg := range oracleModes {
-		res, err := in.ExecuteOpts(q, cfg.opts)
+		res, err := cfg.run(in, twin, q)
 		if err == nil {
 			err = want.check(q, res)
 		}
@@ -375,7 +391,7 @@ FROM <sql://slow> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := in.ExecuteContext(ctx, q, ExecOptions{Parallel: true, ProbeBatch: 1})
+		_, err := in.ExecuteContext(ctx, q, ExecOptions{Parallel: true})
 		errCh <- err
 	}()
 

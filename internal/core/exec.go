@@ -17,25 +17,13 @@ import (
 	"tatooine/internal/value"
 )
 
-// ExecOptions tune query execution.
+// ExecOptions tune query execution. The bind-join batch size
+// (DefaultProbeBatch) and the atom order (planQuery's rules) are fixed.
 type ExecOptions struct {
-	// Parallel lets each bind join keep up to MaxFanout probe dispatches
-	// in flight. False is MaxFanout = 1: probes run one at a time, while
-	// independent DAG nodes still overlap.
+	// Parallel lets each bind join keep up to DefaultMaxFanout probe
+	// dispatches in flight. False keeps one: probes run one at a time,
+	// while independent DAG nodes still overlap.
 	Parallel bool
-	// MaxFanout bounds bind-join concurrency. Zero or negative derives
-	// the bound from the host via DefaultMaxFanout.
-	MaxFanout int
-	// ProbeBatch is the bind-join batch size: when the source supports
-	// batched probes (source.BatchProber) the distinct outer tuples are
-	// chunked into batches of this size and each batch ships as one
-	// native sub-query. 0 uses DefaultProbeBatch; 1 or negative forces
-	// per-tuple probes (the pre-batching behavior).
-	ProbeBatch int
-	// NaiveOrder disables selectivity-based ordering (ablation E6):
-	// atoms run in declaration order, each starting only after the
-	// previous one finished.
-	NaiveOrder bool
 	// JoinMemBudget bounds each residual hash join's build-side memory,
 	// in bytes ("tatooine serve -join-mem-budget"). A build side that
 	// outgrows it spills to a Grace-style partitioned on-disk join —
@@ -44,25 +32,10 @@ type ExecOptions struct {
 	JoinMemBudget int64
 }
 
-// DefaultProbeBatch is the bind-join batch size when ExecOptions leaves
-// ProbeBatch at zero.
+// DefaultProbeBatch is the bind-join batch size: a source that supports
+// batched probes (source.BatchProber) receives the distinct outer
+// tuples in chunks of this many, each chunk one native sub-query.
 const DefaultProbeBatch = 64
-
-// normalized resolves the defaults: Parallel off is MaxFanout 1, a
-// non-positive MaxFanout is DefaultMaxFanout, a zero ProbeBatch is
-// DefaultProbeBatch.
-func (o ExecOptions) normalized() ExecOptions {
-	switch {
-	case !o.Parallel:
-		o.MaxFanout = 1
-	case o.MaxFanout <= 0:
-		o.MaxFanout = DefaultMaxFanout()
-	}
-	if o.ProbeBatch == 0 {
-		o.ProbeBatch = DefaultProbeBatch
-	}
-	return o
-}
 
 // DefaultMaxFanout derives the bind-join fan-out bound from the host:
 // probes are I/O-bound (they mostly wait on remote sources), so twice
@@ -149,16 +122,15 @@ func (in *Instance) ExecuteContext(ctx context.Context, q *CMQ, opts ExecOptions
 	return sr.drain()
 }
 
-// newExecutor normalizes the options, plans the query and wires an
-// executor — the front half of ExecuteStream.
+// newExecutor plans the query and wires an executor — the front half
+// of ExecuteStream.
 // The executor's "execute" span joins the context's trace when one is
 // there (a traced server request) and roots a fresh trace otherwise, so
 // every execution produces a span tree.
 func (in *Instance) newExecutor(ctx context.Context, q *CMQ, opts ExecOptions) (*executor, error) {
-	opts = opts.normalized()
 	ctx, span, _ := obs.EnsureSpan(ctx, "execute")
 	pctx, psp := obs.StartSpan(ctx, "plan")
-	plan, err := in.planQuery(pctx, q, opts)
+	plan, err := in.planQuery(pctx, q)
 	psp.End()
 	if err != nil {
 		span.End()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,18 +84,45 @@ func (s *batchProbeSource) ExecuteBatch(q source.SubQuery, paramSets []value.Row
 	return out, nil
 }
 
+// perTupleSource hides a source's ExecuteBatch, so bind joins probe it
+// one tuple at a time; Unwrap keeps its digest reachable.
+type perTupleSource struct{ source.DataSource }
+
+func (s perTupleSource) Unwrap() source.DataSource { return s.DataSource }
+
+// hideBatches wraps every source of in in perTupleSource.
+func hideBatches(in *Instance) *Instance {
+	in.Sources().Interpose(func(s source.DataSource) source.DataSource { return perTupleSource{s} })
+	return in
+}
+
 // batchFixture builds an instance whose seed atom yields duplicate and
 // NULL bindings (5 distinct non-null tuples) and whose second atom bind
 // joins against the scripted probe source.
 func batchFixture(t *testing.T) (*Instance, *batchProbeSource) {
+	return batchFixtureFill(t, 0)
+}
+
+// batchFill is the number of filler keys (matching no probe row) that
+// take batchFixtureFill past one batch: 5 + DefaultProbeBatch distinct
+// tuples ship as two batches.
+const batchFill = DefaultProbeBatch
+
+// batchFixtureFill is batchFixture with fill more distinct seed keys,
+// none of which the probe source matches.
+func batchFixtureFill(t *testing.T, fill int) (*Instance, *batchProbeSource) {
 	t.Helper()
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("seed")
-	for _, q := range []string{
+	stmts := []string{
 		"CREATE TABLE seed (k TEXT)",
 		"INSERT INTO seed (k) VALUES ('a'), ('b'), ('a'), ('c'), ('dup'), ('missing')",
 		"INSERT INTO seed VALUES (NULL)",
-	} {
+	}
+	for i := 0; i < fill; i++ {
+		stmts = append(stmts, fmt.Sprintf("INSERT INTO seed VALUES ('f%03d')", i))
+	}
+	for _, q := range stmts {
 		if _, err := db.Exec(q); err != nil {
 			t.Fatal(err)
 		}
@@ -136,18 +164,19 @@ func sortedRows(res *QueryResult) []string {
 // TestBatchedBindJoinMatchesPerProbe is the acceptance check: batched
 // and per-probe bind joins return byte-identical relations (duplicate
 // probe rows kept, NULL bindings skipped, outCheck mismatches dropped),
-// and the batched run reports ⌈N/ProbeBatch⌉ probe sub-queries instead
-// of N.
+// and the batched run reports ⌈N/DefaultProbeBatch⌉ probe sub-queries
+// instead of N.
 func TestBatchedBindJoinMatchesPerProbe(t *testing.T) {
+	const distinct = 5 + batchFill // a, b, c, dup, missing and the fillers
+	q := mustParse(t, batchQuery)
 	for _, parallel := range []bool{false, true} {
-		in, probe := batchFixture(t)
-		q := mustParse(t, batchQuery)
-
-		perProbe, err := in.ExecuteOpts(q, ExecOptions{Parallel: parallel, ProbeBatch: 1})
+		inRef, ref := batchFixtureFill(t, batchFill)
+		perProbe, err := hideBatches(inRef).ExecuteOpts(q, ExecOptions{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := in.ExecuteOpts(q, ExecOptions{Parallel: parallel, ProbeBatch: 2})
+		in, probe := batchFixtureFill(t, batchFill)
+		batched, err := in.ExecuteOpts(q, ExecOptions{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,25 +187,29 @@ func TestBatchedBindJoinMatchesPerProbe(t *testing.T) {
 		if len(perProbe.Rows) == 0 {
 			t.Fatalf("fixture produced no rows")
 		}
-		// 5 distinct non-null bindings (a, b, c, dup, missing): per-probe
-		// ships 5 probe sub-queries, batch size 2 ships ⌈5/2⌉ = 3.
-		if perProbe.Stats.SubQueries != 1+5 || perProbe.Stats.BatchProbes != 0 {
+		// Per-probe ships one probe sub-query per distinct non-null
+		// binding; batched ships ⌈distinct/64⌉ = 2.
+		if perProbe.Stats.SubQueries != 1+distinct || perProbe.Stats.BatchProbes != 0 {
 			t.Errorf("parallel=%v: per-probe stats: %+v", parallel, perProbe.Stats)
 		}
-		if batched.Stats.SubQueries != 1+3 || batched.Stats.BatchProbes != 3 {
+		if batched.Stats.SubQueries != 1+2 || batched.Stats.BatchProbes != 2 {
 			t.Errorf("parallel=%v: batched stats: %+v", parallel, batched.Stats)
 		}
-		if probe.execCalls != 5 {
-			t.Errorf("parallel=%v: probe Execute calls = %d, want 5 (per-probe run only)", parallel, probe.execCalls)
+		if ref.execCalls != distinct || ref.batchCalls != 0 {
+			t.Errorf("parallel=%v: per-probe calls: exec=%d batch=%d, want %d/0", parallel, ref.execCalls, ref.batchCalls, distinct)
 		}
-		if probe.batchCalls != 3 {
-			t.Errorf("parallel=%v: probe ExecuteBatch calls = %d, want 3", parallel, probe.batchCalls)
+		if probe.execCalls != 0 || probe.batchCalls != 2 {
+			t.Errorf("parallel=%v: batched calls: exec=%d batch=%d, want 0/2", parallel, probe.execCalls, probe.batchCalls)
+		}
+		sizes := slices.Sorted(slices.Values(probe.batchSizes))
+		if !slices.Equal(sizes, []int{distinct - DefaultProbeBatch, DefaultProbeBatch}) {
+			t.Errorf("parallel=%v: batch sizes = %v, want one full batch of %d and the remainder", parallel, sizes, DefaultProbeBatch)
 		}
 	}
 }
 
-// TestBatchedBindJoinDefaultBatchSize checks ProbeBatch=0 resolves to
-// DefaultProbeBatch: 5 tuples fit one batch → exactly one probe
+// TestBatchedBindJoinDefaultBatchSize checks tuples that fit in
+// DefaultProbeBatch ship as one batch: 5 tuples → exactly one probe
 // sub-query beyond the seed scan.
 func TestBatchedBindJoinDefaultBatchSize(t *testing.T) {
 	in, probe := batchFixture(t)
@@ -196,16 +229,17 @@ func TestBatchedBindJoinDefaultBatchSize(t *testing.T) {
 // ExecuteBatch rejects the sub-query degrades to per-tuple probes with
 // identical results and no BatchProbes counted.
 func TestBatchUnsupportedFallsBackPerTuple(t *testing.T) {
-	in, probe := batchFixture(t)
+	const distinct = 5 + batchFill
+	in, probe := batchFixtureFill(t, batchFill)
 	probe.unsupported = true
 	q := mustParse(t, batchQuery)
-	res, err := in.ExecuteOpts(q, ExecOptions{ProbeBatch: 2})
+	res, err := in.ExecuteOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	inRef, _ := batchFixture(t)
-	ref, err := inRef.ExecuteOpts(mustParse(t, batchQuery), ExecOptions{ProbeBatch: 1})
+	inRef, _ := batchFixtureFill(t, batchFill)
+	ref, err := hideBatches(inRef).ExecuteOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,20 +249,20 @@ func TestBatchUnsupportedFallsBackPerTuple(t *testing.T) {
 	if res.Stats.BatchProbes != 0 {
 		t.Errorf("BatchProbes = %d after unsupported batches", res.Stats.BatchProbes)
 	}
-	if res.Stats.SubQueries != 1+5 {
-		t.Errorf("SubQueries = %d, want 6 (per-tuple fallback)", res.Stats.SubQueries)
+	if res.Stats.SubQueries != 1+distinct {
+		t.Errorf("SubQueries = %d, want %d (per-tuple fallback)", res.Stats.SubQueries, 1+distinct)
 	}
-	if probe.execCalls != 5 || probe.batchCalls != 3 {
-		t.Errorf("calls: exec=%d batch=%d, want 5/3", probe.execCalls, probe.batchCalls)
+	if probe.execCalls != distinct || probe.batchCalls != 2 {
+		t.Errorf("calls: exec=%d batch=%d, want %d/2", probe.execCalls, probe.batchCalls, distinct)
 	}
 }
 
 // TestPartialBatchFailureAborts checks a real error from one batch of a
 // multi-batch bind join aborts the query.
 func TestPartialBatchFailureAborts(t *testing.T) {
-	in, probe := batchFixture(t)
+	in, probe := batchFixtureFill(t, batchFill)
 	probe.failBatchAt = 2
-	_, err := in.ExecuteOpts(mustParse(t, batchQuery), ExecOptions{ProbeBatch: 2})
+	_, err := in.ExecuteOpts(mustParse(t, batchQuery), ExecOptions{})
 	if err == nil || !strings.Contains(err.Error(), "batch 2 exploded") {
 		t.Errorf("partial batch failure: err = %v", err)
 	}

@@ -322,17 +322,6 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 		}
 		return ex.runDynamic(s, outer, emit, sp)
 	}
-	// A scan reads none of its dependencies' rows: its Deps only order
-	// it, as in NaiveOrder's sequential chain. Under NaiveOrder a bind
-	// join waits too, so the ablation runs one atom after another.
-	if !s.BindJoin || ex.opts.NaiveOrder {
-		for _, d := range s.Deps {
-			if err := r.bufs[d].wait(ex.ctx); err != nil {
-				return err
-			}
-		}
-	}
-
 	src, err := ex.in.atomSource(a, ex.q.Prefixes)
 	if err != nil {
 		return err
@@ -360,7 +349,7 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 // parameter tuples on the fly, and dispatches probe jobs under the
 // fan-out bound as soon as a chunk fills — or earlier, with whatever is
 // pending, when the outer input would block. When the source supports
-// batched probes (source.BatchProber) and ProbeBatch > 1, a chunk of
+// batched probes (source.BatchProber), a chunk of DefaultProbeBatch
 // tuples ships as ONE native sub-query; otherwise each tuple is a
 // probe. Probe results emit as they land; with the sink's
 // bounded stream downstream, a blocked emit holds the job's fan-out
@@ -376,16 +365,20 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 	defer outer.Close()
 	bind := binder{head: head, inPos: s.inPos}
 
-	// chunk is the dispatch granularity: ProbeBatch for batch-capable
-	// sources, a single tuple otherwise.
+	// chunk is the dispatch granularity: DefaultProbeBatch for
+	// batch-capable sources, a single tuple otherwise.
 	chunk := 1
 	var bp source.BatchProber
-	if source.CanBatch(src) && ex.opts.ProbeBatch > 1 {
-		chunk = ex.opts.ProbeBatch
+	if source.CanBatch(src) {
+		chunk = DefaultProbeBatch
 		bp = src.(source.BatchProber)
 	}
 
-	sem := make(chan struct{}, ex.opts.MaxFanout)
+	fanout := 1
+	if ex.opts.Parallel {
+		fanout = DefaultMaxFanout()
+	}
+	sem := make(chan struct{}, fanout)
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var jobErr error
@@ -438,7 +431,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 		}
 		return nil
 	}
-	// dispatch ships one chunk as a probe job under MaxFanout; false
+	// dispatch ships one chunk as a probe job under the fan-out; false
 	// tells the consume loop to stop feeding (failure or cancellation).
 	dispatch := func(ts []paramTuple, batched bool) bool {
 		if failed.Load() {

@@ -25,8 +25,9 @@ type AtomExplain struct {
 	// would apply (and why not when it wouldn't).
 	Pruning string `json:"pruning,omitempty"`
 	// Spill reports, when a join memory budget is set, whether this
-	// node's estimated output — a residual-join build side — would
-	// exceed the budget and run as a partitioned on-disk join.
+	// node's estimated output would exceed the budget as a residual
+	// join's build side and run as a partitioned on-disk join. A node no
+	// join builds from never spills.
 	Spill string `json:"spill,omitempty"`
 }
 
@@ -56,13 +57,24 @@ func (in *Instance) ExplainQuery(q *CMQ, opts ExecOptions) (*ExplainInfo, error)
 // Dynamic atoms resolve their sources only at run time, so their
 // decision is reported as undetermined.
 func (in *Instance) ExplainQueryContext(ctx context.Context, q *CMQ, opts ExecOptions) (*ExplainInfo, error) {
-	opts = opts.normalized()
-	plan, err := in.planQuery(ctx, q, opts)
+	plan, err := in.planQuery(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	info := &ExplainInfo{Plan: plan.Explain(q)}
+	// build marks the steps some join hashes as its build side: only
+	// those can spill.
+	build := make([]bool, len(plan.Steps))
+	chains := []chain{plan.root}
 	for _, s := range plan.Steps {
+		chains = append(chains, s.outer)
+	}
+	for _, c := range chains {
+		for _, j := range c.joins {
+			build[j.build] = true
+		}
+	}
+	info := &ExplainInfo{Plan: plan.Explain(q)}
+	for i, s := range plan.Steps {
 		a := q.Atoms[s.AtomIndex]
 		ae := AtomExplain{
 			Atom:       s.AtomIndex,
@@ -81,16 +93,14 @@ func (in *Instance) ExplainQueryContext(ctx context.Context, q *CMQ, opts ExecOp
 		switch {
 		case !s.BindJoin:
 			ae.Reason = "not a bind join: single sub-query, nothing to batch"
-		case opts.ProbeBatch <= 1:
-			ae.Reason = "batching disabled (ProbeBatch <= 1)"
 		case s.Dynamic:
 			ae.Reason = "dynamic source: capability known only after the designator binds at run time"
 		case srcErr != nil:
 			ae.Reason = "source unresolvable at plan time: " + srcErr.Error()
 		case source.CanBatch(src):
 			ae.Batched = true
-			ae.BatchSize = opts.ProbeBatch
-			ae.Reason = "source supports batched probes; tuples ship in batches of " + strconv.Itoa(opts.ProbeBatch)
+			ae.BatchSize = DefaultProbeBatch
+			ae.Reason = "source supports batched probes; tuples ship in batches of " + strconv.Itoa(DefaultProbeBatch)
 		default:
 			ae.Reason = "source lacks the BatchProber capability; probes ship per tuple"
 		}
@@ -105,6 +115,8 @@ func (in *Instance) ExplainQueryContext(ctx context.Context, q *CMQ, opts ExecOp
 		}
 		if opts.JoinMemBudget > 0 {
 			switch {
+			case !build[i]:
+				ae.Spill = "never a join build side; nothing to spill"
 			case s.EstRows < 0:
 				ae.Spill = "unknown cardinality; spill decided against the budget at run time"
 			case int64(s.EstRows)*spillEstRowBytes > opts.JoinMemBudget:

@@ -339,16 +339,13 @@ func (p *Plan) Explain(q *CMQ) string {
 // internal/digest.Analyze) and from the source's own Estimator only
 // where the digest cannot answer (see analyzeAtom). The same digest
 // analysis gives each static bind join its pruner.
-// opts.NaiveOrder disables ordering entirely (one atom per wave,
-// declaration order, a sequential dependency chain) for ablation
-// studies.
 //
 // ctx bounds the estimation phase: a digest fetch or a remote
 // estimate is a round trip, so a dead request must stop consulting
 // sources instead of paying up to one client timeout per remaining
 // atom. An estimate cut short degrades to unknown; a context found
 // dead between atoms aborts the plan.
-func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*Plan, error) {
+func (in *Instance) planQuery(ctx context.Context, q *CMQ) (*Plan, error) {
 	outs, err := q.validate(in.prefixesFor(q.Prefixes))
 	if err != nil {
 		return nil, err
@@ -394,13 +391,7 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 			return nil, fmt.Errorf("core: circular dependency among atom parameters/designators")
 		}
 
-		var pick int
-		if opts.NaiveOrder {
-			sort.Ints(runnable)
-			pick = runnable[0]
-		} else {
-			pick = pickAtom(runnable, q, outs, rows, costs, producer)
-		}
+		pick := pickAtom(runnable, q, outs, rows, costs, producer)
 
 		a := q.Atoms[pick]
 		step := PlanStep{
@@ -414,13 +405,6 @@ func (in *Instance) planQuery(ctx context.Context, q *CMQ, opts ExecOptions) (*P
 		}
 		pos := len(plan.Steps)
 		switch {
-		case opts.NaiveOrder:
-			// Declaration order, one atom per wave, each step gated on
-			// every previous one: the fully sequential ablation baseline.
-			step.Wave = pos
-			for d := 0; d < pos; d++ {
-				step.Deps = append(step.Deps, d)
-			}
 		case step.Dynamic:
 			// The designating URIs are resolved from the full intermediate
 			// result (§2.2): restricting them to a projection of one

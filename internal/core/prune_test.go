@@ -61,8 +61,8 @@ func TestDigestPruningSkipsProbes(t *testing.T) {
 		name string
 		opts ExecOptions
 	}{
-		{"streaming", ExecOptions{Parallel: true, ProbeBatch: 2}},
-		{"sequential", ExecOptions{Parallel: false, ProbeBatch: 2}},
+		{"streaming", ExecOptions{Parallel: true}},
+		{"sequential", ExecOptions{Parallel: false}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			in := pruneFixture(t)
@@ -111,7 +111,6 @@ func TestPrunedExecutionMatchesUnprunedProperty(t *testing.T) {
 			}{
 				{"pruned-streaming", ExecOptions{Parallel: true}},
 				{"pruned-sequential", ExecOptions{Parallel: false}},
-				{"pruned-naive-order", ExecOptions{Parallel: true, NaiveOrder: true}},
 			} {
 				res, err := in.ExecuteOpts(q, cfg.opts)
 				if err == nil {
@@ -197,7 +196,8 @@ func (s *prunableBatchSource) ExecuteBatch(q source.SubQuery, paramSets []value.
 // binding, no chunk reaches the wire — the batch-capable source sees
 // neither a batch nor a single probe, so there is no round trip for
 // any batch sizing to learn from. (The name predates the removal of
-// the adaptive batch tuner; bind joins now always chunk by ProbeBatch.)
+// the adaptive batch tuner; bind joins now always chunk by
+// DefaultProbeBatch.)
 func TestTunerIgnoresFullyPrunedBindJoin(t *testing.T) {
 	in := NewInstance(nil)
 	seed := relstore.NewDatabase("seed")
@@ -236,7 +236,7 @@ FROM <sql://seed> OUT(?x) { SELECT k FROM seed }
 FROM <sql://probe> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? }
 `)
 	t.Run("streaming", func(t *testing.T) {
-		res, err := in.ExecuteOpts(q, ExecOptions{Parallel: true, ProbeBatch: 4})
+		res, err := in.ExecuteOpts(q, ExecOptions{Parallel: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"tatooine/internal/value"
@@ -133,10 +134,9 @@ func TestHashJoinCrossProductNeverSpills(t *testing.T) {
 }
 
 // TestSpillJoinExecutorParity runs the same federated query under a
-// tiny join memory budget with probe fan-out, without it, and in
-// NaiveOrder's sequential schedule: every run must return the
-// reference evaluator's answer (oracle_test.go) and report the spill in
-// ExecStats.
+// tiny join memory budget with probe fan-out and without it: every run
+// must return the reference evaluator's answer (oracle_test.go) and
+// report the spill in ExecStats.
 func TestSpillJoinExecutorParity(t *testing.T) {
 	const keys = 150
 	q := mustParse(t, streamQuery)
@@ -146,7 +146,6 @@ func TestSpillJoinExecutorParity(t *testing.T) {
 	}{
 		{"streaming", ExecOptions{Parallel: true, JoinMemBudget: 256}},
 		{"sequential", ExecOptions{Parallel: false, JoinMemBudget: 256}},
-		{"naive-order", ExecOptions{Parallel: true, NaiveOrder: true, JoinMemBudget: 256}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in, _ := streamFixture(t, keys, 0)
@@ -165,6 +164,51 @@ func TestSpillJoinExecutorParity(t *testing.T) {
 			}
 			if res.Stats.SpilledBytes <= 0 {
 				t.Fatalf("SpilledJoins=%d but SpilledBytes=%d", res.Stats.SpilledJoins, res.Stats.SpilledBytes)
+			}
+		})
+	}
+}
+
+// TestExplainSpillOnlyForBuildSides: explain gives a spill verdict only
+// to a node some join builds from. A single-atom plan has no join, so
+// even a one-byte budget cannot spill it — and executing it spills
+// nothing; in a bind-join plan the seed scan is the root join's build
+// side and the bind join its stream.
+func TestExplainSpillOnlyForBuildSides(t *testing.T) {
+	in := pruneFixture(t)
+	opts := ExecOptions{JoinMemBudget: 1}
+	for _, tc := range []struct {
+		name, text string
+		wantSpill  []bool // per plan step: the verdict says "would spill"
+		spills     bool   // execution reports a spilled join
+	}{
+		{"scan", "QUERY q(?k, ?v)\nFROM <sql://target> OUT(?k, ?v) { SELECT k, v FROM t }", []bool{false}, false},
+		{"bind-join", pruneQuery, []bool{true, false}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := mustParse(t, tc.text)
+			info, err := in.ExplainQuery(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(info.Atoms) != len(tc.wantSpill) {
+				t.Fatalf("explain has %d nodes, want %d", len(info.Atoms), len(tc.wantSpill))
+			}
+			for i, a := range info.Atoms {
+				spill := strings.Contains(a.Spill, "would spill")
+				if spill != tc.wantSpill[i] {
+					t.Errorf("node %d (atom %d) spill verdict %q, want would-spill=%v", i, a.Atom, a.Spill, tc.wantSpill[i])
+				}
+				if !tc.wantSpill[i] && !strings.Contains(a.Spill, "never a join build side") {
+					t.Errorf("node %d (atom %d) is no build side but says %q", i, a.Atom, a.Spill)
+				}
+			}
+			res, err := in.ExecuteOpts(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Stats.SpilledJoins > 0; got != tc.spills {
+				t.Errorf("SpilledJoins = %d, want spills=%v", res.Stats.SpilledJoins, tc.spills)
 			}
 		})
 	}

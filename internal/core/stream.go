@@ -155,25 +155,6 @@ func (b *nodeBuffer) cursor(ctx context.Context) *bufCursor {
 	return &bufCursor{buf: b, ctx: ctx}
 }
 
-// wait blocks until the buffer completes and returns its terminal
-// error — for a node that must run after its dependencies without
-// reading their rows.
-func (b *nodeBuffer) wait(ctx context.Context) error {
-	for {
-		b.mu.Lock()
-		done, err, wake := b.done, b.err, b.wake
-		b.mu.Unlock()
-		if done {
-			return err
-		}
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
 // bufCursor reads a nodeBuffer in arrival-order chunks, blocking when
 // it has consumed everything emitted so far and the buffer is still
 // open. Each cursor is single-consumer; a buffer can have many.

@@ -92,7 +92,7 @@ QUERY q(?x, ?y)
 FROM <sql://seed> OUT(?x) { SELECT k FROM seed }
 FROM <sql://target> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? }
 `)
-	res, err := in.ExecuteOpts(q, core.ExecOptions{Parallel: true, ProbeBatch: 4})
+	res, err := in.ExecuteOpts(q, core.ExecOptions{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

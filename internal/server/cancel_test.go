@@ -103,9 +103,8 @@ func postCMQContext(ctx context.Context, t *testing.T, h *server.Server, query s
 // to completion with nobody waiting.
 func TestRequestCancellationReachesProbes(t *testing.T) {
 	in, probe := probeFixture(t)
-	// ProbeBatch 1: the context-aware per-tuple path (the batch path
-	// would fall back per tuple anyway, ctxProbeSource has no batches).
-	srv := server.New(in, server.Options{Exec: core.ExecOptions{Parallel: true, ProbeBatch: 1}})
+	// ctxProbeSource has no batches: the context-aware per-tuple path.
+	srv := server.New(in, server.Options{Exec: core.ExecOptions{Parallel: true}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -139,7 +138,7 @@ func TestRequestCancellationReachesProbes(t *testing.T) {
 // interested request goes away.
 func TestLeaderDisconnectDoesNotPoisonFollowers(t *testing.T) {
 	in, probe := probeFixture(t)
-	srv := server.New(in, server.Options{Exec: core.ExecOptions{Parallel: true, ProbeBatch: 1}})
+	srv := server.New(in, server.Options{Exec: core.ExecOptions{Parallel: true}})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan struct{})

@@ -21,8 +21,8 @@ import (
 )
 
 // multiKeyFixture seeds an instance with several keys and a local
-// relational probe target, so a streamed bind join produces several
-// row batches.
+// relational probe target that hides its batches, so a streamed bind
+// join probes per tuple and produces several row batches.
 func multiKeyFixture(t *testing.T, keys int) *core.Instance {
 	t.Helper()
 	in := core.NewInstance(nil)
@@ -45,11 +45,17 @@ func multiKeyFixture(t *testing.T, keys int) *core.Instance {
 	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.AddSource(source.NewRelSource("sql://probe", probe)); err != nil {
+	if err := in.AddSource(perTupleSource{source.NewRelSource("sql://probe", probe)}); err != nil {
 		t.Fatal(err)
 	}
 	return in
 }
+
+// perTupleSource hides a source's ExecuteBatch, so bind joins probe it
+// one tuple at a time; Unwrap keeps its digest reachable.
+type perTupleSource struct{ source.DataSource }
+
+func (s perTupleSource) Unwrap() source.DataSource { return s.DataSource }
 
 // postStream POSTs a streamed /cmq request and decodes the NDJSON
 // response line by line.
@@ -128,7 +134,7 @@ func TestStreamCMQ(t *testing.T) {
 		in := multiKeyFixture(t, keys)
 		srv := server.New(in, server.Options{
 			ResultCacheSize: -1, // no cache: both requests must execute
-			Exec:            core.ExecOptions{Parallel: true, ProbeBatch: 1},
+			Exec:            core.ExecOptions{Parallel: true},
 		})
 		status, ctype, records := postStream(context.Background(), t, srv, streamedQuery, viaAccept)
 		if status != 200 || ctype != "application/x-ndjson" {
@@ -166,7 +172,7 @@ func TestStreamMatchesJSONRows(t *testing.T) {
 	in := multiKeyFixture(t, 7)
 	srv := server.New(in, server.Options{
 		ResultCacheSize: -1,
-		Exec:            core.ExecOptions{Parallel: true, ProbeBatch: 1},
+		Exec:            core.ExecOptions{Parallel: true},
 	})
 	status, qr := postCMQContext(context.Background(), t, srv, streamedQuery)
 	if status != 200 {
@@ -199,7 +205,7 @@ func TestStreamMatchesJSONRows(t *testing.T) {
 // over NDJSON in the same framing, with the trailer marking it cached.
 func TestStreamCacheHitReplays(t *testing.T) {
 	in := multiKeyFixture(t, 5)
-	srv := server.New(in, server.Options{Exec: core.ExecOptions{Parallel: true, ProbeBatch: 1}})
+	srv := server.New(in, server.Options{Exec: core.ExecOptions{Parallel: true}})
 	if status, qr := postCMQContext(context.Background(), t, srv, streamedQuery); status != 200 {
 		t.Fatalf("priming request: status %d %+v", status, qr)
 	}
@@ -264,9 +270,9 @@ func TestStreamMidQueryRemoteDeath(t *testing.T) {
 	}
 	srv := server.New(in, server.Options{
 		ResultCacheSize: -1,
-		// Fan-out 1, per-tuple probes: the first probe's row is on the
-		// wire before the second probe fails.
-		Exec: core.ExecOptions{Parallel: true, ProbeBatch: 1, MaxFanout: 1},
+		// Fan-out 1, per-tuple probes (dyingSource has no batches): the
+		// first probe's row is on the wire before the second probe fails.
+		Exec: core.ExecOptions{Parallel: false},
 	})
 	status, _, records := postStream(context.Background(), t, srv, streamedQuery, false)
 	if status != 200 {
@@ -298,7 +304,7 @@ func TestStreamClientDisconnectCancelsPipeline(t *testing.T) {
 	in, probe := probeFixture(t)
 	srv := server.New(in, server.Options{
 		ResultCacheSize: -1,
-		Exec:            core.ExecOptions{Parallel: true, ProbeBatch: 1},
+		Exec:            core.ExecOptions{Parallel: true},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

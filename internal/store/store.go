@@ -90,10 +90,6 @@ type Stats struct {
 type Options struct {
 	// Pager tunes the page cache and sync behavior.
 	Pager pager.Options
-	// AutoCheckpointBytes checkpoints the WAL when a Commit leaves it
-	// larger than this. Zero means DefaultAutoCheckpointBytes; negative
-	// disables auto-checkpointing.
-	AutoCheckpointBytes int64
 	// AutoVacuumRatio triggers a vacuum from Commit when live payload
 	// falls below this fraction of the in-use (non-free) page bytes —
 	// i.e. when most of the file is dead space from deletes and
@@ -104,9 +100,9 @@ type Options struct {
 	AutoVacuumRatio float64
 }
 
-// DefaultAutoCheckpointBytes bounds WAL growth between automatic
-// checkpoints: 8 MiB.
-const DefaultAutoCheckpointBytes = 8 << 20
+// autoCheckpointBytes bounds WAL growth: a Commit that leaves the WAL
+// larger than 8 MiB checkpoints it.
+const autoCheckpointBytes = 8 << 20
 
 // DefaultAutoVacuumRatio is the live-payload fraction below which
 // Commit triggers an automatic vacuum. The B-tree's structural
@@ -167,9 +163,6 @@ type keyspace struct {
 }
 
 func open(path string, opts Options) (*diskStore, error) {
-	if opts.AutoCheckpointBytes == 0 {
-		opts.AutoCheckpointBytes = DefaultAutoCheckpointBytes
-	}
 	pg, err := pager.Open(path, opts.Pager)
 	if err != nil {
 		return nil, err
@@ -369,7 +362,7 @@ func (s *diskStore) Commit() error {
 			return err
 		}
 	}
-	if s.opts.AutoCheckpointBytes > 0 && s.pg.WALSize() > s.opts.AutoCheckpointBytes {
+	if s.pg.WALSize() > autoCheckpointBytes {
 		return s.pg.Checkpoint()
 	}
 	return nil

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"tatooine/internal/pager"
 )
 
 // runBoth runs a subtest against the memory backend and the disk
@@ -449,5 +451,48 @@ func TestCompactionTracksLiveBytes(t *testing.T) {
 		if err != nil || !ok || len(v) != n {
 			t.Fatalf("%s after compaction: len=%d ok=%v err=%v", k, len(v), ok, err)
 		}
+	}
+}
+
+// TestAutoCheckpointBoundsWAL commits 20 MB of values: Commit must
+// checkpoint whenever it leaves the WAL over autoCheckpointBytes, so
+// between commits the WAL never passes the bound (and during one, never
+// the bound plus that commit), and every row survives the checkpoints.
+func TestAutoCheckpointBoundsWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.db")
+	st, err := Open(path, Options{Pager: pager.Options{NoSync: true}, AutoVacuumRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, _ := st.Keyspace("t")
+	val := bytes.Repeat([]byte("w"), 1000)
+	const commits, perCommit = 200, 100
+	for c := 0; c < commits; c++ {
+		for i := 0; i < perCommit; i++ {
+			if _, err := kv.Put([]byte(fmt.Sprintf("k%03d-%03d", i, c)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if w := st.Stats().WALBytes; w > autoCheckpointBytes {
+			t.Fatalf("commit %d left the WAL at %d bytes, over the %d-byte bound", c, w, autoCheckpointBytes)
+		}
+	}
+	if st.Stats().Checkpoints == 0 {
+		t.Fatalf("no checkpoint after %d MB of commits", commits*perCommit*len(val)/1e6)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	kv, _ = st.Keyspace("t")
+	if n := kv.Len(); n != commits*perCommit {
+		t.Fatalf("reopened count = %d, want %d", n, commits*perCommit)
 	}
 }
