@@ -1,12 +1,14 @@
 // Command sourced serves one data source of the synthetic mixed
 // instance as an HTTP federation endpoint, so a remote tatooine
 // mediator can query it (the paper's remote-endpoint / dynamic source
-// discovery code path). The endpoint speaks the full federation wire
-// protocol, including POST /batch: a mediator's batched bind-join
-// probes arrive as one request and are pushed down natively when the
-// served source supports source.BatchProber (IN-list rewriting for the
-// relational sources), or evaluated in a server-side loop otherwise —
-// either way the per-binding HTTP round trips collapse into one.
+// discovery code path). The endpoint speaks the federation wire
+// protocol: GET /meta, POST /batch, POST /estimate and GET /digest.
+// POST /batch is the one data route. A scan or a single probe arrives
+// as a batch of one, and a mediator's batched bind-join probes arrive
+// as one request, pushed down natively when the served source supports
+// source.BatchProber (IN-list rewriting for the relational sources) or
+// evaluated tuple by tuple otherwise, stopping once the mediator hangs
+// up — either way the per-binding HTTP round trips collapse into one.
 //
 // A running endpoint can be attached to (POST /sources) and dropped
 // from (DELETE /sources/{uri}) a live "tatooine serve" mediator; when

@@ -136,23 +136,29 @@
 // native round trip); the executor then chunks a bind join's distinct
 // outer tuples into batches of core.DefaultProbeBatch (64, not
 // configurable) and ships each chunk as ONE sub-query, turning
-// O(bindings) round trips into O(bindings/batch).
+// O(bindings) round trips into O(bindings/batch). Every batch is
+// answered: there is no refusal to fall back from. The executor ships
+// every sub-query through one dispatch (a scan, a probe or a batch),
+// and source.ExecuteBatchWith hands a batch to a BatchProber whole and
+// runs it tuple by tuple, checking the context before each, on any
+// other source.
 //
 //   - source.RelSource pushes batches down as SQL: each `col = ?`
 //     probe predicate is rewritten into `col IN (v1, ..., vk)` per
 //     batch and the single result is split back per tuple — exactly,
 //     including multi-parameter cross products; shapes whose meaning
 //     would change (LIMIT, DISTINCT, aggregation, '?' outside a
-//     top-level equality) report source.ErrBatchUnsupported and fall
-//     back to per-tuple probes.
+//     top-level equality) run tuple by tuple inside ExecuteBatch.
 //   - source.RDFSource and source.DocSource evaluate batches
-//     VALUES-style: parse once, evaluate per tuple in-process.
-//   - federation.Client ships the whole batch as one POST /batch
-//     request; the remote endpoint pushes it natively into its store
-//     when it can and loops server-side otherwise — either way the
-//     per-binding network round trips collapse into one. Every
-//     federation.Handler serves the route, so a non-OK /batch reply
-//     is an error like any other.
+//     VALUES-style: parse once, evaluate per tuple in-process. Their
+//     Execute is a batch of one.
+//   - federation.Handler serves GET /meta, POST /batch, POST /estimate
+//     and GET /digest. POST /batch is the one data route: a scan or a
+//     single probe travels as a batch of one, and the endpoint answers
+//     through source.ExecuteBatchWith under the request's context, so
+//     a caller that hangs up stops a server-side loop. federation.Client
+//     ships a whole batch as one request; a non-OK /batch reply is an
+//     error like any other.
 //   - source.Cached answers cached tuples from the probe cache and
 //     forwards only the misses as a smaller batch, filling the cache
 //     per tuple from the batch result.
@@ -247,10 +253,11 @@
 // Execution is cancellable end to end: the POST /cmq request context
 // flows through Instance.ExecuteContext into every DAG node, probe
 // fan-out and federation.Client HTTP round trip
-// (source.ContextExecutor / source.ContextBatchProber), so a
-// disconnected client or an expired deadline stops scheduled nodes,
-// refuses further probes and aborts in-flight remote requests instead
-// of leaking goroutines. The mediator's single-flight guard counts
+// (source.ContextExecutor / source.ContextBatchProber), and on into
+// the remote endpoint's /batch, so a disconnected client or an
+// expired deadline stops scheduled nodes, refuses further probes,
+// aborts in-flight remote requests and stops a remote's tuple loop
+// instead of leaking goroutines. The mediator's single-flight guard counts
 // interested requests per flight and cancels the shared execution only
 // when the LAST one disconnects — a leader's disconnect never poisons
 // coalesced followers. With ExecOptions.Parallel a bind join keeps up

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"runtime"
@@ -174,13 +173,6 @@ type executor struct {
 	mu       sync.Mutex // guards stats
 }
 
-func (ex *executor) addStats(subQueries, rows int) {
-	ex.mu.Lock()
-	ex.stats.SubQueries += subQueries
-	ex.stats.RowsFetched += rows
-	ex.mu.Unlock()
-}
-
 // newJoin builds the hash join j under the executor's memory policy:
 // with JoinMemBudget set, an oversized build side spills to disk and
 // the spill surfaces in ExecStats and the process metrics.
@@ -199,21 +191,69 @@ func (ex *executor) newJoin(left, right Iterator, j joinStep) Iterator {
 	})
 }
 
-// scanSource executes an unparameterized sub-query — one native scan —
-// under a child span, observing its round trip into the per-source
-// probe histogram.
-func (ex *executor) scanSource(src source.DataSource, a Atom, sp *obs.Span) (*source.Result, error) {
-	ssp := sp.StartChild("scan")
-	ssp.SetAttr("source", src.URI())
+// ship sends atom a's sub-query to src once and returns its rows laid
+// out by l. With no tuples it is a scan, whose rows are headed by
+// prefix; one unbatched tuple is a probe (unbatched, ts holds at most
+// one); batched sends every tuple as one batch. Each dispatch gets its own child span of sp, observes its
+// round trip into the per-source probe histogram and counts as one
+// sub-query.
+func (ex *executor) ship(src source.DataSource, a Atom, l *layout, prefix value.Row, ts []paramTuple,
+	batched bool, sp *obs.Span) ([]value.Row, error) {
+
+	name := "probe"
+	switch {
+	case batched:
+		name = "probe-batch"
+	case len(ts) == 0:
+		name, ts = "scan", []paramTuple{{prefix: prefix}}
+	}
+	csp := sp.StartChild(name)
+	csp.SetAttr("source", src.URI())
 	start := time.Now()
-	res, err := source.ExecuteWith(ex.ctx, src, a.Sub, nil)
-	ssp.End()
+	var results []*source.Result
+	var err error
+	if batched {
+		csp.SetAttr("tuples", strconv.Itoa(len(ts)))
+		sets := make([]value.Row, len(ts))
+		for i, t := range ts {
+			sets[i] = t.params
+		}
+		results, err = source.ExecuteBatchWith(ex.ctx, src, a.Sub, sets)
+	} else {
+		var res *source.Result
+		res, err = source.ExecuteWith(ex.ctx, src, a.Sub, ts[0].params)
+		results = []*source.Result{res}
+	}
+	csp.End()
 	if err != nil {
 		return nil, err
 	}
 	probeSeconds.With(src.URI()).ObserveSince(start)
-	ex.addStats(1, len(res.Rows))
-	return res, nil
+	if len(results) != len(ts) {
+		return nil, fmt.Errorf("core: atom %s: batched probe returned %d results for %d tuples",
+			a.Designator(), len(results), len(ts))
+	}
+	rows := 0
+	var out []value.Row
+	for i, res := range results {
+		if res == nil {
+			return nil, fmt.Errorf("core: atom %s: probe returned a nil result", a.Designator())
+		}
+		rows += len(res.Rows)
+		local, err := l.rows(a, ts[i].prefix, res)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, local...)
+	}
+	ex.mu.Lock()
+	ex.stats.SubQueries++
+	if batched {
+		ex.stats.BatchProbes++
+	}
+	ex.stats.RowsFetched += rows
+	ex.mu.Unlock()
+	return out, nil
 }
 
 // atomSource resolves the source an atom executes against: the graph
@@ -256,11 +296,7 @@ func (ex *executor) runDynamic(s PlanStep, outer []value.Row, emit func([]value.
 			}
 			continue
 		}
-		res, err := ex.scanSource(src, a, sp)
-		if err != nil {
-			return err
-		}
-		rows, err := s.layout.rows(a, head, res)
+		rows, err := ex.ship(src, a, &s.layout, head, nil, false, sp)
 		if err != nil {
 			return err
 		}
@@ -298,53 +334,6 @@ func (b *binder) extract(row value.Row) (paramTuple, bool) {
 	}
 	params := prefix[len(b.head):]
 	return paramTuple{params.Key(), prefix, params}, true
-}
-
-// batchProbeRows ships one chunk of parameter tuples as a single
-// batched sub-query and returns the merged per-tuple result rows.
-func (ex *executor) batchProbeRows(bp source.BatchProber, a Atom, l *layout, chunk []paramTuple,
-	sp *obs.Span) (_ []value.Row, unsupported bool, _ error) {
-
-	sets := make([]value.Row, len(chunk))
-	for i, t := range chunk {
-		sets[i] = t.params
-	}
-	csp := sp.StartChild("probe-batch")
-	csp.SetAttr("source", bp.URI())
-	csp.SetAttr("tuples", strconv.Itoa(len(chunk)))
-	start := time.Now()
-	results, err := source.ExecuteBatchWith(ex.ctx, bp, a.Sub, sets)
-	csp.End()
-	if err != nil {
-		if errors.Is(err, source.ErrBatchUnsupported) {
-			return nil, true, nil
-		}
-		return nil, false, err
-	}
-	probeSeconds.With(bp.URI()).ObserveSince(start)
-	if len(results) != len(chunk) {
-		return nil, false, fmt.Errorf("core: atom %s: batched probe returned %d results for %d tuples",
-			a.Designator(), len(results), len(chunk))
-	}
-	rows := 0
-	var merged []value.Row
-	for i, res := range results {
-		if res == nil {
-			return nil, false, fmt.Errorf("core: atom %s: batched probe returned a nil result", a.Designator())
-		}
-		rows += len(res.Rows)
-		local, err := l.rows(a, chunk[i].prefix, res)
-		if err != nil {
-			return nil, false, err
-		}
-		merged = append(merged, local...)
-	}
-	ex.mu.Lock()
-	ex.stats.SubQueries++
-	ex.stats.BatchProbes++
-	ex.stats.RowsFetched += rows
-	ex.mu.Unlock()
-	return merged, false, nil
 }
 
 // finishIter chains the plan's finishing operators — head projection

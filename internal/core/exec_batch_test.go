@@ -23,8 +23,7 @@ type batchProbeSource struct {
 	execCalls   int
 	batchCalls  int
 	batchSizes  []int
-	failBatchAt int  // 1-based batch call that errors (0 = never)
-	unsupported bool // ExecuteBatch always reports ErrBatchUnsupported
+	failBatchAt int // 1-based batch call that errors (0 = never)
 }
 
 func (s *batchProbeSource) URI() string                  { return s.uri }
@@ -71,9 +70,6 @@ func (s *batchProbeSource) ExecuteBatch(q source.SubQuery, paramSets []value.Row
 	call := s.batchCalls
 	s.batchSizes = append(s.batchSizes, len(paramSets))
 	s.mu.Unlock()
-	if s.unsupported {
-		return nil, source.ErrBatchUnsupported
-	}
 	if s.failBatchAt > 0 && call == s.failBatchAt {
 		return nil, fmt.Errorf("batch %d exploded", call)
 	}
@@ -225,35 +221,50 @@ func TestBatchedBindJoinDefaultBatchSize(t *testing.T) {
 	}
 }
 
-// TestBatchUnsupportedFallsBackPerTuple checks a source whose
-// ExecuteBatch rejects the sub-query degrades to per-tuple probes with
-// identical results and no BatchProbes counted.
+// TestBatchUnsupportedFallsBackPerTuple checks a bind join against a
+// RelSource shape its IN-list rewrite refuses (a per-probe LIMIT):
+// each chunk still ships as one batch, the source answers it tuple by
+// tuple, and the rows equal per-tuple probes.
 func TestBatchUnsupportedFallsBackPerTuple(t *testing.T) {
-	const distinct = 5 + batchFill
-	in, probe := batchFixtureFill(t, batchFill)
-	probe.unsupported = true
-	q := mustParse(t, batchQuery)
-	res, err := in.ExecuteOpts(q, ExecOptions{})
+	build := func() *Instance {
+		in, _ := batchFixtureFill(t, batchFill)
+		db := relstore.NewDatabase("lim")
+		keys := []string{"a", "b", "c", "dup", "missing"}
+		for i := 0; i < batchFill; i++ {
+			keys = append(keys, fmt.Sprintf("f%03d", i))
+		}
+		stmts := []string{"CREATE TABLE t (k TEXT, v INT)"}
+		for i, k := range keys {
+			stmts = append(stmts, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d), ('%s', %d)", k, i+100, k, i))
+		}
+		for _, q := range stmts {
+			if _, err := db.Exec(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.AddSource(source.NewRelSource("sql://lim", db)); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	q := mustParse(t, `
+QUERY q(?x, ?y)
+FROM <sql://seed> OUT(?x) { SELECT k FROM seed }
+FROM <sql://lim> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? ORDER BY v LIMIT 1 }
+`)
+	res, err := build().ExecuteOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	inRef, _ := batchFixtureFill(t, batchFill)
-	ref, err := hideBatches(inRef).ExecuteOpts(q, ExecOptions{})
+	ref, err := hideBatches(build()).ExecuteOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := sortedRows(res), sortedRows(ref); !equalStrings(got, want) {
-		t.Errorf("fallback rows diverge:\n got %v\nwant %v", got, want)
+		t.Errorf("rows diverge from per-tuple probes:\n got %v\nwant %v", got, want)
 	}
-	if res.Stats.BatchProbes != 0 {
-		t.Errorf("BatchProbes = %d after unsupported batches", res.Stats.BatchProbes)
-	}
-	if res.Stats.SubQueries != 1+distinct {
-		t.Errorf("SubQueries = %d, want %d (per-tuple fallback)", res.Stats.SubQueries, 1+distinct)
-	}
-	if probe.execCalls != distinct || probe.batchCalls != 2 {
-		t.Errorf("calls: exec=%d batch=%d, want %d/2", probe.execCalls, probe.batchCalls, distinct)
+	if res.Stats.SubQueries != 1+2 || res.Stats.BatchProbes != 2 {
+		t.Errorf("stats: %+v, want SubQueries 3 and BatchProbes 2", res.Stats)
 	}
 }
 

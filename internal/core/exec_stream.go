@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tatooine/internal/obs"
 	"tatooine/internal/source"
@@ -332,11 +331,7 @@ func (r *streamRun) produce(s PlanStep, emit func([]value.Row) error, sp *obs.Sp
 		ex.mu.Unlock()
 		return ex.streamBindJoin(src, s, nil, r.chainIter(&s.outer), emit, sp)
 	}
-	res, err := ex.scanSource(src, a, sp)
-	if err != nil {
-		return err
-	}
-	rows, err := s.layout.rows(a, nil, res)
+	rows, err := ex.ship(src, a, &s.layout, nil, nil, false, sp)
 	if err != nil {
 		return err
 	}
@@ -367,11 +362,10 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 
 	// chunk is the dispatch granularity: DefaultProbeBatch for
 	// batch-capable sources, a single tuple otherwise.
+	batchable := source.CanBatch(src)
 	chunk := 1
-	var bp source.BatchProber
-	if source.CanBatch(src) {
+	if batchable {
 		chunk = DefaultProbeBatch
-		bp = src.(source.BatchProber)
 	}
 
 	fanout := 1
@@ -392,45 +386,6 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 		failed.Store(true)
 	}
 
-	probeOne := func(t paramTuple) error {
-		psp := sp.StartChild("probe")
-		psp.SetAttr("source", src.URI())
-		start := time.Now()
-		res, err := source.ExecuteWith(ex.ctx, src, a.Sub, t.params)
-		psp.End()
-		if err != nil {
-			return err
-		}
-		probeSeconds.With(src.URI()).ObserveSince(start)
-		ex.addStats(1, len(res.Rows))
-		local, err := s.layout.rows(a, t.prefix, res)
-		if err != nil {
-			return err
-		}
-		return emit(local)
-	}
-	runChunk := func(ts []paramTuple, batched bool) error {
-		if batched {
-			rows, unsupported, err := ex.batchProbeRows(bp, a, &s.layout, ts, sp)
-			if err != nil {
-				return err
-			}
-			if !unsupported {
-				return emit(rows)
-			}
-			// The source rejected this sub-query's shape: fall through to
-			// per-tuple probes for the chunk.
-		}
-		for _, t := range ts {
-			if err := ex.ctx.Err(); err != nil {
-				return err
-			}
-			if err := probeOne(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	// dispatch ships one chunk as a probe job under the fan-out; false
 	// tells the consume loop to stop feeding (failure or cancellation).
 	dispatch := func(ts []paramTuple, batched bool) bool {
@@ -450,7 +405,11 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 			if failed.Load() {
 				return
 			}
-			if err := runChunk(ts, batched); err != nil {
+			rows, err := ex.ship(src, a, &s.layout, nil, ts, batched, sp)
+			if err == nil {
+				err = emit(rows)
+			}
+			if err != nil {
 				setErr(err)
 			}
 		}()
@@ -467,7 +426,7 @@ func (ex *executor) streamBindJoin(src source.DataSource, s PlanStep, head value
 			n := min(chunk, len(pending))
 			ts := pending[:n:n]
 			pending = pending[n:]
-			if !dispatch(ts, bp != nil && total > 1) {
+			if !dispatch(ts, batchable && total > 1) {
 				return false
 			}
 		}

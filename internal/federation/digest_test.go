@@ -159,7 +159,7 @@ func TestDigestEndpointUndigestable(t *testing.T) {
 
 func TestHandlerBadRequests(t *testing.T) {
 	srv, _ := servedDocSource(t)
-	resp, err := http.Post(srv.URL+"/query", "application/json", nil)
+	resp, err := http.Post(srv.URL+"/batch", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

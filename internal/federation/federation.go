@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -33,24 +32,16 @@ var remoteRTT = obs.Default.HistogramVec("tat_remote_rtt_seconds",
 	"Federation HTTP round-trip latency by remote source URI.",
 	"remote", obs.DurationBuckets())
 
-// QueryRequest is the wire form of a sub-query execution request
-// (POST /query).
-type QueryRequest struct {
-	Language string        `json:"language"`
-	Text     string        `json:"text"`
-	InVars   []string      `json:"inVars,omitempty"`
-	Params   []value.Value `json:"params,omitempty"`
-}
-
-// QueryResponse is the wire form of a result (or error).
+// QueryResponse is the wire form of one tuple's result (or error).
 type QueryResponse struct {
 	Cols  []string    `json:"cols,omitempty"`
 	Rows  []value.Row `json:"rows,omitempty"`
 	Error string      `json:"error,omitempty"`
 }
 
-// BatchRequest is the wire form of a batched sub-query execution
-// (POST /batch): one sub-query, many parameter tuples, one round trip.
+// BatchRequest is the wire form of a sub-query execution (POST /batch):
+// one sub-query, its parameter tuples, one round trip. A scan or a
+// single probe is a batch of one.
 // Every tuple executes: digest pruning happens on the mediator, which
 // ships only the bindings its digest of this endpoint does not exclude
 // (an unknown field such as an older client's "prune" is ignored).
@@ -90,11 +81,12 @@ type EstimateResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Handler serves a DataSource over HTTP. Routes: GET /meta,
-// POST /query, POST /batch, POST /estimate, GET /digest. Every route
-// joins the caller's trace when the request carries X-Tat-* headers
-// and reports its server-side time back, so a mediator's span tree
-// attributes remote compute distinctly from wire RTT.
+// Handler serves a DataSource over HTTP. Routes: GET /meta, POST /batch
+// (the one data route: scans, probes and batches), POST /estimate and
+// GET /digest. Every route joins the caller's trace when the request
+// carries X-Tat-* headers and reports its server-side time back, so a
+// mediator's span tree attributes remote compute distinctly from wire
+// RTT.
 func Handler(src source.DataSource) http.Handler {
 	return obs.Wrap("remote", handlerMux(src), nil)
 }
@@ -132,47 +124,17 @@ func handlerMux(src source.DataSource) http.Handler {
 			Languages: langs,
 		})
 	})
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad request: " + err.Error()})
-			return
-		}
-		res, err := src.Execute(source.SubQuery{
-			Language: source.Language(req.Language),
-			Text:     req.Text,
-			InVars:   req.InVars,
-		}, req.Params)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, QueryResponse{Cols: res.Cols, Rows: res.Rows})
-	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
 			writeJSON(w, http.StatusBadRequest, BatchResponse{Error: "bad request: " + err.Error()})
 			return
 		}
-		q := source.SubQuery{
+		results, err := source.ExecuteBatchWith(r.Context(), src, source.SubQuery{
 			Language: source.Language(req.Language),
 			Text:     req.Text,
 			InVars:   req.InVars,
-		}
-		// Native pushdown when the source batches; otherwise loop the
-		// tuples server-side — the caller still saved N-1 network round
-		// trips, which is the point of the endpoint.
-		var results []*source.Result
-		var err error
-		if bp, ok := src.(source.BatchProber); ok {
-			results, err = bp.ExecuteBatch(q, req.ParamSets)
-			if errors.Is(err, source.ErrBatchUnsupported) {
-				results, err = source.ExecuteSerially(src, q, req.ParamSets)
-			}
-		} else {
-			results, err = source.ExecuteSerially(src, q, req.ParamSets)
-		}
+		}, req.ParamSets)
 		if err != nil {
 			writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: err.Error()})
 			return
@@ -228,7 +190,7 @@ type Client struct {
 }
 
 // ObservedRTT returns the smoothed round-trip latency of this remote
-// (an exponentially weighted moving average over /query, /batch and
+// (an exponentially weighted moving average over /batch and
 // /estimate calls), or zero before any call completed. It is the
 // measured counterpart of the planner's modeled RemoteCostOverheadRTT.
 func (c *Client) ObservedRTT() time.Duration {
@@ -375,36 +337,15 @@ func (c *Client) Execute(q source.SubQuery, params []value.Value) (*source.Resul
 	return c.ExecuteContext(context.Background(), q, params)
 }
 
-// ExecuteContext implements source.ContextExecutor: the probe's HTTP
-// request is bound to ctx, so a cancelled or expired query aborts the
-// round trip instead of leaking it.
+// ExecuteContext implements source.ContextExecutor as a batch of one:
+// the probe's HTTP request is bound to ctx, so a cancelled or expired
+// query aborts the round trip instead of leaking it.
 func (c *Client) ExecuteContext(ctx context.Context, q source.SubQuery, params []value.Value) (*source.Result, error) {
-	req := QueryRequest{
-		Language: string(q.Language),
-		Text:     q.Text,
-		InVars:   q.InVars,
-		Params:   params,
-	}
-	body, err := json.Marshal(req)
+	results, err := c.ExecuteBatchContext(ctx, q, []value.Row{params})
 	if err != nil {
-		return nil, fmt.Errorf("federation: marshal: %w", err)
+		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, "/query", body)
-	if err != nil {
-		return nil, fmt.Errorf("federation: query %s: %w", c.baseURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, c.statusError("query", resp)
-	}
-	var qr QueryResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&qr); err != nil {
-		return nil, fmt.Errorf("federation: query %s: bad response: %w", c.baseURL, err)
-	}
-	if qr.Error != "" {
-		return nil, fmt.Errorf("federation: remote %s: %s", c.baseURL, qr.Error)
-	}
-	return &source.Result{Cols: qr.Cols, Rows: qr.Rows}, nil
+	return results[0], nil
 }
 
 // ExecuteBatch implements source.BatchProber by shipping the whole

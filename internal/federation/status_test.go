@@ -10,7 +10,7 @@ import (
 	"tatooine/internal/source"
 )
 
-// brokenProxy serves valid /meta (so Dial succeeds) but answers /query
+// brokenProxy serves valid /meta (so Dial succeeds) but answers /batch
 // like a misconfigured reverse proxy: a non-JSON error page.
 func brokenProxy(t *testing.T, status int, body string) *httptest.Server {
 	t.Helper()
@@ -24,7 +24,7 @@ func brokenProxy(t *testing.T, status int, body string) *httptest.Server {
 		w.WriteHeader(status)
 		_, _ = w.Write([]byte(body))
 	}
-	mux.HandleFunc("POST /query", failing)
+	mux.HandleFunc("POST /batch", failing)
 	mux.HandleFunc("POST /estimate", failing)
 	mux.HandleFunc("GET /digest", failing)
 	srv := httptest.NewServer(mux)

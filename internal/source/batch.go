@@ -1,17 +1,10 @@
 package source
 
 import (
-	"errors"
 	"fmt"
 
 	"tatooine/internal/value"
 )
-
-// ErrBatchUnsupported is returned by a BatchProber that cannot batch a
-// particular sub-query (unsupported shape, remote endpoint without the
-// batch route, ...). The executor falls back to per-tuple probes; any
-// other error aborts the bind join.
-var ErrBatchUnsupported = errors.New("source: batched execution unsupported for this sub-query")
 
 // BatchProber is the optional capability of a DataSource that can
 // evaluate one sub-query for many parameter tuples in a single native
@@ -26,18 +19,16 @@ type BatchProber interface {
 	// Result per tuple, aligned with paramSets. Each per-tuple Result
 	// must equal what Execute(q, paramSets[i]) would return (row order
 	// within a tuple's result may differ only where Execute's own order
-	// is unspecified). ErrBatchUnsupported signals the source cannot
-	// batch this sub-query shape; callers then probe per tuple.
+	// is unspecified). A sub-query the source cannot push down as one
+	// batch is still answered, tuple by tuple.
 	ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error)
 }
 
-// CanBatch reports whether probes against s can actually ship batched:
-// s must implement BatchProber and any decorator chain (Unwrap) must
-// bottom out in a source that does too — a Cached wrapper always has
-// ExecuteBatch but only forwards when its inner source batches. This
-// is a static best-effort answer (a remote endpoint may still reject
-// the batch route at run time); the executor's authoritative signal is
-// ErrBatchUnsupported.
+// CanBatch reports whether a batch sent to s reaches a source that
+// takes it whole: s must implement BatchProber and any decorator chain
+// (Unwrap) must bottom out in a source that does too — a Cached wrapper
+// always has ExecuteBatch, but over a plain source its misses still run
+// one by one. The executor uses it only to size its chunks.
 func CanBatch(s DataSource) bool {
 	if _, ok := s.(BatchProber); !ok {
 		return false
@@ -50,9 +41,8 @@ func CanBatch(s DataSource) bool {
 }
 
 // ExecuteSerially evaluates q once per tuple through plain Execute —
-// the reference semantics of ExecuteBatch. It is the server-side
-// fallback of the federation batch endpoint (one network round trip,
-// N local executions) and a convenience for tests.
+// the reference semantics of ExecuteBatch. RelSource answers the shapes
+// it cannot push down with it, and the batch tests compare against it.
 func ExecuteSerially(s DataSource, q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	out := make([]*Result, len(paramSets))
 	for i, ps := range paramSets {
@@ -63,4 +53,12 @@ func ExecuteSerially(s DataSource, q SubQuery, paramSets []value.Row) ([]*Result
 		out[i] = res
 	}
 	return out, nil
+}
+
+// single unwraps the answer of a batch of one tuple.
+func single(results []*Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }

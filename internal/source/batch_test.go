@@ -1,7 +1,6 @@
 package source_test
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -104,6 +103,8 @@ func TestRelSourceExecuteBatchOrderByPreserved(t *testing.T) {
 	assertBatchMatchesSerial(t, s, q, sets)
 }
 
+// TestRelSourceExecuteBatchUnsupportedShapes: shapes the IN-list
+// rewrite refuses are still answered, tuple by tuple.
 func TestRelSourceExecuteBatchUnsupportedShapes(t *testing.T) {
 	s := relFixture(t)
 	sets := []value.Row{{value.NewString("a")}, {value.NewString("b")}}
@@ -114,11 +115,7 @@ func TestRelSourceExecuteBatchUnsupportedShapes(t *testing.T) {
 		"SELECT k, COUNT(*) FROM t WHERE k = ?",     // aggregation over the union differs
 		"SELECT k FROM t WHERE k = ? OR grp = 'g1'", // param under OR
 	} {
-		q := source.SubQuery{Language: source.LangSQL, Text: text, InVars: []string{"p"}}
-		_, err := s.ExecuteBatch(q, sets)
-		if !errors.Is(err, source.ErrBatchUnsupported) {
-			t.Errorf("%q: err = %v, want ErrBatchUnsupported", text, err)
-		}
+		assertBatchMatchesSerial(t, s, source.SubQuery{Language: source.LangSQL, Text: text, InVars: []string{"p"}}, sets)
 	}
 }
 
@@ -258,12 +255,27 @@ func TestCachedExecuteBatchForwardsOnlyMisses(t *testing.T) {
 // plainSource hides any batch capability.
 type plainSource struct{ source.DataSource }
 
+// TestCachedExecuteBatchUnsupportedInner: over a source that does not
+// batch, Cached answers a batch's misses one Execute each and fills the
+// cache per tuple.
 func TestCachedExecuteBatchUnsupportedInner(t *testing.T) {
 	inner := &recordingBatchSource{uri: "sql://r"}
 	c := source.NewCached(plainSource{inner}, 16)
-	_, err := c.ExecuteBatch(batchTestQuery, []value.Row{tuple("a")})
-	if !errors.Is(err, source.ErrBatchUnsupported) {
-		t.Errorf("err = %v, want ErrBatchUnsupported", err)
+	res, err := c.ExecuteBatch(batchTestQuery, []value.Row{tuple("a"), tuple("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0].Rows[0][0].Str() != "a" || res[1].Rows[0][0].Str() != "b" {
+		t.Fatalf("results: %+v", res)
+	}
+	if inner.execCalls != 2 || inner.batchCalls != 0 {
+		t.Errorf("inner calls: exec=%d batch=%d, want 2/0", inner.execCalls, inner.batchCalls)
+	}
+	if _, err := c.ExecuteBatch(batchTestQuery, []value.Row{tuple("a"), tuple("b")}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); inner.execCalls != 2 || st.Entries != 2 || st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("cache not filled: exec=%d stats %+v", inner.execCalls, st)
 	}
 }
 

@@ -31,8 +31,8 @@ type CacheStats struct {
 //
 // Cached is also a BatchProber: batched probes are answered per tuple
 // from the cache, only the missing tuples are forwarded (as a smaller
-// batch when the inner source batches, per-tuple otherwise via the
-// caller's fallback), and the batch result fills the cache per tuple.
+// batch when the inner source batches, one by one otherwise), and the
+// batch result fills the cache per tuple.
 type Cached struct {
 	inner DataSource
 	ttl   time.Duration    // 0 = entries never expire
@@ -232,19 +232,14 @@ func (c *Cached) ExecuteContext(ctx context.Context, q SubQuery, params []value.
 // the probe cache and only the misses travel to the inner source, as a
 // smaller batch. The batch result fills the cache per tuple, so a later
 // per-tuple probe (or a different batch overlapping this one) hits
-// memory. When the inner source is not a BatchProber (or cannot batch
-// this sub-query) ErrBatchUnsupported propagates; the executor then
-// probes per tuple through Execute, which still serves the hits.
+// memory. When the inner source is not a BatchProber the misses run
+// one by one (see ExecuteBatchWith).
 func (c *Cached) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	return c.ExecuteBatchContext(context.Background(), q, paramSets)
 }
 
 // ExecuteBatchContext implements ContextBatchProber; see ExecuteBatch.
 func (c *Cached) ExecuteBatchContext(ctx context.Context, q SubQuery, paramSets []value.Row) ([]*Result, error) {
-	bp, batchable := c.inner.(BatchProber)
-	if !batchable {
-		return nil, ErrBatchUnsupported
-	}
 	// Build the keys outside the lock (Execute does the same): under a
 	// parallel bind join many chunks contend on this mutex.
 	keys := make([]string, len(paramSets))
@@ -274,17 +269,11 @@ func (c *Cached) ExecuteBatchContext(ctx context.Context, q SubQuery, paramSets 
 	for j, i := range missIdx {
 		misses[j] = paramSets[i]
 	}
-	// Hit/miss accounting is deferred until the batch commits: when the
-	// inner source rejects the shape (ErrBatchUnsupported) the caller
-	// re-probes every tuple through Execute, which does its own
-	// counting — counting here too would tally each logical probe twice.
-	results, err := ExecuteBatchWith(ctx, bp, q, misses)
+	results, err := ExecuteBatchWith(ctx, c.inner, q, misses)
 	if err != nil {
 		return nil, err
 	}
 	if len(results) != len(misses) {
-		// A contract violation, not an unsupported shape: reporting it
-		// as ErrBatchUnsupported would silently defeat batching forever.
 		return nil, fmt.Errorf("source %s: batched probe returned %d results for %d tuples",
 			c.inner.URI(), len(results), len(misses))
 	}

@@ -2,6 +2,7 @@ package source
 
 import (
 	"context"
+	"fmt"
 
 	"tatooine/internal/value"
 )
@@ -43,13 +44,28 @@ func ExecuteWith(ctx context.Context, s DataSource, q SubQuery, params []value.V
 	return s.Execute(q, params)
 }
 
-// ExecuteBatchWith is ExecuteWith for batched probes.
-func ExecuteBatchWith(ctx context.Context, bp BatchProber, q SubQuery, paramSets []value.Row) ([]*Result, error) {
+// ExecuteBatchWith evaluates q under ctx once per parameter tuple and
+// returns one result per tuple. A BatchProber gets the whole batch (with
+// ctx threaded through when it is a ContextBatchProber); any other
+// source runs one ExecuteWith per tuple, so a cancelled context stops
+// the loop before its next tuple.
+func ExecuteBatchWith(ctx context.Context, s DataSource, q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cb, ok := bp.(ContextBatchProber); ok {
-		return cb.ExecuteBatchContext(ctx, q, paramSets)
+	switch bp := s.(type) {
+	case ContextBatchProber:
+		return bp.ExecuteBatchContext(ctx, q, paramSets)
+	case BatchProber:
+		return bp.ExecuteBatch(q, paramSets)
 	}
-	return bp.ExecuteBatch(q, paramSets)
+	out := make([]*Result, len(paramSets))
+	for i, ps := range paramSets {
+		res, err := ExecuteWith(ctx, s, q, ps)
+		if err != nil {
+			return nil, fmt.Errorf("source: batch tuple %d: %w", i, err)
+		}
+		out[i] = res
+	}
+	return out, nil
 }

@@ -33,24 +33,9 @@ func (s *DocSource) Model() Model { return DocumentModel }
 func (s *DocSource) Languages() []Language { return []Language{LangSearch} }
 
 // Execute implements DataSource: params substitute '?' placeholders in
-// condition order.
+// condition order. It is ExecuteBatch for one tuple.
 func (s *DocSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
-	if q.Language != LangSearch {
-		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
-	}
-	tq, err := fulltext.ParseTextQuery(q.Text)
-	if err != nil {
-		return nil, err
-	}
-	cols, rows, err := tq.Execute(s.ix, params)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Cols: cols}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, value.Row(r))
-	}
-	return out, nil
+	return single(s.ExecuteBatch(q, []value.Row{params}))
 }
 
 // ExecuteBatch implements BatchProber as a multi-term batch: the

@@ -120,35 +120,10 @@ func (s *RDFSource) Model() Model { return RDFModel }
 func (s *RDFSource) Languages() []Language { return []Language{LangBGP} }
 
 // Execute implements DataSource. Params bind the query's InVars (see
-// SubQuery.InVars) by name to constant terms before evaluation.
+// SubQuery.InVars) by name to constant terms before evaluation. It is
+// ExecuteBatch for one tuple.
 func (s *RDFSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
-	if q.Language != LangBGP {
-		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
-	}
-	bgp, err := rdf.ParseBGP(q.Text, s.prefixes)
-	if err != nil {
-		return nil, err
-	}
-	if len(params) != len(q.InVars) {
-		return nil, fmt.Errorf("source %s: query expects %d parameters, got %d", s.uri, len(q.InVars), len(params))
-	}
-	init := make(rdf.Bindings, len(params))
-	for i, name := range q.InVars {
-		init[strings.TrimPrefix(name, "?")] = ValueToTerm(params[i])
-	}
-	sols, err := rdf.EvaluateBound(s.graph, bgp, init)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Cols: sols.Vars}
-	for _, row := range sols.Rows {
-		vrow := make(value.Row, len(row))
-		for i, t := range row {
-			vrow[i] = TermToValue(t)
-		}
-		res.Rows = append(res.Rows, vrow)
-	}
-	return res, nil
+	return single(s.ExecuteBatch(q, []value.Row{params}))
 }
 
 // ExecuteBatch implements BatchProber, VALUES-style: the BGP is parsed

@@ -57,7 +57,7 @@ func (s *RelSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 // the tuple on every parameter — so each per-tuple Result is identical
 // to a per-probe Execute. Shapes whose semantics would change under
 // batching (LIMIT/OFFSET, DISTINCT, grouping/aggregation, '?' outside
-// a top-level `col = ?` conjunct) return ErrBatchUnsupported.
+// a top-level `col = ?` conjunct) run tuple by tuple (ExecuteSerially).
 func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*Result, err error) {
 	if q.Language != LangSQL {
 		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
@@ -67,7 +67,7 @@ func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*
 	}
 	stmt, err := sqlparse.ParseSelect(q.Text)
 	if err != nil {
-		return nil, ErrBatchUnsupported
+		return ExecuteSerially(s, q, paramSets)
 	}
 	nParams := len(paramSets[0])
 	for _, ps := range paramSets {
@@ -76,7 +76,7 @@ func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*
 		}
 	}
 	if !rewriteInList(stmt, nParams, paramSets) {
-		return nil, ErrBatchUnsupported
+		return ExecuteSerially(s, q, paramSets)
 	}
 	res, err := s.db.ExecStmt(stmt)
 	if err != nil {
