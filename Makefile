@@ -39,6 +39,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime 10s -parallel 2 ./internal/fulltext
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBGP$$' -fuzztime 10s -parallel 2 ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchHandler$$' -fuzztime 10s -parallel 2 ./internal/federation
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s -parallel 2 ./internal/value
 
 # Observability hygiene: no printf logging outside cmd/, and a booted
 # mediator's GET /metrics must scrape as valid Prometheus text.

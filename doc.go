@@ -414,13 +414,16 @@
 //     by a mutation — store.Store is the engine boundary the layers
 //     above program against.
 //
-// rdf.Graph and relstore.Table are backend-split: the default
-// in-memory backends (nested triple maps; row slices)
-// are bit-for-bit the pre-engine behavior, while rdf.OpenGraph and
-// relstore.OpenDatabase mount the same APIs on store keyspaces — SPO /
-// POS / OSP triple permutations as 12-byte composite keys, dictionary
-// write-through, binary-encoded rows and primary keys. Equivalence tests drive both backends through
-// identical randomized operation sequences and compare every answer.
+// Only rdf.Graph is backend-split, because G and G∞ are the mediator's
+// own state: the default in-memory backend (nested triple maps) is
+// bit-for-bit the pre-engine behavior, while rdf.OpenGraph mounts the
+// same API on store keyspaces — SPO / POS / OSP triple permutations as
+// 12-byte composite keys, with dictionary write-through. Equivalence
+// tests drive both backends through identical randomized operation
+// sequences and compare every answer. Sources are never persisted:
+// relstore.Table is an in-memory row slice plus a primary-key set,
+// standing in for an autonomous database the mediator queries where it
+// lives.
 //
 // core.Open(dir) opens a persistent Instance: each mutation commits
 // graph pages, saturation pages, epoch and catalog in ONE WAL
@@ -429,8 +432,6 @@
 // diverge (a SIGKILL crash-recovery test pins exactly this). Reopening
 // is a warm boot: the stored G∞ is adopted as-is (reason.Adopt, zero
 // recomputes) and incremental maintenance resumes where it left off.
-// Instance.Store() exposes the backing store so embedding applications
-// co-locate their relational state in the same transactions.
 //
 // "tatooine serve -data-dir <dir>" runs the mediator persistently: a
 // fresh directory is seeded from the generated dataset, a restart
@@ -505,10 +506,7 @@
 // every term at open. Terms load lazily from prefix-compressed store
 // pages on first touch and age out with the page cache, so warm-boot
 // cost and steady-state footprint are independent of how many terms
-// the instance has accumulated. Relational scans decode only the
-// columns a query references (value.DecodeRowProject): pruned columns
-// surface as nulls in their original positions and their bytes are
-// never copied out of the page.
+// the instance has accumulated.
 //
 // Spill joins: residual hash joins — the joins the mediator itself
 // runs over sub-query results — take a build-side budget

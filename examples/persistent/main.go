@@ -1,7 +1,9 @@
 // Persistent instance walkthrough: the mediator's own state — the
 // custom graph G, its saturation G∞, the mutation epoch — on a durable
 // paged B-tree store with a write-ahead log, surviving process
-// restarts. Run it twice to see both boot paths:
+// restarts. That is all the store holds: sources (relational tables,
+// documents, XML) stay outside it and are queried where they live.
+// Run it twice to see both boot paths:
 //
 //	go run ./examples/persistent            # 1st run: seeds the store
 //	go run ./examples/persistent            # 2nd run: warm boot, zero recompute
@@ -18,8 +20,6 @@ import (
 
 	"tatooine/internal/core"
 	"tatooine/internal/rdf"
-	"tatooine/internal/relstore"
-	"tatooine/internal/value"
 )
 
 func main() {
@@ -42,7 +42,7 @@ func main() {
 
 	if in.Epoch() == 0 {
 		// ---- First run: seed the store. --------------------------------
-		// Each AddTriples is one mutation: graph pages, dictionary,
+		// One AddTriples is one mutation: graph pages, dictionary,
 		// epoch and catalog commit in a single WAL transaction.
 		fmt.Println("fresh store — seeding politicians…")
 		in.AddTriples(rdf.MustParse(`
@@ -50,41 +50,13 @@ func main() {
 :politician rdfs:subClassOf :person .
 :p1 a :politician ; :position :headOfState .
 :p2 a :politician ; :position :deputy .
+:p3 a :politician .
 `))
-
-		// Other state co-locates on the SAME store: a relstore database
-		// hung off in.Store() commits atomically with instance
-		// mutations (one WAL transaction covers both).
-		db, err := relstore.OpenDatabase(in.Store(), "stats")
-		if err != nil {
-			log.Fatal(err)
-		}
-		tb, err := db.CreateTable(relstore.Schema{
-			Name: "chomage",
-			Columns: []relstore.Column{
-				{Name: "dept", Type: value.String},
-				{Name: "taux", Type: value.Float},
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tb.Insert(value.Row{value.NewString("75"), value.NewFloat(8.9)}); err != nil {
-			log.Fatal(err)
-		}
-		// The next instance mutation's commit makes the row durable too.
-		in.AddTriples(rdf.MustParse("@prefix : <http://t.example/> .\n:p3 a :politician ."))
 	} else {
 		// ---- Later runs: warm boot. ------------------------------------
 		// Everything below loaded from disk; nothing was recomputed.
 		fmt.Printf("warm boot in %v — epoch %d, G=%d triples\n",
 			opened.Round(time.Microsecond), in.Epoch(), in.Graph().Size())
-		db, err := relstore.OpenDatabase(in.Store(), "stats")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("co-located table survived: %d row(s) in chomage\n",
-			db.Table("chomage").RowCount())
 	}
 
 	// Graph atoms answer over G∞. On the first run this query computes

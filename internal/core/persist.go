@@ -175,11 +175,10 @@ func (in *Instance) dropStaleSatLocked() error {
 
 // persistLocked writes the epoch and saturation generation to the
 // catalog and commits the store — one WAL transaction covering every
-// page the mutation dirtied (graph indexes, dictionary, saturation,
-// catalog, and any other keyspace on the same store). Callers hold
-// satMu. Errors are sticky (StoreErr) rather than returned: the
-// in-memory state is already mutated and correct, so the instance
-// keeps serving; only durability is degraded.
+// page the mutation dirtied (graph indexes, dictionary, saturation and
+// catalog). Callers hold satMu. Errors are sticky (StoreErr) rather
+// than returned: the in-memory state is already mutated and correct, so
+// the instance keeps serving; only durability is degraded.
 func (in *Instance) persistLocked() {
 	if in.st == nil {
 		return
@@ -221,11 +220,6 @@ func (in *Instance) StoreErr() error {
 
 // Persistent reports whether the instance is backed by a store.
 func (in *Instance) Persistent() bool { return in.st != nil }
-
-// Store exposes the instance's backing store so the embedding
-// application can co-locate more state (e.g. relstore databases) in
-// the same WAL transactions. Nil for in-memory instances.
-func (in *Instance) Store() store.Store { return in.st }
 
 // StoreStats snapshots the backing store's counters (the /stats
 // "store" block). Nil for in-memory instances.

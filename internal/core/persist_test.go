@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"tatooine/internal/rdf"
-	"tatooine/internal/relstore"
-	"tatooine/internal/value"
 )
 
 func persistentInstance(t *testing.T, dir string, opts ...InstanceOption) *Instance {
@@ -119,47 +116,5 @@ func TestPersistentSaturationWarmRestart(t *testing.T) {
 	st = in2.SaturationStats()
 	if st.DeltaApplies != 1 || st.FullRecomputes != 0 {
 		t.Fatalf("post-mutation stats = %+v", st)
-	}
-}
-
-// TestPersistentStoreSharedWithRelstore pins the co-location contract:
-// a relstore database hung off Instance.Store() commits atomically with
-// instance mutations (one WAL transaction covers both).
-func TestPersistentStoreSharedWithRelstore(t *testing.T) {
-	dir := t.TempDir()
-	in := persistentInstance(t, dir)
-	db, err := relstore.OpenDatabase(in.Store(), "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := db.CreateTable(relstore.Schema{
-		Name:    "t",
-		Columns: []relstore.Column{{Name: "n", Type: value.Int}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := tb.Insert(value.Row{value.NewInt(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-		// The instance mutation's commit makes the rows durable too.
-		in.AddTriples(rdf.MustParse(fmt.Sprintf("@prefix : <http://t.example/> .\n:s%d a :thing .", i)))
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	in2 := persistentInstance(t, dir)
-	defer in2.Close()
-	db2, err := relstore.OpenDatabase(in2.Store(), "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db2.Table("t").RowCount(); got != 10 {
-		t.Fatalf("reopened rows = %d, want 10", got)
-	}
-	if in2.Epoch() != 10 || in2.Graph().Size() != 10 {
-		t.Fatalf("reopened epoch=%d size=%d", in2.Epoch(), in2.Graph().Size())
 	}
 }

@@ -2,37 +2,18 @@ package relstore
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"tatooine/internal/store"
 	"tatooine/internal/value"
 )
 
-// runBothDBs runs fn against an in-memory database and a store-backed
-// one, so table behavior is pinned backend-agnostically.
-func runBothDBs(t *testing.T, fn func(t *testing.T, db *Database)) {
+// runDB runs fn against a fresh in-memory database as the "mem"
+// subtest.
+func runDB(t *testing.T, fn func(t *testing.T, db *Database)) {
 	t.Helper()
 	t.Run("mem", func(t *testing.T) {
 		fn(t, NewDatabase("test"))
-	})
-	t.Run("store", func(t *testing.T) {
-		st, err := store.Open(filepath.Join(t.TempDir(), "rel.db"), store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		db, err := OpenDatabase(st, "test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, db)
-		for _, tb := range db.Tables() {
-			if err := tb.StoreErr(); err != nil {
-				t.Fatalf("table %s store error: %v", tb.Name(), err)
-			}
-		}
 	})
 }
 
@@ -49,7 +30,7 @@ func citySchema() Schema {
 }
 
 func TestBackendsInsertScanRowCount(t *testing.T) {
-	runBothDBs(t, func(t *testing.T, db *Database) {
+	runDB(t, func(t *testing.T, db *Database) {
 		tb, err := db.CreateTable(citySchema())
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +69,7 @@ func TestBackendsInsertScanRowCount(t *testing.T) {
 }
 
 func TestBackendsAllValueKinds(t *testing.T) {
-	runBothDBs(t, func(t *testing.T, db *Database) {
+	runDB(t, func(t *testing.T, db *Database) {
 		tb, err := db.CreateTable(Schema{
 			Name: "kinds",
 			Columns: []Column{
@@ -137,81 +118,9 @@ func TestBackendsAllValueKinds(t *testing.T) {
 	})
 }
 
-func TestStoreDatabasePersistAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rel.db")
-	st, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := OpenDatabase(st, "insee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := db.CreateTable(citySchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		tb.Insert(value.Row{
-			value.NewInt(int64(i)),
-			value.NewString(fmt.Sprintf("c%d", i%10)),
-			value.NewInt(int64(i * 7)),
-		})
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	db2, err := OpenDatabase(st2, "insee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb2 := db2.Table("CITY")
-	if tb2 == nil {
-		t.Fatal("table lost on reopen")
-	}
-	if tb2.RowCount() != 200 {
-		t.Fatalf("reopened rowcount = %d", tb2.RowCount())
-	}
-	sc := tb2.Schema()
-	if len(sc.Columns) != 3 || sc.Columns[1].Name != "name" || len(sc.PrimaryKey) != 1 {
-		t.Fatalf("reopened schema = %+v", sc)
-	}
-	// Row values survive reopen.
-	c3 := 0
-	tb2.Scan(func(r value.Row) bool {
-		if r[1].Str() == "c3" {
-			c3++
-		}
-		return true
-	})
-	if c3 != 20 {
-		t.Fatalf("reopened scan found %d rows named c3, want 20", c3)
-	}
-	// PK set survives: an old id must still be rejected.
-	if err := tb2.Insert(value.Row{value.NewInt(5), value.NewString("x"), value.NewInt(0)}); err == nil {
-		t.Fatal("reopened table accepted duplicate primary key")
-	}
-	// New inserts continue row ids without clobbering.
-	if err := tb2.Insert(value.Row{value.NewInt(1000), value.NewString("new"), value.NewInt(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if tb2.RowCount() != 201 {
-		t.Fatalf("rowcount after insert = %d", tb2.RowCount())
-	}
-}
-
 func TestBackendsCSVImport(t *testing.T) {
 	data := "id,name,pop,founded\n1,paris,2200000,1800-01-01T00:00:00Z\n2,lyon,510000,\n3,nice,340000,1860-01-01T00:00:00Z\n"
-	runBothDBs(t, func(t *testing.T, db *Database) {
+	runDB(t, func(t *testing.T, db *Database) {
 		tb, err := db.ImportCSVString("cities", data)
 		if err != nil {
 			t.Fatal(err)
@@ -240,7 +149,7 @@ func TestCSVStreamsBeyondSample(t *testing.T) {
 	for i := 0; i < inferSample+50; i++ {
 		b = append(b, fmt.Sprintf("%d\n", i)...)
 	}
-	runBothDBs(t, func(t *testing.T, db *Database) {
+	runDB(t, func(t *testing.T, db *Database) {
 		tb, err := db.ImportCSVString("nums", string(b))
 		if err != nil {
 			t.Fatal(err)
@@ -259,27 +168,10 @@ func TestCSVStreamsBeyondSample(t *testing.T) {
 	})
 }
 
-func TestRowCodecRejectsCorrupt(t *testing.T) {
-	good := encodeRow(value.Row{value.NewString("abc"), value.NewInt(7)})
-	if _, err := decodeRow(good); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]byte{
-		{},
-		good[:len(good)-1],
-		append(append([]byte(nil), good...), 0xFF),
-	} {
-		if _, err := decodeRow(bad); err == nil {
-			t.Fatalf("decodeRow accepted corrupt input %v", bad)
-		}
-	}
-}
-
-// TestBackendsScanProject pins the column-pruned scan contract on both
-// backends: pruned columns arrive as Nulls at their original positions,
-// needed ones carry their stored values, and a nil mask is a full scan.
+// TestBackendsScanProject pins that a query reading some columns and
+// one reading them all both see the stored values.
 func TestBackendsScanProject(t *testing.T) {
-	runBothDBs(t, func(t *testing.T, db *Database) {
+	runDB(t, func(t *testing.T, db *Database) {
 		tb, err := db.CreateTable(citySchema())
 		if err != nil {
 			t.Fatal(err)
@@ -294,34 +186,14 @@ func TestBackendsScanProject(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rows := tb.RowsProject([]bool{true, false, true})
-		if len(rows) != 20 {
-			t.Fatalf("projected rows = %d, want 20", len(rows))
-		}
-		for i, r := range rows {
-			if len(r) != 3 {
-				t.Fatalf("row %d has %d values, want 3", i, len(r))
-			}
-			if r[0].Int() != int64(i) || r[2].Int() != int64(i*1000) {
-				t.Fatalf("row %d needed columns wrong: %v", i, r)
-			}
-			if !r[1].IsNull() {
-				t.Fatalf("row %d pruned column not Null: %v", i, r[1])
-			}
-		}
-		if full := tb.RowsProject(nil); len(full) != 20 || full[7][1].Str() != "city7" {
-			t.Fatalf("nil mask should scan all columns: %v", full[7])
-		}
-		// Pruned scans feed the executor: a query touching only id/pop
-		// must not depend on the pruned name column.
 		res, err := db.Exec("SELECT id, pop FROM city WHERE pop >= 18000 ORDER BY id")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 2 || res.Rows[0][0].Int() != 18 || res.Rows[1][1].Int() != 19000 {
-			t.Fatalf("pruned query wrong: %v", res.Rows)
+			t.Fatalf("id, pop query wrong: %v", res.Rows)
 		}
-		// And a query that does need every column still sees them all.
+		// A query that reads every column sees them all.
 		res, err = db.Exec("SELECT * FROM city WHERE id = 7")
 		if err != nil {
 			t.Fatal(err)

@@ -147,10 +147,9 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 	if base == nil {
 		return nil, fmt.Errorf("relstore: unknown table %q", s.From.Name)
 	}
-	refs := selectStmtRefs(s)
 	workEnv := &env{}
 	workEnv.addTable(s.From.Binding(), base.Schema())
-	rows := base.RowsProject(neededColumns(s, refs, s.From.Binding(), base.Schema()))
+	rows := base.Rows()
 
 	// Joins, in declaration order.
 	for _, j := range s.Joins {
@@ -159,8 +158,7 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 			return nil, fmt.Errorf("relstore: unknown table %q", j.Table.Name)
 		}
 		var err error
-		need := neededColumns(s, refs, j.Table.Binding(), t.Schema())
-		rows, err = joinRows(rows, workEnv, t, need, j, params)
+		rows, err = joinRows(rows, workEnv, t, j, params)
 		if err != nil {
 			return nil, err
 		}
@@ -345,57 +343,12 @@ func sortRows(s *sqlparse.SelectStmt, items []sqlparse.SelectItem, names []strin
 	return nil
 }
 
-// selectStmtRefs collects every column reference the statement can
-// evaluate: projection items, join conditions, WHERE, GROUP BY, HAVING
-// and ORDER BY keys.
-func selectStmtRefs(s *sqlparse.SelectStmt) []*sqlparse.ColumnRef {
-	var refs []*sqlparse.ColumnRef
-	for _, it := range s.Columns {
-		sqlparse.ColumnRefs(it.Expr, &refs)
-	}
-	for _, j := range s.Joins {
-		sqlparse.ColumnRefs(j.On, &refs)
-	}
-	sqlparse.ColumnRefs(s.Where, &refs)
-	for _, ge := range s.GroupBy {
-		sqlparse.ColumnRefs(ge, &refs)
-	}
-	sqlparse.ColumnRefs(s.Having, &refs)
-	for _, ob := range s.OrderBy {
-		sqlparse.ColumnRefs(ob.Expr, &refs)
-	}
-	return refs
-}
-
-// neededColumns returns the pruning mask for a table bound as binding:
-// need[i] is true when some collected reference names column i, either
-// qualified by this binding or unqualified (an unqualified name is
-// conservatively charged to every table that has the column, since
-// resolution happens later). SELECT * disables pruning (nil mask).
-func neededColumns(s *sqlparse.SelectStmt, refs []*sqlparse.ColumnRef, binding string, schema Schema) []bool {
-	if s.Star {
-		return nil
-	}
-	b := strings.ToLower(binding)
-	need := make([]bool, len(schema.Columns))
-	for _, ref := range refs {
-		if t := strings.ToLower(ref.Table); t != "" && t != b {
-			continue
-		}
-		if ci := schema.ColumnIndex(ref.Column); ci >= 0 {
-			need[ci] = true
-		}
-	}
-	return need
-}
-
 // joinRows joins the working rows with table t under clause j. Equi-join
 // conditions between an existing env column and a new table column use a
-// hash join; anything else falls back to a nested loop. need prunes the
-// columns materialized from t (nil = all).
-func joinRows(left []value.Row, leftEnv *env, t *Table, need []bool, j sqlparse.JoinClause, params []value.Value) ([]value.Row, error) {
+// hash join; anything else falls back to a nested loop.
+func joinRows(left []value.Row, leftEnv *env, t *Table, j sqlparse.JoinClause, params []value.Value) ([]value.Row, error) {
 	rightSchema := t.Schema()
-	rightRows := t.RowsProject(need)
+	rightRows := t.Rows()
 	rightWidth := len(rightSchema.Columns)
 
 	// Build the post-join env for evaluating the ON condition.

@@ -467,9 +467,11 @@ func TestLikeMatcher(t *testing.T) {
 	}
 }
 
+// TestConcurrentInsertAndScan: a Table guards its own row slice and
+// primary-key set, so inserts run beside Scan and beside SELECTs.
 func TestConcurrentInsertAndScan(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.Exec("CREATE TABLE t (n INT)"); err != nil {
+	if _, err := db.Exec("CREATE TABLE t (n INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
 	tbl := db.Table("t")
@@ -488,7 +490,8 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		go func() {
 			tbl.Scan(func(value.Row) bool { return true })
-			done <- nil
+			_, err := db.Exec("SELECT n FROM t WHERE n >= 0")
+			done <- err
 		}()
 	}
 	for i := 0; i < 8; i++ {

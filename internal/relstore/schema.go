@@ -2,9 +2,9 @@
 // column-typed table store with primary and foreign keys, a SQL-subset
 // executor, and CSV import. It stands in for the curated relational
 // databases (INSEE, Ministry of Interior) that the paper's mixed
-// instances contain. Tables live in memory by default; a database
-// opened with OpenDatabase keeps rows and schemas on a persistent
-// store.Store.
+// instances contain. Tables live in memory only: a source is queried
+// where it lives, and the mediator persists nothing but its own graph
+// G and saturation G∞ (internal/core).
 package relstore
 
 import (
@@ -47,39 +47,13 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// tableBackend is the storage engine behind a Table: row storage plus
-// primary-key bookkeeping. All methods are called with
-// the Table's lock held, so implementations need no internal locking.
-// Row ids are dense append positions (0..rowCount-1).
-type tableBackend interface {
-	rowCount() int
-	// insert stores the row (already type-checked) under the next row id.
-	// pkKey is "" when the table has no primary key; otherwise insert
-	// must reject duplicates.
-	insert(row value.Row, pkKey string) error
-	// scan iterates rows in id order; stops when fn returns false. The
-	// row passed to fn must not be retained.
-	scan(fn func(row value.Row) bool) error
-	// scanProject is scan with column pruning: only columns need[i]
-	// marks true are materialized, the rest arrive as Nulls at their
-	// original positions (so positional references stay valid). need ==
-	// nil means every column.
-	scanProject(need []bool, fn func(row value.Row) bool) error
-	// err returns the first storage error swallowed by an error-less
-	// read path (scan callbacks that cannot propagate), or nil.
-	err() error
-}
-
-// Table is a relation. All methods are safe for concurrent use.
+// Table is a relation: an append-only row slice and a primary-key
+// set. All methods are safe for concurrent use.
 type Table struct {
 	mu     sync.RWMutex
 	schema Schema
-	be     tableBackend
-}
-
-// NewTable creates an empty in-memory table with the given schema.
-func NewTable(schema Schema) *Table {
-	return &Table{schema: schema, be: newMemTable()}
+	rows   []value.Row
+	pkSet  map[string]struct{}
 }
 
 // Schema returns a copy of the table's schema.
@@ -92,16 +66,7 @@ func (t *Table) Name() string { return t.schema.Name }
 func (t *Table) RowCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.be.rowCount()
-}
-
-// StoreErr returns the first storage error the table's backend has
-// swallowed on an error-less read path, or nil. In-memory tables always
-// return nil.
-func (t *Table) StoreErr() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.be.err()
+	return len(t.rows)
 }
 
 // Insert appends a row after type-checking it against the schema. String
@@ -133,11 +98,15 @@ func (t *Table) Insert(row value.Row) error {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var pkKey string
 	if len(t.schema.PrimaryKey) > 0 {
-		pkKey = t.pkKeyLocked(typed)
+		pkKey := t.pkKeyLocked(typed)
+		if _, dup := t.pkSet[pkKey]; dup {
+			return fmt.Errorf("relstore: duplicate primary key %v", pkKey)
+		}
+		t.pkSet[pkKey] = struct{}{}
 	}
-	return t.be.insert(typed, pkKey)
+	t.rows = append(t.rows, typed)
+	return nil
 }
 
 func (t *Table) pkKeyLocked(row value.Row) string {
@@ -153,32 +122,21 @@ func (t *Table) pkKeyLocked(row value.Row) string {
 func (t *Table) Scan(fn func(row value.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.be.scan(fn)
+	for _, r := range t.rows {
+		if !fn(r) {
+			return
+		}
+	}
 }
 
 // Rows returns a deep copy of all rows.
 func (t *Table) Rows() []value.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]value.Row, 0, t.be.rowCount())
-	t.be.scan(func(r value.Row) bool {
-		out = append(out, r.Clone())
-		return true
-	})
-	return out
-}
-
-// RowsProject returns a deep copy of all rows with only the columns
-// need[i] marks true materialized (Nulls elsewhere). A nil need is
-// equivalent to Rows.
-func (t *Table) RowsProject(need []bool) []value.Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]value.Row, 0, t.be.rowCount())
-	t.be.scanProject(need, func(r value.Row) bool {
-		out = append(out, r.Clone())
-		return true
-	})
+	out := make([]value.Row, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = r.Clone()
+	}
 	return out
 }
 
@@ -187,7 +145,6 @@ type Database struct {
 	mu     sync.RWMutex
 	name   string
 	tables map[string]*Table
-	disk   *diskCatalog // nil for an in-memory database
 }
 
 // NewDatabase creates an empty in-memory database.
@@ -219,15 +176,7 @@ func (db *Database) CreateTable(schema Schema) (*Table, error) {
 			return nil, fmt.Errorf("relstore: foreign key on unknown column %q", fk.Column)
 		}
 	}
-	var t *Table
-	if db.disk != nil {
-		var err error
-		if t, err = db.disk.createTable(schema); err != nil {
-			return nil, err
-		}
-	} else {
-		t = NewTable(schema)
-	}
+	t := &Table{schema: schema, pkSet: make(map[string]struct{})}
 	db.tables[key] = t
 	return t, nil
 }

@@ -4,8 +4,8 @@
 // on-disk B-tree engine (internal/pager + internal/btree).
 //
 // The layers above — rdf.Graph's SPO/POS/OSP indexes and dictionary,
-// relstore.Table's rows and primary keys, core.Instance's durable
-// catalog — talk only to this interface, so the hot probe paths are
+// core.Instance's durable catalog, the executor's spill joins — talk
+// only to this interface, so the hot probe paths are
 // backend-agnostic: a cursor over a B-tree page and a cursor over an
 // in-memory page behave identically, and everything written between
 // two Commit calls becomes durable atomically (one WAL transaction).

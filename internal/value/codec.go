@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Binary row codec shared by the relational store and the executor's
-// spill files. Layout:
+// Binary row codec of the executor's spill files. A spill file never
+// outlives its process, so the format carries no version. Layout:
 //
 //	u16 column count, then per value:
 //	  u8 kind, then a kind-specific payload:
@@ -17,7 +17,8 @@ import (
 //	    Int    u64 big-endian (two's complement)
 //	    Float  u64 big-endian IEEE-754 bits
 //	    Bool   u8
-//	    Time   u32 length + RFC3339Nano bytes (values are stored UTC)
+//	    Time   i64 big-endian Unix seconds + u32 big-endian nanoseconds
+//	           (values are UTC)
 
 // EncodeRow serializes r with the row codec.
 func EncodeRow(r Row) []byte {
@@ -47,10 +48,11 @@ func EncodeRow(r Row) []byte {
 				buf = append(buf, 0)
 			}
 		case Time:
-			s := v.Time().UTC().Format(time.RFC3339Nano)
-			binary.BigEndian.PutUint32(u32[:], uint32(len(s)))
+			t := v.Time()
+			binary.BigEndian.PutUint64(u64[:], uint64(t.Unix()))
+			binary.BigEndian.PutUint32(u32[:], uint32(t.Nanosecond()))
+			buf = append(buf, u64[:]...)
 			buf = append(buf, u32[:]...)
-			buf = append(buf, s...)
 		}
 	}
 	return buf
@@ -58,102 +60,60 @@ func EncodeRow(r Row) []byte {
 
 // DecodeRow deserializes a row encoded by EncodeRow.
 func DecodeRow(b []byte) (Row, error) {
-	return decodeRowInto(b, nil)
-}
-
-// DecodeRowProject decodes only the columns need[i] marks true,
-// leaving Null placeholders elsewhere so positional references stay
-// valid. Columns beyond len(need) are skipped. Unneeded variable-width
-// values are skipped without materializing their bytes — the point of
-// column-pruned scans.
-func DecodeRowProject(b []byte, need []bool) (Row, error) {
-	return decodeRowInto(b, need)
-}
-
-func decodeRowInto(b []byte, need []bool) (Row, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("value: row codec: short buffer")
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	row := make(Row, 0, n)
-	varlen := func() ([]byte, error) {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("value: row codec: truncated length")
-		}
-		l := int(binary.BigEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < l {
-			return nil, fmt.Errorf("value: row codec: truncated string")
-		}
-		s := b[:l]
-		b = b[l:]
-		return s, nil
-	}
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {
 			return nil, fmt.Errorf("value: row codec: truncated kind")
 		}
 		k := Kind(b[0])
 		b = b[1:]
-		want := need == nil || (i < len(need) && need[i])
 		switch k {
 		case Null:
 			row = append(row, NewNull())
 		case String:
-			s, err := varlen()
-			if err != nil {
-				return nil, err
+			if len(b) < 4 {
+				return nil, fmt.Errorf("value: row codec: truncated length")
 			}
-			if want {
-				row = append(row, NewString(string(s)))
-			} else {
-				row = append(row, NewNull())
+			l := int(binary.BigEndian.Uint32(b))
+			b = b[4:]
+			if len(b) < l {
+				return nil, fmt.Errorf("value: row codec: truncated string")
 			}
+			row = append(row, NewString(string(b[:l])))
+			b = b[l:]
 		case Int:
 			if len(b) < 8 {
 				return nil, fmt.Errorf("value: row codec: truncated int")
 			}
-			if want {
-				row = append(row, NewInt(int64(binary.BigEndian.Uint64(b))))
-			} else {
-				row = append(row, NewNull())
-			}
+			row = append(row, NewInt(int64(binary.BigEndian.Uint64(b))))
 			b = b[8:]
 		case Float:
 			if len(b) < 8 {
 				return nil, fmt.Errorf("value: row codec: truncated float")
 			}
-			if want {
-				row = append(row, NewFloat(math.Float64frombits(binary.BigEndian.Uint64(b))))
-			} else {
-				row = append(row, NewNull())
-			}
+			row = append(row, NewFloat(math.Float64frombits(binary.BigEndian.Uint64(b))))
 			b = b[8:]
 		case Bool:
 			if len(b) < 1 {
 				return nil, fmt.Errorf("value: row codec: truncated bool")
 			}
-			if want {
-				row = append(row, NewBool(b[0] != 0))
-			} else {
-				row = append(row, NewNull())
-			}
+			row = append(row, NewBool(b[0] != 0))
 			b = b[1:]
 		case Time:
-			s, err := varlen()
-			if err != nil {
-				return nil, err
+			if len(b) < 12 {
+				return nil, fmt.Errorf("value: row codec: truncated time")
 			}
-			if want {
-				t, err := time.Parse(time.RFC3339Nano, string(s))
-				if err != nil {
-					return nil, fmt.Errorf("value: row codec: bad time %q: %v", s, err)
-				}
-				row = append(row, NewTime(t))
-			} else {
-				row = append(row, NewNull())
+			sec, nsec := int64(binary.BigEndian.Uint64(b)), binary.BigEndian.Uint32(b[8:])
+			if nsec >= 1e9 {
+				return nil, fmt.Errorf("value: row codec: bad time nanoseconds %d", nsec)
 			}
+			row = append(row, NewTime(time.Unix(sec, int64(nsec))))
+			b = b[12:]
 		default:
 			return nil, fmt.Errorf("value: row codec: unknown kind %d", k)
 		}
