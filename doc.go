@@ -406,13 +406,17 @@
 //     Commit appends the dirty pages plus a CRC-guarded commit frame
 //     and fsyncs once; crash recovery replays committed frames and
 //     discards a torn tail; Checkpoint folds the WAL back into the
-//     main file. Path "" runs the same pager purely in memory.
+//     main file. Every pager is file-backed; one whose cache is
+//     unbounded (CacheSize -1) keeps every page resident.
 //   - internal/btree: order-N B-trees over pager pages — insert,
 //     delete, point lookup and ordered range cursors.
 //   - internal/store: named keyspaces (one B-tree each) over one
 //     shared pager, so a single Commit covers every keyspace touched
-//     by a mutation — store.Store is the engine boundary the layers
-//     above program against.
+//     by a mutation. Its only user is the persistent core.Instance,
+//     and it holds one copy of each piece of mediator state: G
+//     (keyspace prefix "g"), G∞ ("sat", sharing G's dictionary) and
+//     the catalog (format, epoch, and whether the stored G∞ is
+//     committed).
 //
 // Only rdf.Graph is backend-split, because G and G∞ are the mediator's
 // own state: the default in-memory backend (nested triple maps) is
@@ -432,6 +436,13 @@
 // diverge (a SIGKILL crash-recovery test pins exactly this). Reopening
 // is a warm boot: the stored G∞ is adopted as-is (reason.Adopt, zero
 // recomputes) and incremental maintenance resumes where it left off.
+// G∞ is maintained in place: a full rebuild (schema delete, oversized
+// DRed cone, Invalidate) recomputes the saturation in memory and diffs
+// it into the stored graph, adding missing triples before removing
+// stale ones, so readers see the same monotone transition as a DRed
+// apply. A store written by an older version (a catalog without a
+// "format" key) is refused with an error naming the file; delete the
+// data directory to start over.
 //
 // "tatooine serve -data-dir <dir>" runs the mediator persistently: a
 // fresh directory is seeded from the generated dataset, a restart
@@ -498,9 +509,7 @@
 // observable signature of bounded operation. Freed pages go on a
 // persistent free list and are reused before the file grows;
 // store.Vacuum (auto-triggered when the dead-page ratio passes
-// store.DefaultAutoVacuumRatio) compacts reclaimable space, and
-// dropped saturation generations return their pages one generation
-// deferred so in-flight readers never observe a freed page.
+// store.DefaultAutoVacuumRatio) compacts reclaimable space.
 //
 // Paged dictionary: the RDF term dictionary no longer materializes
 // every term at open. Terms load lazily from prefix-compressed store
@@ -513,7 +522,9 @@
 // (-join-mem-budget MiB; ExecOptions.JoinMemBudget bytes; 0 keeps the
 // unbounded behavior). A build side that outgrows the budget
 // transitions mid-build into a Grace-style partitioned join: both
-// inputs hash-partition to a temporary store (NoSync, tiny cache,
+// inputs hash-partition to plain append-only files in a temporary
+// tat-spill-* directory (one file per side and partition, each a run
+// of length-prefixed encoded rows, written once and read back once;
 // removed on Close), then partitions join one at a time, so peak
 // memory tracks the largest partition rather than the whole build
 // side. The spilled path is row-multiset-identical to the in-memory

@@ -9,7 +9,10 @@
 //	go run ./examples/persistent            # 2nd run: warm boot, zero recompute
 //
 // The data directory defaults to a sibling "tatooine-data"; point
-// -data-dir elsewhere (or delete the directory to start over).
+// -data-dir elsewhere (or delete the directory to start over). The
+// store holds one copy of each piece of state — G, G∞ (maintained in
+// place) and the catalog — and a directory written by an older version
+// is refused with an error naming the file: delete it and rerun.
 package main
 
 import (

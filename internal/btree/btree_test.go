@@ -11,17 +11,26 @@ import (
 	"tatooine/internal/pager"
 )
 
+// memTree builds a tree on a fresh page file whose cache never evicts.
 func memTree(t *testing.T) *BTree {
 	t.Helper()
-	pg, err := pager.Open("", pager.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := New(pg)
+	bt, err := New(residentPager(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return bt
+}
+
+// residentPager opens a pager on a temporary file whose cache never
+// evicts, so every page stays in memory.
+func residentPager(t *testing.T) *pager.Pager {
+	t.Helper()
+	pg, err := pager.Open(filepath.Join(t.TempDir(), "t.db"), pager.Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pg.Close() })
+	return pg
 }
 
 func TestInsertGetDelete(t *testing.T) {

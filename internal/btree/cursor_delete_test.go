@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"tatooine/internal/pager"
 )
 
 func TestCursorAfterMassDelete(t *testing.T) {
-	pg, _ := pager.Open("", pager.Options{})
-	tr, _ := New(pg)
+	tr, _ := New(residentPager(t))
 	val := bytes.Repeat([]byte("x"), 256)
 	for i := 0; i < 3000; i++ {
 		tr.Insert([]byte(fmt.Sprintf("k%06d", i)), val)

@@ -31,12 +31,6 @@ type AtomExplain struct {
 	Spill string `json:"spill,omitempty"`
 }
 
-// spillEstRowBytes is the per-row footprint the explain path assumes
-// when sizing a node's output against the join memory budget (the
-// executor measures real footprints at run time; explain only has
-// cardinalities).
-const spillEstRowBytes = 64
-
 // ExplainInfo is the plan-only answer to an explain request: the
 // rendered plan plus the per-atom probe decisions, computed without
 // executing anything.
@@ -114,13 +108,16 @@ func (in *Instance) ExplainQueryContext(ctx context.Context, q *CMQ, opts ExecOp
 			ae.Pruning = "no prunable digest statistics for this sub-query shape; every distinct binding probes"
 		}
 		if opts.JoinMemBudget > 0 {
+			// The executor also counts string payloads, measured at run
+			// time; explain has only cardinalities and the layout width.
+			est := int64(s.EstRows) * rowBytes(len(s.layout.cols), 0)
 			switch {
 			case !build[i]:
 				ae.Spill = "never a join build side; nothing to spill"
 			case s.EstRows < 0:
 				ae.Spill = "unknown cardinality; spill decided against the budget at run time"
-			case int64(s.EstRows)*spillEstRowBytes > opts.JoinMemBudget:
-				ae.Spill = "estimated ~" + strconv.FormatInt(int64(s.EstRows)*spillEstRowBytes, 10) +
+			case est > opts.JoinMemBudget:
+				ae.Spill = "estimated ~" + strconv.FormatInt(est, 10) +
 					" bytes as a join build side exceeds the " +
 					strconv.FormatInt(opts.JoinMemBudget, 10) + "-byte budget; would spill to disk"
 			default:

@@ -47,17 +47,12 @@ type Instance struct {
 	// bind-join semi-join pruning and keyword search.
 	dig digestCatalog
 
-	// Persistence (nil/zero for in-memory instances; see persist.go).
-	// satGen, pendingSatDrop and stErr are guarded by satMu.
-	st  store.Store
-	cat store.KV
-	// satGen is the live saturation generation; pendingSatDrop is the
-	// generation superseded by the most recent full rebuild, whose
-	// pages are reclaimed one rebuild later (queries may still hold its
-	// graph snapshot — see satFactory).
-	satGen         uint64
-	pendingSatDrop uint64
-	stErr          error
+	// Persistence (nil for in-memory instances; see persist.go): the
+	// store holding G, G∞ and the catalog, and the first storage error
+	// (guarded by satMu).
+	st    store.Store
+	cat   store.KV
+	stErr error
 	// storeOpts is consumed by Open before the store exists (set via
 	// WithStoreOptions); unused on in-memory instances.
 	storeOpts store.Options
@@ -183,11 +178,9 @@ func (in *Instance) AddSource(s source.DataSource) error {
 	}
 	in.dig.reset()
 	in.bump()
-	if in.st != nil {
-		in.satMu.Lock()
-		in.persistLocked()
-		in.satMu.Unlock()
-	}
+	in.satMu.Lock()
+	in.persistLocked()
+	in.satMu.Unlock()
 	return nil
 }
 
@@ -201,11 +194,9 @@ func (in *Instance) DropSource(uri string) bool {
 	}
 	in.dig.reset()
 	in.bump()
-	if in.st != nil {
-		in.satMu.Lock()
-		in.persistLocked()
-		in.satMu.Unlock()
-	}
+	in.satMu.Lock()
+	in.persistLocked()
+	in.satMu.Unlock()
 	return true
 }
 
@@ -283,11 +274,7 @@ func (in *Instance) queryGraph() *rdf.Graph {
 	in.satMu.Lock()
 	defer in.satMu.Unlock()
 	if in.engine == nil {
-		cfg := reason.Config{}
-		if in.st != nil {
-			cfg.SatFactory = in.satFactory
-		}
-		in.engine = reason.New(in.graph, cfg)
+		in.engine = in.newEngineLocked()
 		// The initial saturation is derived state, but committing it now
 		// is what makes the next boot warm (Adopt, no recompute).
 		in.persistLocked()

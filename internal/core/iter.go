@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"tatooine/internal/value"
 )
@@ -120,7 +121,7 @@ type hashJoin struct {
 
 // newHashJoin builds the join j of left and right under a build-side
 // memory budget in bytes: when the right input's estimated footprint
-// exceeds it, the join spills both sides to a temporary on-disk store
+// exceeds it, the join spills both sides to temporary partition files
 // and joins partition-at-a-time (same row multiset, different order).
 // onSpill, when non-nil, receives byte deltas as spill files grow.
 // Cross products never spill.
@@ -128,18 +129,28 @@ func newHashJoin(left, right Iterator, j joinStep, budget int64, onSpill func(by
 	return &hashJoin{left: left, right: right, joinStep: j, budget: budget, onSpill: onSpill}
 }
 
-// rowFootprint estimates a resident row's memory cost: slice and value
-// headers plus string payloads. An estimate is enough — the budget
-// bounds order-of-magnitude growth, not exact bytes.
+// valueBytes is the resident size of one value.Value.
+const valueBytes = int64(unsafe.Sizeof(value.Value{}))
+
+// rowBytes is the resident cost of a row of width values carrying
+// strBytes of string payload: the slice header, the value array and
+// the strings. The executor charges measured rows with it (see
+// rowFootprint); explain sizes a step's output from its layout width.
+// An estimate is enough — the budget bounds order-of-magnitude growth,
+// not exact bytes.
+func rowBytes(width int, strBytes int64) int64 {
+	return 24 + int64(width)*valueBytes + strBytes
+}
+
+// rowFootprint is rowBytes for a concrete row.
 func rowFootprint(r value.Row) int64 {
-	n := int64(48)
+	var strBytes int64
 	for _, v := range r {
-		n += 32
 		if v.Kind() == value.String {
-			n += int64(len(v.Str()))
+			strBytes += int64(len(v.Str()))
 		}
 	}
-	return n
+	return rowBytes(len(r), strBytes)
 }
 
 func (h *hashJoin) Open() error {
@@ -166,48 +177,38 @@ func (h *hashJoin) Open() error {
 	var buildBytes int64
 	for {
 		row, ok, err := h.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if h.sj != nil {
-				return h.sj.flush()
+		if err != nil || !ok {
+			if err == nil && h.sj != nil {
+				err = h.sj.flush()
 			}
-			return nil
+			return err
 		}
 		key, null := joinKey(row, h.rightKey)
 		if null {
 			continue // nulls never join
 		}
-		if h.sj != nil {
-			if err := h.sj.addRight(row); err != nil {
-				return err
-			}
-			continue
-		}
-		if h.budget > 0 {
-			buildBytes += rowFootprint(row)
-			if buildBytes > h.budget {
+		if h.sj == nil && h.budget > 0 {
+			if buildBytes += rowFootprint(row); buildBytes > h.budget {
 				// Budget exceeded: switch to the spill path, moving the
 				// rows accumulated so far to disk before continuing.
-				sj, err := newSpillJoin(h)
-				if err != nil {
+				if h.sj, err = newSpillJoin(h); err != nil {
 					return err
 				}
-				h.sj = sj
-				for _, rows := range h.table {
+				for k, rows := range h.table {
 					for _, r := range rows {
-						if err := sj.addRight(r); err != nil {
+						if err := h.sj.add(spillBuild, k, r); err != nil {
 							return err
 						}
 					}
 				}
 				h.table = nil
-				if err := sj.addRight(row); err != nil {
-					return err
-				}
-				continue
 			}
+		}
+		if h.sj != nil {
+			if err := h.sj.add(spillBuild, key, row); err != nil {
+				return err
+			}
+			continue
 		}
 		h.table[key] = append(h.table[key], row)
 	}

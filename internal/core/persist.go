@@ -2,10 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"tatooine/internal/rdf"
 	"tatooine/internal/reason"
@@ -14,51 +13,68 @@ import (
 
 // This file is the durable side of Instance: a persistent instance
 // keeps the custom graph G, the materialized saturation G∞ and the
-// mutation epoch in one store.Store
-// (paged B-trees + WAL), committing them in a single WAL transaction
-// per mutation. A process crash between commits rolls the whole
-// catalog back to the last committed mutation — epoch, G and G∞ can
-// never diverge from each other — and reopening is a warm start: the
-// saturation is adopted as-is instead of recomputed.
+// mutation epoch in one store.Store (paged B-trees + WAL), committing
+// them in a single WAL transaction per mutation. The store holds one
+// copy of each: G under keyspace prefix "g", G∞ under "sat" (sharing
+// G's dictionary, maintained in place by the reasoner) and the catalog
+// "cat". A process crash between commits rolls the whole store back to
+// the last committed mutation — epoch, G and G∞ can never diverge from
+// each other — and reopening is a warm start: the saturation is
+// adopted as-is instead of recomputed.
 
 // DataFileName is the store file created inside a persistent
 // instance's data directory (the WAL lives next to it).
 const DataFileName = "tatooine.db"
 
-// Catalog keys (keyspace "cat").
+// Catalog keys (keyspace "cat"), each a u64 BE. Stores written before
+// "format" existed carry "epoch" without it and are refused, not
+// migrated.
 const (
-	catEpochKey  = "epoch"  // u64 BE: mutation epoch
-	catSatGenKey = "satgen" // u64 BE: live saturation generation (0 = none)
+	catFormatKey = "format" // layout version: storeFormat
+	catEpochKey  = "epoch"  // mutation epoch
+	catSatKey    = "sat"    // 1 when the stored G∞ is the committed saturation of G
+	storeFormat  = 2
 )
 
 // Open opens (or initializes) a persistent instance rooted at dir. The
 // custom graph, its saturation and the epoch load from
-// dir/tatooine.db; a missing file starts an empty instance.
-// Options apply as in NewInstance. With WithSaturation, a stored
-// saturation is adopted without recompute (the warm-restart path);
-// full-resaturation mode ignores any stored saturation.
-func Open(dir string, opts ...InstanceOption) (*Instance, error) {
+// dir/tatooine.db; a missing file starts an empty instance. A store
+// written in another layout is refused. Options apply as in
+// NewInstance. With WithSaturation, a committed stored saturation is
+// adopted without recompute (the warm-restart path); otherwise the
+// first saturated query rebuilds the stored G∞ in place.
+func Open(dir string, opts ...InstanceOption) (_ *Instance, err error) {
 	// Store options (page-cache budget, auto-vacuum tuning) must be
 	// known before the store opens, so probe the option list first.
 	probe := &Instance{prefixes: make(map[string]string)}
 	for _, o := range opts {
 		o(probe)
 	}
-	st, err := store.Open(filepath.Join(dir, DataFileName), probe.storeOpts)
+	path := filepath.Join(dir, DataFileName)
+	st, err := store.Open(path, probe.storeOpts)
 	if err != nil {
 		return nil, err
 	}
-	in, err := openWithStore(st, opts...)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	return in, nil
-}
-
-func openWithStore(st store.Store, opts ...InstanceOption) (*Instance, error) {
+	defer func() {
+		if err != nil {
+			st.Close()
+		}
+	}()
 	cat, err := st.Keyspace("cat")
 	if err != nil {
+		return nil, err
+	}
+	// Check the layout before anything else is written, so a refused
+	// store closes with nothing committed and its file unchanged.
+	format, ok, err := catGet(cat, catFormatKey)
+	if err != nil {
+		return nil, err
+	}
+	if ok && format != storeFormat || !ok && cat.Len() > 0 {
+		return nil, fmt.Errorf("core: %s is not in store format %d (an older version wrote it); delete the data directory %s to start over",
+			path, storeFormat, dir)
+	}
+	if err := catPut(cat, catFormatKey, storeFormat); err != nil {
 		return nil, err
 	}
 	g, err := rdf.OpenGraph(st, "g")
@@ -74,27 +90,36 @@ func openWithStore(st store.Store, opts ...InstanceOption) (*Instance, error) {
 	} else if ok {
 		in.epoch.Store(v)
 	}
-	if v, ok, err := catGet(cat, catSatGenKey); err != nil {
+	// Warm-start the reasoner: a committed G∞ is consistent with G and
+	// the epoch, so adopt it as-is. It shares G's dictionary (its
+	// triples are keyed by G's TermIDs), so no second dictionary loads.
+	if v, _, err := catGet(cat, catSatKey); err != nil {
 		return nil, err
-	} else if ok {
-		in.satGen = v
-	}
-	if err := in.dropStaleSatLocked(); err != nil {
-		return nil, err
-	}
-
-	// Warm-start the reasoner: a stored saturation generation means G∞
-	// was committed consistent with G and the epoch, so adopt it as-is.
-	// Generations share the base graph's dictionary (their triples are
-	// keyed by its TermIDs), so no second dictionary load happens here.
-	if in.saturate && in.satGen > 0 {
-		sat, err := rdf.OpenGraphSharedDict(st, satPrefix(in.satGen), g)
+	} else if in.saturate && v == 1 {
+		sat, err := rdf.OpenGraphSharedDict(st, "sat", g)
 		if err != nil {
 			return nil, err
 		}
-		in.engine = reason.Adopt(g, sat, reason.Config{SatFactory: in.satFactory})
+		in.engine = reason.Adopt(g, sat, reason.Config{})
 	}
 	return in, nil
+}
+
+// newEngineLocked builds the reasoner at the first saturated query. A
+// persistent instance adopts its stored G∞ (empty, or left stale by a
+// run without saturation) and rebuilds it in place; a store error
+// degrades to an in-memory saturation. Called with satMu held.
+func (in *Instance) newEngineLocked() *reason.Engine {
+	if in.st != nil {
+		sat, err := rdf.OpenGraphSharedDict(in.st, "sat", in.graph)
+		if err == nil {
+			e := reason.Adopt(in.graph, sat, reason.Config{})
+			e.Rebuild()
+			return e
+		}
+		in.noteStoreErrLocked(err)
+	}
+	return reason.New(in.graph, reason.Config{})
 }
 
 func catGet(cat store.KV, key string) (uint64, bool, error) {
@@ -108,97 +133,39 @@ func catGet(cat store.KV, key string) (uint64, bool, error) {
 	return binary.BigEndian.Uint64(v), true, nil
 }
 
-func satPrefix(gen uint64) string { return fmt.Sprintf("sat%d", gen) }
-
-// satFactory hands the reasoner a fresh store-backed graph for each
-// full rebuild. Generations are numbered so readers holding the
-// previous G∞ keep a valid snapshot: queryGraph hands out graph
-// pointers that outlive satMu, so the generation superseded by THIS
-// rebuild cannot have its pages freed yet — a long query could still
-// be iterating it. Instead it is parked in pendingSatDrop and dropped
-// (pages returned to the pager free list) at the NEXT full rebuild,
-// by which point any reader of the parked generation would have had
-// to span two complete rebuilds. Boot drops stragglers (see
-// dropStaleSatLocked). Errors degrade to an in-memory saturation:
-// answers stay correct, persistence of G∞ resumes at the next
-// successful rebuild. Called with satMu held (all engine entry points
-// take it).
-func (in *Instance) satFactory() *rdf.Graph {
-	old := in.satGen
-	gen := old + 1
-	g, err := rdf.OpenGraphSharedDict(in.st, satPrefix(gen), in.graph)
-	if err != nil {
-		in.noteStoreErrLocked(err)
-		return rdf.NewGraph()
-	}
-	in.satGen = gen
-	if in.pendingSatDrop > 0 {
-		in.dropSatGenLocked(in.pendingSatDrop)
-	}
-	in.pendingSatDrop = old
-	return g
+func catPut(cat store.KV, key string, v uint64) error {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	_, err := cat.Put([]byte(key), b[:])
+	return err
 }
 
-// dropSatGenLocked removes a saturation generation's keyspaces,
-// returning their pages to the pager free list.
-func (in *Instance) dropSatGenLocked(gen uint64) {
-	for _, ks := range []string{"/spo", "/pos", "/osp"} {
-		if err := in.st.DropKeyspace(satPrefix(gen) + ks); err != nil {
-			in.noteStoreErrLocked(err)
-		}
-	}
-}
-
-// dropStaleSatLocked reclaims saturation generations other than the
-// live one at boot — generations parked by satFactory in a previous
-// process, or left by a crash mid-rebuild. No queries exist yet, so
-// freeing is safe.
-func (in *Instance) dropStaleSatLocked() error {
-	live := satPrefix(in.satGen)
-	for _, name := range in.st.Keyspaces() {
-		if !strings.HasPrefix(name, "sat") {
-			continue
-		}
-		slash := strings.IndexByte(name, '/')
-		if slash < 0 || name[:slash] == live {
-			continue
-		}
-		if _, err := strconv.ParseUint(name[3:slash], 10, 64); err != nil {
-			continue
-		}
-		if err := in.st.DropKeyspace(name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// persistLocked writes the epoch and saturation generation to the
+// persistLocked writes the epoch and the saturation flag to the
 // catalog and commits the store — one WAL transaction covering every
 // page the mutation dirtied (graph indexes, dictionary, saturation and
-// catalog). Callers hold satMu. Errors are sticky (StoreErr) rather
-// than returned: the in-memory state is already mutated and correct, so
-// the instance keeps serving; only durability is degraded.
+// catalog). The flag is set only while a reasoner maintains the stored
+// G∞ and no storage error has been seen; a run without saturation
+// clears it, since its mutations leave G∞ behind. Callers hold satMu.
+// Errors are sticky (StoreErr) rather than returned: the in-memory
+// state is already mutated and correct, so the instance keeps serving;
+// only durability is degraded.
 func (in *Instance) persistLocked() {
 	if in.st == nil {
 		return
 	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], in.epoch.Load())
-	if _, err := in.cat.Put([]byte(catEpochKey), b[:]); err != nil {
-		in.noteStoreErrLocked(err)
-		return
+	var sat uint64
+	if in.engine != nil && in.stErr == nil {
+		sat = 1
 	}
-	binary.BigEndian.PutUint64(b[:], in.satGen)
-	if _, err := in.cat.Put([]byte(catSatGenKey), b[:]); err != nil {
-		in.noteStoreErrLocked(err)
-		return
+	err := errors.Join(catPut(in.cat, catEpochKey, in.epoch.Load()), catPut(in.cat, catSatKey, sat),
+		in.graph.StoreErr())
+	if err == nil && in.engine != nil {
+		err = in.engine.Graph().StoreErr()
 	}
-	if err := in.graph.StoreErr(); err != nil {
-		in.noteStoreErrLocked(err)
-		return
+	if err == nil {
+		err = in.st.Commit()
 	}
-	if err := in.st.Commit(); err != nil {
+	if err != nil {
 		in.noteStoreErrLocked(err)
 	}
 }

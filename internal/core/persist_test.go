@@ -1,9 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tatooine/internal/rdf"
+	"tatooine/internal/store"
 )
 
 func persistentInstance(t *testing.T, dir string, opts ...InstanceOption) *Instance {
@@ -116,5 +122,98 @@ func TestPersistentSaturationWarmRestart(t *testing.T) {
 	st = in2.SaturationStats()
 	if st.DeltaApplies != 1 || st.FullRecomputes != 0 {
 		t.Fatalf("post-mutation stats = %+v", st)
+	}
+}
+
+// TestPersistentSaturationRebuiltAfterUnsaturatedRun: a run without
+// saturation mutates G and leaves the stored G∞ behind, so the next
+// saturated boot must not adopt it: the first query rebuilds it in
+// place, and the boot after that is warm again.
+func TestPersistentSaturationRebuiltAfterUnsaturatedRun(t *testing.T) {
+	dir := t.TempDir()
+	const q = "QUERY q(?x)\nGRAPH { ?x a :person }"
+	in := persistentInstance(t, dir, WithSaturation())
+	in.AddTriples(rdf.MustParse(`
+@prefix : <http://t.example/> .
+:politician rdfs:subClassOf :person .
+:p1 a :politician .
+`))
+	if _, err := in.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := persistentInstance(t, dir)
+	plain.RemoveTriples(rdf.MustParse("@prefix : <http://t.example/> .\n:p1 a :politician ."))
+	plain.AddTriples(rdf.MustParse("@prefix : <http://t.example/> .\n:p2 a :politician ."))
+	if err := plain.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for boot, wantRecomputes := range []int64{1, 0} {
+		in := persistentInstance(t, dir, WithSaturation())
+		res, err := in.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Str() != "http://t.example/p2" {
+			t.Fatalf("boot %d: rows = %v, want only :p2", boot, res.Rows)
+		}
+		if st := in.SaturationStats(); st.FullRecomputes != wantRecomputes || st.Derived != 1 {
+			t.Fatalf("boot %d: stats = %+v, want %d recomputes and 1 derived triple", boot, st, wantRecomputes)
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenRefusesOlderLayout: a store written before the catalog
+// carried a format key (epoch and saturation generation only) is
+// refused with an error naming the file and the remedy, and the refusal
+// leaves the file byte-for-byte unchanged.
+func TestOpenRefusesOlderLayout(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, DataFileName)
+	st, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := st.Keyspace("cat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, v := range map[string]uint64{"epoch": 3, "satgen": 1} {
+		if _, err := cat.Put([]byte(key), binary.BigEndian.AppendUint64(nil, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	in, err := Open(dir)
+	if err == nil {
+		in.Close()
+		t.Fatal("Open accepted a store without a format key")
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "delete the data directory") {
+		t.Fatalf("refusal %q does not name %s and the remedy", msg, path)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a refused Open modified the store file")
 	}
 }

@@ -84,3 +84,70 @@ func TestConcurrentMutationAndUnsaturatedQuery(t *testing.T) {
 	close(stop)
 	mutators.Wait()
 }
+
+// TestInvalidateRebuildKeepsStableTriplesVisible is the -race test for
+// the in-place G∞ rebuild: readers poll triples entailed before and
+// after every Invalidate while out-of-band writes make each rebuild
+// both add and retract triples. The rebuild adds before it removes, so
+// a stable triple is never missing.
+func TestInvalidateRebuildKeepsStableTriplesVisible(t *testing.T) {
+	in, err := Open(t.TempDir(), WithSaturation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://t.example/" + s) }
+	typ := rdf.NewIRI(rdf.RDFType)
+	in.AddTriples([]rdf.Triple{
+		{S: iri("A"), P: rdf.NewIRI(rdf.RDFSSubClassOf), O: iri("B")},
+		{S: iri("x"), P: typ, O: iri("A")},
+	})
+	stable := []rdf.Triple{{S: iri("x"), P: typ, O: iri("B")}, {S: iri("x"), P: typ, O: iri("A")}}
+	flip := rdf.Triple{S: iri("y"), P: typ, O: iri("A")}
+	in.queryGraph() // build G∞
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var missing []string
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g := in.queryGraph()
+				for _, tr := range stable {
+					if !g.Contains(tr) {
+						mu.Lock()
+						missing = append(missing, tr.String())
+						mu.Unlock()
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		if i%2 == 0 {
+			in.Graph().Add(flip) // out of band: the rebuild must derive :y a :B
+		} else {
+			in.Graph().Remove(flip) // and then retract it
+		}
+		in.Invalidate()
+		if got, want := in.queryGraph().Contains(rdf.Triple{S: iri("y"), P: typ, O: iri("B")}), i%2 == 0; got != want {
+			t.Fatalf("round %d: :y a :B present=%v, want %v", i, got, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if len(missing) > 0 {
+		t.Fatalf("readers saw %d stable triples missing during rebuilds, e.g. %s", len(missing), missing[0])
+	}
+	if err := in.StoreErr(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,25 +1,31 @@
 package core
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
-	"tatooine/internal/pager"
-	"tatooine/internal/store"
 	"tatooine/internal/value"
 )
 
 // Grace-style spill path for hashJoin. When a join's build side
 // exceeds ExecOptions.JoinMemBudget the iterator stops growing its
-// in-memory hash table and instead hash-partitions BOTH inputs into a
-// temporary on-disk store, then joins partition-at-a-time: one
-// partition's build rows are resident at a time (~1/spillPartitions of
-// the build side), and probe rows are read back one by one through the
-// temp store's small page cache. Output is the same row multiset as the
-// in-memory join; only order differs.
+// in-memory hash table and instead hash-partitions BOTH inputs into
+// plain files in a temporary directory, then joins partition-at-a-time:
+// one partition's build rows are resident at a time (~1/spillPartitions
+// of the build side), and probe rows stream back one by one. Output is
+// the same row multiset as the in-memory join; only order differs.
+//
+// Each side of each partition is one append-only file, created on its
+// first row and closed once its side is written (so at most one side's
+// files are open at a time), then reopened and read once, in order. A
+// file is a sequence of frames: a uvarint length, then value.EncodeRow
+// bytes.
 //
 // Cross products (no shared columns) never spill — there is no join key
 // to partition on, and partitioning cannot shrink them anyway. Extreme
@@ -27,131 +33,96 @@ import (
 // split by hashing; such a partition is loaded whole, like every hash
 // join must.
 
+// spillPartitions is the grace-join fan-out. The resident build table
+// per partition is ~1/32 of the build side, so builds up to roughly 32x
+// the budget stay within it.
+const spillPartitions = 32
+
+// Spill sides: the build (right) input, then the probe (left) input.
 const (
-	// spillPartitions is the grace-join fan-out. The resident build
-	// table per partition is ~1/32 of the build side, so builds up to
-	// roughly 32x the budget stay within it.
-	spillPartitions = 32
-	// spillCommitEvery bounds the temp store's uncommitted dirty page
-	// set: partition writes commit every this many rows.
-	spillCommitEvery = 4096
-	// spillCacheSize is the temp store's page-cache budget in pages
-	// (256 pages = 1 MiB); spill I/O is sequential, cache residency
-	// buys little.
-	spillCacheSize = 256
+	spillBuild = iota
+	spillProbe
 )
+
+// spillFile is one side of one partition.
+type spillFile struct {
+	f    *os.File      // open while the side is being written
+	w    *bufio.Writer // buffers f
+	rows int           // frames written
+}
 
 // spillJoin holds the on-disk state of a spilled hash join.
 type spillJoin struct {
-	h   *hashJoin
-	dir string
-	st  store.Store
+	h     *hashJoin
+	dir   string
+	files [2][spillPartitions]spillFile
 
-	rightKS  [spillPartitions]store.KV
-	leftKS   [spillPartitions]store.KV
-	rightSeq [spillPartitions]uint64
-	leftSeq  [spillPartitions]uint64
-
-	pending       int   // rows written since the last temp-store commit
-	bytes         int64 // bytes written and not yet reported to onSpill
-	leftDone      bool
-	part          int // current partition being joined; -1 before the first
-	leftPos       uint64
-	table         map[string][]value.Row // current partition's build table
-	closed        bool
-	rightReported bool
+	bytes    int64 // bytes written and not yet reported to onSpill
+	leftDone bool
+	part     int                    // current partition being joined; -1 before the first
+	table    map[string][]value.Row // current partition's build table
+	probe    *spillReader           // current partition's probe rows
 }
 
-// newSpillJoin creates the temp store. The caller moves already-built
-// rows in via addRight.
+// newSpillJoin creates the temp directory. The caller moves
+// already-built rows in via add.
 func newSpillJoin(h *hashJoin) (*spillJoin, error) {
 	dir, err := os.MkdirTemp("", "tat-spill-")
 	if err != nil {
 		return nil, fmt.Errorf("core: spill join: %w", err)
 	}
-	st, err := store.Open(filepath.Join(dir, "spill.db"), store.Options{
-		Pager:           pager.Options{CacheSize: spillCacheSize, NoSync: true},
-		AutoVacuumRatio: -1,
-	})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, fmt.Errorf("core: spill join: %w", err)
-	}
-	s := &spillJoin{h: h, dir: dir, st: st, part: -1}
-	for p := 0; p < spillPartitions; p++ {
-		if s.rightKS[p], err = st.Keyspace(fmt.Sprintf("r/%d", p)); err == nil {
-			s.leftKS[p], err = st.Keyspace(fmt.Sprintf("l/%d", p))
-		}
+	return &spillJoin{h: h, dir: dir, part: -1}, nil
+}
+
+func (s *spillJoin) path(side, p int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%d-%d", side, p))
+}
+
+// add appends a row with a non-null join key to its partition's file
+// on side. Appending preserves the input multiset exactly (duplicate
+// rows stay duplicated).
+func (s *spillJoin) add(side int, key string, row value.Row) error {
+	hash := fnv.New32a()
+	hash.Write([]byte(key))
+	p := int(hash.Sum32() % spillPartitions)
+	sf := &s.files[side][p]
+	if sf.w == nil {
+		f, err := os.Create(s.path(side, p))
 		if err != nil {
-			s.release()
-			return nil, fmt.Errorf("core: spill join: %w", err)
+			return fmt.Errorf("core: spill join: %w", err)
 		}
+		sf.f, sf.w = f, bufio.NewWriter(f)
 	}
-	return s, nil
-}
-
-func spillPartOf(key string) int {
-	f := fnv.New32a()
-	f.Write([]byte(key))
-	return int(f.Sum32() % spillPartitions)
-}
-
-func seqKey(n uint64) []byte {
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], n)
-	return k[:]
-}
-
-// addRight spills one build-side row. Null-keyed rows never join and
-// are dropped here, exactly as the in-memory build drops them.
-func (s *spillJoin) addRight(row value.Row) error {
-	key, null := joinKey(row, s.h.rightKey)
-	if null {
-		return nil
-	}
-	p := spillPartOf(key)
-	return s.putRow(s.rightKS[p], &s.rightSeq[p], row)
-}
-
-// addLeft spills one probe-side row; null-keyed rows match nothing.
-func (s *spillJoin) addLeft(row value.Row) error {
-	key, null := joinKey(row, s.h.leftKey)
-	if null {
-		return nil
-	}
-	p := spillPartOf(key)
-	return s.putRow(s.leftKS[p], &s.leftSeq[p], row)
-}
-
-// putRow appends a row to a partition keyspace under the next sequence
-// number — sequence keys preserve the input multiset exactly
-// (duplicate rows stay duplicated) and make read-back a series of O(1)
-// cursor-free point gets.
-func (s *spillJoin) putRow(kv store.KV, seq *uint64, row value.Row) error {
 	buf := value.EncodeRow(row)
-	if _, err := kv.Put(seqKey(*seq), buf); err != nil {
+	n, err := sf.w.Write(binary.AppendUvarint(nil, uint64(len(buf))))
+	if err == nil {
+		_, err = sf.w.Write(buf)
+	}
+	if err != nil {
 		return fmt.Errorf("core: spill join: %w", err)
 	}
-	*seq++
-	s.bytes += int64(len(buf)) + 8
-	s.pending++
-	if s.pending >= spillCommitEvery {
-		return s.flush()
-	}
+	sf.rows++
+	s.bytes += int64(n + len(buf))
 	return nil
 }
 
-// flush commits buffered partition writes and reports the byte delta.
+// flush closes every file open for writing and reports the byte delta.
 func (s *spillJoin) flush() error {
-	if s.pending > 0 {
-		s.pending = 0
-		if err := s.st.Commit(); err != nil {
-			return fmt.Errorf("core: spill join: %w", err)
+	var errs []error
+	for side := range s.files {
+		for p := range s.files[side] {
+			if sf := &s.files[side][p]; sf.w != nil {
+				errs = append(errs, sf.w.Flush(), sf.f.Close())
+				sf.f, sf.w = nil, nil
+			}
 		}
 	}
 	if s.bytes > 0 && s.h.onSpill != nil {
 		s.h.onSpill(s.bytes)
 		s.bytes = 0
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("core: spill join: %w", err)
 	}
 	return nil
 }
@@ -167,57 +138,75 @@ func (s *spillJoin) partitionLeft() error {
 		if !ok {
 			return s.flush()
 		}
-		if err := s.addLeft(row); err != nil {
-			return err
+		if key, null := joinKey(row, s.h.leftKey); !null { // null keys match nothing
+			if err := s.add(spillProbe, key, row); err != nil {
+				return err
+			}
 		}
 	}
+}
+
+// spillReader reads one partition file's frames back in order, closing
+// the file after the last. Closing it again is harmless (os.ErrClosed,
+// ignored).
+type spillReader struct {
+	f *os.File
+	r *bufio.Reader
+	n int // frames left
+}
+
+func (s *spillJoin) open(side, p int) (*spillReader, error) {
+	f, err := os.Open(s.path(side, p))
+	if err != nil {
+		return nil, fmt.Errorf("core: spill join: %w", err)
+	}
+	return &spillReader{f: f, r: bufio.NewReader(f), n: s.files[side][p].rows}, nil
+}
+
+// next returns the next row, or ok=false after the last. The frame
+// count is known, so a file that ends early is an error, never a short
+// result.
+func (rd *spillReader) next() (value.Row, bool, error) {
+	if rd.n == 0 {
+		return nil, false, rd.f.Close()
+	}
+	rd.n--
+	var row value.Row
+	n, err := binary.ReadUvarint(rd.r)
+	if err == nil {
+		buf := make([]byte, n)
+		if _, err = io.ReadFull(rd.r, buf); err == nil {
+			row, err = value.DecodeRow(buf)
+		}
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("core: spill join: %s: %w", rd.f.Name(), err)
+	}
+	return row, true, nil
 }
 
 // loadRightPartition materializes partition p's build table.
 func (s *spillJoin) loadRightPartition(p int) error {
 	s.table = make(map[string][]value.Row)
-	if s.rightSeq[p] == 0 {
+	if s.files[spillBuild][p].rows == 0 {
 		return nil
 	}
-	var decErr error
-	err := s.rightKS[p].Scan(nil, func(_, v []byte) bool {
-		row, err := value.DecodeRow(v)
-		if err != nil {
-			decErr = err
-			return false
+	rd, err := s.open(spillBuild, p)
+	if err != nil {
+		return err
+	}
+	defer rd.f.Close()
+	for {
+		row, ok, err := rd.next()
+		if err != nil || !ok {
+			return err
 		}
 		key, _ := joinKey(row, s.h.rightKey) // null-keyed rows were never spilled
 		s.table[key] = append(s.table[key], row)
-		return true
-	})
-	if err == nil {
-		err = decErr
 	}
-	if err != nil {
-		return fmt.Errorf("core: spill join: %w", err)
-	}
-	return nil
-}
-
-// nextLeftRow reads the current partition's next probe row, or ok=false
-// at the partition's end.
-func (s *spillJoin) nextLeftRow() (value.Row, bool, error) {
-	if s.part < 0 || s.leftPos >= s.leftSeq[s.part] {
-		return nil, false, nil
-	}
-	v, ok, err := s.leftKS[s.part].Get(seqKey(s.leftPos))
-	if err != nil {
-		return nil, false, fmt.Errorf("core: spill join: %w", err)
-	}
-	if !ok {
-		return nil, false, fmt.Errorf("core: spill join: missing probe row %d in partition %d", s.leftPos, s.part)
-	}
-	s.leftPos++
-	row, err := value.DecodeRow(v)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: spill join: %w", err)
-	}
-	return row, true, nil
 }
 
 // next is the spilled iterator's Next: partition the probe side once,
@@ -236,43 +225,42 @@ func (s *spillJoin) next() (value.Row, bool, error) {
 			h.mi++
 			return h.combine(h.cur, r), true, nil
 		}
-		row, ok, err := s.nextLeftRow()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			// Advance to the next partition with probe rows.
-			s.part++
-			if s.part >= spillPartitions {
-				return nil, false, nil
-			}
-			s.leftPos = 0
-			if s.leftSeq[s.part] == 0 {
-				continue // nothing to probe; skip the build load too
-			}
-			if err := s.loadRightPartition(s.part); err != nil {
+		if s.probe != nil {
+			row, ok, err := s.probe.next()
+			if err != nil {
 				return nil, false, err
 			}
-			continue
+			if ok {
+				key, _ := joinKey(row, h.leftKey) // null-keyed rows were never spilled
+				h.cur, h.mi, h.matches = row, 0, s.table[key]
+				continue
+			}
 		}
-		key, _ := joinKey(row, h.leftKey) // null-keyed rows were never spilled
-		h.cur = row
-		h.mi = 0
-		h.matches = s.table[key]
+		// Advance to the next partition with probe rows.
+		if s.part++; s.part >= spillPartitions {
+			return nil, false, nil
+		}
+		s.probe = nil
+		if s.files[spillProbe][s.part].rows == 0 {
+			continue // nothing to probe; skip the build load too
+		}
+		if err := s.loadRightPartition(s.part); err != nil {
+			return nil, false, err
+		}
+		var err error
+		if s.probe, err = s.open(spillProbe, s.part); err != nil {
+			return nil, false, err
+		}
 	}
 }
 
-// release tears down the temp store and its directory.
+// release closes any open file and removes the temp directory. It is
+// idempotent.
 func (s *spillJoin) release() error {
-	if s.closed {
-		return nil
+	err := s.flush()
+	if s.probe != nil {
+		s.probe.f.Close()
 	}
-	s.closed = true
-	if s.bytes > 0 && s.h.onSpill != nil {
-		s.h.onSpill(s.bytes)
-		s.bytes = 0
-	}
-	err := s.st.Close()
 	if rmErr := os.RemoveAll(s.dir); err == nil {
 		err = rmErr
 	}

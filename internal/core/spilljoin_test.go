@@ -1,11 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tatooine/internal/value"
 )
@@ -209,6 +216,174 @@ func TestExplainSpillOnlyForBuildSides(t *testing.T) {
 			}
 			if got := res.Stats.SpilledJoins > 0; got != tc.spills {
 				t.Errorf("SpilledJoins = %d, want spills=%v", res.Stats.SpilledJoins, tc.spills)
+			}
+		})
+	}
+}
+
+// TestJoinBudgetChargesResidentRowSize pins the build-side charge to a
+// row's resident size: a 24-byte slice header, one value.Value per
+// column and the string bytes. A budget one byte below the whole build
+// side spills; a budget exactly at it does not. Explain sizes a build
+// step the same way from its cardinality and layout width.
+func TestJoinBudgetChargesResidentRowSize(t *testing.T) {
+	valueSize := int64(unsafe.Sizeof(value.Value{}))
+	const n = 100
+	var left, right []value.Row
+	size := int64(0)
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("key%03d", i)
+		left = append(left, value.Row{value.NewInt(int64(i)), value.NewString(k)})
+		right = append(right, value.Row{value.NewString(k), value.NewInt(int64(i)), value.NewString("w")})
+		size += 24 + 3*valueSize + int64(len(k)) + 1
+	}
+	for _, tc := range []struct {
+		budget int64
+		spill  bool
+	}{{size - 1, true}, {size, false}} {
+		var spilled int64
+		rows, err := Materialize(naturalJoin(newScan(left), newScan(right), []string{"a", "k"}, []string{"k", "v", "w"},
+			tc.budget, func(b int64) { spilled += b }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != n {
+			t.Fatalf("budget %d: %d rows, want %d", tc.budget, len(rows), n)
+		}
+		if got := spilled > 0; got != tc.spill {
+			t.Errorf("budget %d for a %d-byte build side: spilled=%v, want %v", tc.budget, size, got, tc.spill)
+		}
+	}
+
+	in := pruneFixture(t)
+	q := mustParse(t, pruneQuery)
+	plan, err := in.planQuery(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := plan.Steps[0] // the seed scan: the root join's build side
+	if build.EstRows <= 0 {
+		t.Fatalf("build step has no cardinality estimate (%d)", build.EstRows)
+	}
+	est := int64(build.EstRows) * (24 + int64(len(build.layout.cols))*valueSize)
+	info, err := in.ExplainQuery(q, ExecOptions{JoinMemBudget: est - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Atoms[0].Spill; !strings.Contains(got, "~"+strconv.FormatInt(est, 10)+" bytes") || !strings.Contains(got, "would spill") {
+		t.Errorf("explain under a %d-byte budget: %q, want ~%d bytes that would spill", est-1, got, est)
+	}
+	if info, err = in.ExplainQuery(q, ExecOptions{JoinMemBudget: est}); err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Atoms[0].Spill; strings.Contains(got, "would spill") {
+		t.Errorf("explain under a %d-byte budget for a %d-byte build side: %q", est, est, got)
+	}
+}
+
+// failAfter is a scan that fails once it has produced n rows.
+type failAfter struct {
+	Iterator
+	n int
+}
+
+func (f *failAfter) Next() (value.Row, bool, error) {
+	if f.n == 0 {
+		return nil, false, errors.New("probe side failed")
+	}
+	f.n--
+	return f.Iterator.Next()
+}
+
+// TestSpillLeavesNoTempDir: whether a spilled join is drained, closed
+// early (as a LIMIT above it does) or failed by its probe side, Close
+// removes its tat-spill-* directory.
+func TestSpillLeavesNoTempDir(t *testing.T) {
+	left, right := spillFixtureRels(300, 400, 50, 5)
+	for _, tc := range []struct {
+		name string
+		run  func(j *hashJoin) error
+	}{
+		{"drained", func(j *hashJoin) error {
+			_, err := Materialize(j)
+			return err
+		}},
+		{"closed-early", func(j *hashJoin) error {
+			if err := j.Open(); err != nil {
+				return err
+			}
+			if _, ok, err := j.Next(); err != nil || !ok {
+				return fmt.Errorf("first row: ok=%v err=%v", ok, err)
+			}
+			return j.Close()
+		}},
+		{"probe-failed", func(j *hashJoin) error {
+			j.left = &failAfter{Iterator: j.left, n: 100}
+			if _, err := Materialize(j); err == nil {
+				return errors.New("probe failure did not surface")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			var spilled int64
+			if err := tc.run(spillJoinOn(left, right, 1<<10, func(b int64) { spilled += b })); err != nil {
+				t.Fatal(err)
+			}
+			if spilled == 0 {
+				t.Fatal("join did not spill")
+			}
+			if left, _ := filepath.Glob(filepath.Join(tmp, "tat-spill-*")); len(left) > 0 {
+				t.Fatalf("spill directories left behind: %v", left)
+			}
+		})
+	}
+}
+
+// TestSpillTruncatedFrameIsAnError: a partition file cut short —
+// mid-frame or at a frame boundary — fails the join instead of
+// returning a short result.
+func TestSpillTruncatedFrameIsAnError(t *testing.T) {
+	left, right := spillFixtureRels(200, 300, 50, 6)
+	for _, tc := range []struct {
+		name string
+		size func(int64) int64
+	}{
+		{"mid-frame", func(n int64) int64 { return n - 1 }},
+		{"frame-boundary", func(int64) int64 { return 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := spillJoinOn(left, right, 1<<10, nil)
+			defer j.Close()
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if j.sj == nil {
+				t.Fatal("join did not spill")
+			}
+			files, _ := filepath.Glob(filepath.Join(j.sj.dir, fmt.Sprintf("%d-*", spillBuild)))
+			for _, f := range files {
+				st, err := os.Stat(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(f, tc.size(st.Size())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for {
+				_, ok, err := j.Next()
+				if err != nil {
+					if !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Fatalf("error %v, want io.ErrUnexpectedEOF", err)
+					}
+					return
+				}
+				if !ok {
+					t.Fatal("truncated spill files produced a short result without an error")
+				}
 			}
 		})
 	}

@@ -25,11 +25,6 @@
 //     WAL-resident page into the database file, fsyncs it, and resets
 //     the WAL. Reads resolve dirty → cache → WAL → database file, so
 //     checkpointing is purely a space/boot-time optimization.
-//
-// A pager opened with an empty path lives entirely in memory: no files,
-// no WAL, commits are immediate. The in-memory mode backs the default
-// store.Store so every structure above the pager is testable (and
-// usable) without touching disk.
 package pager
 
 import (
@@ -58,8 +53,8 @@ const headerSize = 8 + 4 + 4 + 4 + 4
 // Options tune a Pager.
 type Options struct {
 	// CacheSize bounds the clock page cache, in pages. Zero means
-	// DefaultCacheSize; negative means unbounded (everything read stays
-	// cached — the in-memory mode).
+	// DefaultCacheSize; negative means unbounded (every page read or
+	// committed stays resident).
 	CacheSize int
 	// NoSync skips fsync on commit/checkpoint. Crash durability is
 	// lost (torn tails are still detected); useful for benchmarks.
@@ -89,7 +84,6 @@ type Stats struct {
 // snapshots).
 type Pager struct {
 	mu   sync.Mutex
-	mem  bool
 	db   *os.File
 	wal  *wal
 	opts Options
@@ -113,24 +107,19 @@ type Pager struct {
 }
 
 // Open opens (or creates) the page file at path and replays any
-// committed WAL tail next to it. An empty path opens a memory-only
-// pager.
+// committed WAL tail next to it.
 func Open(path string, opts Options) (*Pager, error) {
+	if path == "" {
+		return nil, fmt.Errorf("pager: empty path")
+	}
 	if opts.CacheSize == 0 {
 		opts.CacheSize = DefaultCacheSize
 	}
 	p := &Pager{
 		opts:  opts,
 		dirty: make(map[PageID][]byte),
+		cache: newClockCache(opts.CacheSize),
 	}
-	if path == "" {
-		p.mem = true
-		p.cache = newClockCache(-1) // unbounded: the cache IS the storage
-		p.pageCount = 1             // reserve the header page
-		p.committedPageCount = 1
-		return p, nil
-	}
-	p.cache = newClockCache(opts.CacheSize)
 
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("pager: %w", err)
@@ -200,9 +189,6 @@ func (p *Pager) closeFiles() {
 	}
 }
 
-// Mem reports whether the pager is memory-only.
-func (p *Pager) Mem() bool { return p.mem }
-
 // PageCount returns the number of allocated pages, including header.
 func (p *Pager) PageCount() int {
 	p.mu.Lock()
@@ -266,13 +252,8 @@ func (p *Pager) updateResident() {
 }
 
 // readPage fetches a page from the WAL (newest committed frame) or the
-// database file. Memory pagers never reach here: every live page is in
-// the cache or dirty set.
+// database file.
 func (p *Pager) readPage(id PageID) ([]byte, error) {
-	if p.mem {
-		// An allocated-but-never-written page reads as zeroes.
-		return make([]byte, PageSize), nil
-	}
 	if d, ok, err := p.wal.readPage(id); err != nil {
 		return nil, err
 	} else if ok {
@@ -409,10 +390,8 @@ func (p *Pager) syncHeaderLocked() error {
 	if err != nil {
 		return err
 	}
-	if !p.mem {
-		copy(hdr, dbMagic)
-		binary.BigEndian.PutUint32(hdr[8:], PageSize)
-	}
+	copy(hdr, dbMagic)
+	binary.BigEndian.PutUint32(hdr[8:], PageSize)
 	binary.BigEndian.PutUint32(hdr[12:], p.pageCount)
 	binary.BigEndian.PutUint32(hdr[16:], uint32(p.freeHead))
 	binary.BigEndian.PutUint32(hdr[20:], p.freeCount)
@@ -427,10 +406,8 @@ func (p *Pager) Commit() error {
 	if len(p.dirty) == 0 {
 		return nil
 	}
-	if !p.mem {
-		if err := p.wal.commit(p.dirty); err != nil {
-			return err
-		}
+	if err := p.wal.commit(p.dirty); err != nil {
+		return err
 	}
 	for id, d := range p.dirty {
 		p.cachePut(id, d)
@@ -465,9 +442,6 @@ func (p *Pager) Rollback() {
 func (p *Pager) Checkpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mem {
-		return nil
-	}
 	n, err := p.wal.checkpointInto(p.db, p.opts.NoSync)
 	if err != nil {
 		return err
@@ -478,13 +452,10 @@ func (p *Pager) Checkpoint() error {
 	return nil
 }
 
-// WALSize returns the current WAL length in bytes (0 for memory pagers).
+// WALSize returns the current WAL length in bytes.
 func (p *Pager) WALSize() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mem {
-		return 0
-	}
 	return p.wal.size()
 }
 
@@ -492,7 +463,7 @@ func (p *Pager) WALSize() int64 {
 func (p *Pager) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Pages:         int(p.pageCount),
 		FreePages:     int(p.freeCount),
 		ResidentPages: len(p.cache.entries) + len(p.dirty),
@@ -501,11 +472,8 @@ func (p *Pager) Stats() Stats {
 		Evictions:     p.evictions,
 		Commits:       p.commits,
 		Checkpoints:   p.checkpoints,
+		WALBytes:      p.wal.size(),
 	}
-	if !p.mem {
-		st.WALBytes = p.wal.size()
-	}
-	return st
 }
 
 // Close flushes (checkpoint) and closes the pager. Uncommitted
@@ -516,9 +484,6 @@ func (p *Pager) Close() error {
 	if p.lastResident != 0 {
 		pagerResidentPages.Add(int64(-p.lastResident))
 		p.lastResident = 0
-	}
-	if p.mem {
-		return nil
 	}
 	_, err := p.wal.checkpointInto(p.db, p.opts.NoSync)
 	if cerr := p.db.Close(); err == nil {

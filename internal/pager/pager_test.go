@@ -13,11 +13,26 @@ func tmpDB(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "test.db")
 }
 
-func TestMemRoundTrip(t *testing.T) {
-	p, err := Open("", Options{})
+// residentPager opens a pager whose cache never evicts, so every page
+// stays in memory after its first read or commit.
+func residentPager(t *testing.T) *Pager {
+	t.Helper()
+	p, err := Open(tmpDB(t), Options{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+func TestOpenEmptyPathRefused(t *testing.T) {
+	if _, err := Open("", Options{}); err == nil {
+		t.Fatal("Open(\"\") succeeded; the pager has no memory-only mode")
+	}
+}
+
+func TestMemRoundTrip(t *testing.T) {
+	p := residentPager(t)
 	id, page, err := p.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -197,10 +212,7 @@ func TestCheckpointMovesPagesToDB(t *testing.T) {
 }
 
 func TestRollbackDiscardsDirty(t *testing.T) {
-	p, err := Open("", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := residentPager(t)
 	id, page, err := p.Allocate()
 	if err != nil {
 		t.Fatal(err)

@@ -31,26 +31,25 @@ const NoTerm TermID = 0
 // Stored keys are prefix-compressed: IRI namespaces (through the last
 // '/' or '#') are interned in an append-only table of up to 255
 // entries, and a tabled IRI is stored as 'I'+tableID+local instead of
-// 'i'+full IRI. The table is append-only so a term's stored form is
-// ambiguous only between "compressed" and "raw interned before its
-// namespace was tabled" — lookups probe both.
+// 'i'+full IRI. A namespace is tabled no later than the first intern of
+// an IRI in it (or never, once the table is full), so every term has
+// exactly one stored form and a lookup is one reverse-keyspace probe.
 type Dictionary struct {
 	mu    sync.RWMutex
 	byKey map[string]TermID // in-memory mode only
 	terms []Term            // in-memory mode only; terms[id-1] is the Term for id
 
-	kv       store.KV // forward keyspace; nil for a purely in-memory dictionary
-	firstErr error
-
 	// Paged mode.
-	paged   bool
-	rev     store.KV           // stored key → id(4,BE)
-	pfxKV   store.KV           // tableID(1) → namespace
-	pfx     []string           // pfx[tableID] = namespace
-	pfxByNS map[string]int     // namespace → tableID
-	nextID  TermID             // next id to assign
-	hotTerm *lru.Cache[Term]   // string(id,4,BE) → decoded Term
-	hotID   *lru.Cache[TermID] // raw term key → id
+	paged    bool
+	firstErr error
+	kv       store.KV           // id(4,BE) → stored key
+	rev      store.KV           // stored key → id(4,BE)
+	pfxKV    store.KV           // tableID(1) → namespace
+	pfx      []string           // pfx[tableID] = namespace
+	pfxByNS  map[string]int     // namespace → tableID
+	nextID   TermID             // next id to assign
+	hotTerm  *lru.Cache[Term]   // string(id,4,BE) → decoded Term
+	hotID    *lru.Cache[TermID] // raw term key → id
 }
 
 // DefaultDictHotTerms is the paged dictionary's decoded-term LRU
@@ -70,9 +69,6 @@ func NewDictionary() *Dictionary {
 // stored under prefix in st. Nothing is scanned on a warm open: the
 // next TermID comes from the forward keyspace's O(1) length and the
 // namespace table (at most 255 entries) is the only state loaded.
-// Dictionaries persisted by older versions have no reverse keyspace
-// yet; the one-time migration below rebuilds it from the forward
-// mapping.
 func openPagedDictionary(st store.Store, prefix string, hot int) (*Dictionary, error) {
 	kv, err := st.Keyspace(prefix + "/dict")
 	if err != nil {
@@ -110,21 +106,6 @@ func openPagedDictionary(st store.Store, prefix string, hot int) (*Dictionary, e
 	if err != nil {
 		return nil, err
 	}
-	if kv.Len() > 0 && rev.Len() == 0 {
-		// Migration from the load-everything format: no reverse mapping
-		// was persisted. One forward scan rebuilds it (entries stay in
-		// their raw form; only terms interned from now on compress).
-		err := kv.Scan(nil, func(k, v []byte) bool {
-			if _, perr := rev.Put(v, k); perr != nil {
-				err = perr
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return d, nil
 }
 
@@ -139,10 +120,9 @@ func splitIRINamespace(v string) (ns, local string) {
 	return v[:idx+1], v[idx+1:]
 }
 
-// storedKeys returns the candidate stored encodings for t, compressed
-// form first when t's namespace is tabled. Callers probe the reverse
-// keyspace in order. Holds d.mu (read suffices).
-func (d *Dictionary) storedKeys(raw string, t Term) [][]byte {
+// storedKey returns t's stored encoding: compressed when t's namespace
+// is tabled, the raw term key otherwise. Holds d.mu (read suffices).
+func (d *Dictionary) storedKey(raw string, t Term) []byte {
 	if t.Kind == IRI {
 		if ns, local := splitIRINamespace(t.Value); ns != "" {
 			if id, ok := d.pfxByNS[ns]; ok {
@@ -150,40 +130,29 @@ func (d *Dictionary) storedKeys(raw string, t Term) [][]byte {
 				comp[0] = 'I'
 				comp[1] = byte(id)
 				copy(comp[2:], local)
-				return [][]byte{comp, []byte(raw)}
+				return comp
 			}
 		}
 	}
-	return [][]byte{[]byte(raw)}
+	return []byte(raw)
 }
 
-// storedKeyForInsert encodes t for a fresh intern, adding t's
-// namespace to the table when there is room. Holds d.mu (write).
+// storedKeyForInsert encodes t for a fresh intern, first adding t's
+// namespace to the table when it is new and there is room. Holds d.mu
+// (write).
 func (d *Dictionary) storedKeyForInsert(raw string, t Term) []byte {
-	if t.Kind != IRI {
-		return []byte(raw)
-	}
-	ns, local := splitIRINamespace(t.Value)
-	if ns == "" {
-		return []byte(raw)
-	}
-	id, ok := d.pfxByNS[ns]
-	if !ok {
-		if len(d.pfx) >= maxDictPrefixes {
-			return []byte(raw)
-		}
-		id = len(d.pfx)
-		d.pfx = append(d.pfx, ns)
-		d.pfxByNS[ns] = id
-		if _, err := d.pfxKV.Put([]byte{byte(id)}, []byte(ns)); err != nil && d.firstErr == nil {
-			d.firstErr = err
+	if t.Kind == IRI {
+		ns, _ := splitIRINamespace(t.Value)
+		if _, ok := d.pfxByNS[ns]; ns != "" && !ok && len(d.pfx) < maxDictPrefixes {
+			id := len(d.pfx)
+			d.pfx = append(d.pfx, ns)
+			d.pfxByNS[ns] = id
+			if _, err := d.pfxKV.Put([]byte{byte(id)}, []byte(ns)); err != nil && d.firstErr == nil {
+				d.firstErr = err
+			}
 		}
 	}
-	comp := make([]byte, 2+len(local))
-	comp[0] = 'I'
-	comp[1] = byte(id)
-	copy(comp[2:], local)
-	return comp
+	return d.storedKey(raw, t)
 }
 
 // decodeStoredKey inverts the stored encoding (compressed or raw).
@@ -240,13 +209,6 @@ func (d *Dictionary) Intern(t Term) TermID {
 	d.terms = append(d.terms, t)
 	id = TermID(len(d.terms))
 	d.byKey[key] = id
-	if d.kv != nil {
-		var k [4]byte
-		binary.BigEndian.PutUint32(k[:], uint32(id))
-		if _, err := d.kv.Put(k[:], []byte(key)); err != nil && d.firstErr == nil {
-			d.firstErr = err
-		}
-	}
 	return id
 }
 
@@ -276,20 +238,17 @@ func (d *Dictionary) internPaged(key string, t Term) TermID {
 	return id
 }
 
-// lookupPagedLocked probes the reverse keyspace for t, compressed form
-// first. Holds d.mu.
+// lookupPagedLocked probes the reverse keyspace for t. Holds d.mu.
 func (d *Dictionary) lookupPagedLocked(key string, t Term) (TermID, bool) {
-	for _, stored := range d.storedKeys(key, t) {
-		v, ok, err := d.rev.Get(stored)
-		if err != nil {
-			if d.firstErr == nil {
-				d.firstErr = err
-			}
-			return NoTerm, false
+	v, ok, err := d.rev.Get(d.storedKey(key, t))
+	if err != nil {
+		if d.firstErr == nil {
+			d.firstErr = err
 		}
-		if ok && len(v) == 4 {
-			return TermID(binary.BigEndian.Uint32(v)), true
-		}
+		return NoTerm, false
+	}
+	if ok && len(v) == 4 {
+		return TermID(binary.BigEndian.Uint32(v)), true
 	}
 	return NoTerm, false
 }

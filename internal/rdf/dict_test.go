@@ -280,51 +280,3 @@ func TestPagedDictionaryConcurrentIntern(t *testing.T) {
 		}
 	}
 }
-
-// TestPagedDictionaryMigratesLegacyLayout simulates a dictionary
-// persisted by the load-everything format (forward keyspace only, raw
-// keys) and asserts the paged open rebuilds the reverse mapping once
-// and keeps IDs stable.
-func TestPagedDictionaryMigratesLegacyLayout(t *testing.T) {
-	st, err := store.Open(filepath.Join(t.TempDir(), "d.db"), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	fwd, err := st.Keyspace("d/dict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := []Term{
-		NewIRI("http://example.org/a"),
-		NewLiteral("plain"),
-		NewBlank("b0"),
-	}
-	for i, tm := range terms {
-		k := []byte{0, 0, 0, byte(i + 1)}
-		if _, err := fwd.Put(k, []byte(tm.Key())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := openPagedDictionary(st, "d", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != len(terms) {
-		t.Fatalf("len = %d, want %d", d.Len(), len(terms))
-	}
-	for i, tm := range terms {
-		if got := d.Lookup(tm); got != TermID(i+1) {
-			t.Fatalf("lookup(%v) = %d, want %d", tm, got, i+1)
-		}
-		if got := d.Term(TermID(i + 1)); got != tm {
-			t.Fatalf("term(%d) = %v, want %v", i+1, got, tm)
-		}
-	}
-	if id := d.Intern(NewIRI("http://example.org/fresh")); id != TermID(len(terms)+1) {
-		t.Fatalf("fresh intern = %d, want %d", id, len(terms)+1)
-	}
-}

@@ -69,7 +69,7 @@ func OpenGraph(st store.Store, prefix string) (*Graph, error) {
 
 // OpenGraphSharedDict opens (or creates) a graph persisted in st under
 // prefix that interns terms through base's dictionary instead of
-// loading its own. Saturation generations use this: G∞ shares G's
+// loading its own. The stored saturation uses this: G∞ shares G's
 // terms almost entirely, so sharing the dictionary halves what a warm
 // boot has to load — and since dictionaries only ever grow, sharing
 // one across graphs is safe (it locks internally).

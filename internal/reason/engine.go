@@ -64,11 +64,6 @@ type Config struct {
 	// recomputes from scratch. Zero means DefaultMaxDeleteFraction;
 	// values >= 1 never fall back on cone size.
 	MaxDeleteFraction float64
-	// SatFactory, when non-nil, supplies the empty graph a full rebuild
-	// saturates into — the hook a persistent instance uses to keep G∞ on
-	// durable storage (each rebuild gets a fresh store-backed graph).
-	// Nil means rebuilds clone the base into a new in-memory graph.
-	SatFactory func() *rdf.Graph
 }
 
 // Stats snapshots an engine's maintenance counters. It doubles as the
@@ -94,7 +89,8 @@ type Stats struct {
 // keeps the two consistent under deltas. The base graph is shared with
 // the caller (core.Instance mutates it first, then feeds the delta in);
 // the saturated graph is owned by the engine but read concurrently by
-// queries, which is safe because rdf.Graph locks internally.
+// queries, which is safe because rdf.Graph locks internally. The engine
+// never replaces its saturated graph: every rebuild edits it in place.
 type Engine struct {
 	mu   sync.Mutex
 	base *rdf.Graph
@@ -106,22 +102,20 @@ type Engine struct {
 	lastApply      time.Duration
 }
 
-// New builds an engine over base, computing the initial saturation
-// (counted as the first full recompute).
+// New builds an engine over base, computing the initial saturation into
+// a fresh in-memory graph (counted as the first full recompute).
 func New(base *rdf.Graph, cfg Config) *Engine {
-	if cfg.MaxDeleteFraction <= 0 {
-		cfg.MaxDeleteFraction = DefaultMaxDeleteFraction
-	}
-	e := &Engine{base: base, cfg: cfg}
+	e := Adopt(base, rdf.NewGraph(), cfg)
 	e.rebuildLocked()
 	return e
 }
 
-// Adopt builds an engine over base that takes ownership of an ALREADY
-// SATURATED graph instead of computing one — the warm-restart path: a
-// persistent instance reopens its stored G∞ and resumes incremental
-// maintenance with zero recompute. The caller asserts sat is the exact
-// saturation of base; nothing is verified.
+// Adopt builds an engine that maintains sat as the saturation of base,
+// computing nothing. A persistent instance passes its stored G∞: on a
+// warm restart sat is the exact saturation of base and maintenance
+// resumes with zero recompute; on a cold one sat is empty and the
+// caller follows with Rebuild. The caller asserts sat is the exact
+// saturation of base (or calls Rebuild); nothing is verified.
 func Adopt(base, sat *rdf.Graph, cfg Config) *Engine {
 	if cfg.MaxDeleteFraction <= 0 {
 		cfg.MaxDeleteFraction = DefaultMaxDeleteFraction
@@ -130,8 +124,7 @@ func Adopt(base, sat *rdf.Graph, cfg Config) *Engine {
 }
 
 // Graph returns the maintained saturation G∞. Callers must treat it as
-// read-only; it remains valid (as a pre-rebuild snapshot) even if the
-// engine swaps it for a fresh one.
+// read-only; it stays the engine's one graph for the engine's lifetime.
 func (e *Engine) Graph() *rdf.Graph {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -151,24 +144,42 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Rebuild discards the maintained saturation and recomputes it from the
-// base graph. Used when the base was mutated behind the engine's back
-// (core.Instance.Invalidate's contract).
+// Rebuild recomputes the saturation from the base graph. Used when the
+// base was mutated behind the engine's back (core.Instance.Invalidate's
+// contract).
 func (e *Engine) Rebuild() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebuildLocked()
 }
 
+// rebuildLocked brings the maintained graph to exactly the saturation
+// of base, in place. An empty graph (the initial build) is filled by
+// copying base in and saturating it. Otherwise the from-scratch
+// saturation is computed in memory and diffed in: missing triples are
+// added before stale ones are removed, so a concurrent reader sees the
+// same monotone transition as a DRed apply — a triple entailed before
+// and after the rebuild is never missing.
 func (e *Engine) rebuildLocked() {
 	start := time.Now()
-	if e.cfg.SatFactory != nil {
-		sat := e.cfg.SatFactory()
-		e.base.CopyTo(sat)
-		rdf.SaturateInPlace(sat)
-		e.sat = sat
+	if e.sat.Size() == 0 {
+		e.base.CopyTo(e.sat)
+		rdf.SaturateInPlace(e.sat)
 	} else {
-		e.sat = rdf.Saturate(e.base).Graph
+		want := rdf.Saturate(e.base).Graph
+		var add, stale []rdf.Triple
+		for _, t := range want.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}) {
+			if !e.sat.Contains(t) {
+				add = append(add, t)
+			}
+		}
+		e.sat.AddBatch(add)
+		for _, t := range e.sat.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}) {
+			if !want.Contains(t) {
+				stale = append(stale, t)
+			}
+		}
+		e.sat.RemoveBatch(stale)
 	}
 	e.fullRecomputes++
 	e.lastApply = time.Since(start)

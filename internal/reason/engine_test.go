@@ -230,6 +230,30 @@ func TestRebuildPicksUpOutOfBandWrites(t *testing.T) {
 	requireEquivalent(t, e, base, "after rebuild")
 }
 
+// TestRebuildRetractsOutOfBandDeletes: a rebuild after out-of-band
+// writes that both remove and add base triples diffs them into the
+// same graph, retracting consequences whose support is gone.
+func TestRebuildRetractsOutOfBandDeletes(t *testing.T) {
+	base := rdf.NewGraph()
+	base.AddAll(parse(t, ":A rdfs:subClassOf :B .\n:x a :A ."))
+	e := New(base, Config{})
+	g := e.Graph()
+
+	base.RemoveBatch(parse(t, ":x a :A ."))
+	base.AddAll(parse(t, ":B rdfs:subClassOf :C ."))
+	e.Rebuild()
+	if e.Graph() != g {
+		t.Error("Rebuild replaced the maintained graph instead of editing it in place")
+	}
+	if e.Graph().Contains(rdf.Triple{S: iri("x"), P: typ(), O: iri("C")}) {
+		t.Error("G∞ derives :x a :C from a deleted :x a :A")
+	}
+	if !e.Graph().Contains(rdf.Triple{S: iri("A"), P: rdf.NewIRI(rdf.RDFSSubClassOf), O: iri("C")}) {
+		t.Error("G∞ misses :A rdfs:subClassOf :C from the added schema triple")
+	}
+	requireEquivalent(t, e, base, "after out-of-band delete and insert")
+}
+
 func TestApplyNoopDelta(t *testing.T) {
 	base := rdf.NewGraph()
 	base.AddAll(parse(t, ":A rdfs:subClassOf :B .\n:x a :A ."))

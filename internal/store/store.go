@@ -1,14 +1,11 @@
-// Package store defines TATOOINE's pluggable storage abstraction: a
-// Store is a set of named keyspaces (ordered key→value maps) with
-// transactional commit, backed either by memory or by the paged
-// on-disk B-tree engine (internal/pager + internal/btree).
+// Package store is TATOOINE's durable storage: a Store is a set of
+// named keyspaces (ordered key→value maps) over the paged on-disk
+// B-tree engine (internal/pager + internal/btree), with transactional
+// commit — everything written between two Commit calls becomes durable
+// atomically (one WAL transaction).
 //
-// The layers above — rdf.Graph's SPO/POS/OSP indexes and dictionary,
-// core.Instance's durable catalog, the executor's spill joins — talk
-// only to this interface, so the hot probe paths are
-// backend-agnostic: a cursor over a B-tree page and a cursor over an
-// in-memory page behave identically, and everything written between
-// two Commit calls becomes durable atomically (one WAL transaction).
+// Its one user is the persistent core.Instance: rdf.Graph's SPO/POS/OSP
+// indexes and dictionary for G and G∞, plus the instance catalog.
 package store
 
 import (
@@ -47,18 +44,10 @@ type KV interface {
 type Store interface {
 	// Keyspace returns the named keyspace, creating it if absent.
 	Keyspace(name string) (KV, error)
-	// DropKeyspace removes the keyspace from the directory and returns
-	// every page it owned (tree nodes and overflow chains) to the
-	// pager's free list, where later allocations reuse them. The caller
-	// must guarantee no concurrent reader still iterates the keyspace:
-	// its pages may be rewritten by the very next mutation.
-	DropKeyspace(name string) error
-	// Keyspaces lists the existing keyspace names, sorted.
-	Keyspaces() []string
 	// Commit makes every mutation since the last Commit durable as one
 	// atomic transaction.
 	Commit() error
-	// Checkpoint folds the WAL into the database file (no-op in memory).
+	// Checkpoint folds the WAL into the database file.
 	Checkpoint() error
 	// Vacuum rewrites every keyspace into freshly packed pages and
 	// sweeps unreachable pages onto the free list, shrinking the pages
@@ -68,8 +57,6 @@ type Store interface {
 	// Close checkpoints and releases the store. Uncommitted mutations
 	// are discarded.
 	Close() error
-	// Persistent reports whether the store survives the process.
-	Persistent() bool
 	// Stats snapshots engine counters for the mediator's /stats.
 	Stats() Stats
 }
@@ -92,8 +79,7 @@ type Options struct {
 	Pager pager.Options
 	// AutoVacuumRatio triggers a vacuum from Commit when live payload
 	// falls below this fraction of the in-use (non-free) page bytes —
-	// i.e. when most of the file is dead space from deletes and
-	// dropped keyspaces. Zero means DefaultAutoVacuumRatio; negative
+	// i.e. when most of the file is dead space from deletes. Zero means DefaultAutoVacuumRatio; negative
 	// disables auto-vacuum. Stores smaller than minAutoVacuumPages are
 	// never auto-vacuumed, and a vacuum re-arms only after the file
 	// grows past its post-vacuum size again.
@@ -108,7 +94,7 @@ const autoCheckpointBytes = 8 << 20
 // Commit triggers an automatic vacuum. The B-tree's structural
 // overhead (cell headers, slot arrays, page slack) keeps healthy
 // trees' ratios well above this, so only genuine garbage — deleted
-// rows, dropped generations — trips it.
+// rows — trips it.
 const DefaultAutoVacuumRatio = 0.10
 
 // minAutoVacuumPages exempts small stores from auto-vacuum: below 256
@@ -117,28 +103,6 @@ const minAutoVacuumPages = 256
 
 // catalogPage is the fixed page holding the keyspace directory.
 const catalogPage pager.PageID = 1
-
-// Mem returns an in-memory Store: the default backend. It implements
-// the exact same interface and ordering semantics as the disk store
-// (it runs the same B-tree over memory-resident pages), with Commit
-// and Checkpoint as cheap no-ops.
-func Mem() Store {
-	s, err := open("", Options{})
-	if err != nil {
-		// The memory pager cannot fail to open.
-		panic(fmt.Sprintf("store: memory open failed: %v", err))
-	}
-	return s
-}
-
-// Open opens (or creates) the persistent store rooted at the file
-// path (conventionally <dir>/tatooine.db; the WAL lives next to it).
-func Open(path string, opts Options) (Store, error) {
-	if path == "" {
-		return nil, fmt.Errorf("store: empty path (use Mem for the in-memory backend)")
-	}
-	return open(path, opts)
-}
 
 type diskStore struct {
 	mu      sync.Mutex
@@ -162,7 +126,9 @@ type keyspace struct {
 	count int
 }
 
-func open(path string, opts Options) (*diskStore, error) {
+// Open opens (or creates) the persistent store rooted at the file
+// path (conventionally <dir>/tatooine.db; the WAL lives next to it).
+func Open(path string, opts Options) (Store, error) {
 	pg, err := pager.Open(path, opts.Pager)
 	if err != nil {
 		return nil, err
@@ -316,39 +282,6 @@ func (s *diskStore) Keyspace(name string) (KV, error) {
 		return nil, fmt.Errorf("store: keyspace directory full (cannot add %q)", name)
 	}
 	return ks, nil
-}
-
-func (s *diskStore) DropKeyspace(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ks, ok := s.spaces[name]
-	if !ok {
-		return nil
-	}
-	delete(s.spaces, name)
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	pages, err := ks.tree.Pages()
-	if err != nil {
-		return err
-	}
-	for _, id := range pages {
-		if err := s.pg.Free(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *diskStore) Keyspaces() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.spaces))
-	for n := range s.spaces {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (s *diskStore) Commit() error {
@@ -532,8 +465,6 @@ func (s *diskStore) Close() error {
 	s.closed = true
 	return s.pg.Close()
 }
-
-func (s *diskStore) Persistent() bool { return !s.pg.Mem() }
 
 func (s *diskStore) Stats() Stats {
 	s.mu.Lock()
