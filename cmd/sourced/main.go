@@ -33,6 +33,7 @@ import (
 	"tatooine/internal/datagen"
 	"tatooine/internal/federation"
 	"tatooine/internal/obs"
+	"tatooine/internal/rdf"
 	"tatooine/internal/server"
 	"tatooine/internal/source"
 )
@@ -68,7 +69,7 @@ func run() error {
 	case "insee":
 		src = source.NewRelSource(datagen.INSEEURI, ds.INSEE)
 	case "graph":
-		src = source.NewRDFSource("rdf://politics", ds.Graph, true)
+		src = source.NewRDFSource("rdf://politics", rdf.Saturate(ds.Graph))
 	case "speeches":
 		src = source.NewXMLSource(datagen.SpeechesURI, ds.Speeches)
 	default:

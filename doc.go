@@ -97,19 +97,26 @@
 // epoch moves (the PR 3 design) makes a single-triple insert cost a
 // whole-graph saturation on the next query, so core.Instance now feeds
 // its mutation delta straight into reason.Engine, an incremental RDFS
-// reasoner that owns the materialized G∞:
+// reasoner that owns the materialized G∞.
 //
-//   - inserts run the semi-naive rules seeded only from the delta
-//     (rdf.DeltaConsequences joins each new triple against the
-//     saturated graph in both premise positions of every rule; fresh
-//     conclusions re-enter the frontier). New schema triples trigger
-//     the targeted re-closure of exactly the affected hierarchy
-//     slices.
+// The six RDFS rules (rdfs2, 3, 5, 7, 9, 11) are stated once, as a
+// table in internal/rdf: each rule is two premise patterns and a
+// conclusion over variables and the five vocabulary terms. A forward
+// evaluator lists every conclusion one triple takes part in; a
+// backward one checks whether a rule application still concludes a
+// triple. Both run over term IDs.
+//
+//   - inserts are rdf.Propagate: the semi-naive loop over the forward
+//     evaluator, seeded only from the delta (fresh conclusions
+//     re-enter the frontier). The same loop seeded with the whole
+//     graph is rdf.SaturateInPlace, the batch fixpoint, so schema and
+//     data inserts take one path.
 //   - deletes run delete-and-rederive (DRed): trace the over-deletion
 //     cone of consequences reachable from the deleted triples
-//     (explicit base facts survive), resurrect cone members that keep
-//     a well-founded derivation — checked READ-ONLY against the
-//     hypothetical post-delete graph (rdf.DerivableExcept), so
+//     (rdf.DeltaConsequences, the forward evaluator; explicit base
+//     facts survive), resurrect cone members that keep a well-founded
+//     derivation — checked READ-ONLY against the hypothetical
+//     post-delete graph (rdf.DerivableExcept, the backward one), so
 //     concurrent queries never observe a still-entailed triple
 //     missing — and only then remove the rest. Deleting a schema
 //     triple, or a cone exceeding a configurable fraction of the
@@ -125,7 +132,9 @@
 // delta path's mutate-then-query loop ~390x ahead of it on a
 // 1000-politician graph. A property-style test (internal/reason) keeps
 // the maintained G∞ triple-identical to rdf.Saturate-from-scratch
-// under random mixed insert/delete sequences.
+// under random mixed insert/delete sequences, and
+// TestRulesMatchReference (internal/rdf) holds the table to the
+// hand-written fixpoint it replaced on random meta-schema graphs.
 //
 // # Batched bind-join pushdown
 //
@@ -358,16 +367,16 @@
 // through the same function; false positives only cost a wasted
 // probe. Shapes where an empty match still yields rows (aggregates,
 // OPTIONAL patterns, analyzed CONTAINS fields) refuse pruning
-// entirely, as do NULL bindings and digests decoded from a foreign
-// wire version (every bloom and digest carries a version field;
-// unknown versions decode as pass-through filters that never exclude,
-// so mixed-version federations degrade to no pruning, never to lost
-// rows). At the current version the decoder refuses what the
-// estimators and filters could not walk safely: a bloom whose k lies
-// outside [1, 32] (k bounds each membership test's loop), a negative
-// value count, and a histogram unless len(bounds) = len(counts)+1 ≥
-// 2, its bounds are finite and non-decreasing, counts and n are ≥ 0
-// and min ≤ max. A refused /digest fails its fetch and is
+// entirely, as do NULL bindings. Every bloom and digest carries a
+// version field, and one from another wire version is refused at
+// decode: the catalog records no digest for that source, so
+// mixed-version federations degrade to no estimate and no pruning,
+// never to lost rows. At the current version the decoder also refuses
+// what the estimators and filters could not walk safely: a bloom
+// whose k lies outside [1, 32] (k bounds each membership test's loop)
+// or whose m is 0, a negative value count, and a histogram unless
+// len(bounds) = len(counts)+1 ≥ 2, its bounds are finite and
+// non-decreasing, counts and n are ≥ 0 and min ≤ max. A refused /digest fails its fetch and is
 // negative-cached, so planning falls back to the source's estimate.
 // FuzzDigestWire (make fuzzsmoke) drives arbitrary bytes through the
 // decoder and digest.Analyze, and FuzzAnalyzeSubQuery drives

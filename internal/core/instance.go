@@ -50,8 +50,8 @@ type Instance struct {
 	// Persistence (nil for in-memory instances; see persist.go): the
 	// store holding G, G∞ and the catalog, and the first storage error
 	// (guarded by satMu).
-	st    store.Store
-	cat   store.KV
+	st    *store.Store
+	cat   *store.Keyspace
 	stErr error
 	// storeOpts is consumed by Open before the store exists (set via
 	// WithStoreOptions); unused on in-memory instances.
@@ -286,7 +286,7 @@ func (in *Instance) queryGraph() *rdf.Graph {
 // executor treat graph atoms uniformly with source atoms. extra prefix
 // declarations (from a query's PREFIX clauses) extend the instance's.
 func (in *Instance) graphSource(extra map[string]string) source.DataSource {
-	return source.NewRDFSource("tatooine:G", in.queryGraph(), false).WithPrefixes(in.prefixesFor(extra))
+	return source.NewRDFSource("tatooine:G", in.queryGraph()).WithPrefixes(in.prefixesFor(extra))
 }
 
 // prefixesFor merges the instance prefixes with query-local ones.

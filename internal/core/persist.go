@@ -122,7 +122,7 @@ func (in *Instance) newEngineLocked() *reason.Engine {
 	return reason.New(in.graph, reason.Config{})
 }
 
-func catGet(cat store.KV, key string) (uint64, bool, error) {
+func catGet(cat *store.Keyspace, key string) (uint64, bool, error) {
 	v, ok, err := cat.Get([]byte(key))
 	if err != nil || !ok {
 		return 0, false, err
@@ -133,7 +133,7 @@ func catGet(cat store.KV, key string) (uint64, bool, error) {
 	return binary.BigEndian.Uint64(v), true, nil
 }
 
-func catPut(cat store.KV, key string, v uint64) error {
+func catPut(cat *store.Keyspace, key string, v uint64) error {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	_, err := cat.Put([]byte(key), b[:])

@@ -89,13 +89,8 @@ func (b *Bloom) Add(s string) {
 }
 
 // MayContain reports whether s may have been added (false positives
-// possible, false negatives impossible). A filter decoded from an
-// unknown wire version has k == 0 and answers true for everything —
-// the fail-open degradation cross-version peers rely on.
+// possible, false negatives impossible).
 func (b *Bloom) MayContain(s string) bool {
-	if b.k == 0 || b.m == 0 {
-		return true
-	}
 	h1, h2 := hash2(s)
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % b.m
@@ -130,7 +125,7 @@ func (b *Bloom) EstimatedFPR() float64 {
 // n ≈ -(m/k)·ln(1 - X/m). Saturated filters (X == m) fall back to the
 // insertion count, which over-counts duplicates but bounds the answer.
 func (b *Bloom) EstimatedDistinct() int {
-	if b.k == 0 || b.m == 0 || b.nAdded == 0 {
+	if b.nAdded == 0 {
 		return b.nAdded
 	}
 	var set int

@@ -115,23 +115,12 @@ type Digest struct {
 	Source string
 	Nodes  map[string]*Node
 	Edges  []Edge
-	// Version is the wire version the digest was decoded at (WireVersion
-	// for locally built digests). Pruning trusts only same-version
-	// digests; see PruneCapable.
-	Version int
 }
 
 // NewDigest creates an empty digest for a source.
 func NewDigest(source string) *Digest {
-	return &Digest{Source: source, Nodes: make(map[string]*Node), Version: WireVersion}
+	return &Digest{Source: source, Nodes: make(map[string]*Node)}
 }
-
-// PruneCapable reports whether the digest's membership structures may
-// be used to *exclude* bindings (semi-join pruning) or refine row
-// estimates. Digests decoded from peers speaking another wire version
-// remain usable for keyword search — which fails open — but must not
-// prune: their bits were hashed under an unknown scheme.
-func (d *Digest) PruneCapable() bool { return d != nil && d.Version == WireVersion }
 
 func (d *Digest) addNode(label string, kind NodeKind, vs *ValueSet) *Node {
 	n := &Node{

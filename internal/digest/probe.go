@@ -27,8 +27,7 @@ import (
 // wasted probe). Pruning additionally refuses: Null or
 // empty-normalizing values (they never entered the digest), analyzed
 // full-text paths (CONTAINS semantics, not equality), aggregate SQL
-// (an empty match still yields a row), optional BGP patterns, and
-// digests decoded at a foreign wire version (PruneCapable).
+// (an empty match still yields a row), and optional BGP patterns.
 
 // probeKey maps a binding value to its digest key. ok is false when
 // the value cannot be tested against a digest (Null, or nothing
@@ -111,10 +110,10 @@ type Analysis struct {
 // Analyze parses q once and walks its conjuncts once against d,
 // collecting the row estimate and the per-parameter prune nodes
 // together. It returns the zero Analysis (no estimate, probe
-// everything) when d is nil or from a foreign wire version, the text
-// does not parse, or the language has no digest analysis (XPath).
+// everything) when d is nil, the text does not parse, or the language
+// has no digest analysis (XPath).
 func Analyze(d *Digest, q source.SubQuery, prefixes map[string]string) Analysis {
-	if !d.PruneCapable() {
+	if d == nil {
 		return Analysis{}
 	}
 	a := analyzer{d: d, nodes: make([][]*Node, len(q.InVars))}

@@ -73,6 +73,9 @@ func TestParamMatcherRefusals(t *testing.T) {
 	}
 }
 
+// TestParamMatcherForeignVersionNil: a foreign-version digest is
+// refused at decode, so the catalog records none for its source, and
+// Analyze over no digest neither estimates nor prunes.
 func TestParamMatcherForeignVersionNil(t *testing.T) {
 	d := BuildRelational("sql://insee", relFixture(t), DefaultBudget())
 	raw, err := json.Marshal(d)
@@ -89,11 +92,11 @@ func TestParamMatcherForeignVersionNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	var foreign Digest
-	if err := json.Unmarshal(raw, &foreign); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(raw, &foreign); err == nil {
+		t.Fatal("foreign-version digest decoded")
 	}
 	q := probeSub("SELECT name FROM departements WHERE code = ?", "code")
-	if a := Analyze(&foreign, q, nil); a.Matcher != nil || a.Estimated {
+	if a := Analyze(nil, q, nil); a.Matcher != nil || a.Estimated {
 		t.Errorf("foreign-version digest analyzed as %+v; cross-version pruning is unsafe", a)
 	}
 }

@@ -13,17 +13,17 @@ import (
 // JSON encoding. Decoded digests answer Lookup/MayContain/Original
 // exactly like locally built ones.
 //
-// Every encoded digest and bloom carries a version field ("v"). A
-// mediator that decodes a digest from a peer speaking a different
-// version keeps it for keyword search but refuses to prune with it
-// (Digest.PruneCapable), and a bloom decoded at an unknown version
-// degrades to a filter whose MayContain always answers true — older
-// peers therefore lose the optimization, never answers.
+// Every encoded digest and bloom carries a version field ("v"), and
+// one from a peer speaking another version fails to decode: its bits
+// were hashed under an unknown scheme, and nothing of it is trusted.
+// The catalog then records no digest for that source, which means no
+// estimate and no pruning — the peer loses the optimization, never
+// answers.
 //
 // Decoding at this version checks what the planner and the pruners
-// later walk: a bloom k outside [1, maxBloomHashes], a negative value
-// count, or a histogram whose bounds and counts do not line up fails the
-// decode instead of panicking or stalling a query.
+// later walk: a bloom k outside [1, maxBloomHashes] or with m = 0, a
+// negative value count, or a histogram whose bounds and counts do not
+// line up fails the decode instead of panicking or stalling a query.
 
 // WireVersion is the digest wire-format version this build speaks.
 // Bump it whenever hash functions, normalization, or bit layout
@@ -76,31 +76,22 @@ type wireDigest struct {
 // MarshalJSON implements json.Marshaler for Bloom.
 func (b *Bloom) MarshalJSON() ([]byte, error) { return json.Marshal(b.toWire()) }
 
-// toWire encodes b. A pass-through filter (k = 0, decoded from another
-// wire version) keeps no version: it decodes as pass-through again,
-// where a current-version filter without hashes would be refused.
 func (b *Bloom) toWire() *wireBloom {
 	raw := make([]byte, 8*len(b.bits))
 	for i, w := range b.bits {
 		binary.LittleEndian.PutUint64(raw[i*8:], w)
 	}
-	w := &wireBloom{
+	return &wireBloom{
 		V:      WireVersion,
 		M:      b.m,
 		K:      b.k,
 		Added:  b.nAdded,
 		Bits64: base64.StdEncoding.EncodeToString(raw),
 	}
-	if b.k == 0 {
-		w.V = 0
-	}
-	return w
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Bloom. A bloom encoded
-// at a different wire version decodes to a pass-through filter (every
-// MayContain answers true): membership bits hashed under another
-// scheme must never be trusted to say "absent".
+// at another wire version is refused.
 func (b *Bloom) UnmarshalJSON(data []byte) error {
 	var w wireBloom
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -111,8 +102,7 @@ func (b *Bloom) UnmarshalJSON(data []byte) error {
 
 func (b *Bloom) fromWire(w *wireBloom) error {
 	if w.V != WireVersion {
-		*b = Bloom{bits: make([]uint64, 1), m: 64, k: 0, nAdded: w.Added}
-		return nil
+		return fmt.Errorf("digest: bloom wire version %d, want %d", w.V, WireVersion)
 	}
 	// MayContain loops k times and stops early only on a zero bit, so an
 	// unbounded k over an all-ones filter would stall whoever probes it.
@@ -123,7 +113,7 @@ func (b *Bloom) fromWire(w *wireBloom) error {
 	if err != nil {
 		return fmt.Errorf("digest: bloom bits: %w", err)
 	}
-	if len(raw)%8 != 0 || uint64(len(raw))*8 < w.M {
+	if w.M == 0 || len(raw)%8 != 0 || uint64(len(raw))*8 < w.M {
 		return fmt.Errorf("digest: bloom bits length %d inconsistent with m=%d", len(raw), w.M)
 	}
 	b.m = w.M
@@ -253,15 +243,15 @@ func (d *Digest) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Digest. A digest from
-// a peer speaking another wire version still decodes (keyword lookup
-// stays useful) but records the foreign version so PruneCapable — and
-// with it semi-join pruning and estimate refinement — refuses it.
+// a peer speaking another wire version is refused.
 func (d *Digest) UnmarshalJSON(data []byte) error {
 	var w wireDigest
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	d.Version = w.V
+	if w.V != WireVersion {
+		return fmt.Errorf("digest: wire version %d, want %d", w.V, WireVersion)
+	}
 	d.Source = w.Source
 	d.Edges = w.Edges
 	d.Nodes = make(map[string]*Node, len(w.Nodes))

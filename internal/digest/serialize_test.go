@@ -41,6 +41,9 @@ func TestBloomUnmarshalErrors(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"v":1,"m":99999,"k":4,"bits":"AAAA"}`), &b); err == nil {
 		t.Error("inconsistent bit length accepted")
 	}
+	if err := json.Unmarshal([]byte(`{"v":1,"m":0,"k":4,"bits":""}`), &b); err == nil {
+		t.Error("zero-bit filter accepted")
+	}
 }
 
 func TestBloomWireVersionStamped(t *testing.T) {
@@ -61,34 +64,25 @@ func TestBloomWireVersionStamped(t *testing.T) {
 	}
 }
 
-// A bloom from a peer speaking a different wire version (including the
-// pre-versioning v=0 era) must degrade to a pass-through filter: its
-// bit layout cannot be trusted, and a misread filter could prune
-// bindings that actually match. Pass-through answers true for every
-// key — no pruning, never mis-pruning.
-func TestBloomCrossVersionDecodesPassThrough(t *testing.T) {
+// A bloom from a peer speaking another wire version (including the
+// pre-versioning v=0 era) is refused: its bit layout cannot be trusted,
+// and a misread filter could prune bindings that actually match.
+func TestBloomForeignVersionRefused(t *testing.T) {
 	payloads := map[string]string{
 		"pre-versioning (no v field)": `{"m":128,"k":4,"bits":"AAAAAAAAAAAAAAAAAAAAAAAAAA==","added":7}`,
-		"future version":              `{"v":999,"m":128,"k":4,"bits":"!!! not even base64","added":3}`,
+		"future version":              `{"v":999,"m":128,"k":4,"bits":"AAAAAAAAAAAAAAAAAAAAAAAAAA==","added":3}`,
 	}
 	for name, payload := range payloads {
 		var b Bloom
-		if err := json.Unmarshal([]byte(payload), &b); err != nil {
-			t.Fatalf("%s: cross-version bloom should degrade, not error: %v", name, err)
-		}
-		for _, key := range []string{"anything", "at", "all", ""} {
-			if !b.MayContain(key) {
-				t.Fatalf("%s: degraded bloom answered false for %q — could mis-prune", name, key)
-			}
+		if err := json.Unmarshal([]byte(payload), &b); err == nil {
+			t.Fatalf("%s: foreign-version bloom decoded", name)
 		}
 	}
 }
 
-// A digest decoded from a foreign wire version keeps its payload
-// usable for keyword lookups (blooms degrade per node) but reports
-// itself prune-incapable, so the planner never builds a semi-join
-// pruner from it.
-func TestDigestCrossVersionNotPruneCapable(t *testing.T) {
+// A digest from a foreign wire version fails to decode; the same
+// digest at this version round-trips with its statistics.
+func TestDigestForeignVersionRefused(t *testing.T) {
 	d := BuildRelational("sql://insee", relFixture(t), DefaultBudget())
 	data, err := json.Marshal(d)
 	if err != nil {
@@ -98,28 +92,25 @@ func TestDigestCrossVersionNotPruneCapable(t *testing.T) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		t.Fatal(err)
 	}
-	probe["v"] = json.RawMessage(`999`)
-	foreign, err := json.Marshal(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Digest
-	if err := json.Unmarshal(foreign, &back); err != nil {
-		t.Fatalf("foreign-version digest should decode: %v", err)
-	}
-	if back.PruneCapable() {
-		t.Fatal("foreign-version digest claims prune capability")
+	for _, v := range []string{"999", "0"} {
+		probe["v"] = json.RawMessage(v)
+		foreign, err := json.Marshal(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Digest
+		if err := json.Unmarshal(foreign, &back); err == nil {
+			t.Fatalf("digest at wire version %s decoded", v)
+		}
 	}
 
 	var same Digest
 	if err := json.Unmarshal(data, &same); err != nil {
-		t.Fatal(err)
+		t.Fatalf("current-version digest refused: %v", err)
 	}
-	if !same.PruneCapable() {
-		t.Fatal("current-version digest lost prune capability in transit")
-	}
-	if (*Digest)(nil).PruneCapable() {
-		t.Fatal("nil digest claims prune capability")
+	q := source.SubQuery{Language: source.LangSQL, Text: "SELECT name FROM departements WHERE code = ?", InVars: []string{"code"}}
+	if a := Analyze(&same, q, nil); !a.Estimated || a.Matcher == nil {
+		t.Fatalf("current-version digest lost its statistics in transit: %+v", a)
 	}
 }
 
@@ -251,27 +242,6 @@ func TestBloomWireRejectsUnboundedHashes(t *testing.T) {
 	}
 	if got := NewBloomWithBits(64, 1000).Hashes(); got != 32 {
 		t.Errorf("NewBloomWithBits kept k=%d, want it clamped to 32", got)
-	}
-}
-
-// TestBloomPassThroughSurvivesWire: a filter decoded from another wire
-// version re-encodes as one, so a mediator that forwards it in a /batch
-// prune list is not refused for a current-version filter without hashes.
-func TestBloomPassThroughSurvivesWire(t *testing.T) {
-	var foreign Bloom
-	if err := json.Unmarshal([]byte(`{"v":999,"m":64,"k":9,"added":2,"bits":"opaque"}`), &foreign); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(&foreign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Bloom
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("re-encoded pass-through filter refused: %v (%s)", err, raw)
-	}
-	if !back.MayContain("anything") {
-		t.Error("re-encoded pass-through filter excludes a key")
 	}
 }
 

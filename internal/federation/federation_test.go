@@ -97,7 +97,7 @@ func TestRemoteRDFSource(t *testing.T) {
 :POL1 :twitterAccount "fhollande" .
 :POL2 :twitterAccount "jdupont" .
 `))
-	src := source.NewRDFSource("rdf://politics", g, false)
+	src := source.NewRDFSource("rdf://politics", g)
 	srv := httptest.NewServer(Handler(src))
 	defer srv.Close()
 

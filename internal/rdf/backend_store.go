@@ -19,11 +19,11 @@ import (
 // at commit points. A graph whose store has failed degrades to missing
 // answers, never to wrong ones.
 type storeTriples struct {
-	spo, pos, osp store.KV
+	spo, pos, osp *store.Keyspace
 	firstErr      error
 }
 
-func openStoreTriples(st store.Store, prefix string) (*storeTriples, error) {
+func openStoreTriples(st *store.Store, prefix string) (*storeTriples, error) {
 	spo, err := st.Keyspace(prefix + "/spo")
 	if err != nil {
 		return nil, err
@@ -147,7 +147,7 @@ func (b *storeTriples) match(s, p, o TermID, fn func(s, p, o TermID) bool) {
 
 // scan walks kv entries under prefix, decoding each 12-byte key in its
 // native permutation order.
-func (b *storeTriples) scan(kv store.KV, prefix []byte, fn func(a, x, c TermID) bool) {
+func (b *storeTriples) scan(kv *store.Keyspace, prefix []byte, fn func(a, x, c TermID) bool) {
 	err := kv.Scan(prefix, func(k, _ []byte) bool {
 		a, x, c := id3(k)
 		return fn(a, x, c)

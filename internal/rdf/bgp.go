@@ -155,13 +155,6 @@ type Solutions struct {
 	Rows [][]Term
 }
 
-// Answer evaluates q over the saturation of g (the paper's "answer"
-// semantics): the graph is saturated first, then the BGP is evaluated.
-func Answer(g *Graph, q BGP) (*Solutions, error) {
-	sat := Saturate(g)
-	return Evaluate(sat.Graph, q)
-}
-
 // Evaluate computes all embeddings of q into g (no entailment) and
 // projects the head variables. Patterns are greedily reordered so the
 // most selective pattern (fewest matching triples given already-bound

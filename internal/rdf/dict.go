@@ -42,9 +42,9 @@ type Dictionary struct {
 	// Paged mode.
 	paged    bool
 	firstErr error
-	kv       store.KV           // id(4,BE) → stored key
-	rev      store.KV           // stored key → id(4,BE)
-	pfxKV    store.KV           // tableID(1) → namespace
+	kv       *store.Keyspace    // id(4,BE) → stored key
+	rev      *store.Keyspace    // stored key → id(4,BE)
+	pfxKV    *store.Keyspace    // tableID(1) → namespace
 	pfx      []string           // pfx[tableID] = namespace
 	pfxByNS  map[string]int     // namespace → tableID
 	nextID   TermID             // next id to assign
@@ -69,7 +69,7 @@ func NewDictionary() *Dictionary {
 // stored under prefix in st. Nothing is scanned on a warm open: the
 // next TermID comes from the forward keyspace's O(1) length and the
 // namespace table (at most 255 entries) is the only state loaded.
-func openPagedDictionary(st store.Store, prefix string, hot int) (*Dictionary, error) {
+func openPagedDictionary(st *store.Store, prefix string, hot int) (*Dictionary, error) {
 	kv, err := st.Keyspace(prefix + "/dict")
 	if err != nil {
 		return nil, err

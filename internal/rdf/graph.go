@@ -55,7 +55,7 @@ func NewGraph() *Graph {
 // small LRU of hot decoded terms, so open cost and resident memory are
 // independent of term count. Writes become durable at the owning
 // store's next Commit.
-func OpenGraph(st store.Store, prefix string) (*Graph, error) {
+func OpenGraph(st *store.Store, prefix string) (*Graph, error) {
 	dict, err := openPagedDictionary(st, prefix, 0)
 	if err != nil {
 		return nil, err
@@ -73,7 +73,7 @@ func OpenGraph(st store.Store, prefix string) (*Graph, error) {
 // terms almost entirely, so sharing the dictionary halves what a warm
 // boot has to load — and since dictionaries only ever grow, sharing
 // one across graphs is safe (it locks internally).
-func OpenGraphSharedDict(st store.Store, prefix string, base *Graph) (*Graph, error) {
+func OpenGraphSharedDict(st *store.Store, prefix string, base *Graph) (*Graph, error) {
 	be, err := openStoreTriples(st, prefix)
 	if err != nil {
 		return nil, err
@@ -107,15 +107,8 @@ func (g *Graph) Size() int {
 // Add inserts the triple and reports whether it was not already present.
 // Zero (invalid) terms are rejected by returning false.
 func (g *Graph) Add(t Triple) bool {
-	if t.S.IsZero() || t.P.IsZero() || t.O.IsZero() {
-		return false
-	}
-	s := g.dict.Intern(t.S)
-	p := g.dict.Intern(t.P)
-	o := g.dict.Intern(t.O)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.be.add(s, p, o)
+	id, ok := g.intern(t)
+	return ok && g.addIDs(id)
 }
 
 // AddAll inserts every triple in ts and returns how many were new. The
@@ -132,24 +125,17 @@ func (g *Graph) AddAll(ts []Triple) int {
 // respect to any single read operation. The returned delta is what an
 // incremental reasoner must propagate. Zero (invalid) terms are skipped.
 func (g *Graph) AddBatch(ts []Triple) []Triple {
-	type enc struct {
-		s, p, o TermID
-		t       Triple
-	}
 	// Intern outside the graph lock; the dictionary has its own.
-	encs := make([]enc, 0, len(ts))
-	for _, t := range ts {
-		if t.S.IsZero() || t.P.IsZero() || t.O.IsZero() {
-			continue
-		}
-		encs = append(encs, enc{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O), t})
+	ids := make([]tripleID, len(ts))
+	for i, t := range ts {
+		ids[i], _ = g.intern(t)
 	}
 	var added []Triple
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, e := range encs {
-		if g.be.add(e.s, e.p, e.o) {
-			added = append(added, e.t)
+	for i, id := range ids {
+		if id.s != NoTerm && g.be.add(id.s, id.p, id.o) {
+			added = append(added, ts[i])
 		}
 	}
 	return added
@@ -159,62 +145,69 @@ func (g *Graph) AddBatch(ts []Triple) []Triple {
 // returns the subset that was actually present, in input order (the
 // delta an incremental reasoner must retract).
 func (g *Graph) RemoveBatch(ts []Triple) []Triple {
-	type enc struct {
-		s, p, o TermID
-		t       Triple
-	}
-	encs := make([]enc, 0, len(ts))
-	for _, t := range ts {
-		s := g.dict.Lookup(t.S)
-		p := g.dict.Lookup(t.P)
-		o := g.dict.Lookup(t.O)
-		if s == NoTerm || p == NoTerm || o == NoTerm {
-			continue
-		}
-		encs = append(encs, enc{s, p, o, t})
+	ids := make([]tripleID, len(ts))
+	found := make([]bool, len(ts))
+	for i, t := range ts {
+		ids[i], found[i] = g.lookup(t)
 	}
 	var removed []Triple
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, e := range encs {
-		if g.be.remove(e.s, e.p, e.o) {
-			removed = append(removed, e.t)
+	for i, id := range ids {
+		if found[i] && g.be.remove(id.s, id.p, id.o) {
+			removed = append(removed, ts[i])
 		}
 	}
 	return removed
 }
 
+// intern encodes t, assigning IDs to new terms; false when t has a
+// zero term.
+func (g *Graph) intern(t Triple) (tripleID, bool) {
+	if t.S.IsZero() || t.P.IsZero() || t.O.IsZero() {
+		return tripleID{}, false
+	}
+	return tripleID{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)}, true
+}
+
+// lookup encodes t with existing IDs; false when a term of t was never
+// interned, so t cannot be stored.
+func (g *Graph) lookup(t Triple) (tripleID, bool) {
+	id := tripleID{g.dict.Lookup(t.S), g.dict.Lookup(t.P), g.dict.Lookup(t.O)}
+	return id, id.s != NoTerm && id.p != NoTerm && id.o != NoTerm
+}
+
+func (g *Graph) decode(t tripleID) Triple {
+	return Triple{g.dict.Term(t.s), g.dict.Term(t.p), g.dict.Term(t.o)}
+}
+
 // addIDs inserts an already-encoded triple under the write lock.
-func (g *Graph) addIDs(s, p, o TermID) bool {
+func (g *Graph) addIDs(t tripleID) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.be.add(s, p, o)
+	return g.be.add(t.s, t.p, t.o)
 }
 
 // Remove deletes the triple and reports whether it was present.
 func (g *Graph) Remove(t Triple) bool {
-	s := g.dict.Lookup(t.S)
-	p := g.dict.Lookup(t.P)
-	o := g.dict.Lookup(t.O)
-	if s == NoTerm || p == NoTerm || o == NoTerm {
+	id, ok := g.lookup(t)
+	if !ok {
 		return false
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.be.remove(s, p, o)
+	return g.be.remove(id.s, id.p, id.o)
 }
 
 // Contains reports whether the triple is present.
 func (g *Graph) Contains(t Triple) bool {
-	s := g.dict.Lookup(t.S)
-	p := g.dict.Lookup(t.P)
-	o := g.dict.Lookup(t.O)
-	if s == NoTerm || p == NoTerm || o == NoTerm {
+	id, ok := g.lookup(t)
+	if !ok {
 		return false
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.be.contains(s, p, o)
+	return g.be.contains(id.s, id.p, id.o)
 }
 
 // MatchIDs calls fn for every stored triple matching the pattern, where
@@ -255,7 +248,7 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 	}
 	var out []Triple
 	g.MatchIDs(sid, pid, oid, func(s, p, o TermID) bool {
-		out = append(out, Triple{g.dict.Term(s), g.dict.Term(p), g.dict.Term(o)})
+		out = append(out, g.decode(tripleID{s, p, o}))
 		return true
 	})
 	return out
@@ -363,27 +356,12 @@ func (g *Graph) Properties() []Term {
 // graph from an in-memory one).
 func (g *Graph) CopyTo(dst *Graph) {
 	const batch = 4096
-	buf := make([]Triple, 0, batch)
-	flush := func() {
-		if len(buf) > 0 {
-			dst.AddBatch(buf)
-			buf = buf[:0]
-		}
+	all := g.Match(Term{}, Term{}, Term{})
+	for len(all) > 0 {
+		n := min(len(all), batch)
+		dst.AddBatch(all[:n])
+		all = all[n:]
 	}
-	g.mu.RLock()
-	var all []Triple
-	g.be.match(NoTerm, NoTerm, NoTerm, func(s, p, o TermID) bool {
-		all = append(all, Triple{g.dict.Term(s), g.dict.Term(p), g.dict.Term(o)})
-		return true
-	})
-	g.mu.RUnlock()
-	for _, t := range all {
-		buf = append(buf, t)
-		if len(buf) == batch {
-			flush()
-		}
-	}
-	flush()
 }
 
 // Clone returns a deep in-memory copy of the graph sharing no mutable

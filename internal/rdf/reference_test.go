@@ -183,3 +183,118 @@ func matchPattern(g *Graph, p TriplePattern, bound Bindings, fn func(Bindings)) 
 		fn(next)
 	}
 }
+
+// referenceSaturate is the hand-written batch fixpoint Saturate
+// replaced: each pass closes the two hierarchies transitively,
+// snapshots the schema as subject → objects maps, and applies rdfs7,
+// rdfs2, rdfs3 and rdfs9 rule by rule, until a pass adds nothing. It is
+// kept as the independent oracle the rule table must agree with.
+func referenceSaturate(in *Graph) *Graph {
+	g := in.Clone()
+	subClassOf := NewIRI(RDFSSubClassOf)
+	subPropOf := NewIRI(RDFSSubPropertyOf)
+	typ := NewIRI(RDFType)
+	for {
+		added := refTransitiveClose(g, subClassOf) + refTransitiveClose(g, subPropOf)
+		superProps := refObjectMap(g, subPropOf)
+		superClasses := refObjectMap(g, subClassOf)
+		domains := refObjectMap(g, NewIRI(RDFSDomain))
+		ranges := refObjectMap(g, NewIRI(RDFSRange))
+		// rdfs7: property inheritance.
+		for p, supers := range superProps {
+			for _, t := range g.Match(Term{}, g.dict.Term(p), Term{}) {
+				for super := range supers {
+					if g.Add(Triple{t.S, g.dict.Term(super), t.O}) {
+						added++
+					}
+				}
+			}
+		}
+		// rdfs2: domain typing.
+		for p, classes := range domains {
+			for _, t := range g.Match(Term{}, g.dict.Term(p), Term{}) {
+				for c := range classes {
+					if g.Add(Triple{t.S, typ, g.dict.Term(c)}) {
+						added++
+					}
+				}
+			}
+		}
+		// rdfs3: range typing, literal objects skipped.
+		for p, classes := range ranges {
+			for _, t := range g.Match(Term{}, g.dict.Term(p), Term{}) {
+				if t.O.Kind == Literal {
+					continue
+				}
+				for c := range classes {
+					if g.Add(Triple{t.O, typ, g.dict.Term(c)}) {
+						added++
+					}
+				}
+			}
+		}
+		// rdfs9: class membership propagation.
+		for c, supers := range superClasses {
+			for _, t := range g.Match(Term{}, typ, g.dict.Term(c)) {
+				for super := range supers {
+					if g.Add(Triple{t.S, typ, g.dict.Term(super)}) {
+						added++
+					}
+				}
+			}
+		}
+		if added == 0 {
+			return g
+		}
+	}
+}
+
+// refTransitiveClose adds the transitive closure of property p to g
+// (reflexive edges included where a cycle entails them) and returns
+// the number of added triples.
+func refTransitiveClose(g *Graph, p Term) int {
+	pid := g.dict.Lookup(p)
+	if pid == NoTerm {
+		return 0
+	}
+	adj := make(map[TermID][]TermID)
+	g.MatchIDs(NoTerm, pid, NoTerm, func(s, _, o TermID) bool {
+		adj[s] = append(adj[s], o)
+		return true
+	})
+	added := 0
+	for s := range adj {
+		seen := map[TermID]struct{}{}
+		queue := append([]TermID(nil), adj[s]...)
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			if _, ok := seen[cur]; ok {
+				continue
+			}
+			seen[cur] = struct{}{}
+			if g.addIDs(tripleID{s, pid, cur}) {
+				added++
+			}
+			queue = append(queue, adj[cur]...)
+		}
+	}
+	return added
+}
+
+// refObjectMap snapshots p-edges as subject → set of objects.
+func refObjectMap(g *Graph, p Term) map[TermID]termSet {
+	pid := g.dict.Lookup(p)
+	if pid == NoTerm {
+		return nil
+	}
+	out := make(map[TermID]termSet)
+	g.MatchIDs(NoTerm, pid, NoTerm, func(s, _, o TermID) bool {
+		if out[s] == nil {
+			out[s] = make(termSet)
+		}
+		out[s][o] = struct{}{}
+		return true
+	})
+	return out
+}

@@ -1,7 +1,9 @@
 // Package rdf implements an in-memory RDF substrate: terms, a
 // dictionary-encoded triple store with three access-path indexes,
 // an N-Triples/Turtle-subset parser and serializer, RDFS entailment
-// (saturation), and evaluation of basic graph pattern (BGP) queries.
+// (saturation and its incremental maintenance, driven by one table of
+// the six RDFS rules), and evaluation of basic graph pattern (BGP)
+// queries.
 //
 // It is the "custom application-dependent RDF graph" component of the
 // TATOOINE mixed-instance architecture, and also serves as the engine

@@ -10,25 +10,26 @@
 // redundant work on a large graph. Engine instead owns the materialized
 // saturation and maintains it incrementally:
 //
-//   - ApplyInsert runs the semi-naive rules seeded only from the delta:
-//     each inserted triple is joined against the saturated graph in
-//     both premise positions of every rule (rdf.DeltaConsequences), and
-//     fresh conclusions re-enter the frontier until the fixpoint. New
-//     schema triples (subClassOf, subPropertyOf, domain, range) trigger
-//     the targeted re-closure of exactly the affected hierarchy slices
-//     — never a whole-graph pass.
+//   - ApplyInsert is rdf.Propagate seeded with the delta: each new
+//     triple meets the rules table in every premise position, joined
+//     against the saturated graph, and fresh conclusions re-enter the
+//     frontier until the fixpoint. The same loop, seeded with the whole
+//     graph, is the batch saturation, so an insert never needs a
+//     whole-graph pass.
 //
 //   - ApplyDelete implements delete-and-rederive (DRed): trace the
 //     over-deletion cone of consequences transitively reachable from
-//     the deleted triples (skipping explicit base facts, which survive
-//     on their own), re-derive READ-ONLY the cone members that still
-//     have a well-founded derivation from surviving triples
-//     (rdf.DerivableExcept, bottom-up to a fixpoint), and only then
-//     delete the remainder from the live graph. Two conditions fall
-//     back to a full recompute: a deleted *schema* triple (its loss
-//     can invalidate derivations anywhere), and an over-deletion cone
-//     exceeding Config.MaxDeleteFraction of the saturated graph
-//     (re-checking most of the graph costs more than recomputing it).
+//     the deleted triples (rdf.DeltaConsequences, the same table read
+//     forward; explicit base facts are skipped, they survive on their
+//     own), re-derive READ-ONLY the cone members that still have a
+//     well-founded derivation from surviving triples
+//     (rdf.DerivableExcept, the table read backward, bottom-up to a
+//     fixpoint), and only then delete the remainder from the live
+//     graph. Two conditions fall back to a full recompute: a deleted
+//     *schema* triple (its loss can invalidate derivations anywhere),
+//     and an over-deletion cone exceeding Config.MaxDeleteFraction of
+//     the saturated graph (re-checking most of the graph costs more
+//     than recomputing it).
 //
 // The maintained graph is served live to queries. Visibility during an
 // apply is monotone in the direction of the mutation: an insert only
@@ -166,7 +167,7 @@ func (e *Engine) rebuildLocked() {
 		e.base.CopyTo(e.sat)
 		rdf.SaturateInPlace(e.sat)
 	} else {
-		want := rdf.Saturate(e.base).Graph
+		want := rdf.Saturate(e.base)
 		var add, stale []rdf.Triple
 		for _, t := range want.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}) {
 			if !e.sat.Contains(t) {
@@ -197,33 +198,9 @@ func (e *Engine) ApplyInsert(ts []rdf.Triple) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	start := time.Now()
-	e.insertLocked(ts)
+	rdf.Propagate(e.sat, ts)
 	e.deltaApplies++
 	e.lastApply = time.Since(start)
-}
-
-// insertLocked adds ts to the saturation and runs the delta rules to a
-// fixpoint: every conclusion that was genuinely new re-enters the
-// frontier, so chains (a new subClassOf edge re-typing instances that
-// then feed rdfs9 again) close fully.
-func (e *Engine) insertLocked(ts []rdf.Triple) {
-	var frontier []rdf.Triple
-	for _, t := range ts {
-		if e.sat.Add(t) {
-			frontier = append(frontier, t)
-		}
-	}
-	for len(frontier) > 0 {
-		var next []rdf.Triple
-		for _, t := range frontier {
-			rdf.DeltaConsequences(e.sat, t, func(c rdf.Triple) {
-				if e.sat.Add(c) {
-					next = append(next, c)
-				}
-			})
-		}
-		frontier = next
-	}
 }
 
 // ApplyDelete absorbs triples just removed from the base graph using

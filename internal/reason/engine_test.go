@@ -24,7 +24,7 @@ func parse(t *testing.T, text string) []rdf.Triple {
 // triple-identical to a from-scratch saturation of the base graph.
 func requireEquivalent(t *testing.T, e *Engine, base *rdf.Graph, context string) {
 	t.Helper()
-	want := rdf.Saturate(base).Graph
+	want := rdf.Saturate(base)
 	got := e.Graph()
 	wantTs, gotTs := want.Triples(), got.Triples()
 	if len(wantTs) != len(gotTs) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAdapterMetadata(t *testing.T) {
-	rdfSrc := NewRDFSource("rdf://g", polGraph(t), false)
+	rdfSrc := NewRDFSource("rdf://g", polGraph(t))
 	relSrc := NewRelSource("sql://d", relDB(t))
 	docSrc := NewDocSource("solr://t", tweetIndex(t))
 	store := xmlstore.NewStore("sp")
@@ -33,7 +33,7 @@ func TestAdapterMetadata(t *testing.T) {
 }
 
 func TestRDFSourceWithPrefixes(t *testing.T) {
-	s := NewRDFSource("rdf://g", polGraph(t), false).
+	s := NewRDFSource("rdf://g", polGraph(t)).
 		WithPrefixes(map[string]string{"t": "http://t.example/"})
 	res, err := s.Execute(SubQuery{
 		Language: LangBGP,
@@ -48,7 +48,7 @@ func TestRDFSourceWithPrefixes(t *testing.T) {
 }
 
 func TestRDFSourceEstimate(t *testing.T) {
-	s := NewRDFSource("rdf://g", polGraph(t), false)
+	s := NewRDFSource("rdf://g", polGraph(t))
 	all, _ := s.Estimate(SubQuery{Language: LangBGP,
 		Text: `q(?x, ?p, ?o) :- ?x ?p ?o`}, 0)
 	narrow, _ := s.Estimate(SubQuery{Language: LangBGP,

@@ -126,7 +126,7 @@ func TestRDFSourceExecuteBatch(t *testing.T) {
 :p1 :account "alice" ; :party :left .
 :p2 :account "bob" ; :party :right .
 `))
-	s := source.NewRDFSource("rdf://g", g, false).WithPrefixes(map[string]string{"": "http://t.example/"})
+	s := source.NewRDFSource("rdf://g", g).WithPrefixes(map[string]string{"": "http://t.example/"})
 	q := source.SubQuery{
 		Language: source.LangBGP,
 		Text:     `q(?x, ?p) :- ?x :account ?acct . ?x :party ?p`,

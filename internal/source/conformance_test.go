@@ -96,7 +96,7 @@ func conformanceRDF() *source.RDFSource {
 :p2 :account "bob" ; :party :right .
 :p3 :account "carol" ; :party :left .
 `))
-	return source.NewRDFSource("rdf://g", g, false).WithPrefixes(conformancePrefixes)
+	return source.NewRDFSource("rdf://g", g).WithPrefixes(conformancePrefixes)
 }
 
 func strs(ss ...string) []value.Row {

@@ -84,20 +84,16 @@ func looksLikeIRI(s string) bool {
 }
 
 // RDFSource exposes an rdf.Graph as a DataSource accepting BGP
-// sub-queries. When saturate is set, queries run over G∞ (computed once
-// and cached), implementing the paper's answer semantics.
+// sub-queries. Queries run over the graph as given: wrap rdf.Saturate(g)
+// for the paper's answer semantics over G∞.
 type RDFSource struct {
 	uri      string
 	graph    *rdf.Graph
 	prefixes map[string]string
 }
 
-// NewRDFSource wraps g. When saturate is true, the graph is saturated
-// (RDFS entailment) before serving queries.
-func NewRDFSource(uri string, g *rdf.Graph, saturate bool) *RDFSource {
-	if saturate {
-		g = rdf.Saturate(g).Graph
-	}
+// NewRDFSource wraps g.
+func NewRDFSource(uri string, g *rdf.Graph) *RDFSource {
 	return &RDFSource{uri: uri, graph: g}
 }
 
@@ -107,7 +103,7 @@ func (s *RDFSource) WithPrefixes(prefixes map[string]string) *RDFSource {
 	return s
 }
 
-// Graph returns the underlying (possibly saturated) graph.
+// Graph returns the underlying graph.
 func (s *RDFSource) Graph() *rdf.Graph { return s.graph }
 
 // URI implements DataSource.

@@ -70,7 +70,7 @@ func tweetIndex(t *testing.T) *fulltext.Index {
 }
 
 func TestRDFSourceExecute(t *testing.T) {
-	s := NewRDFSource("rdf://politics", polGraph(t), false)
+	s := NewRDFSource("rdf://politics", polGraph(t))
 	res, err := s.Execute(SubQuery{
 		Language: LangBGP,
 		Text:     `q(?id) :- ?x <http://t.example/position> <http://t.example/headOfState> . ?x <http://t.example/twitterAccount> ?id`,
@@ -87,7 +87,7 @@ func TestRDFSourceExecute(t *testing.T) {
 }
 
 func TestRDFSourceSaturated(t *testing.T) {
-	s := NewRDFSource("rdf://politics", polGraph(t), true)
+	s := NewRDFSource("rdf://politics", rdf.Saturate(polGraph(t)))
 	res, err := s.Execute(SubQuery{
 		Language: LangBGP,
 		Text:     `q(?x) :- ?x a <http://t.example/person>`,
@@ -99,7 +99,7 @@ func TestRDFSourceSaturated(t *testing.T) {
 		t.Errorf("saturated person count: %d", res.Len())
 	}
 	// Unsaturated source must see none.
-	s2 := NewRDFSource("rdf://politics2", polGraph(t), false)
+	s2 := NewRDFSource("rdf://politics2", polGraph(t))
 	res2, _ := s2.Execute(SubQuery{Language: LangBGP, Text: `q(?x) :- ?x a <http://t.example/person>`}, nil)
 	if res2.Len() != 0 {
 		t.Errorf("unsaturated person count: %d", res2.Len())
@@ -107,7 +107,7 @@ func TestRDFSourceSaturated(t *testing.T) {
 }
 
 func TestRDFSourceBindJoinParams(t *testing.T) {
-	s := NewRDFSource("rdf://politics", polGraph(t), false)
+	s := NewRDFSource("rdf://politics", polGraph(t))
 	res, err := s.Execute(SubQuery{
 		Language: LangBGP,
 		Text:     `q(?x, ?id) :- ?x <http://t.example/twitterAccount> ?id`,
@@ -122,7 +122,7 @@ func TestRDFSourceBindJoinParams(t *testing.T) {
 }
 
 func TestRDFSourceParamArityMismatch(t *testing.T) {
-	s := NewRDFSource("rdf://x", polGraph(t), false)
+	s := NewRDFSource("rdf://x", polGraph(t))
 	_, err := s.Execute(SubQuery{
 		Language: LangBGP,
 		Text:     `q(?x) :- ?x a <http://t.example/politician>`,
@@ -134,7 +134,7 @@ func TestRDFSourceParamArityMismatch(t *testing.T) {
 }
 
 func TestRDFSourceWrongLanguage(t *testing.T) {
-	s := NewRDFSource("rdf://x", polGraph(t), false)
+	s := NewRDFSource("rdf://x", polGraph(t))
 	if _, err := s.Execute(SubQuery{Language: LangSQL, Text: "SELECT 1"}, nil); err == nil {
 		t.Error("wrong language accepted")
 	}
@@ -231,7 +231,7 @@ func TestDocSourceEstimate(t *testing.T) {
 
 func TestRegistryResolve(t *testing.T) {
 	reg := NewRegistry()
-	s := NewRDFSource("rdf://politics", polGraph(t), false)
+	s := NewRDFSource("rdf://politics", polGraph(t))
 	if err := reg.Register(s); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRegistryFallback(t *testing.T) {
 	called := ""
 	reg.SetFallback(func(uri string) (DataSource, error) {
 		called = uri
-		return NewRDFSource(uri, rdf.NewGraph(), false), nil
+		return NewRDFSource(uri, rdf.NewGraph()), nil
 	})
 	// Non-HTTP URIs never hit the fallback.
 	if _, err := reg.Resolve("rdf://nope"); err == nil {
@@ -268,7 +268,7 @@ func TestRegistryFallback(t *testing.T) {
 
 func TestRegistryByLanguage(t *testing.T) {
 	reg := NewRegistry()
-	reg.Register(NewRDFSource("rdf://a", polGraph(t), false))
+	reg.Register(NewRDFSource("rdf://a", polGraph(t)))
 	reg.Register(NewRelSource("sql://b", relDB(t)))
 	reg.Register(NewDocSource("solr://c", tweetIndex(t)))
 	if n := len(reg.All()); n != 3 {
@@ -290,7 +290,7 @@ func TestRegistryDeregister(t *testing.T) {
 	if reg.Deregister("rdf://politics") {
 		t.Error("deregistering an unknown URI reported success")
 	}
-	if err := reg.Register(NewRDFSource("rdf://politics", polGraph(t), false)); err != nil {
+	if err := reg.Register(NewRDFSource("rdf://politics", polGraph(t))); err != nil {
 		t.Fatal(err)
 	}
 	if !reg.Deregister("rdf://politics") {
@@ -303,7 +303,7 @@ func TestRegistryDeregister(t *testing.T) {
 		t.Errorf("All after deregister: %v", reg.All())
 	}
 	// The URI is free for a fresh registration afterwards.
-	if err := reg.Register(NewRDFSource("rdf://politics", polGraph(t), false)); err != nil {
+	if err := reg.Register(NewRDFSource("rdf://politics", polGraph(t))); err != nil {
 		t.Errorf("re-register after deregister: %v", err)
 	}
 }

@@ -19,48 +19,6 @@ import (
 	"tatooine/internal/pager"
 )
 
-// KV is one keyspace: an ordered map from byte keys to byte values.
-// Implementations are safe for concurrent use; writers are serialized
-// per keyspace.
-type KV interface {
-	// Get returns the value stored under key.
-	Get(key []byte) ([]byte, bool, error)
-	// Put stores value under key, reporting whether the key was new.
-	Put(key, value []byte) (bool, error)
-	// Delete removes key, reporting whether it was present.
-	Delete(key []byte) (bool, error)
-	// Scan calls fn for every pair whose key starts with prefix, in
-	// ascending key order, until fn returns false.
-	Scan(prefix []byte, fn func(key, value []byte) bool) error
-	// ScanFrom calls fn for every pair with key >= start, in ascending
-	// key order, until fn returns false. It enables seek-skip iteration
-	// (jump past a whole key group without touching its members).
-	ScanFrom(start []byte, fn func(key, value []byte) bool) error
-	// Len returns the number of keys (O(1); maintained, not counted).
-	Len() int
-}
-
-// Store is a collection of keyspaces with atomic durability.
-type Store interface {
-	// Keyspace returns the named keyspace, creating it if absent.
-	Keyspace(name string) (KV, error)
-	// Commit makes every mutation since the last Commit durable as one
-	// atomic transaction.
-	Commit() error
-	// Checkpoint folds the WAL into the database file.
-	Checkpoint() error
-	// Vacuum rewrites every keyspace into freshly packed pages and
-	// sweeps unreachable pages onto the free list, shrinking the pages
-	// a fragmented store touches back toward its live payload. Writers
-	// are excluded per keyspace while it is rewritten.
-	Vacuum() error
-	// Close checkpoints and releases the store. Uncommitted mutations
-	// are discarded.
-	Close() error
-	// Stats snapshots engine counters for the mediator's /stats.
-	Stats() Stats
-}
-
 // Stats is the "store" block of the mediator's /stats.
 type Stats struct {
 	pager.Stats
@@ -104,10 +62,11 @@ const minAutoVacuumPages = 256
 // catalogPage is the fixed page holding the keyspace directory.
 const catalogPage pager.PageID = 1
 
-type diskStore struct {
+// Store is a collection of named keyspaces with atomic durability.
+type Store struct {
 	mu      sync.Mutex
 	pg      *pager.Pager
-	spaces  map[string]*keyspace
+	spaces  map[string]*Keyspace
 	opts    Options
 	closed  bool
 	vacuums int64
@@ -118,22 +77,23 @@ type diskStore struct {
 	vacuumArmPages int
 }
 
-type keyspace struct {
+// Keyspace is one keyspace: an ordered map from byte keys to byte
+// values, safe for concurrent use; writers are serialized per
+// keyspace.
+type Keyspace struct {
 	mu    sync.RWMutex
-	st    *diskStore
-	name  string
 	tree  *btree.BTree
 	count int
 }
 
 // Open opens (or creates) the persistent store rooted at the file
 // path (conventionally <dir>/tatooine.db; the WAL lives next to it).
-func Open(path string, opts Options) (Store, error) {
+func Open(path string, opts Options) (*Store, error) {
 	pg, err := pager.Open(path, opts.Pager)
 	if err != nil {
 		return nil, err
 	}
-	s := &diskStore{pg: pg, spaces: make(map[string]*keyspace), opts: opts}
+	s := &Store{pg: pg, spaces: make(map[string]*Keyspace), opts: opts}
 	if pg.PageCount() <= int(catalogPage) {
 		// Fresh store: allocate the catalog page and persist the empty
 		// directory so a reopened store always finds page 1.
@@ -166,12 +126,7 @@ func Open(path string, opts Options) (Store, error) {
 	for _, e := range entries {
 		tree := btree.Open(pg, e.root)
 		tree.SetLiveBytes(e.live)
-		s.spaces[e.name] = &keyspace{
-			st:    s,
-			name:  e.name,
-			tree:  tree,
-			count: int(e.count),
-		}
+		s.spaces[e.name] = &Keyspace{tree: tree, count: int(e.count)}
 	}
 	return s, nil
 }
@@ -236,7 +191,7 @@ func readCatalog(page []byte) ([]catEntry, error) {
 	return out, nil
 }
 
-func (s *diskStore) catalogEntries() []catEntry {
+func (s *Store) catalogEntries() []catEntry {
 	names := make([]string, 0, len(s.spaces))
 	for n := range s.spaces {
 		names = append(names, n)
@@ -265,7 +220,8 @@ func catalogFits(entries []catEntry) bool {
 	return size <= pager.PageSize
 }
 
-func (s *diskStore) Keyspace(name string) (KV, error) {
+// Keyspace returns the named keyspace, creating it if absent.
+func (s *Store) Keyspace(name string) (*Keyspace, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ks, ok := s.spaces[name]; ok {
@@ -275,7 +231,7 @@ func (s *diskStore) Keyspace(name string) (KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks := &keyspace{st: s, name: name, tree: tree}
+	ks := &Keyspace{tree: tree}
 	s.spaces[name] = ks
 	if !catalogFits(s.catalogEntries()) {
 		delete(s.spaces, name)
@@ -284,7 +240,9 @@ func (s *diskStore) Keyspace(name string) (KV, error) {
 	return ks, nil
 }
 
-func (s *diskStore) Commit() error {
+// Commit makes every mutation since the last Commit durable as one
+// atomic transaction.
+func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.commitLocked(); err != nil {
@@ -302,7 +260,7 @@ func (s *diskStore) Commit() error {
 }
 
 // commitLocked persists the catalog and commits the pager transaction.
-func (s *diskStore) commitLocked() error {
+func (s *Store) commitLocked() error {
 	page, err := s.pg.Mut(catalogPage)
 	if err != nil {
 		return err
@@ -311,7 +269,7 @@ func (s *diskStore) commitLocked() error {
 	return s.pg.Commit()
 }
 
-func (s *diskStore) liveBytesLocked() int64 {
+func (s *Store) liveBytesLocked() int64 {
 	var live int64
 	for _, ks := range s.spaces {
 		ks.mu.RLock()
@@ -321,7 +279,7 @@ func (s *diskStore) liveBytesLocked() int64 {
 	return live
 }
 
-func (s *diskStore) shouldAutoVacuumLocked() bool {
+func (s *Store) shouldAutoVacuumLocked() bool {
 	ratio := s.opts.AutoVacuumRatio
 	if ratio == 0 {
 		ratio = DefaultAutoVacuumRatio
@@ -337,7 +295,9 @@ func (s *diskStore) shouldAutoVacuumLocked() bool {
 	return float64(s.liveBytesLocked()) < float64(used)*ratio
 }
 
-func (s *diskStore) Vacuum() error {
+// Vacuum rewrites every keyspace into freshly packed pages and sweeps
+// unreachable pages onto the free list.
+func (s *Store) Vacuum() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.vacuumLocked()
@@ -351,7 +311,7 @@ func (s *diskStore) Vacuum() error {
 // largest keyspace, not the whole store; a crash between those commits
 // leaks the in-flight rewrite's pages, which the next completed vacuum
 // reclaims.
-func (s *diskStore) vacuumLocked() error {
+func (s *Store) vacuumLocked() error {
 	names := make([]string, 0, len(s.spaces))
 	for n := range s.spaces {
 		names = append(names, n)
@@ -384,7 +344,7 @@ func (s *diskStore) vacuumLocked() error {
 // rewriteKeyspace copies ks's live entries into a new tree and frees
 // the old tree's pages. Caller holds ks.mu (writers and readers are
 // out) and s.mu.
-func (s *diskStore) rewriteKeyspace(ks *keyspace) error {
+func (s *Store) rewriteKeyspace(ks *Keyspace) error {
 	old := ks.tree
 	oldPages, err := old.Pages()
 	if err != nil {
@@ -414,7 +374,7 @@ func (s *diskStore) rewriteKeyspace(ks *keyspace) error {
 
 // sweepLocked frees every allocated page that is not the header, the
 // catalog, part of a keyspace tree, or already on the free list.
-func (s *diskStore) sweepLocked() error {
+func (s *Store) sweepLocked() error {
 	n := s.pg.PageCount()
 	reach := make([]bool, n)
 	reach[0] = true
@@ -454,9 +414,12 @@ func (s *diskStore) sweepLocked() error {
 	return nil
 }
 
-func (s *diskStore) Checkpoint() error { return s.pg.Checkpoint() }
+// Checkpoint folds the WAL into the database file.
+func (s *Store) Checkpoint() error { return s.pg.Checkpoint() }
 
-func (s *diskStore) Close() error {
+// Close checkpoints and releases the store. Uncommitted mutations
+// are discarded.
+func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -466,7 +429,8 @@ func (s *diskStore) Close() error {
 	return s.pg.Close()
 }
 
-func (s *diskStore) Stats() Stats {
+// Stats snapshots engine counters for the mediator's /stats.
+func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	n := len(s.spaces)
 	live := s.liveBytesLocked()
@@ -490,13 +454,15 @@ func clampKey(key []byte) []byte {
 	return append(out, sum[:]...)
 }
 
-func (ks *keyspace) Get(key []byte) ([]byte, bool, error) {
+// Get returns the value stored under key.
+func (ks *Keyspace) Get(key []byte) ([]byte, bool, error) {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	return ks.tree.Get(clampKey(key))
 }
 
-func (ks *keyspace) Put(key, value []byte) (bool, error) {
+// Put stores value under key, reporting whether the key was new.
+func (ks *Keyspace) Put(key, value []byte) (bool, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	fresh, err := ks.tree.Insert(clampKey(key), value)
@@ -509,7 +475,8 @@ func (ks *keyspace) Put(key, value []byte) (bool, error) {
 	return fresh, nil
 }
 
-func (ks *keyspace) Delete(key []byte) (bool, error) {
+// Delete removes key, reporting whether it was present.
+func (ks *Keyspace) Delete(key []byte) (bool, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	deleted, err := ks.tree.Delete(clampKey(key))
@@ -522,7 +489,9 @@ func (ks *keyspace) Delete(key []byte) (bool, error) {
 	return deleted, nil
 }
 
-func (ks *keyspace) Scan(prefix []byte, fn func(key, value []byte) bool) error {
+// Scan calls fn for every pair whose key starts with prefix, in
+// ascending key order, until fn returns false.
+func (ks *Keyspace) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	c := ks.tree.NewCursor()
@@ -538,7 +507,9 @@ func (ks *keyspace) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 	return c.Err()
 }
 
-func (ks *keyspace) ScanFrom(start []byte, fn func(key, value []byte) bool) error {
+// ScanFrom calls fn for every pair with key >= start, in ascending key
+// order, until fn returns false (seek-skip iteration).
+func (ks *Keyspace) ScanFrom(start []byte, fn func(key, value []byte) bool) error {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	c := ks.tree.NewCursor()
@@ -550,7 +521,8 @@ func (ks *keyspace) ScanFrom(start []byte, fn func(key, value []byte) bool) erro
 	return c.Err()
 }
 
-func (ks *keyspace) Len() int {
+// Len returns the number of keys (maintained, not counted).
+func (ks *Keyspace) Len() int {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	return ks.count

@@ -12,8 +12,8 @@ import (
 
 // runBoth runs a subtest against a store whose page cache keeps every
 // page resident ("mem") and one with the default bounded cache
-// ("disk"), so every KV behavior is pinned under both cache regimes.
-func runBoth(t *testing.T, fn func(t *testing.T, st Store)) {
+// ("disk"), so every Keyspace behavior is pinned under both cache regimes.
+func runBoth(t *testing.T, fn func(t *testing.T, st *Store)) {
 	t.Helper()
 	for _, c := range []struct {
 		name  string
@@ -31,7 +31,7 @@ func runBoth(t *testing.T, fn func(t *testing.T, st Store)) {
 }
 
 func TestKVBasics(t *testing.T) {
-	runBoth(t, func(t *testing.T, st Store) {
+	runBoth(t, func(t *testing.T, st *Store) {
 		kv, err := st.Keyspace("k")
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestKVBasics(t *testing.T) {
 }
 
 func TestScanOrderAndPrefix(t *testing.T) {
-	runBoth(t, func(t *testing.T, st Store) {
+	runBoth(t, func(t *testing.T, st *Store) {
 		kv, _ := st.Keyspace("k")
 		for _, k := range []string{"b/2", "a/1", "b/1", "c/1", "a/2", "b/3"} {
 			if _, err := kv.Put([]byte(k), []byte("v"+k)); err != nil {
@@ -93,7 +93,7 @@ func TestScanOrderAndPrefix(t *testing.T) {
 }
 
 func TestLongKeysClamped(t *testing.T) {
-	runBoth(t, func(t *testing.T, st Store) {
+	runBoth(t, func(t *testing.T, st *Store) {
 		kv, _ := st.Keyspace("k")
 		long1 := append(bytes.Repeat([]byte("x"), 5000), '1')
 		long2 := append(bytes.Repeat([]byte("x"), 5000), '2')
@@ -115,7 +115,7 @@ func TestLongKeysClamped(t *testing.T) {
 }
 
 func TestKeyspacesIndependent(t *testing.T) {
-	runBoth(t, func(t *testing.T, st Store) {
+	runBoth(t, func(t *testing.T, st *Store) {
 		a, _ := st.Keyspace("a")
 		b, _ := st.Keyspace("b")
 		a.Put([]byte("k"), []byte("va"))
@@ -238,7 +238,7 @@ func TestVacuumCompactsDeletedRows(t *testing.T) {
 		t.Fatalf("vacuum left %d pages in use (was %d) — expected ~10%%", inUse, fragUse)
 	}
 	// Survivors still read back, through a reopen.
-	check := func(kv KV) {
+	check := func(kv *Keyspace) {
 		for i := 0; i < 3000; i += 10 {
 			v, ok, err := kv.Get([]byte(fmt.Sprintf("k%06d", i)))
 			if err != nil || !ok || !bytes.Equal(v, val) {
