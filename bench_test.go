@@ -402,13 +402,13 @@ func BenchmarkE10WarehouseQuery(b *testing.B) {
 
 func BenchmarkSubstrateFulltextSearch(b *testing.B) {
 	f := fix(b, 20000)
-	q := fulltext.BoolQuery{Must: []fulltext.Query{
-		fulltext.KeywordQuery{Field: "entities.hashtags", Value: "EtatDurgence"},
-		fulltext.TermQuery{Field: "text", Term: "urgence"},
-	}}
+	q, err := fulltext.ParseTextQuery(`SEARCH tweets WHERE entities.hashtags = 'EtatDurgence' AND text CONTAINS 'urgence' RETURN _id LIMIT 50`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.ds.Tweets.Search(q, fulltext.SearchOptions{Limit: 50}); err != nil {
+		if _, err := q.Execute(f.ds.Tweets, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

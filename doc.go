@@ -517,8 +517,8 @@
 // reports occupancy, so a flat gauge under a growing store is the
 // observable signature of bounded operation. Freed pages go on a
 // persistent free list and are reused before the file grows;
-// store.Vacuum (auto-triggered when the dead-page ratio passes
-// store.DefaultAutoVacuumRatio) compacts reclaimable space.
+// store.Vacuum (auto-triggered from Commit when live payload falls
+// below 10% of the in-use page bytes) compacts reclaimable space.
 //
 // Paged dictionary: the RDF term dictionary no longer materializes
 // every term at open. Terms load lazily from prefix-compressed store

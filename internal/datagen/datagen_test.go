@@ -64,12 +64,11 @@ func TestHeadOfStateInvariants(t *testing.T) {
 		t.Error("twitterAccount triple missing")
 	}
 	// The head of state tweets about the agriculture fair (#SIA2016).
-	hits, err := ds.Tweets.Search(fulltext.BoolQuery{
-		Must: []fulltext.Query{
-			fulltext.KeywordQuery{Field: "user.screen_name", Value: hos.Twitter},
-			fulltext.KeywordQuery{Field: "entities.hashtags", Value: "SIA2016"},
-		},
-	}, fulltext.SearchOptions{})
+	q, err := fulltext.ParseTextQuery(`SEARCH tweets WHERE user.screen_name = ? AND entities.hashtags = 'SIA2016' RETURN _id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, err := q.Execute(ds.Tweets, []value.Value{value.NewString(hos.Twitter)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +251,11 @@ func TestRetweetCountsPresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := ds.Tweets.Search(fulltext.RangeQuery{
-		Field: "retweet_count", Min: value.NewInt(0), Max: value.NewNull(),
-	}, fulltext.SearchOptions{})
+	q, err := fulltext.ParseTextQuery(`SEARCH tweets WHERE retweet_count >= 0 RETURN _id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, err := q.Execute(ds.Tweets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

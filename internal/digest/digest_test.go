@@ -77,9 +77,11 @@ func TestBloomBudgetTradeoff(t *testing.T) {
 	}
 }
 
+// TestHistogramEquiWidth: on evenly spread values the equi-depth
+// buckets are equal-width too.
 func TestHistogramEquiWidth(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h := NewEquiWidth(vals, 5)
+	h := NewEquiDepth(vals, 5)
 	if h.N != 10 || h.Min != 1 || h.Max != 10 {
 		t.Fatalf("hist: %+v", h)
 	}
@@ -115,11 +117,11 @@ func TestHistogramEquiDepthSkew(t *testing.T) {
 }
 
 func TestHistogramEmptyAndSingle(t *testing.T) {
-	h := NewEquiWidth(nil, 8)
+	h := NewEquiDepth(nil, 8)
 	if h.MayContain(1) || h.EstimateRange(0, 10) != 0 {
 		t.Error("empty histogram should match nothing")
 	}
-	h1 := NewEquiWidth([]float64{7}, 8)
+	h1 := NewEquiDepth([]float64{7}, 8)
 	if !h1.MayContain(7) {
 		t.Error("single-value histogram must contain its value")
 	}

@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// Histogram summarizes a numeric value set. Both equi-width and
-// equi-depth variants are supported (§2.2: "the precision level of the
-// value set representations is controlled by parameters dividing up the
-// available space; histograms and Bloom filters are used").
+// Histogram summarizes a numeric value set with equi-depth buckets
+// (§2.2: "the precision level of the value set representations is
+// controlled by parameters dividing up the available space; histograms
+// and Bloom filters are used").
 type Histogram struct {
 	// Bounds holds bucket boundaries: bucket i covers
 	// [Bounds[i], Bounds[i+1]) and the last bucket is closed.
@@ -22,18 +22,12 @@ type Histogram struct {
 	N int
 }
 
-// NewEquiWidth builds a histogram with equal-width buckets.
-func NewEquiWidth(values []float64, buckets int) *Histogram {
-	return build(values, buckets, false)
-}
-
 // NewEquiDepth builds a histogram whose buckets hold roughly equal
-// numbers of values (better for skewed distributions).
+// numbers of values (better for skewed distributions). Bounds are
+// quantiles: a value spanning several quantiles produces a zero-width
+// singleton bucket, which keeps estimates exact for heavy hitters
+// (skewed corpora are the norm in this domain).
 func NewEquiDepth(values []float64, buckets int) *Histogram {
-	return build(values, buckets, true)
-}
-
-func build(values []float64, buckets int, equiDepth bool) *Histogram {
 	if buckets < 1 {
 		buckets = 1
 	}
@@ -46,38 +40,22 @@ func build(values []float64, buckets int, equiDepth bool) *Histogram {
 	h.Min, h.Max = sorted[0], sorted[len(sorted)-1]
 	h.N = len(sorted)
 
-	if equiDepth {
-		// Quantile bounds. A value spanning several quantiles produces a
-		// zero-width singleton bucket, which keeps estimates exact for
-		// heavy hitters (skewed corpora are the norm in this domain).
-		per := float64(len(sorted)) / float64(buckets)
-		h.Bounds = append(h.Bounds, h.Min)
-		for i := 1; i < buckets; i++ {
-			idx := int(math.Round(per * float64(i)))
-			if idx >= len(sorted) {
-				idx = len(sorted) - 1
-			}
-			bound := sorted[idx]
-			n := len(h.Bounds)
-			// Allow at most two equal consecutive bounds (one singleton).
-			if bound > h.Bounds[n-1] || (n < 2 || h.Bounds[n-2] != bound) && bound == h.Bounds[n-1] {
-				h.Bounds = append(h.Bounds, bound)
-			}
+	per := float64(len(sorted)) / float64(buckets)
+	h.Bounds = append(h.Bounds, h.Min)
+	for i := 1; i < buckets; i++ {
+		idx := int(math.Round(per * float64(i)))
+		if idx >= len(sorted) {
+			idx = len(sorted) - 1
 		}
-		if h.Max > h.Bounds[len(h.Bounds)-1] {
-			h.Bounds = append(h.Bounds, h.Max)
-		} else if len(h.Bounds) == 1 {
-			h.Bounds = append(h.Bounds, h.Max)
+		bound := sorted[idx]
+		n := len(h.Bounds)
+		// Allow at most two equal consecutive bounds (one singleton).
+		if bound > h.Bounds[n-1] || (n < 2 || h.Bounds[n-2] != bound) && bound == h.Bounds[n-1] {
+			h.Bounds = append(h.Bounds, bound)
 		}
-	} else {
-		width := (h.Max - h.Min) / float64(buckets)
-		if width == 0 {
-			h.Bounds = []float64{h.Min, h.Max}
-		} else {
-			for i := 0; i <= buckets; i++ {
-				h.Bounds = append(h.Bounds, h.Min+width*float64(i))
-			}
-		}
+	}
+	if h.Max > h.Bounds[len(h.Bounds)-1] || len(h.Bounds) == 1 {
+		h.Bounds = append(h.Bounds, h.Max)
 	}
 	h.Counts = make([]int, len(h.Bounds)-1)
 	for _, v := range sorted {

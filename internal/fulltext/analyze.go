@@ -2,17 +2,19 @@
 // analyzed, inverted-index document store with BM25 ranking. It stands
 // in for the Apache Solr instances that hold tweets and Facebook posts
 // in the paper's mixed instance, exposing the same query capabilities
-// the mediator relies on (term/hashtag/field lookup, boolean
-// combinations, ranking, stored-field retrieval, term statistics).
+// the mediator relies on (term/hashtag/field lookup, conjunctions,
+// ranking, stored-field retrieval, term statistics). Its one query
+// form is the SEARCH statement (querytext.go), which TextQuery.Execute
+// evaluates directly against the index.
 //
 // Evaluation works on sorted lists: Add appends documents in order, so
-// every posting list holds ascending doc ids, and so does each query
-// node's answer. A keyword leaf is its posting list itself, with a
-// constant score. Conjunctions go smallest list first, galloping through
-// the others; disjunctions are a k-way merge, MustNot a galloping
-// difference; no map is built. Still allocated: merge and intersection
-// outputs, text terms' scored lists, Range ids (sorted afterwards),
-// AllQuery's list of every document, and Search's sorted hits.
+// every posting list holds ascending doc ids, and so does each
+// condition's answer. A keyword condition is its posting list itself,
+// with a constant score. The conjunction goes smallest list first,
+// galloping through the others; no map is built. Still allocated: the
+// intersection, text terms' scored lists, range ids (sorted
+// afterwards), the list of every document when there is no WHERE, and
+// Execute's sorted hits and rows.
 package fulltext
 
 import (
@@ -25,18 +27,11 @@ import (
 // suffix stemming (the paper's corpus is French political Twitter).
 type Analyzer struct {
 	stopwords map[string]struct{}
-	stem      bool
 }
 
 // NewAnalyzer returns the default French+English analyzer.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{stopwords: defaultStopwords, stem: true}
-}
-
-// NewAnalyzerNoStem returns an analyzer without stemming (useful in
-// tests and for exactish matching of short fields).
-func NewAnalyzerNoStem() *Analyzer {
-	return &Analyzer{stopwords: defaultStopwords, stem: false}
+	return &Analyzer{stopwords: defaultStopwords}
 }
 
 // Tokens analyzes text into the token stream, preserving positions
@@ -52,10 +47,7 @@ func (a *Analyzer) Tokens(text string) []string {
 		if len(t) < 2 {
 			continue
 		}
-		if a.stem {
-			t = LightStem(t)
-		}
-		out = append(out, t)
+		out = append(out, LightStem(t))
 	}
 	return out
 }
@@ -178,9 +170,3 @@ var defaultStopwords = func() map[string]struct{} {
 	}
 	return m
 }()
-
-// IsStopword reports whether the folded token is a stop word.
-func IsStopword(t string) bool {
-	_, ok := defaultStopwords[Fold(t)]
-	return ok
-}

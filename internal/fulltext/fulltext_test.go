@@ -52,10 +52,26 @@ func testIndex(t *testing.T) *Index {
 	return ix
 }
 
-func ids(hits []Hit) []string {
-	out := make([]string, len(hits))
-	for i, h := range hits {
-		out[i] = h.ID
+// run parses and executes a SEARCH statement against ix.
+func run(t testing.TB, ix *Index, text string, params ...value.Value) ([]value.Row, error) {
+	t.Helper()
+	q, err := ParseTextQuery(text)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	return q.Execute(ix, params)
+}
+
+// searchIDs runs a statement returning _id first and lists the IDs.
+func searchIDs(t testing.TB, ix *Index, text string, params ...value.Value) []string {
+	t.Helper()
+	rows, err := run(t, ix, text, params...)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r[0].Str()
 	}
 	return out
 }
@@ -109,175 +125,162 @@ func TestLightStem(t *testing.T) {
 
 func TestTermQuery(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(TermQuery{Field: "text", Term: "solidarité"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 {
-		t.Fatalf("solidarité hits: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE text CONTAINS 'solidarité' RETURN _id`); len(got) != 3 {
+		t.Fatalf("solidarité hits: %v", got)
 	}
 }
 
 func TestTermQueryAnalyzesNeedle(t *testing.T) {
 	ix := testIndex(t)
 	// Unaccented, differently-cased query must still match.
-	hits, err := ix.Search(TermQuery{Field: "text", Term: "SOLIDARITE"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 {
-		t.Errorf("case/accent-insensitive match: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE text CONTAINS 'SOLIDARITE' RETURN _id`); len(got) != 3 {
+		t.Errorf("case/accent-insensitive match: %v", got)
 	}
 }
 
 func TestKeywordQueryHashtag(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(KeywordQuery{Field: "entities.hashtags", Value: "sia2016"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 {
-		t.Errorf("#SIA2016 tweets: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE entities.hashtags = 'sia2016' RETURN _id`); len(got) != 3 {
+		t.Errorf("#SIA2016 tweets: %v", got)
 	}
 }
 
 func TestKeywordQueryAuthor(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(KeywordQuery{Field: "user.screen_name", Value: "jdupont"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Errorf("author tweets: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE user.screen_name = 'jdupont' RETURN _id`); len(got) != 2 {
+		t.Errorf("author tweets: %v", got)
 	}
 }
 
+// TestMatchQueryAnyVsAll: CONTAINS requires every term, so it matches
+// fewer documents than either term alone would together.
 func TestMatchQueryAnyVsAll(t *testing.T) {
 	ix := testIndex(t)
-	any, err := ix.Search(MatchQuery{Field: "text", Text: "solidarité agriculteurs"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
+	any := map[string]bool{}
+	for _, term := range []string{"solidarité", "agriculteurs"} {
+		for _, id := range searchIDs(t, ix, `SEARCH tweets WHERE text CONTAINS '`+term+`' RETURN _id`) {
+			any[id] = true
+		}
 	}
-	all, err := ix.Search(MatchQuery{Field: "text", Text: "solidarité agriculteurs", RequireAll: true}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := searchIDs(t, ix, `SEARCH tweets WHERE text CONTAINS 'solidarité agriculteurs' RETURN _id`)
 	if len(any) <= len(all) {
-		t.Errorf("any=%v all=%v", ids(any), ids(all))
+		t.Errorf("any=%v all=%v", any, all)
 	}
 	if len(all) != 2 { // t4 and t5 have both
-		t.Errorf("all: %v", ids(all))
+		t.Errorf("all: %v", all)
 	}
 }
 
 func TestPhraseQuery(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(PhraseQuery{Field: "text", Text: "solidarité nationale"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || hits[0].ID != "t1" {
-		t.Errorf("phrase: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE text PHRASE 'solidarité nationale' RETURN _id`); len(got) != 1 || got[0] != "t1" {
+		t.Errorf("phrase: %v", got)
 	}
 	// Reversed order must not match.
-	hits, _ = ix.Search(PhraseQuery{Field: "text", Text: "nationale solidarité"}, SearchOptions{})
-	if len(hits) != 0 {
-		t.Errorf("reversed phrase matched: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE text PHRASE 'nationale solidarité' RETURN _id`); len(got) != 0 {
+		t.Errorf("reversed phrase matched: %v", got)
 	}
 }
 
 func TestRangeQueryNumeric(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(RangeQuery{
-		Field: "retweet_count",
-		Min:   value.NewInt(100),
-		Max:   value.NewNull(),
-	}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 { // 469, 300
-		t.Errorf("retweets >= 100: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE retweet_count >= 100 RETURN _id`); len(got) != 2 { // 469, 300
+		t.Errorf("retweets >= 100: %v", got)
 	}
 }
 
 func TestRangeQueryTime(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(RangeQuery{
-		Field: "created_at",
-		Min:   value.NewString("2016-03-01T00:00:00Z"),
-		Max:   value.NewString("2016-03-01T23:59:59Z"),
-	}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 { // t1, t2
-		t.Errorf("March 1 tweets: %v", ids(hits))
+	got := searchIDs(t, ix, `SEARCH tweets WHERE created_at BETWEEN '2016-03-01T00:00:00Z' AND '2016-03-01T23:59:59Z' RETURN _id`)
+	if len(got) != 2 { // t1, t2
+		t.Errorf("March 1 tweets: %v", got)
 	}
 }
 
+// TestEqualityOnNumericAndTimeFields: '=' on a numeric or time field is
+// the point range, the same answer as BETWEEN v AND v; on a text field
+// it matches nothing.
+func TestEqualityOnNumericAndTimeFields(t *testing.T) {
+	ix := testIndex(t)
+	for _, c := range []struct{ where, want string }{
+		{"retweet_count = 469", "[t1]"},
+		{"retweet_count BETWEEN 469 AND 469", "[t1]"},
+		{"retweet_count = ?", "[t5]"},
+		{"created_at = 2016-03-01T03:42:31Z", "[t1]"},
+		{"created_at = '2016-03-02T08:00:00Z'", "[t5]"},
+		{"retweet_count = 470", "[]"},
+		{"text = 'solidarité'", "[]"},
+	} {
+		got := searchIDs(t, ix, "SEARCH tweets WHERE "+c.where+" RETURN _id", value.NewInt(300))
+		if fmt.Sprint(got) != c.want {
+			t.Errorf("%s: %v, want %s", c.where, got, c.want)
+		}
+	}
+}
+
+// TestUnparsableRangeBoundMatchesNothing: a range bound that is neither
+// a number nor a time, literal or bound to a parameter (NULL included),
+// matches no document.
+func TestUnparsableRangeBoundMatchesNothing(t *testing.T) {
+	ix := testIndex(t)
+	for _, c := range []struct {
+		where string
+		param value.Value
+	}{
+		{"retweet_count >= 'abc'", value.NewNull()},
+		{"retweet_count <= 'abc'", value.NewNull()},
+		{"retweet_count BETWEEN 1 AND 'abc'", value.NewNull()},
+		{"retweet_count >= ?", value.NewString("SIA2016")},
+		{"created_at <= ?", value.NewString("SIA2016")},
+		{"retweet_count >= ?", value.NewNull()},
+		{"retweet_count = ?", value.NewString("SIA2016")},
+	} {
+		if got := searchIDs(t, ix, "SEARCH tweets WHERE "+c.where+" RETURN _id", c.param); len(got) != 0 {
+			t.Errorf("%s (? = %v): %v, want none", c.where, c.param, got)
+		}
+	}
+}
+
+// TestBoolQuery: the conditions of one statement are a conjunction.
 func TestBoolQuery(t *testing.T) {
 	ix := testIndex(t)
-	q := BoolQuery{
-		Must: []Query{
-			KeywordQuery{Field: "entities.hashtags", Value: "SIA2016"},
-			TermQuery{Field: "text", Term: "solidarité"},
-		},
-		MustNot: []Query{
-			KeywordQuery{Field: "user.screen_name", Value: "fhollande"},
-		},
-	}
-	hits, err := ix.Search(q, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || hits[0].ID != "t5" {
-		t.Errorf("bool: %v", ids(hits))
-	}
-}
-
-func TestBoolQueryShould(t *testing.T) {
-	ix := testIndex(t)
-	q := BoolQuery{
-		Should: []Query{
-			KeywordQuery{Field: "entities.hashtags", Value: "EtatDurgence"},
-			KeywordQuery{Field: "entities.hashtags", Value: "agriculture"},
-		},
-	}
-	hits, err := ix.Search(q, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Errorf("should: %v", ids(hits))
-	}
-}
-
-func TestBoolQueryOnlyMustNot(t *testing.T) {
-	ix := testIndex(t)
-	hits, err := ix.Search(BoolQuery{
-		MustNot: []Query{KeywordQuery{Field: "user.screen_name", Value: "jdupont"}},
-	}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 {
-		t.Errorf("must-not only: %v", ids(hits))
+	got := searchIDs(t, ix, `SEARCH tweets WHERE entities.hashtags = 'SIA2016'
+AND text CONTAINS 'solidarité' AND user.screen_name = 'amartin' RETURN _id`)
+	if len(got) != 1 || got[0] != "t5" {
+		t.Errorf("conjunction: %v", got)
 	}
 }
 
 func TestSortByFieldAndLimit(t *testing.T) {
 	ix := testIndex(t)
-	hits, err := ix.Search(AllQuery{}, SearchOptions{SortField: "retweet_count", Limit: 2})
-	if err != nil {
-		t.Fatal(err)
+	if got := searchIDs(t, ix, `SEARCH tweets RETURN _id ORDER BY retweet_count DESC LIMIT 2`); fmt.Sprint(got) != "[t1 t5]" {
+		t.Errorf("sort desc: %v", got)
 	}
-	if len(hits) != 2 || hits[0].ID != "t1" || hits[1].ID != "t5" {
-		t.Errorf("sort desc: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets RETURN _id ORDER BY retweet_count LIMIT 1`); fmt.Sprint(got) != "[t4]" {
+		t.Errorf("sort asc: %v", got)
 	}
-	asc, _ := ix.Search(AllQuery{}, SearchOptions{SortField: "retweet_count", SortAsc: true, Limit: 1})
-	if asc[0].ID != "t4" {
-		t.Errorf("sort asc: %v", ids(asc))
+	if got := searchIDs(t, ix, `SEARCH tweets RETURN _id ORDER BY created_at DESC`); fmt.Sprint(got) != "[t5 t2 t1 t4 t3]" {
+		t.Errorf("sort by time desc: %v", got)
+	}
+}
+
+// TestSortByKeywordField: a keyword field sorts by its first value
+// (ties keep index order); an ORDER BY field outside the schema is an
+// error.
+func TestSortByKeywordField(t *testing.T) {
+	ix := testIndex(t)
+	if got := searchIDs(t, ix, `SEARCH tweets RETURN _id ORDER BY user.screen_name ASC`); fmt.Sprint(got) != "[t3 t5 t1 t2 t4]" {
+		t.Errorf("screen name asc: %v", got)
+	}
+	if got := searchIDs(t, ix, `SEARCH tweets RETURN _id ORDER BY user.screen_name DESC`); fmt.Sprint(got) != "[t2 t4 t1 t3 t5]" {
+		t.Errorf("screen name desc: %v", got)
+	}
+	// t4 has no hashtag and sorts lowest.
+	if got := searchIDs(t, ix, `SEARCH tweets RETURN _id ORDER BY entities.hashtags`); fmt.Sprint(got) != "[t4 t3 t1 t2 t5]" {
+		t.Errorf("hashtag asc: %v", got)
+	}
+	if _, err := run(t, ix, `SEARCH tweets RETURN _id ORDER BY nosuch`); err == nil {
+		t.Error("unknown ORDER BY field accepted")
 	}
 }
 
@@ -293,13 +296,13 @@ func TestBM25RanksRarerTermsHigher(t *testing.T) {
 		}
 		ix.Add(d)
 	}
-	rare, _ := ix.Search(TermQuery{Field: "text", Term: "rare"}, SearchOptions{})
-	common, _ := ix.Search(TermQuery{Field: "text", Term: "common"}, SearchOptions{})
+	rare, _ := run(t, ix, `SEARCH x WHERE text CONTAINS 'rare' RETURN _id, _score`)
+	common, _ := run(t, ix, `SEARCH x WHERE text CONTAINS 'common' RETURN _id, _score`)
 	if len(rare) != 1 || len(common) != 10 {
 		t.Fatalf("hits: rare=%d common=%d", len(rare), len(common))
 	}
-	if rare[0].Score <= common[0].Score {
-		t.Errorf("rare term score %f should exceed common %f", rare[0].Score, common[0].Score)
+	if rare[0][1].Float() <= common[0][1].Float() {
+		t.Errorf("rare term score %f should exceed common %f", rare[0][1].Float(), common[0][1].Float())
 	}
 }
 
@@ -313,14 +316,10 @@ func TestDuplicateIDRejected(t *testing.T) {
 
 func TestUnknownFieldErrors(t *testing.T) {
 	ix := testIndex(t)
-	if _, err := ix.Search(TermQuery{Field: "nope", Term: "x"}, SearchOptions{}); err == nil {
-		t.Error("unknown text field accepted")
-	}
-	if _, err := ix.Search(KeywordQuery{Field: "nope", Value: "x"}, SearchOptions{}); err == nil {
-		t.Error("unknown keyword field accepted")
-	}
-	if _, err := ix.Search(RangeQuery{Field: "nope"}, SearchOptions{}); err == nil {
-		t.Error("unknown range field accepted")
+	for _, where := range []string{"nope CONTAINS 'x'", "nope = 'x'", "nope >= 1", "nope PHRASE 'x y'"} {
+		if _, err := run(t, ix, "SEARCH tweets WHERE "+where+" RETURN _id"); err == nil {
+			t.Errorf("%s: unknown field accepted", where)
+		}
 	}
 }
 
@@ -384,21 +383,21 @@ func TestAddJSONFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := ix.Search(KeywordQuery{Field: "entities.hashtags", Value: "SIA2016"}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || hits[0].ID != "fig2" {
-		t.Errorf("fig2: %v", ids(hits))
+	if got := searchIDs(t, ix, `SEARCH tweets WHERE entities.hashtags = 'SIA2016' RETURN _id`); len(got) != 1 || got[0] != "fig2" {
+		t.Errorf("fig2: %v", got)
 	}
 }
 
 func TestConcurrentSearches(t *testing.T) {
 	ix := testIndex(t)
+	q, err := ParseTextQuery(`SEARCH tweets WHERE text CONTAINS 'solidarité' RETURN _id`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			_, err := ix.Search(TermQuery{Field: "text", Term: "solidarité"}, SearchOptions{})
+			_, err := q.Execute(ix, nil)
 			done <- err
 		}()
 	}
@@ -414,6 +413,10 @@ func TestConcurrentSearches(t *testing.T) {
 // field's entries under the shared read lock. Run it under -race.
 func TestConcurrentFirstRangeQueries(t *testing.T) {
 	ix := testIndex(t)
+	q, err := ParseTextQuery(`SEARCH tweets WHERE retweet_count >= 100 RETURN _id`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 3; round++ {
 		if round > 0 {
 			id := fmt.Sprintf("extra%d", round)
@@ -426,9 +429,9 @@ func TestConcurrentFirstRangeQueries(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			go func() {
 				<-start
-				hits, err := ix.Search(RangeQuery{Field: "retweet_count", Min: value.NewInt(100)}, SearchOptions{})
-				if err == nil && len(hits) != 2+round { // 469, 300 and the extras
-					err = fmt.Errorf("round %d: retweets >= 100: %v", round, ids(hits))
+				rows, err := q.Execute(ix, nil)
+				if err == nil && len(rows) != 2+round { // 469, 300 and the extras
+					err = fmt.Errorf("round %d: retweets >= 100: %v", round, rows)
 				}
 				done <- err
 			}()

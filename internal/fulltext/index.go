@@ -248,8 +248,9 @@ func (ix *Index) FieldTerms(field string) []string {
 	return out
 }
 
-// KeywordCount returns the length of the posting list a KeywordQuery for
-// value in field reads, or -1 when the field is not in the schema.
+// KeywordCount returns the length of the posting list that the SEARCH
+// condition `field = 'value'` reads on a keyword field, or -1 when the
+// field is not in the schema.
 func (ix *Index) KeywordCount(field, value string) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -300,10 +301,4 @@ func (ix *Index) TermCounts(field string, ids []string) (map[string]int, int) {
 		}
 	}
 	return counts, total
-}
-
-// fieldKind reports the declared type of a field.
-func (ix *Index) fieldKind(field string) (FieldType, bool) {
-	ft, ok := ix.schema[field]
-	return ft, ok
 }

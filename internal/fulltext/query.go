@@ -1,95 +1,16 @@
 package fulltext
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"tatooine/internal/doc"
 	"tatooine/internal/value"
 )
-
-// Query is any full-text query node.
-type Query interface{ isQuery() }
-
-// TermQuery matches documents whose analyzed text field contains the
-// term (the term itself is analyzed, so "États" matches "etat").
-type TermQuery struct {
-	Field string
-	Term  string
-}
-
-func (TermQuery) isQuery() {}
-
-// MatchQuery analyzes Text and matches documents containing the
-// resulting terms; all terms are required when RequireAll is set,
-// otherwise any (with ranking favouring more matches).
-type MatchQuery struct {
-	Field      string
-	Text       string
-	RequireAll bool
-}
-
-func (MatchQuery) isQuery() {}
-
-// PhraseQuery matches consecutive terms in order.
-type PhraseQuery struct {
-	Field string
-	Text  string
-}
-
-func (PhraseQuery) isQuery() {}
-
-// KeywordQuery matches a keyword field exactly (case- and accent-
-// insensitively): hashtags, screen names, codes.
-type KeywordQuery struct {
-	Field string
-	Value string
-}
-
-func (KeywordQuery) isQuery() {}
-
-// RangeQuery matches numeric or time fields within [Min, Max]
-// (inclusive); a Null bound is open.
-type RangeQuery struct {
-	Field    string
-	Min, Max value.Value
-}
-
-func (RangeQuery) isQuery() {}
-
-// BoolQuery combines sub-queries: all of Must, at least one of Should
-// (if any present), none of MustNot.
-type BoolQuery struct {
-	Must    []Query
-	Should  []Query
-	MustNot []Query
-}
-
-func (BoolQuery) isQuery() {}
-
-// AllQuery matches every document with score 0.
-type AllQuery struct{}
-
-func (AllQuery) isQuery() {}
-
-// Hit is one search result.
-type Hit struct {
-	ID    string
-	Score float64
-	Doc   *doc.Document
-}
-
-// SearchOptions control result shaping.
-type SearchOptions struct {
-	// Limit bounds the number of hits (0 means unlimited).
-	Limit int
-	// SortField orders hits by a numeric/time field instead of score.
-	SortField string
-	// SortAsc sorts ascending when SortField is set (default descending).
-	SortAsc bool
-}
 
 // BM25 parameters (standard defaults).
 const (
@@ -97,67 +18,120 @@ const (
 	bm25B  = 0.75
 )
 
-// Search evaluates the query and returns hits ordered by descending
-// BM25 score (or by SortField when given).
-func (ix *Index) Search(q Query, opts SearchOptions) ([]Hit, error) {
+// Execute answers the statement against ix, params binding its '?'
+// placeholders in order. Each condition reads the index into one
+// docSet; the sets are intersected, the hits ordered (ORDER BY, else
+// descending BM25 score then ID), cut to LIMIT and projected onto the
+// RETURN paths, one row per hit. The pseudo-paths _id and _score yield
+// the document ID and its score.
+func (q *TextQuery) Execute(ix *Index, params []value.Value) ([]value.Row, error) {
+	if len(params) < q.NumParams {
+		return nil, fmt.Errorf("fulltext: query needs %d parameters, got %d", q.NumParams, len(params))
+	}
+	bind := func(v value.Value, param int) value.Value {
+		if param >= 0 {
+			return params[param]
+		}
+		return v
+	}
 	ix.rlockSorted()
-	set, err := ix.eval(q)
-	if err != nil {
-		ix.mu.RUnlock()
-		return nil, err
+	defer ix.mu.RUnlock()
+	orderBy, sorted := ix.schema[q.OrderBy]
+	if q.OrderBy != "" && !sorted {
+		return nil, fmt.Errorf("fulltext: unknown ORDER BY field %q", q.OrderBy)
 	}
-	hits := make([]Hit, len(set.ids))
-	for i, docID := range set.ids {
-		d := ix.docs[docID]
-		hits[i] = Hit{ID: d.ID, Score: set.score(i), Doc: d}
+	sets := make([]docSet, len(q.Conds))
+	for i, c := range q.Conds {
+		s, err := ix.condSet(c, bind(c.Val, c.Param), bind(c.Val2, c.Param2))
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = s
 	}
-	ix.mu.RUnlock()
+	var set docSet
+	if len(sets) == 0 {
+		set.ids = make([]int32, len(ix.docs))
+		for i := range set.ids {
+			set.ids[i] = int32(i)
+		}
+	} else {
+		set = intersect(sets)
+	}
 
-	if opts.SortField != "" {
-		sort.SliceStable(hits, func(i, j int) bool {
-			vi := firstNumeric(hits[i].Doc, opts.SortField)
-			vj := firstNumeric(hits[j].Doc, opts.SortField)
-			if opts.SortAsc {
-				return vi < vj
+	type hit struct {
+		d     *doc.Document
+		score float64
+		num   float64 // ORDER BY key of a numeric or time field
+		str   string  // ORDER BY key of a keyword or text field
+	}
+	hits := make([]hit, len(set.ids))
+	for i, id := range set.ids {
+		hits[i] = hit{d: ix.docs[id], score: set.score(i)}
+		if !sorted {
+			continue
+		}
+		if orderBy == NumericField || orderBy == TimeField {
+			hits[i].num = firstNumeric(hits[i].d, q.OrderBy)
+		} else if vals := hits[i].d.Values(q.OrderBy); len(vals) > 0 {
+			hits[i].str = Fold(vals[0].String())
+		}
+	}
+	if sorted {
+		slices.SortStableFunc(hits, func(a, b hit) int {
+			c := cmp.Or(strings.Compare(a.str, b.str), cmp.Compare(a.num, b.num))
+			if q.Desc {
+				return -c
 			}
-			return vi > vj
+			return c
 		})
 	} else {
-		sort.SliceStable(hits, func(i, j int) bool {
-			if hits[i].Score != hits[j].Score {
-				return hits[i].Score > hits[j].Score
-			}
-			return hits[i].ID < hits[j].ID
+		slices.SortFunc(hits, func(a, b hit) int {
+			return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.d.ID, b.d.ID))
 		})
 	}
-	if opts.Limit > 0 && len(hits) > opts.Limit {
-		hits = hits[:opts.Limit]
+	if q.Limit > 0 && len(hits) > q.Limit {
+		hits = hits[:q.Limit]
 	}
-	return hits, nil
+
+	width := len(q.Returns)
+	cells := make([]value.Value, len(hits)*width)
+	rows := make([]value.Row, len(hits))
+	for i, h := range hits {
+		row := value.Row(cells[i*width : (i+1)*width : (i+1)*width])
+		for j, path := range q.Returns {
+			switch path {
+			case "_id":
+				row[j] = value.NewString(h.d.ID)
+			case "_score":
+				row[j] = value.NewFloat(h.score)
+			default:
+				if vals := h.d.Values(path); len(vals) > 0 {
+					row[j] = vals[0]
+				} else {
+					row[j] = value.NewNull()
+				}
+			}
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
+// firstNumeric is a numeric or time field's ORDER BY key: its first
+// value that reads as a number or a time, -Inf when none does.
 func firstNumeric(d *doc.Document, field string) float64 {
 	for _, v := range d.Values(field) {
-		switch v.Kind() {
-		case value.Int, value.Float:
-			return v.Float()
-		case value.Time:
-			return float64(v.Time().UnixNano())
-		case value.String:
-			if c, ok := value.Coerce(v, value.Time); ok {
-				return float64(c.Time().UnixNano())
-			}
-			if c, ok := value.Coerce(v, value.Float); ok {
-				return c.Float()
-			}
+		if f, ok := rangeBound(v); ok {
+			return f
 		}
 	}
 	return math.Inf(-1)
 }
 
-// docSet is the answer to a query node: ascending doc ids, one score
-// each. Nil scores mean every id scores konst: keyword leaves hand out
-// their posting lists that way, uncopied, so ids are never written to.
+// docSet is the answer to one condition, or to their conjunction:
+// ascending doc ids, one score each. Nil scores mean every id scores
+// konst: keyword conditions hand out their posting lists that way,
+// uncopied, so ids are never written to.
 type docSet struct {
 	ids    []int32
 	scores []float64
@@ -171,41 +145,40 @@ func (s docSet) score(i int) float64 {
 	return s.scores[i]
 }
 
-// eval answers the query. Caller holds the read lock from rlockSorted.
-func (ix *Index) eval(q Query) (docSet, error) {
-	switch x := q.(type) {
-	case AllQuery:
-		ids := make([]int32, len(ix.docs))
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		return docSet{ids: ids}, nil
-	case TermQuery:
-		terms := ix.analyzer.Tokens(x.Term)
-		if len(terms) > 1 {
-			terms = terms[:1]
-		}
-		return ix.evalTerms(x.Field, terms, false)
-	case MatchQuery:
-		return ix.evalTerms(x.Field, ix.analyzer.Tokens(x.Text), x.RequireAll)
-	case PhraseQuery:
-		return ix.evalPhrase(x.Field, x.Text)
-	case KeywordQuery:
-		m, ok := ix.keyword[x.Field]
-		if !ok {
-			if _, declared := ix.schema[x.Field]; !declared {
-				return docSet{}, fmt.Errorf("fulltext: unknown keyword field %q", x.Field)
-			}
-			return docSet{}, nil
-		}
-		return docSet{ids: m[Fold(x.Value)], konst: 1}, nil
-	case RangeQuery:
-		return ix.evalRange(x)
-	case BoolQuery:
-		return ix.evalBool(x)
-	default:
-		return docSet{}, fmt.Errorf("fulltext: unsupported query %T", q)
+// condSet answers one condition with its bound values v (and v2, the
+// upper bound of BETWEEN). Caller holds the read lock from rlockSorted.
+func (ix *Index) condSet(c Cond, v, v2 value.Value) (docSet, error) {
+	ft, declared := ix.schema[c.Field]
+	if !declared {
+		return docSet{}, fmt.Errorf("fulltext: unknown field %q", c.Field)
 	}
+	numeric := ft == NumericField || ft == TimeField
+	switch {
+	case c.Op == CondEq && !numeric:
+		return docSet{ids: ix.keyword[c.Field][Fold(v.String())], konst: 1}, nil
+	case c.Op == CondContains:
+		return ix.matchAll(c.Field, ix.analyzer.Tokens(v.String())), nil
+	case c.Op == CondPhrase:
+		return ix.phrase(c.Field, ix.analyzer.Tokens(v.String())), nil
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	ok, ok2 := true, true
+	switch c.Op {
+	case CondEq:
+		lo, ok = rangeBound(v)
+		hi = lo
+	case CondGe:
+		lo, ok = rangeBound(v)
+	case CondLe:
+		hi, ok = rangeBound(v)
+	case CondBetween:
+		lo, ok = rangeBound(v)
+		hi, ok2 = rangeBound(v2)
+	}
+	if !ok || !ok2 {
+		return docSet{}, nil
+	}
+	return ix.rangeSet(c.Field, lo, hi), nil
 }
 
 // termSet scores one term's postings with BM25.
@@ -226,40 +199,27 @@ func (ix *Index) termSet(field string, plist []posting) docSet {
 	return s
 }
 
-// evalTerms scores each term's postings and merges them: intersected
-// when requireAll, united otherwise; a document's score is the sum of
-// its term scores in term order.
-func (ix *Index) evalTerms(field string, terms []string, requireAll bool) (docSet, error) {
-	if _, declared := ix.schema[field]; !declared {
-		return docSet{}, fmt.Errorf("fulltext: unknown field %q", field)
+// matchAll is CONTAINS: the documents holding every term, each scoring
+// the sum of its term scores in term order. No terms match nothing.
+func (ix *Index) matchAll(field string, terms []string) docSet {
+	if len(terms) == 0 {
+		return docSet{}
 	}
-	postingsByTerm := ix.text[field]
-	sets := make([]docSet, 0, len(terms))
-	for _, term := range terms {
-		plist := postingsByTerm[term]
+	sets := make([]docSet, len(terms))
+	for i, term := range terms {
+		plist := ix.text[field][term]
 		if len(plist) == 0 {
-			if requireAll {
-				return docSet{}, nil
-			}
-			continue
+			return docSet{}
 		}
-		sets = append(sets, ix.termSet(field, plist))
+		sets[i] = ix.termSet(field, plist)
 	}
-	if len(sets) == 0 {
-		return docSet{}, nil
-	}
-	if requireAll {
-		return intersect(sets), nil
-	}
-	return union(sets), nil
+	return intersect(sets)
 }
 
-func (ix *Index) evalPhrase(field, text string) (docSet, error) {
-	terms := ix.analyzer.Tokens(text)
-	scored, err := ix.evalTerms(field, terms, true)
-	if err != nil {
-		return docSet{}, err
-	}
+// phrase is PHRASE: the matchAll documents in which the terms occur
+// consecutively, in order, keeping their matchAll scores.
+func (ix *Index) phrase(field string, terms []string) docSet {
+	scored := ix.matchAll(field, terms)
 	postingsByTerm := ix.text[field]
 	positionsOf := func(term string, docID int32) []uint32 {
 		plist := postingsByTerm[term]
@@ -283,16 +243,13 @@ func (ix *Index) evalPhrase(field, text string) (docSet, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (ix *Index) evalRange(q RangeQuery) (docSet, error) {
-	if _, declared := ix.schema[q.Field]; !declared {
-		return docSet{}, fmt.Errorf("fulltext: unknown field %q", q.Field)
-	}
-	lo := rangeBound(q.Min, math.Inf(-1))
-	hi := rangeBound(q.Max, math.Inf(1))
-	entries := ix.numeric[q.Field] // sorted: the caller holds rlockSorted's lock
+// rangeSet is the documents with a value of field in [lo, hi], each
+// scoring 1.
+func (ix *Index) rangeSet(field string, lo, hi float64) docSet {
+	entries := ix.numeric[field] // sorted: the caller holds rlockSorted's lock
 	// Binary search the lower bound, scan to the upper; entries are in
 	// value order, so the ids are sorted and deduplicated afterwards.
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].val >= lo })
@@ -301,63 +258,27 @@ func (ix *Index) evalRange(q RangeQuery) (docSet, error) {
 		ids = append(ids, entries[i].docID)
 	}
 	slices.Sort(ids)
-	return docSet{ids: slices.Compact(ids), konst: 1}, nil
+	return docSet{ids: slices.Compact(ids), konst: 1}
 }
 
-// rangeBound converts a RangeQuery bound to the numeric index's scale:
-// numbers as is, times (or strings that parse as one) as Unix nanoseconds;
-// Null or an unparsable string gives def.
-func rangeBound(v value.Value, def float64) float64 {
+// rangeBound puts a bound on the numeric index's scale: numbers as is,
+// times (or strings that parse as one) as Unix nanoseconds. Anything
+// else, NULL included, is not a bound (ok false).
+func rangeBound(v value.Value) (float64, bool) {
 	switch v.Kind() {
-	case value.Null:
-		return def
+	case value.Int, value.Float:
+		return v.Float(), true
 	case value.Time:
-		return float64(v.Time().UnixNano())
+		return float64(v.Time().UnixNano()), true
 	case value.String:
 		if c, ok := value.Coerce(v, value.Time); ok {
-			return float64(c.Time().UnixNano())
+			return float64(c.Time().UnixNano()), true
 		}
 		if c, ok := value.Coerce(v, value.Float); ok {
-			return c.Float()
-		}
-		return def
-	default:
-		return v.Float()
-	}
-}
-
-func (ix *Index) evalBool(q BoolQuery) (docSet, error) {
-	var clauses [2][]docSet // Must, Should
-	for k, qs := range [2][]Query{q.Must, q.Should} {
-		for _, sub := range qs {
-			s, err := ix.eval(sub)
-			if err != nil {
-				return docSet{}, err
-			}
-			clauses[k] = append(clauses[k], s)
+			return c.Float(), true
 		}
 	}
-	must, should := clauses[0], clauses[1]
-	var acc docSet
-	switch {
-	case len(must) > 0 && len(should) > 0:
-		acc = intersect([]docSet{intersect(must), union(should)})
-	case len(must) > 0:
-		acc = intersect(must)
-	case len(should) > 0:
-		acc = union(should)
-	default:
-		// Only MustNot given: start from everything (AllQuery cannot fail).
-		acc, _ = ix.eval(AllQuery{})
-	}
-	for _, sub := range q.MustNot {
-		excluded, err := ix.eval(sub)
-		if err != nil {
-			return docSet{}, err
-		}
-		acc = difference(acc, excluded)
-	}
-	return acc, nil
+	return 0, false
 }
 
 // intersect keeps the ids present in every set. The smallest set drives;
@@ -405,53 +326,6 @@ next:
 	}
 	if konst {
 		out.konst = sum()
-	}
-	return out
-}
-
-// union merges the sets k ways; an id's score is the sum, in the order
-// of sets, of its scores in the sets holding it.
-func union(sets []docSet) docSet {
-	if len(sets) == 1 {
-		return sets[0]
-	}
-	at := make([]int, len(sets))
-	var out docSet
-	for {
-		low, found := int32(0), false
-		for j, s := range sets {
-			if at[j] < len(s.ids) && (!found || s.ids[at[j]] < low) {
-				low, found = s.ids[at[j]], true
-			}
-		}
-		if !found {
-			return out
-		}
-		score := 0.0
-		for j, s := range sets {
-			if at[j] < len(s.ids) && s.ids[at[j]] == low {
-				score += s.score(at[j])
-				at[j]++
-			}
-		}
-		out.ids = append(out.ids, low)
-		out.scores = append(out.scores, score)
-	}
-}
-
-// difference keeps the ids of a absent from b, galloping through b.
-func difference(a, b docSet) docSet {
-	out := docSet{konst: a.konst}
-	k := 0
-	for i, id := range a.ids {
-		k = gallop(b.ids, k, id)
-		if k < len(b.ids) && b.ids[k] == id {
-			continue
-		}
-		out.ids = append(out.ids, id)
-		if a.scores != nil {
-			out.scores = append(out.scores, a.scores[i])
-		}
 	}
 	return out
 }

@@ -18,11 +18,27 @@ import (
 //	RETURN _id, user.screen_name, text
 //	ORDER BY retweet_count DESC LIMIT 50
 //
-// Conditions: '=' (keyword equality), CONTAINS (analyzed match),
-// PHRASE (ordered phrase), <=, >=, BETWEEN..AND (numeric/time ranges),
-// all conjoined with AND. '?' marks a positional parameter bound at
-// execution time (bind joins). RETURN paths may include the pseudo
-// fields _id and _score.
+// Conditions, all conjoined with AND, each against a schema field (an
+// unknown field is an error):
+//
+//   - '=' on a keyword field matches the value case- and accent-
+//     insensitively; on a numeric or time field it is the point range
+//     [v, v]; on a text field it matches nothing (use CONTAINS).
+//   - CONTAINS matches documents holding every analyzed term, PHRASE
+//     holding them consecutively in order; both score BM25.
+//   - >=, <= and BETWEEN..AND (inclusive) range over numeric and time
+//     fields. A bound that is neither a number nor a time (or a string
+//     parsing as one) matches no document.
+//
+// Keyword and range conditions score 1; a hit's score is the sum over
+// the conditions. No WHERE matches every document with score 0.
+// ORDER BY sorts by a numeric or time field's first numeric value, or
+// by a keyword or text field's first value folded as '=' folds it;
+// documents without one sort lowest, ties keep index order, and an
+// unknown field is an error. Without ORDER BY, hits come by descending
+// score, then ID. '?' marks a positional parameter bound at execution
+// time (bind joins). RETURN paths may include the pseudo fields _id
+// and _score.
 
 // TextQuery is a parsed SEARCH statement.
 type TextQuery struct {
@@ -305,83 +321,4 @@ func (p *qparser) parseCond(q *TextQuery) (Cond, error) {
 		cond.Val2, cond.Param2 = v2, param2
 	}
 	return cond, nil
-}
-
-// Build converts the parsed query into an executable Query given
-// parameter values, returning the Query and search options.
-func (q *TextQuery) Build(params []value.Value) (Query, SearchOptions, error) {
-	if len(params) < q.NumParams {
-		return nil, SearchOptions{}, fmt.Errorf("fulltext: query needs %d parameters, got %d", q.NumParams, len(params))
-	}
-	resolve := func(v value.Value, idx int) value.Value {
-		if idx >= 0 {
-			return params[idx]
-		}
-		return v
-	}
-	var must []Query
-	for _, c := range q.Conds {
-		v := resolve(c.Val, c.Param)
-		switch c.Op {
-		case CondEq:
-			must = append(must, KeywordQuery{Field: c.Field, Value: v.String()})
-		case CondContains:
-			must = append(must, MatchQuery{Field: c.Field, Text: v.String(), RequireAll: true})
-		case CondPhrase:
-			must = append(must, PhraseQuery{Field: c.Field, Text: v.String()})
-		case CondGe:
-			must = append(must, RangeQuery{Field: c.Field, Min: v, Max: value.NewNull()})
-		case CondLe:
-			must = append(must, RangeQuery{Field: c.Field, Min: value.NewNull(), Max: v})
-		case CondBetween:
-			v2 := resolve(c.Val2, c.Param2)
-			must = append(must, RangeQuery{Field: c.Field, Min: v, Max: v2})
-		}
-	}
-	var query Query
-	switch len(must) {
-	case 0:
-		query = AllQuery{}
-	case 1:
-		query = must[0]
-	default:
-		query = BoolQuery{Must: must}
-	}
-	opts := SearchOptions{Limit: q.Limit, SortField: q.OrderBy, SortAsc: q.OrderBy != "" && !q.Desc}
-	return query, opts, nil
-}
-
-// Execute parses nothing: it runs the prepared query against ix and
-// projects the RETURN paths into rows. The pseudo-paths _id and _score
-// yield the document ID and BM25 score.
-func (q *TextQuery) Execute(ix *Index, params []value.Value) ([]string, [][]value.Value, error) {
-	query, opts, err := q.Build(params)
-	if err != nil {
-		return nil, nil, err
-	}
-	hits, err := ix.Search(query, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := make([][]value.Value, 0, len(hits))
-	for _, h := range hits {
-		row := make([]value.Value, len(q.Returns))
-		for i, path := range q.Returns {
-			switch path {
-			case "_id":
-				row[i] = value.NewString(h.ID)
-			case "_score":
-				row[i] = value.NewFloat(h.Score)
-			default:
-				vals := h.Doc.Values(path)
-				if len(vals) == 0 {
-					row[i] = value.NewNull()
-				} else {
-					row[i] = vals[0]
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	return q.Returns, rows, nil
 }

@@ -75,11 +75,11 @@ RETURN _id, retweet_count ORDER BY retweet_count`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, err := q.Execute(ix, nil)
+	rows, err := q.Execute(ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 2 || len(rows) != 2 { // t2 (12), t4 (5) — ascending
+	if len(rows) != 2 || len(rows[0]) != 2 { // t2 (12), t4 (5) — ascending
 		t.Fatalf("rows: %+v", rows)
 	}
 	if rows[0][1].Int() != 5 || rows[1][1].Int() != 12 {
@@ -93,7 +93,7 @@ func TestTextQueryExecuteScoreAndMissingField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := q.Execute(ix, nil)
+	rows, err := q.Execute(ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTextQueryExecuteScoreAndMissingField(t *testing.T) {
 func TestTextQueryMissingParams(t *testing.T) {
 	ix := testIndex(t)
 	q, _ := ParseTextQuery(`SEARCH tweets WHERE entities.hashtags = ? RETURN _id`)
-	if _, _, err := q.Execute(ix, nil); err == nil {
+	if _, err := q.Execute(ix, nil); err == nil {
 		t.Error("missing params accepted")
 	}
 }
@@ -122,7 +122,7 @@ func TestTextQueryPhraseViaText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := q.Execute(ix, nil)
+	rows, err := q.Execute(ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +131,11 @@ func TestTextQueryPhraseViaText(t *testing.T) {
 	}
 }
 
-func TestAnalyzerNoStem(t *testing.T) {
-	a := NewAnalyzerNoStem()
-	toks := a.Tokens("les agriculteurs")
-	if len(toks) != 1 || toks[0] != "agriculteurs" {
-		t.Errorf("no-stem tokens: %v", toks)
-	}
-}
-
+// TestIsStopword: the analyzer drops stop words whatever their case.
 func TestIsStopword(t *testing.T) {
-	if !IsStopword("les") || !IsStopword("THE") {
-		t.Error("stopword detection")
-	}
-	if IsStopword("agriculture") {
-		t.Error("false stopword")
+	toks := NewAnalyzer().Tokens("les THE agriculture")
+	if len(toks) != 1 || toks[0] != LightStem("agriculture") {
+		t.Errorf("tokens: %v", toks)
 	}
 }
 
@@ -178,7 +169,9 @@ func TestAnalyzerIdempotentOnVocab(t *testing.T) {
 }
 
 // FuzzParseTextQuery: any input either fails to parse or yields a query
-// that builds with NumParams parameters and runs; none of it panics.
+// whose Execute on testIndex, with NumParams parameters bound, answers
+// exactly as the map-based reference evaluator does (rows, order, scores
+// bit for bit, and whether it errs); none of it panics.
 func FuzzParseTextQuery(f *testing.F) {
 	for _, seed := range []string{
 		`SEARCH tweets
@@ -194,6 +187,8 @@ ORDER BY retweet_count DESC LIMIT 50`,
 		"SEARCH tweets WHERE f BETWEEN 1 RETURN _id",
 		"SEARCH tweets WHERE f = 'unterminated RETURN _id",
 		"SEARCH tweets RETURN _id LIMIT xx",
+		"SEARCH tweets WHERE retweet_count = ? AND created_at >= 'abc' RETURN _id, _score ORDER BY user.screen_name DESC",
+		"SEARCH tweets WHERE text PHRASE 'salon agriculteurs' RETURN _score, _id ORDER BY nosuch",
 	} {
 		f.Add(seed)
 	}
@@ -206,9 +201,14 @@ ORDER BY retweet_count DESC LIMIT 50`,
 		for i := range params {
 			params[i] = value.NewString("SIA2016")
 		}
-		if _, _, err := q.Build(params); err != nil {
-			t.Fatalf("%q: Build with %d parameters: %v", input, q.NumParams, err)
+		ix := testIndex(t)
+		got, err := q.Execute(ix, params)
+		want, refErr := ix.refExecute(q, params)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("%q: Execute error %v, reference error %v", input, err, refErr)
 		}
-		q.Execute(testIndex(t), params)
+		if diff := sameRows(got, want); diff != "" {
+			t.Fatalf("%q: %s", input, diff)
+		}
 	})
 }

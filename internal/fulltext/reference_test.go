@@ -13,168 +13,41 @@ import (
 	"tatooine/internal/value"
 )
 
-// This file keeps the map-based evaluator that the sorted-list one
-// replaced, as the reference the differential test compares Search
-// with. Each query node materializes docID → score; conjunctions
-// intersect by lookup. Per-posting BM25 scores come from the same
-// termSet as the production evaluator, so the comparison checks how
+// This file keeps a map-based evaluator of SEARCH statements as the
+// reference the differential test and FuzzParseTextQuery compare
+// TextQuery.Execute with. Each condition materializes docID → score by
+// scanning; the conjunction intersects by lookup; bounds, ORDER BY keys
+// and projection are worked out here again. Per-posting BM25 scores
+// come from the same termSet as Execute, so the comparison checks how
 // scores are combined, bit for bit.
 
-func (ix *Index) refSearch(q Query, opts SearchOptions) ([]Hit, error) {
+func (ix *Index) refExecute(q *TextQuery, params []value.Value) ([]value.Row, error) {
+	if len(params) < q.NumParams {
+		return nil, fmt.Errorf("reference: %d parameters, want %d", len(params), q.NumParams)
+	}
 	ix.rlockSorted()
-	scores, err := ix.refEval(q)
-	if err != nil {
-		ix.mu.RUnlock()
-		return nil, err
+	defer ix.mu.RUnlock()
+	orderBy, sorted := ix.schema[q.OrderBy]
+	if q.OrderBy != "" && !sorted {
+		return nil, fmt.Errorf("reference: unknown ORDER BY field %q", q.OrderBy)
 	}
-	hits := make([]Hit, 0, len(scores))
-	for docID, score := range scores {
-		d := ix.docs[docID]
-		hits = append(hits, Hit{ID: d.ID, Score: score, Doc: d})
+	acc := make(map[int32]float64, len(ix.docs))
+	for i := range ix.docs {
+		acc[int32(i)] = 0
 	}
-	ix.mu.RUnlock()
-	sort.SliceStable(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	for k, c := range q.Conds {
+		v, v2 := c.Val, c.Val2
+		if c.Param >= 0 {
+			v = params[c.Param]
 		}
-		return hits[i].ID < hits[j].ID
-	})
-	if opts.Limit > 0 && len(hits) > opts.Limit {
-		hits = hits[:opts.Limit]
-	}
-	return hits, nil
-}
-
-func (ix *Index) refEval(q Query) (map[int32]float64, error) {
-	switch x := q.(type) {
-	case AllQuery:
-		out := make(map[int32]float64, len(ix.docs))
-		for i := range ix.docs {
-			out[int32(i)] = 0
+		if c.Param2 >= 0 {
+			v2 = params[c.Param2]
 		}
-		return out, nil
-	case TermQuery:
-		terms := ix.analyzer.Tokens(x.Term)
-		if len(terms) > 1 {
-			terms = terms[:1]
-		}
-		return ix.refEvalTerms(x.Field, terms, false)
-	case MatchQuery:
-		return ix.refEvalTerms(x.Field, ix.analyzer.Tokens(x.Text), x.RequireAll)
-	case PhraseQuery:
-		return ix.refEvalPhrase(x.Field, x.Text)
-	case KeywordQuery:
-		m, ok := ix.keyword[x.Field]
-		out := make(map[int32]float64)
-		if !ok {
-			if _, declared := ix.schema[x.Field]; !declared {
-				return nil, fmt.Errorf("fulltext: unknown keyword field %q", x.Field)
-			}
-			return out, nil
-		}
-		for _, id := range m[Fold(x.Value)] {
-			out[id] = 1
-		}
-		return out, nil
-	case RangeQuery:
-		return ix.refEvalRange(x)
-	case BoolQuery:
-		return ix.refEvalBool(x)
-	default:
-		return nil, fmt.Errorf("fulltext: unsupported query %T", q)
-	}
-}
-
-func (ix *Index) refEvalTerms(field string, terms []string, requireAll bool) (map[int32]float64, error) {
-	if _, declared := ix.schema[field]; !declared {
-		return nil, fmt.Errorf("fulltext: unknown field %q", field)
-	}
-	postingsByTerm := ix.text[field]
-	out := make(map[int32]float64)
-	if len(terms) == 0 || postingsByTerm == nil {
-		return out, nil
-	}
-	matchCount := make(map[int32]int)
-	for _, term := range terms {
-		plist := postingsByTerm[term]
-		if len(plist) == 0 {
-			continue
-		}
-		ts := ix.termSet(field, plist)
-		for i, id := range ts.ids {
-			out[id] += ts.scores[i]
-			matchCount[id]++
-		}
-	}
-	if requireAll {
-		for id, c := range matchCount {
-			if c < len(terms) {
-				delete(out, id)
-			}
-		}
-	}
-	return out, nil
-}
-
-func (ix *Index) refEvalPhrase(field, text string) (map[int32]float64, error) {
-	if _, declared := ix.schema[field]; !declared {
-		return nil, fmt.Errorf("fulltext: unknown field %q", field)
-	}
-	terms := ix.analyzer.Tokens(text)
-	out := make(map[int32]float64)
-	if len(terms) == 0 {
-		return out, nil
-	}
-	scored, err := ix.refEvalTerms(field, terms, true)
-	if err != nil {
-		return nil, err
-	}
-	positionsOf := func(term string, docID int32) []uint32 {
-		for _, p := range ix.text[field][term] {
-			if p.docID == docID {
-				return p.positions
-			}
-		}
-		return nil
-	}
-	for docID, score := range scored {
-		for _, start := range positionsOf(terms[0], docID) {
-			match := true
-			for k := 1; k < len(terms) && match; k++ {
-				match = slices.Contains(positionsOf(terms[k], docID), start+uint32(k))
-			}
-			if match {
-				out[docID] = score
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-func (ix *Index) refEvalRange(q RangeQuery) (map[int32]float64, error) {
-	if _, declared := ix.schema[q.Field]; !declared {
-		return nil, fmt.Errorf("fulltext: unknown field %q", q.Field)
-	}
-	lo := rangeBound(q.Min, math.Inf(-1))
-	hi := rangeBound(q.Max, math.Inf(1))
-	out := make(map[int32]float64)
-	entries := ix.numeric[q.Field]
-	i := sort.Search(len(entries), func(i int) bool { return entries[i].val >= lo })
-	for ; i < len(entries) && entries[i].val <= hi; i++ {
-		out[entries[i].docID] = 1
-	}
-	return out, nil
-}
-
-func (ix *Index) refEvalBool(q BoolQuery) (map[int32]float64, error) {
-	var acc map[int32]float64
-	for _, sub := range q.Must {
-		scores, err := ix.refEval(sub)
+		scores, err := ix.refCond(c, v, v2)
 		if err != nil {
 			return nil, err
 		}
-		if acc == nil {
+		if k == 0 {
 			acc = scores
 			continue
 		}
@@ -187,43 +60,199 @@ func (ix *Index) refEvalBool(q BoolQuery) (map[int32]float64, error) {
 			acc[id] += s
 		}
 	}
-	if len(q.Should) > 0 {
-		shouldScores := make(map[int32]float64)
-		for _, sub := range q.Should {
-			scores, err := ix.refEval(sub)
-			if err != nil {
-				return nil, err
-			}
-			for id, s := range scores {
-				shouldScores[id] += s
-			}
-		}
-		if acc == nil {
-			acc = shouldScores
-		} else {
-			for id := range acc {
-				s, ok := shouldScores[id]
-				if !ok {
-					delete(acc, id)
-					continue
+
+	ids := make([]int32, 0, len(acc))
+	for id := range acc {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	key := func(id int32) (string, float64) {
+		vals := ix.docs[id].Values(q.OrderBy)
+		if orderBy == NumericField || orderBy == TimeField {
+			for _, v := range vals {
+				if f, ok := refBound(v); ok {
+					return "", f
 				}
-				acc[id] += s
+			}
+			return "", math.Inf(-1)
+		}
+		if len(vals) == 0 {
+			return "", 0
+		}
+		return Fold(vals[0].String()), 0
+	}
+	sort.SliceStable(ids, func(i, j int) bool {
+		a, b := ids[i], ids[j]
+		if !sorted {
+			if acc[a] != acc[b] {
+				return acc[a] > acc[b]
+			}
+			return ix.docs[a].ID < ix.docs[b].ID
+		}
+		sa, fa := key(a)
+		sb, fb := key(b)
+		if q.Desc {
+			sa, fa, sb, fb = sb, fb, sa, fa
+		}
+		if sa != sb {
+			return sa < sb
+		}
+		return fa < fb
+	})
+	if q.Limit > 0 && len(ids) > q.Limit {
+		ids = ids[:q.Limit]
+	}
+	rows := make([]value.Row, 0, len(ids))
+	for _, id := range ids {
+		var row value.Row
+		for _, path := range q.Returns {
+			vals := ix.docs[id].Values(path)
+			switch {
+			case path == "_id":
+				row = append(row, value.NewString(ix.docs[id].ID))
+			case path == "_score":
+				row = append(row, value.NewFloat(acc[id]))
+			case len(vals) == 0:
+				row = append(row, value.NewNull())
+			default:
+				row = append(row, vals[0])
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+func (ix *Index) refCond(c Cond, v, v2 value.Value) (map[int32]float64, error) {
+	ft, declared := ix.schema[c.Field]
+	if !declared {
+		return nil, fmt.Errorf("reference: unknown field %q", c.Field)
+	}
+	numeric := ft == NumericField || ft == TimeField
+	switch {
+	case c.Op == CondEq && !numeric:
+		out := make(map[int32]float64)
+		for _, id := range ix.keyword[c.Field][Fold(v.String())] {
+			out[id] = 1
+		}
+		return out, nil
+	case c.Op == CondContains:
+		return ix.refTerms(c.Field, ix.analyzer.Tokens(v.String())), nil
+	case c.Op == CondPhrase:
+		return ix.refPhrase(c.Field, ix.analyzer.Tokens(v.String())), nil
+	}
+	lo, okLo := refBound(v)
+	hi, okHi := refBound(v2)
+	switch c.Op {
+	case CondEq:
+		hi, okHi = lo, okLo
+	case CondGe:
+		hi, okHi = math.Inf(1), true
+	case CondLe:
+		hi, okHi = lo, okLo
+		lo, okLo = math.Inf(-1), true
+	}
+	out := make(map[int32]float64)
+	if !okLo || !okHi {
+		return out, nil
+	}
+	for _, e := range ix.numeric[c.Field] {
+		if lo <= e.val && e.val <= hi {
+			out[e.docID] = 1
+		}
+	}
+	return out, nil
+}
+
+// refBound maps a bound or an ORDER BY value onto the numeric index's
+// scale: numbers as is, times as Unix nanoseconds, strings when they
+// parse as a time or else a number.
+func refBound(v value.Value) (float64, bool) {
+	if v.Kind() == value.String {
+		if t, ok := value.Coerce(v, value.Time); ok {
+			v = t
+		} else if f, ok := value.Coerce(v, value.Float); ok {
+			v = f
+		}
+	}
+	switch v.Kind() {
+	case value.Time:
+		return float64(v.Time().UnixNano()), true
+	case value.Int, value.Float:
+		return v.Float(), true
+	}
+	return 0, false
+}
+
+func (ix *Index) refTerms(field string, terms []string) map[int32]float64 {
+	out := make(map[int32]float64)
+	if len(terms) == 0 {
+		return out
+	}
+	matchCount := make(map[int32]int)
+	for _, term := range terms {
+		plist := ix.text[field][term]
+		if len(plist) == 0 {
+			return map[int32]float64{}
+		}
+		ts := ix.termSet(field, plist)
+		for i, id := range ts.ids {
+			out[id] += ts.scores[i]
+			matchCount[id]++
+		}
+	}
+	for id, c := range matchCount {
+		if c < len(terms) {
+			delete(out, id)
+		}
+	}
+	return out
+}
+
+func (ix *Index) refPhrase(field string, terms []string) map[int32]float64 {
+	out := make(map[int32]float64)
+	positionsOf := func(term string, docID int32) []uint32 {
+		for _, p := range ix.text[field][term] {
+			if p.docID == docID {
+				return p.positions
+			}
+		}
+		return nil
+	}
+	for docID, score := range ix.refTerms(field, terms) {
+		for _, start := range positionsOf(terms[0], docID) {
+			match := true
+			for k := 1; k < len(terms) && match; k++ {
+				match = slices.Contains(positionsOf(terms[k], docID), start+uint32(k))
+			}
+			if match {
+				out[docID] = score
+				break
 			}
 		}
 	}
-	if acc == nil {
-		acc, _ = ix.refEval(AllQuery{})
+	return out
+}
+
+// sameRows describes the first difference between two results, scores
+// compared bit for bit; "" when they are identical.
+func sameRows(got, want []value.Row) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, reference %d", len(got), len(want))
 	}
-	for _, sub := range q.MustNot {
-		scores, err := ix.refEval(sub)
-		if err != nil {
-			return nil, err
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Sprintf("row %d has %d cells, reference %d", i, len(got[i]), len(want[i]))
 		}
-		for id := range scores {
-			delete(acc, id)
+		for j, g := range got[i] {
+			w := want[i][j]
+			if g.Kind() != w.Kind() || g.Key() != w.Key() ||
+				g.Kind() == value.Float && math.Float64bits(g.Float()) != math.Float64bits(w.Float()) {
+				return fmt.Sprintf("row %d is %v, reference %v", i, got[i], want[i])
+			}
 		}
 	}
-	return acc, nil
+	return ""
 }
 
 // Small vocabularies make terms, tags and values collide often, so
@@ -232,6 +261,8 @@ var (
 	diffWords = []string{"solidarité", "agriculteurs", "salon", "urgence", "état", "nationale", "débat", "parlement"}
 	diffTags  = []string{"SIA2016", "EtatDurgence", "Agriculture", "COP21"}
 	diffUsers = []string{"fhollande", "jdupont", "amartin"}
+	diffTimes = []string{"2016-03-01T00:00:00Z", "2016-03-02T00:00:00Z", "2016-03-03T12:00:00Z"}
+	diffPaths = []string{"text", "user.screen_name", "entities.hashtags", "retweet_count", "created_at"}
 )
 
 func randomIndex(r *rand.Rand) *Index {
@@ -240,11 +271,7 @@ func randomIndex(r *rand.Rand) *Index {
 	for i := 0; i < n; i++ {
 		d := &doc.Document{ID: fmt.Sprintf("d%03d", r.Intn(1000)*1000+i)}
 		if r.Intn(8) > 0 {
-			words := make([]string, 1+r.Intn(10))
-			for k := range words {
-				words[k] = diffWords[r.Intn(len(diffWords))]
-			}
-			d.Set("text", strings.Join(words, " "))
+			d.Set("text", randomText(r, 1+r.Intn(10)))
 		}
 		if r.Intn(8) > 0 {
 			d.Set("user.screen_name", diffUsers[r.Intn(len(diffUsers))])
@@ -260,6 +287,9 @@ func randomIndex(r *rand.Rand) *Index {
 		case 1:
 			d.Set("retweet_count", []any{r.Intn(20), r.Intn(20)})
 		}
+		if r.Intn(3) > 0 {
+			d.Set("created_at", diffTimes[r.Intn(len(diffTimes))])
+		}
 		if err := ix.Add(d); err != nil {
 			panic(err)
 		}
@@ -267,71 +297,117 @@ func randomIndex(r *rand.Rand) *Index {
 	return ix
 }
 
-func randomText(r *rand.Rand) string {
-	words := make([]string, r.Intn(4))
+func randomText(r *rand.Rand, n int) string {
+	words := make([]string, n)
 	for k := range words {
 		words[k] = diffWords[r.Intn(len(diffWords))]
 	}
 	return strings.Join(words, " ")
 }
 
-func randomQuery(r *rand.Rand, depth int) Query {
-	leaves := 6
-	if depth > 0 {
-		leaves++
-	}
-	switch r.Intn(leaves) {
-	case 0:
-		return MatchQuery{Field: "text", Text: randomText(r), RequireAll: r.Intn(2) == 0}
-	case 1:
-		return PhraseQuery{Field: "text", Text: randomText(r)}
-	case 2:
-		return KeywordQuery{Field: "entities.hashtags", Value: diffTags[r.Intn(len(diffTags))]}
-	case 3:
-		return KeywordQuery{Field: "user.screen_name", Value: diffUsers[r.Intn(len(diffUsers))]}
-	case 4:
-		lo := r.Intn(20)
-		return RangeQuery{Field: "retweet_count", Min: value.NewInt(int64(lo)), Max: value.NewInt(int64(lo + r.Intn(10)))}
-	case 5:
-		if r.Intn(4) == 0 {
-			return AllQuery{}
-		}
-		return TermQuery{Field: "text", Term: randomText(r)}
+// randomOperand is a literal or, while fewer than two are taken, a '?'
+// whose value goes to params. Values mostly suit the field; one in eight
+// is a wild one (NULL, a string that is no number, a float, a tag).
+func randomOperand(r *rand.Rand, field string, params *[]value.Value) string {
+	var v value.Value
+	switch {
+	case r.Intn(8) == 0:
+		v = []value.Value{value.NewNull(), value.NewString("abc"), value.NewString(diffTags[0]), value.NewFloat(7.5)}[r.Intn(4)]
+	case field == "text":
+		v = value.NewString(randomText(r, r.Intn(3)))
+	case field == "user.screen_name":
+		v = value.NewString(diffUsers[r.Intn(len(diffUsers))])
+	case field == "entities.hashtags":
+		v = value.NewString(diffTags[r.Intn(len(diffTags))])
+	case field == "created_at":
+		v = value.Parse(diffTimes[r.Intn(len(diffTimes))], false)
 	default:
-		clause := func(max int) []Query {
-			qs := make([]Query, r.Intn(max+1))
-			for k := range qs {
-				qs[k] = randomQuery(r, depth-1)
-			}
-			return qs
-		}
-		return BoolQuery{Must: clause(4), Should: clause(3), MustNot: clause(2)}
+		v = value.NewInt(int64(r.Intn(22)))
+	}
+	if len(*params) < 2 && r.Intn(3) == 0 {
+		*params = append(*params, v)
+		return "?"
+	}
+	switch v.Kind() {
+	case value.Null:
+		return "'abc'"
+	case value.String:
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
+	default:
+		return v.String()
 	}
 }
 
-func TestSearchMatchesMapReference(t *testing.T) {
+// randomStatement is a SEARCH statement over the randomIndex schema
+// with its parameter values: 0–3 conditions of every operator, 0–2
+// parameters, RETURN with _id and _score, ORDER BY ASC or DESC, LIMIT.
+func randomStatement(r *rand.Rand) (string, []value.Value) {
+	var params []value.Value
+	var b strings.Builder
+	b.WriteString("SEARCH tweets")
+	for k, n := 0, r.Intn(4); k < n; k++ {
+		if k == 0 {
+			b.WriteString(" WHERE ")
+		} else {
+			b.WriteString(" AND ")
+		}
+		op := CondOp(r.Intn(int(CondBetween) + 1))
+		field := diffPaths[r.Intn(len(diffPaths))]
+		switch op {
+		case CondContains, CondPhrase:
+			if r.Intn(4) > 0 {
+				field = "text"
+			}
+		case CondGe, CondLe, CondBetween:
+			if r.Intn(4) > 0 {
+				field = diffPaths[3+r.Intn(2)]
+			}
+		}
+		word := map[CondOp]string{CondEq: "=", CondContains: "CONTAINS", CondPhrase: "PHRASE",
+			CondGe: ">=", CondLe: "<=", CondBetween: "BETWEEN"}[op]
+		fmt.Fprintf(&b, "%s %s %s", field, word, randomOperand(r, field, &params))
+		if op == CondBetween {
+			b.WriteString(" AND " + randomOperand(r, field, &params))
+		}
+	}
+	returns := []string{"_id", "_score"}
+	for _, p := range diffPaths {
+		if r.Intn(3) == 0 {
+			returns = append(returns, p)
+		}
+	}
+	r.Shuffle(len(returns), func(i, j int) { returns[i], returns[j] = returns[j], returns[i] })
+	b.WriteString(" RETURN " + strings.Join(returns, ", "))
+	if r.Intn(3) == 0 {
+		b.WriteString(" ORDER BY " + diffPaths[r.Intn(len(diffPaths))])
+		b.WriteString([]string{"", " ASC", " DESC"}[r.Intn(3)])
+	}
+	if r.Intn(3) == 0 {
+		fmt.Fprintf(&b, " LIMIT %d", r.Intn(6))
+	}
+	return b.String(), params
+}
+
+func TestExecuteMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 300; round++ {
 		ix := randomIndex(r)
 		for k := 0; k < 30; k++ {
-			q := randomQuery(r, 3)
-			opts := SearchOptions{}
-			if r.Intn(4) == 0 {
-				opts.Limit = 1 + r.Intn(5)
-			}
-			got, err := ix.Search(q, opts)
+			text, params := randomStatement(r)
+			q, err := ParseTextQuery(text)
 			if err != nil {
-				t.Fatalf("round %d: %#v: %v", round, q, err)
+				t.Fatalf("round %d: %s: %v", round, text, err)
 			}
-			want, _ := ix.refSearch(q, opts)
-			if len(got) != len(want) {
-				t.Fatalf("round %d: %#v: %d hits, reference %d", round, q, len(got), len(want))
+			got, err := q.Execute(ix, params)
+			if err != nil {
+				t.Fatalf("round %d: %s %v: %v", round, text, params, err)
 			}
-			for i := range got {
-				if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-					t.Fatalf("round %d: %#v: hit %d is %s/%v, reference %s/%v",
-						round, q, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-				}
+			want, err := ix.refExecute(q, params)
+			if err != nil {
+				t.Fatalf("round %d: %s %v: reference: %v", round, text, params, err)
+			}
+			if diff := sameRows(got, want); diff != "" {
+				t.Fatalf("round %d: %s %v: %s", round, text, params, diff)
 			}
 		}
 	}

@@ -39,10 +39,11 @@ func (s *DocSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 }
 
 // ExecuteBatch implements BatchProber as a multi-term batch: the
-// SEARCH statement is parsed once and the prepared query runs once per
-// parameter tuple against the index. Like the RDF case, the win is
-// parse amortization locally and a single round trip when this index
-// is served behind a federation endpoint.
+// SEARCH statement is parsed once and TextQuery.Execute answers it once
+// per parameter tuple against the index, its rows becoming the result
+// as they are. Like the RDF case, the win is parse amortization locally
+// and a single round trip when this index is served behind a federation
+// endpoint.
 func (s *DocSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	if q.Language != LangSearch {
 		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
@@ -53,15 +54,11 @@ func (s *DocSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, 
 	}
 	out := make([]*Result, len(paramSets))
 	for i, params := range paramSets {
-		cols, rows, err := tq.Execute(s.ix, params)
+		rows, err := tq.Execute(s.ix, params)
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Cols: cols}
-		for _, r := range rows {
-			res.Rows = append(res.Rows, value.Row(r))
-		}
-		out[i] = res
+		out[i] = &Result{Cols: tq.Returns, Rows: rows}
 	}
 	return out, nil
 }

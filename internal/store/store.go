@@ -35,25 +35,22 @@ type Stats struct {
 type Options struct {
 	// Pager tunes the page cache and sync behavior.
 	Pager pager.Options
-	// AutoVacuumRatio triggers a vacuum from Commit when live payload
-	// falls below this fraction of the in-use (non-free) page bytes —
-	// i.e. when most of the file is dead space from deletes. Zero means DefaultAutoVacuumRatio; negative
-	// disables auto-vacuum. Stores smaller than minAutoVacuumPages are
-	// never auto-vacuumed, and a vacuum re-arms only after the file
-	// grows past its post-vacuum size again.
-	AutoVacuumRatio float64
 }
 
 // autoCheckpointBytes bounds WAL growth: a Commit that leaves the WAL
 // larger than 8 MiB checkpoints it.
 const autoCheckpointBytes = 8 << 20
 
-// DefaultAutoVacuumRatio is the live-payload fraction below which
-// Commit triggers an automatic vacuum. The B-tree's structural
-// overhead (cell headers, slot arrays, page slack) keeps healthy
-// trees' ratios well above this, so only genuine garbage — deleted
-// rows — trips it.
-const DefaultAutoVacuumRatio = 0.10
+// autoVacuumRatio is the live-payload fraction below which Commit
+// triggers an automatic vacuum: when live payload falls below this
+// fraction of the in-use (non-free) page bytes, most of the file is
+// dead space from deletes. The B-tree's structural overhead (cell
+// headers, slot arrays, page slack) keeps healthy trees' ratios well
+// above this, so only genuine garbage — deleted rows — trips it.
+// Stores smaller than minAutoVacuumPages are never auto-vacuumed, and
+// a vacuum re-arms only after the file grows past its post-vacuum size
+// again.
+const autoVacuumRatio = 0.10
 
 // minAutoVacuumPages exempts small stores from auto-vacuum: below 256
 // pages (1 MiB) fragmentation cannot matter.
@@ -67,9 +64,11 @@ type Store struct {
 	mu      sync.Mutex
 	pg      *pager.Pager
 	spaces  map[string]*Keyspace
-	opts    Options
 	closed  bool
 	vacuums int64
+	// noAutoVacuum turns auto-vacuum off, for tests that count pages
+	// or vacuums themselves.
+	noAutoVacuum bool
 	// vacuumArmPages re-arms auto-vacuum: after a vacuum, Commit will
 	// not trigger another until the file grows past this page count,
 	// so a store whose ratio stays low from structural overhead alone
@@ -93,7 +92,7 @@ func Open(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{pg: pg, spaces: make(map[string]*Keyspace), opts: opts}
+	s := &Store{pg: pg, spaces: make(map[string]*Keyspace)}
 	if pg.PageCount() <= int(catalogPage) {
 		// Fresh store: allocate the catalog page and persist the empty
 		// directory so a reopened store always finds page 1.
@@ -280,11 +279,7 @@ func (s *Store) liveBytesLocked() int64 {
 }
 
 func (s *Store) shouldAutoVacuumLocked() bool {
-	ratio := s.opts.AutoVacuumRatio
-	if ratio == 0 {
-		ratio = DefaultAutoVacuumRatio
-	}
-	if ratio < 0 {
+	if s.noAutoVacuum {
 		return false
 	}
 	st := s.pg.Stats()
@@ -292,7 +287,7 @@ func (s *Store) shouldAutoVacuumLocked() bool {
 		return false
 	}
 	used := int64(st.Pages-st.FreePages) * pager.PageSize
-	return float64(s.liveBytesLocked()) < float64(used)*ratio
+	return float64(s.liveBytesLocked()) < float64(used)*autoVacuumRatio
 }
 
 // Vacuum rewrites every keyspace into freshly packed pages and sweeps

@@ -197,10 +197,11 @@ func TestUncommittedLostOnReopen(t *testing.T) {
 }
 
 func TestVacuumCompactsDeletedRows(t *testing.T) {
-	st, err := Open(filepath.Join(t.TempDir(), "s.db"), Options{AutoVacuumRatio: -1})
+	st, err := Open(filepath.Join(t.TempDir(), "s.db"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.noAutoVacuum = true
 	defer st.Close()
 	kv, _ := st.Keyspace("t")
 	val := bytes.Repeat([]byte("x"), 256)
@@ -259,10 +260,11 @@ func TestVacuumCompactsDeletedRows(t *testing.T) {
 
 func TestVacuumSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := Open(path, Options{AutoVacuumRatio: -1})
+	st, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.noAutoVacuum = true
 	kv, _ := st.Keyspace("t")
 	for i := 0; i < 500; i++ {
 		if _, err := kv.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -311,7 +313,7 @@ func TestVacuumSurvivesReopen(t *testing.T) {
 }
 
 func TestAutoVacuumTriggersOnFragmentation(t *testing.T) {
-	st, err := Open(filepath.Join(t.TempDir(), "s.db"), Options{AutoVacuumRatio: 0.10})
+	st, err := Open(filepath.Join(t.TempDir(), "s.db"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +353,11 @@ func TestAutoVacuumTriggersOnFragmentation(t *testing.T) {
 // overhead bound of the live payload — the end-to-end check that
 // live-byte accounting, page freeing, and the rewrite agree.
 func TestCompactionTracksLiveBytes(t *testing.T) {
-	st, err := Open(filepath.Join(t.TempDir(), "s.db"), Options{AutoVacuumRatio: -1})
+	st, err := Open(filepath.Join(t.TempDir(), "s.db"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.noAutoVacuum = true
 	defer st.Close()
 	kv, _ := st.Keyspace("t")
 	rng := rand.New(rand.NewSource(97))
@@ -416,10 +419,11 @@ func TestCompactionTracksLiveBytes(t *testing.T) {
 // the bound plus that commit), and every row survives the checkpoints.
 func TestAutoCheckpointBoundsWAL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.db")
-	st, err := Open(path, Options{Pager: pager.Options{NoSync: true}, AutoVacuumRatio: -1})
+	st, err := Open(path, Options{Pager: pager.Options{NoSync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.noAutoVacuum = true
 	kv, _ := st.Keyspace("t")
 	val := bytes.Repeat([]byte("w"), 1000)
 	const commits, perCommit = 200, 100
