@@ -308,7 +308,8 @@ func BenchmarkE8TweetIngest(b *testing.B) {
 
 func BenchmarkE8FieldAccess(b *testing.B) {
 	f := fix(b, 5000)
-	d := f.ds.Tweets.Get("tw00000001")
+	var d *doc.Document
+	f.ds.Tweets.Each(func(first *doc.Document) bool { d = first; return false })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if vals := d.Values("user.screen_name"); len(vals) != 1 {
@@ -383,9 +384,12 @@ func BenchmarkE10WarehouseSetup(b *testing.B) {
 func BenchmarkE10WarehouseQuery(b *testing.B) {
 	f := fix(b, 20000)
 	g := warehouseLoad(f.ds)
-	q := rdf.MustParseBGP(fmt.Sprintf(
+	q, err := rdf.ParseBGP(fmt.Sprintf(
 		`q(?t, ?id) :- ?x <%sposition> <%sheadOfState> . ?x <%stwitterAccount> ?id . ?t <%sauthorAccount> ?id . ?t <%shashtag> "SIA2016"`,
 		datagen.NS, datagen.NS, datagen.NS, datagen.NS, datagen.NS), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sols, err := rdf.Evaluate(g, q)
@@ -428,9 +432,12 @@ func BenchmarkSubstrateSQLJoin(b *testing.B) {
 
 func BenchmarkSubstrateBGPJoin(b *testing.B) {
 	f := fix(b, 5000)
-	q := rdf.MustParseBGP(fmt.Sprintf(
+	q, err := rdf.ParseBGP(fmt.Sprintf(
 		`q(?name, ?cur) :- ?x <%smemberOf> ?p . ?p <%scurrentOf> ?cur . ?x <%stwitterAccount> ?name`,
 		datagen.NS, datagen.NS, datagen.NS), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rdf.Evaluate(f.ds.Graph, q); err != nil {

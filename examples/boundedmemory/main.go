@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tatooine/internal/core"
 	"tatooine/internal/datagen"
@@ -23,18 +25,26 @@ import (
 	"tatooine/internal/store"
 )
 
-func main() {
-	dataDir := flag.String("data-dir", "tatooine-bounded", "store directory")
-	cacheMB := flag.Int("page-cache-mb", 1, "page-cache budget in MiB")
-	budgetKB := flag.Int("join-mem-budget-kb", 16, "residual-join build-side budget in KiB")
-	politicians := flag.Int("politicians", 2500, "graph scale (drives the on-disk size)")
-	flag.Parse()
+var (
+	dataDir     = flag.String("data-dir", "tatooine-bounded", "store directory")
+	cacheMB     = flag.Int("page-cache-mb", 1, "page-cache budget in MiB")
+	budgetKB    = flag.Int("join-mem-budget-kb", 16, "residual-join build-side budget in KiB")
+	politicians = flag.Int("politicians", 2500, "graph scale (drives the on-disk size)")
+)
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := datagen.DefaultConfig()
 	cfg.NumPoliticians = *politicians
 	ds, err := datagen.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// WithStoreOptions caps the clock cache: pages beyond the budget
@@ -46,13 +56,13 @@ func main() {
 		core.WithSaturation(),
 		core.WithStoreOptions(store.Options{Pager: pager.Options{CacheSize: cachePages}}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer in.Close()
 	if warm {
-		fmt.Println("warm boot from existing store (terms page in lazily — no bulk dictionary load)")
+		fmt.Fprintln(w, "warm boot from existing store (terms page in lazily — no bulk dictionary load)")
 	} else {
-		fmt.Println("fresh store — seeded from the generated dataset")
+		fmt.Fprintln(w, "fresh store — seeded from the generated dataset")
 	}
 
 	// Selective queries touch a handful of pages each; the clock cache
@@ -62,14 +72,14 @@ func main() {
 QUERY q(?name, ?dept)
 GRAPH { ?x :position :headOfState . ?x foaf:name ?name . ?x :electedIn ?dept }`)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if i == 0 {
-			fmt.Printf("point lookups: head of state ×%d rows per query\n", len(res.Rows))
+			fmt.Fprintf(w, "point lookups: head of state ×%d rows per query\n", len(res.Rows))
 		}
 	}
 	if st := in.StoreStats(); st != nil {
-		fmt.Printf("store: %d pages on disk (%.1f MiB), %d resident (cap %d) — %.0f%% of the file out of memory\n",
+		fmt.Fprintf(w, "store: %d pages on disk (%.1f MiB), %d resident (cap %d) — %.0f%% of the file out of memory\n",
 			st.Pages, float64(st.Pages)*float64(pager.PageSize)/(1<<20),
 			st.ResidentPages, cachePages,
 			100*(1-float64(st.ResidentPages)/float64(st.Pages)))
@@ -90,15 +100,16 @@ FROM <sql://insee> OUT(?dept, ?parti, ?voix) { SELECT dept, parti, voix FROM res
 		JoinMemBudget: int64(*budgetKB) << 10,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("spilling join: %d rows under a %d KiB build budget — %d join(s) spilled, %d B written to disk\n",
+	fmt.Fprintf(w, "spilling join: %d rows under a %d KiB build budget — %d join(s) spilled, %d B written to disk\n",
 		len(res.Rows), *budgetKB, res.Stats.SpilledJoins, res.Stats.SpilledBytes)
 
 	ref, err := in.ExecuteOpts(q, core.ExecOptions{Parallel: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("unbounded rerun: %d rows (identical multiset), %d join(s) spilled\n",
+	fmt.Fprintf(w, "unbounded rerun: %d rows (identical multiset), %d join(s) spilled\n",
 		len(ref.Rows), ref.Stats.SpilledJoins)
+	return nil
 }

@@ -10,9 +10,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"tatooine/internal/core"
@@ -22,11 +24,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := datagen.DefaultConfig()
 	cfg.NumTweets = 500
 	ds, err := datagen.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Serve each regional database on its own HTTP endpoint.
@@ -34,29 +42,29 @@ func main() {
 	for uri, db := range ds.Regional {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		srv := &http.Server{Handler: federation.Handler(source.NewRelSource(uri, db))}
 		go srv.Serve(ln)
 		defer srv.Close()
 		url := "http://" + ln.Addr().String()
 		urls = append(urls, url)
-		fmt.Printf("serving %-18s at %s\n", uri, url)
+		fmt.Fprintf(w, "serving %-18s at %s\n", uri, url)
 	}
 
 	// The mediator's local instance: the graph plus the INSEE database,
 	// whose endpoints table now holds the *live HTTP URLs*.
 	in := core.NewInstance(ds.Graph, core.WithPrefixes(map[string]string{"": datagen.NS}))
 	if err := in.AddSource(source.NewRelSource(datagen.INSEEURI, ds.INSEE)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := ds.INSEE.Exec("CREATE TABLE live_endpoints (region TEXT, uri TEXT)"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, u := range urls {
 		if _, err := ds.INSEE.Exec(
 			fmt.Sprintf("INSERT INTO live_endpoints VALUES ('region%d', '%s')", i+1, u)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	// Unknown http(s) URIs resolve by dialing the endpoint.
@@ -71,11 +79,11 @@ FROM ?src OUT(?ind, ?val) { SELECT indicator, val FROM stats }
 ORDER BY ?val DESC
 `)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ndynamically discovered %d sources; %d result rows:\n", res.Stats.Dynamic, len(res.Rows))
+	fmt.Fprintf(w, "\ndynamically discovered %d sources; %d result rows:\n", res.Stats.Dynamic, len(res.Rows))
 	for _, row := range res.Rows {
-		fmt.Printf("  %-10s %-28s %-12s %v\n", row[0], row[1], row[2], row[3])
+		fmt.Fprintf(w, "  %-10s %-28s %-12s %v\n", row[0], row[1], row[2], row[3])
 	}
 
 	// Streaming execution: the same pipeline, consumed incrementally.
@@ -95,31 +103,31 @@ FROM <sql://insee> OUT(?region, ?src) { SELECT region, uri FROM live_endpoints }
 FROM ?src OUT(?ind, ?val) { SELECT indicator, val FROM stats }
 `)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	start := time.Now()
 	sr, err := in.ExecuteStream(context.Background(), q, core.ExecOptions{Parallel: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sr.Close()
 	rows, batches := 0, 0
 	for {
 		batch, err := sr.NextBatch()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if len(batch) == 0 {
 			break
 		}
 		if batches == 0 {
-			fmt.Printf("\nstreamed: first %d rows after %v (probes still in flight)\n",
+			fmt.Fprintf(w, "\nstreamed: first %d rows after %v (probes still in flight)\n",
 				len(batch), time.Since(start).Round(time.Millisecond))
 		}
 		batches++
 		rows += len(batch)
 	}
-	fmt.Printf("streamed: all %d rows in %d batches after %v\n",
+	fmt.Fprintf(w, "streamed: all %d rows in %d batches after %v\n",
 		rows, batches, time.Since(start).Round(time.Millisecond))
 
 	// The same execution left a trace behind: one span per DAG node,
@@ -129,5 +137,6 @@ FROM ?src OUT(?ind, ?val) { SELECT indicator, val FROM stats }
 	// latency. Over HTTP, POST /cmq {"trace": true} returns this tree in
 	// the response (JSON "trace" block or NDJSON trailer), and the
 	// mediator keeps the last N of them on GET /debug/queries.
-	fmt.Printf("\ntrace of the streamed execution:\n%s", sr.Trace().Render())
+	fmt.Fprintf(w, "\ntrace of the streamed execution:\n%s", sr.Trace().Render())
+	return nil
 }

@@ -18,17 +18,25 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"tatooine/internal/core"
 	"tatooine/internal/rdf"
 )
 
-func main() {
-	dataDir := flag.String("data-dir", "tatooine-data", "store directory")
-	flag.Parse()
+var dataDir = flag.String("data-dir", "tatooine-data", "store directory")
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// core.Open mounts the instance on dir/tatooine.db (created on
 	// first use). Options mean the same as with core.NewInstance; with
 	// WithSaturation a stored G∞ is adopted on reopen instead of
@@ -38,7 +46,7 @@ func main() {
 		core.WithSaturation(),
 		core.WithPrefixes(map[string]string{"": "http://t.example/"}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer in.Close()
 	opened := time.Since(start)
@@ -47,7 +55,7 @@ func main() {
 		// ---- First run: seed the store. --------------------------------
 		// One AddTriples is one mutation: graph pages, dictionary,
 		// epoch and catalog commit in a single WAL transaction.
-		fmt.Println("fresh store — seeding politicians…")
+		fmt.Fprintln(w, "fresh store — seeding politicians…")
 		in.AddTriples(rdf.MustParse(`
 @prefix : <http://t.example/> .
 :politician rdfs:subClassOf :person .
@@ -58,7 +66,7 @@ func main() {
 	} else {
 		// ---- Later runs: warm boot. ------------------------------------
 		// Everything below loaded from disk; nothing was recomputed.
-		fmt.Printf("warm boot in %v — epoch %d, G=%d triples\n",
+		fmt.Fprintf(w, "warm boot in %v — epoch %d, G=%d triples\n",
 			opened.Round(time.Microsecond), in.Epoch(), in.Graph().Size())
 	}
 
@@ -68,16 +76,17 @@ func main() {
 	// the reopen skipped the whole saturation cost.
 	res, err := in.Query("QUERY q(?x)\nGRAPH { ?x a :person }")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("persons via G∞: %d rows\n", len(res.Rows))
+	fmt.Fprintf(w, "persons via G∞: %d rows\n", len(res.Rows))
 	sat := in.SaturationStats()
-	fmt.Printf("saturation: mode=%s derived=%d fullRecomputes=%d\n",
+	fmt.Fprintf(w, "saturation: mode=%s derived=%d fullRecomputes=%d\n",
 		sat.Mode, sat.Derived, sat.FullRecomputes)
 	if st := in.StoreStats(); st != nil {
-		fmt.Printf("store: %d pages, %d commits, %d B WAL\n",
+		fmt.Fprintf(w, "store: %d pages, %d commits, %d B WAL\n",
 			st.Pages, st.Commits, st.WALBytes)
 	}
 	// Close (deferred) commits pending state and folds the WAL into the
 	// main file, so the next boot replays nothing.
+	return nil
 }

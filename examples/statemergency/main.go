@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -17,20 +18,28 @@ import (
 	"tatooine/internal/viz"
 )
 
-func main() {
-	out := flag.String("o", "tagcloud.html", "output HTML file")
-	tweets := flag.Int("tweets", 20000, "corpus size")
-	topK := flag.Int("k", 10, "terms per cloud")
-	flag.Parse()
+var (
+	out    = flag.String("o", "tagcloud.html", "output HTML file")
+	tweets = flag.Int("tweets", 20000, "corpus size")
+	topK   = flag.Int("k", 10, "terms per cloud")
+)
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := datagen.DefaultConfig()
 	cfg.NumTweets = *tweets
 	cfg.Weeks = 4 // Figure 3 shows four weeks after the November 2015 attacks
 	ds, err := datagen.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("corpus: %d tweets by %d politicians over %d weeks\n",
+	fmt.Fprintf(w, "corpus: %d tweets by %d politicians over %d weeks\n",
 		ds.Tweets.Count(), len(ds.Politicians), cfg.Weeks)
 
 	// The classifier is the analytic equivalent of the scenario (2)
@@ -39,7 +48,7 @@ func main() {
 	clouds := analytics.ComputeTagClouds(ds.Tweets, "text", ds.Classifier(), *topK, 3)
 
 	currents := datagen.CurrentOfParty()
-	fmt.Println(viz.RenderText(clouds, currents, 6))
+	fmt.Fprintln(w, viz.RenderText(clouds, currents, 6))
 
 	html := viz.RenderHTML(clouds, viz.HTMLOptions{
 		Title:     "Weekly vocabulary by party — state of emergency (synthetic reproduction of Figure 3)",
@@ -47,9 +56,9 @@ func main() {
 		WeekLabel: func(w int) string { return fmt.Sprintf("week %d after the attacks", w) },
 	})
 	if err := os.WriteFile(*out, []byte(html), 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("wrote", *out)
+	fmt.Fprintln(w, "wrote", *out)
 
 	// The Figure 3 storyline check: the ecologists' objection
 	// vocabulary should be amplified in week 3 relative to week 2.
@@ -66,6 +75,7 @@ func main() {
 		}
 		return 0
 	}
-	fmt.Printf("EELV objection-term PMI: week2=%.2f week3=%.2f (paper: objections appear in the third week)\n",
+	fmt.Fprintf(w, "EELV objection-term PMI: week2=%.2f week3=%.2f (paper: objections appear in the third week)\n",
 		report(2), report(3))
+	return nil
 }

@@ -5,7 +5,6 @@
 package tatooine_test
 
 import (
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -181,48 +180,5 @@ FROM <sql://insee> IN(?dept) OUT(?dept, ?taux)
 	}
 	if _, err := cat.Search([]string{"head of state", "SIA2016"}, keyword.SearchOptions{}); err != nil {
 		t.Errorf("federated keyword search: %v", err)
-	}
-}
-
-// TestExportedTableAsGraphExtension reproduces §1's workflow: a small
-// curated table (parties → EP groups) exported to RDF and loaded into
-// the custom graph, then used as the bridge in a mixed query.
-func TestExportedTableAsGraphExtension(t *testing.T) {
-	ds, _ := integrationDataset(t)
-
-	// The "hand-built tabular file": party → EP group.
-	aux := ds.INSEE // reuse the db object for convenience
-	if _, err := aux.Exec("CREATE TABLE epgroups (party TEXT PRIMARY KEY, ep TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range datagen.Parties {
-		if _, err := aux.Exec(fmt.Sprintf("INSERT INTO epgroups VALUES ('%s', '%s')",
-			p.ID, strings.ReplaceAll(p.EPGroup, "'", "''"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	added, err := source.ExportTableRDF(ds.Graph, aux.Table("epgroups"), datagen.NS+"aux/")
-	if err != nil || added == 0 {
-		t.Fatalf("export: %d, %v", added, err)
-	}
-
-	in, err := ds.Instance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query across: politicians → party code (from localname of the
-	// party IRI we can't string-op in BGP, so epgroups carries party
-	// IDs which also appear as party IRIs' trailing part; join via the
-	// aux row's party literal against a helper triple instead).
-	res, err := in.Query(`
-QUERY q(?row, ?ep)
-GRAPH { ?row <http://tatooine.example/aux/ep> ?ep }
-ORDER BY ?ep
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(datagen.Parties) {
-		t.Errorf("exported rows queryable: %d", len(res.Rows))
 	}
 }

@@ -198,21 +198,6 @@ func (in *Instance) StoreStats() *store.Stats {
 	return &s
 }
 
-// Checkpoint commits pending state and folds the WAL into the main
-// file. Useful before backups and called by Close.
-func (in *Instance) Checkpoint() error {
-	if in.st == nil {
-		return nil
-	}
-	in.satMu.Lock()
-	defer in.satMu.Unlock()
-	in.persistLocked()
-	if in.stErr != nil {
-		return in.stErr
-	}
-	return in.st.Checkpoint()
-}
-
 // Close commits and checkpoints a persistent instance, then closes the
 // store. In-memory instances are a no-op. The instance must not be
 // used afterwards.

@@ -82,9 +82,10 @@ func TestTweetFieldsShapeFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ds.Tweets.Get("tw00000001")
-	if d == nil {
-		t.Fatal("first tweet missing")
+	var d *doc.Document
+	ds.Tweets.Each(func(first *doc.Document) bool { d = first; return false })
+	if d == nil || d.ID != "tw00000001" {
+		t.Fatalf("first tweet: %v", d)
 	}
 	for _, path := range []string{"text", "user.screen_name", "user.name", "created_at", "retweet_count", "favorite_count"} {
 		if vals := d.Values(path); len(vals) == 0 {
@@ -233,12 +234,8 @@ func TestPartyOfLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := ds.PartyOf(ds.Politicians[0].Twitter)
-	if !ok || p.ID != "PS" {
-		t.Errorf("PartyOf head of state: %+v %v", p, ok)
-	}
-	if _, ok := ds.PartyOf("nobody"); ok {
-		t.Error("unknown account resolved")
+	if p := ds.Politicians[0].PartyID; p != "PS" {
+		t.Errorf("head of state's party: %s", p)
 	}
 	cur := CurrentOfParty()
 	if cur["EELV"] != "ecologist" {

@@ -136,21 +136,6 @@ func (ds *Dataset) registerSources(in *core.Instance) error {
 	return nil
 }
 
-// PartyOf returns the party and current of a Twitter screen name, as
-// the demonstration resolves authors through the custom graph.
-func (ds *Dataset) PartyOf(screenName string) (Party, bool) {
-	for _, p := range ds.Politicians {
-		if p.Twitter == screenName {
-			for _, pt := range Parties {
-				if pt.ID == p.PartyID {
-					return pt, true
-				}
-			}
-		}
-	}
-	return Party{}, false
-}
-
 // Classifier returns an analytics classifier resolving tweets to
 // (party, week) through the politician graph, mirroring the mixed
 // query of scenario (2).

@@ -22,30 +22,6 @@ type Bloom struct {
 	nAdded int
 }
 
-// NewBloom sizes a filter for expectedN items at the target false
-// positive rate (standard m/k formulas). Both inputs are clamped to
-// sane minimums.
-func NewBloom(expectedN int, fpr float64) *Bloom {
-	if expectedN < 1 {
-		expectedN = 1
-	}
-	if fpr <= 0 || fpr >= 1 {
-		fpr = 0.01
-	}
-	m := uint64(math.Ceil(-float64(expectedN) * math.Log(fpr) / (math.Ln2 * math.Ln2)))
-	if m < 64 {
-		m = 64
-	}
-	k := int(math.Round(float64(m) / float64(expectedN) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return &Bloom{bits: make([]uint64, (m+63)/64), m: m, k: k}
-}
-
 // maxBloomHashes bounds k: past a few dozen hashes a filter only gets
 // worse, and MayContain's cost is linear in k.
 const maxBloomHashes = 32
@@ -100,15 +76,6 @@ func (b *Bloom) MayContain(s string) bool {
 	}
 	return true
 }
-
-// Bits returns the filter's bit capacity.
-func (b *Bloom) Bits() uint64 { return b.m }
-
-// Hashes returns the number of hash functions.
-func (b *Bloom) Hashes() int { return b.k }
-
-// Added returns how many values were inserted.
-func (b *Bloom) Added() int { return b.nAdded }
 
 // EstimatedFPR returns the expected false-positive rate at the current
 // fill level: (1 - e^{-kn/m})^k.

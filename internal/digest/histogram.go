@@ -109,15 +109,6 @@ func (h *Histogram) EstimateRange(lo, hi float64) float64 {
 	return total
 }
 
-// MayContain reports whether v could be present (its bucket is
-// non-empty and v is within [Min, Max]).
-func (h *Histogram) MayContain(v float64) bool {
-	if h.N == 0 || v < h.Min || v > h.Max {
-		return false
-	}
-	return h.Counts[h.bucketOf(v)] > 0
-}
-
 // String renders a short summary.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("hist{n=%d min=%g max=%g buckets=%d}", h.N, h.Min, h.Max, h.Buckets())

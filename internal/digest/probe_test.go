@@ -193,7 +193,7 @@ func FuzzBloomMayContain(f *testing.F) {
 	f.Add("Hauts-de-Seine", "\x00\xff", "émile")
 	f.Add("dup", "dup", "dup")
 	f.Fuzz(func(t *testing.T, a, b, c string) {
-		bl := NewBloom(4, 0.01)
+		bl := NewBloomWithBits(64, 11)
 		for _, s := range []string{a, b, c} {
 			bl.Add(s)
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBloomJSONRoundTrip(t *testing.T) {
-	b := NewBloom(100, 0.01)
+	b := NewBloomWithBits(960, 7)
 	for i := 0; i < 100; i++ {
 		b.Add(fmt.Sprintf("v-%d", i))
 	}
@@ -22,9 +22,8 @@ func TestBloomJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Bits() != b.Bits() || back.Hashes() != b.Hashes() || back.Added() != b.Added() {
-		t.Errorf("params: %d/%d/%d vs %d/%d/%d",
-			back.Bits(), back.Hashes(), back.Added(), b.Bits(), b.Hashes(), b.Added())
+	if back.m != b.m || back.k != b.k || back.nAdded != b.nAdded {
+		t.Errorf("params: %d/%d/%d vs %d/%d/%d", back.m, back.k, back.nAdded, b.m, b.k, b.nAdded)
 	}
 	for i := 0; i < 100; i++ {
 		if !back.MayContain(fmt.Sprintf("v-%d", i)) {
@@ -47,7 +46,7 @@ func TestBloomUnmarshalErrors(t *testing.T) {
 }
 
 func TestBloomWireVersionStamped(t *testing.T) {
-	b := NewBloom(10, 0.01)
+	b := NewBloomWithBits(96, 7)
 	b.Add("x")
 	data, err := json.Marshal(b)
 	if err != nil {
@@ -240,7 +239,7 @@ func TestBloomWireRejectsUnboundedHashes(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"v":1,"m":64,"k":32,"added":1,"bits":"//////////8="}`), &b); err != nil {
 		t.Errorf("k=32 refused: %v", err)
 	}
-	if got := NewBloomWithBits(64, 1000).Hashes(); got != 32 {
+	if got := NewBloomWithBits(64, 1000).k; got != 32 {
 		t.Errorf("NewBloomWithBits kept k=%d, want it clamped to 32", got)
 	}
 }

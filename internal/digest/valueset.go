@@ -254,9 +254,6 @@ func (vs *ValueSet) DistinctEstimate() int {
 	return 1
 }
 
-// Samples returns up to SampleSize normalized distinct values.
-func (vs *ValueSet) Samples() []string { return vs.samples }
-
 // Histogram returns the numeric histogram, or nil.
 func (vs *ValueSet) Histogram() *Histogram { return vs.hist }
 

@@ -1,13 +1,11 @@
 // Package doc implements TATOOINE's semi-structured document model: the
 // JSON shape of tweets and Facebook posts (Figure 2 of the paper), with
-// dotted-path access and path enumeration used by dataguides and source
-// digests.
+// dotted-path access.
 package doc
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"tatooine/internal/value"
@@ -18,41 +16,6 @@ import (
 type Document struct {
 	ID     string
 	Fields map[string]any
-}
-
-// FromJSON decodes one JSON object into a Document with the given id.
-func FromJSON(id string, data []byte) (*Document, error) {
-	var fields map[string]any
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.UseNumber()
-	if err := dec.Decode(&fields); err != nil {
-		return nil, fmt.Errorf("doc: decode %s: %w", id, err)
-	}
-	return &Document{ID: id, Fields: fields}, nil
-}
-
-// ToJSON encodes the document's fields.
-func (d *Document) ToJSON() ([]byte, error) {
-	return json.Marshal(d.Fields)
-}
-
-// Get returns the raw value at a dotted path ("user.screen_name").
-// Traversal descends through nested objects; it does not index into
-// arrays (use Values for array flattening). ok is false when any path
-// step is missing.
-func (d *Document) Get(path string) (any, bool) {
-	var cur any = d.Fields
-	for _, step := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[step]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
 }
 
 // Values returns the scalar values at a dotted path, flattening arrays
@@ -123,40 +86,6 @@ func toValue(v any) value.Value {
 	default:
 		return value.NewString(fmt.Sprint(x))
 	}
-}
-
-// Paths returns the sorted set of dotted paths to scalar leaves in the
-// document (array elements share their parent path).
-func (d *Document) Paths() []string {
-	seen := make(map[string]struct{})
-	var walk func(prefix string, v any)
-	walk = func(prefix string, v any) {
-		switch x := v.(type) {
-		case map[string]any:
-			for k, child := range x {
-				p := k
-				if prefix != "" {
-					p = prefix + "." + k
-				}
-				walk(p, child)
-			}
-		case []any:
-			for _, e := range x {
-				walk(prefix, e)
-			}
-		default:
-			if prefix != "" {
-				seen[prefix] = struct{}{}
-			}
-		}
-	}
-	walk("", d.Fields)
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Set stores a value at a dotted path, creating intermediate objects.

@@ -1,6 +1,8 @@
 package doc
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"tatooine/internal/value"
@@ -23,31 +25,20 @@ const figure2JSON = `{
   "entities": {"hashtags": ["SIA2016"], "urls": []}
 }`
 
-func fig2(t *testing.T) *Document {
+// fromJSON decodes one JSON object into a Document, keeping numbers
+// as json.Number.
+func fromJSON(t *testing.T, data string) *Document {
 	t.Helper()
-	d, err := FromJSON("tw1", []byte(figure2JSON))
-	if err != nil {
+	d := &Document{ID: "x"}
+	dec := json.NewDecoder(strings.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(&d.Fields); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-func TestFromJSONFigure2(t *testing.T) {
-	d := fig2(t)
-	if d.ID != "tw1" {
-		t.Errorf("id: %s", d.ID)
-	}
-	v, ok := d.Get("user.screen_name")
-	if !ok || v != "fhollande" {
-		t.Errorf("user.screen_name: %v %v", v, ok)
-	}
-	if _, ok := d.Get("user.missing"); ok {
-		t.Error("missing path should not resolve")
-	}
-	if _, ok := d.Get("text.sub"); ok {
-		t.Error("descending into scalar should fail")
-	}
-}
+func fig2(t *testing.T) *Document { return fromJSON(t, figure2JSON) }
 
 func TestValuesScalarsAndArrays(t *testing.T) {
 	d := fig2(t)
@@ -70,38 +61,10 @@ func TestValuesScalarsAndArrays(t *testing.T) {
 }
 
 func TestValuesThroughArrayOfObjects(t *testing.T) {
-	d, err := FromJSON("x", []byte(`{"posts": [{"tag": "a"}, {"tag": "b"}, {"other": 1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fromJSON(t, `{"posts": [{"tag": "a"}, {"tag": "b"}, {"other": 1}]}`)
 	vals := d.Values("posts.tag")
 	if len(vals) != 2 || vals[0].Str() != "a" || vals[1].Str() != "b" {
 		t.Errorf("array of objects: %v", vals)
-	}
-}
-
-func TestPaths(t *testing.T) {
-	d := fig2(t)
-	paths := d.Paths()
-	want := map[string]bool{
-		"created_at": true, "id": true, "text": true,
-		"user.id": true, "user.name": true, "user.screen_name": true,
-		"user.description": true, "user.followers_count": true,
-		"retweet_count": true, "favorite_count": true,
-		"entities.hashtags": true,
-	}
-	got := make(map[string]bool)
-	for _, p := range paths {
-		got[p] = true
-	}
-	for p := range want {
-		if !got[p] {
-			t.Errorf("missing path %q in %v", p, paths)
-		}
-	}
-	// entities.urls is an empty array: no scalar leaf, so not a path.
-	if got["entities.urls"] {
-		t.Error("empty array should not contribute a path")
 	}
 }
 
@@ -110,36 +73,16 @@ func TestSetAndRoundTrip(t *testing.T) {
 	d.Set("user.screen_name", "mlp")
 	d.Set("retweet_count", 12)
 	d.Set("text", "bonjour")
-	if v, ok := d.Get("user.screen_name"); !ok || v != "mlp" {
-		t.Errorf("set/get: %v %v", v, ok)
+	if v := d.Values("user.screen_name"); len(v) != 1 || v[0].Str() != "mlp" {
+		t.Errorf("set/values: %v", v)
 	}
-	data, err := d.ToJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromJSON("n1", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := back.Get("user.screen_name"); v != "mlp" {
-		t.Errorf("round trip: %v", v)
-	}
-}
-
-func TestFromJSONErrors(t *testing.T) {
-	if _, err := FromJSON("x", []byte(`not json`)); err == nil {
-		t.Error("invalid JSON accepted")
-	}
-	if _, err := FromJSON("x", []byte(`[1,2,3]`)); err == nil {
-		t.Error("non-object JSON accepted")
+	if v := d.Values("retweet_count"); len(v) != 1 || v[0].Kind() != value.Int || v[0].Int() != 12 {
+		t.Errorf("set/values: %v", v)
 	}
 }
 
 func TestValueCoercionKinds(t *testing.T) {
-	d, err := FromJSON("x", []byte(`{"f": 1.5, "i": 3, "b": true, "n": null, "s": "txt"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fromJSON(t, `{"f": 1.5, "i": 3, "b": true, "n": null, "s": "txt"}`)
 	if d.Values("f")[0].Kind() != value.Float {
 		t.Error("float kind")
 	}

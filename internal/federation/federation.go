@@ -257,9 +257,6 @@ func Dial(baseURL string) (*Client, error) {
 // URI implements source.DataSource.
 func (c *Client) URI() string { return c.meta.URI }
 
-// BaseURL returns the endpoint the client talks to.
-func (c *Client) BaseURL() string { return c.baseURL }
-
 // Model implements source.DataSource.
 func (c *Client) Model() source.Model {
 	switch c.meta.Model {

@@ -325,11 +325,10 @@ func TestUnknownFieldErrors(t *testing.T) {
 
 func TestGetAndEach(t *testing.T) {
 	ix := testIndex(t)
-	if d := ix.Get("t3"); d == nil {
-		t.Fatal("Get t3 nil")
-	}
-	if ix.Get("missing") != nil {
-		t.Error("Get missing should be nil")
+	var ids []string
+	ix.Each(func(d *doc.Document) bool { ids = append(ids, d.ID); return true })
+	if fmt.Sprint(ids) != "[t1 t2 t3 t4 t5]" {
+		t.Errorf("Each visits %v", ids)
 	}
 	n := 0
 	ix.Each(func(*doc.Document) bool { n++; return n < 3 })
@@ -338,53 +337,6 @@ func TestGetAndEach(t *testing.T) {
 	}
 	if ix.Count() != 5 {
 		t.Errorf("Count: %d", ix.Count())
-	}
-}
-
-func TestFieldTermsAndDocFreq(t *testing.T) {
-	ix := testIndex(t)
-	terms := ix.FieldTerms("entities.hashtags")
-	if len(terms) != 3 {
-		t.Errorf("hashtag terms: %v", terms)
-	}
-	if df := ix.DocFreq("text", "solidarit"); df != 3 {
-		t.Errorf("DocFreq(solidarite) = %d", df)
-	}
-}
-
-func TestTermCounts(t *testing.T) {
-	ix := testIndex(t)
-	counts, total := ix.TermCounts("text", []string{"t1", "t4"})
-	if total == 0 {
-		t.Fatal("no term counts")
-	}
-	if counts["solidarit"] != 2 {
-		t.Errorf("solidarite count: %d (%v)", counts["solidarit"], counts)
-	}
-	all, allTotal := ix.TermCounts("text", nil)
-	if allTotal <= total {
-		t.Error("corpus total should exceed subset total")
-	}
-	if all["solidarit"] != 3 {
-		t.Errorf("corpus solidarite: %d", all["solidarit"])
-	}
-}
-
-func TestAddJSONFigure2(t *testing.T) {
-	ix := NewIndex("tweets", tweetSchema())
-	err := ix.AddJSON("fig2", []byte(`{
-		"created_at": "2016-03-01T03:42:31Z",
-		"id": 464244242167342513,
-		"text": "Je suis là aujourd'hui #SIA2016",
-		"user": {"screen_name": "fhollande"},
-		"retweet_count": 469,
-		"entities": {"hashtags": ["SIA2016"]}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := searchIDs(t, ix, `SEARCH tweets WHERE entities.hashtags = 'SIA2016' RETURN _id`); len(got) != 1 || got[0] != "fig2" {
-		t.Errorf("fig2: %v", got)
 	}
 }
 

@@ -177,26 +177,6 @@ func (ix *Index) Add(d *doc.Document) error {
 	return nil
 }
 
-// AddJSON decodes and indexes a JSON document.
-func (ix *Index) AddJSON(id string, data []byte) error {
-	d, err := doc.FromJSON(id, data)
-	if err != nil {
-		return err
-	}
-	return ix.Add(d)
-}
-
-// Get returns the document with the given ID, or nil.
-func (ix *Index) Get(id string) *doc.Document {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	i, ok := ix.byID[id]
-	if !ok {
-		return nil
-	}
-	return ix.docs[i]
-}
-
 // Each calls fn for every document until fn returns false.
 func (ix *Index) Each(fn func(d *doc.Document) bool) {
 	ix.mu.RLock()
@@ -229,76 +209,16 @@ func (ix *Index) rlockSorted() {
 	}
 }
 
-// FieldTerms returns the distinct tokens (text fields) or folded values
-// (keyword fields) of a field, sorted; used by digests.
-func (ix *Index) FieldTerms(field string) []string {
-	ix.mu.RLock()
+// EqualCount returns how many documents the SEARCH condition
+// `field = v` matches, read the way Execute reads it: the posting list
+// on a keyword field, the point range on a numeric or time field. It is
+// -1 when the field is not in the schema.
+func (ix *Index) EqualCount(field string, v value.Value) int {
+	ix.rlockSorted()
 	defer ix.mu.RUnlock()
-	var out []string
-	if m, ok := ix.text[field]; ok {
-		for t := range m {
-			out = append(out, t)
-		}
-	} else if m, ok := ix.keyword[field]; ok {
-		for v := range m {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// KeywordCount returns the length of the posting list that the SEARCH
-// condition `field = 'value'` reads on a keyword field, or -1 when the
-// field is not in the schema.
-func (ix *Index) KeywordCount(field, value string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if _, declared := ix.schema[field]; !declared {
+	s, err := ix.condSet(Cond{Field: field, Op: CondEq}, v, value.Value{})
+	if err != nil {
 		return -1
 	}
-	return len(ix.keyword[field][Fold(value)])
-}
-
-// DocFreq returns how many documents contain the analyzed token in the
-// text field.
-func (ix *Index) DocFreq(field, token string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	m, ok := ix.text[field]
-	if !ok {
-		return 0
-	}
-	return len(m[token])
-}
-
-// TermCounts accumulates token → occurrence count over the text field of
-// the given documents (all documents when ids is nil). It is the raw
-// material for the PMI analytics of the paper's scenario (2).
-func (ix *Index) TermCounts(field string, ids []string) (map[string]int, int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	counts := make(map[string]int)
-	total := 0
-	add := func(docID int32) {
-		d := ix.docs[docID]
-		for _, v := range d.Values(field) {
-			for _, t := range ix.analyzer.Tokens(v.String()) {
-				counts[t]++
-				total++
-			}
-		}
-	}
-	if ids == nil {
-		for i := range ix.docs {
-			add(int32(i))
-		}
-		return counts, total
-	}
-	for _, id := range ids {
-		if i, ok := ix.byID[id]; ok {
-			add(i)
-		}
-	}
-	return counts, total
+	return len(s.ids)
 }

@@ -105,9 +105,6 @@ func (c *Catalog) sortedNodes() []*digest.Node {
 // Digests returns the per-source digests.
 func (c *Catalog) Digests() []*digest.Digest { return c.digests }
 
-// Node returns a node by ID.
-func (c *Catalog) Node(id string) *digest.Node { return c.nodes[id] }
-
 // Lookup returns all digest nodes matching the keyword.
 func (c *Catalog) Lookup(kw string) []*digest.Node {
 	var out []*digest.Node

@@ -76,8 +76,8 @@ func TestCatalogDigestsAndOverlaps(t *testing.T) {
 		t.Fatalf("digests: %d", len(c.Digests()))
 	}
 	// The twitterAccount ↔ user.screen_name overlap edge must exist.
-	tw := c.NodeByLabel("tatooine:G", "http://t.example/twitterAccount")
-	sn := c.NodeByLabel("solr://tweets", "user.screen_name")
+	tw := c.nodes["tatooine:G#http://t.example/twitterAccount"]
+	sn := c.nodes["solr://tweets#user.screen_name"]
 	if tw == nil || sn == nil {
 		t.Fatal("bridge nodes missing")
 	}
@@ -266,7 +266,7 @@ func TestThreeKeywordSteinerPath(t *testing.T) {
 	// tweet store.
 	sources := map[string]bool{}
 	for _, id := range cands[0].Path {
-		if n := c.Node(id); n != nil {
+		if n := c.nodes[id]; n != nil {
 			sources[n.Source] = true
 		}
 	}

@@ -1,10 +1,6 @@
 package keyword
 
-import (
-	"fmt"
-
-	"tatooine/internal/digest"
-)
+import "fmt"
 
 // SearchOptions tune keyword search.
 type SearchOptions struct {
@@ -94,9 +90,4 @@ func (c *Catalog) Explain(cand Candidate) string {
 		out += fmt.Sprintf("%s(%s)", n.Label, n.Kind)
 	}
 	return out
-}
-
-// NodeByLabel finds a node by source and label (test/debug helper).
-func (c *Catalog) NodeByLabel(sourceURI, label string) *digest.Node {
-	return c.nodes[sourceURI+"#"+label]
 }

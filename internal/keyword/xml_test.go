@@ -40,11 +40,11 @@ func TestKeywordSearchThroughXMLSource(t *testing.T) {
 
 	cat := BuildCatalog(in)
 	// The speaker attribute must be digested and overlap with foaf:name.
-	sp := cat.NodeByLabel("xml://speeches", "speeches/speech/@speaker")
+	sp := cat.nodes["xml://speeches#speeches/speech/@speaker"]
 	if sp == nil || sp.Kind != digest.XMLPath {
 		t.Fatalf("speaker node: %+v", sp)
 	}
-	nameNode := cat.NodeByLabel("tatooine:G", rdf.FOAFName)
+	nameNode := cat.nodes["tatooine:G#"+rdf.FOAFName]
 	if nameNode == nil {
 		t.Fatal("foaf:name node missing")
 	}

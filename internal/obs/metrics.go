@@ -106,19 +106,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.family(name, help, "", counterKind, nil).child("").(*Counter)
 }
 
-// CounterVec registers a counter family with one label dimension.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{f: r.family(name, help, label, counterKind, nil)}
-}
-
 // Gauge registers (or finds) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, "", gaugeKind, nil).child("").(*Gauge)
-}
-
-// GaugeVec registers a gauge family with one label dimension.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, label, gaugeKind, nil)}
 }
 
 // Histogram registers (or finds) an unlabeled histogram over the given
@@ -146,9 +136,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a settable int64.
 type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the value by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
@@ -185,26 +172,11 @@ func (h *Histogram) ObserveSince(start time.Time) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// CounterVec, GaugeVec and HistogramVec hand out the per-label-value
-// child metric, creating it on first use.
-type CounterVec struct{ f *family }
-
-// With returns the counter for one label value.
-func (v *CounterVec) With(labelValue string) *Counter { return v.f.child(labelValue).(*Counter) }
-
-// GaugeVec is the labeled Gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for one label value.
-func (v *GaugeVec) With(labelValue string) *Gauge { return v.f.child(labelValue).(*Gauge) }
-
-// HistogramVec is the labeled Histogram family.
+// HistogramVec is the labeled Histogram family: it hands out the
+// per-label-value child histogram, creating it on first use.
 type HistogramVec struct{ f *family }
 
 // With returns the histogram for one label value.

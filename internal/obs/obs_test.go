@@ -68,15 +68,12 @@ func TestSpanCap(t *testing.T) {
 	for i := 0; i < DefaultMaxSpans+10; i++ {
 		root.StartChild("child").End()
 	}
-	kept, dropped := root.Spans()
-	if kept != DefaultMaxSpans {
+	d := root.Data()
+	if kept := 1 + len(d.Children); kept != DefaultMaxSpans {
 		t.Fatalf("kept = %d, want %d", kept, DefaultMaxSpans)
 	}
-	if dropped != 11 { // 10 over plus the one that hit the cap
-		t.Fatalf("dropped = %d, want 11", dropped)
-	}
-	if root.Data().Dropped != 11 {
-		t.Fatalf("Data dropped = %d", root.Data().Dropped)
+	if d.Dropped != 11 { // 10 over plus the one that hit the cap
+		t.Fatalf("dropped = %d, want 11", d.Dropped)
 	}
 }
 
@@ -108,12 +105,12 @@ func TestContextPlumbing(t *testing.T) {
 func TestMetricsRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tat_test_total", "test counter").Add(5)
-	r.Gauge("tat_test_gauge", "test gauge").Set(-2)
+	r.Gauge("tat_test_gauge", "test gauge").Add(-2)
 	h := r.Histogram("tat_test_seconds", "test histogram", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.CounterVec("tat_test_labeled_total", "labeled", "source").With(`s"rc\x`).Inc()
+	r.HistogramVec("tat_test_labeled_seconds", "labeled", "source", []float64{1}).With(`s"rc\x`).Observe(0.5)
 
 	var b strings.Builder
 	r.Render(&b)
@@ -129,14 +126,14 @@ func TestMetricsRender(t *testing.T) {
 		`tat_test_seconds_bucket{le="+Inf"} 3` + "\n",
 		"tat_test_seconds_sum 5.55\n",
 		"tat_test_seconds_count 3\n",
-		`tat_test_labeled_total{source="s\"rc\\x"} 1` + "\n",
+		`tat_test_labeled_seconds_count{source="s\"rc\\x"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
 	}
-	if h.Count() != 3 || h.Sum() != 5.55 {
-		t.Fatalf("histogram count/sum = %d/%g", h.Count(), h.Sum())
+	if h.Sum() != 5.55 {
+		t.Fatalf("histogram sum = %g", h.Sum())
 	}
 }
 
@@ -147,7 +144,7 @@ func TestMetricsGetOrCreate(t *testing.T) {
 	if a != b {
 		t.Fatal("same name returned distinct counters")
 	}
-	v := r.CounterVec("tat_vec_total", "x", "k")
+	v := r.HistogramVec("tat_vec_seconds", "x", "k", []float64{1})
 	if v.With("a") != v.With("a") || v.With("a") == v.With("b") {
 		t.Fatal("vec children not keyed by label value")
 	}

@@ -11,7 +11,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -227,17 +226,6 @@ func (s *Span) Data() *SpanData {
 	return root
 }
 
-// Spans returns how many spans the trace currently holds (the root
-// included) and how many were dropped over the cap.
-func (s *Span) Spans() (kept, dropped int) {
-	if s == nil {
-		return 0, 0
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return len(s.t.spans), s.t.dropped
-}
-
 // Render formats the span tree for humans: one line per span, indented
 // by depth, with durations and sorted attributes.
 func (d *SpanData) Render() string {
@@ -272,13 +260,6 @@ func (d *SpanData) Render() string {
 	}
 	walk(d, 0)
 	return b.String()
-}
-
-// JSON renders the span tree as indented JSON (for examples and CLI
-// output); errors cannot occur on this shape.
-func (d *SpanData) JSON() string {
-	out, _ := json.MarshalIndent(d, "", "  ")
-	return string(out)
 }
 
 // ---------- context plumbing ----------

@@ -42,13 +42,11 @@ const PageSize = 4096
 // header and is never handed out by Allocate.
 type PageID uint32
 
+// dbMagic opens page 0, the header: magic, page size, page count,
+// free-list head, free-list length (8+4+4+4+4 bytes). Files written
+// before the free list existed carry zeroes in the last two fields,
+// which reads back as "empty free list" — exactly right.
 const dbMagic = "TATPG001"
-
-// headerSize is the used prefix of page 0: magic, page size, page
-// count, free-list head, free-list length. Files written before the
-// free list existed carry zeroes in the last two fields, which reads
-// back as "empty free list" — exactly right.
-const headerSize = 8 + 4 + 4 + 4 + 4
 
 // Options tune a Pager.
 type Options struct {
@@ -88,19 +86,14 @@ type Pager struct {
 	wal  *wal
 	opts Options
 
-	pageCount          uint32
-	committedPageCount uint32            // pageCount as of the last Commit
-	dirty              map[PageID][]byte // mutated since last Commit
-	cache              *clockCache
+	pageCount uint32
+	dirty     map[PageID][]byte // mutated since last Commit
+	cache     *clockCache
 
 	// Free-list state mirrors the header fields (bytes 16..24 of page
 	// 0): freeHead chains through the first 4 bytes of each free page.
-	// The committed copies restore the mirror on Rollback; the header
-	// page itself rolls back with the rest of the dirty set.
-	freeHead          PageID
-	freeCount         uint32
-	committedFreeHead PageID
-	committedFreeCnt  uint32
+	freeHead  PageID
+	freeCount uint32
 
 	hits, misses, commits, checkpoints, evictions int64
 	lastResident                                  int // last value pushed to the resident gauge
@@ -173,10 +166,8 @@ func Open(path string, opts Options) (*Pager, error) {
 		return nil, fmt.Errorf("pager: %s has page size %d, want %d", path, ps, PageSize)
 	}
 	p.pageCount = binary.BigEndian.Uint32(hdr[12:])
-	p.committedPageCount = p.pageCount
 	p.freeHead = PageID(binary.BigEndian.Uint32(hdr[16:]))
 	p.freeCount = binary.BigEndian.Uint32(hdr[20:])
-	p.committedFreeHead, p.committedFreeCnt = p.freeHead, p.freeCount
 	return p, nil
 }
 
@@ -355,13 +346,6 @@ func (p *Pager) Free(id PageID) error {
 	return p.syncHeaderLocked()
 }
 
-// FreeCount returns the number of pages on the free list.
-func (p *Pager) FreeCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.freeCount)
-}
-
 // FreePages walks the free list and returns the IDs on it, head first.
 // The store's vacuum sweep uses it to tell freed pages from leaked
 // ones.
@@ -413,26 +397,9 @@ func (p *Pager) Commit() error {
 		p.cachePut(id, d)
 		delete(p.dirty, id)
 	}
-	p.committedPageCount = p.pageCount
-	p.committedFreeHead, p.committedFreeCnt = p.freeHead, p.freeCount
 	p.commits++
 	p.updateResident()
 	return nil
-}
-
-// Rollback discards every mutation since the last Commit. The page
-// count retreats with it: pages allocated by the aborted transaction
-// are reused by the next one.
-func (p *Pager) Rollback() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.dirty) == 0 {
-		return
-	}
-	p.dirty = make(map[PageID][]byte)
-	p.pageCount = p.committedPageCount
-	p.freeHead, p.freeCount = p.committedFreeHead, p.committedFreeCnt
-	p.updateResident()
 }
 
 // Checkpoint copies every committed WAL page into the database file,

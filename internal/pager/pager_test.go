@@ -211,45 +211,6 @@ func TestCheckpointMovesPagesToDB(t *testing.T) {
 	}
 }
 
-func TestRollbackDiscardsDirty(t *testing.T) {
-	p := residentPager(t)
-	id, page, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(page, "keep")
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	mut, err := p.Mut(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(mut, "drop")
-	if _, _, err := p.Allocate(); err != nil {
-		t.Fatal(err)
-	}
-	p.Rollback()
-	d, err := p.View(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(d[:4]) != "keep" {
-		t.Fatalf("got %q after rollback", d[:4])
-	}
-	if p.PageCount() != int(id)+1 {
-		t.Fatalf("page count = %d after rollback, want %d", p.PageCount(), id+1)
-	}
-	// The rolled-back page id must be reusable.
-	id2, _, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 != id+1 {
-		t.Fatalf("allocate after rollback = %d, want %d", id2, id+1)
-	}
-}
-
 func TestCacheEviction(t *testing.T) {
 	path := tmpDB(t)
 	p, err := Open(path, Options{CacheSize: 4})
@@ -357,7 +318,7 @@ func TestFreeListReuseAndPersistence(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.FreeCount(); got != 2 {
+	if got := freeCount(t, p); got != 2 {
 		t.Fatalf("free count = %d, want 2", got)
 	}
 	before := p.PageCount()
@@ -371,7 +332,7 @@ func TestFreeListReuseAndPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if got := p.FreeCount(); got != 2 {
+	if got := freeCount(t, p); got != 2 {
 		t.Fatalf("free count after reopen = %d, want 2", got)
 	}
 	seen := map[PageID]bool{}
@@ -396,38 +357,8 @@ func TestFreeListReuseAndPersistence(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.FreeCount(); got != 0 {
+	if got := freeCount(t, p); got != 0 {
 		t.Fatalf("free count after reuse = %d, want 0", got)
-	}
-}
-
-func TestFreeRollsBackWithTransaction(t *testing.T) {
-	p, err := Open(tmpDB(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	id, page, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(page, "keep")
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Free(id); err != nil {
-		t.Fatal(err)
-	}
-	p.Rollback()
-	if got := p.FreeCount(); got != 0 {
-		t.Fatalf("free count after rollback = %d, want 0", got)
-	}
-	d, err := p.View(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(d[:4]) != "keep" {
-		t.Fatalf("rolled-back free clobbered page: %q", d[:4])
 	}
 }
 
@@ -469,4 +400,14 @@ func TestFreePagesEnumeratesChain(t *testing.T) {
 			t.Fatalf("unexpected free page %d", id)
 		}
 	}
+}
+
+// freeCount is the length of p's free list.
+func freeCount(t *testing.T, p *Pager) int {
+	t.Helper()
+	ids, err := p.FreePages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ids)
 }

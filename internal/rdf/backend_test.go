@@ -188,8 +188,8 @@ func TestBackendsSubjectsObjectsProperties(t *testing.T) {
 			tri("b", "knows", "c"),
 			tri("a", "likes", "c"),
 		})
-		subj := g.Subjects(NewIRI("knows"), NewIRI("c"))
-		if len(subj) != 2 || subj[0].Value != "a" || subj[1].Value != "b" {
+		subj := g.Match(Term{}, NewIRI("knows"), NewIRI("c"))
+		if len(subj) != 2 || subj[0].S.Value != "a" || subj[1].S.Value != "b" {
 			t.Fatalf("subjects = %v", subj)
 		}
 		obj := g.Objects(NewIRI("a"), NewIRI("knows"))

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -442,33 +441,5 @@ func validateWithInit(q BGP, init Bindings) error {
 	return nil
 }
 
-// Sort orders rows lexically by their term keys; useful for deterministic
-// test comparison.
-func (s *Solutions) Sort() {
-	sort.Slice(s.Rows, func(i, j int) bool {
-		a, b := s.Rows[i], s.Rows[j]
-		for k := range a {
-			ka, kb := a[k].Key(), b[k].Key()
-			if ka != kb {
-				return ka < kb
-			}
-		}
-		return false
-	})
-}
-
 // Len returns the number of solution rows.
 func (s *Solutions) Len() int { return len(s.Rows) }
-
-// Maps converts the solutions to a slice of Bindings maps.
-func (s *Solutions) Maps() []Bindings {
-	out := make([]Bindings, len(s.Rows))
-	for i, row := range s.Rows {
-		m := make(Bindings, len(s.Vars))
-		for j, v := range s.Vars {
-			m[v] = row[j]
-		}
-		out[i] = m
-	}
-	return out
-}

@@ -221,7 +221,7 @@ func FuzzParseBGP(f *testing.F) {
 // a pattern, yet a head-only init variable still projects its term.
 func TestEvaluateInitTermOutsideDictionary(t *testing.T) {
 	g := politicsGraph()
-	q := MustParseBGP(`?x <http://t.example/twitterAccount> ?id`, nil)
+	q := mustParseBGP(`?x <http://t.example/twitterAccount> ?id`, nil)
 	q.Head = []string{"id", "tag"}
 	tag := NewLiteral("never interned")
 	sols, err := EvaluateBound(g, q, Bindings{"tag": tag})

@@ -21,7 +21,7 @@ func filterGraph() *Graph {
 
 func TestFilterNumericComparison(t *testing.T) {
 	g := filterGraph()
-	q := MustParseBGP(`q(?x, ?n) :- ?x <http://e/followers> ?n . FILTER(?n > 50000)`, nil)
+	q := mustParseBGP(`q(?x, ?n) :- ?x <http://e/followers> ?n . FILTER(?n > 50000)`, nil)
 	sols, err := Evaluate(g, q)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestFilterNumericComparison(t *testing.T) {
 	if sols.Len() != 2 {
 		t.Errorf("followers > 50000: %+v", sols.Rows)
 	}
-	qle := MustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . FILTER(?n <= 12000)`, nil)
+	qle := mustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . FILTER(?n <= 12000)`, nil)
 	sols, _ = Evaluate(g, qle)
 	if sols.Len() != 1 {
 		t.Errorf("followers <= 12000: %+v", sols.Rows)
@@ -38,7 +38,7 @@ func TestFilterNumericComparison(t *testing.T) {
 
 func TestFilterEqNe(t *testing.T) {
 	g := filterGraph()
-	q := MustParseBGP(`q(?x) :- ?x foaf:name ?n . FILTER(?n = "Jean Dupont")`, nil)
+	q := mustParseBGP(`q(?x) :- ?x foaf:name ?n . FILTER(?n = "Jean Dupont")`, nil)
 	sols, err := Evaluate(g, q)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestFilterEqNe(t *testing.T) {
 	if sols.Len() != 1 || sols.Rows[0][0] != NewIRI("http://e/p2") {
 		t.Errorf("name =: %+v", sols.Rows)
 	}
-	qne := MustParseBGP(`q(?x) :- ?x foaf:name ?n . FILTER(?n != "Jean Dupont")`, nil)
+	qne := mustParseBGP(`q(?x) :- ?x foaf:name ?n . FILTER(?n != "Jean Dupont")`, nil)
 	sols, _ = Evaluate(g, qne)
 	if sols.Len() != 2 {
 		t.Errorf("name !=: %+v", sols.Rows)
@@ -55,7 +55,7 @@ func TestFilterEqNe(t *testing.T) {
 
 func TestFilterContains(t *testing.T) {
 	g := filterGraph()
-	q := MustParseBGP(`q(?x) :- ?x foaf:name ?n . FILTER(?n CONTAINS "hollande")`, nil)
+	q := mustParseBGP(`q(?x) :- ?x foaf:name ?n . FILTER(?n CONTAINS "hollande")`, nil)
 	sols, err := Evaluate(g, q)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestFilterContains(t *testing.T) {
 
 func TestFilterMultiple(t *testing.T) {
 	g := filterGraph()
-	q := MustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . ?x foaf:name ?name .
+	q := mustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . ?x foaf:name ?name .
 		FILTER(?n > 10000) . FILTER(?name CONTAINS "an")`, nil)
 	sols, err := Evaluate(g, q)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestFilterMultiple(t *testing.T) {
 	if sols.Len() != 3 {
 		t.Errorf("multi filter: %+v", sols.Rows)
 	}
-	q2 := MustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . ?x foaf:name ?name .
+	q2 := mustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . ?x foaf:name ?name .
 		FILTER(?n > 100000) . FILTER(?name CONTAINS "martin")`, nil)
 	sols, _ = Evaluate(g, q2)
 	if sols.Len() != 0 {
@@ -109,7 +109,7 @@ func TestFilterParseErrors(t *testing.T) {
 }
 
 func TestFilterStringRoundTrip(t *testing.T) {
-	q := MustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . FILTER(?n >= 100)`, nil)
+	q := mustParseBGP(`q(?x) :- ?x <http://e/followers> ?n . FILTER(?n >= 100)`, nil)
 	if !strings.Contains(q.String(), "FILTER(?n >= ") {
 		t.Fatalf("render: %s", q.String())
 	}
@@ -124,7 +124,7 @@ func TestFilterStringRoundTrip(t *testing.T) {
 
 func TestFilterWithEvaluateBound(t *testing.T) {
 	g := filterGraph()
-	q := MustParseBGP(`q(?x, ?n) :- ?x <http://e/followers> ?n . FILTER(?n > 50000)`, nil)
+	q := mustParseBGP(`q(?x, ?n) :- ?x <http://e/followers> ?n . FILTER(?n > 50000)`, nil)
 	sols, err := EvaluateBound(g, q, Bindings{"x": NewIRI("http://e/p2")})
 	if err != nil {
 		t.Fatal(err)

@@ -94,9 +94,6 @@ func (g *Graph) StoreErr() error {
 	return g.be.err()
 }
 
-// Dict exposes the graph's term dictionary.
-func (g *Graph) Dict() *Dictionary { return g.dict }
-
 // Size returns the number of distinct triples stored.
 func (g *Graph) Size() int {
 	g.mu.RLock()
@@ -284,30 +281,6 @@ func (g *Graph) Triples() []Triple {
 	ts := g.Match(Term{}, Term{}, Term{})
 	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
 	return ts
-}
-
-// Subjects returns the distinct subjects of triples with property p and
-// object o (zero Terms are wildcards).
-func (g *Graph) Subjects(p, o Term) []Term {
-	pid, ok := g.zeroAsWildcard(p)
-	if !ok {
-		return nil
-	}
-	oid, ok := g.zeroAsWildcard(o)
-	if !ok {
-		return nil
-	}
-	seen := make(map[TermID]struct{})
-	g.MatchIDs(NoTerm, pid, oid, func(s, _, _ TermID) bool {
-		seen[s] = struct{}{}
-		return true
-	})
-	out := make([]Term, 0, len(seen))
-	for id := range seen {
-		out = append(out, g.dict.Term(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
 }
 
 // Objects returns the distinct objects of triples with subject s and

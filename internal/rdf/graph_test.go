@@ -108,8 +108,8 @@ func TestGraphSubjectsObjectsProperties(t *testing.T) {
 	g.AddAll([]Triple{
 		tr("s1", "p", "o1"), tr("s2", "p", "o1"), tr("s1", "q", "o2"),
 	})
-	if got := g.Subjects(NewIRI("p"), NewIRI("o1")); len(got) != 2 {
-		t.Errorf("Subjects = %v, want 2 rows", got)
+	if got := g.Match(Term{}, NewIRI("p"), NewIRI("o1")); len(got) != 2 {
+		t.Errorf("subjects = %v, want 2 rows", got)
 	}
 	if got := g.Objects(NewIRI("s1"), Term{}); len(got) != 2 {
 		t.Errorf("Objects = %v, want 2 rows", got)

@@ -18,7 +18,7 @@ func optionalGraph() *Graph {
 
 func TestOptionalBasic(t *testing.T) {
 	g := optionalGraph()
-	q := MustParseBGP(`q(?n, ?tw) :- ?x <http://e/name> ?n . OPTIONAL { ?x <http://e/twitter> ?tw }`, nil)
+	q := mustParseBGP(`q(?n, ?tw) :- ?x <http://e/name> ?n . OPTIONAL { ?x <http://e/twitter> ?tw }`, nil)
 	sols, err := Evaluate(g, q)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestOptionalBasic(t *testing.T) {
 	if sols.Len() != 3 {
 		t.Fatalf("rows: %+v", sols.Rows)
 	}
-	sols.Sort()
+	sortRows(sols)
 	// Martin has no twitter → unbound (zero Term).
 	byName := map[string]Term{}
 	for _, row := range sols.Rows {
@@ -42,7 +42,7 @@ func TestOptionalBasic(t *testing.T) {
 
 func TestOptionalMultipleGroups(t *testing.T) {
 	g := optionalGraph()
-	q := MustParseBGP(`q(?n, ?tw, ?fb) :- ?x <http://e/name> ?n .
+	q := mustParseBGP(`q(?n, ?tw, ?fb) :- ?x <http://e/name> ?n .
 		OPTIONAL { ?x <http://e/twitter> ?tw } .
 		OPTIONAL { ?x <http://e/facebook> ?fb }`, nil)
 	sols, err := Evaluate(g, q)
@@ -79,7 +79,7 @@ func TestOptionalJoinsOnSharedVar(t *testing.T) {
 :a :p :b . :a :q :c .
 :d :p :e .
 `))
-	q := MustParseBGP(`q(?x, ?o) :- ?x <http://e/p> ?y . OPTIONAL { ?x <http://e/q> ?o }`, nil)
+	q := mustParseBGP(`q(?x, ?o) :- ?x <http://e/p> ?y . OPTIONAL { ?x <http://e/q> ?o }`, nil)
 	sols, err := Evaluate(g, q)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestOptionalMultiplicity(t *testing.T) {
 @prefix : <http://e/> .
 :a :p :x . :a :q :o1 . :a :q :o2 .
 `))
-	q := MustParseBGP(`q(?x, ?o) :- ?x <http://e/p> ?y . OPTIONAL { ?x <http://e/q> ?o }`, nil)
+	q := mustParseBGP(`q(?x, ?o) :- ?x <http://e/p> ?y . OPTIONAL { ?x <http://e/q> ?o }`, nil)
 	sols, _ := Evaluate(g, q)
 	if sols.Len() != 2 {
 		t.Errorf("multiplicity: %+v", sols.Rows)
@@ -112,7 +112,7 @@ func TestOptionalMultiplicity(t *testing.T) {
 }
 
 func TestOptionalStringRoundTrip(t *testing.T) {
-	q := MustParseBGP(`q(?n, ?tw) :- ?x <http://e/name> ?n . OPTIONAL { ?x <http://e/twitter> ?tw }`, nil)
+	q := mustParseBGP(`q(?n, ?tw) :- ?x <http://e/name> ?n . OPTIONAL { ?x <http://e/twitter> ?tw }`, nil)
 	s := q.String()
 	if !strings.Contains(s, "OPTIONAL { ") {
 		t.Fatalf("render: %s", s)

@@ -52,15 +52,6 @@ func ParseBGP(input string, prefixes map[string]string) (BGP, error) {
 	return q, q.Validate()
 }
 
-// MustParseBGP is ParseBGP panicking on error; for tests and fixtures.
-func MustParseBGP(input string, prefixes map[string]string) BGP {
-	q, err := ParseBGP(input, prefixes)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 func parseHead(s string) ([]string, error) {
 	open := strings.IndexByte(s, '(')
 	close := strings.LastIndexByte(s, ')')

@@ -209,7 +209,7 @@ func TestSaturateNoSchemaNoop(t *testing.T) {
 
 func TestAnswerUsesSaturation(t *testing.T) {
 	g := graphFromPaper()
-	q := MustParseBGP(`q(?who) :- ?who <http://tatooine.example/paidBy> <http://tatooine.example/LeMonde>`, nil)
+	q := mustParseBGP(`q(?who) :- ?who <http://tatooine.example/paidBy> <http://tatooine.example/LeMonde>`, nil)
 	sols, err := Evaluate(Saturate(g), q)
 	if err != nil {
 		t.Fatal(err)

@@ -153,8 +153,6 @@ const (
 	RDFSSubPropertyOf = "http://www.w3.org/2000/01/rdf-schema#subPropertyOf"
 	RDFSDomain        = "http://www.w3.org/2000/01/rdf-schema#domain"
 	RDFSRange         = "http://www.w3.org/2000/01/rdf-schema#range"
-	RDFSLabel         = "http://www.w3.org/2000/01/rdf-schema#label"
-	XSDString         = "http://www.w3.org/2001/XMLSchema#string"
 	XSDInteger        = "http://www.w3.org/2001/XMLSchema#integer"
 	XSDDecimal        = "http://www.w3.org/2001/XMLSchema#decimal"
 	XSDBoolean        = "http://www.w3.org/2001/XMLSchema#boolean"

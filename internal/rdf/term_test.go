@@ -32,7 +32,7 @@ func TestTermKeyDistinguishesKinds(t *testing.T) {
 		NewLiteral("x"),
 		NewBlank("x"),
 		NewLangLiteral("x", "fr"),
-		NewTypedLiteral("x", XSDString),
+		NewTypedLiteral("x", "http://www.w3.org/2001/XMLSchema#string"),
 	}
 	seen := make(map[string]Term)
 	for _, tm := range terms {

@@ -118,56 +118,6 @@ func TestBackendsAllValueKinds(t *testing.T) {
 	})
 }
 
-func TestBackendsCSVImport(t *testing.T) {
-	data := "id,name,pop,founded\n1,paris,2200000,1800-01-01T00:00:00Z\n2,lyon,510000,\n3,nice,340000,1860-01-01T00:00:00Z\n"
-	runDB(t, func(t *testing.T, db *Database) {
-		tb, err := db.ImportCSVString("cities", data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tb.RowCount() != 3 {
-			t.Fatalf("rowcount = %d", tb.RowCount())
-		}
-		sc := tb.Schema()
-		if sc.Columns[0].Type != value.Int || sc.Columns[1].Type != value.String ||
-			sc.Columns[2].Type != value.Int || sc.Columns[3].Type != value.Time {
-			t.Fatalf("inferred schema = %+v", sc.Columns)
-		}
-		rows := tb.Rows()
-		if rows[1][3].Kind() != value.Null {
-			t.Fatalf("empty cell = %v, want null", rows[1][3])
-		}
-	})
-}
-
-// TestCSVStreamsBeyondSample pins that rows past the inference sample
-// stream correctly (the old implementation buffered everything; this
-// guards the streaming rewrite's seam at row 100/101).
-func TestCSVStreamsBeyondSample(t *testing.T) {
-	var b []byte
-	b = append(b, "n\n"...)
-	for i := 0; i < inferSample+50; i++ {
-		b = append(b, fmt.Sprintf("%d\n", i)...)
-	}
-	runDB(t, func(t *testing.T, db *Database) {
-		tb, err := db.ImportCSVString("nums", string(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tb.RowCount() != inferSample+50 {
-			t.Fatalf("rowcount = %d, want %d", tb.RowCount(), inferSample+50)
-		}
-		i := 0
-		tb.Scan(func(r value.Row) bool {
-			if r[0].Int() != int64(i) {
-				t.Fatalf("row %d = %v", i, r[0])
-			}
-			i++
-			return true
-		})
-	})
-}
-
 // TestBackendsScanProject pins that a query reading some columns and
 // one reading them all both see the stored values.
 func TestBackendsScanProject(t *testing.T) {

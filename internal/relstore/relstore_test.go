@@ -397,50 +397,6 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 	}
 }
 
-func TestImportCSV(t *testing.T) {
-	db := NewDatabase("d")
-	csv := `code,name,population
-75,Paris,2187526
-92,Hauts-de-Seine,1609306
-2A,Corse-du-Sud,158507
-`
-	tbl, err := db.ImportCSVString("departements", csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.RowCount() != 3 {
-		t.Fatalf("rows: %d", tbl.RowCount())
-	}
-	schema := tbl.Schema()
-	// "code" column mixes ints and "2A" → must fall back to TEXT? No:
-	// inference sees 75 first (Int), then 2A (String) → String.
-	if schema.Columns[0].Type != value.String {
-		t.Errorf("code type: %v", schema.Columns[0].Type)
-	}
-	if schema.Columns[2].Type != value.Int {
-		t.Errorf("population type: %v", schema.Columns[2].Type)
-	}
-	res, err := db.Exec("SELECT name FROM departements WHERE code = '2A'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Corse-du-Sud" {
-		t.Errorf("csv query: %+v", res.Rows)
-	}
-}
-
-func TestImportCSVEmptyCellsAreNull(t *testing.T) {
-	db := NewDatabase("d")
-	tbl, err := db.ImportCSVString("t", "a,b\n1,\n2,x\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tbl.Rows()
-	if !rows[0][1].IsNull() {
-		t.Error("empty cell should be NULL")
-	}
-}
-
 func TestLikeMatcher(t *testing.T) {
 	cases := []struct {
 		s, p string

@@ -27,8 +27,8 @@ func TestAdapterMetadata(t *testing.T) {
 	if xmlSrc.Model() != DocumentModel || xmlSrc.Store() != store || xmlSrc.URI() != "xml://sp" {
 		t.Error("xml adapter metadata")
 	}
-	if !Accepts(xmlSrc, LangXPath) || Accepts(xmlSrc, LangSQL) {
-		t.Error("xml languages")
+	if langs := xmlSrc.Languages(); len(langs) != 1 || langs[0] != LangXPath {
+		t.Errorf("xml languages: %v", langs)
 	}
 }
 

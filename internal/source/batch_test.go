@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tatooine/internal/doc"
 	"tatooine/internal/fulltext"
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
@@ -146,7 +147,7 @@ func TestDocSourceExecuteBatch(t *testing.T) {
 		"user": fulltext.KeywordField,
 	})
 	for i, txt := range []string{"economie en hausse", "economie en baisse", "culture et sport"} {
-		if err := ix.AddJSON(fmt.Sprintf("d%d", i), []byte(fmt.Sprintf(`{"user": "u%d", "text": %q}`, i%2, txt))); err != nil {
+		if err := ix.Add(&doc.Document{ID: fmt.Sprintf("d%d", i), Fields: map[string]any{"user": fmt.Sprintf("u%d", i%2), "text": txt}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tatooine/internal/digest"
+	"tatooine/internal/doc"
 	"tatooine/internal/federation"
 	"tatooine/internal/fulltext"
 	"tatooine/internal/rdf"
@@ -66,7 +67,7 @@ func conformanceDoc(t *testing.T) *source.DocSource {
 		"user": fulltext.KeywordField,
 	})
 	for i, txt := range []string{"economie en hausse", "economie en baisse", "economie et sport", "culture et sport"} {
-		if err := ix.AddJSON(fmt.Sprintf("d%d", i), []byte(fmt.Sprintf(`{"user": "u%d", "text": %q}`, i%3, txt))); err != nil {
+		if err := ix.Add(&doc.Document{ID: fmt.Sprintf("d%d", i), Fields: map[string]any{"user": fmt.Sprintf("u%d", i%3), "text": txt}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,8 +75,8 @@ func (s *DocSource) Estimate(q SubQuery, numParams int) (rows, cost int) {
 	for _, c := range tq.Conds {
 		switch {
 		case c.Op == fulltext.CondEq && c.Param < 0:
-			// Exact: the length of this keyword value's posting list.
-			if n := s.ix.KeywordCount(c.Field, c.Val.String()); n >= 0 && n < est {
+			// Exact: the documents this condition reads.
+			if n := s.ix.EqualCount(c.Field, c.Val); n >= 0 && n < est {
 				est = n
 			}
 		case c.Op == fulltext.CondEq:

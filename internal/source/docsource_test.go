@@ -55,3 +55,27 @@ func TestDocSourceEstimateReadsPostingLengths(t *testing.T) {
 		t.Errorf("Estimate bytes per call %v by corpus size, want them independent of it", bytes)
 	}
 }
+
+// A literal = on a numeric or time field is estimated from the point
+// range it reads, not from keyword postings (which such fields lack).
+func TestDocSourceEstimateNumericEquality(t *testing.T) {
+	ix := fulltext.NewIndex("tweets", fulltext.Schema{
+		"retweet_count": fulltext.NumericField,
+		"created_at":    fulltext.TimeField,
+	})
+	for i := 0; i < 100; i++ {
+		d := &doc.Document{ID: fmt.Sprintf("t%d", i)}
+		d.Set("retweet_count", []int{469, 12}[i%2])
+		d.Set("created_at", []string{"2016-03-01T03:42:31Z", "2016-03-02T08:00:00Z"}[i%2])
+		if err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewDocSource("solr://tweets", ix)
+	for _, where := range []string{"retweet_count = 469", "created_at = '2016-03-01T03:42:31Z'"} {
+		q := SubQuery{Language: LangSearch, Text: "SEARCH tweets WHERE " + where + " RETURN _id"}
+		if rows, _ := s.Estimate(q, 0); rows != 50 {
+			t.Errorf("%s: estimate %d rows, want 50", where, rows)
+		}
+	}
+}

@@ -1,111 +1,6 @@
 package source
 
-import (
-	"testing"
-	"time"
-
-	"tatooine/internal/rdf"
-	"tatooine/internal/relstore"
-)
-
-func TestExportTableRDF(t *testing.T) {
-	db := relstore.NewDatabase("d")
-	for _, q := range []string{
-		"CREATE TABLE parties (id TEXT PRIMARY KEY, name TEXT, current TEXT)",
-		"INSERT INTO parties VALUES ('PS', 'Parti Socialiste', 'left'), ('LR', 'Les Républicains', 'right')",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := rdf.NewGraph()
-	added, err := ExportTableRDF(g, db.Table("parties"), "http://t.example/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 rows × (type + 3 columns) = 8 triples.
-	if added != 8 || g.Size() != 8 {
-		t.Fatalf("added %d triples (graph %d)", added, g.Size())
-	}
-	// PK-based subjects and queryability.
-	q := rdf.MustParseBGP(`q(?n) :- <http://t.example/parties/PS> <http://t.example/name> ?n`, nil)
-	sols, err := rdf.Evaluate(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sols.Len() != 1 || sols.Rows[0][0] != rdf.NewLiteral("Parti Socialiste") {
-		t.Errorf("exported triple query: %+v", sols.Rows)
-	}
-	// Class typing.
-	q2 := rdf.MustParseBGP(`q(?x) :- ?x a <http://t.example/parties>`, nil)
-	sols2, _ := rdf.Evaluate(g, q2)
-	if sols2.Len() != 2 {
-		t.Errorf("typed rows: %d", sols2.Len())
-	}
-}
-
-func TestExportTableRDFWithoutPK(t *testing.T) {
-	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE notes (txt TEXT)")
-	db.Exec("INSERT INTO notes VALUES ('a'), ('b')")
-	g := rdf.NewGraph()
-	if _, err := ExportTableRDF(g, db.Table("notes"), "http://t.example"); err != nil {
-		t.Fatal(err)
-	}
-	// Row-number subjects: notes/1 and notes/2 (ns gets '/' appended).
-	if !g.Contains(rdf.Triple{
-		S: rdf.NewIRI("http://t.example/notes/1"),
-		P: rdf.NewIRI("http://t.example/txt"),
-		O: rdf.NewLiteral("a"),
-	}) {
-		t.Error("row-numbered subject missing")
-	}
-}
-
-func TestExportTableRDFNullsSkipped(t *testing.T) {
-	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE t (a TEXT, b TEXT)")
-	db.Exec("INSERT INTO t (a) VALUES ('x')")
-	g := rdf.NewGraph()
-	added, _ := ExportTableRDF(g, db.Table("t"), "http://e/")
-	if added != 2 { // type + a only
-		t.Errorf("added: %d", added)
-	}
-}
-
-func TestExportDatabaseRDFJoinsWithGraph(t *testing.T) {
-	// The exported graph can serve as a custom-graph extension: the
-	// "parties → currents" file of the paper (§1).
-	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE currents (party TEXT PRIMARY KEY, current TEXT)")
-	db.Exec("INSERT INTO currents VALUES ('PS', 'left')")
-	g, err := ExportDatabaseRDF(db, "http://t.example/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Merge with a politician graph and query across.
-	g.AddAll(rdf.MustParse(`
-@prefix : <http://t.example/> .
-:POL1 :memberOfCode "PS" .
-`))
-	q := rdf.MustParseBGP(`q(?x, ?cur) :-
-?x <http://t.example/memberOfCode> ?code .
-?row <http://t.example/party> ?code .
-?row <http://t.example/current> ?cur`, nil)
-	sols, err := rdf.Evaluate(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sols.Len() != 1 || sols.Rows[0][1] != rdf.NewLiteral("left") {
-		t.Errorf("cross join: %+v", sols.Rows)
-	}
-}
-
-func TestSanitizeLocal(t *testing.T) {
-	if got := sanitizeLocal("Corse-du-Sud (2A)"); got != "Corse-du-Sud__2A_" {
-		t.Errorf("sanitize: %q", got)
-	}
-}
+import "time"
 
 // SetCachedClock overrides a Cached decorator's time source for TTL
 // tests (exported to the external test package via this in-package

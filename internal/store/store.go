@@ -27,7 +27,7 @@ type Stats struct {
 	// the numerator of the fragmentation ratio that triggers
 	// auto-vacuum (pages×PageSize being the denominator).
 	LiveBytes int64 `json:"liveBytes"`
-	// Vacuums counts completed Vacuum passes (manual and automatic).
+	// Vacuums counts completed vacuum passes.
 	Vacuums int64 `json:"vacuums"`
 }
 
@@ -290,14 +290,6 @@ func (s *Store) shouldAutoVacuumLocked() bool {
 	return float64(s.liveBytesLocked()) < float64(used)*autoVacuumRatio
 }
 
-// Vacuum rewrites every keyspace into freshly packed pages and sweeps
-// unreachable pages onto the free list.
-func (s *Store) Vacuum() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vacuumLocked()
-}
-
 // vacuumLocked rewrites every keyspace into freshly packed pages, then
 // mark-sweeps: any allocated page reachable from neither the catalog,
 // a keyspace tree, nor the free list is garbage (including pages
@@ -408,9 +400,6 @@ func (s *Store) sweepLocked() error {
 	}
 	return nil
 }
-
-// Checkpoint folds the WAL into the database file.
-func (s *Store) Checkpoint() error { return s.pg.Checkpoint() }
 
 // Close checkpoints and releases the store. Uncommitted mutations
 // are discarded.

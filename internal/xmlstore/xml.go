@@ -20,12 +20,8 @@ type Node struct {
 	Children []*Node
 	// Text is the concatenated character data directly under the
 	// element (trimmed).
-	Text   string
-	parent *Node
+	Text string
 }
-
-// Parent returns the enclosing element (nil at the root).
-func (n *Node) Parent() *Node { return n.parent }
 
 // Attr returns an attribute value ("" when absent).
 func (n *Node) Attr(name string) string { return n.Attrs[name] }
@@ -61,7 +57,6 @@ func Parse(data []byte) (*Node, error) {
 			}
 			if len(stack) > 0 {
 				parent := stack[len(stack)-1]
-				n.parent = parent
 				parent.Children = append(parent.Children, n)
 			} else if root == nil {
 				root = n
@@ -162,16 +157,6 @@ func (s *Store) Add(id string, data []byte) error {
 	}
 	s.byID[id] = len(s.docs)
 	s.docs = append(s.docs, &Document{ID: id, Root: root})
-	return nil
-}
-
-// Get returns a document by ID, or nil.
-func (s *Store) Get(id string) *Document {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if i, ok := s.byID[id]; ok {
-		return s.docs[i]
-	}
 	return nil
 }
 
