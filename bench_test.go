@@ -87,6 +87,18 @@ FROM <solr://tweets> IN(?id) OUT(?t, ?id)
 `, position, hashtag)
 }
 
+// warm executes q once before a benchmark starts its timer. The first
+// Execute on a fresh fixture plans against an empty digest catalog, so
+// it builds every source's digest (digest.BuildDocument over all the
+// tweets, ~1 s and ~400 MB at 20,000 tweets); timed, that one run fills
+// the benchtime and the benchmark reports N = 1.
+func warm(b *testing.B, in *core.Instance, q *core.CMQ) {
+	b.Helper()
+	if _, err := in.Execute(q); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // ---------- E1: the qSIA mixed query (§2.2) ----------
 
 func BenchmarkE1QSIA(b *testing.B) {
@@ -98,6 +110,7 @@ func BenchmarkE1QSIA(b *testing.B) {
 			b.Run(fmt.Sprintf("tweets=%d/%s", tweets, sel.name), func(b *testing.B) {
 				f := fix(b, tweets)
 				q := core.MustParseCMQ(hashtagQuery(sel.position, sel.hashtag))
+				warm(b, f.in, q)
 				b.ResetTimer()
 				rows := 0
 				for i := 0; i < b.N; i++ {
@@ -125,6 +138,7 @@ FROM <solr://tweets> IN(?id) OUT(?t, ?id)
 FROM <sql://insee> IN(?dept) OUT(?dept, ?taux)
   { SELECT dept, taux FROM chomage WHERE dept = ? AND annee = 2015 }
 `)
+	warm(b, f.in, q)
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
@@ -174,6 +188,7 @@ func BenchmarkE4CatalogBuild(b *testing.B) {
 	for _, tweets := range []int{5000, 20000} {
 		b.Run(fmt.Sprintf("tweets=%d", tweets), func(b *testing.B) {
 			f := fix(b, tweets)
+			keyword.BuildCatalog(f.in) // the instance's digest catalog fills once
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				keyword.BuildCatalog(f.in)
@@ -206,6 +221,7 @@ QUERY q(?region, ?src, ?val)
 FROM <sql://insee> OUT(?region, ?src) { SELECT region, uri FROM endpoints }
 FROM ?src OUT(?ind, ?val) { SELECT indicator, val FROM stats WHERE indicator = 'population' }
 `)
+	warm(b, f.in, q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := f.in.Execute(q)
@@ -225,6 +241,7 @@ func BenchmarkE6PlanAblation(b *testing.B) {
 	// A query where ordering matters: the tweet atom unconstrained is
 	// large; bind-joining it after the selective graph atom is cheap.
 	q := core.MustParseCMQ(qSIAText)
+	warm(b, f.in, q)
 	modes := []struct {
 		name string
 		opts core.ExecOptions
@@ -250,6 +267,7 @@ GRAPH { ?x :position :headOfState . ?x :twitterAccount ?id }
 FROM <solr://tweets> OUT(?t, ?id)
   { SEARCH tweets WHERE entities.hashtags = 'SIA2016' RETURN _id, user.screen_name }
 `)
+	warm(b, f.in, noBind)
 	b.Run("hash-join-no-pushdown", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := f.in.Execute(noBind); err != nil {
@@ -362,6 +380,7 @@ func warehouseLoad(ds *datagen.Dataset) *rdf.Graph {
 func BenchmarkE10Mediation(b *testing.B) {
 	f := fix(b, 20000)
 	q := core.MustParseCMQ(qSIAText)
+	warm(b, f.in, q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.in.Execute(q); err != nil {
@@ -456,6 +475,7 @@ GRAPH { ?x :position :headOfState . ?x foaf:name ?name }
 FROM <xml://speeches> IN(?name) OUT(?spid, ?topic)
   { XPATH /speeches/speech[@speaker=?] RETURN _id, topic }
 `)
+	warm(b, f.in, q)
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
@@ -480,6 +500,7 @@ FROM <solr://tweets> IN(?id) OUT(?t, ?id)
 GROUP BY ?cur
 ORDER BY ?n DESC
 `)
+	warm(b, f.in, q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := f.in.Execute(q)

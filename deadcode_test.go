@@ -4,17 +4,23 @@
 package tatooine_test
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/importer"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,10 +33,11 @@ var deadAllowed = map[string]string{
 
 func TestInternalDeclarationsAreReachable(t *testing.T) {
 	l := newModuleLoader(".")
+	if err := l.parseAll(); err != nil {
+		t.Fatal(err)
+	}
 	for _, path := range l.paths() {
-		if _, err := l.Import(path); err != nil {
-			t.Fatal(err)
-		}
+		l.Import(path)
 	}
 	if len(l.typeErrs) > 0 {
 		t.Fatalf("type errors:\n%s", strings.Join(l.typeErrs, "\n"))
@@ -68,21 +75,24 @@ func TestInternalDeclarationsAreReachable(t *testing.T) {
 }
 
 // moduleLoader type-checks the packages of this module and of the
-// nested bench module from source; the standard library comes from the
-// source importer with function bodies ignored.
+// nested bench module with full bodies, and the standard-library
+// packages they import, directly or not, with function bodies ignored.
+// It parses every package in parallel first, then type-checks in
+// import order.
 type moduleLoader struct {
 	fset     *token.FileSet
-	std      types.Importer
-	dirs     map[string]string // import path -> directory
+	goroot   string
+	dirs     map[string]string // module import path -> directory
 	pkgs     map[string]*checkedPkg
 	typeErrs []string
 }
 
 type checkedPkg struct {
-	pkg   *types.Package
-	dir   string
-	files []*ast.File
-	info  *types.Info
+	dir     string
+	files   []*ast.File
+	imports []string
+	pkg     *types.Package
+	info    *types.Info
 }
 
 // decl is one package-level declaration or method in internal/.
@@ -93,12 +103,11 @@ type decl struct {
 }
 
 func newModuleLoader(root string) *moduleLoader {
-	fset := token.NewFileSet()
 	l := &moduleLoader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		dirs: map[string]string{},
-		pkgs: map[string]*checkedPkg{},
+		fset:   token.NewFileSet(),
+		goroot: build.Default.GOROOT,
+		dirs:   map[string]string{},
+		pkgs:   map[string]*checkedPkg{},
 	}
 	filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
@@ -133,40 +142,158 @@ func (l *moduleLoader) paths() []string {
 	return ps
 }
 
-// Import type-checks a module package (once) with full bodies, or hands
-// a standard-library path to the source importer.
-func (l *moduleLoader) Import(path string) (*types.Package, error) {
-	dir, ok := l.dirs[path]
-	if !ok {
-		return l.std.Import(path)
+// dir locates an import path: a module package, a standard-library
+// package, or one vendored into the standard library.
+func (l *moduleLoader) dir(path string) (importPath, dir string) {
+	if d, ok := l.dirs[path]; ok {
+		return path, d
 	}
-	if p := l.pkgs[path]; p != nil {
-		return p.pkg, nil
+	if d := filepath.Join(l.goroot, "src", path); isDir(d) {
+		return path, d
 	}
-	ents, err := os.ReadDir(dir)
+	return "vendor/" + path, filepath.Join(l.goroot, "src", "vendor", path)
+}
+
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
+}
+
+// parseAll parses the module's packages and every package they import,
+// directly or not, each package on its own goroutine with at most
+// GOMAXPROCS parsing at once.
+func (l *moduleLoader) parseAll() error {
+	var (
+		mu   sync.Mutex
+		errs []error
+		wg   sync.WaitGroup
+		sem  = make(chan struct{}, runtime.GOMAXPROCS(0))
+	)
+	var visit func(path string)
+	visit = func(path string) {
+		if path == "unsafe" {
+			return
+		}
+		path, dir := l.dir(path)
+		mu.Lock()
+		if _, seen := l.pkgs[path]; seen {
+			mu.Unlock()
+			return
+		}
+		p := &checkedPkg{dir: dir}
+		l.pkgs[path] = p
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			err := l.parse(p)
+			<-sem
+			if err != nil {
+				mu.Lock()
+				errs = append(errs, err)
+				mu.Unlock()
+				return
+			}
+			for _, imp := range p.imports {
+				visit(imp)
+			}
+		}()
+	}
+	for path := range l.dirs {
+		visit(path)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// parse reads the non-test files of p's directory that build for this
+// platform with cgo off, the pure-Go build, whose API is the same.
+func (l *moduleLoader) parse(p *checkedPkg) error {
+	ents, err := os.ReadDir(p.dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var files []*ast.File
+	imports := map[string]bool{}
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || !matchFile(p.dir, n, "") {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		files = append(files, f)
+		if !matchFile(p.dir, n, goBuildLine(f)) {
+			continue
+		}
+		var fileImports []string
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			fileImports = append(fileImports, path)
+		}
+		if slices.Contains(fileImports, "C") {
+			continue
+		}
+		p.files = append(p.files, f)
+		for _, path := range fileImports {
+			imports[path] = true
+		}
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	for path := range imports {
+		p.imports = append(p.imports, path)
+	}
+	return nil
+}
+
+// matchFile asks go/build whether a file of that name, headed by the
+// //go:build line given, builds for this platform with cgo off. The
+// header is handed over in place of the file, so go/build reads no
+// source.
+func matchFile(dir, name, goBuild string) bool {
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	ctxt.OpenFile = func(string) (io.ReadCloser, error) {
+		return io.NopCloser(strings.NewReader(goBuild + "\n\npackage p\n")), nil
+	}
+	ok, err := ctxt.MatchFile(dir, name)
+	return ok && err == nil
+}
+
+func goBuildLine(f *ast.File) string {
+	for _, cg := range f.Comments {
+		if cg.Pos() > f.Package {
+			break
+		}
+		for _, c := range cg.List {
+			if strings.HasPrefix(c.Text, "//go:build ") {
+				return c.Text
+			}
+		}
+	}
+	return ""
+}
+
+// Import type-checks a parsed package once, after its imports: module
+// packages with full bodies, the standard library without.
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	path, _ = l.dir(path)
+	p := l.pkgs[path]
+	if p.pkg != nil {
+		return p.pkg, nil
+	}
+	_, module := l.dirs[path]
+	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { l.typeErrs = append(l.typeErrs, err.Error()) },
+		Importer:         l,
+		IgnoreFuncBodies: !module,
+		Error:            func(err error) { l.typeErrs = append(l.typeErrs, err.Error()) },
 	}
-	pkg, _ := conf.Check(path, l.fset, files, info)
-	l.pkgs[path] = &checkedPkg{pkg: pkg, dir: dir, files: files, info: info}
-	return pkg, nil
+	p.pkg, _ = conf.Check(path, l.fset, p.files, p.info)
+	return p.pkg, nil
 }
 
 // graph returns the internal/ declarations by name, the roots (main and
@@ -177,7 +304,8 @@ func (l *moduleLoader) graph() (map[string]decl, []types.Object, map[types.Objec
 	decls := map[string]decl{}
 	edges := map[types.Object][]types.Object{}
 	var roots []types.Object
-	for path, p := range l.pkgs {
+	for path := range l.dirs {
+		p := l.pkgs[path]
 		internal := strings.HasPrefix(path, "tatooine/internal/")
 		program := p.pkg.Name() == "main"
 		for _, f := range p.files {
@@ -233,7 +361,7 @@ func (l *moduleLoader) uses(info *types.Info, node ast.Node) []types.Object {
 			return true
 		}
 		obj := info.Uses[id]
-		if obj == nil || obj.Pkg() == nil || l.pkgs[obj.Pkg().Path()] == nil {
+		if obj == nil || obj.Pkg() == nil || l.dirs[obj.Pkg().Path()] == "" {
 			return true
 		}
 		switch o := obj.(type) {
@@ -300,7 +428,11 @@ func (l *moduleLoader) reach(roots []types.Object, edges map[types.Object][]type
 // in the module's source.
 func (l *moduleLoader) interfaceMethods() map[string][]types.Type {
 	sigs := map[string][]types.Type{}
-	add := func(m types.Object) { sigs[m.Name()] = append(sigs[m.Name()], m.Type()) }
+	add := func(m types.Object) {
+		if m != nil { // nil inside a standard-library function body, which is not checked
+			sigs[m.Name()] = append(sigs[m.Name()], m.Type())
+		}
+	}
 	seen := map[*types.Package]bool{}
 	var visit func(p *types.Package)
 	visit = func(p *types.Package) {

@@ -516,9 +516,9 @@
 // next commit flushes them — and the tat_pager_resident_pages gauge
 // reports occupancy, so a flat gauge under a growing store is the
 // observable signature of bounded operation. Freed pages go on a
-// persistent free list and are reused before the file grows;
-// store.Vacuum (auto-triggered from Commit when live payload falls
-// below 10% of the in-use page bytes) compacts reclaimable space.
+// persistent free list and are reused before the file grows; the
+// store's vacuum pass (run from Commit when live payload falls below
+// 10% of the in-use page bytes) compacts reclaimable space.
 //
 // Paged dictionary: the RDF term dictionary no longer materializes
 // every term at open. Terms load lazily from prefix-compressed store
@@ -551,4 +551,27 @@
 // "make verify" runs it once (boundedsmoke). bench/ reports each
 // workload's process peak as peak_rss_mb. See examples/boundedmemory
 // for the end-to-end walkthrough.
+//
+// # Reachability
+//
+// Every declaration in internal/ is reachable from a program, so code
+// that only tests call does not accumulate. The root package's
+// TestInternalDeclarationsAreReachable (deadcode_test.go, run by
+// go test ./...) type-checks every non-test package of the module and
+// of the nested bench/ module with go/parser and go/types. Its roots
+// are the main functions of cmd/, examples/ and bench/, every init
+// function and every var _ = … declaration; from them it follows the
+// identifiers each reached declaration uses. A method also counts as
+// reached with its receiver type when it has the name and signature of
+// a method of some interface, of the module or of the standard library
+// (String, Error, MarshalJSON, ServeHTTP and the like), because a call
+// through an interface names no concrete method. The test fails on
+// any function, method, type, variable or constant in internal/ that
+// is not reached. To keep one, add it to deadAllowed in deadcode_test.go,
+// keyed "pkg.Name" or "pkg.Type.Method", with the reason it stays as
+// the value; the test also fails on an entry that is reached or names
+// nothing. A wrapper that only gives tests a handle on live code goes
+// in its package's _test.go instead. Each example's example_test.go
+// calls its run function and checks the output, so the programs that
+// serve as roots run under go test too.
 package tatooine

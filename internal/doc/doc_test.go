@@ -40,6 +40,19 @@ func fromJSON(t *testing.T, data string) *Document {
 
 func fig2(t *testing.T) *Document { return fromJSON(t, figure2JSON) }
 
+func TestFromJSONFigure2(t *testing.T) {
+	d := fig2(t)
+	if v := d.Values("user.screen_name"); len(v) != 1 || v[0].Str() != "fhollande" {
+		t.Errorf("user.screen_name: %v", v)
+	}
+	if v := d.Values("user.missing"); len(v) != 0 {
+		t.Errorf("missing path resolved to %v", v)
+	}
+	if v := d.Values("text.sub"); len(v) != 0 {
+		t.Errorf("descending into a scalar gave %v", v)
+	}
+}
+
 func TestValuesScalarsAndArrays(t *testing.T) {
 	d := fig2(t)
 	vals := d.Values("entities.hashtags")

@@ -340,6 +340,26 @@ func TestGetAndEach(t *testing.T) {
 	}
 }
 
+func TestAddJSONFigure2(t *testing.T) {
+	ix := NewIndex("tweets", tweetSchema())
+	err := ix.Add(&doc.Document{ID: "fig2", Fields: map[string]any{
+		"created_at":    "2016-03-01T03:42:31Z",
+		"id":            int64(464244242167342513),
+		"text":          "Je suis là aujourd'hui #SIA2016",
+		"user":          map[string]any{"screen_name": "fhollande"},
+		"retweet_count": 469,
+		"entities":      map[string]any{"hashtags": []any{"SIA2016"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, where := range []string{"entities.hashtags = 'SIA2016'", "user.screen_name = 'fhollande'", "retweet_count = 469"} {
+		if got := searchIDs(t, ix, "SEARCH tweets WHERE "+where+" RETURN _id"); len(got) != 1 || got[0] != "fig2" {
+			t.Errorf("%s: %v", where, got)
+		}
+	}
+}
+
 func TestConcurrentSearches(t *testing.T) {
 	ix := testIndex(t)
 	q, err := ParseTextQuery(`SEARCH tweets WHERE text CONTAINS 'solidarité' RETURN _id`)

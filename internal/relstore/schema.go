@@ -1,6 +1,6 @@
 // Package relstore implements TATOOINE's relational substrate: a
-// column-typed table store with primary and foreign keys, a SQL-subset
-// executor, and CSV import. It stands in for the curated relational
+// column-typed table store with primary and foreign keys and a
+// SQL-subset executor. It stands in for the curated relational
 // databases (INSEE, Ministry of Interior) that the paper's mixed
 // instances contain. Tables live in memory only: a source is queried
 // where it lives, and the mediator persists nothing but its own graph
