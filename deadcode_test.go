@@ -32,11 +32,14 @@ var deadAllowed = map[string]string{
 }
 
 func TestInternalDeclarationsAreReachable(t *testing.T) {
-	l := newModuleLoader(".")
+	l, err := newModuleLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.parseAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range l.paths() {
+	for path := range l.dirs {
 		l.Import(path)
 	}
 	if len(l.typeErrs) > 0 {
@@ -102,14 +105,14 @@ type decl struct {
 	lines int
 }
 
-func newModuleLoader(root string) *moduleLoader {
+func newModuleLoader(root string) (*moduleLoader, error) {
 	l := &moduleLoader{
 		fset:   token.NewFileSet(),
 		goroot: build.Default.GOROOT,
 		dirs:   map[string]string{},
 		pkgs:   map[string]*checkedPkg{},
 	}
-	filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -130,16 +133,7 @@ func newModuleLoader(root string) *moduleLoader {
 		l.dirs[ip] = dir
 		return nil
 	})
-	return l
-}
-
-func (l *moduleLoader) paths() []string {
-	var ps []string
-	for p := range l.dirs {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return ps
+	return l, err
 }
 
 // dir locates an import path: a module package, a standard-library
@@ -296,10 +290,9 @@ func (l *moduleLoader) Import(path string) (*types.Package, error) {
 	return p.pkg, nil
 }
 
-// graph returns the internal/ declarations by name, the roots (main and
-// init of cmd/, examples/ and bench/, and every init and var _ = …
-// anywhere), and for each module declaration the module objects its
-// source names.
+// graph returns the internal/ declarations by name, the roots (main of
+// cmd/, examples/ and bench/, every init and every var _ = …), and for
+// each module declaration the module objects its source names.
 func (l *moduleLoader) graph() (map[string]decl, []types.Object, map[types.Object][]types.Object) {
 	decls := map[string]decl{}
 	edges := map[types.Object][]types.Object{}
@@ -422,45 +415,25 @@ func (l *moduleLoader) reach(roots []types.Object, edges map[types.Object][]type
 	return reached
 }
 
-// interfaceMethods collects, by name, the signatures of the methods of
-// every named interface in the module and in the standard-library
-// packages it imports, directly or not, and of every interface literal
-// in the module's source.
+// interfaceMethods collects, by name, the signatures of the methods
+// declared by every interface type in the source of the module and of
+// the standard-library packages it imports, directly or not, whether
+// named or a literal. A method an interface embeds is declared by the
+// embedded interface, which is loaded too; only the predeclared error
+// interface has no source.
 func (l *moduleLoader) interfaceMethods() map[string][]types.Type {
-	sigs := map[string][]types.Type{}
-	add := func(m types.Object) {
-		if m != nil { // nil inside a standard-library function body, which is not checked
-			sigs[m.Name()] = append(sigs[m.Name()], m.Type())
-		}
-	}
-	seen := map[*types.Package]bool{}
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, n := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					for i := 0; i < it.NumMethods(); i++ {
-						add(it.Method(i))
-					}
-				}
-			}
-		}
-		for _, imp := range p.Imports() {
-			visit(imp)
-		}
-	}
+	errorMethod := types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0)
+	sigs := map[string][]types.Type{"Error": {errorMethod.Type()}}
 	for _, p := range l.pkgs {
-		visit(p.pkg)
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
 					for _, m := range it.Methods.List {
 						for _, id := range m.Names {
-							add(p.info.Defs[id])
+							// nil inside a standard-library function body, which is not checked
+							if obj := p.info.Defs[id]; obj != nil {
+								sigs[id.Name] = append(sigs[id.Name], obj.Type())
+							}
 						}
 					}
 				}
@@ -470,6 +443,7 @@ func (l *moduleLoader) interfaceMethods() map[string][]types.Type {
 	}
 	return sigs
 }
+
 func (l *moduleLoader) declAt(obj types.Object, doc *ast.CommentGroup, node ast.Node) decl {
 	start := node.Pos()
 	if doc != nil {
