@@ -156,8 +156,8 @@
 //     probe predicate is rewritten into `col IN (v1, ..., vk)` per
 //     batch and the single result is split back per tuple — exactly,
 //     including multi-parameter cross products; shapes whose meaning
-//     would change (LIMIT, DISTINCT, aggregation, '?' outside a
-//     top-level equality) run tuple by tuple inside ExecuteBatch.
+//     would change (LIMIT, DISTINCT, '?' outside a top-level
+//     equality) run tuple by tuple inside ExecuteBatch.
 //   - source.RDFSource and source.DocSource evaluate batches
 //     VALUES-style: parse once, evaluate per tuple in-process. Their
 //     Execute is a batch of one.
@@ -195,7 +195,7 @@
 // total effort and breaks ties. They come from the source's catalog
 // digest first (digest.Analyze, see "Digest-driven planning"
 // below), which costs no call to the source. Only where the digest
-// cannot answer (graph atoms, XPath, joins, aggregates, no digest) does
+// cannot answer (graph atoms, XPath, joins, no digest) does
 // the planner fall back to the optional source.Estimator capability,
 // Estimate(q, numParams) = (rows, cost), whose cost is scan work + rows,
 // plus federation.RemoteCostOverhead for remote sources. A source
@@ -346,7 +346,7 @@
 // est-vs-actual drift. A digest-answered estimate has cost = rows,
 // and the source is not consulted: no /estimate round trip to a
 // remote, no parse-and-count in a local store. Shapes the digest
-// refuses (XPath, joins, GROUP BY, aggregates) ask the source's
+// refuses (XPath, joins) ask the source's
 // Estimator. Graph atoms are exempt (digesting G on every graph write
 // would repay the full-saturation cost the incremental reasoner
 // removed). Two known costs: a digest keeps no per-value counts, so a
@@ -365,11 +365,11 @@
 // bindings whose values the digest proves absent. Membership "no" is
 // definitive because digest construction and probing normalize
 // through the same function; false positives only cost a wasted
-// probe. Shapes where an empty match still yields rows (aggregates,
-// OPTIONAL patterns, analyzed CONTAINS fields) refuse pruning
-// entirely, as do NULL bindings. Every bloom and digest carries a
-// version field, and one from another wire version is refused at
-// decode: the catalog records no digest for that source, so
+// probe. Shapes where an empty match still yields rows (OPTIONAL
+// patterns) or equality is not the match (analyzed CONTAINS fields)
+// refuse pruning entirely, as do NULL bindings. Every bloom and digest
+// carries a version field, and one from another wire version is
+// refused at decode: the catalog records no digest for that source, so
 // mixed-version federations degrade to no estimate and no pruning,
 // never to lost rows. At the current version the decoder also refuses
 // what the estimators and filters could not walk safely: a bloom
@@ -436,7 +436,12 @@
 // sequences and compare every answer. Sources are never persisted:
 // relstore.Table is an in-memory row slice plus a primary-key set,
 // standing in for an autonomous database the mediator queries where it
-// lives.
+// lives. Its SQL (internal/sqlparse) is CREATE TABLE, INSERT and a
+// select-project-join SELECT with WHERE, DISTINCT, ORDER BY, LIMIT and
+// OFFSET; GROUP BY, HAVING and COUNT/SUM/AVG/MIN/MAX are refused at
+// parse time, because the mediator aggregates the joined result in the
+// CMQ head for every kind of source, as in
+// QUERY q(?k, COUNT(?v) AS ?n) ... GROUP BY ?k.
 //
 // core.Open(dir) opens a persistent Instance: each mutation commits
 // graph pages, saturation pages, epoch and catalog in ONE WAL

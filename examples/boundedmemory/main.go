@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer) error {
+func run(w io.Writer) (err error) {
 	cfg := datagen.DefaultConfig()
 	cfg.NumPoliticians = *politicians
 	ds, err := datagen.Generate(cfg)
@@ -58,7 +59,9 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer in.Close()
+	// Close commits pending state and checkpoints the WAL: its error
+	// is the run's too.
+	defer func() { err = errors.Join(err, in.Close()) }()
 	if warm {
 		fmt.Fprintln(w, "warm boot from existing store (terms page in lazily — no bulk dictionary load)")
 	} else {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,7 +37,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer) error {
+func run(w io.Writer) (err error) {
 	// core.Open mounts the instance on dir/tatooine.db (created on
 	// first use). Options mean the same as with core.NewInstance; with
 	// WithSaturation a stored G∞ is adopted on reopen instead of
@@ -48,7 +49,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer in.Close()
+	defer func() { err = errors.Join(err, in.Close()) }()
 	opened := time.Since(start)
 
 	if in.Epoch() == 0 {
@@ -86,7 +87,7 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "store: %d pages, %d commits, %d B WAL\n",
 			st.Pages, st.Commits, st.WALBytes)
 	}
-	// Close (deferred) commits pending state and folds the WAL into the
-	// main file, so the next boot replays nothing.
+	// Close (deferred; run returns its error) commits pending state and
+	// folds the WAL into the main file, so the next boot replays nothing.
 	return nil
 }

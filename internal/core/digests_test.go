@@ -259,12 +259,15 @@ func (s *estimatingSource) Estimate(source.SubQuery, int) (rows, cost int) {
 
 // TestPlannerEstimatesFromDigestFirst: where the digest answers, its
 // estimate is the plan's and the source is not asked; where it cannot
-// (an aggregate), the source's estimate is asked once and used as is.
+// (a join inside the atom), the source's estimate is asked once and
+// used as is.
 func TestPlannerEstimatesFromDigestFirst(t *testing.T) {
 	db := relstore.NewDatabase("est")
 	for _, q := range []string{
 		"CREATE TABLE t (k TEXT, v TEXT)",
 		"INSERT INTO t VALUES ('a','1'), ('a','2'), ('a','3'), ('b','4'), ('b','5'), ('b','6')",
+		"CREATE TABLE u (k TEXT, w TEXT)",
+		"INSERT INTO u VALUES ('a','x'), ('b','y')",
 	} {
 		if _, err := db.Exec(q); err != nil {
 			t.Fatal(err)
@@ -284,7 +287,7 @@ func TestPlannerEstimatesFromDigestFirst(t *testing.T) {
 	}{
 		// Six rows over two distinct keys: three per key.
 		{"digest", `QUERY q(?v) FROM <sql://est> OUT(?v) { SELECT v FROM t WHERE k = 'a' }`, 3, 0},
-		{"group by", `QUERY q(?k, ?n) FROM <sql://est> OUT(?k, ?n) { SELECT k, COUNT(*) AS n FROM t WHERE k = 'a' GROUP BY k }`, 1, 1},
+		{"join", `QUERY q(?v, ?w) FROM <sql://est> OUT(?v, ?w) { SELECT t.v, u.w FROM t JOIN u ON t.k = u.k WHERE t.k = 'a' }`, 1, 1},
 	} {
 		src.calls = 0
 		info, err := in.ExplainQuery(mustParse(t, c.query), ExecOptions{})

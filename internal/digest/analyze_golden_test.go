@@ -60,7 +60,6 @@ func goldenSubs() []source.SubQuery {
 	const ns = "http://t.example/"
 	subs := []source.SubQuery{
 		sql("SELECT name FROM departements WHERE code = ?", "code"),
-		sql("SELECT COUNT(*) FROM departements WHERE code = ?", "code"),
 		sql("SELECT name FROM departements WHERE population > ?", "p"),
 		sql("SELECT x FROM nowhere WHERE x = ?", "x"),
 		sql("SELECT name FROM departements"),
@@ -69,7 +68,6 @@ func goldenSubs() []source.SubQuery {
 		sql("SELECT name FROM departements WHERE code = ?", "p"),
 		sql("SELECT name FROM departements WHERE population > 0 LIMIT 1", "p"),
 		sql("SELECT name FROM departements", "p"),
-		sql("SELECT COUNT(*) FROM departements WHERE code = '75'", "p"),
 		sql("SELECT name FROM departements WHERE code = '75'"),
 		sql("SELECT name FROM departements WHERE population > 3 AND code = ?", "c"),
 		sql("SELECT name FROM departements WHERE population BETWEEN 0 AND 5000000"),
@@ -78,8 +76,6 @@ func goldenSubs() []source.SubQuery {
 		sql("SELECT name FROM departements WHERE population <= 2000000 LIMIT 5"),
 		sql("SELECT name FROM departements WHERE code = ? OR name = ?", "a", "b"),
 		sql("SELECT d.name FROM departements d JOIN resultats r ON d.code = r.dept WHERE r.party = ? AND d.code = ?", "p", "c"),
-		sql("SELECT party FROM resultats WHERE dept = ? GROUP BY party", "d"),
-		sql("SELECT dept FROM resultats WHERE party = ? GROUP BY dept HAVING SUM(votes) > 3", "p"),
 		sql("SELECT name FROM departements WHERE code = ? AND name = ?", "c", "n"),
 		sql("SELECT name FROM departements WHERE code = ?", "c", "unused"),
 		sql("not sql at all", "x"),

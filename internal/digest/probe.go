@@ -26,8 +26,8 @@ import (
 // cannot match; a "yes" proves nothing (false positives just cost a
 // wasted probe). Pruning additionally refuses: Null or
 // empty-normalizing values (they never entered the digest), analyzed
-// full-text paths (CONTAINS semantics, not equality), aggregate SQL
-// (an empty match still yields a row), and optional BGP patterns.
+// full-text paths (CONTAINS semantics, not equality) and optional BGP
+// patterns.
 
 // probeKey maps a binding value to its digest key. ok is false when
 // the value cannot be tested against a digest (Null, or nothing
@@ -179,24 +179,16 @@ func (a *analyzer) limit(n int) {
 }
 
 // sql maps top-level `col = ?` conjuncts to attribute nodes and
-// estimates from equality and numeric range conjuncts. Aggregate
-// statements are refused entirely: an empty WHERE match still yields
-// one output row, so skipping the probe would change results. Joins,
-// GROUP BY and HAVING refuse only the estimate — their row count is
-// not the conjuncts'.
+// estimates from equality and numeric range conjuncts. Joins refuse
+// only the estimate — their row count is not the conjuncts'.
 func (a *analyzer) sql(text string) {
 	stmt, err := sqlparse.ParseSelect(text)
 	if err != nil || stmt.Where == nil {
 		return
 	}
-	for _, it := range stmt.Columns {
-		if sqlparse.HasAggregate(it.Expr) {
-			return
-		}
-	}
 	byLabel := lowerLabelIndex(a.d)
 	tables := sqlTableBindings(stmt)
-	for _, c := range sqlConjuncts(stmt.Where) {
+	for _, c := range sqlparse.Conjuncts(stmt.Where) {
 		switch x := c.(type) {
 		case *sqlparse.BinaryExpr:
 			if x.Op != sqlparse.OpEq {
@@ -226,7 +218,7 @@ func (a *analyzer) sql(text string) {
 			}
 		}
 	}
-	if len(stmt.Joins) > 0 || len(stmt.GroupBy) > 0 || stmt.Having != nil {
+	if len(stmt.Joins) > 0 {
 		a.rows, a.found = 0, false
 		return
 	}
@@ -372,14 +364,6 @@ func resolveAttr(byLabel map[string]*Node, tables map[string]string, col *sqlpar
 		}
 	}
 	return nil
-}
-
-// sqlConjuncts splits a WHERE tree into its top-level AND conjuncts.
-func sqlConjuncts(e sqlparse.Expr) []sqlparse.Expr {
-	if be, ok := e.(*sqlparse.BinaryExpr); ok && be.Op == sqlparse.OpAnd {
-		return append(sqlConjuncts(be.Left), sqlConjuncts(be.Right)...)
-	}
-	return []sqlparse.Expr{e}
 }
 
 // sqlEqOperand extracts (column, operand) from `col = x` / `x = col`

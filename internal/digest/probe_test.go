@@ -59,9 +59,6 @@ func TestParamMatcherSQLEquality(t *testing.T) {
 func TestParamMatcherRefusals(t *testing.T) {
 	d := BuildRelational("sql://insee", relFixture(t), DefaultBudget())
 	for name, q := range map[string]source.SubQuery{
-		// An aggregate yields a row even over an empty match: skipping
-		// the probe would change results.
-		"aggregate": probeSub("SELECT COUNT(*) FROM departements WHERE code = ?", "code"),
 		// No digested equality target for the parameter.
 		"range param":   probeSub("SELECT name FROM departements WHERE population > ?", "p"),
 		"unknown table": probeSub("SELECT x FROM nowhere WHERE x = ?", "x"),
@@ -141,7 +138,6 @@ func TestRefineEstimateSQL(t *testing.T) {
 		{"limit cap", "SELECT name FROM departements WHERE population > 0 LIMIT 1", 1, true},
 		// Shapes the digest cannot speak to keep the flat estimate.
 		{"no where", "SELECT name FROM departements", 0, false},
-		{"aggregate", "SELECT COUNT(*) FROM departements WHERE code = '75'", 0, false},
 	}
 	for _, c := range cases {
 		a := Analyze(d, probeSub(c.text, "p"), nil)

@@ -4,7 +4,6 @@
 package doc
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -75,14 +74,6 @@ func toValue(v any) value.Value {
 		return value.NewInt(x)
 	case float32:
 		return value.NewFloat(float64(x))
-	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return value.NewInt(i)
-		}
-		if f, err := x.Float64(); err == nil {
-			return value.NewFloat(f)
-		}
-		return value.NewString(x.String())
 	default:
 		return value.NewString(fmt.Sprint(x))
 	}

@@ -25,8 +25,8 @@ const figure2JSON = `{
   "entities": {"hashtags": ["SIA2016"], "urls": []}
 }`
 
-// fromJSON decodes one JSON object into a Document, keeping numbers
-// as json.Number.
+// fromJSON decodes one JSON object into a Document. Numbers become
+// int64 when integral, so large IDs survive, and float64 otherwise.
 func fromJSON(t *testing.T, data string) *Document {
 	t.Helper()
 	d := &Document{ID: "x"}
@@ -35,7 +35,30 @@ func fromJSON(t *testing.T, data string) *Document {
 	if err := dec.Decode(&d.Fields); err != nil {
 		t.Fatal(err)
 	}
+	d.Fields = jsonNumbers(d.Fields).(map[string]any)
 	return d
+}
+
+// jsonNumbers replaces every json.Number under v by an int64 or a
+// float64.
+func jsonNumbers(v any) any {
+	switch x := v.(type) {
+	case json.Number:
+		if i, err := x.Int64(); err == nil {
+			return i
+		}
+		f, _ := x.Float64()
+		return f
+	case map[string]any:
+		for k, e := range x {
+			x[k] = jsonNumbers(e)
+		}
+	case []any:
+		for i, e := range x {
+			x[i] = jsonNumbers(e)
+		}
+	}
+	return v
 }
 
 func fig2(t *testing.T) *Document { return fromJSON(t, figure2JSON) }
@@ -66,7 +89,7 @@ func TestValuesScalarsAndArrays(t *testing.T) {
 	if len(rts) != 1 || rts[0].Kind() != value.Int || rts[0].Int() != 469 {
 		t.Errorf("retweet_count: %v", rts)
 	}
-	// Large tweet IDs must survive (json.Number, not float64).
+	// Large tweet IDs must survive (int64, not float64).
 	ids := d.Values("id")
 	if ids[0].Int() != 464244242167342513 {
 		t.Errorf("id precision lost: %v", ids[0])

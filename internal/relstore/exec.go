@@ -191,32 +191,17 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 		}
 	}
 
-	grouped := len(s.GroupBy) > 0 || s.Having != nil
-	for _, it := range items {
-		if sqlparse.HasAggregate(it.Expr) {
-			grouped = true
-		}
-	}
-
 	var outRows []value.Row
-	if grouped {
-		var err error
-		outRows, err = evalGrouped(s, items, workEnv, rows, params)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for _, r := range rows {
-			out := make(value.Row, len(items))
-			for i, it := range items {
-				v, err := evalExpr(it.Expr, workEnv, r, params)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
+	for _, r := range rows {
+		out := make(value.Row, len(items))
+		for i, it := range items {
+			v, err := evalExpr(it.Expr, workEnv, r, params)
+			if err != nil {
+				return nil, err
 			}
-			outRows = append(outRows, out)
+			out[i] = v
 		}
+		outRows = append(outRows, out)
 	}
 
 	// Column names.
@@ -249,10 +234,9 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 		outRows = dedup
 	}
 
-	// ORDER BY: keys may reference output aliases or input columns. For
-	// grouped queries only output aliases/positions are supported.
+	// ORDER BY: keys may reference output aliases or input columns.
 	if len(s.OrderBy) > 0 {
-		if err := sortRows(s, items, names, workEnv, &outRows, rows, grouped, params); err != nil {
+		if err := sortRows(s, names, workEnv, &outRows, rows, params); err != nil {
 			return nil, err
 		}
 	}
@@ -273,13 +257,11 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 }
 
 // sortRows orders the projected rows. Order keys resolve against output
-// column names first, then (for non-grouped queries) against the input
-// env, re-evaluating on the source row. Because projection may reorder
-// or drop source columns, non-grouped sorting pairs output rows with
-// their source rows.
-func sortRows(s *sqlparse.SelectStmt, items []sqlparse.SelectItem, names []string,
-	workEnv *env, outRows *[]value.Row, srcRows []value.Row, grouped bool,
-	params []value.Value) error {
+// column names first, then against the input env, re-evaluating on the
+// source row. Because projection may reorder or drop source columns,
+// sorting pairs output rows with their source rows.
+func sortRows(s *sqlparse.SelectStmt, names []string, workEnv *env,
+	outRows *[]value.Row, srcRows []value.Row, params []value.Value) error {
 
 	type keyed struct {
 		out  value.Row
@@ -307,10 +289,6 @@ func sortRows(s *sqlparse.SelectStmt, items []sqlparse.SelectItem, names []strin
 			if oi := outIndex(ob.Expr); oi >= 0 {
 				keys[j] = rows[i][oi]
 				continue
-			}
-			if grouped {
-				return fmt.Errorf("relstore: ORDER BY key %q must reference an output column in grouped query",
-					sqlparse.ExprString(ob.Expr))
 			}
 			if len(srcRows) != len(rows) {
 				return fmt.Errorf("relstore: internal: source/output row count mismatch in ORDER BY")
@@ -450,178 +428,6 @@ func detectEqui(on sqlparse.Expr, leftEnv, joined *env, leftWidth int) (int, int
 	}
 }
 
-// evalGrouped evaluates grouped/aggregated projection.
-func evalGrouped(s *sqlparse.SelectStmt, items []sqlparse.SelectItem, workEnv *env,
-	rows []value.Row, params []value.Value) ([]value.Row, error) {
-
-	type group struct {
-		keyRow value.Row // representative row
-		rows   []value.Row
-	}
-	var groups []*group
-	if len(s.GroupBy) == 0 {
-		// A single global group (possibly empty input).
-		groups = []*group{{rows: rows}}
-		if len(rows) > 0 {
-			groups[0].keyRow = rows[0]
-		}
-	} else {
-		byKey := make(map[string]*group)
-		var order []string
-		for _, r := range rows {
-			keys := make(value.Row, len(s.GroupBy))
-			for i, ge := range s.GroupBy {
-				v, err := evalExpr(ge, workEnv, r, params)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
-			k := keys.Key()
-			grp, ok := byKey[k]
-			if !ok {
-				grp = &group{keyRow: r}
-				byKey[k] = grp
-				order = append(order, k)
-			}
-			grp.rows = append(grp.rows, r)
-		}
-		for _, k := range order {
-			groups = append(groups, byKey[k])
-		}
-	}
-
-	var out []value.Row
-	for _, grp := range groups {
-		if s.Having != nil {
-			if grp.keyRow == nil {
-				continue
-			}
-			ok, err := evalBoolGrouped(s.Having, workEnv, grp.keyRow, grp.rows, params)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		row := make(value.Row, len(items))
-		for i, it := range items {
-			rep := grp.keyRow
-			v, err := evalGroupExpr(it.Expr, workEnv, rep, grp.rows, params)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func evalBoolGrouped(e sqlparse.Expr, en *env, rep value.Row, rows []value.Row, params []value.Value) (bool, error) {
-	v, err := evalGroupExpr(e, en, rep, rows, params)
-	if err != nil {
-		return false, err
-	}
-	return v.Kind() == value.Bool && v.Bool(), nil
-}
-
-// evalGroupExpr evaluates an expression in grouped context: AggExpr
-// nodes aggregate over the group's rows; everything else evaluates on
-// the representative row.
-func evalGroupExpr(e sqlparse.Expr, en *env, rep value.Row, rows []value.Row, params []value.Value) (value.Value, error) {
-	switch x := e.(type) {
-	case *sqlparse.AggExpr:
-		return evalAggregate(x, en, rows, params)
-	case *sqlparse.BinaryExpr:
-		if sqlparse.HasAggregate(x) {
-			l, err := evalGroupExpr(x.Left, en, rep, rows, params)
-			if err != nil {
-				return value.Value{}, err
-			}
-			r, err := evalGroupExpr(x.Right, en, rep, rows, params)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return applyBinary(x.Op, l, r)
-		}
-	}
-	if rep == nil {
-		return value.NewNull(), nil
-	}
-	return evalExpr(e, en, rep, params)
-}
-
-func evalAggregate(agg *sqlparse.AggExpr, en *env, rows []value.Row, params []value.Value) (value.Value, error) {
-	if agg.Arg == nil { // COUNT(*)
-		return value.NewInt(int64(len(rows))), nil
-	}
-	var vals []value.Value
-	seen := make(map[string]struct{})
-	for _, r := range rows {
-		v, err := evalExpr(agg.Arg, en, r, params)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if agg.Distinct {
-			k := v.Key()
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-		}
-		vals = append(vals, v)
-	}
-	switch agg.Func {
-	case sqlparse.AggCount:
-		return value.NewInt(int64(len(vals))), nil
-	case sqlparse.AggSum, sqlparse.AggAvg:
-		if len(vals) == 0 {
-			return value.NewNull(), nil
-		}
-		isFloat := false
-		var sumI int64
-		var sumF float64
-		for _, v := range vals {
-			switch v.Kind() {
-			case value.Int:
-				sumI += v.Int()
-				sumF += v.Float()
-			case value.Float:
-				isFloat = true
-				sumF += v.Float()
-			default:
-				return value.Value{}, fmt.Errorf("relstore: %s over non-numeric value %s", agg.Func, v)
-			}
-		}
-		if agg.Func == sqlparse.AggAvg {
-			return value.NewFloat(sumF / float64(len(vals))), nil
-		}
-		if isFloat {
-			return value.NewFloat(sumF), nil
-		}
-		return value.NewInt(sumI), nil
-	case sqlparse.AggMin, sqlparse.AggMax:
-		if len(vals) == 0 {
-			return value.NewNull(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, _ := value.Compare(v, best)
-			if (agg.Func == sqlparse.AggMin && c < 0) || (agg.Func == sqlparse.AggMax && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	default:
-		return value.Value{}, fmt.Errorf("relstore: unsupported aggregate %v", agg.Func)
-	}
-}
-
 // ---------- expression evaluation ----------
 
 func evalBool(e sqlparse.Expr, en *env, row value.Row, params []value.Value) (bool, error) {
@@ -715,8 +521,6 @@ func evalExpr(e sqlparse.Expr, en *env, row value.Row, params []value.Value) (va
 		return value.NewBool(in != x.Negate), nil
 	case *sqlparse.FuncExpr:
 		return evalFunc(x, en, row, params)
-	case *sqlparse.AggExpr:
-		return value.Value{}, fmt.Errorf("relstore: aggregate %s outside grouped context", x.Func)
 	default:
 		return value.Value{}, fmt.Errorf("relstore: unsupported expression %T", e)
 	}

@@ -88,41 +88,6 @@ func TestOrderByProperty(t *testing.T) {
 	}
 }
 
-// Property: GROUP BY SUM equals the sum computed directly, and the
-// number of groups equals the distinct key count.
-func TestGroupBySumProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db := NewDatabase("p")
-		if _, err := db.Exec("CREATE TABLE t (g TEXT, v INT)"); err != nil {
-			return false
-		}
-		rows := int(n%60) + 1
-		sums := map[string]int64{}
-		for i := 0; i < rows; i++ {
-			g := string(rune('a' + rng.Intn(4)))
-			v := int64(rng.Intn(1000))
-			sums[g] += v
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES ('%s', %d)", g, v)); err != nil {
-				return false
-			}
-		}
-		res, err := db.Exec("SELECT g, SUM(v) FROM t GROUP BY g")
-		if err != nil || len(res.Rows) != len(sums) {
-			return false
-		}
-		for _, row := range res.Rows {
-			if sums[row[0].Str()] != row[1].Int() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: hash-join and nested-loop join (forced via a non-equi
 // wrapper predicate that is always true) agree.
 func TestJoinStrategiesAgreeProperty(t *testing.T) {

@@ -197,64 +197,6 @@ func TestNestedLoopJoinNonEqui(t *testing.T) {
 	}
 }
 
-func TestGroupByAggregates(t *testing.T) {
-	db := electionsDB(t)
-	res, err := db.Exec(`SELECT party, SUM(votes) AS total, COUNT(*) AS n, AVG(votes) AS mean,
-		MIN(votes) AS lo, MAX(votes) AS hi
-		FROM resultats WHERE year = 2015 GROUP BY party ORDER BY total DESC`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("groups: %d", len(res.Rows))
-	}
-	lr := res.Rows[0]
-	if lr[0].Str() != "LR" || lr[1].Int() != 920000 || lr[2].Int() != 3 {
-		t.Errorf("LR row: %+v", lr)
-	}
-	if lr[4].Int() != 120000 || lr[5].Int() != 420000 {
-		t.Errorf("min/max: %+v", lr)
-	}
-	mean := lr[3].Float()
-	if mean < 306666 || mean > 306667 {
-		t.Errorf("avg: %v", mean)
-	}
-}
-
-func TestHaving(t *testing.T) {
-	db := electionsDB(t)
-	res, err := db.Exec(`SELECT dept, COUNT(*) AS n FROM resultats
-		GROUP BY dept HAVING COUNT(*) > 2 ORDER BY n DESC`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "75" {
-		t.Errorf("having: %+v", res.Rows)
-	}
-}
-
-func TestGlobalAggregateWithoutGroupBy(t *testing.T) {
-	db := electionsDB(t)
-	res, err := db.Exec(`SELECT COUNT(*), SUM(votes) FROM resultats`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 8 {
-		t.Errorf("global agg: %+v", res.Rows)
-	}
-}
-
-func TestCountDistinct(t *testing.T) {
-	db := electionsDB(t)
-	res, err := db.Exec(`SELECT COUNT(DISTINCT party) FROM resultats`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].Int() != 2 {
-		t.Errorf("count distinct: %+v", res.Rows[0])
-	}
-}
-
 func TestDistinctRows(t *testing.T) {
 	db := electionsDB(t)
 	res, err := db.Exec(`SELECT DISTINCT party FROM resultats ORDER BY party`)

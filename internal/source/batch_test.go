@@ -113,7 +113,6 @@ func TestRelSourceExecuteBatchUnsupportedShapes(t *testing.T) {
 		"SELECT k FROM t WHERE k = ? LIMIT 1",       // per-probe LIMIT ≠ global LIMIT
 		"SELECT DISTINCT k FROM t WHERE k = ?",      // per-probe DISTINCT ≠ global DISTINCT
 		"SELECT k FROM t WHERE v >= ?",              // '?' outside col = ?
-		"SELECT k, COUNT(*) FROM t WHERE k = ?",     // aggregation over the union differs
 		"SELECT k FROM t WHERE k = ? OR grp = 'g1'", // param under OR
 	} {
 		assertBatchMatchesSerial(t, s, source.SubQuery{Language: source.LangSQL, Text: text, InVars: []string{"p"}}, sets)

@@ -56,8 +56,8 @@ func (s *RelSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 // parameters batch together) and the split keeps only rows matching
 // the tuple on every parameter — so each per-tuple Result is identical
 // to a per-probe Execute. Shapes whose semantics would change under
-// batching (LIMIT/OFFSET, DISTINCT, grouping/aggregation, '?' outside
-// a top-level `col = ?` conjunct) run tuple by tuple (ExecuteSerially).
+// batching (LIMIT/OFFSET, DISTINCT, '?' outside a top-level `col = ?`
+// conjunct) run tuple by tuple (ExecuteSerially).
 func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*Result, err error) {
 	if q.Language != LangSQL {
 		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
@@ -114,12 +114,11 @@ func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*
 // values and the referenced columns are appended to the projection.
 // It reports false when the statement shape cannot be batched exactly.
 func rewriteInList(stmt *sqlparse.SelectStmt, nParams int, paramSets []value.Row) bool {
-	if stmt.Star || stmt.Distinct || stmt.Limit >= 0 || stmt.Offset > 0 ||
-		len(stmt.GroupBy) > 0 || stmt.Having != nil {
+	if stmt.Star || stmt.Distinct || stmt.Limit >= 0 || stmt.Offset > 0 {
 		return false
 	}
 	for _, it := range stmt.Columns {
-		if sqlparse.HasAggregate(it.Expr) || sqlparse.CountParams(it.Expr) > 0 {
+		if sqlparse.CountParams(it.Expr) > 0 {
 			return false
 		}
 	}
@@ -136,7 +135,7 @@ func rewriteInList(stmt *sqlparse.SelectStmt, nParams int, paramSets []value.Row
 	if nParams == 0 || stmt.Where == nil {
 		return nParams == 0
 	}
-	conjuncts := splitAnd(stmt.Where)
+	conjuncts := sqlparse.Conjuncts(stmt.Where)
 	paramCols := make([]*sqlparse.ColumnRef, nParams)
 	seen := 0
 	for ci, c := range conjuncts {
@@ -193,14 +192,6 @@ func rewriteInList(stmt *sqlparse.SelectStmt, nParams int, paramSets []value.Row
 	}
 	stmt.Columns = items
 	return true
-}
-
-// splitAnd flattens a top-level AND tree into its conjuncts.
-func splitAnd(e sqlparse.Expr) []sqlparse.Expr {
-	if be, ok := e.(*sqlparse.BinaryExpr); ok && be.Op == sqlparse.OpAnd {
-		return append(splitAnd(be.Left), splitAnd(be.Right)...)
-	}
-	return []sqlparse.Expr{e}
 }
 
 // joinAnd rebuilds an AND tree from conjuncts.

@@ -17,8 +17,6 @@ type SelectStmt struct {
 	From     TableRef
 	Joins    []JoinClause
 	Where    Expr // nil when absent
-	GroupBy  []Expr
-	Having   Expr
 	OrderBy  []OrderItem
 	Limit    int // -1 when absent
 	Offset   int // 0 when absent
@@ -216,43 +214,6 @@ type BetweenExpr struct {
 
 func (*BetweenExpr) expr() {}
 
-// AggFunc enumerates aggregate functions.
-type AggFunc uint8
-
-const (
-	AggCount AggFunc = iota
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-func (f AggFunc) String() string {
-	switch f {
-	case AggCount:
-		return "COUNT"
-	case AggSum:
-		return "SUM"
-	case AggAvg:
-		return "AVG"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	default:
-		return "?agg"
-	}
-}
-
-// AggExpr is an aggregate call; Arg is nil for COUNT(*).
-type AggExpr struct {
-	Func     AggFunc
-	Arg      Expr
-	Distinct bool
-}
-
-func (*AggExpr) expr() {}
-
 // FuncExpr is a scalar function call (LOWER, UPPER, LENGTH, ABS).
 type FuncExpr struct {
 	Name string // upper-cased
@@ -261,41 +222,12 @@ type FuncExpr struct {
 
 func (*FuncExpr) expr() {}
 
-// HasAggregate reports whether the expression tree contains an AggExpr.
-func HasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *AggExpr:
-		return true
-	case *BinaryExpr:
-		return HasAggregate(x.Left) || HasAggregate(x.Right)
-	case *NotExpr:
-		return HasAggregate(x.Inner)
-	case *IsNullExpr:
-		return HasAggregate(x.Inner)
-	case *InExpr:
-		if HasAggregate(x.Needle) {
-			return true
-		}
-		for _, e := range x.List {
-			if HasAggregate(e) {
-				return true
-			}
-		}
-		return false
-	case *BetweenExpr:
-		return HasAggregate(x.X) || HasAggregate(x.Lo) || HasAggregate(x.Hi)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			if HasAggregate(a) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
+// Conjuncts flattens a top-level AND tree into its conjuncts.
+func Conjuncts(e Expr) []Expr {
+	if be, ok := e.(*BinaryExpr); ok && be.Op == OpAnd {
+		return append(Conjuncts(be.Left), Conjuncts(be.Right)...)
 	}
+	return []Expr{e}
 }
 
 // CountParams counts '?' parameters anywhere in the expression tree.
@@ -319,8 +251,6 @@ func CountParams(e Expr) int {
 		return n
 	case *BetweenExpr:
 		return CountParams(x.X) + CountParams(x.Lo) + CountParams(x.Hi)
-	case *AggExpr:
-		return CountParams(x.Arg)
 	case *FuncExpr:
 		n := 0
 		for _, a := range x.Args {
@@ -371,15 +301,6 @@ func ExprString(e Expr) string {
 			neg = " NOT"
 		}
 		return ExprString(x.X) + neg + " BETWEEN " + ExprString(x.Lo) + " AND " + ExprString(x.Hi)
-	case *AggExpr:
-		arg := "*"
-		if x.Arg != nil {
-			arg = ExprString(x.Arg)
-		}
-		if x.Distinct {
-			arg = "DISTINCT " + arg
-		}
-		return x.Func.String() + "(" + arg + ")"
 	case *FuncExpr:
 		var parts []string
 		for _, a := range x.Args {

@@ -1,8 +1,9 @@
 // Package sqlparse implements the lexer, AST and recursive-descent
 // parser for the SQL subset spoken by TATOOINE's relational sources:
-// CREATE TABLE, INSERT, and SELECT with joins, predicates, grouping,
-// aggregation, ordering and limits. It is the query language that CMQ
-// sub-queries against relational sources are written in.
+// CREATE TABLE, INSERT, and SELECT with joins, predicates, DISTINCT,
+// ordering and limits. It is the query language that CMQ sub-queries
+// against relational sources are written in. GROUP BY, HAVING and the
+// aggregate calls are refused: the mediator aggregates in the CMQ head.
 package sqlparse
 
 import (

@@ -197,27 +197,8 @@ afterJoins:
 		}
 		sel.Where = e
 	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = e
+	if p.peekKeyword("GROUP") || p.peekKeyword("HAVING") {
+		return nil, p.errAggregate()
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -715,7 +696,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			p.pos++
 			return &Literal{value.NewBool(false)}, nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			return p.parseAggregate()
+			return nil, p.errAggregate()
 		}
 		return nil, p.errf("unexpected keyword %q", t.Text)
 	case TokOp:
@@ -769,40 +750,10 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 	}
 }
 
-func (p *sqlParser) parseAggregate() (Expr, error) {
-	t := p.cur()
-	var fn AggFunc
-	switch t.Text {
-	case "COUNT":
-		fn = AggCount
-	case "SUM":
-		fn = AggSum
-	case "AVG":
-		fn = AggAvg
-	case "MIN":
-		fn = AggMin
-	case "MAX":
-		fn = AggMax
-	}
-	p.pos++
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	agg := &AggExpr{Func: fn}
-	if p.acceptOp("*") {
-		if fn != AggCount {
-			return nil, p.errf("'*' argument only valid for COUNT")
-		}
-	} else {
-		agg.Distinct = p.acceptKeyword("DISTINCT")
-		arg, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		agg.Arg = arg
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return agg, nil
+// errAggregate refuses GROUP BY, HAVING and the aggregate calls: a SQL
+// sub-query selects, projects and joins, and the mediator aggregates
+// the joined result in the CMQ head for every kind of source.
+func (p *sqlParser) errAggregate() error {
+	return p.errf("%s is not supported in a SQL sub-query; aggregate in the CMQ head, "+
+		"as in QUERY q(?k, COUNT(?v) AS ?n) ... GROUP BY ?k", p.cur().Text)
 }

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -98,21 +99,47 @@ func TestParseJoinsAndAliases(t *testing.T) {
 }
 
 func TestParseGroupByHavingOrderLimit(t *testing.T) {
-	s := mustSelect(t, `SELECT party, COUNT(*) AS n FROM tweets
-		GROUP BY party HAVING COUNT(*) > 5
+	s := mustSelect(t, `SELECT party, n FROM tweets
 		ORDER BY n DESC, party ASC LIMIT 10 OFFSET 20`)
-	if len(s.GroupBy) != 1 || s.Having == nil {
-		t.Error("group/having missing")
-	}
 	if len(s.OrderBy) != 2 || !s.OrderBy[0].Desc || s.OrderBy[1].Desc {
 		t.Errorf("order: %+v", s.OrderBy)
 	}
 	if s.Limit != 10 || s.Offset != 20 {
 		t.Errorf("limit/offset: %d/%d", s.Limit, s.Offset)
 	}
-	agg, ok := s.Columns[1].Expr.(*AggExpr)
-	if !ok || agg.Func != AggCount || agg.Arg != nil {
-		t.Errorf("agg: %+v", s.Columns[1].Expr)
+	for _, q := range []string{
+		"SELECT party FROM tweets GROUP BY party ORDER BY party",
+		"SELECT party FROM tweets HAVING party = 'x' LIMIT 1",
+	} {
+		if _, err := ParseSelect(q); err == nil || !strings.Contains(err.Error(), "CMQ head") {
+			t.Errorf("%s: err %v, want the CMQ-head refusal", q, err)
+		}
+	}
+}
+
+// TestParseSelectRefusesAggregation: a SQL sub-query selects, projects
+// and joins; each grouping or aggregate form is refused with one error
+// that names the CMQ-head spelling.
+func TestParseSelectRefusesAggregation(t *testing.T) {
+	for form, q := range map[string]string{
+		"GROUP":  "SELECT dept FROM resultats WHERE annee = ? GROUP BY dept",
+		"HAVING": "SELECT dept FROM resultats HAVING dept = '75'",
+		"COUNT":  "SELECT COUNT(*) FROM resultats",
+		"SUM":    "SELECT dept, SUM(voix) FROM resultats",
+		"AVG":    "SELECT dept FROM resultats WHERE voix > AVG(voix)",
+		"MIN":    "SELECT MIN(voix) + 1 FROM resultats",
+		"MAX":    "SELECT dept FROM resultats ORDER BY MAX(voix)",
+	} {
+		_, err := ParseSelect(q)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err %v, want a syntax error", form, err)
+		}
+		want := form + " is not supported in a SQL sub-query; aggregate in the CMQ head, " +
+			"as in QUERY q(?k, COUNT(?v) AS ?n) ... GROUP BY ?k"
+		if se.Msg != want || !strings.Contains(q[se.Pos:], form) {
+			t.Errorf("%s: %v", form, err)
+		}
 	}
 }
 
@@ -275,11 +302,6 @@ func TestParseDistinct(t *testing.T) {
 	if !s.Distinct {
 		t.Error("distinct not set")
 	}
-	s2 := mustSelect(t, "SELECT COUNT(DISTINCT author) FROM tweets")
-	agg := s2.Columns[0].Expr.(*AggExpr)
-	if !agg.Distinct {
-		t.Error("aggregate distinct not set")
-	}
 }
 
 func TestParseScalarFunctions(t *testing.T) {
@@ -287,19 +309,6 @@ func TestParseScalarFunctions(t *testing.T) {
 	f0, ok := s.Columns[0].Expr.(*FuncExpr)
 	if !ok || f0.Name != "LOWER" {
 		t.Errorf("func: %+v", s.Columns[0].Expr)
-	}
-}
-
-func TestHasAggregateAndColumnRefs(t *testing.T) {
-	s := mustSelect(t, "SELECT SUM(x + y) * 2 FROM t WHERE a = 1")
-	if !HasAggregate(s.Columns[0].Expr) {
-		t.Error("HasAggregate false negative")
-	}
-	if HasAggregate(s.Where) {
-		t.Error("HasAggregate false positive")
-	}
-	if got := ExprString(s.Columns[0].Expr); got != "(SUM((x + y)) * 2)" {
-		t.Errorf("column refs under the aggregate: %s", got)
 	}
 }
 

@@ -40,9 +40,6 @@ func ParseTextQuery(input string) (*TextQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	if path.SelAttr != "" || path.SelText {
-		return nil, fmt.Errorf("xmlstore: the XPATH of a sub-query must select elements (selectors go in RETURN)")
-	}
 	var returns []string
 	for _, part := range strings.Split(rest[retIdx+len("RETURN"):], ",") {
 		item := strings.TrimSpace(part)
@@ -66,12 +63,12 @@ func (q *TextQuery) Execute(s *Store, params []string) ([]string, [][]string, er
 	var rows [][]string
 	var evalErr error
 	s.Each(func(d *Document) bool {
-		res, err := q.Path.Eval(d.Root, params)
+		nodes, err := q.Path.Eval(d.Root, params)
 		if err != nil {
 			evalErr = err
 			return false
 		}
-		for _, n := range res.Nodes {
+		for _, n := range nodes {
 			row := make([]string, len(q.Returns))
 			for i, item := range q.Returns {
 				switch {

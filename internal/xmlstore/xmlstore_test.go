@@ -79,12 +79,12 @@ func TestXPathAbsolute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Eval(root, nil)
+	nodes, err := p.Eval(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Nodes) != 2 {
-		t.Errorf("speeches: %d", len(res.Nodes))
+	if len(nodes) != 2 {
+		t.Errorf("speeches: %d", len(nodes))
 	}
 }
 
@@ -109,31 +109,25 @@ func TestXPathPredicates(t *testing.T) {
 			t.Errorf("parse %q: %v", c.expr, err)
 			continue
 		}
-		res, err := p.Eval(root, nil)
+		nodes, err := p.Eval(root, nil)
 		if err != nil {
 			t.Errorf("eval %q: %v", c.expr, err)
 			continue
 		}
-		if len(res.Nodes) != c.want {
-			t.Errorf("%q: %d nodes, want %d", c.expr, len(res.Nodes), c.want)
+		if len(nodes) != c.want {
+			t.Errorf("%q: %d nodes, want %d", c.expr, len(nodes), c.want)
 		}
 	}
 }
 
+// TestXPathSelectors: a path selects elements; a trailing attribute or
+// text() selector is refused, since RETURN selects those per node.
 func TestXPathSelectors(t *testing.T) {
-	root, _ := Parse([]byte(speechXML))
-	p, err := ParsePath("/speeches/speech/@date")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ := p.Eval(root, nil)
-	if len(res.Strings) != 2 || res.Strings[0] != "2016-02-27" {
-		t.Errorf("attr selector: %v", res.Strings)
-	}
-	p2, _ := ParsePath("/speeches/speech/title/text()")
-	res2, _ := p2.Eval(root, nil)
-	if len(res2.Strings) != 2 || !strings.Contains(res2.Strings[0], "agriculture") {
-		t.Errorf("text selector: %v", res2.Strings)
+	for _, expr := range []string{"/speeches/speech/@date", "/speeches/speech/title/text()"} {
+		_, err := ParsePath(expr)
+		if err == nil || !strings.Contains(err.Error(), "must select elements") {
+			t.Errorf("%s: err %v, want the must-select-elements refusal", expr, err)
+		}
 	}
 }
 
@@ -146,12 +140,12 @@ func TestXPathParams(t *testing.T) {
 	if p.NumParams != 1 {
 		t.Fatalf("params: %d", p.NumParams)
 	}
-	res, err := p.Eval(root, []string{"François Hollande"})
+	nodes, err := p.Eval(root, []string{"François Hollande"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Nodes) != 1 {
-		t.Errorf("param eval: %d", len(res.Nodes))
+	if len(nodes) != 1 {
+		t.Errorf("param eval: %d", len(nodes))
 	}
 	if _, err := p.Eval(root, nil); err == nil {
 		t.Error("missing param accepted")

@@ -12,10 +12,10 @@ import (
 //	/speeches/*/title               wildcard element
 //	/speeches/speech[@speaker='X']  attribute equality predicate
 //	/speeches/speech[topic='Y']     child-text equality predicate
-//	…/@date                         attribute selection (string result)
-//	…/text()                        text selection
 //
-// Predicate values may be '?' parameters, bound at evaluation (the
+// A path selects elements; a trailing @attr or text() is refused (a
+// sub-query's RETURN clause selects attributes and text). Predicate
+// values may be '?' parameters, bound at evaluation (the
 // mediator's bind joins push outer values there).
 
 // Step is one location step.
@@ -39,14 +39,9 @@ type Predicate struct {
 	Param int
 }
 
-// Path is a parsed XPath expression: steps plus an optional final
-// selector (attribute or text()).
+// Path is a parsed XPath expression: its location steps.
 type Path struct {
 	Steps []Step
-	// SelAttr selects an attribute of matched nodes ("" = none).
-	SelAttr string
-	// SelText selects the text of matched nodes.
-	SelText bool
 	// NumParams counts '?' placeholders in document order.
 	NumParams int
 }
@@ -70,25 +65,8 @@ func ParsePath(expr string) (*Path, error) {
 			step.Descendant = true
 			i++
 		}
-		// Selector endings.
-		if strings.HasPrefix(expr[i:], "@") {
-			if len(p.Steps) == 0 {
-				return nil, fmt.Errorf("xmlstore: attribute selector needs a preceding step")
-			}
-			p.SelAttr = expr[i+1:]
-			if p.SelAttr == "" || strings.ContainsAny(p.SelAttr, "/[") {
-				return nil, fmt.Errorf("xmlstore: malformed attribute selector in %q", expr)
-			}
-			p.NumParams = params
-			return p, nil
-		}
-		if strings.HasPrefix(expr[i:], "text()") && i+6 == len(expr) {
-			if len(p.Steps) == 0 {
-				return nil, fmt.Errorf("xmlstore: text() needs a preceding step")
-			}
-			p.SelText = true
-			p.NumParams = params
-			return p, nil
+		if strings.HasPrefix(expr[i:], "@") || expr[i:] == "text()" {
+			return nil, fmt.Errorf("xmlstore: the XPATH of a sub-query must select elements (selectors go in RETURN)")
 		}
 		// Element name.
 		j := i
@@ -152,16 +130,8 @@ func parsePredicate(s string, params int) (*Predicate, int, error) {
 }
 
 // Eval evaluates the path over a document root, with params bound to
-// the '?' placeholders. It returns the matched element nodes; when a
-// selector (attribute / text()) is present, Strings holds the selected
-// values positionally (empty string when absent).
-type Result struct {
-	Nodes   []*Node
-	Strings []string
-}
-
-// Eval runs the path against a root element.
-func (p *Path) Eval(root *Node, params []string) (*Result, error) {
+// the '?' placeholders, and returns the matched element nodes.
+func (p *Path) Eval(root *Node, params []string) ([]*Node, error) {
 	if len(params) < p.NumParams {
 		return nil, fmt.Errorf("xmlstore: path needs %d parameters, got %d", p.NumParams, len(params))
 	}
@@ -193,17 +163,7 @@ func (p *Path) Eval(root *Node, params []string) (*Result, error) {
 		cur = filterPreds(next, step.Preds, params)
 	}
 
-	res := &Result{Nodes: cur}
-	if p.SelAttr != "" {
-		for _, n := range cur {
-			res.Strings = append(res.Strings, n.Attr(p.SelAttr))
-		}
-	} else if p.SelText {
-		for _, n := range cur {
-			res.Strings = append(res.Strings, n.Text)
-		}
-	}
-	return res, nil
+	return cur, nil
 }
 
 func nameMatches(pattern, name string) bool {
