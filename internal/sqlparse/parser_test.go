@@ -312,6 +312,24 @@ func TestParseScalarFunctions(t *testing.T) {
 	}
 }
 
+// TestHasAggregateAndColumnRefs: an aggregate over arithmetic is found at
+// parse time and refused; the same arithmetic without the aggregate keeps
+// its column refs in ExprString.
+func TestHasAggregateAndColumnRefs(t *testing.T) {
+	var se *SyntaxError
+	if _, err := ParseSelect("SELECT SUM(x + y) * 2 FROM t WHERE a = 1"); !errors.As(err, &se) ||
+		!strings.HasPrefix(se.Msg, "SUM is not supported in a SQL sub-query") {
+		t.Errorf("aggregate over arithmetic not refused: %v", err)
+	}
+	s := mustSelect(t, "SELECT (x + y) * 2 FROM t WHERE a = 1")
+	if got := ExprString(s.Columns[0].Expr); got != "((x + y) * 2)" {
+		t.Errorf("column refs under arithmetic: %s", got)
+	}
+	if got := ExprString(s.Where); got != "(a = 1)" {
+		t.Errorf("where: %s", got)
+	}
+}
+
 func TestExprStringStable(t *testing.T) {
 	s := mustSelect(t, "SELECT a FROM t WHERE x = 'it''s'")
 	if got := ExprString(s.Where); got != "(x = 'it''s')" {
