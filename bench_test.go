@@ -30,6 +30,7 @@ import (
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
 	"tatooine/internal/store"
+	"tatooine/internal/value"
 	"tatooine/internal/viz"
 )
 
@@ -554,20 +555,23 @@ func BenchmarkBatchedBindJoin(b *testing.B) {
 	const rtt = 500 * time.Microsecond
 
 	db := relstore.NewDatabase("remote")
-	if _, err := db.Exec("CREATE TABLE targets (k TEXT, v INT)"); err != nil {
+	targets, err := db.CreateTable(relstore.Schema{Name: "targets", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}}})
+	if err != nil {
 		b.Fatal(err)
-	}
-	for i := 0; i < keys; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO targets VALUES ('k%d', %d)", i, i)); err != nil {
-			b.Fatal(err)
-		}
 	}
 	seed := relstore.NewDatabase("seed")
-	if _, err := seed.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
+	seeds, err := seed.CreateTable(relstore.Schema{Name: "seed", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}}})
+	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < keys; i++ {
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%d')", i)); err != nil {
+		k := value.NewString(fmt.Sprintf("k%d", i))
+		if err := targets.Insert(value.Row{k, value.NewInt(int64(i))}); err != nil {
+			b.Fatal(err)
+		}
+		if err := seeds.Insert(value.Row{k}); err != nil {
 			b.Fatal(err)
 		}
 	}

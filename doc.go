@@ -157,7 +157,8 @@
 //     batch and the single result is split back per tuple — exactly,
 //     including multi-parameter cross products; shapes whose meaning
 //     would change (LIMIT, DISTINCT, '?' outside a top-level
-//     equality) run tuple by tuple inside ExecuteBatch.
+//     equality) run tuple by tuple inside ExecuteBatch; text that is
+//     not one SELECT fails the batch once, with the parse error.
 //   - source.RDFSource and source.DocSource evaluate batches
 //     VALUES-style: parse once, evaluate per tuple in-process. Their
 //     Execute is a batch of one.
@@ -436,12 +437,21 @@
 // sequences and compare every answer. Sources are never persisted:
 // relstore.Table is an in-memory row slice plus a primary-key set,
 // standing in for an autonomous database the mediator queries where it
-// lives. Its SQL (internal/sqlparse) is CREATE TABLE, INSERT and a
-// select-project-join SELECT with WHERE, DISTINCT, ORDER BY, LIMIT and
-// OFFSET; GROUP BY, HAVING and COUNT/SUM/AVG/MIN/MAX are refused at
-// parse time, because the mediator aggregates the joined result in the
-// CMQ head for every kind of source, as in
-// QUERY q(?k, COUNT(?v) AS ?n) ... GROUP BY ?k.
+// lives. Tables are built only through the Go API,
+// Database.CreateTable and Table.Insert (datagen, the examples and the
+// tests); SQL text only reads, so no route that carries a sub-query
+// (POST /cmq, POST /batch) can write a source. Its SQL
+// (internal/sqlparse) is one select-project-join SELECT with WHERE,
+// DISTINCT, ORDER BY, LIMIT and OFFSET; any other statement is refused
+// at offset 0, and GROUP BY, HAVING and COUNT/SUM/AVG/MIN/MAX are
+// refused at parse time, because the mediator aggregates the joined
+// result in the CMQ head for every kind of source, as in
+// QUERY q(?k, COUNT(?v) AS ?n) ... GROUP BY ?k. ORDER BY sorts the
+// source rows before projection, and DISTINCT then keeps the first copy
+// of each output row, so the order holds; under DISTINCT every ORDER BY
+// key must be a selected column (as in PostgreSQL), and one that is not
+// is refused with an error naming it. A SELECT reads the stored rows in
+// place: they never change once Insert has typed them.
 //
 // core.Open(dir) opens a persistent Instance: each mutation commits
 // graph pages, saturation pages, epoch and catalog in ONE WAL

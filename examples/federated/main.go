@@ -20,7 +20,9 @@ import (
 	"tatooine/internal/core"
 	"tatooine/internal/datagen"
 	"tatooine/internal/federation"
+	"tatooine/internal/relstore"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 func main() {
@@ -58,12 +60,13 @@ func run(w io.Writer) error {
 	if err := in.AddSource(source.NewRelSource(datagen.INSEEURI, ds.INSEE)); err != nil {
 		return err
 	}
-	if _, err := ds.INSEE.Exec("CREATE TABLE live_endpoints (region TEXT, uri TEXT)"); err != nil {
+	live, err := ds.INSEE.CreateTable(relstore.Schema{Name: "live_endpoints", Columns: []relstore.Column{
+		{Name: "region", Type: value.String}, {Name: "uri", Type: value.String}}})
+	if err != nil {
 		return err
 	}
 	for i, u := range urls {
-		if _, err := ds.INSEE.Exec(
-			fmt.Sprintf("INSERT INTO live_endpoints VALUES ('region%d', '%s')", i+1, u)); err != nil {
+		if err := live.Insert(value.Row{value.NewString(fmt.Sprintf("region%d", i+1)), value.NewString(u)}); err != nil {
 			return err
 		}
 	}

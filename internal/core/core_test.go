@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +13,35 @@ import (
 	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
+
+// loadTable creates s in db and inserts rows; a cell is a Go string,
+// int, float64 or bool, or nil for NULL.
+func loadTable(t testing.TB, db *relstore.Database, s relstore.Schema, rows ...[]any) *relstore.Table {
+	t.Helper()
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range rows {
+		row := make(value.Row, len(cells))
+		for i, c := range cells {
+			switch c := c.(type) {
+			case string:
+				row[i] = value.NewString(c)
+			case int:
+				row[i] = value.NewInt(int64(c))
+			case float64:
+				row[i] = value.NewFloat(c)
+			case bool:
+				row[i] = value.NewBool(c)
+			}
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatalf("insert into %s: %v", s.Name, err)
+		}
+	}
+	return tbl
+}
 
 // fixtureInstance builds a mixed instance mirroring Figure 1: a custom
 // politics RDF graph G, a Solr-like tweet source, and INSEE-like
@@ -85,16 +113,13 @@ pol:POL03 a :politician ;
 	// INSEE-like relational source; the endpoints table lists further
 	// source URIs for dynamic discovery.
 	insee := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE chomage (dept TEXT, year INT, taux FLOAT)",
-		"INSERT INTO chomage VALUES ('75', 2015, 8.4), ('75', 2016, 8.1), ('92', 2016, 7.2)",
-		"CREATE TABLE endpoints (region TEXT, uri TEXT)",
-		"INSERT INTO endpoints VALUES ('idf', 'sql://region-idf'), ('bretagne', 'sql://region-bzh')",
-	} {
-		if _, err := insee.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, insee, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "year", Type: value.Int},
+		{Name: "taux", Type: value.Float}}},
+		[]any{"75", 2015, 8.4}, []any{"75", 2016, 8.1}, []any{"92", 2016, 7.2})
+	loadTable(t, insee, relstore.Schema{Name: "endpoints", Columns: []relstore.Column{
+		{Name: "region", Type: value.String}, {Name: "uri", Type: value.String}}},
+		[]any{"idf", "sql://region-idf"}, []any{"bretagne", "sql://region-bzh"})
 	if err := in.AddSource(source.NewRelSource("sql://insee", insee)); err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +127,9 @@ pol:POL03 a :politician ;
 	// Two regional databases, discovered through the endpoints table.
 	for i, uri := range []string{"sql://region-idf", "sql://region-bzh"} {
 		db := relstore.NewDatabase(uri)
-		if _, err := db.Exec("CREATE TABLE stats (indicator TEXT, val INT)"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO stats VALUES ('population', %d)", (i+1)*1000)); err != nil {
-			t.Fatal(err)
-		}
+		loadTable(t, db, relstore.Schema{Name: "stats", Columns: []relstore.Column{
+			{Name: "indicator", Type: value.String}, {Name: "val", Type: value.Int}}},
+			[]any{"population", (i + 1) * 1000})
 		if err := in.AddSource(source.NewRelSource(uri, db)); err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +237,9 @@ ORDER BY ?val
 func TestDynamicSourceUnknownURI(t *testing.T) {
 	in := fixtureInstance(t)
 	db := relstore.NewDatabase("x")
-	db.Exec("CREATE TABLE u (uri TEXT)")
-	db.Exec("INSERT INTO u VALUES ('sql://does-not-exist')")
+	loadTable(t, db, relstore.Schema{Name: "u", Columns: []relstore.Column{
+		{Name: "uri", Type: value.String}}},
+		[]any{"sql://does-not-exist"})
 	in.AddSource(source.NewRelSource("sql://broken", db))
 	_, err := in.Query(`
 QUERY q(?v)

@@ -34,28 +34,26 @@ func randomSources(t *testing.T, rng *rand.Rand, stride, span int) *Instance {
 	in := NewInstance(nil)
 	for s := 0; s < 3; s++ {
 		db := relstore.NewDatabase(fmt.Sprintf("s%d", s))
-		exec := func(stmt string) {
-			if _, err := db.Exec(stmt); err != nil {
-				t.Fatal(err)
-			}
-		}
 		key := func() string { return fmt.Sprintf("k%d", s*stride+rng.Intn(span)) }
-		exec("CREATE TABLE t (k TEXT, v TEXT)")
+		var tRows, dRows [][]any
 		for i := 0; i < 12; i++ {
 			if rng.Intn(8) == 0 {
-				exec(fmt.Sprintf("INSERT INTO t (k) VALUES ('%s')", key())) // NULL v
+				tRows = append(tRows, []any{key(), nil}) // NULL v
 			} else {
-				exec(fmt.Sprintf("INSERT INTO t VALUES ('%s', '%s')", key(), key()))
+				tRows = append(tRows, []any{key(), key()})
 			}
 		}
-		exec("CREATE TABLE d (k TEXT, src TEXT)")
 		for i := 0; i < 4; i++ {
 			if rng.Intn(6) == 0 {
-				exec(fmt.Sprintf("INSERT INTO d (k) VALUES ('%s')", key())) // NULL src
+				dRows = append(dRows, []any{key(), nil}) // NULL src
 			} else {
-				exec(fmt.Sprintf("INSERT INTO d VALUES ('%s', 'sql://s%d')", key(), rng.Intn(3)))
+				dRows = append(dRows, []any{key(), fmt.Sprintf("sql://s%d", rng.Intn(3))})
 			}
 		}
+		loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+			{Name: "k", Type: value.String}, {Name: "v", Type: value.String}}}, tRows...)
+		loadTable(t, db, relstore.Schema{Name: "d", Columns: []relstore.Column{
+			{Name: "k", Type: value.String}, {Name: "src", Type: value.String}}}, dRows...)
 		if err := in.AddSource(source.NewRelSource(fmt.Sprintf("sql://s%d", s), db)); err != nil {
 			t.Fatal(err)
 		}
@@ -261,15 +259,12 @@ func TestDynamicAtomReturnsItsDesignator(t *testing.T) {
 		in := NewInstance(nil)
 		for s, srcs := range [][]string{{"s1", "s2"}, {"s1", "s2"}, {"s1", "s1", "s1"}} {
 			db := relstore.NewDatabase(fmt.Sprintf("s%d", s))
-			stmts := []string{"CREATE TABLE d (k TEXT, src TEXT)"}
+			var rows [][]any
 			for i, src := range srcs {
-				stmts = append(stmts, fmt.Sprintf("INSERT INTO d VALUES ('k%d%d', 'sql://%s')", s, i, src))
+				rows = append(rows, []any{fmt.Sprintf("k%d%d", s, i), "sql://" + src})
 			}
-			for _, stmt := range stmts {
-				if _, err := db.Exec(stmt); err != nil {
-					t.Fatal(err)
-				}
-			}
+			loadTable(t, db, relstore.Schema{Name: "d", Columns: []relstore.Column{
+				{Name: "k", Type: value.String}, {Name: "src", Type: value.String}}}, rows...)
 			if err := in.AddSource(source.NewRelSource(fmt.Sprintf("sql://s%d", s), db)); err != nil {
 				t.Fatal(err)
 			}
@@ -366,11 +361,9 @@ func (s *slowSource) ExecuteContext(ctx context.Context, q source.SubQuery, para
 func TestCancellationStopsSlowProbes(t *testing.T) {
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("seed")
-	if _, err := db.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		t.Fatal(err)
-	}
+	seeds := loadTable(t, db, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}})
 	for i := 0; i < 8; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%d')", i)); err != nil {
+		if err := seeds.Insert(value.Row{value.NewString(fmt.Sprintf("k%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -68,14 +68,9 @@ func TestDigestCatalogSurvivesGraphWrites(t *testing.T) {
 	in := NewInstance(nil, WithPrefixes(map[string]string{"": "http://t.example/"}))
 	in.AddTriples(rdf.MustParse(prefix + `:p1 :electedIn "75" .`))
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT)",
-		"INSERT INTO departements VALUES ('75','Paris'), ('92','Hauts-de-Seine')",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+		{Name: "code", Type: value.String}, {Name: "name", Type: value.String}}},
+		[]any{"75", "Paris"}, []any{"92", "Hauts-de-Seine"})
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)
 	}
@@ -263,16 +258,13 @@ func (s *estimatingSource) Estimate(source.SubQuery, int) (rows, cost int) {
 // used as is.
 func TestPlannerEstimatesFromDigestFirst(t *testing.T) {
 	db := relstore.NewDatabase("est")
-	for _, q := range []string{
-		"CREATE TABLE t (k TEXT, v TEXT)",
-		"INSERT INTO t VALUES ('a','1'), ('a','2'), ('a','3'), ('b','4'), ('b','5'), ('b','6')",
-		"CREATE TABLE u (k TEXT, w TEXT)",
-		"INSERT INTO u VALUES ('a','x'), ('b','y')",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.String}}},
+		[]any{"a", "1"}, []any{"a", "2"}, []any{"a", "3"}, []any{"b", "4"}, []any{"b", "5"},
+		[]any{"b", "6"})
+	loadTable(t, db, relstore.Schema{Name: "u", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "w", Type: value.String}}},
+		[]any{"a", "x"}, []any{"b", "y"})
 	src := &estimatingSource{
 		RelSource: source.NewRelSource("sql://est", db),
 		dig:       digest.BuildRelational("sql://est", db, digest.DefaultBudget()),

@@ -110,19 +110,11 @@ func batchFixtureFill(t *testing.T, fill int) (*Instance, *batchProbeSource) {
 	t.Helper()
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("seed")
-	stmts := []string{
-		"CREATE TABLE seed (k TEXT)",
-		"INSERT INTO seed (k) VALUES ('a'), ('b'), ('a'), ('c'), ('dup'), ('missing')",
-		"INSERT INTO seed VALUES (NULL)",
-	}
+	rows := [][]any{{"a"}, {"b"}, {"a"}, {"c"}, {"dup"}, {"missing"}, {nil}}
 	for i := 0; i < fill; i++ {
-		stmts = append(stmts, fmt.Sprintf("INSERT INTO seed VALUES ('f%03d')", i))
+		rows = append(rows, []any{fmt.Sprintf("f%03d", i)})
 	}
-	for _, q := range stmts {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}}, rows...)
 	if err := in.AddSource(source.NewRelSource("sql://seed", db)); err != nil {
 		t.Fatal(err)
 	}
@@ -233,15 +225,12 @@ func TestBatchUnsupportedFallsBackPerTuple(t *testing.T) {
 		for i := 0; i < batchFill; i++ {
 			keys = append(keys, fmt.Sprintf("f%03d", i))
 		}
-		stmts := []string{"CREATE TABLE t (k TEXT, v INT)"}
+		var rows [][]any
 		for i, k := range keys {
-			stmts = append(stmts, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d), ('%s', %d)", k, i+100, k, i))
+			rows = append(rows, []any{k, i + 100}, []any{k, i})
 		}
-		for _, q := range stmts {
-			if _, err := db.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
+		loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+			{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}}}, rows...)
 		if err := in.AddSource(source.NewRelSource("sql://lim", db)); err != nil {
 			t.Fatal(err)
 		}
@@ -287,16 +276,12 @@ func TestStreamedFinishMatchesMaterialized(t *testing.T) {
 	build := func() *Instance {
 		in := NewInstance(nil)
 		db := relstore.NewDatabase("d")
-		for _, q := range []string{
-			"CREATE TABLE t1 (k TEXT, v INT)",
-			"INSERT INTO t1 VALUES ('a', 1), ('b', 2), ('c', 3), ('a', 1)",
-			"CREATE TABLE t2 (k TEXT, w INT)",
-			"INSERT INTO t2 VALUES ('a', 10), ('b', 20), ('b', 21), ('z', 99)",
-		} {
-			if _, err := db.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
+		loadTable(t, db, relstore.Schema{Name: "t1", Columns: []relstore.Column{
+			{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}}},
+			[]any{"a", 1}, []any{"b", 2}, []any{"c", 3}, []any{"a", 1})
+		loadTable(t, db, relstore.Schema{Name: "t2", Columns: []relstore.Column{
+			{Name: "k", Type: value.String}, {Name: "w", Type: value.Int}}},
+			[]any{"a", 10}, []any{"b", 20}, []any{"b", 21}, []any{"z", 99})
 		if err := in.AddSource(source.NewRelSource("sql://d", db)); err != nil {
 			t.Fatal(err)
 		}

@@ -38,8 +38,7 @@ func TestSourceErrorPropagatesInParallelWave(t *testing.T) {
 	in := NewInstance(nil)
 	in.AddSource(failingSource{"sql://down"})
 	db := relstore.NewDatabase("ok")
-	db.Exec("CREATE TABLE t (x INT)")
-	db.Exec("INSERT INTO t VALUES (1)")
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{{Name: "x", Type: value.Int}}}, []any{1})
 	in.AddSource(source.NewRelSource("sql://ok", db))
 	_, err := in.Query(`
 QUERY q(?a, ?b)
@@ -55,8 +54,9 @@ func TestBindJoinErrorInProbe(t *testing.T) {
 	in := NewInstance(nil)
 	in.AddSource(failingSource{"sql://down"})
 	db := relstore.NewDatabase("ok")
-	db.Exec("CREATE TABLE t (x INT)")
-	db.Exec("INSERT INTO t VALUES (1), (2), (3)")
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "x", Type: value.Int}}},
+		[]any{1}, []any{2}, []any{3})
 	in.AddSource(source.NewRelSource("sql://ok", db))
 	_, err := in.Query(`
 QUERY q(?a, ?b)
@@ -71,11 +71,12 @@ FROM <sql://down> IN(?a) OUT(?b) { SELECT x FROM t WHERE x = ? }
 func TestBindJoinSkipsNullParams(t *testing.T) {
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE src (k TEXT)")
-	db.Exec("INSERT INTO src (k) VALUES ('a')")
-	db.Exec("INSERT INTO src VALUES (NULL)")
-	db.Exec("CREATE TABLE tgt (k TEXT, v INT)")
-	db.Exec("INSERT INTO tgt VALUES ('a', 1)")
+	loadTable(t, db, relstore.Schema{Name: "src", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}}},
+		[]any{"a"}, []any{nil})
+	loadTable(t, db, relstore.Schema{Name: "tgt", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}}},
+		[]any{"a", 1})
 	in.AddSource(source.NewRelSource("sql://d", db))
 	res, err := in.Query(`
 QUERY q(?k, ?v)
@@ -97,8 +98,8 @@ FROM <sql://d> IN(?k) OUT(?k, ?v) { SELECT k, v FROM tgt WHERE k = ? }
 func TestEmptyOuterBindJoin(t *testing.T) {
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE src (k TEXT)")
-	db.Exec("CREATE TABLE tgt (k TEXT)")
+	loadTable(t, db, relstore.Schema{Name: "src", Columns: []relstore.Column{{Name: "k", Type: value.String}}})
+	loadTable(t, db, relstore.Schema{Name: "tgt", Columns: []relstore.Column{{Name: "k", Type: value.String}}})
 	in.AddSource(source.NewRelSource("sql://d", db))
 	res, err := in.Query(`
 QUERY q(?k)
@@ -116,8 +117,9 @@ FROM <sql://d> IN(?k) OUT(?k) { SELECT k FROM tgt WHERE k = ? }
 func TestColumnArityMismatch(t *testing.T) {
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE t (a INT, b INT)")
-	db.Exec("INSERT INTO t VALUES (1, 2)")
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "a", Type: value.Int}, {Name: "b", Type: value.Int}}},
+		[]any{1, 2})
 	in.AddSource(source.NewRelSource("sql://d", db))
 	// Two columns returned for one OUT variable.
 	_, err := in.Query(`QUERY q(?a) FROM <sql://d> OUT(?a) { SELECT a, b FROM t }`)

@@ -6,6 +6,7 @@ import (
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 func mutableInstance(t *testing.T, opts ...InstanceOption) *Instance {
@@ -49,9 +50,8 @@ func TestMutationBumpsEpoch(t *testing.T) {
 	}
 
 	db := relstore.NewDatabase("insee")
-	if _, err := db.Exec("CREATE TABLE chomage (dept TEXT, taux FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
+	loadTable(t, db, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "taux", Type: value.Float}}})
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +198,9 @@ func TestSaturationStatsOff(t *testing.T) {
 func TestInvalidateFlushesProbeCaches(t *testing.T) {
 	in := mutableInstance(t)
 	db := relstore.NewDatabase("insee")
-	for _, stmt := range []string{
-		"CREATE TABLE chomage (dept TEXT, taux FLOAT)",
-		"INSERT INTO chomage VALUES ('75', 8.4)",
-	} {
-		if _, err := db.Exec(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "taux", Type: value.Float}}},
+		[]any{"75", 8.4})
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)
 	}

@@ -20,26 +20,16 @@ func pruneFixture(t *testing.T) *Instance {
 	t.Helper()
 	in := NewInstance(nil)
 	seed := relstore.NewDatabase("seed")
-	for _, q := range []string{
-		"CREATE TABLE seed (k TEXT)",
-		"INSERT INTO seed (k) VALUES ('a'), ('b'), ('m0'), ('m1'), ('m2'), ('m3'), ('a')",
-	} {
-		if _, err := seed.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, seed, relstore.Schema{Name: "seed", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}}},
+		[]any{"a"}, []any{"b"}, []any{"m0"}, []any{"m1"}, []any{"m2"}, []any{"m3"}, []any{"a"})
 	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
 		t.Fatal(err)
 	}
 	target := relstore.NewDatabase("target")
-	for _, q := range []string{
-		"CREATE TABLE t (k TEXT, v TEXT)",
-		"INSERT INTO t VALUES ('a', 'va'), ('a', 'va2'), ('b', 'vb')",
-	} {
-		if _, err := target.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, target, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.String}}},
+		[]any{"a", "va"}, []any{"a", "va2"}, []any{"b", "vb"})
 	if err := in.AddSource(source.NewRelSource("sql://target", target)); err != nil {
 		t.Fatal(err)
 	}
@@ -201,28 +191,18 @@ func (s *prunableBatchSource) ExecuteBatch(q source.SubQuery, paramSets []value.
 func TestTunerIgnoresFullyPrunedBindJoin(t *testing.T) {
 	in := NewInstance(nil)
 	seed := relstore.NewDatabase("seed")
-	for _, q := range []string{
-		"CREATE TABLE seed (k TEXT)",
-		"INSERT INTO seed (k) VALUES ('m0'), ('m1'), ('m2'), ('m3'), ('m4'), ('m5')",
-	} {
-		if _, err := seed.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, seed, relstore.Schema{Name: "seed", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}}},
+		[]any{"m0"}, []any{"m1"}, []any{"m2"}, []any{"m3"}, []any{"m4"}, []any{"m5"})
 	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
 		t.Fatal(err)
 	}
 	// The digest is built from a table holding only 'a' and 'b' — every
 	// seed key is provably absent.
 	db := relstore.NewDatabase("digest")
-	for _, q := range []string{
-		"CREATE TABLE t (k TEXT, v TEXT)",
-		"INSERT INTO t VALUES ('a', 'va'), ('b', 'vb')",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.String}}},
+		[]any{"a", "va"}, []any{"b", "vb"})
 	probe := &prunableBatchSource{
 		uri: "sql://probe",
 		dig: digest.BuildRelational("sql://probe", db, digest.DefaultBudget()),

@@ -60,11 +60,9 @@ func streamFixture(t *testing.T, n int, delay time.Duration) (*Instance, *counti
 	t.Helper()
 	in := NewInstance(nil)
 	db := relstore.NewDatabase("seed")
-	if _, err := db.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		t.Fatal(err)
-	}
+	seeds := loadTable(t, db, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}})
 	for i := 0; i < n; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%02d')", i)); err != nil {
+		if err := seeds.Insert(value.Row{value.NewString(fmt.Sprintf("k%02d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

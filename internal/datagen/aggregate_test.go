@@ -39,7 +39,7 @@ func TestCMQHeadAggregatesMatchRowLoop(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s/%s/%d", c.table, cmp.Or(c.group, "global"), c.year)
 		t.Run(name, func(t *testing.T) {
-			// Expected: one loop over Table.Rows, collecting the value
+			// Expected: one loop over Table.Scan, collecting the value
 			// column and the departments per group.
 			tbl := db.Table(c.table)
 			schema := tbl.Schema()
@@ -50,9 +50,9 @@ func TestCMQHeadAggregatesMatchRowLoop(t *testing.T) {
 				vals[""] = nil
 				depts[""] = map[string]bool{}
 			}
-			for _, r := range tbl.Rows() {
+			tbl.Scan(func(r value.Row) bool {
 				if r[yi].Int() != c.year {
-					continue
+					return true
 				}
 				g := ""
 				if c.group != "" {
@@ -63,7 +63,8 @@ func TestCMQHeadAggregatesMatchRowLoop(t *testing.T) {
 				}
 				vals[g] = append(vals[g], r[vi])
 				depts[g][r[di].Str()] = true
-			}
+				return true
+			})
 
 			head, out, groupBy := "", "?d, ?v", ""
 			if c.group != "" {

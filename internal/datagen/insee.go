@@ -1,10 +1,11 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"tatooine/internal/relstore"
+	"tatooine/internal/value"
 )
 
 // GenINSEE builds the INSEE-like curated relational database of the
@@ -14,40 +15,47 @@ import (
 // source discovery.
 func GenINSEE(rng *rand.Rand, cfg Config, endpointURIs []string) (*relstore.Database, error) {
 	db := relstore.NewDatabase("insee")
-	stmts := []string{
-		`CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT, population INT)`,
-		`CREATE TABLE chomage (dept TEXT, annee INT, taux FLOAT,
-			FOREIGN KEY (dept) REFERENCES departements(code))`,
-		`CREATE TABLE resultats (dept TEXT, annee INT, parti TEXT, voix INT,
-			FOREIGN KEY (dept) REFERENCES departements(code))`,
-		`CREATE TABLE agriculture (annee INT, filiere TEXT, production FLOAT, valeur FLOAT)`,
-		`CREATE TABLE endpoints (region TEXT, uri TEXT)`,
-	}
-	for _, s := range stmts {
-		if _, err := db.Exec(s); err != nil {
+	deptFK := []relstore.ForeignKey{{Column: "dept", RefTable: "departements", RefColumn: "code"}}
+	var tables []*relstore.Table
+	for _, s := range []relstore.Schema{
+		{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+			{Name: "code", Type: value.String}, {Name: "name", Type: value.String},
+			{Name: "population", Type: value.Int}}},
+		{Name: "chomage", ForeignKeys: deptFK, Columns: []relstore.Column{
+			{Name: "dept", Type: value.String}, {Name: "annee", Type: value.Int}, {Name: "taux", Type: value.Float}}},
+		{Name: "resultats", ForeignKeys: deptFK, Columns: []relstore.Column{
+			{Name: "dept", Type: value.String}, {Name: "annee", Type: value.Int},
+			{Name: "parti", Type: value.String}, {Name: "voix", Type: value.Int}}},
+		{Name: "agriculture", Columns: []relstore.Column{
+			{Name: "annee", Type: value.Int}, {Name: "filiere", Type: value.String},
+			{Name: "production", Type: value.Float}, {Name: "valeur", Type: value.Float}}},
+		{Name: "endpoints", Columns: []relstore.Column{
+			{Name: "region", Type: value.String}, {Name: "uri", Type: value.String}}},
+	} {
+		t, err := db.CreateTable(s)
+		if err != nil {
 			return nil, err
 		}
+		tables = append(tables, t)
 	}
-	exec := func(q string) error {
-		_, err := db.Exec(q)
-		return err
-	}
+	departements, chomage, resultats, agriculture, endpoints := tables[0], tables[1], tables[2], tables[3], tables[4]
+
 	for _, d := range Departments {
 		pop := 300000 + rng.Intn(2_000_000)
-		if err := exec(fmt.Sprintf(`INSERT INTO departements VALUES ('%s', '%s', %d)`,
-			d[0], escapeSQL(d[1]), pop)); err != nil {
+		if err := departements.Insert(value.Row{
+			value.NewString(d[0]), value.NewString(d[1]), value.NewInt(int64(pop))}); err != nil {
 			return nil, err
 		}
 		for _, year := range []int{2014, 2015, 2016} {
 			taux := 6 + rng.Float64()*6
-			if err := exec(fmt.Sprintf(`INSERT INTO chomage VALUES ('%s', %d, %.2f)`,
-				d[0], year, taux)); err != nil {
+			if err := chomage.Insert(value.Row{
+				value.NewString(d[0]), value.NewInt(int64(year)), decimal(taux, 2)}); err != nil {
 				return nil, err
 			}
 			for _, p := range Parties {
 				voix := 10000 + rng.Intn(500000)
-				if err := exec(fmt.Sprintf(`INSERT INTO resultats VALUES ('%s', %d, '%s', %d)`,
-					d[0], year, p.ID, voix)); err != nil {
+				if err := resultats.Insert(value.Row{value.NewString(d[0]), value.NewInt(int64(year)),
+					value.NewString(p.ID), value.NewInt(int64(voix))}); err != nil {
 					return nil, err
 				}
 			}
@@ -55,43 +63,42 @@ func GenINSEE(rng *rand.Rand, cfg Config, endpointURIs []string) (*relstore.Data
 	}
 	for _, f := range []string{"céréales", "élevage", "viticulture", "maraîchage", "lait"} {
 		for _, year := range []int{2014, 2015} {
-			if err := exec(fmt.Sprintf(`INSERT INTO agriculture VALUES (%d, '%s', %.1f, %.1f)`,
-				year, escapeSQL(f), 100+rng.Float64()*900, 50+rng.Float64()*500)); err != nil {
+			production := 100 + rng.Float64()*900
+			valeur := 50 + rng.Float64()*500
+			if err := agriculture.Insert(value.Row{value.NewInt(int64(year)), value.NewString(f),
+				decimal(production, 1), decimal(valeur, 1)}); err != nil {
 				return nil, err
 			}
 		}
 	}
 	for i, uri := range endpointURIs {
-		if err := exec(fmt.Sprintf(`INSERT INTO endpoints VALUES ('region%d', '%s')`,
-			i+1, escapeSQL(uri))); err != nil {
+		if err := endpoints.Insert(value.Row{
+			value.NewString("region" + strconv.Itoa(i+1)), value.NewString(uri)}); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
 }
 
-func escapeSQL(s string) string {
-	out := ""
-	for _, r := range s {
-		if r == '\'' {
-			out += "''"
-			continue
-		}
-		out += string(r)
-	}
-	return out
+// decimal is x rounded to prec decimal places, as a FLOAT cell: the
+// tables publish their figures at that precision.
+func decimal(x float64, prec int) value.Value {
+	f, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', prec, 64), 64)
+	return value.NewFloat(f)
 }
 
 // GenRegionalDB builds one small regional statistics database, used as
 // a dynamically-discovered source.
 func GenRegionalDB(rng *rand.Rand, name string) (*relstore.Database, error) {
 	db := relstore.NewDatabase(name)
-	if _, err := db.Exec(`CREATE TABLE stats (indicator TEXT, val INT)`); err != nil {
+	stats, err := db.CreateTable(relstore.Schema{Name: "stats", Columns: []relstore.Column{
+		{Name: "indicator", Type: value.String}, {Name: "val", Type: value.Int}}})
+	if err != nil {
 		return nil, err
 	}
 	for _, ind := range []string{"population", "communes", "entreprises"} {
-		if _, err := db.Exec(fmt.Sprintf(`INSERT INTO stats VALUES ('%s', %d)`,
-			ind, 100+rng.Intn(100000))); err != nil {
+		if err := stats.Insert(value.Row{
+			value.NewString(ind), value.NewInt(int64(100 + rng.Intn(100000)))}); err != nil {
 			return nil, err
 		}
 	}

@@ -207,19 +207,48 @@ func TestOverlapEstimate(t *testing.T) {
 	}
 }
 
+// loadTable creates s in db and inserts rows; a cell is a Go string,
+// int, float64 or bool, or nil for NULL.
+func loadTable(t testing.TB, db *relstore.Database, s relstore.Schema, rows ...[]any) *relstore.Table {
+	t.Helper()
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range rows {
+		row := make(value.Row, len(cells))
+		for i, c := range cells {
+			switch c := c.(type) {
+			case string:
+				row[i] = value.NewString(c)
+			case int:
+				row[i] = value.NewInt(int64(c))
+			case float64:
+				row[i] = value.NewFloat(c)
+			case bool:
+				row[i] = value.NewBool(c)
+			}
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatalf("insert into %s: %v", s.Name, err)
+		}
+	}
+	return tbl
+}
+
 func relFixture(t testing.TB) *relstore.Database {
 	t.Helper()
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT, population INT)",
-		"CREATE TABLE resultats (dept TEXT, party TEXT, votes INT, FOREIGN KEY (dept) REFERENCES departements(code))",
-		"INSERT INTO departements VALUES ('75','Paris',2187526), ('92','Hauts-de-Seine',1609306)",
-		"INSERT INTO resultats VALUES ('75','PS',350000), ('92','LR',380000)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+		{Name: "code", Type: value.String}, {Name: "name", Type: value.String},
+		{Name: "population", Type: value.Int}}},
+		[]any{"75", "Paris", 2187526}, []any{"92", "Hauts-de-Seine", 1609306})
+	loadTable(t, db, relstore.Schema{Name: "resultats",
+		ForeignKeys: []relstore.ForeignKey{{Column: "dept", RefTable: "departements", RefColumn: "code"}},
+		Columns: []relstore.Column{
+			{Name: "dept", Type: value.String}, {Name: "party", Type: value.String},
+			{Name: "votes", Type: value.Int}}},
+		[]any{"75", "PS", 350000}, []any{"92", "LR", 380000})
 	return db
 }
 

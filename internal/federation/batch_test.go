@@ -3,6 +3,7 @@ package federation
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -106,20 +107,56 @@ func TestBatchEndpointError(t *testing.T) {
 	}
 }
 
+// tableCounts maps each table of db to its row count.
+func tableCounts(db *relstore.Database) map[string]int {
+	out := map[string]int{}
+	for _, t := range db.Tables() {
+		out[t.Name()] = t.RowCount()
+	}
+	return out
+}
+
+// TestBatchRefusesWrites: POST /batch reads its source and never writes
+// it. INSERT and CREATE TABLE text is refused with 422, and the source
+// keeps its tables and row counts.
+func TestBatchRefusesWrites(t *testing.T) {
+	srv, db := servedRelSource(t)
+	want := tableCounts(db)
+	for _, text := range []string{
+		"INSERT INTO departements VALUES ('99','Evil',1)",
+		"CREATE TABLE pwned (x INT)",
+	} {
+		body, err := json.Marshal(BatchRequest{Language: "sql", Text: text, ParamSets: []value.Row{{}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422", text, resp.StatusCode)
+		}
+	}
+	if got := tableCounts(db); !maps.Equal(got, want) {
+		t.Errorf("tables after the refused writes: %v, want %v", got, want)
+	}
+}
+
 // FuzzBatchHandler drives arbitrary bodies through the one data route
 // over a small RelSource. The reply is 200, 400 (undecodable body) or
 // 422 (the sub-query failed), and a 200 carries one result per
 // parameter set, each the multiset Execute returns for that tuple.
+// Whatever the body, the source keeps its tables and row counts: the
+// route reads and never writes.
 func FuzzBatchHandler(f *testing.F) {
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT, population INT)",
-		"INSERT INTO departements VALUES ('75','Paris',2187526), ('92','Hauts-de-Seine',1609306), ('13','Bouches-du-Rhone',2043110)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			f.Fatal(err)
-		}
-	}
+	loadTable(f, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+		{Name: "code", Type: value.String}, {Name: "name", Type: value.String},
+		{Name: "population", Type: value.Int}}},
+		[]any{"75", "Paris", 2187526}, []any{"92", "Hauts-de-Seine", 1609306},
+		[]any{"13", "Bouches-du-Rhone", 2043110})
 	src := source.NewRelSource("sql://insee", db)
 	h := handlerMux(src)
 	for _, body := range []string{
@@ -135,10 +172,18 @@ func FuzzBatchHandler(f *testing.F) {
 		`{"language":"sql","text":"SELECT","paramSets":[[]]}`,
 		`{"paramSets":[[{"k":"time","v":"2016-01-02T03:04:05Z"}]]}`,
 		`not json`,
+		`{"language":"sql","text":"INSERT INTO departements VALUES ('99','Evil',1)","paramSets":[[]]}`,
+		`{"language":"sql","text":"CREATE TABLE pwned (x INT)","paramSets":[[]]}`,
 	} {
 		f.Add([]byte(body))
 	}
+	want := tableCounts(db)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		defer func() {
+			if got := tableCounts(db); !maps.Equal(got, want) {
+				t.Errorf("%q changed the source: tables %v, want %v", body, got, want)
+			}
+		}()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
 		switch rec.Code {

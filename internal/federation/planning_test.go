@@ -12,6 +12,7 @@ import (
 	"tatooine/internal/datagen"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // routeCounter counts the requests a served source receives, per path.
@@ -167,14 +168,9 @@ func TestDigestFirstPlanningSkipsRemoteEstimates(t *testing.T) {
 // answers like the local source instead of panicking the planner.
 func TestMalformedDigestHistogramFallsBack(t *testing.T) {
 	db := relstore.NewDatabase("x")
-	for _, q := range []string{
-		"CREATE TABLE t (v INT)",
-		"INSERT INTO t VALUES (1), (2), (3), (4), (5), (6)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "v", Type: value.Int}}},
+		[]any{1}, []any{2}, []any{3}, []any{4}, []any{5}, []any{6})
 	src := source.NewRelSource("sql://x", db)
 	mux := http.NewServeMux()
 	mux.Handle("/", Handler(src))

@@ -55,23 +55,20 @@ func TestRemoteBindJoinShipsOnlySurvivingTuples(t *testing.T) {
 	}
 	target = append(target, pair{"k10", "v10b"}, pair{"z1", "vz"})
 
-	exec := func(db *relstore.Database, stmts ...string) {
-		t.Helper()
-		for _, s := range stmts {
-			if _, err := db.Exec(s); err != nil {
-				t.Fatal(err)
-			}
+	seed := relstore.NewDatabase("seed")
+	seeds := loadTable(t, seed, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}})
+	for _, k := range seedKeys {
+		if err := seeds.Insert(value.Row{value.NewString(k)}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	seed := relstore.NewDatabase("seed")
-	exec(seed, "CREATE TABLE seed (k TEXT)")
-	for _, k := range seedKeys {
-		exec(seed, fmt.Sprintf("INSERT INTO seed VALUES ('%s')", k))
-	}
 	tdb := relstore.NewDatabase("target")
-	exec(tdb, "CREATE TABLE t (k TEXT, v TEXT)")
+	targets := loadTable(t, tdb, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.String}}})
 	for _, p := range target {
-		exec(tdb, fmt.Sprintf("INSERT INTO t VALUES ('%s', '%s')", p.k, p.v))
+		if err := targets.Insert(value.Row{value.NewString(p.k), value.NewString(p.v)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	remote := &countingBatchSource{DataSource: source.NewRelSource("sql://target", tdb)}

@@ -11,7 +11,37 @@ import (
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
+
+// loadTable creates s in db and inserts rows; a cell is a Go string,
+// int, float64 or bool, or nil for NULL.
+func loadTable(t testing.TB, db *relstore.Database, s relstore.Schema, rows ...[]any) *relstore.Table {
+	t.Helper()
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range rows {
+		row := make(value.Row, len(cells))
+		for i, c := range cells {
+			switch c := c.(type) {
+			case string:
+				row[i] = value.NewString(c)
+			case int:
+				row[i] = value.NewInt(int64(c))
+			case float64:
+				row[i] = value.NewFloat(c)
+			case bool:
+				row[i] = value.NewBool(c)
+			}
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatalf("insert into %s: %v", s.Name, err)
+		}
+	}
+	return tbl
+}
 
 // fixture builds the paper's running mixed instance: politics graph,
 // tweets, and an INSEE-like table.
@@ -55,14 +85,10 @@ pol:POL02 a :politician ;
 	}
 
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT, population INT)",
-		"INSERT INTO departements VALUES ('75','Paris',2187526), ('92','Hauts-de-Seine',1609306)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+		{Name: "code", Type: value.String}, {Name: "name", Type: value.String},
+		{Name: "population", Type: value.Int}}},
+		[]any{"75", "Paris", 2187526}, []any{"92", "Hauts-de-Seine", 1609306})
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +235,9 @@ func TestSearchNoJoinPath(t *testing.T) {
 	g.AddAll(rdf.MustParse(`@prefix : <http://e/> . :a :p "isolatedvalue1" .`))
 	in := core.NewInstance(g)
 	db := relstore.NewDatabase("d")
-	db.Exec("CREATE TABLE t (c TEXT)")
-	db.Exec("INSERT INTO t VALUES ('isolatedvalue2')")
+	loadTable(t, db, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "c", Type: value.String}}},
+		[]any{"isolatedvalue2"})
 	in.AddSource(source.NewRelSource("sql://d", db))
 	c := BuildCatalog(in)
 	if _, err := c.Search([]string{"isolatedvalue1", "isolatedvalue2"}, SearchOptions{}); err == nil {

@@ -8,6 +8,7 @@ import (
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // TestKeywordPathAcrossForeignKey checks join-path discovery *inside* a
@@ -15,17 +16,15 @@ import (
 // key–foreign-key edge must generate a SQL join.
 func TestKeywordPathAcrossForeignKey(t *testing.T) {
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT)",
-		`CREATE TABLE resultats (dept TEXT, parti TEXT, voix INT,
-			FOREIGN KEY (dept) REFERENCES departements(code))`,
-		"INSERT INTO departements VALUES ('75', 'Paris'), ('29', 'Finistere')",
-		"INSERT INTO resultats VALUES ('75', 'SocParty', 350000), ('29', 'ConsParty', 120000)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+		{Name: "code", Type: value.String}, {Name: "name", Type: value.String}}},
+		[]any{"75", "Paris"}, []any{"29", "Finistere"})
+	loadTable(t, db, relstore.Schema{Name: "resultats",
+		ForeignKeys: []relstore.ForeignKey{{Column: "dept", RefTable: "departements", RefColumn: "code"}},
+		Columns: []relstore.Column{
+			{Name: "dept", Type: value.String}, {Name: "parti", Type: value.String},
+			{Name: "voix", Type: value.Int}}},
+		[]any{"75", "SocParty", 350000}, []any{"29", "ConsParty", 120000})
 	in := core.NewInstance(rdf.NewGraph())
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)

@@ -97,7 +97,11 @@ func TestBackendsAllValueKinds(t *testing.T) {
 		if err := tb.Insert(value.Row{value.NewNull(), value.NewNull(), value.NewNull(), value.NewNull(), value.NewNull()}); err != nil {
 			t.Fatal(err)
 		}
-		rows := tb.Rows()
+		var rows []value.Row
+		tb.Scan(func(r value.Row) bool {
+			rows = append(rows, r)
+			return true
+		})
 		if len(rows) != 2 {
 			t.Fatalf("rows = %d", len(rows))
 		}

@@ -15,91 +15,16 @@ type Result struct {
 	Rows    []value.Row
 }
 
-// Exec parses and executes one SQL statement against db. Positional '?'
+// Exec parses and runs one SELECT against db; SQL text only reads, so
+// tables are built with CreateTable and Table.Insert. Positional '?'
 // parameters are substituted from params in order.
 func (db *Database) Exec(query string, params ...value.Value) (*Result, error) {
-	stmt, err := sqlparse.Parse(query)
+	stmt, err := sqlparse.ParseSelect(query)
 	if err != nil {
 		return nil, err
 	}
 	return db.ExecStmt(stmt, params...)
 }
-
-// ExecStmt executes a parsed statement.
-func (db *Database) ExecStmt(stmt sqlparse.Statement, params ...value.Value) (*Result, error) {
-	switch s := stmt.(type) {
-	case *sqlparse.CreateTableStmt:
-		return db.execCreate(s)
-	case *sqlparse.InsertStmt:
-		return db.execInsert(s, params)
-	case *sqlparse.SelectStmt:
-		return db.execSelect(s, params)
-	default:
-		return nil, fmt.Errorf("relstore: unsupported statement %T", stmt)
-	}
-}
-
-func (db *Database) execCreate(s *sqlparse.CreateTableStmt) (*Result, error) {
-	schema := Schema{Name: s.Table, PrimaryKey: s.PrimaryKey}
-	for _, c := range s.Columns {
-		schema.Columns = append(schema.Columns, Column{Name: c.Name, Type: c.Type})
-	}
-	for _, fk := range s.ForeignKeys {
-		schema.ForeignKeys = append(schema.ForeignKeys, ForeignKey{fk.Column, fk.RefTable, fk.RefColumn})
-	}
-	if _, err := db.CreateTable(schema); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
-}
-
-func (db *Database) execInsert(s *sqlparse.InsertStmt, params []value.Value) (*Result, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("relstore: unknown table %q", s.Table)
-	}
-	schema := t.Schema()
-	cols := s.Columns
-	if len(cols) == 0 {
-		for _, c := range schema.Columns {
-			cols = append(cols, c.Name)
-		}
-	}
-	inserted := 0
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(cols) {
-			return nil, fmt.Errorf("relstore: INSERT row has %d values for %d columns", len(exprRow), len(cols))
-		}
-		row := make(value.Row, len(schema.Columns))
-		for i := range row {
-			row[i] = value.NewNull()
-		}
-		for i, col := range cols {
-			ci := schema.ColumnIndex(col)
-			if ci < 0 {
-				return nil, fmt.Errorf("relstore: table %s: no column %q", s.Table, col)
-			}
-			v, err := evalConstExpr(exprRow[i], params)
-			if err != nil {
-				return nil, err
-			}
-			row[ci] = v
-		}
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
-		inserted++
-	}
-	return &Result{Columns: []string{"inserted"}, Rows: []value.Row{{value.NewInt(int64(inserted))}}}, nil
-}
-
-// evalConstExpr evaluates an expression with no column references.
-func evalConstExpr(e sqlparse.Expr, params []value.Value) (value.Value, error) {
-	emptyEnv := &env{}
-	return evalExpr(e, emptyEnv, nil, params)
-}
-
-// ---------- SELECT machinery ----------
 
 // env maps qualified/unqualified column names to positions in the
 // working row, which is the concatenation of all joined tables' columns.
@@ -142,14 +67,17 @@ func (e *env) resolve(ref *sqlparse.ColumnRef) (int, error) {
 	return found, nil
 }
 
-func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*Result, error) {
+// ExecStmt runs a parsed SELECT: joins, WHERE, ORDER BY over the source
+// rows, projection, DISTINCT (keeping the first copy, so the order
+// holds), then OFFSET and LIMIT. Stored rows are read in place.
+func (db *Database) ExecStmt(s *sqlparse.SelectStmt, params ...value.Value) (*Result, error) {
 	base := db.Table(s.From.Name)
 	if base == nil {
 		return nil, fmt.Errorf("relstore: unknown table %q", s.From.Name)
 	}
 	workEnv := &env{}
 	workEnv.addTable(s.From.Binding(), base.Schema())
-	rows := base.Rows()
+	rows := base.snapshot()
 
 	// Joins, in declaration order.
 	for _, j := range s.Joins {
@@ -165,9 +93,9 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 		workEnv.addTable(j.Table.Binding(), t.Schema())
 	}
 
-	// WHERE.
+	// WHERE, into a new slice: rows may still be the table's own.
 	if s.Where != nil {
-		filtered := rows[:0]
+		var filtered []value.Row
 		for _, r := range rows {
 			ok, err := evalBool(s.Where, workEnv, r, params)
 			if err != nil {
@@ -190,21 +118,6 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 			})
 		}
 	}
-
-	var outRows []value.Row
-	for _, r := range rows {
-		out := make(value.Row, len(items))
-		for i, it := range items {
-			v, err := evalExpr(it.Expr, workEnv, r, params)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		outRows = append(outRows, out)
-	}
-
-	// Column names.
 	names := make([]string, len(items))
 	for i, it := range items {
 		switch {
@@ -219,87 +132,78 @@ func (db *Database) execSelect(s *sqlparse.SelectStmt, params []value.Value) (*R
 		}
 	}
 
-	// DISTINCT.
-	if s.Distinct {
-		seen := make(map[string]struct{}, len(outRows))
-		dedup := outRows[:0]
-		for _, r := range outRows {
-			k := r.Key()
-			if _, ok := seen[k]; ok {
-				continue
-			}
-			seen[k] = struct{}{}
-			dedup = append(dedup, r)
-		}
-		outRows = dedup
-	}
-
-	// ORDER BY: keys may reference output aliases or input columns.
 	if len(s.OrderBy) > 0 {
-		if err := sortRows(s, names, workEnv, &outRows, rows, params); err != nil {
+		var err error
+		if rows, err = sortRows(s, items, names, workEnv, rows, params); err != nil {
 			return nil, err
 		}
 	}
 
-	// OFFSET / LIMIT.
-	if s.Offset > 0 {
-		if s.Offset >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[s.Offset:]
-		}
+	outRows := make([]value.Row, 0, len(rows))
+	var seen map[string]struct{}
+	if s.Distinct {
+		seen = make(map[string]struct{}, len(rows))
 	}
+	for _, r := range rows {
+		out := make(value.Row, len(items))
+		for i, it := range items {
+			v, err := evalExpr(it.Expr, workEnv, r, params)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		if seen != nil {
+			k := out.Key()
+			if _, dup := seen[k]; dup {
+				continue
+			}
+			seen[k] = struct{}{}
+		}
+		outRows = append(outRows, out)
+	}
+
+	// OFFSET / LIMIT.
+	outRows = outRows[min(s.Offset, len(outRows)):]
 	if s.Limit >= 0 && s.Limit < len(outRows) {
 		outRows = outRows[:s.Limit]
 	}
-
 	return &Result{Columns: names, Rows: outRows}, nil
 }
 
-// sortRows orders the projected rows. Order keys resolve against output
-// column names first, then against the input env, re-evaluating on the
-// source row. Because projection may reorder or drop source columns,
-// sorting pairs output rows with their source rows.
-func sortRows(s *sqlparse.SelectStmt, names []string, workEnv *env,
-	outRows *[]value.Row, srcRows []value.Row, params []value.Value) error {
+// sortRows returns the source rows in ORDER BY order (stable). A key
+// naming an output alias or column, or spelled as a select item, is
+// that item's expression; any other key is evaluated on the source
+// row. Under DISTINCT every key must be a select item: a key the
+// projection drops could order two copies of one output row apart.
+func sortRows(s *sqlparse.SelectStmt, items []sqlparse.SelectItem, names []string, workEnv *env,
+	rows []value.Row, params []value.Value) ([]value.Row, error) {
 
+	keyExprs := make([]sqlparse.Expr, len(s.OrderBy))
+	for j, ob := range s.OrderBy {
+		keyExprs[j] = ob.Expr
+		if i := itemIndex(ob.Expr, items, names); i >= 0 {
+			keyExprs[j] = items[i].Expr
+		} else if s.Distinct {
+			return nil, fmt.Errorf("relstore: for SELECT DISTINCT, ORDER BY key %q must be a selected column",
+				sqlparse.ExprString(ob.Expr))
+		}
+	}
 	type keyed struct {
-		out  value.Row
+		row  value.Row
 		keys value.Row
 	}
-	rows := *outRows
 	ks := make([]keyed, len(rows))
-
-	outIndex := func(e sqlparse.Expr) int {
-		ref, ok := e.(*sqlparse.ColumnRef)
-		if !ok || ref.Table != "" {
-			return -1
-		}
-		for i, n := range names {
-			if strings.EqualFold(n, ref.Column) {
-				return i
-			}
-		}
-		return -1
-	}
-
-	for i := range rows {
-		keys := make(value.Row, len(s.OrderBy))
-		for j, ob := range s.OrderBy {
-			if oi := outIndex(ob.Expr); oi >= 0 {
-				keys[j] = rows[i][oi]
-				continue
-			}
-			if len(srcRows) != len(rows) {
-				return fmt.Errorf("relstore: internal: source/output row count mismatch in ORDER BY")
-			}
-			v, err := evalExpr(ob.Expr, workEnv, srcRows[i], params)
+	for i, r := range rows {
+		keys := make(value.Row, len(keyExprs))
+		for j, e := range keyExprs {
+			v, err := evalExpr(e, workEnv, r, params)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			keys[j] = v
 		}
-		ks[i] = keyed{out: rows[i], keys: keys}
+		ks[i] = keyed{row: r, keys: keys}
 	}
 	sort.SliceStable(ks, func(a, b int) bool {
 		for j, ob := range s.OrderBy {
@@ -314,19 +218,39 @@ func sortRows(s *sqlparse.SelectStmt, names []string, workEnv *env,
 		}
 		return false
 	})
+	sorted := make([]value.Row, len(ks))
 	for i := range ks {
-		rows[i] = ks[i].out
+		sorted[i] = ks[i].row
 	}
-	*outRows = rows
-	return nil
+	return sorted, nil
+}
+
+// itemIndex returns the select item an ORDER BY key names (an
+// unqualified output alias or column name) or spells out, or -1.
+func itemIndex(key sqlparse.Expr, items []sqlparse.SelectItem, names []string) int {
+	if ref, ok := key.(*sqlparse.ColumnRef); ok && ref.Table == "" {
+		for i, n := range names {
+			if strings.EqualFold(n, ref.Column) {
+				return i
+			}
+		}
+	}
+	spelled := sqlparse.ExprString(key)
+	for i, it := range items {
+		if sqlparse.ExprString(it.Expr) == spelled {
+			return i
+		}
+	}
+	return -1
 }
 
 // joinRows joins the working rows with table t under clause j. Equi-join
-// conditions between an existing env column and a new table column use a
-// hash join; anything else falls back to a nested loop.
+// conditions between an existing env column and a new table column
+// probe a hash table on the right rows; anything else tries every right
+// row. Either way ON is checked on each candidate pair.
 func joinRows(left []value.Row, leftEnv *env, t *Table, j sqlparse.JoinClause, params []value.Value) ([]value.Row, error) {
 	rightSchema := t.Schema()
-	rightRows := t.Rows()
+	rightRows := t.snapshot()
 	rightWidth := len(rightSchema.Columns)
 
 	// Build the post-join env for evaluating the ON condition.
@@ -335,66 +259,39 @@ func joinRows(left []value.Row, leftEnv *env, t *Table, j sqlparse.JoinClause, p
 
 	// Detect a single equi-join "leftcol = rightcol".
 	leftPos, rightPos := detectEqui(j.On, leftEnv, joined, len(leftEnv.cols))
-
-	var out []value.Row
-	emit := func(l, r value.Row) error {
-		combined := make(value.Row, 0, len(l)+rightWidth)
-		combined = append(combined, l...)
-		combined = append(combined, r...)
-		ok, err := evalBool(j.On, joined, combined, params)
-		if err != nil {
-			return err
-		}
-		if ok {
-			out = append(out, combined)
-		}
-		return nil
-	}
-
-	nullRight := make(value.Row, rightWidth)
-	for i := range nullRight {
-		nullRight[i] = value.NewNull()
-	}
-
-	if leftPos >= 0 && rightPos >= 0 {
-		// Hash join on the equi columns.
-		ht := make(map[string][]value.Row, len(rightRows))
+	var ht map[string][]value.Row
+	if leftPos >= 0 {
+		ht = make(map[string][]value.Row, len(rightRows))
 		for _, r := range rightRows {
 			k := r[rightPos].Key()
 			ht[k] = append(ht[k], r)
 		}
-		for _, l := range left {
-			before := len(out)
+	}
+	nullRight := make(value.Row, rightWidth)
+
+	var out []value.Row
+	for _, l := range left {
+		candidates := rightRows
+		if ht != nil {
+			candidates = nil
 			if !l[leftPos].IsNull() {
-				for _, r := range ht[l[leftPos].Key()] {
-					if err := emit(l, r); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if j.Left && len(out) == before {
-				combined := make(value.Row, 0, len(l)+rightWidth)
-				combined = append(combined, l...)
-				combined = append(combined, nullRight...)
-				out = append(out, combined)
+				candidates = ht[l[leftPos].Key()]
 			}
 		}
-		return out, nil
-	}
-
-	// Nested loop.
-	for _, l := range left {
-		before := len(out)
-		for _, r := range rightRows {
-			if err := emit(l, r); err != nil {
+		matched := false
+		for _, r := range candidates {
+			combined := append(append(make(value.Row, 0, len(l)+rightWidth), l...), r...)
+			ok, err := evalBool(j.On, joined, combined, params)
+			if err != nil {
 				return nil, err
 			}
+			if ok {
+				out = append(out, combined)
+				matched = true
+			}
 		}
-		if j.Left && len(out) == before {
-			combined := make(value.Row, 0, len(l)+rightWidth)
-			combined = append(combined, l...)
-			combined = append(combined, nullRight...)
-			out = append(out, combined)
+		if j.Left && !matched {
+			out = append(out, append(append(make(value.Row, 0, len(l)+rightWidth), l...), nullRight...))
 		}
 	}
 	return out, nil

@@ -63,12 +63,10 @@ func TestOrderByProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := NewDatabase("p")
-		if _, err := db.Exec("CREATE TABLE t (k INT, s TEXT)"); err != nil {
-			return false
-		}
+		tbl := loadTable(t, db, Schema{Name: "t", Columns: []Column{{Name: "k", Type: value.Int}, {Name: "s", Type: value.String}}})
 		rows := int(n%50) + 1
 		for i := 0; i < rows; i++ {
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'r%d')", rng.Intn(100), i)); err != nil {
+			if err := tbl.Insert(value.Row{value.NewInt(int64(rng.Intn(100))), value.NewString(fmt.Sprintf("r%d", i))}); err != nil {
 				return false
 			}
 		}
@@ -94,11 +92,11 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := NewDatabase("p")
-		db.Exec("CREATE TABLE a (k INT, x TEXT)")
-		db.Exec("CREATE TABLE b (k INT, y TEXT)")
+		a := loadTable(t, db, Schema{Name: "a", Columns: []Column{{Name: "k", Type: value.Int}, {Name: "x", Type: value.String}}})
+		b := loadTable(t, db, Schema{Name: "b", Columns: []Column{{Name: "k", Type: value.Int}, {Name: "y", Type: value.String}}})
 		for i := 0; i < 20; i++ {
-			db.Exec(fmt.Sprintf("INSERT INTO a VALUES (%d, 'a%d')", rng.Intn(6), i))
-			db.Exec(fmt.Sprintf("INSERT INTO b VALUES (%d, 'b%d')", rng.Intn(6), i))
+			a.Insert(value.Row{value.NewInt(int64(rng.Intn(6))), value.NewString(fmt.Sprintf("a%d", i))})
+			b.Insert(value.Row{value.NewInt(int64(rng.Intn(6))), value.NewString(fmt.Sprintf("b%d", i))})
 		}
 		hash, err := db.Exec("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY x, y")
 		if err != nil {

@@ -1,11 +1,41 @@
 package relstore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"tatooine/internal/value"
 )
+
+// loadTable creates s in db and inserts rows; a cell is a Go string,
+// int, float64 or bool, or nil for NULL.
+func loadTable(t testing.TB, db *Database, s Schema, rows ...[]any) *Table {
+	t.Helper()
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range rows {
+		row := make(value.Row, len(cells))
+		for i, c := range cells {
+			switch c := c.(type) {
+			case string:
+				row[i] = value.NewString(c)
+			case int:
+				row[i] = value.NewInt(int64(c))
+			case float64:
+				row[i] = value.NewFloat(c)
+			case bool:
+				row[i] = value.NewBool(c)
+			}
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatalf("insert into %s: %v", s.Name, err)
+		}
+	}
+	return tbl
+}
 
 // electionsDB builds a small INSEE/Ministry-of-Interior style database:
 // departements, election results, and agricultural production (the
@@ -13,28 +43,23 @@ import (
 func electionsDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase("insee")
-	mustExec := func(q string, params ...value.Value) *Result {
-		t.Helper()
-		res, err := db.Exec(q, params...)
-		if err != nil {
-			t.Fatalf("exec %q: %v", q, err)
-		}
-		return res
-	}
-	mustExec(`CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT, population INT)`)
-	mustExec(`CREATE TABLE resultats (
-		dept TEXT, year INT, party TEXT, votes INT,
-		PRIMARY KEY (dept, year, party),
-		FOREIGN KEY (dept) REFERENCES departements(code))`)
-	mustExec(`INSERT INTO departements VALUES
-		('75', 'Paris', 2187526),
-		('92', 'Hauts-de-Seine', 1609306),
-		('29', 'Finistere', 909028)`)
-	mustExec(`INSERT INTO resultats VALUES
-		('75', 2015, 'PS', 350000), ('75', 2015, 'LR', 420000),
-		('92', 2015, 'PS', 210000), ('92', 2015, 'LR', 380000),
-		('29', 2015, 'PS', 180000), ('29', 2015, 'LR', 120000),
-		('75', 2012, 'PS', 500000), ('75', 2012, 'LR', 390000)`)
+	loadTable(t, db, Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []Column{
+		{Name: "code", Type: value.String}, {Name: "name", Type: value.String}, {Name: "population", Type: value.Int},
+	}},
+		[]any{"75", "Paris", 2187526},
+		[]any{"92", "Hauts-de-Seine", 1609306},
+		[]any{"29", "Finistere", 909028})
+	loadTable(t, db, Schema{Name: "resultats", Columns: []Column{
+		{Name: "dept", Type: value.String}, {Name: "year", Type: value.Int},
+		{Name: "party", Type: value.String}, {Name: "votes", Type: value.Int},
+	},
+		PrimaryKey:  []string{"dept", "year", "party"},
+		ForeignKeys: []ForeignKey{{Column: "dept", RefTable: "departements", RefColumn: "code"}},
+	},
+		[]any{"75", 2015, "PS", 350000}, []any{"75", 2015, "LR", 420000},
+		[]any{"92", 2015, "PS", 210000}, []any{"92", 2015, "LR", 380000},
+		[]any{"29", 2015, "PS", 180000}, []any{"29", 2015, "LR", 120000},
+		[]any{"75", 2012, "PS", 500000}, []any{"75", 2012, "LR", 390000})
 	return db
 }
 
@@ -53,41 +78,54 @@ func TestCreateInsertSelect(t *testing.T) {
 }
 
 func TestInsertTypeChecking(t *testing.T) {
-	db := NewDatabase("d")
-	if _, err := db.Exec("CREATE TABLE t (n INT, s TEXT)"); err != nil {
-		t.Fatal(err)
-	}
+	tbl := loadTable(t, NewDatabase("d"), Schema{Name: "t", Columns: []Column{
+		{Name: "n", Type: value.Int}, {Name: "s", Type: value.String},
+	}})
 	// String that parses as int is coerced.
-	if _, err := db.Exec("INSERT INTO t VALUES ('42', 'ok')"); err != nil {
+	if err := tbl.Insert(value.Row{value.NewString("42"), value.NewString("ok")}); err != nil {
 		t.Errorf("coercible insert: %v", err)
 	}
+	tbl.Scan(func(r value.Row) bool {
+		if r[0].Kind() != value.Int || r[0].Int() != 42 {
+			t.Errorf("coerced cell: %v (%v)", r[0], r[0].Kind())
+		}
+		return true
+	})
 	// Non-numeric string into INT fails.
-	if _, err := db.Exec("INSERT INTO t VALUES ('abc', 'ok')"); err == nil {
+	if err := tbl.Insert(value.Row{value.NewString("abc"), value.NewString("ok")}); err == nil {
 		t.Error("expected type error")
 	}
 	// Wrong arity fails.
-	if _, err := db.Exec("INSERT INTO t VALUES (1)"); err == nil {
+	if err := tbl.Insert(value.Row{value.NewInt(1)}); err == nil {
 		t.Error("expected arity error")
 	}
 }
 
 func TestPrimaryKeyEnforced(t *testing.T) {
 	db := electionsDB(t)
-	if _, err := db.Exec(`INSERT INTO departements VALUES ('75', 'Dup', 1)`); err == nil {
+	dept := value.Row{value.NewString("75"), value.NewString("Dup"), value.NewInt(1)}
+	if err := db.Table("departements").Insert(dept); err == nil {
 		t.Error("duplicate PK accepted")
 	}
 	// Composite PK: same dept+year different party is fine.
-	if _, err := db.Exec(`INSERT INTO resultats VALUES ('75', 2015, 'EELV', 90000)`); err != nil {
+	res := db.Table("resultats")
+	eelv := value.Row{value.NewString("75"), value.NewInt(2015), value.NewString("EELV"), value.NewInt(90000)}
+	if err := res.Insert(eelv); err != nil {
 		t.Errorf("composite PK false positive: %v", err)
 	}
-	if _, err := db.Exec(`INSERT INTO resultats VALUES ('75', 2015, 'PS', 1)`); err == nil {
+	ps := value.Row{value.NewString("75"), value.NewInt(2015), value.NewString("PS"), value.NewInt(1)}
+	if err := res.Insert(ps); err == nil {
 		t.Error("composite PK duplicate accepted")
 	}
 }
 
 func TestForeignKeyValidation(t *testing.T) {
-	db := NewDatabase("d")
-	if _, err := db.Exec(`CREATE TABLE a (x INT, FOREIGN KEY (x) REFERENCES missing(y))`); err == nil {
+	_, err := NewDatabase("d").CreateTable(Schema{
+		Name:        "a",
+		Columns:     []Column{{Name: "x", Type: value.Int}},
+		ForeignKeys: []ForeignKey{{Column: "x", RefTable: "missing", RefColumn: "y"}},
+	})
+	if err == nil {
 		t.Error("FK to missing table accepted")
 	}
 }
@@ -154,16 +192,10 @@ func TestJoinHash(t *testing.T) {
 
 func TestLeftJoin(t *testing.T) {
 	db := NewDatabase("d")
-	for _, q := range []string{
-		"CREATE TABLE a (id INT, name TEXT)",
-		"CREATE TABLE b (aid INT, label TEXT)",
-		"INSERT INTO a VALUES (1, 'one'), (2, 'two'), (3, 'three')",
-		"INSERT INTO b VALUES (1, 'x'), (1, 'y')",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, Schema{Name: "a", Columns: []Column{{Name: "id", Type: value.Int}, {Name: "name", Type: value.String}}},
+		[]any{1, "one"}, []any{2, "two"}, []any{3, "three"})
+	loadTable(t, db, Schema{Name: "b", Columns: []Column{{Name: "aid", Type: value.Int}, {Name: "label", Type: value.String}}},
+		[]any{1, "x"}, []any{1, "y"})
 	res, err := db.Exec(`SELECT a.name, b.label FROM a LEFT JOIN b ON a.id = b.aid ORDER BY a.id`)
 	if err != nil {
 		t.Fatal(err)
@@ -269,10 +301,8 @@ func TestDivisionByZero(t *testing.T) {
 
 func TestAmbiguousColumn(t *testing.T) {
 	db := NewDatabase("d")
-	db.Exec("CREATE TABLE a (id INT)")
-	db.Exec("CREATE TABLE b (id INT)")
-	db.Exec("INSERT INTO a VALUES (1)")
-	db.Exec("INSERT INTO b VALUES (1)")
+	loadTable(t, db, Schema{Name: "a", Columns: []Column{{Name: "id", Type: value.Int}}}, []any{1})
+	loadTable(t, db, Schema{Name: "b", Columns: []Column{{Name: "id", Type: value.Int}}}, []any{1})
 	if _, err := db.Exec("SELECT id FROM a JOIN b ON a.id = b.id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("ambiguous column: %v", err)
@@ -303,9 +333,8 @@ func TestTableScanEarlyStop(t *testing.T) {
 
 func TestIsNull(t *testing.T) {
 	db := NewDatabase("d")
-	db.Exec("CREATE TABLE t (a INT, b TEXT)")
-	db.Exec("INSERT INTO t (a) VALUES (1)")
-	db.Exec("INSERT INTO t VALUES (2, 'x')")
+	loadTable(t, db, Schema{Name: "t", Columns: []Column{{Name: "a", Type: value.Int}, {Name: "b", Type: value.String}}},
+		[]any{1, nil}, []any{2, "x"})
 	res, err := db.Exec("SELECT a FROM t WHERE b IS NULL")
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +350,7 @@ func TestIsNull(t *testing.T) {
 
 func TestNullComparisonsAreFalse(t *testing.T) {
 	db := NewDatabase("d")
-	db.Exec("CREATE TABLE t (a INT)")
-	db.Exec("INSERT INTO t (a) VALUES (1)")
-	db.Exec("INSERT INTO t VALUES (NULL)")
+	loadTable(t, db, Schema{Name: "t", Columns: []Column{{Name: "a", Type: value.Int}}}, []any{1}, []any{nil})
 	for _, q := range []string{
 		"SELECT a FROM t WHERE a = NULL",
 		"SELECT a FROM t WHERE a != NULL",
@@ -366,13 +393,11 @@ func TestLikeMatcher(t *testing.T) {
 }
 
 // TestConcurrentInsertAndScan: a Table guards its own row slice and
-// primary-key set, so inserts run beside Scan and beside SELECTs.
+// primary-key set, so inserts run beside Scan and beside SELECTs, which
+// read the stored rows in place (a filter and a self-join here).
 func TestConcurrentInsertAndScan(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.Exec("CREATE TABLE t (n INT PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
-	tbl := db.Table("t")
+	tbl := loadTable(t, db, Schema{Name: "t", Columns: []Column{{Name: "n", Type: value.Int}}, PrimaryKey: []string{"n"}})
 	done := make(chan error, 8)
 	for i := 0; i < 4; i++ {
 		go func(base int) {
@@ -389,6 +414,9 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 		go func() {
 			tbl.Scan(func(value.Row) bool { return true })
 			_, err := db.Exec("SELECT n FROM t WHERE n >= 0")
+			if err == nil {
+				_, err = db.Exec("SELECT a.n FROM t a JOIN t b ON a.n = b.n")
+			}
 			done <- err
 		}()
 	}
@@ -399,5 +427,73 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	}
 	if tbl.RowCount() != 200 {
 		t.Errorf("rows: %d", tbl.RowCount())
+	}
+}
+
+// TestDistinctOrderBy: ORDER BY sorts the source rows before DISTINCT
+// drops any, so DISTINCT keeps the sorted order and the first copy of
+// each output row. Under DISTINCT every key must be a selected column,
+// as in PostgreSQL: a key the projection drops could order two copies
+// of one output row apart.
+func TestDistinctOrderBy(t *testing.T) {
+	db := NewDatabase("d")
+	loadTable(t, db, Schema{Name: "t", Columns: []Column{{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}}},
+		[]any{"a", 2}, []any{"b", 1}, []any{"a", 3})
+	for q, want := range map[string]string{
+		"SELECT DISTINCT k FROM t ORDER BY k DESC":             "b a",
+		"SELECT DISTINCT k AS kk FROM t ORDER BY kk":           "a b",
+		"SELECT DISTINCT t.k FROM t ORDER BY t.k":              "a b",
+		"SELECT DISTINCT UPPER(k) FROM t ORDER BY UPPER(k)":    "A B",
+		"SELECT DISTINCT k, v FROM t ORDER BY v":               "b a a",
+		"SELECT DISTINCT k FROM t ORDER BY k LIMIT 1 OFFSET 1": "b",
+		"SELECT k FROM t ORDER BY v":                           "b a a",
+	} {
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, r[0].Str())
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s: %v, want %s", q, got, want)
+		}
+	}
+	if _, err := db.Exec("SELECT DISTINCT k FROM t ORDER BY v"); err == nil ||
+		!strings.Contains(err.Error(), `ORDER BY key "v"`) {
+		t.Errorf("DISTINCT ordered by a dropped column: err %v, want a refusal naming the key", err)
+	}
+}
+
+// TestSelectLeavesTableUnchanged: SELECT reads the stored rows in
+// place, without copying them, so a WHERE filter, a join and ORDER BY
+// must leave every table's rows and Scan order as they were.
+func TestSelectLeavesTableUnchanged(t *testing.T) {
+	db := electionsDB(t)
+	stored := func() []string {
+		var out []string
+		for _, tbl := range db.Tables() {
+			tbl.Scan(func(r value.Row) bool {
+				out = append(out, tbl.Name()+" "+r.Key())
+				return true
+			})
+		}
+		return out
+	}
+	before := stored()
+	for _, q := range []string{
+		"SELECT dept FROM resultats WHERE party = 'LR'",
+		"SELECT code FROM departements WHERE population < 2000000 ORDER BY population DESC",
+		`SELECT d.name, r.votes FROM departements d LEFT JOIN resultats r ON r.dept = d.code
+			WHERE r.year = 2015 ORDER BY r.votes`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if after := stored(); !slices.Equal(before, after) {
+		t.Errorf("stored rows changed by SELECT:\nbefore %v\nafter  %v", before, after)
 	}
 }

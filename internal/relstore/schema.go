@@ -117,8 +117,9 @@ func (t *Table) pkKeyLocked(row value.Row) string {
 	return parts.Key()
 }
 
-// Scan calls fn with each row. The row slice must not be retained or
-// mutated by fn; clone if needed. Iteration stops when fn returns false.
+// Scan calls fn with each row, in insertion order. A stored row never
+// changes once Insert has typed it, so fn may keep it but must not
+// mutate it. Iteration stops when fn returns false.
 func (t *Table) Scan(fn func(row value.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -129,15 +130,14 @@ func (t *Table) Scan(fn func(row value.Row) bool) {
 	}
 }
 
-// Rows returns a deep copy of all rows.
-func (t *Table) Rows() []value.Row {
+// snapshot returns the rows stored so far, read in place: a stored row
+// is never changed once Insert has typed it, and the slice's capacity
+// is capped at its length, so an append by the caller copies instead
+// of writing into the table.
+func (t *Table) snapshot() []value.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]value.Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return out
+	return t.rows[:len(t.rows):len(t.rows)]
 }
 
 // Database is a named collection of tables.

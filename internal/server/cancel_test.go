@@ -57,14 +57,8 @@ func probeFixture(t *testing.T) (*core.Instance, *ctxProbeSource) {
 	t.Helper()
 	in := core.NewInstance(nil)
 	db := relstore.NewDatabase("seed")
-	for _, q := range []string{
-		"CREATE TABLE seed (k TEXT)",
-		"INSERT INTO seed VALUES ('a')",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}},
+		[]any{"a"})
 	if err := in.AddSource(source.NewRelSource("sql://seed", db)); err != nil {
 		t.Fatal(err)
 	}

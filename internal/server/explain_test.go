@@ -13,6 +13,7 @@ import (
 	"tatooine/internal/relstore"
 	"tatooine/internal/server"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // batchFixture is like fixture but keeps the relational source's
@@ -28,14 +29,9 @@ func batchFixture(t testing.TB) *core.Instance {
 `))
 	in := core.NewInstance(g, core.WithPrefixes(map[string]string{"": "http://t.example/"}))
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE chomage (dept TEXT, taux FLOAT)",
-		"INSERT INTO chomage VALUES ('75', 8.4), ('92', 7.2)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "taux", Type: value.Float}}},
+		[]any{"75", 8.4}, []any{"92", 7.2})
 	if err := in.AddSource(source.NewRelSource("sql://insee", db)); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"tatooine/internal/relstore"
 	"tatooine/internal/server"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // saturatedFixture builds a mutable mixed instance whose graph atom
@@ -31,14 +32,9 @@ func saturatedFixture(t testing.TB) (*core.Instance, *countingSource) {
 		core.WithPrefixes(map[string]string{"": "http://t.example/"}))
 
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE chomage (dept TEXT, taux FLOAT)",
-		"INSERT INTO chomage VALUES ('75', 8.4), ('92', 7.2)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "taux", Type: value.Float}}},
+		[]any{"75", 8.4}, []any{"92", 7.2})
 	cs := &countingSource{DataSource: source.NewRelSource("sql://insee", db)}
 	if err := in.AddSource(cs); err != nil {
 		t.Fatal(err)
@@ -264,14 +260,9 @@ func TestAddSourceOverHTTP(t *testing.T) {
 	defer ts.Close()
 
 	db := relstore.NewDatabase("remote")
-	for _, q := range []string{
-		"CREATE TABLE pop (dept TEXT, habitants INT)",
-		"INSERT INTO pop VALUES ('75', 2148000)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "pop", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "habitants", Type: value.Int}}},
+		[]any{"75", 2148000})
 	endpoint := httptest.NewServer(federation.Handler(source.NewRelSource("sql://pop", db)))
 	defer endpoint.Close()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,6 +20,35 @@ import (
 	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
+
+// loadTable creates s in db and inserts rows; a cell is a Go string,
+// int, float64 or bool, or nil for NULL.
+func loadTable(t testing.TB, db *relstore.Database, s relstore.Schema, rows ...[]any) *relstore.Table {
+	t.Helper()
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range rows {
+		row := make(value.Row, len(cells))
+		for i, c := range cells {
+			switch c := c.(type) {
+			case string:
+				row[i] = value.NewString(c)
+			case int:
+				row[i] = value.NewInt(int64(c))
+			case float64:
+				row[i] = value.NewFloat(c)
+			case bool:
+				row[i] = value.NewBool(c)
+			}
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatalf("insert into %s: %v", s.Name, err)
+		}
+	}
+	return tbl
+}
 
 // countingSource wraps a DataSource and counts Execute invocations that
 // actually reach it (i.e. probe-cache misses once decorated).
@@ -51,14 +81,9 @@ func fixture(t testing.TB) (*core.Instance, *countingSource) {
 	in := core.NewInstance(g, core.WithPrefixes(map[string]string{"": "http://t.example/"}))
 
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE chomage (dept TEXT, taux FLOAT)",
-		"INSERT INTO chomage VALUES ('75', 8.4), ('92', 7.2)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "taux", Type: value.Float}}},
+		[]any{"75", 8.4}, []any{"92", 7.2})
 	cs := &countingSource{DataSource: source.NewRelSource("sql://insee", db)}
 	if err := in.AddSource(cs); err != nil {
 		t.Fatal(err)
@@ -89,6 +114,36 @@ func postCMQ(t testing.TB, url, query string) (int, server.QueryResponse) {
 		t.Fatalf("decode response: %v", err)
 	}
 	return resp.StatusCode, qr
+}
+
+// TestCMQRefusesSQLWrites: a CMQ atom's SQL reaches its source only to
+// be read. An atom holding INSERT or CREATE TABLE fails the query, and
+// the source keeps its tables and row counts.
+func TestCMQRefusesSQLWrites(t *testing.T) {
+	in, cs := fixture(t)
+	db := cs.DataSource.(*source.RelSource).DB()
+	counts := func() map[string]int {
+		out := map[string]int{}
+		for _, t := range db.Tables() {
+			out[t.Name()] = t.RowCount()
+		}
+		return out
+	}
+	want := counts()
+	ts := httptest.NewServer(server.New(in, server.Options{}).Handler())
+	defer ts.Close()
+	for _, sql := range []string{
+		"INSERT INTO chomage VALUES ('zz', 99.0)",
+		"CREATE TABLE pwned (x INT)",
+	} {
+		status, resp := postCMQ(t, ts.URL, "QUERY q(?n)\nFROM <sql://insee> LANG sql OUT(?n) { "+sql+" }")
+		if status == http.StatusOK || resp.Error == "" {
+			t.Errorf("%s: status %d, error %q, rows %v; want the query refused", sql, status, resp.Error, resp.Rows)
+		}
+	}
+	if got := counts(); !maps.Equal(got, want) {
+		t.Errorf("tables after the refused writes: %v, want %v", got, want)
+	}
 }
 
 func TestServeCacheHitZeroesSubQueries(t *testing.T) {

@@ -26,22 +26,18 @@ import (
 func multiKeyFixture(t *testing.T, keys int) *core.Instance {
 	t.Helper()
 	in := core.NewInstance(nil)
-	seed := relstore.NewDatabase("seed")
-	if _, err := seed.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	probe := relstore.NewDatabase("probe")
-	if _, err := probe.Exec("CREATE TABLE t (k TEXT, v TEXT)"); err != nil {
-		t.Fatal(err)
-	}
+	var seedRows, probeRows [][]any
 	for i := 0; i < keys; i++ {
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%02d')", i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := probe.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%02d', 'v%02d')", i, i)); err != nil {
-			t.Fatal(err)
-		}
+		seedRows = append(seedRows, []any{fmt.Sprintf("k%02d", i)})
+		probeRows = append(probeRows, []any{fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i)})
 	}
+	seed := relstore.NewDatabase("seed")
+	loadTable(t, seed, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}},
+		seedRows...)
+	probe := relstore.NewDatabase("probe")
+	loadTable(t, probe, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.String}}},
+		probeRows...)
 	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +250,8 @@ func (s *dyingSource) ExecuteContext(ctx context.Context, q source.SubQuery, par
 func TestStreamMidQueryRemoteDeath(t *testing.T) {
 	in := core.NewInstance(nil)
 	seed := relstore.NewDatabase("seed")
-	if _, err := seed.Exec("CREATE TABLE seed (k TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO seed VALUES ('k%d')", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, seed, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}},
+		[]any{"k0"}, []any{"k1"}, []any{"k2"}, []any{"k3"})
 	if err := in.AddSource(source.NewRelSource("sql://seed", seed)); err != nil {
 		t.Fatal(err)
 	}

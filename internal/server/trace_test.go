@@ -17,6 +17,7 @@ import (
 	"tatooine/internal/relstore"
 	"tatooine/internal/server"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // collectSpans flattens a span tree depth-first.
@@ -39,14 +40,9 @@ func collectSpans(d *obs.SpanData) []*obs.SpanData {
 // observed span duration.
 func TestTracePropagation(t *testing.T) {
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE chomage (dept TEXT, taux FLOAT)",
-		"INSERT INTO chomage VALUES ('75', 8.4), ('92', 7.2)",
-	} {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, relstore.Schema{Name: "chomage", Columns: []relstore.Column{
+		{Name: "dept", Type: value.String}, {Name: "taux", Type: value.Float}}},
+		[]any{"75", 8.4}, []any{"92", 7.2})
 	fed := federation.Handler(source.NewRelSource("sql://insee", db))
 
 	var mu sync.Mutex

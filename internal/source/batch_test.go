@@ -17,11 +17,19 @@ import (
 func relFixture(t *testing.T) *source.RelSource {
 	t.Helper()
 	db := relstore.NewDatabase("d")
-	for _, q := range []string{
-		"CREATE TABLE t (k TEXT, v INT, grp TEXT)",
-		"INSERT INTO t VALUES ('a', 1, 'g1'), ('a', 2, 'g2'), ('b', 1, 'g1'), ('b', 3, 'g2'), ('c', 5, 'g1')",
+	tbl, err := db.CreateTable(relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}, {Name: "grp", Type: value.String}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []value.Row{
+		{value.NewString("a"), value.NewInt(1), value.NewString("g1")},
+		{value.NewString("a"), value.NewInt(2), value.NewString("g2")},
+		{value.NewString("b"), value.NewInt(1), value.NewString("g1")},
+		{value.NewString("b"), value.NewInt(3), value.NewString("g2")},
+		{value.NewString("c"), value.NewInt(5), value.NewString("g1")},
 	} {
-		if _, err := db.Exec(q); err != nil {
+		if err := tbl.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,7 +57,8 @@ func (s *RelSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 // the tuple on every parameter — so each per-tuple Result is identical
 // to a per-probe Execute. Shapes whose semantics would change under
 // batching (LIMIT/OFFSET, DISTINCT, '?' outside a top-level `col = ?`
-// conjunct) run tuple by tuple (ExecuteSerially).
+// conjunct) run tuple by tuple (ExecuteSerially). Text that is not one
+// SELECT is refused once, with ParseSelect's error.
 func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*Result, err error) {
 	if q.Language != LangSQL {
 		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
@@ -67,7 +68,7 @@ func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*
 	}
 	stmt, err := sqlparse.ParseSelect(q.Text)
 	if err != nil {
-		return ExecuteSerially(s, q, paramSets)
+		return nil, err
 	}
 	nParams := len(paramSets[0])
 	for _, ps := range paramSets {

@@ -30,11 +30,17 @@ pol:POL02 a :politician ;
 func relDB(t *testing.T) *relstore.Database {
 	t.Helper()
 	db := relstore.NewDatabase("insee")
-	for _, q := range []string{
-		"CREATE TABLE departements (code TEXT PRIMARY KEY, name TEXT, population INT)",
-		"INSERT INTO departements VALUES ('75','Paris',2187526), ('92','Hauts-de-Seine',1609306)",
+	tbl, err := db.CreateTable(relstore.Schema{Name: "departements", PrimaryKey: []string{"code"},
+		Columns: []relstore.Column{{Name: "code", Type: value.String}, {Name: "name", Type: value.String},
+			{Name: "population", Type: value.Int}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []value.Row{
+		{value.NewString("75"), value.NewString("Paris"), value.NewInt(2187526)},
+		{value.NewString("92"), value.NewString("Hauts-de-Seine"), value.NewInt(1609306)},
 	} {
-		if _, err := db.Exec(q); err != nil {
+		if err := tbl.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}

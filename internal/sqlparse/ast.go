@@ -6,9 +6,6 @@ import (
 	"tatooine/internal/value"
 )
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
-
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
 	Distinct bool
@@ -21,8 +18,6 @@ type SelectStmt struct {
 	Limit    int // -1 when absent
 	Offset   int // 0 when absent
 }
-
-func (*SelectStmt) stmt() {}
 
 // SelectItem is one projected expression with an optional alias.
 type SelectItem struct {
@@ -55,39 +50,6 @@ type JoinClause struct {
 type OrderItem struct {
 	Expr Expr
 	Desc bool
-}
-
-// InsertStmt is INSERT INTO t (cols...) VALUES (...), (...).
-type InsertStmt struct {
-	Table   string
-	Columns []string
-	Rows    [][]Expr
-}
-
-func (*InsertStmt) stmt() {}
-
-// CreateTableStmt is CREATE TABLE with column and constraint defs.
-type CreateTableStmt struct {
-	Table       string
-	Columns     []ColumnDef
-	PrimaryKey  []string
-	ForeignKeys []ForeignKeyDef
-}
-
-func (*CreateTableStmt) stmt() {}
-
-// ColumnDef declares one column.
-type ColumnDef struct {
-	Name string
-	Type value.Kind
-	PK   bool
-}
-
-// ForeignKeyDef declares FOREIGN KEY (Column) REFERENCES RefTable(RefColumn).
-type ForeignKeyDef struct {
-	Column    string
-	RefTable  string
-	RefColumn string
 }
 
 // Expr is any expression node.

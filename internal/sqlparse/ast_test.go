@@ -84,9 +84,3 @@ func TestLexScientificNotationAndComments(t *testing.T) {
 		t.Errorf("scientific: %v", nums)
 	}
 }
-
-func TestParseSelectRejectsNonSelect(t *testing.T) {
-	if _, err := ParseSelect("INSERT INTO t VALUES (1)"); err == nil {
-		t.Error("ParseSelect accepted INSERT")
-	}
-}

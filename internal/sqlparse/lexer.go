@@ -1,9 +1,12 @@
 // Package sqlparse implements the lexer, AST and recursive-descent
 // parser for the SQL subset spoken by TATOOINE's relational sources:
-// CREATE TABLE, INSERT, and SELECT with joins, predicates, DISTINCT,
-// ordering and limits. It is the query language that CMQ sub-queries
-// against relational sources are written in. GROUP BY, HAVING and the
-// aggregate calls are refused: the mediator aggregates in the CMQ head.
+// SELECT with joins, predicates, DISTINCT, ordering and limits. It is
+// the query language that CMQ sub-queries against relational sources
+// are written in, and it only reads: ParseSelect refuses any statement
+// that is not a SELECT, writes and definitions included, since the
+// mediator never writes a source; tables are loaded through relstore's
+// Go API. GROUP BY, HAVING and the aggregate calls are refused too: the
+// mediator aggregates in the CMQ head.
 package sqlparse
 
 import (
@@ -39,11 +42,7 @@ var keywords = map[string]bool{
 	"JOIN": true, "INNER": true, "LEFT": true, "OUTER": true, "ON": true,
 	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
 	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
-	"AS": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"CREATE": true, "TABLE": true, "PRIMARY": true, "KEY": true,
-	"FOREIGN": true, "REFERENCES": true, "INT": true, "INTEGER": true,
-	"FLOAT": true, "REAL": true, "TEXT": true, "VARCHAR": true,
-	"BOOL": true, "BOOLEAN": true, "TIMESTAMP": true, "BETWEEN": true,
+	"AS": true, "BETWEEN": true,
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 

@@ -8,44 +8,26 @@ import (
 	"tatooine/internal/value"
 )
 
-// Parse parses one SQL statement (SELECT, INSERT or CREATE TABLE).
-// A trailing ';' is allowed.
-func Parse(input string) (Statement, error) {
+// ParseSelect parses one SELECT statement, the only statement SQL text
+// can carry: sources are read, never written through a query. Text
+// that does not start with SELECT is refused at offset 0. A trailing
+// ';' is allowed.
+func ParseSelect(input string) (*SelectStmt, error) {
 	toks, err := Lex(input)
 	if err != nil {
 		return nil, err
 	}
 	p := &sqlParser{toks: toks}
-	var stmt Statement
-	switch {
-	case p.peekKeyword("SELECT"):
-		stmt, err = p.parseSelect()
-	case p.peekKeyword("INSERT"):
-		stmt, err = p.parseInsert()
-	case p.peekKeyword("CREATE"):
-		stmt, err = p.parseCreate()
-	default:
-		return nil, p.errf("expected SELECT, INSERT or CREATE")
+	if !p.peekKeyword("SELECT") {
+		return nil, &SyntaxError{0, "expected SELECT: a SQL sub-query only reads"}
 	}
+	sel, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
 	p.acceptOp(";")
 	if !p.atEOF() {
 		return nil, p.errf("unexpected trailing input %q", p.cur().Text)
-	}
-	return stmt, nil
-}
-
-// ParseSelect parses a statement that must be a SELECT.
-func ParseSelect(input string) (*SelectStmt, error) {
-	stmt, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, &SyntaxError{0, "statement is not a SELECT"}
 	}
 	return sel, nil
 }
@@ -268,197 +250,6 @@ func (p *sqlParser) parseTableRef() (TableRef, error) {
 		p.pos++
 	}
 	return ref, nil
-}
-
-// ---------- INSERT ----------
-
-func (p *sqlParser) parseInsert() (*InsertStmt, error) {
-	if err := p.expectKeyword("INSERT"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ins := &InsertStmt{Table: table}
-	if p.acceptOp("(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, col)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		ins.Rows = append(ins.Rows, row)
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	return ins, nil
-}
-
-// ---------- CREATE TABLE ----------
-
-func (p *sqlParser) parseCreate() (*CreateTableStmt, error) {
-	if err := p.expectKeyword("CREATE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ct := &CreateTableStmt{Table: table}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptKeyword("PRIMARY"):
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			for {
-				col, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				ct.PrimaryKey = append(ct.PrimaryKey, col)
-				if !p.acceptOp(",") {
-					break
-				}
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-		case p.acceptKeyword("FOREIGN"):
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("REFERENCES"); err != nil {
-				return nil, err
-			}
-			ref, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			refCol, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			ct.ForeignKeys = append(ct.ForeignKeys, ForeignKeyDef{col, ref, refCol})
-		default:
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			kind, err := p.parseColumnType()
-			if err != nil {
-				return nil, err
-			}
-			def := ColumnDef{Name: name, Type: kind}
-			if p.acceptKeyword("PRIMARY") {
-				if err := p.expectKeyword("KEY"); err != nil {
-					return nil, err
-				}
-				def.PK = true
-				ct.PrimaryKey = append(ct.PrimaryKey, name)
-			}
-			ct.Columns = append(ct.Columns, def)
-		}
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return ct, nil
-}
-
-func (p *sqlParser) parseColumnType() (value.Kind, error) {
-	t := p.cur()
-	if t.Kind != TokKeyword {
-		return value.Null, p.errf("expected column type, got %q", t.Text)
-	}
-	p.pos++
-	switch t.Text {
-	case "INT", "INTEGER":
-		return value.Int, nil
-	case "FLOAT", "REAL":
-		return value.Float, nil
-	case "TEXT":
-		return value.String, nil
-	case "VARCHAR":
-		// Optional length: VARCHAR(255).
-		if p.acceptOp("(") {
-			if _, err := p.expectInt(); err != nil {
-				return value.Null, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return value.Null, err
-			}
-		}
-		return value.String, nil
-	case "BOOL", "BOOLEAN":
-		return value.Bool, nil
-	case "TIMESTAMP":
-		return value.Time, nil
-	default:
-		return value.Null, p.errf("unknown column type %q", t.Text)
-	}
 }
 
 // ---------- expressions (precedence climbing) ----------

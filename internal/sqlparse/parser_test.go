@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"tatooine/internal/value"
 )
 
 func mustSelect(t *testing.T, q string) *SelectStmt {
@@ -143,6 +141,23 @@ func TestParseSelectRefusesAggregation(t *testing.T) {
 	}
 }
 
+// TestParseSelectRefusesWrites: SQL text is only ever read, so a
+// statement that does not start with SELECT (a write or an unknown
+// verb) is refused at offset 0 with one error.
+func TestParseSelectRefusesWrites(t *testing.T) {
+	for _, q := range []string{
+		"INSERT INTO t VALUES (1)",
+		"CREATE TABLE t (x INT)",
+		"DELETE FROM t",
+	} {
+		_, err := ParseSelect(q)
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Pos != 0 || se.Msg != "expected SELECT: a SQL sub-query only reads" {
+			t.Errorf("%s: err %v, want the SELECT-only refusal at offset 0", q, err)
+		}
+	}
+}
+
 func TestParseExpressions(t *testing.T) {
 	s := mustSelect(t, `SELECT a FROM t WHERE
 		(x + 2) * 3 > y / 4 AND name LIKE 'fr%'
@@ -213,66 +228,6 @@ func TestParseParams(t *testing.T) {
 	}
 }
 
-func TestParseInsert(t *testing.T) {
-	stmt, err := Parse(`INSERT INTO parties (id, name, current) VALUES
-		(1, 'PS', 'left'), (2, 'LR', 'right')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := stmt.(*InsertStmt)
-	if ins.Table != "parties" || len(ins.Columns) != 3 || len(ins.Rows) != 2 {
-		t.Errorf("insert: %+v", ins)
-	}
-}
-
-func TestParseCreateTable(t *testing.T) {
-	stmt, err := Parse(`CREATE TABLE deputes (
-		id INT PRIMARY KEY,
-		name TEXT,
-		party_id INT,
-		elected TIMESTAMP,
-		score FLOAT,
-		active BOOL,
-		FOREIGN KEY (party_id) REFERENCES parties(id)
-	)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := stmt.(*CreateTableStmt)
-	if ct.Table != "deputes" || len(ct.Columns) != 6 {
-		t.Fatalf("create: %+v", ct)
-	}
-	wantKinds := []value.Kind{value.Int, value.String, value.Int, value.Time, value.Float, value.Bool}
-	for i, k := range wantKinds {
-		if ct.Columns[i].Type != k {
-			t.Errorf("col %d type %v, want %v", i, ct.Columns[i].Type, k)
-		}
-	}
-	if len(ct.PrimaryKey) != 1 || ct.PrimaryKey[0] != "id" {
-		t.Errorf("pk: %v", ct.PrimaryKey)
-	}
-	if len(ct.ForeignKeys) != 1 || ct.ForeignKeys[0].RefTable != "parties" {
-		t.Errorf("fk: %v", ct.ForeignKeys)
-	}
-}
-
-func TestParseCompositePrimaryKey(t *testing.T) {
-	stmt, err := Parse(`CREATE TABLE votes (dept TEXT, year INT, total INT, PRIMARY KEY (dept, year))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := stmt.(*CreateTableStmt)
-	if len(ct.PrimaryKey) != 2 {
-		t.Errorf("composite pk: %v", ct.PrimaryKey)
-	}
-}
-
-func TestParseVarcharLength(t *testing.T) {
-	if _, err := Parse(`CREATE TABLE t (name VARCHAR(255))`); err != nil {
-		t.Errorf("VARCHAR(n): %v", err)
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",
@@ -291,7 +246,7 @@ func TestParseErrors(t *testing.T) {
 		"DELETE FROM t",
 	}
 	for _, q := range cases {
-		if _, err := Parse(q); err == nil {
+		if _, err := ParseSelect(q); err == nil {
 			t.Errorf("expected error for %q", q)
 		}
 	}
