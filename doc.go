@@ -314,7 +314,23 @@
 // GET /stats exposes streamed / inFlightStreams counters (the gauge
 // returning to zero is the no-leak check). Streamed responses bypass
 // the single-flight guard and are not cached; cache hits produced by
-// the JSON path replay in the same NDJSON framing.
+// the JSON path replay in the same NDJSON framing. The header and row
+// records are always written with their field, so a zero-column result
+// (an ASK-style query over ground triples) reads {"cols": []} and then
+// {"row": []} per row.
+//
+// Every value on the wire — /cmq rows, NDJSON rows, /batch rows and
+// parameter sets — has one JSON shape, {"k": kind, "v": payload}: the
+// payload is the value's text (RFC 3339 with nanoseconds for a time)
+// and "v" is left out when it is empty (null and the empty string).
+// One writer produces it: value.AppendJSON, its row form
+// value.AppendRowJSON, and value.JSONWriter, which appends a reply's
+// rows straight into a pooled buffer and writes it out in 16 KiB
+// chunks. Its bytes are encoding/json's with HTML escaping (<, >, &,
+// U+2028, U+2029, control characters, invalid UTF-8 as U+FFFD), which
+// FuzzAppendJSON checks against the reflective encoder it replaced;
+// Value.MarshalJSON is a wrapper over it, and decoding stays with
+// encoding/json.
 //
 // # Digest-driven planning and bloom semi-join pruning
 //

@@ -384,3 +384,44 @@ func TestCrossSourceOverlap(t *testing.T) {
 		t.Errorf("screen_name ⊆ twitterAccount overlap: %f", got)
 	}
 }
+
+// TestFoldASCII: every folded rune maps to its ASCII spelling, alone
+// and inside mixed strings; runes outside the table and ASCII text pass
+// through, and ASCII text costs no allocation.
+func TestFoldASCII(t *testing.T) {
+	single := map[string]string{
+		"à": "a", "â": "a", "ä": "a", "é": "e", "è": "e", "ê": "e", "ë": "e",
+		"î": "i", "ï": "i", "ô": "o", "ö": "o", "ù": "u", "û": "u", "ü": "u",
+		"ç": "c", "œ": "oe",
+	}
+	if len(single) != len(foldTable) {
+		t.Fatalf("%d cases for %d folded runes", len(single), len(foldTable))
+	}
+	for in, want := range single {
+		if got := foldASCII(in); got != want {
+			t.Errorf("foldASCII(%q) = %q, want %q", in, got, want)
+		}
+	}
+	mixed := map[string]string{
+		"":                 "",
+		"headofstate":      "headofstate",
+		"élection2017":     "election2017",
+		"cœurdeparis":      "coeurdeparis",
+		"naïvetégarçon":    "naivetegarcon",
+		"châteaudeuxième":  "chateaudeuxieme",
+		"ñandú":            "ñandú",
+		"straße":           "straße",
+		"ÉCOLE":            "ÉCOLE",
+		"zürichœuvreà":     "zurichoeuvrea",
+		"日本noël":           "日本noel",
+		"àâäéèêëîïôöùûüçœ": "aaaeeeeiioouuucoe",
+	}
+	for in, want := range mixed {
+		if got := foldASCII(in); got != want {
+			t.Errorf("foldASCII(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = foldASCII("headofstate") }); n != 0 {
+		t.Errorf("foldASCII on ASCII text: %v allocations, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package digest
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"tatooine/internal/value"
 )
@@ -65,17 +66,31 @@ func localName(s string) string {
 	return s
 }
 
+// foldTable maps each diacritic foldASCII strips to its ASCII
+// spelling.
+var foldTable = map[rune]string{
+	'à': "a", 'â': "a", 'ä': "a", 'é': "e", 'è': "e", 'ê': "e", 'ë': "e",
+	'î': "i", 'ï': "i", 'ô': "o", 'ö': "o", 'ù': "u", 'û': "u", 'ü': "u",
+	'ç': "c", 'œ': "oe",
+}
+
 // foldASCII strips common diacritics (shared logic with the full-text
-// analyzer, duplicated to keep the package dependency-light).
+// analyzer, duplicated to keep the package dependency-light). An ASCII
+// string has none and is returned as it is.
 func foldASCII(s string) string {
-	repl := map[rune]string{
-		'à': "a", 'â': "a", 'ä': "a", 'é': "e", 'è': "e", 'ê': "e", 'ë': "e",
-		'î': "i", 'ï': "i", 'ô': "o", 'ö': "o", 'ù': "u", 'û': "u", 'ü': "u",
-		'ç': "c", 'œ': "oe",
+	ascii := true
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			ascii = false
+			break
+		}
+	}
+	if ascii {
+		return s
 	}
 	var b strings.Builder
 	for _, r := range s {
-		if out, ok := repl[r]; ok {
+		if out, ok := foldTable[r]; ok {
 			b.WriteString(out)
 			continue
 		}

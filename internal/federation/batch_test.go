@@ -226,3 +226,31 @@ func multiset(rows []value.Row) []string {
 	slices.Sort(out)
 	return out
 }
+
+// TestBatchReplyMatchesEncodingJSON: writeBatch writes exactly the
+// bytes json.NewEncoder wrote for the same BatchResponse, including
+// the results whose empty columns or rows the omitempty tags drop and
+// the reply to an empty batch.
+func TestBatchReplyMatchesEncodingJSON(t *testing.T) {
+	awkward := value.Row{value.NewString("<a&b>\x00\xff"), value.NewNull(), value.NewInt(-7), value.NewFloat(2.5)}
+	cases := [][]*source.Result{
+		{{Cols: []string{"name", "<pop>"}, Rows: []value.Row{awkward, {}, nil}}},
+		{{Cols: []string{"x"}}, {Rows: []value.Row{awkward}}, {}, {Cols: []string{}, Rows: []value.Row{}}},
+		{},
+	}
+	for i, results := range cases {
+		want := BatchResponse{}
+		for _, res := range results {
+			want.Results = append(want.Results, QueryResponse{Cols: res.Cols, Rows: res.Rows})
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeBatch(rec, results)
+		if rec.Body.String() != buf.String() {
+			t.Fatalf("case %d:\n got %s\nwant %s", i, rec.Body, buf.String())
+		}
+	}
+}

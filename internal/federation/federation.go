@@ -144,16 +144,14 @@ func handlerMux(src source.DataSource) http.Handler {
 				"federation: source returned %d results for %d tuples", len(results), len(req.ParamSets))})
 			return
 		}
-		resp := BatchResponse{Results: make([]QueryResponse, len(req.ParamSets))}
 		for j, res := range results {
 			if res == nil {
 				writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: fmt.Sprintf(
 					"federation: source returned a nil result for tuple %d", j)})
 				return
 			}
-			resp.Results[j] = QueryResponse{Cols: res.Cols, Rows: res.Rows}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeBatch(w, results)
 	})
 	mux.HandleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
 		var req EstimateRequest
@@ -168,6 +166,40 @@ func handlerMux(src source.DataSource) http.Handler {
 		writeJSON(w, http.StatusOK, EstimateResponse{Cost: cost, Rows: rows})
 	})
 	return mux
+}
+
+// writeBatch writes a 200 reply to POST /batch: BatchResponse's
+// encoding/json form, byte for byte, with each result's rows appended
+// by value.JSONWriter instead of by reflection.
+func writeBatch(w http.ResponseWriter, results []*source.Result) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	jw := value.NewJSONWriter(w)
+	jw.Raw("{")
+	if len(results) > 0 {
+		jw.Raw(`"results":[`)
+		for j, res := range results {
+			if j > 0 {
+				jw.Raw(",")
+			}
+			jw.Raw("{")
+			if len(res.Cols) > 0 {
+				jw.Raw(`"cols":`)
+				jw.Strings(res.Cols)
+			}
+			if len(res.Rows) > 0 {
+				if len(res.Cols) > 0 {
+					jw.Raw(",")
+				}
+				jw.Raw(`"rows":`)
+				jw.Rows(res.Rows)
+			}
+			jw.Raw("}")
+		}
+		jw.Raw("]")
+	}
+	jw.Raw("}\n")
+	_ = jw.Close()
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -497,3 +497,32 @@ func TestSelectLeavesTableUnchanged(t *testing.T) {
 		t.Errorf("stored rows changed by SELECT:\nbefore %v\nafter  %v", before, after)
 	}
 }
+
+// TestDuplicateKeyMessage: a duplicate primary key names the table,
+// the key columns and the key values as SQL literals.
+func TestDuplicateKeyMessage(t *testing.T) {
+	db := electionsDB(t)
+	cases := []struct {
+		table string
+		row   value.Row
+		want  string
+	}{
+		{"departements", value.Row{value.NewString("75"), value.NewString("Dup"), value.NewInt(1)},
+			`relstore: table "departements": duplicate primary key (code) = ('75')`},
+		{"resultats", value.Row{value.NewString("75"), value.NewInt(2015), value.NewString("PS"), value.NewInt(1)},
+			`relstore: table "resultats": duplicate primary key (dept, year, party) = ('75', 2015, 'PS')`},
+	}
+	for _, c := range cases {
+		err := db.Table(c.table).Insert(c.row)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Insert into %s: %v, want %s", c.table, err, c.want)
+		}
+	}
+	quoted := NewDatabase("q")
+	loadTable(t, quoted, Schema{Name: "t", Columns: []Column{{Name: "k", Type: value.String}},
+		PrimaryKey: []string{"k"}}, []any{"l'an"})
+	err := quoted.Table("t").Insert(value.Row{value.NewString("l'an")})
+	if want := `relstore: table "t": duplicate primary key (k) = ('l''an')`; err == nil || err.Error() != want {
+		t.Errorf("Insert: %v, want %s", err, want)
+	}
+}

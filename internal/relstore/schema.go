@@ -101,7 +101,7 @@ func (t *Table) Insert(row value.Row) error {
 	if len(t.schema.PrimaryKey) > 0 {
 		pkKey := t.pkKeyLocked(typed)
 		if _, dup := t.pkSet[pkKey]; dup {
-			return fmt.Errorf("relstore: duplicate primary key %v", pkKey)
+			return t.duplicateKeyError(typed)
 		}
 		t.pkSet[pkKey] = struct{}{}
 	}
@@ -115,6 +115,26 @@ func (t *Table) pkKeyLocked(row value.Row) string {
 		parts = append(parts, row[t.schema.ColumnIndex(col)])
 	}
 	return parts.Key()
+}
+
+// duplicateKeyError names the table, its key columns and row's
+// key values, as SQL literals:
+// relstore: table "t": duplicate primary key (a, b) = ('x', 2).
+func (t *Table) duplicateKeyError(row value.Row) error {
+	vals := make([]string, len(t.schema.PrimaryKey))
+	for i, col := range t.schema.PrimaryKey {
+		v := row[t.schema.ColumnIndex(col)]
+		switch v.Kind() {
+		case value.Null:
+			vals[i] = "NULL"
+		case value.String, value.Time:
+			vals[i] = "'" + strings.ReplaceAll(v.String(), "'", "''") + "'"
+		default:
+			vals[i] = v.String()
+		}
+	}
+	return fmt.Errorf("relstore: table %q: duplicate primary key (%s) = (%s)",
+		t.schema.Name, strings.Join(t.schema.PrimaryKey, ", "), strings.Join(vals, ", "))
 }
 
 // Scan calls fn with each row, in insertion order. A stored row never

@@ -597,7 +597,7 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 	req, err := readQuery(r)
 	if err != nil {
 		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
+		writeQuery(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
 	// Parse first: malformed queries are always a 400, and the cache is
@@ -607,7 +607,7 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 	q, _, err := core.ParseCMQ(req.Query)
 	if err != nil {
 		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
+		writeQuery(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
 
@@ -617,10 +617,10 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 		info, err := s.in.ExplainQueryContext(r.Context(), q, s.opts.Exec)
 		if err != nil {
 			s.errors.Add(1)
-			writeJSON(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
+			writeQuery(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{Explain: info})
+		writeQuery(w, http.StatusOK, QueryResponse{Explain: info})
 		return
 	}
 
@@ -643,7 +643,7 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 			Duration: time.Since(start), Rows: len(res.Rows), CacheHit: true})
 		// A cache hit executed nothing: report zeroed stats so clients
 		// (and benchmarks) can observe that no sub-query was shipped.
-		writeJSON(w, http.StatusOK, QueryResponse{Cols: res.Cols, Rows: res.Rows, Cached: true})
+		writeQuery(w, http.StatusOK, QueryResponse{Cols: res.Cols, Rows: res.Rows, Cached: true})
 		return
 	}
 	s.misses.Add(1)
@@ -653,7 +653,7 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 		s.errors.Add(1)
 		s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
 			Duration: time.Since(start), Err: err.Error()})
-		writeJSON(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
+		writeQuery(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
 		return
 	}
 	resp := QueryResponse{Cols: res.Cols, Rows: res.Rows, Cached: cached}
@@ -667,7 +667,7 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
 		Duration: time.Since(start), Rows: len(res.Rows), CacheHit: cached, Trace: res.Trace})
-	writeJSON(w, http.StatusOK, resp)
+	writeQuery(w, http.StatusOK, resp)
 }
 
 // generationKey prefixes the canonical query key with the instance's
@@ -820,6 +820,40 @@ func readQuery(r *http.Request) (QueryRequest, error) {
 		return QueryRequest{}, fmt.Errorf("server: empty query")
 	}
 	return QueryRequest{Query: text}, nil
+}
+
+// writeQuery writes a /cmq reply: QueryResponse's encoding/json form,
+// field for field and byte for byte, with the rows appended by
+// value.JSONWriter instead of by reflection.
+func writeQuery(w http.ResponseWriter, status int, resp QueryResponse) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	jw := value.NewJSONWriter(w)
+	jw.Raw(`{"cols":`)
+	jw.Strings(resp.Cols)
+	jw.Raw(`,"rows":`)
+	jw.Rows(resp.Rows)
+	jw.Raw(`,"stats":`)
+	jw.Marshal(resp.Stats)
+	if resp.Cached {
+		jw.Raw(`,"cached":true`)
+	} else {
+		jw.Raw(`,"cached":false`)
+	}
+	if resp.Explain != nil {
+		jw.Raw(`,"explain":`)
+		jw.Marshal(resp.Explain)
+	}
+	if resp.Trace != nil {
+		jw.Raw(`,"trace":`)
+		jw.Marshal(resp.Trace)
+	}
+	if resp.Error != "" {
+		jw.Raw(`,"error":`)
+		jw.String(resp.Error)
+	}
+	jw.Raw("}\n")
+	_ = jw.Close()
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

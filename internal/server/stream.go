@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 	"time"
@@ -32,6 +31,9 @@ import (
 // record instead of the trailer; rows already delivered stand (they
 // are correct, just incomplete). Errors detected before execution
 // starts (parse, planning) are still ordinary JSON 4xx responses.
+// The header and row records are written by hand, so their one field
+// is there even when it is empty: a header with no columns reads
+// {"cols":[]} and a row with no columns {"row":[]}.
 type StreamRecord struct {
 	Cols   []string        `json:"cols,omitempty"`
 	Row    value.Row       `json:"row,omitempty"`
@@ -72,6 +74,7 @@ func (s *Server) handleStreamCMQ(w http.ResponseWriter, r *http.Request, q *core
 	if res, ok := s.cacheGet(key); ok {
 		s.hits.Add(1)
 		sw := newStreamWriter(w)
+		defer sw.close()
 		sw.header(res.Cols)
 		for i := 0; i < len(res.Rows); i += core.StreamBatchRows {
 			end := min(i+core.StreamBatchRows, len(res.Rows))
@@ -97,12 +100,13 @@ func (s *Server) handleStreamCMQ(w http.ResponseWriter, r *http.Request, q *core
 		s.errors.Add(1)
 		s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
 			Duration: time.Since(start), Streamed: true, Err: err.Error()})
-		writeJSON(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
+		writeQuery(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
 		return
 	}
 	defer sr.Close()
 
 	sw := newStreamWriter(w)
+	defer sw.close()
 	sw.header(sr.Cols)
 	rows, first := 0, true
 	for {
@@ -145,50 +149,55 @@ func (s *Server) handleStreamCMQ(w http.ResponseWriter, r *http.Request, q *core
 // streamWriter frames StreamRecords onto the wire, flushing after
 // every call so each executor batch reaches the client immediately
 // instead of sitting in the ResponseWriter's buffer until the handler
-// returns.
+// returns. Close it when the stream ends.
 type streamWriter struct {
-	w   http.ResponseWriter
-	f   http.Flusher
-	enc *json.Encoder
+	f  http.Flusher
+	jw *value.JSONWriter
 }
 
 func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	f, _ := w.(http.Flusher)
-	return &streamWriter{w: w, f: f, enc: json.NewEncoder(w)}
+	return &streamWriter{f: f, jw: value.NewJSONWriter(w)}
 }
 
 func (sw *streamWriter) flush() {
+	_ = sw.jw.Flush()
 	if sw.f != nil {
 		sw.f.Flush()
 	}
 }
 
+func (sw *streamWriter) close() { _ = sw.jw.Close() }
+
 func (sw *streamWriter) header(cols []string) {
 	if cols == nil {
 		cols = []string{}
 	}
-	_ = sw.enc.Encode(StreamRecord{Cols: cols})
+	sw.jw.Raw(`{"cols":`)
+	sw.jw.Strings(cols)
+	sw.jw.Raw("}\n")
 	sw.flush()
 }
 
 func (sw *streamWriter) rows(rows []value.Row) {
 	for _, row := range rows {
-		if row == nil {
-			row = value.Row{}
-		}
-		_ = sw.enc.Encode(StreamRecord{Row: row})
+		sw.jw.Raw(`{"row":`)
+		sw.jw.Row(row)
+		sw.jw.Raw("}\n")
 	}
 	sw.flush()
 }
 
 func (sw *streamWriter) trailer(stats *core.ExecStats, cached bool, trace *obs.SpanData) {
-	_ = sw.enc.Encode(StreamRecord{Stats: stats, Cached: &cached, Trace: trace})
+	sw.jw.Marshal(StreamRecord{Stats: stats, Cached: &cached, Trace: trace})
+	sw.jw.Raw("\n")
 	sw.flush()
 }
 
 func (sw *streamWriter) fail(err error) {
-	_ = sw.enc.Encode(StreamRecord{Error: err.Error()})
+	sw.jw.Marshal(StreamRecord{Error: err.Error()})
+	sw.jw.Raw("\n")
 	sw.flush()
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tatooine/internal/core"
+	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/server"
 	"tatooine/internal/source"
@@ -162,37 +163,72 @@ func TestStreamCMQ(t *testing.T) {
 	}
 }
 
+// groundFixture holds one triple and no source: a query over that
+// ground triple answers one row with zero columns, an ASK's yes.
+func groundFixture(t *testing.T) *core.Instance {
+	t.Helper()
+	g := rdf.NewGraph()
+	g.AddAll(rdf.MustParse(`<http://a/s> <http://a/p> <http://a/o> .`))
+	return core.NewInstance(g)
+}
+
+const groundQuery = `QUERY q() GRAPH { <http://a/s> <http://a/p> <http://a/o> }`
+
 // TestStreamMatchesJSONRows: row multisets of the streamed and the
-// plain JSON responses are identical.
+// plain JSON responses are identical, when the stream executes (cache
+// off) and when it replays the result the JSON request cached. The
+// ground query's one zero-column row must arrive as a {"row":[]}
+// record after a {"cols":[]} header on both paths.
 func TestStreamMatchesJSONRows(t *testing.T) {
-	in := multiKeyFixture(t, 7)
-	srv := server.New(in, server.Options{
-		ResultCacheSize: -1,
-		Exec:            core.ExecOptions{Parallel: true},
-	})
-	status, qr := postCMQContext(context.Background(), t, srv, streamedQuery)
-	if status != 200 {
-		t.Fatalf("JSON path: status %d %+v", status, qr)
+	cases := []struct {
+		name    string
+		fixture func(*testing.T) *core.Instance
+		query   string
+		rows    int
+	}{
+		{"bind join", func(t *testing.T) *core.Instance { return multiKeyFixture(t, 7) }, streamedQuery, 7},
+		{"ground triple", groundFixture, groundQuery, 1},
 	}
-	_, _, records := postStream(context.Background(), t, srv, streamedQuery, false)
-	_, rows, _, errRec := splitRecords(t, records)
-	if errRec != nil {
-		t.Fatalf("stream failed: %q", errRec.Error)
-	}
-	key := func(rs []value.Row) map[string]int {
-		m := make(map[string]int)
-		for _, r := range rs {
-			m[r.Key()]++
-		}
-		return m
-	}
-	got, want := key(rows), key(qr.Rows)
-	if len(got) != len(want) {
-		t.Fatalf("row multiset diverges: %v vs %v", got, want)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("row %q: streamed %d, JSON %d", k, got[k], n)
+	for _, c := range cases {
+		for _, hit := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hit=%v", c.name, hit), func(t *testing.T) {
+				opts := server.Options{ResultCacheSize: -1, Exec: core.ExecOptions{Parallel: true}}
+				if hit {
+					opts.ResultCacheSize = 0
+				}
+				srv := server.New(c.fixture(t), opts)
+				status, qr := postCMQContext(context.Background(), t, srv, c.query)
+				if status != 200 {
+					t.Fatalf("JSON path: status %d %+v", status, qr)
+				}
+				_, _, records := postStream(context.Background(), t, srv, c.query, false)
+				_, rows, trailer, errRec := splitRecords(t, records)
+				if errRec != nil {
+					t.Fatalf("stream failed: %q", errRec.Error)
+				}
+				if trailer.Cached == nil || *trailer.Cached != hit {
+					t.Fatalf("trailer cached = %v, want %v", trailer.Cached, hit)
+				}
+				if len(rows) != c.rows || len(qr.Rows) != c.rows {
+					t.Fatalf("streamed %d rows, JSON %d, want %d", len(rows), len(qr.Rows), c.rows)
+				}
+				key := func(rs []value.Row) map[string]int {
+					m := make(map[string]int)
+					for _, r := range rs {
+						m[r.Key()]++
+					}
+					return m
+				}
+				got, want := key(rows), key(qr.Rows)
+				if len(got) != len(want) {
+					t.Fatalf("row multiset diverges: %v vs %v", got, want)
+				}
+				for k, n := range want {
+					if got[k] != n {
+						t.Fatalf("row %q: streamed %d, JSON %d", k, got[k], n)
+					}
+				}
+			})
 		}
 	}
 }
