@@ -41,6 +41,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchHandler$$' -fuzztime 10s -parallel 2 ./internal/federation
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s -parallel 2 ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 10s -parallel 2 ./internal/value
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalJSON$$' -fuzztime 10s -parallel 2 ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSQL$$' -fuzztime 10s -parallel 2 ./internal/sqlparse
 
 # Observability hygiene: no printf logging outside cmd/, and a booted

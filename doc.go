@@ -329,8 +329,34 @@
 // chunks. Its bytes are encoding/json's with HTML escaping (<, >, &,
 // U+2028, U+2029, control characters, invalid UTF-8 as U+FFFD), which
 // FuzzAppendJSON checks against the reflective encoder it replaced;
-// Value.MarshalJSON is a wrapper over it, and decoding stays with
-// encoding/json.
+// Value.MarshalJSON is a wrapper over it. Value.UnmarshalJSON reads
+// the shape without reflection and accepts exactly what encoding/json
+// accepts decoding it into a struct (field names folding case, the
+// last duplicate winning, null leaving a field alone, unknown fields
+// skipped), which FuzzUnmarshalJSON checks against the reflective
+// decoder it replaced.
+//
+// # Values and rows on the query path
+//
+// A value.Value is 32 bytes with one pointer word: a string, an int64,
+// an int32 and the kind. A string is the string; an int, a float (its
+// IEEE-754 bits) and a bool (0 or 1) live in the int64; a time is UTC
+// Unix seconds in the int64 plus nanoseconds in the int32, so no zone
+// is kept and Time() rebuilds a UTC time.Time. Equal and Compare on
+// times compare (seconds, nanoseconds). Key, the row codec and the wire
+// JSON are byte for byte what the earlier 72-byte layout (a field per
+// kind and a time.Time) gave; TestValueEncodingGolden pins them, with
+// Equal and Compare, over every kind and edge (NaN, ±Inf, −0, the
+// int64 extremes, years −1 to 1e6 in non-UTC zones). value.AppendKey is
+// the one key writer (Key wraps it) and AppendKeyFrame frames a key as
+// Row.Key does, so the aggregate's group and COUNT DISTINCT keys, the
+// hash join's build and probe keys and DISTINCT's row keys are built
+// in one reused buffer per operator and looked up in place: a string is
+// made only for a new group, distinct value or join key. Rows are cut
+// from shared arrays, never reused: a shipped sub-query's layout rows
+// from one array, and hash-join and projection rows from arrays that
+// double up to 64 rows. A full-text RETURN path is split once at parse
+// time and projected with doc.Document.First, which builds no list.
 //
 // # Digest-driven planning and bloom semi-join pruning
 //

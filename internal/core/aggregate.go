@@ -119,18 +119,25 @@ func (a *aggregateIterator) Open() error {
 
 	type group struct {
 		rep    value.Row
-		states []*aggState
+		states []aggState
 	}
 	groups := make(map[string]*group)
-	var order []string
-	newStates := func() []*aggState {
-		ss := make([]*aggState, len(a.items))
-		for i := range ss {
-			ss[i] = &aggState{distinct: make(map[string]struct{})}
+	var order []*group
+	newGroup := func(rep value.Row) *group {
+		g := &group{rep: rep, states: make([]aggState, len(a.items))}
+		for i, it := range a.items {
+			if it.agg == AggCountDistinct {
+				g.states[i].distinct = make(map[string]struct{})
+			}
 		}
-		return ss
+		order = append(order, g)
+		return g
 	}
 
+	// key is one scratch buffer for every group and distinct key: a
+	// lookup reads it in place, and only a new group or a new distinct
+	// value is copied into a string.
+	var key []byte
 	for {
 		row, ok, err := a.in.Next()
 		if err != nil {
@@ -139,25 +146,20 @@ func (a *aggregateIterator) Open() error {
 		if !ok {
 			break
 		}
-		var key string
-		if len(a.group) > 0 {
-			parts := make(value.Row, len(a.group))
-			for i, p := range a.group {
-				parts[i] = row[p]
-			}
-			key = parts.Key()
+		key = key[:0]
+		for _, p := range a.group {
+			key = value.AppendKeyFrame(key, row[p])
 		}
-		g, seen := groups[key]
+		g, seen := groups[string(key)]
 		if !seen {
-			g = &group{rep: row.Clone(), states: newStates()}
-			groups[key] = g
-			order = append(order, key)
+			g = newGroup(row.Clone())
+			groups[string(key)] = g
 		}
 		for i, it := range a.items {
 			if it.agg == AggNone {
 				continue
 			}
-			st := g.states[i]
+			st := &g.states[i]
 			v := row[it.pos]
 			if v.IsNull() {
 				continue
@@ -165,7 +167,10 @@ func (a *aggregateIterator) Open() error {
 			st.nonNull++
 			switch it.agg {
 			case AggCountDistinct:
-				st.distinct[v.Key()] = struct{}{}
+				key = value.AppendKey(key[:0], v)
+				if _, dup := st.distinct[string(key)]; !dup {
+					st.distinct[string(key)] = struct{}{}
+				}
 			case AggSum, AggAvg:
 				switch v.Kind() {
 				case value.Int:
@@ -190,15 +195,13 @@ func (a *aggregateIterator) Open() error {
 	}
 
 	if len(order) == 0 && len(a.group) == 0 {
-		groups[""] = &group{states: newStates()}
-		order = append(order, "")
+		newGroup(nil)
 	}
 	a.rows = a.rows[:0]
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range order {
 		out := make(value.Row, len(a.items))
 		for i, it := range a.items {
-			st := g.states[i]
+			st := &g.states[i]
 			switch it.agg {
 			case AggNone:
 				out[i] = g.rep[it.pos]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -39,6 +40,31 @@ func TestAggregateIteratorGrouping(t *testing.T) {
 	lr := byParty["LR"]
 	if lr[1].Int() != 2 || lr[2].Int() != 1 || lr[3].Int() != 10 {
 		t.Errorf("LR aggregates: %+v", lr)
+	}
+}
+
+// TestAggregateGroupsKeepFraming: group values that differ only in how
+// their keys would concatenate ("1:a" and "" against "1" and ":a", "as"
+// and "b" against "a" and "sb") stay separate groups, so a key frame
+// that did not delimit each value would merge them. COUNT DISTINCT,
+// which shares the key buffer, counts 1 and 1.0 once and "1" apart.
+func TestAggregateGroupsKeepFraming(t *testing.T) {
+	r := mkRows(
+		[]any{"1:a", "", 1}, []any{"1", ":a", 1.0}, []any{"1", ":a", "1"},
+		[]any{"as", "b", 2}, []any{"a", "sb", 2}, []any{"a", "sb", 2.0}, []any{"a", "sb", 3},
+		[]any{"1:a", "", 1.0})
+	got, err := Materialize(newAggregate(newScan(r), []int{0, 1},
+		[]aggItem{{AggNone, 0}, {AggNone, 1}, {AggCount, 2}, {AggCountDistinct, 2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, row := range got {
+		lines = append(lines, fmt.Sprintf("%q %q %d %d", row[0].Str(), row[1].Str(), row[2].Int(), row[3].Int()))
+	}
+	want := []string{`"1:a" "" 2 1`, `"1" ":a" 2 2`, `"as" "b" 1 1`, `"a" "sb" 3 2`}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("groups:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
 }
 

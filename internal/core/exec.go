@@ -233,18 +233,9 @@ func (ex *executor) ship(src source.DataSource, a Atom, l *layout, prefix value.
 		return nil, fmt.Errorf("core: atom %s: batched probe returned %d results for %d tuples",
 			a.Designator(), len(results), len(ts))
 	}
-	rows := 0
-	var out []value.Row
-	for i, res := range results {
-		if res == nil {
-			return nil, fmt.Errorf("core: atom %s: probe returned a nil result", a.Designator())
-		}
-		rows += len(res.Rows)
-		local, err := l.rows(a, ts[i].prefix, res)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, local...)
+	out, rows, err := l.rows(a, ts, results)
+	if err != nil {
+		return nil, err
 	}
 	ex.mu.Lock()
 	ex.stats.SubQueries++

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"sort"
-	"strings"
 	"unsafe"
 
 	"tatooine/internal/value"
@@ -107,11 +106,13 @@ func (s *scanIterator) Next() (value.Row, bool, error) {
 type hashJoin struct {
 	left, right Iterator
 	joinStep
-	table     map[string][]value.Row
+	table     joinTable
 	rightRows []value.Row // used for cross product
 	cur       value.Row   // current left row
 	matches   []value.Row // pending right matches for cur
 	mi        int
+	key       []byte  // scratch for join keys
+	slab      rowSlab // backing for combined rows
 	closed    bool
 
 	budget  int64             // build-side byte budget; <= 0 never spills
@@ -173,7 +174,7 @@ func (h *hashJoin) Open() error {
 		}
 		return nil
 	}
-	h.table = make(map[string][]value.Row)
+	h.table = newJoinTable()
 	var buildBytes int64
 	for {
 		row, ok, err := h.right.Next()
@@ -183,8 +184,8 @@ func (h *hashJoin) Open() error {
 			}
 			return err
 		}
-		key, null := joinKey(row, h.rightKey)
-		if null {
+		var null bool
+		if h.key, null = appendJoinKey(h.key[:0], row, h.rightKey); null {
 			continue // nulls never join
 		}
 		if h.sj == nil && h.budget > 0 {
@@ -194,45 +195,70 @@ func (h *hashJoin) Open() error {
 				if h.sj, err = newSpillJoin(h); err != nil {
 					return err
 				}
-				for k, rows := range h.table {
-					for _, r := range rows {
-						if err := h.sj.add(spillBuild, k, r); err != nil {
+				for k, i := range h.table.index {
+					for _, r := range h.table.rows[i] {
+						if err := h.sj.add(spillBuild, []byte(k), r); err != nil {
 							return err
 						}
 					}
 				}
-				h.table = nil
+				h.table = joinTable{}
 			}
 		}
 		if h.sj != nil {
-			if err := h.sj.add(spillBuild, key, row); err != nil {
+			if err := h.sj.add(spillBuild, h.key, row); err != nil {
 				return err
 			}
 			continue
 		}
-		h.table[key] = append(h.table[key], row)
+		h.table.add(h.key, row)
 	}
 }
 
-func joinKey(row value.Row, positions []int) (string, bool) {
-	// Single-column joins (the common case) need no length framing: the
-	// value key is already self-delimiting for a lone component.
-	if len(positions) == 1 {
-		v := row[positions[0]]
-		if v.IsNull() {
-			return "", true
-		}
-		return v.Key(), false
-	}
-	var b strings.Builder
+// appendJoinKey appends row's key over positions to b; null reports a
+// null component (nulls never join). A single column's key is its
+// value's key, self-delimiting as a lone component; several columns
+// are framed as Row.Key frames them.
+func appendJoinKey(b []byte, row value.Row, positions []int) ([]byte, bool) {
 	for _, p := range positions {
 		v := row[p]
 		if v.IsNull() {
-			return "", true
+			return b, true
 		}
-		value.Frame(&b, v.Key())
+		if len(positions) == 1 {
+			return value.AppendKey(b, v), false
+		}
+		b = value.AppendKeyFrame(b, v)
 	}
-	return b.String(), false
+	return b, false
+}
+
+// joinTable is a hash join's build side: its rows grouped by join key.
+// Keys are looked up from a scratch buffer, so only a new key is made
+// into a string.
+type joinTable struct {
+	index map[string]int // key -> position in rows
+	rows  [][]value.Row
+}
+
+func newJoinTable() joinTable { return joinTable{index: make(map[string]int)} }
+
+func (t *joinTable) add(key []byte, row value.Row) {
+	i, ok := t.index[string(key)]
+	if !ok {
+		i = len(t.rows)
+		t.index[string(key)] = i
+		t.rows = append(t.rows, nil)
+	}
+	t.rows[i] = append(t.rows[i], row)
+}
+
+// get returns the rows under key, or nil.
+func (t *joinTable) get(key []byte) []value.Row {
+	if i, ok := t.index[string(key)]; ok {
+		return t.rows[i]
+	}
+	return nil
 }
 
 func (h *hashJoin) Next() (value.Row, bool, error) {
@@ -241,9 +267,7 @@ func (h *hashJoin) Next() (value.Row, bool, error) {
 	}
 	for {
 		if h.mi < len(h.matches) {
-			r := h.matches[h.mi]
-			h.mi++
-			return h.combine(h.cur, r), true, nil
+			return h.combine(), true, nil
 		}
 		row, ok, err := h.left.Next()
 		if err != nil || !ok {
@@ -255,22 +279,54 @@ func (h *hashJoin) Next() (value.Row, bool, error) {
 			h.matches = h.rightRows
 			continue
 		}
-		key, null := joinKey(row, h.leftKey)
-		if null {
+		var null bool
+		if h.key, null = appendJoinKey(h.key[:0], row, h.leftKey); null {
 			h.matches = nil
 			continue
 		}
-		h.matches = h.table[key]
+		h.matches = h.table.get(h.key)
 	}
 }
 
-func (h *hashJoin) combine(l, r value.Row) value.Row {
-	out := make(value.Row, 0, len(l)+len(h.pass))
-	out = append(out, l...)
-	for _, p := range h.pass {
-		out = append(out, r[p])
+// combine joins the current left row with its next match, in a row
+// cut from a backing array with room for all of the left row's
+// remaining matches.
+func (h *hashJoin) combine() value.Row {
+	l, r := h.cur, h.matches[h.mi]
+	out := h.slab.row(len(l)+len(h.pass), len(h.matches)-h.mi)
+	h.mi++
+	copy(out, l)
+	for i, p := range h.pass {
+		out[len(l)+i] = r[p]
 	}
 	return out
+}
+
+// maxSlabRows bounds the rows of one rowSlab array, and so the rows
+// made and never used when an operator stops early.
+const maxSlabRows = 64
+
+// rowSlab cuts an operator's output rows from shared backing arrays,
+// which double from one row up to maxSlabRows, so an operator does not
+// allocate per row and a small result makes few rows it never uses. An
+// array is never reused, so a row that went downstream is never
+// overwritten.
+type rowSlab struct {
+	free []value.Value // the current array's uncut part
+	rows int           // rows of the current array
+}
+
+// row returns a zeroed row of width w, capped at w, from an array with
+// room for at least n such rows when a new one is made. A row of width
+// 0 is empty, never nil: a nil row encodes as JSON null.
+func (s *rowSlab) row(w, n int) value.Row {
+	if len(s.free) < w || s.free == nil {
+		s.rows = min(max(2*s.rows, 1), maxSlabRows)
+		s.free = make([]value.Value, w*max(n, s.rows))
+	}
+	r := s.free[:w:w]
+	s.free = s.free[w:]
+	return r
 }
 
 // Close closes both inputs exactly once, combining their errors
@@ -306,8 +362,9 @@ func (h *hashJoin) Buffered() bool {
 // projectIterator reorders/narrows columns: output column i is input
 // position pos[i].
 type projectIterator struct {
-	in  Iterator
-	pos []int
+	in   Iterator
+	pos  []int
+	slab rowSlab
 }
 
 func newProject(in Iterator, pos []int) *projectIterator {
@@ -321,7 +378,7 @@ func (p *projectIterator) Next() (value.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(value.Row, len(p.pos))
+	out := p.slab.row(len(p.pos), 1)
 	for i, j := range p.pos {
 		out[i] = row[j]
 	}
@@ -340,6 +397,7 @@ func (p *projectIterator) Buffered() bool { return iterBuffered(p.in) }
 type distinctIterator struct {
 	in   Iterator
 	seen map[string]struct{}
+	key  []byte // scratch for row keys
 }
 
 func newDistinct(in Iterator) *distinctIterator { return &distinctIterator{in: in} }
@@ -360,11 +418,14 @@ func (d *distinctIterator) Next() (value.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := row.Key()
-		if _, dup := d.seen[k]; dup {
+		d.key = d.key[:0]
+		for _, v := range row {
+			d.key = value.AppendKeyFrame(d.key, v)
+		}
+		if _, dup := d.seen[string(d.key)]; dup {
 			continue
 		}
-		d.seen[k] = struct{}{}
+		d.seen[string(d.key)] = struct{}{}
 		return row, true, nil
 	}
 }

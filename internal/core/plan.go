@@ -105,38 +105,50 @@ func newLayout(a Atom, outs []string) layout {
 	return l
 }
 
-// rows applies the layout to a source result under prefix — nothing for
-// a scan, the parameter tuple for a probe, the URI plus the tuple (if
-// any) for a dynamic source — allocating one row per output row.
-func (l *layout) rows(a Atom, prefix value.Row, res *source.Result) ([]value.Row, error) {
-	if len(res.Cols) != len(l.outs) {
-		return nil, fmt.Errorf("core: atom %s returned %d columns for %d OUT variables",
-			a.Designator(), len(res.Cols), len(l.outs))
+// rows applies the layout to a sub-query's results, results[i] under
+// ts[i].prefix — nothing for a scan, the parameter tuple for a probe,
+// the URI plus the tuple (if any) for a dynamic source — and counts the
+// rows the source returned. The output rows are cut from one backing
+// array, each capped at its width, and never written to afterwards.
+func (l *layout) rows(a Atom, ts []paramTuple, results []*source.Result) (out []value.Row, fetched int, err error) {
+	for _, res := range results {
+		if res == nil {
+			return nil, 0, fmt.Errorf("core: atom %s: probe returned a nil result", a.Designator())
+		}
+		if len(res.Cols) != len(l.outs) {
+			return nil, 0, fmt.Errorf("core: atom %s returned %d columns for %d OUT variables",
+				a.Designator(), len(res.Cols), len(l.outs))
+		}
+		fetched += len(res.Rows)
 	}
-	var out []value.Row
-next:
-	for _, r := range res.Rows {
-		for _, c := range l.check {
-			var want value.Value
-			if j := c[1]; j < len(l.pre) {
-				want = prefix[l.pre[j]]
-			} else {
-				want = r[l.keep[j-len(l.pre)]]
+	slab := make([]value.Value, 0, fetched*len(l.cols))
+	out = make([]value.Row, 0, fetched)
+	for i, res := range results {
+		prefix := ts[i].prefix
+	next:
+		for _, r := range res.Rows {
+			for _, c := range l.check {
+				var want value.Value
+				if j := c[1]; j < len(l.pre) {
+					want = prefix[l.pre[j]]
+				} else {
+					want = r[l.keep[j-len(l.pre)]]
+				}
+				if !value.Equal(r[c[0]], want) {
+					continue next
+				}
 			}
-			if !value.Equal(r[c[0]], want) {
-				continue next
+			start := len(slab)
+			for _, p := range l.pre {
+				slab = append(slab, prefix[p])
 			}
+			for _, p := range l.keep {
+				slab = append(slab, r[p])
+			}
+			out = append(out, slab[start:len(slab):len(slab)])
 		}
-		row := make(value.Row, 0, len(l.cols))
-		for _, p := range l.pre {
-			row = append(row, prefix[p])
-		}
-		for _, p := range l.keep {
-			row = append(row, r[p])
-		}
-		out = append(out, row)
 	}
-	return out, nil
+	return out, fetched, nil
 }
 
 // Plan is a dependency-DAG execution schedule for a CMQ, honouring the

@@ -59,9 +59,9 @@ type spillJoin struct {
 
 	bytes    int64 // bytes written and not yet reported to onSpill
 	leftDone bool
-	part     int                    // current partition being joined; -1 before the first
-	table    map[string][]value.Row // current partition's build table
-	probe    *spillReader           // current partition's probe rows
+	part     int          // current partition being joined; -1 before the first
+	table    joinTable    // current partition's build table
+	probe    *spillReader // current partition's probe rows
 }
 
 // newSpillJoin creates the temp directory. The caller moves
@@ -81,9 +81,9 @@ func (s *spillJoin) path(side, p int) string {
 // add appends a row with a non-null join key to its partition's file
 // on side. Appending preserves the input multiset exactly (duplicate
 // rows stay duplicated).
-func (s *spillJoin) add(side int, key string, row value.Row) error {
+func (s *spillJoin) add(side int, key []byte, row value.Row) error {
 	hash := fnv.New32a()
-	hash.Write([]byte(key))
+	hash.Write(key)
 	p := int(hash.Sum32() % spillPartitions)
 	sf := &s.files[side][p]
 	if sf.w == nil {
@@ -138,8 +138,9 @@ func (s *spillJoin) partitionLeft() error {
 		if !ok {
 			return s.flush()
 		}
-		if key, null := joinKey(row, s.h.leftKey); !null { // null keys match nothing
-			if err := s.add(spillProbe, key, row); err != nil {
+		var null bool
+		if s.h.key, null = appendJoinKey(s.h.key[:0], row, s.h.leftKey); !null { // null keys match nothing
+			if err := s.add(spillProbe, s.h.key, row); err != nil {
 				return err
 			}
 		}
@@ -190,7 +191,7 @@ func (rd *spillReader) next() (value.Row, bool, error) {
 
 // loadRightPartition materializes partition p's build table.
 func (s *spillJoin) loadRightPartition(p int) error {
-	s.table = make(map[string][]value.Row)
+	s.table = newJoinTable()
 	if s.files[spillBuild][p].rows == 0 {
 		return nil
 	}
@@ -204,8 +205,8 @@ func (s *spillJoin) loadRightPartition(p int) error {
 		if err != nil || !ok {
 			return err
 		}
-		key, _ := joinKey(row, s.h.rightKey) // null-keyed rows were never spilled
-		s.table[key] = append(s.table[key], row)
+		s.h.key, _ = appendJoinKey(s.h.key[:0], row, s.h.rightKey) // null-keyed rows were never spilled
+		s.table.add(s.h.key, row)
 	}
 }
 
@@ -221,9 +222,7 @@ func (s *spillJoin) next() (value.Row, bool, error) {
 	}
 	for {
 		if h.mi < len(h.matches) {
-			r := h.matches[h.mi]
-			h.mi++
-			return h.combine(h.cur, r), true, nil
+			return h.combine(), true, nil
 		}
 		if s.probe != nil {
 			row, ok, err := s.probe.next()
@@ -231,8 +230,8 @@ func (s *spillJoin) next() (value.Row, bool, error) {
 				return nil, false, err
 			}
 			if ok {
-				key, _ := joinKey(row, h.leftKey) // null-keyed rows were never spilled
-				h.cur, h.mi, h.matches = row, 0, s.table[key]
+				h.key, _ = appendJoinKey(h.key[:0], row, h.leftKey) // null-keyed rows were never spilled
+				h.cur, h.mi, h.matches = row, 0, s.table.get(h.key)
 				continue
 			}
 		}

@@ -3,8 +3,10 @@ package digest
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"tatooine/internal/doc"
 	"tatooine/internal/fulltext"
@@ -134,6 +136,52 @@ func TestNormalize(t *testing.T) {
 	for in, want := range cases {
 		if got := Normalize(in); got != want {
 			t.Errorf("Normalize(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// refNormalize is Normalize as it was before its fast path, rebuilding
+// every string: the reference Normalize must agree with.
+func refNormalize(s string) string {
+	s = localName(s)
+	var b strings.Builder
+	for _, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			b.WriteRune(unicode.ToLower(r))
+		}
+	}
+	return foldASCII(b.String())
+}
+
+// TestNormalizeMatchesReference: every folded rune, in both cases, alone
+// and in mixed strings, IRIs, punctuation and invalid UTF-8 normalize
+// as the reference normalizes them; text that is already normalized,
+// ASCII or not, costs no allocation.
+func TestNormalizeMatchesReference(t *testing.T) {
+	var cases []string
+	for r, folded := range foldTable {
+		cases = append(cases, string(r), strings.ToUpper(string(r)), "x"+string(r)+"Y", folded+string(r))
+	}
+	cases = append(cases, "", "headofstate", "head of state", "HEAD-OF-STATE", "http://t.example/headOfState",
+		"urn:x#Élection", "æther", "ñandú", "ÿ", "straße", "ÉCOLE", "日本Noël", "日本noel", "a\xffb", "\xc3",
+		"\xef\xbf\xbd", "İstanbul", "\u212aelvin", "ǅ", "٣٤", "sia2016", "#SIA2016")
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []rune("aZ9 -éÉœŒæñÿ\uFFFD日İǅ٣K#")
+	for i := 0; i < 2000; i++ {
+		r := make([]rune, rng.Intn(8))
+		for j := range r {
+			r[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(r))
+	}
+	for _, c := range cases {
+		if got, want := Normalize(c), refNormalize(c); got != want {
+			t.Errorf("Normalize(%q) = %q, want %q", c, got, want)
+		}
+	}
+	for _, s := range []string{"headofstate", "sia2016", "日本noel", "ñandú"} {
+		if n := testing.AllocsPerRun(100, func() { _ = Normalize(s) }); n != 0 {
+			t.Errorf("Normalize(%q): %v allocations, want 0", s, n)
 		}
 	}
 }

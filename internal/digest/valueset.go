@@ -44,15 +44,37 @@ func DefaultBudget() Budget {
 // first ("http://x/headOfState" → "headofstate").
 func Normalize(s string) string {
 	s = localName(s)
+	if normalized(s) {
+		return s
+	}
 	// Split camelCase by inserting nothing (we only strip): the
 	// character classes below keep letters and digits.
 	var b strings.Builder
+	b.Grow(len(s))
 	for _, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			b.WriteRune(unicode.ToLower(r))
 		}
 	}
 	return foldASCII(b.String())
+}
+
+// normalized reports whether Normalize leaves s as it is, so it need
+// not be rebuilt: every rune is a lower-case letter or a digit that
+// foldASCII keeps.
+func normalized(s string) bool {
+	for _, r := range s {
+		if r < utf8.RuneSelf {
+			if ('a' > r || r > 'z') && ('0' > r || r > '9') {
+				return false
+			}
+			continue
+		}
+		if _, fold := foldTable[r]; fold || !(unicode.IsLetter(r) || unicode.IsDigit(r)) || unicode.ToLower(r) != r {
+			return false
+		}
+	}
+	return true
 }
 
 // localName strips an IRI prefix up to the last '/' or '#'.
@@ -89,6 +111,7 @@ func foldASCII(s string) string {
 		return s
 	}
 	var b strings.Builder
+	b.Grow(len(s))
 	for _, r := range s {
 		if out, ok := foldTable[r]; ok {
 			b.WriteString(out)

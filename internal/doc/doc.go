@@ -21,38 +21,58 @@ type Document struct {
 // encountered at any step. A path into objects nested inside arrays
 // ("entities.urls.expanded") collects from every array element.
 func (d *Document) Values(path string) []value.Value {
-	steps := strings.Split(path, ".")
 	var out []value.Value
-	collect(d.Fields, steps, &out)
+	walk(d.Fields, strings.Split(path, "."), func(v value.Value) bool {
+		out = append(out, v)
+		return true
+	})
 	return out
 }
 
-func collect(cur any, steps []string, out *[]value.Value) {
+// First returns the first value Values gives for the path split into
+// its steps at the dots, and whether there is one, without building
+// the list.
+func (d *Document) First(steps []string) (value.Value, bool) {
+	var first value.Value
+	found := false
+	walk(d.Fields, steps, func(v value.Value) bool {
+		first, found = v, true
+		return false
+	})
+	return first, found
+}
+
+// walk calls fn on each scalar at steps below cur, in document order,
+// until fn returns false; it reports whether fn asked to go on.
+func walk(cur any, steps []string, fn func(value.Value) bool) bool {
 	if len(steps) == 0 {
 		switch v := cur.(type) {
 		case []any:
 			for _, e := range v {
-				collect(e, nil, out)
+				if !walk(e, nil, fn) {
+					return false
+				}
 			}
+			return true
 		case map[string]any:
-			// Objects are not scalars; stop.
+			return true // objects are not scalars
 		default:
-			*out = append(*out, toValue(v))
+			return fn(toValue(v))
 		}
-		return
 	}
 	switch v := cur.(type) {
 	case map[string]any:
-		next, ok := v[steps[0]]
-		if !ok {
-			return
+		if next, ok := v[steps[0]]; ok {
+			return walk(next, steps[1:], fn)
 		}
-		collect(next, steps[1:], out)
 	case []any:
 		for _, e := range v {
-			collect(e, steps, out)
+			if !walk(e, steps, fn) {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 func toValue(v any) value.Value {

@@ -2,6 +2,7 @@ package doc
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -133,5 +134,77 @@ func TestValueCoercionKinds(t *testing.T) {
 	}
 	if d.Values("s")[0].Kind() != value.String {
 		t.Error("string kind")
+	}
+}
+
+// randomNode builds a random JSON-like tree over the field names a, b
+// and c: objects, arrays (empty ones too), nulls, strings, numbers and
+// booleans, depth levels deep at most.
+func randomNode(rng *rand.Rand, depth int) any {
+	switch n := rng.Intn(8); {
+	case depth > 0 && n < 3:
+		obj := map[string]any{}
+		for _, k := range []string{"a", "b", "c"} {
+			if rng.Intn(3) > 0 {
+				obj[k] = randomNode(rng, depth-1)
+			}
+		}
+		return obj
+	case depth > 0 && n < 5:
+		arr := make([]any, rng.Intn(4))
+		for i := range arr {
+			arr[i] = randomNode(rng, depth-1)
+		}
+		return arr
+	case n == 5:
+		return nil
+	case n == 6:
+		return float64(rng.Intn(7)) / 2
+	default:
+		return []string{"x", "y", "", "true"}[rng.Intn(4)]
+	}
+}
+
+// TestFirstMatchesValues: over random nested documents and every path
+// of up to three steps (missing steps included), First gives what
+// Values gives first, and reports nothing exactly when Values is empty.
+func TestFirstMatchesValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"a", "b", "c", "d"}
+	var paths []string
+	for _, x := range names {
+		paths = append(paths, x)
+		for _, y := range names {
+			paths = append(paths, x+"."+y)
+			for _, z := range names {
+				paths = append(paths, x+"."+y+"."+z)
+			}
+		}
+	}
+	for i := 0; i < 500; i++ {
+		fields, ok := randomNode(rng, 4).(map[string]any)
+		if !ok {
+			fields = map[string]any{"a": randomNode(rng, 3)}
+		}
+		d := &Document{ID: "d", Fields: fields}
+		for _, path := range paths {
+			vals := d.Values(path)
+			got, found := d.First(strings.Split(path, "."))
+			if found != (len(vals) > 0) {
+				t.Fatalf("doc %d path %s: First found=%v, Values %v", i, path, found, vals)
+			}
+			if found && (got.Kind() != vals[0].Kind() || got.Key() != vals[0].Key()) {
+				t.Fatalf("doc %d path %s: First = %v, Values[0] = %v", i, path, got, vals[0])
+			}
+		}
+	}
+}
+
+// TestFirstAllocatesNothing: projecting a scalar path builds no list.
+func TestFirstAllocatesNothing(t *testing.T) {
+	d := fig2(t)
+	steps := []string{"user", "screen_name"}
+	if n := testing.AllocsPerRun(100, func() { d.First(steps) }); n != 0 {
+		t.Fatalf("First: %v allocations, want 0", n)
 	}
 }

@@ -254,3 +254,28 @@ func TestBatchReplyMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBatchReplyDecode decodes a /batch reply of 64 results of 10
+// rows of a string and an int, as ExecuteBatchContext decodes one.
+func BenchmarkBatchReplyDecode(b *testing.B) {
+	var resp BatchResponse
+	for i := 0; i < 64; i++ {
+		qr := QueryResponse{Cols: []string{"name", "population"}}
+		for j := 0; j < 10; j++ {
+			qr.Rows = append(qr.Rows, value.Row{value.NewString("Département " + string(rune('A'+j))), value.NewInt(int64(1000*i + j))})
+		}
+		resp.Results = append(resp.Results, qr)
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var br BatchResponse
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&br); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

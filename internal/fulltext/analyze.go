@@ -20,6 +20,7 @@ package fulltext
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Analyzer turns text into index tokens: Unicode word segmentation,
@@ -89,16 +90,31 @@ func tokenize(text string) []string {
 }
 
 // Fold lower-cases and strips diacritics from common French letters.
+// Text that is already folded comes back as it is, with no allocation.
 func Fold(s string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(s) {
-		if folded, ok := foldMap[r]; ok {
-			b.WriteString(folded)
+	// ToLower returns valid UTF-8 (or s itself when it already is and
+	// has nothing to lower), so only a rune of foldMap changes it now.
+	s = strings.ToLower(s)
+	for i, r := range s {
+		if r < utf8.RuneSelf {
 			continue
 		}
-		b.WriteRune(r)
+		if _, ok := foldMap[r]; !ok {
+			continue
+		}
+		var b strings.Builder
+		b.Grow(len(s))
+		b.WriteString(s[:i])
+		for _, r := range s[i:] {
+			if folded, ok := foldMap[r]; ok {
+				b.WriteString(folded)
+				continue
+			}
+			b.WriteRune(r)
+		}
+		return b.String()
 	}
-	return b.String()
+	return s
 }
 
 var foldMap = map[rune]string{

@@ -2,6 +2,8 @@ package fulltext
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"tatooine/internal/doc"
@@ -104,6 +106,53 @@ func TestAnalyzerTokens(t *testing.T) {
 func TestFold(t *testing.T) {
 	if Fold("Détermination Où Çà œuvre") != "determination ou ca oeuvre" {
 		t.Errorf("fold: %q", Fold("Détermination Où Çà œuvre"))
+	}
+}
+
+// refFold is Fold as it was before its fast path, rebuilding every
+// string: the reference Fold must agree with.
+func refFold(s string) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(s) {
+		if folded, ok := foldMap[r]; ok {
+			b.WriteString(folded)
+			continue
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// TestFoldMatchesReference: every folded rune, in both cases, alone and
+// in mixed strings, and text with invalid UTF-8, fold as the reference
+// folds them; text that is already folded, ASCII or not, costs no
+// allocation.
+func TestFoldMatchesReference(t *testing.T) {
+	var cases []string
+	for r, folded := range foldMap {
+		cases = append(cases, string(r), strings.ToUpper(string(r)), "x"+string(r)+"Y", folded+string(r))
+	}
+	cases = append(cases, "", "headofstate", "HeadOfState", "œuvre", "Œuvre", "Æther", "ñandú", "Ÿ",
+		"straße", "ÉCOLE", "日本Noël", "日本noel", "a\xffb", "\xc3", "É\xff", "\xef\xbf\xbd", "İstanbul",
+		"K-kelvin", "cœur de Paris, naïveté, garçon", "#SIA2016 @fhollande")
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []rune("aZé É œŒæÆñÑÿŸ\uFFFD日İK#")
+	for i := 0; i < 2000; i++ {
+		r := make([]rune, rng.Intn(8))
+		for j := range r {
+			r[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(r))
+	}
+	for _, c := range cases {
+		if got, want := Fold(c), refFold(c); got != want {
+			t.Errorf("Fold(%q) = %q, want %q", c, got, want)
+		}
+	}
+	for _, s := range []string{"headofstate", "sia2016 #tag", "日本noel", "straße"} {
+		if n := testing.AllocsPerRun(100, func() { _ = Fold(s) }); n != 0 {
+			t.Errorf("Fold(%q): %v allocations, want 0", s, n)
+		}
 	}
 }
 

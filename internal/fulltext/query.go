@@ -105,11 +105,7 @@ func (q *TextQuery) Execute(ix *Index, params []value.Value) ([]value.Row, error
 			case "_score":
 				row[j] = value.NewFloat(h.score)
 			default:
-				if vals := h.d.Values(path); len(vals) > 0 {
-					row[j] = vals[0]
-				} else {
-					row[j] = value.NewNull()
-				}
+				row[j], _ = h.d.First(q.returnSteps[j]) // Null when the path holds nothing
 			}
 		}
 		rows[i] = row

@@ -50,6 +50,8 @@ type TextQuery struct {
 	Limit   int // 0 = unlimited
 	// NumParams is the number of '?' placeholders, in cond order.
 	NumParams int
+
+	returnSteps [][]string // each RETURN path split at its dots
 }
 
 // CondOp enumerates condition operators.
@@ -217,6 +219,7 @@ func (p *qparser) parse() (*TextQuery, error) {
 			return nil, err
 		}
 		q.Returns = append(q.Returns, f)
+		q.returnSteps = append(q.returnSteps, strings.Split(f, "."))
 		if p.cur().kind == "op" && p.cur().text == "," {
 			p.pos++
 			continue

@@ -2,6 +2,8 @@ package value
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,9 +74,57 @@ func TestRowCodecRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRow: arbitrary bytes decode to an error or a row, and a
-// decoded row survives a second encode/decode with the same key (keys,
-// not Equal, because NaN != NaN).
+// refKey is the string-building Key that AppendKey replaced: the
+// reference AppendKey's bytes must equal.
+func refKey(v Value) string {
+	switch v.Kind() {
+	case Null:
+		return "\x00n"
+	case String:
+		return "s" + v.Str()
+	case Int:
+		return "f" + strconv.FormatFloat(float64(v.Int()), 'g', -1, 64)
+	case Float:
+		return "f" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case Bool:
+		return "b" + strconv.FormatBool(v.Bool())
+	case Time:
+		return "t" + v.Time().Format(time.RFC3339Nano)
+	}
+	return "?"
+}
+
+// checkKeys fails unless Key, AppendKey (onto a non-empty buffer) and
+// Row.Key give the reference bytes for every value of r.
+func checkKeys(t *testing.T, r Row) {
+	t.Helper()
+	var b strings.Builder
+	for _, v := range r {
+		want := refKey(v)
+		if got := v.Key(); got != want {
+			t.Fatalf("Key(%v) = %q, want %q", v, got, want)
+		}
+		if got := AppendKey([]byte("x"), v); string(got) != "x"+want {
+			t.Fatalf("AppendKey(x, %v) = %q, want %q", v, got, "x"+want)
+		}
+		Frame(&b, want)
+	}
+	if got := r.Key(); got != b.String() {
+		t.Fatalf("Row.Key = %q, want %q", got, b.String())
+	}
+}
+
+func TestKeysMatchReference(t *testing.T) {
+	checkKeys(t, allKindsRow(t))
+	checkKeys(t, awkwardRow(t))
+	checkKeys(t, goldenValues())
+	checkKeys(t, Row{NewString(strings.Repeat("long ", 40))})
+}
+
+// FuzzDecodeRow: arbitrary bytes decode to an error or a row, a decoded
+// row survives a second encode/decode with the same key (keys, not
+// Equal, because NaN != NaN), and every decoded value's key bytes equal
+// the reference's.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add(EncodeRow(allKindsRow(f)))
 	f.Add(EncodeRow(Row{}))
@@ -92,5 +142,6 @@ func FuzzDecodeRow(f *testing.F) {
 		if again.Key() != row.Key() {
 			t.Fatalf("round trip changed the row: %q -> %q", row.Key(), again.Key())
 		}
+		checkKeys(t, row)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,7 +145,7 @@ func (rv refValue) MarshalJSON() ([]byte, error) {
 	w := refWire{K: v.Kind().String()}
 	if v.kind != Null {
 		if v.kind == Time {
-			w.V = v.t.Format(time.RFC3339Nano)
+			w.V = v.Time().Format(time.RFC3339Nano)
 		} else {
 			w.V = v.String()
 		}
@@ -192,10 +193,6 @@ func checkAppendJSON(t *testing.T, r Row) {
 	}
 }
 
-// zoned returns a time value that keeps t's zone: NewTime stores UTC,
-// but the appender formats whatever instant and zone a value holds.
-func zoned(t time.Time) Value { return Value{kind: Time, t: t} }
-
 // awkwardStrings holds every byte the string escaper treats specially.
 func awkwardStrings() []string {
 	ss := []string{"", `"`, `\`, `a"b\c`, "<>&", "<script>&amp;</script>",
@@ -217,9 +214,9 @@ func awkwardRow(t testing.TB) Row {
 		NewInt(math.MaxInt64), NewInt(math.MinInt64), NewInt(0),
 		NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
 		NewFloat(-0.0), NewFloat(1e21), NewFloat(5e-324), NewFloat(math.MaxFloat64),
-		zoned(time.Date(2016, 3, 1, 3, 42, 31, 123456789, paris)),
-		zoned(time.Date(1999, 12, 31, 23, 59, 59, 1, time.FixedZone("", -(9*3600+30*60)))),
-		zoned(time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)))
+		NewTime(time.Date(2016, 3, 1, 3, 42, 31, 123456789, paris)),
+		NewTime(time.Date(1999, 12, 31, 23, 59, 59, 1, time.FixedZone("", -(9*3600+30*60)))),
+		NewTime(time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)))
 	return row
 }
 
@@ -257,8 +254,7 @@ func randomValue(rng *rand.Rand) Value {
 	case Bool:
 		return NewBool(rng.Intn(2) == 0)
 	case Time:
-		zone := time.FixedZone("", (rng.Intn(48)-24)*1800)
-		return zoned(time.Unix(rng.Int63n(1<<34)-(1<<33), rng.Int63n(1e9)).In(zone))
+		return NewTime(time.Unix(rng.Int63n(1<<34)-(1<<33), rng.Int63n(1e9)))
 	}
 	return NewNull()
 }
@@ -276,7 +272,7 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, i int64, fl float64, b bool, sec, nsec int64, offset int) {
 		zone := time.FixedZone("", offset%(26*3600))
 		checkAppendJSON(t, Row{NewNull(), NewString(s), NewInt(i), NewFloat(fl), NewBool(b),
-			zoned(time.Unix(sec, nsec).In(zone)), NewTime(time.Unix(sec, nsec))})
+			NewTime(time.Unix(sec, nsec).In(zone))})
 	})
 }
 
@@ -320,4 +316,102 @@ func TestJSONWriterChunks(t *testing.T) {
 			t.Fatalf("a write of %d bytes, over one chunk (%d) plus a row", n, jsonChunk)
 		}
 	}
+}
+
+// refWireValue and refUnmarshal are the reflective decoder
+// UnmarshalJSON replaced: encoding/json into a struct with string
+// fields k and v, then the kind switch. They are the reference the
+// hand-written decoder must agree with.
+type refWireValue struct {
+	K string `json:"k"`
+	V string `json:"v"`
+}
+
+func refUnmarshal(data []byte) (Value, error) {
+	var w refWireValue
+	if err := json.Unmarshal(data, &w); err != nil {
+		return Value{}, err
+	}
+	switch w.K {
+	case "null":
+		return NewNull(), nil
+	case "string":
+		return NewString(w.V), nil
+	case "int", "float", "bool":
+		kind := map[string]Kind{"int": Int, "float": Float, "bool": Bool}[w.K]
+		if v, ok := Coerce(NewString(w.V), kind); ok {
+			return v, nil
+		}
+		return Value{}, fmt.Errorf("bad %s payload %q", w.K, w.V)
+	case "time":
+		t, err := time.Parse(time.RFC3339Nano, w.V)
+		if err != nil {
+			return Value{}, err
+		}
+		return NewTime(t), nil
+	}
+	return Value{}, fmt.Errorf("unknown kind %q", w.K)
+}
+
+// checkUnmarshal fails unless UnmarshalJSON and the reference both
+// refuse data, or both accept it with values of the same kind and key.
+func checkUnmarshal(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := refUnmarshal(data)
+	var got Value
+	err := got.UnmarshalJSON(data)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("UnmarshalJSON(%q): error %v, reference error %v", data, err, wantErr)
+	}
+	if err == nil && (got.Kind() != want.Kind() || got.Key() != want.Key()) {
+		t.Fatalf("UnmarshalJSON(%q) = %v (%v), reference %v (%v)", data, got, got.Kind(), want, want.Kind())
+	}
+}
+
+// unmarshalCases are the inputs where encoding/json's struct decoding
+// is easy to get wrong: field names fold case (the Kelvin sign too),
+// the last duplicate wins, null leaves a field alone, unknown fields
+// are skipped but must be valid, escapes and surrogates, whitespace,
+// and everything that is not one object.
+var unmarshalCases = []string{
+	`{"k":"string","v":"a"}`, `{"k":"string"}`, `{"k":"null"}`, `{"k":"int","v":"-7"}`,
+	`{"k":"float","v":" 2.5 "}`, `{"k":"bool","v":"YES"}`, `{"k":"time","v":"2016-03-01T03:42:31.5+01:00"}`,
+	`{"K":"int","V":"3"}`, `{"K":"string","v":"kelvin"}`, "{\"\xe2\x84\xaa\":\"int\",\"v\":\"1\"}",
+	`{"k":"string","v":"x"}`, `{"kk":"int","v":"1"}`, `{"k ":"int","v":"1"}`,
+	`{"k":"int","k":"string","v":"1"}`, `{"k":"string","v":"a","v":null}`, `{"k":"string","k":null,"v":"x"}`,
+	`{"v":null,"k":"string"}`, `{"k":null}`, `{"v":"x"}`, `{}`, `null`, `[1,2]`, `"str"`, `1`, `true`, ``, ` `,
+	`{"k":1}`, `{"k":"int","v":1}`, `{"k":true}`, `{"k":["int"]}`, `{"k":{"a":1}}`, `{"k":"string","v":[]}`,
+	`{"x":[1,{"y":[true,false,null,-0.5e+3,"s\n"]}],"k":"null"}`, `{"x":[1,],"k":"null"}`, `{"x":{,},"k":"null"}`,
+	`{"x":01,"k":"null"}`, `{"x":1.,"k":"null"}`, `{"x":-,"k":"null"}`, `{"x":1e,"k":"null"}`, `{"x":tru,"k":"null"}`,
+	`{"x":"\q","k":"null"}`, `{"x":"\u12g4","k":"null"}`, `{"x":nul}`, `{"x":{}}`, `{"x":[]}`, `{"x":[ ] ,"k":"null"}`,
+	" \t\r\n{ \"k\" : \"string\" , \"v\" : \"a\" } \n", `{"k":"string","v":"a"}x`, `{"k":"string","v":"a"} {}`,
+	`{"k":"string","v":"a",}`, `{,"k":"null"}`, `{"k":"null"`, `{"k":"null",`, `{"k" "null"}`, `{"k":"nu`,
+	`{"k":"string","v":"😀"}`, `{"k":"string","v":"\ud83d"}`, `{"k":"string","v":"\ude00\ud83d"}`,
+	`{"k":"string","v":"\ud83dx"}`, `{"k":"string","v":"\ud83dA"}`, `{"k":"string","v":"\ud83d😀"}`,
+	`{"k":"string","v":"\"\\\/\b\f\n\r\té\u0000"}`, "{\"k\":\"string\",\"v\":\"\xff\xfe\xed\xa0\x80\"}",
+	"{\"k\":\"string\",\"v\":\"a\tb\"}", "{\"k\":\"string\",\"v\":\"\x7f\"}", `{"k":"string","v":"a"}`,
+	`{"k":"int","v":"9223372036854775808"}`, `{"k":"float","v":"1e400"}`, `{"k":"time","v":"nope"}`,
+	`{"k":"unknown"}`, `{"k":"String","v":"a"}`, "\xef\xbb\xbf{\"k\":\"null\"}",
+}
+
+func TestUnmarshalJSONMatchesReference(t *testing.T) {
+	for _, c := range unmarshalCases {
+		checkUnmarshal(t, []byte(c))
+	}
+	deep := strings.Repeat("[", 9999) + strings.Repeat("]", 9999)
+	checkUnmarshal(t, []byte(`{"x":`+deep+`,"k":"null"}`))
+	checkUnmarshal(t, []byte(`{"x":[`+deep+`],"k":"null"}`))
+	for _, v := range awkwardRow(t) {
+		checkUnmarshal(t, AppendJSON(nil, v))
+	}
+}
+
+// FuzzUnmarshalJSON: for any bytes, UnmarshalJSON and the reflective
+// reference both refuse them, or both decode values of the same kind
+// and key.
+func FuzzUnmarshalJSON(f *testing.F) {
+	for _, c := range unmarshalCases {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkUnmarshal(t, data) })
 }

@@ -6,6 +6,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -45,13 +46,16 @@ func (k Kind) String() string {
 }
 
 // Value is one dynamically-typed value. The zero Value is Null.
+//
+// A Value is 32 bytes with one pointer word, s, the payload of a
+// String. Every other payload lives in i: an Int as itself, a Float as
+// its IEEE-754 bits, a Bool as 0 or 1, and a Time as Unix seconds with
+// its nanoseconds in n. A Time is always UTC, so no zone is kept.
 type Value struct {
-	kind Kind
 	s    string
 	i    int64
-	f    float64
-	b    bool
-	t    time.Time
+	n    int32
+	kind Kind
 }
 
 // NewNull returns the null value.
@@ -64,13 +68,20 @@ func NewString(s string) Value { return Value{kind: String, s: s} }
 func NewInt(i int64) Value { return Value{kind: Int, i: i} }
 
 // NewFloat returns a float value.
-func NewFloat(f float64) Value { return Value{kind: Float, f: f} }
+func NewFloat(f float64) Value { return Value{kind: Float, i: int64(math.Float64bits(f))} }
 
 // NewBool returns a boolean value.
-func NewBool(b bool) Value { return Value{kind: Bool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: Bool, i: 1}
+	}
+	return Value{kind: Bool}
+}
 
 // NewTime returns a timestamp value (stored in UTC).
-func NewTime(t time.Time) Value { return Value{kind: Time, t: t.UTC()} }
+func NewTime(t time.Time) Value {
+	return Value{kind: Time, i: t.Unix(), n: int32(t.Nanosecond())}
+}
 
 // Kind returns the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -84,15 +95,10 @@ func (v Value) Str() string { return v.s }
 // Int returns the integer payload, converting Float and Bool.
 func (v Value) Int() int64 {
 	switch v.kind {
-	case Int:
+	case Int, Bool:
 		return v.i
 	case Float:
-		return int64(v.f)
-	case Bool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return int64(v.f())
 	default:
 		return 0
 	}
@@ -102,7 +108,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case Float:
-		return v.f
+		return v.f()
 	case Int:
 		return float64(v.i)
 	default:
@@ -110,11 +116,20 @@ func (v Value) Float() float64 {
 	}
 }
 
-// Bool returns the boolean payload.
-func (v Value) Bool() bool { return v.kind == Bool && v.b }
+// f is a Float's payload.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
-// Time returns the timestamp payload.
-func (v Value) Time() time.Time { return v.t }
+// Bool returns the boolean payload.
+func (v Value) Bool() bool { return v.kind == Bool && v.i != 0 }
+
+// Time returns the timestamp payload, in UTC; the zero time.Time for
+// any other kind.
+func (v Value) Time() time.Time {
+	if v.kind != Time {
+		return time.Time{}
+	}
+	return time.Unix(v.i, int64(v.n)).UTC()
+}
 
 // String renders the value for display.
 func (v Value) String() string {
@@ -126,11 +141,11 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.i != 0)
 	case Time:
-		return v.t.Format(time.RFC3339)
+		return v.Time().Format(time.RFC3339)
 	default:
 		return "?"
 	}
@@ -139,22 +154,30 @@ func (v Value) String() string {
 // Key returns a string usable as a join/hash key: equal values (under
 // Equal, including cross-numeric equality) produce equal keys.
 func (v Value) Key() string {
+	var buf [64]byte
+	return string(AppendKey(buf[:0], v))
+}
+
+// AppendKey appends v.Key()'s bytes to b. Callers that only look a key
+// up build it in a reused buffer this way, so no string is made per
+// lookup.
+func AppendKey(b []byte, v Value) []byte {
 	switch v.kind {
 	case Null:
-		return "\x00n"
+		return append(b, 0, 'n')
 	case String:
-		return "s" + v.s
+		return append(append(b, 's'), v.s...)
 	case Int:
 		// Integral floats and ints must share keys (Equal(1, 1.0) is true).
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 'f'), float64(v.i), 'g', -1, 64)
 	case Float:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 'f'), v.f(), 'g', -1, 64)
 	case Bool:
-		return "b" + strconv.FormatBool(v.b)
+		return strconv.AppendBool(append(b, 'b'), v.i != 0)
 	case Time:
-		return "t" + v.t.Format(time.RFC3339Nano)
+		return v.Time().AppendFormat(append(b, 't'), time.RFC3339Nano)
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 
@@ -174,10 +197,8 @@ func Equal(a, b Value) bool {
 	switch a.kind {
 	case String:
 		return a.s == b.s
-	case Bool:
-		return a.b == b.b
-	case Time:
-		return a.t.Equal(b.t)
+	case Bool, Time:
+		return a.i == b.i && a.n == b.n
 	default:
 		return false
 	}
@@ -219,24 +240,8 @@ func Compare(a, b Value) (int, bool) {
 	switch a.kind {
 	case String:
 		return strings.Compare(a.s, b.s), true
-	case Bool:
-		switch {
-		case a.b == b.b:
-			return 0, true
-		case !a.b:
-			return -1, true
-		default:
-			return 1, true
-		}
-	case Time:
-		switch {
-		case a.t.Before(b.t):
-			return -1, true
-		case a.t.After(b.t):
-			return 1, true
-		default:
-			return 0, true
-		}
+	case Bool, Time:
+		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.n, b.n)), true
 	}
 	return 0, false
 }
@@ -287,7 +292,7 @@ func Coerce(v Value, k Kind) (Value, bool) {
 	case Int:
 		switch v.kind {
 		case Float:
-			return NewInt(int64(v.f)), true
+			return NewInt(int64(v.f())), true
 		case String:
 			if i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {
 				return NewInt(i), true
@@ -356,11 +361,28 @@ func (r Row) HasNull() bool {
 	return false
 }
 
-// Key concatenates the value keys; equal rows produce equal keys.
+// Key concatenates the value keys, each framed as Frame frames it;
+// equal rows produce equal keys.
 func (r Row) Key() string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for _, v := range r {
-		Frame(&b, v.Key())
+		b = AppendKeyFrame(b, v)
 	}
-	return b.String()
+	return string(b)
+}
+
+// AppendKeyFrame appends v's key framed as Frame frames it ("len:key"),
+// the form Row.Key gives each value, to b.
+func AppendKeyFrame(b []byte, v Value) []byte {
+	start := len(b)
+	b = AppendKey(b, v)
+	n := len(b) - start
+	var digits [20]byte
+	prefix := append(strconv.AppendInt(digits[:0], int64(n), 10), ':')
+	// Make room for the prefix, move the key behind it, and write it.
+	b = append(b, prefix...)
+	copy(b[start+len(prefix):], b[start:start+n])
+	copy(b[start:], prefix)
+	return b
 }

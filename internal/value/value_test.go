@@ -4,7 +4,16 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestValueSize: a value is 32 bytes, the size the executor's memory
+// budget charges per value (core's valueBytes).
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
+	}
+}
 
 func TestKinds(t *testing.T) {
 	cases := []struct {
