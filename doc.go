@@ -169,6 +169,14 @@
 //     a caller that hangs up stops a server-side loop. federation.Client
 //     ships a whole batch as one request; a non-OK /batch reply is an
 //     error like any other.
+//   - The /batch body, both ways, is row-codec frames (see below) in
+//     one media type, application/x-tatooine-frames; any other is
+//     refused with 415. The request is a frame of strings (language,
+//     text, then each InVar), a uvarint tuple count and a frame per
+//     parameter tuple. A 200 reply is a uvarint result count, then per
+//     result a frame of column names, a uvarint row count and the row
+//     frames. Bytes after the last frame are an error on both sides;
+//     any other status carries a JSON {"error": ...} body.
 //   - source.Cached answers cached tuples from the probe cache and
 //     forwards only the misses as a smaller batch, filling the cache
 //     per tuple from the batch result.
@@ -319,22 +327,32 @@
 // (an ASK-style query over ground triples) reads {"cols": []} and then
 // {"row": []} per row.
 //
-// Every value on the wire — /cmq rows, NDJSON rows, /batch rows and
-// parameter sets — has one JSON shape, {"k": kind, "v": payload}: the
-// payload is the value's text (RFC 3339 with nanoseconds for a time)
-// and "v" is left out when it is empty (null and the empty string).
-// One writer produces it: value.AppendJSON, its row form
-// value.AppendRowJSON, and value.JSONWriter, which appends a reply's
-// rows straight into a pooled buffer and writes it out in 16 KiB
-// chunks. Its bytes are encoding/json's with HTML escaping (<, >, &,
-// U+2028, U+2029, control characters, invalid UTF-8 as U+FFFD), which
-// FuzzAppendJSON checks against the reflective encoder it replaced;
-// Value.MarshalJSON is a wrapper over it. Value.UnmarshalJSON reads
-// the shape without reflection and accepts exactly what encoding/json
-// accepts decoding it into a struct (field names folding case, the
-// last duplicate winning, null leaving a field alone, unknown fields
-// skipped), which FuzzUnmarshalJSON checks against the reflective
-// decoder it replaced.
+// Rows cross a process boundary in one binary form, the row codec
+// (value.AppendRow, value.DecodeRow): spill files and /batch, both
+// ways. It carries every value exactly — NaN, −0, invalid UTF-8, times
+// outside years 0000–9999 — where JSON text could not. A frame is a
+// uvarint length then one row (value.AppendFrame, value.ReadFrame);
+// lengths and counts are uvarints of at most 64 MiB, and each value,
+// length and count has one encoding. ReadFrame refuses a longer frame
+// before it allocates, grows its buffer only as bytes arrive, and
+// reports a cut stream as an error wrapping io.ErrUnexpectedEOF.
+// TestWireFidelity (internal/federation) checks every kind across
+// /batch against the same batch in-process; FuzzBatchHandler and
+// FuzzBatchReply drive arbitrary bytes into both ends.
+//
+// Every value a client reads — /cmq rows and NDJSON rows — has one
+// JSON shape, {"k": kind, "v": payload}: the payload is the value's
+// text (RFC 3339 with nanoseconds for a time) and "v" is left out when
+// it is empty (null and the empty string). One writer produces it:
+// value.AppendJSON, its row form value.AppendRowJSON, and
+// value.JSONWriter, which appends a reply's rows straight into a
+// pooled buffer and writes it out in 16 KiB chunks. Its bytes are
+// encoding/json's with HTML escaping (<, >, &, U+2028, U+2029, control
+// characters, invalid UTF-8 as U+FFFD), which FuzzAppendJSON checks
+// against the reflective encoder it replaced; Value.MarshalJSON is a
+// wrapper over it. The shape is write-only: Value.UnmarshalJSON
+// refuses every input, so a Go client reads rows as raw JSON (as
+// bench/ and the server tests do) rather than as values.
 //
 // # Values and rows on the query path
 //
@@ -590,7 +608,7 @@
 // transitions mid-build into a Grace-style partitioned join: both
 // inputs hash-partition to plain append-only files in a temporary
 // tat-spill-* directory (one file per side and partition, each a run
-// of length-prefixed encoded rows, written once and read back once;
+// of row-codec frames, written once and read back once;
 // removed on Close), then partitions join one at a time, so peak
 // memory tracks the largest partition rather than the whole build
 // side. The spilled path is row-multiset-identical to the in-memory

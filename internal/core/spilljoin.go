@@ -2,11 +2,9 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -24,8 +22,7 @@ import (
 // Each side of each partition is one append-only file, created on its
 // first row and closed once its side is written (so at most one side's
 // files are open at a time), then reopened and read once, in order. A
-// file is a sequence of frames: a uvarint length, then value.EncodeRow
-// bytes.
+// file is a sequence of value.AppendFrame frames.
 //
 // Cross products (no shared columns) never spill — there is no join key
 // to partition on, and partitioning cannot shrink them anyway. Extreme
@@ -57,7 +54,8 @@ type spillJoin struct {
 	dir   string
 	files [2][spillPartitions]spillFile
 
-	bytes    int64 // bytes written and not yet reported to onSpill
+	frame    []byte // the frame being written, reused
+	bytes    int64  // bytes written and not yet reported to onSpill
 	leftDone bool
 	part     int          // current partition being joined; -1 before the first
 	table    joinTable    // current partition's build table
@@ -93,16 +91,12 @@ func (s *spillJoin) add(side int, key []byte, row value.Row) error {
 		}
 		sf.f, sf.w = f, bufio.NewWriter(f)
 	}
-	buf := value.EncodeRow(row)
-	n, err := sf.w.Write(binary.AppendUvarint(nil, uint64(len(buf))))
-	if err == nil {
-		_, err = sf.w.Write(buf)
-	}
-	if err != nil {
+	s.frame = value.AppendFrame(s.frame[:0], row)
+	if _, err := sf.w.Write(s.frame); err != nil {
 		return fmt.Errorf("core: spill join: %w", err)
 	}
 	sf.rows++
-	s.bytes += int64(n + len(buf))
+	s.bytes += int64(len(s.frame))
 	return nil
 }
 
@@ -151,9 +145,10 @@ func (s *spillJoin) partitionLeft() error {
 // the file after the last. Closing it again is harmless (os.ErrClosed,
 // ignored).
 type spillReader struct {
-	f *os.File
-	r *bufio.Reader
-	n int // frames left
+	f   *os.File
+	r   *bufio.Reader
+	n   int    // frames left
+	buf []byte // ReadFrame's scratch
 }
 
 func (s *spillJoin) open(side, p int) (*spillReader, error) {
@@ -172,17 +167,7 @@ func (rd *spillReader) next() (value.Row, bool, error) {
 		return nil, false, rd.f.Close()
 	}
 	rd.n--
-	var row value.Row
-	n, err := binary.ReadUvarint(rd.r)
-	if err == nil {
-		buf := make([]byte, n)
-		if _, err = io.ReadFull(rd.r, buf); err == nil {
-			row, err = value.DecodeRow(buf)
-		}
-	}
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
+	row, err := value.ReadFrame(rd.r, &rd.buf)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: spill join: %s: %w", rd.f.Name(), err)
 	}

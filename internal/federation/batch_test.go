@@ -1,18 +1,25 @@
 package federation
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/hex"
+	"fmt"
 	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"tatooine/internal/doc"
+	"tatooine/internal/fulltext"
+	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/source"
 	"tatooine/internal/value"
+	"tatooine/internal/xmlstore"
 )
 
 var batchQuery = source.SubQuery{
@@ -116,6 +123,16 @@ func tableCounts(db *relstore.Database) map[string]int {
 	return out
 }
 
+// postBatch posts body to url's /batch route in the frame media type.
+func postBatch(t testing.TB, url string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/batch", batchMediaType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // TestBatchRefusesWrites: POST /batch reads its source and never writes
 // it. INSERT and CREATE TABLE text is refused with 422, and the source
 // keeps its tables and row counts.
@@ -126,14 +143,7 @@ func TestBatchRefusesWrites(t *testing.T) {
 		"INSERT INTO departements VALUES ('99','Evil',1)",
 		"CREATE TABLE pwned (x INT)",
 	} {
-		body, err := json.Marshal(BatchRequest{Language: "sql", Text: text, ParamSets: []value.Row{{}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := postBatch(t, srv.URL, appendBatchRequest(nil, source.SubQuery{Language: source.LangSQL, Text: text}, []value.Row{{}}))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status %d, want 422", text, resp.StatusCode)
@@ -144,113 +154,215 @@ func TestBatchRefusesWrites(t *testing.T) {
 	}
 }
 
-// FuzzBatchHandler drives arbitrary bodies through the one data route
-// over a small RelSource. The reply is 200, 400 (undecodable body) or
-// 422 (the sub-query failed), and a 200 carries one result per
-// parameter set, each the multiset Execute returns for that tuple.
-// Whatever the body, the source keeps its tables and row counts: the
-// route reads and never writes.
-func FuzzBatchHandler(f *testing.F) {
+// fuzzSource is a source the batch fuzz target serves, with a
+// description of its contents that no read may change.
+type fuzzSource struct {
+	src   source.DataSource
+	state func() string
+}
+
+// fuzzSources are a relational, a document (keyword, numeric and time
+// fields), an XML and an RDF source, in the order FuzzBatchHandler's
+// first argument picks them.
+func fuzzSources(t testing.TB) []fuzzSource {
 	db := relstore.NewDatabase("insee")
-	loadTable(f, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
+	loadTable(t, db, relstore.Schema{Name: "departements", PrimaryKey: []string{"code"}, Columns: []relstore.Column{
 		{Name: "code", Type: value.String}, {Name: "name", Type: value.String},
 		{Name: "population", Type: value.Int}}},
 		[]any{"75", "Paris", 2187526}, []any{"92", "Hauts-de-Seine", 1609306},
 		[]any{"13", "Bouches-du-Rhone", 2043110})
-	src := source.NewRelSource("sql://insee", db)
-	h := handlerMux(src)
-	for _, body := range []string{
-		`{"language":"sql","text":"SELECT name, population FROM departements WHERE code = ?","inVars":["code"],` +
-			`"paramSets":[[{"k":"string","v":"75"}],[{"k":"string","v":"00"}],[{"k":"string","v":"75"}]]}`,
-		`{"language":"sql","text":"SELECT code FROM departements WHERE code = ? AND population > ?","inVars":["c","p"],` +
-			`"paramSets":[[{"k":"string","v":"92"},{"k":"int","v":"5"}],[{"k":"string","v":"13"},{"k":"float","v":"3e6"}]]}`,
-		`{"language":"sql","text":"SELECT code FROM departements WHERE code = ? ORDER BY population LIMIT 1","inVars":["c"],` +
-			`"paramSets":[[{"k":"string","v":"92"}],[{"k":"null"}]]}`,
-		`{"language":"sql","text":"SELECT DISTINCT name FROM departements","paramSets":[null]}`,
-		`{"language":"sql","text":"SELECT name FROM departements WHERE code = ?","paramSets":[[{"k":"string","v":"75"}],[]]}`,
-		`{"language":"bgp","text":"q(?x) :- ?x ?p ?o","paramSets":[[]]}`,
-		`{"language":"sql","text":"SELECT","paramSets":[[]]}`,
-		`{"paramSets":[[{"k":"time","v":"2016-01-02T03:04:05Z"}]]}`,
-		`not json`,
-		`{"language":"sql","text":"INSERT INTO departements VALUES ('99','Evil',1)","paramSets":[[]]}`,
-		`{"language":"sql","text":"CREATE TABLE pwned (x INT)","paramSets":[[]]}`,
-	} {
-		f.Add([]byte(body))
+
+	ix := fulltext.NewIndex("tweets", fulltext.Schema{
+		"text": fulltext.TextField, "user": fulltext.KeywordField,
+		"retweets": fulltext.NumericField, "at": fulltext.TimeField,
+	})
+	for i, user := range []string{"alice", "bob", "alice", "bad\xff"} {
+		d := &doc.Document{ID: fmt.Sprintf("t%d", i)}
+		d.Set("text", []string{"economie en hausse", "culture et sport", "economie et sport", "é"}[i])
+		d.Set("user", user)
+		d.Set("retweets", i*7)
+		d.Set("at", time.Date(2016, 3, i+1, 12, 0, 0, 0, time.UTC).Format(time.RFC3339))
+		if err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want := tableCounts(db)
-	f.Fuzz(func(t *testing.T, body []byte) {
+
+	store := xmlstore.NewStore("speeches")
+	if err := store.Add("d1", []byte(`<speeches>
+<speech speaker="A"><topic>agriculture</topic></speech>
+<speech speaker="B"><topic>economie</topic></speech>
+<speech speaker="B"><topic>culture</topic></speech>
+</speeches>`)); err != nil {
+		t.Fatal(err)
+	}
+
+	g := rdf.NewGraph()
+	g.AddAll(rdf.MustParse(`
+@prefix : <http://t.example/> .
+:p1 :account "alice" ; :party :left .
+:p2 :account "bob" ; :party :right .
+:p3 :account "carol" ; :party :left .
+`))
+	return []fuzzSource{
+		{source.NewRelSource("sql://insee", db), func() string { return fmt.Sprint(tableCounts(db)) }},
+		{source.NewDocSource("solr://tweets", ix), func() string { return fmt.Sprint(ix.Count()) }},
+		{source.NewXMLSource("xml://speeches", store), func() string { return fmt.Sprint(store.Count()) }},
+		{source.NewRDFSource("rdf://politics", g), func() string { return fmt.Sprint(g.Size()) }},
+	}
+}
+
+// batchSeed is one FuzzBatchHandler seed: a source, a sub-query and
+// its parameter tuples.
+type batchSeed struct {
+	src  uint8
+	q    source.SubQuery
+	sets []value.Row
+}
+
+func sqlSeed(text string, inVars []string, sets ...value.Row) batchSeed {
+	return batchSeed{0, source.SubQuery{Language: source.LangSQL, Text: text, InVars: inVars}, sets}
+}
+
+// FuzzBatchHandler drives arbitrary bodies through the one data route
+// over a relational, a document, an XML and an RDF source. The reply
+// is 200, 400 (undecodable body) or 422 (the sub-query failed), and a
+// 200 carries one result per parameter tuple, each the multiset
+// Execute returns for that tuple. Whatever the body, each source keeps
+// its contents: the route reads and never writes.
+func FuzzBatchHandler(f *testing.F) {
+	srcs := fuzzSources(f)
+	str, vi := value.NewString, value.NewInt
+	seeds := []batchSeed{
+		sqlSeed("SELECT name, population FROM departements WHERE code = ?", []string{"code"},
+			value.Row{str("75")}, value.Row{str("00")}, value.Row{str("75")}),
+		sqlSeed("SELECT code FROM departements WHERE code = ? AND population > ?", []string{"c", "p"},
+			value.Row{str("92"), vi(5)}, value.Row{str("13"), value.NewFloat(3e6)}),
+		sqlSeed("SELECT code FROM departements WHERE code = ? ORDER BY population LIMIT 1", []string{"c"},
+			value.Row{str("92")}, value.Row{value.NewNull()}),
+		sqlSeed("SELECT DISTINCT name FROM departements", nil, nil),
+		sqlSeed("SELECT name FROM departements WHERE code = ?", nil, value.Row{str("75")}, value.Row{}),
+		{0, source.SubQuery{Language: source.LangBGP, Text: "q(?x) :- ?x ?p ?o"}, []value.Row{{}}},
+		sqlSeed("SELECT", nil, value.Row{}),
+		{0, source.SubQuery{}, []value.Row{{value.NewTime(time.Date(2016, 1, 2, 3, 4, 5, 0, time.UTC))}}},
+		{}, // garbage, below
+		sqlSeed("INSERT INTO departements VALUES ('99','Evil',1)", nil, value.Row{}),
+		sqlSeed("CREATE TABLE pwned (x INT)", nil, value.Row{}),
+		{1, source.SubQuery{Language: source.LangSearch, Text: "SEARCH tweets WHERE user = ? RETURN _id, retweets, at", InVars: []string{"u"}},
+			[]value.Row{{str("alice")}, {str("bad\xff")}, {str("nobody")}}},
+		{1, source.SubQuery{Language: source.LangSearch, Text: "SEARCH tweets WHERE retweets BETWEEN ? AND ? AND text CONTAINS 'sport' RETURN _id, text"},
+			[]value.Row{{vi(0), vi(10)}, {value.NewFloat(-1), value.NewFloat(1e9)}}},
+		{1, source.SubQuery{Language: source.LangSearch, Text: "SEARCH tweets WHERE at >= ? RETURN _id, user ORDER BY at LIMIT 2"},
+			[]value.Row{{str("2016-03-02T00:00:00Z")}, {value.NewTime(time.Date(2016, 3, 3, 0, 0, 0, 0, time.UTC))}}},
+		{2, source.SubQuery{Language: source.LangXPath, Text: "XPATH /speeches/speech[@speaker=?] RETURN _id, topic", InVars: []string{"n"}},
+			[]value.Row{{str("A")}, {str("B")}, {str("C")}}},
+		{2, source.SubQuery{Language: source.LangXPath, Text: "XPATH //topic RETURN _id"}, []value.Row{nil}},
+		{3, source.SubQuery{Language: source.LangBGP, Text: "q(?x, ?p) :- ?x <http://t.example/account> ?a . ?x <http://t.example/party> ?p", InVars: []string{"a"}},
+			[]value.Row{{str("alice")}, {str("bob")}, {str("dave")}}},
+		{3, source.SubQuery{Language: source.LangBGP, Text: `q() :- <http://t.example/p1> <http://t.example/account> "alice"`}, []value.Row{{}}},
+	}
+	for _, s := range seeds {
+		body := appendBatchRequest(nil, s.q, s.sets)
+		if s.sets == nil {
+			body = []byte("not a frame")
+		}
+		f.Add(s.src, body)
+	}
+	want := make([]string, len(srcs))
+	handlers := make([]http.Handler, len(srcs))
+	for i, s := range srcs {
+		want[i], handlers[i] = s.state(), handlerMux(s.src)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		i := int(which) % len(srcs)
+		s := srcs[i]
 		defer func() {
-			if got := tableCounts(db); !maps.Equal(got, want) {
-				t.Errorf("%q changed the source: tables %v, want %v", body, got, want)
+			if got := s.state(); got != want[i] {
+				t.Errorf("%q changed %s: %s, want %s", body, s.src.URI(), got, want[i])
 			}
 		}()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", batchMediaType)
+		handlers[i].ServeHTTP(rec, req)
 		switch rec.Code {
 		case http.StatusBadRequest, http.StatusUnprocessableEntity:
 			return
 		case http.StatusOK:
+			if ct := rec.Header().Get("Content-Type"); ct != batchMediaType {
+				t.Fatalf("200 in media type %q", ct)
+			}
 		default:
 			t.Fatalf("status %d for %q", rec.Code, body)
 		}
-		var req BatchRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		q, sets, err := readBatchRequest(bufio.NewReader(bytes.NewReader(body)))
+		if err != nil {
 			t.Fatalf("200 for a body the route cannot decode: %v", err)
 		}
-		var resp BatchResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		results, err := readBatchReply(bufio.NewReader(rec.Body), len(sets))
+		if err != nil {
 			t.Fatalf("200 with an undecodable reply: %v", err)
 		}
-		if len(resp.Results) != len(req.ParamSets) {
-			t.Fatalf("%d results for %d parameter sets", len(resp.Results), len(req.ParamSets))
-		}
-		q := source.SubQuery{Language: source.Language(req.Language), Text: req.Text, InVars: req.InVars}
-		for i, ps := range req.ParamSets {
-			want, err := src.Execute(q, ps)
+		for i, ps := range sets {
+			want, err := s.src.Execute(q, ps)
 			if err != nil {
 				t.Fatalf("tuple %d answered over the wire, but Execute fails: %v", i, err)
 			}
-			if got := resp.Results[i]; !slices.Equal(multiset(got.Rows), multiset(want.Rows)) {
+			if got := results[i]; !slices.Equal(multiset(got.Rows), multiset(want.Rows)) {
 				t.Fatalf("tuple %d %v: wire rows %v, Execute rows %v", i, ps, got.Rows, want.Rows)
 			}
 		}
 	})
 }
 
-// multiset is rows as a sorted list of keys.
+// multiset is rows as a sorted list of keys, each value's kind in
+// front of its key (an int and an integral float share a key).
 func multiset(rows []value.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = r.Key()
+		var b []byte
+		for _, v := range r {
+			b = value.AppendKeyFrame(append(b, byte(v.Kind())), v)
+		}
+		out[i] = string(b)
 	}
 	slices.Sort(out)
 	return out
 }
 
-// TestBatchReplyMatchesEncodingJSON: writeBatch writes exactly the
-// bytes json.NewEncoder wrote for the same BatchResponse, including
-// the results whose empty columns or rows the omitempty tags drop and
-// the reply to an empty batch.
-func TestBatchReplyMatchesEncodingJSON(t *testing.T) {
+// TestBatchReplyFrames: a 200 reply is the frame layout, byte for byte,
+// and it reads back to the results written:
+// columns, and every row's values by kind and key, for empty and nil
+// columns and rows and the empty batch.
+func TestBatchReplyFrames(t *testing.T) {
+	reply := appendBatchReply(nil, []*source.Result{{Cols: []string{"a"}, Rows: []value.Row{{value.NewInt(7)}}}, {}})
+	const want = "02" + // two results
+		"08" + "0001" + "01" + "00000001" + "61" + // columns frame: ["a"]
+		"01" + // one row
+		"0b" + "0001" + "02" + "0000000000000007" + // row frame: [7]
+		"02" + "0000" + "00" // no columns, no rows
+	if got := hex.EncodeToString(reply); got != want {
+		t.Fatalf("reply bytes\n got %s\nwant %s", got, want)
+	}
+
 	awkward := value.Row{value.NewString("<a&b>\x00\xff"), value.NewNull(), value.NewInt(-7), value.NewFloat(2.5)}
-	cases := [][]*source.Result{
+	long := make([]value.Row, 3000)
+	for i := range long {
+		long[i] = value.Row{value.NewString(fmt.Sprintf("row %d", i)), value.NewBool(i%2 == 0)}
+	}
+	for i, results := range [][]*source.Result{
 		{{Cols: []string{"name", "<pop>"}, Rows: []value.Row{awkward, {}, nil}}},
 		{{Cols: []string{"x"}}, {Rows: []value.Row{awkward}}, {}, {Cols: []string{}, Rows: []value.Row{}}},
+		{{Cols: []string{"s", "b"}, Rows: long}},
 		{},
-	}
-	for i, results := range cases {
-		want := BatchResponse{}
-		for _, res := range results {
-			want.Results = append(want.Results, QueryResponse{Cols: res.Cols, Rows: res.Rows})
+	} {
+		got, err := readBatchReply(bufio.NewReader(bytes.NewReader(appendBatchReply(nil, results))), len(results))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
 		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(want); err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		writeBatch(rec, results)
-		if rec.Body.String() != buf.String() {
-			t.Fatalf("case %d:\n got %s\nwant %s", i, rec.Body, buf.String())
+		for j, res := range results {
+			if !slices.Equal(got[j].Cols, res.Cols) || !slices.Equal(multiset(got[j].Rows), multiset(res.Rows)) {
+				t.Fatalf("case %d result %d: read %+v, wrote %+v", i, j, got[j], res)
+			}
 		}
 	}
 }
@@ -258,23 +370,19 @@ func TestBatchReplyMatchesEncodingJSON(t *testing.T) {
 // BenchmarkBatchReplyDecode decodes a /batch reply of 64 results of 10
 // rows of a string and an int, as ExecuteBatchContext decodes one.
 func BenchmarkBatchReplyDecode(b *testing.B) {
-	var resp BatchResponse
-	for i := 0; i < 64; i++ {
-		qr := QueryResponse{Cols: []string{"name", "population"}}
+	results := make([]*source.Result, 64)
+	for i := range results {
+		res := &source.Result{Cols: []string{"name", "population"}}
 		for j := 0; j < 10; j++ {
-			qr.Rows = append(qr.Rows, value.Row{value.NewString("Département " + string(rune('A'+j))), value.NewInt(int64(1000*i + j))})
+			res.Rows = append(res.Rows, value.Row{value.NewString("Département " + string(rune('A'+j))), value.NewInt(int64(1000*i + j))})
 		}
-		resp.Results = append(resp.Results, qr)
+		results[i] = res
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		b.Fatal(err)
-	}
+	body := appendBatchReply(nil, results)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var br BatchResponse
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&br); err != nil {
+		if _, err := readBatchReply(bufio.NewReader(bytes.NewReader(body)), len(results)); err != nil {
 			b.Fatal(err)
 		}
 	}

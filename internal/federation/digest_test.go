@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -157,15 +159,41 @@ func TestDigestEndpointUndigestable(t *testing.T) {
 	}
 }
 
+// TestHandlerBadRequests: /batch answers a body in another media type
+// with 415, and an empty, cut, over-long or overrunning body with 400,
+// each with a JSON error envelope; an unknown route is 404.
 func TestHandlerBadRequests(t *testing.T) {
 	srv, _ := servedDocSource(t)
-	resp, err := http.Post(srv.URL+"/batch", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	good := appendBatchRequest(nil, source.SubQuery{Language: source.LangSearch, Text: "SEARCH tweets RETURN _id"}, []value.Row{{}})
+	for _, c := range []struct {
+		name, mediaType string
+		body            []byte
+		status          int
+	}{
+		{"JSON body", "application/json", []byte(`{"language":"search","text":"SEARCH tweets RETURN _id","paramSets":[[]]}`), http.StatusUnsupportedMediaType},
+		{"no media type", "", good, http.StatusUnsupportedMediaType},
+		{"empty body", batchMediaType, nil, http.StatusBadRequest},
+		{"cut body", batchMediaType, good[:len(good)-1], http.StatusBadRequest},
+		{"trailing bytes", batchMediaType, append(slices.Clip(good), 0), http.StatusBadRequest},
+		{"over-long frame", batchMediaType, binary.AppendUvarint(nil, value.MaxFrame+1), http.StatusBadRequest},
+		{"header of one string", batchMediaType, append(value.AppendFrame(nil, value.Row{value.NewString("search")}), 0), http.StatusBadRequest},
+		{"header of an int", batchMediaType, append(value.AppendFrame(nil, value.Row{value.NewString("search"), value.NewInt(1)}), 0), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+"/batch", c.mediaType, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || err != nil || envelope.Error == "" {
+			t.Errorf("%s: status %s, error envelope %q (%v); want %d with an error", c.name, resp.Status, envelope.Error, err, c.status)
+		}
 	}
+	resp := postBatch(t, srv.URL, good)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty body status: %s", resp.Status)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != batchMediaType {
+		t.Errorf("well-formed body: status %s in media type %q", resp.Status, ct)
 	}
 	// Unknown route.
 	resp2, err := http.Get(srv.URL + "/nope")

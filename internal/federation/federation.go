@@ -8,9 +8,12 @@
 package federation
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -32,32 +35,20 @@ var remoteRTT = obs.Default.HistogramVec("tat_remote_rtt_seconds",
 	"Federation HTTP round-trip latency by remote source URI.",
 	"remote", obs.DurationBuckets())
 
-// QueryResponse is the wire form of one tuple's result (or error).
-type QueryResponse struct {
-	Cols  []string    `json:"cols,omitempty"`
-	Rows  []value.Row `json:"rows,omitempty"`
-	Error string      `json:"error,omitempty"`
-}
-
-// BatchRequest is the wire form of a sub-query execution (POST /batch):
-// one sub-query, its parameter tuples, one round trip. A scan or a
-// single probe is a batch of one.
+// The body of POST /batch, both ways, is value.AppendFrame frames and
+// uvarint counts, in the media type batchMediaType; a request or
+// reply in any other media type is refused (415 at the endpoint).
+//
+//	request: frame(language, text, InVars... as strings)
+//	         uvarint tuple count, then one frame per parameter tuple
+//	200:     uvarint result count, then per result (one per tuple):
+//	         frame(column names as strings), uvarint row count, row frames
+//
+// Bytes after the last frame are an error on both sides. Every other
+// status carries a JSON {"error": ...} body, as the other routes do.
 // Every tuple executes: digest pruning happens on the mediator, which
-// ships only the bindings its digest of this endpoint does not exclude
-// (an unknown field such as an older client's "prune" is ignored).
-type BatchRequest struct {
-	Language  string      `json:"language"`
-	Text      string      `json:"text"`
-	InVars    []string    `json:"inVars,omitempty"`
-	ParamSets []value.Row `json:"paramSets"`
-}
-
-// BatchResponse carries one result per parameter tuple, aligned with
-// the request's ParamSets (or an error).
-type BatchResponse struct {
-	Results []QueryResponse `json:"results,omitempty"`
-	Error   string          `json:"error,omitempty"`
-}
+// ships only the bindings its digest of this endpoint does not exclude.
+const batchMediaType = "application/x-tatooine-frames"
 
 // MetaResponse describes a served source (GET /meta).
 type MetaResponse struct {
@@ -125,33 +116,34 @@ func handlerMux(src source.DataSource) http.Handler {
 		})
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, BatchResponse{Error: "bad request: " + err.Error()})
+		if ct := r.Header.Get("Content-Type"); ct != batchMediaType {
+			writeError(w, http.StatusUnsupportedMediaType, fmt.Sprintf("bad /batch request: media type %q, want %q", ct, batchMediaType))
 			return
 		}
-		results, err := source.ExecuteBatchWith(r.Context(), src, source.SubQuery{
-			Language: source.Language(req.Language),
-			Text:     req.Text,
-			InVars:   req.InVars,
-		}, req.ParamSets)
+		q, paramSets, err := readBatchRequest(bufio.NewReader(http.MaxBytesReader(w, r.Body, value.MaxFrame)))
 		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: err.Error()})
+			writeError(w, http.StatusBadRequest, "bad /batch request: "+err.Error())
 			return
 		}
-		if len(results) != len(req.ParamSets) {
-			writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: fmt.Sprintf(
-				"federation: source returned %d results for %d tuples", len(results), len(req.ParamSets))})
+		results, err := source.ExecuteBatchWith(r.Context(), src, q, paramSets)
+		if err != nil {
+			writeError(w, http.StatusUnprocessableEntity, err.Error())
+			return
+		}
+		if len(results) != len(paramSets) {
+			writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
+				"federation: source returned %d results for %d tuples", len(results), len(paramSets)))
 			return
 		}
 		for j, res := range results {
 			if res == nil {
-				writeJSON(w, http.StatusUnprocessableEntity, BatchResponse{Error: fmt.Sprintf(
-					"federation: source returned a nil result for tuple %d", j)})
+				writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
+					"federation: source returned a nil result for tuple %d", j))
 				return
 			}
 		}
-		writeBatch(w, results)
+		w.Header().Set("Content-Type", batchMediaType)
+		_, _ = w.Write(appendBatchReply(nil, results))
 	})
 	mux.HandleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
 		var req EstimateRequest
@@ -168,38 +160,92 @@ func handlerMux(src source.DataSource) http.Handler {
 	return mux
 }
 
-// writeBatch writes a 200 reply to POST /batch: BatchResponse's
-// encoding/json form, byte for byte, with each result's rows appended
-// by value.JSONWriter instead of by reflection.
-func writeBatch(w http.ResponseWriter, results []*source.Result) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	jw := value.NewJSONWriter(w)
-	jw.Raw("{")
-	if len(results) > 0 {
-		jw.Raw(`"results":[`)
-		for j, res := range results {
-			if j > 0 {
-				jw.Raw(",")
-			}
-			jw.Raw("{")
-			if len(res.Cols) > 0 {
-				jw.Raw(`"cols":`)
-				jw.Strings(res.Cols)
-			}
-			if len(res.Rows) > 0 {
-				if len(res.Cols) > 0 {
-					jw.Raw(",")
-				}
-				jw.Raw(`"rows":`)
-				jw.Rows(res.Rows)
-			}
-			jw.Raw("}")
-		}
-		jw.Raw("]")
+// appendBatchRequest appends the /batch request body for q and its
+// parameter tuples to buf.
+func appendBatchRequest(buf []byte, q source.SubQuery, paramSets []value.Row) []byte {
+	return appendTable(buf, append([]string{string(q.Language), q.Text}, q.InVars...), paramSets)
+}
+
+// readBatchRequest reads a /batch request body.
+func readBatchRequest(r *bufio.Reader) (source.SubQuery, []value.Row, error) {
+	var scratch []byte
+	head, paramSets, err := readTable(r, &scratch)
+	if err == nil && len(head) < 2 {
+		err = fmt.Errorf("header frame of %d strings, want at least 2", len(head))
 	}
-	jw.Raw("}\n")
-	_ = jw.Close()
+	if err != nil {
+		return source.SubQuery{}, nil, err
+	}
+	q := source.SubQuery{Language: source.Language(head[0]), Text: head[1], InVars: head[2:]}
+	return q, paramSets, readEnd(r)
+}
+
+// appendBatchReply appends the 200 /batch reply carrying results to buf.
+func appendBatchReply(buf []byte, results []*source.Result) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(results)))
+	for _, res := range results {
+		buf = appendTable(buf, res.Cols, res.Rows)
+	}
+	return buf
+}
+
+// appendTable appends head as one frame of strings, then a uvarint
+// count of rows and a frame per row: a request's sub-query and
+// parameter tuples, or one result's columns and rows.
+func appendTable(buf []byte, head []string, rows []value.Row) []byte {
+	hr := make(value.Row, 0, 8) // on the stack for up to 8 strings
+	for _, s := range head {
+		hr = append(hr, value.NewString(s))
+	}
+	buf = binary.AppendUvarint(value.AppendFrame(buf, hr), uint64(len(rows)))
+	for _, row := range rows {
+		buf = value.AppendFrame(buf, row)
+	}
+	return buf
+}
+
+// readTable reads what appendTable appends.
+func readTable(r *bufio.Reader, scratch *[]byte) ([]string, []value.Row, error) {
+	hr, err := value.ReadFrame(r, scratch)
+	if err != nil {
+		return nil, nil, err
+	}
+	head := make([]string, len(hr))
+	for i, v := range hr {
+		if v.Kind() != value.String {
+			return nil, nil, fmt.Errorf("value %d of a string frame is a %s", i, v.Kind())
+		}
+		head[i] = v.Str()
+	}
+	n, err := value.ReadCount(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([]value.Row, 0, min(n, 1024))
+	for range n {
+		row, err := value.ReadFrame(r, scratch)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, row)
+	}
+	return head, rows, nil
+}
+
+// readEnd checks that r holds nothing after the last frame.
+func readEnd(r *bufio.Reader) error {
+	if _, err := r.ReadByte(); err != io.EOF {
+		if err == nil {
+			return errors.New("bytes after the last frame")
+		}
+		return err
+	}
+	return nil
+}
+
+// writeError writes a non-200 reply: a JSON {"error": msg}.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -310,38 +356,32 @@ func (c *Client) Languages() []source.Language {
 	return out
 }
 
-// post ships a JSON body to a route under the endpoint's base URL,
-// bound to ctx: cancelling the context aborts the in-flight HTTP
-// request, which is how a cancelled query reaches remote probes. When
-// ctx carries a span, its trace and span IDs propagate as X-Tat-*
-// request headers so the remote joins the trace.
-func (c *Client) post(ctx context.Context, route string, body []byte) (*http.Response, error) {
+// roundTrip posts a /batch body to a route under the endpoint's base
+// URL, bound to ctx: cancelling the context aborts the in-flight HTTP
+// request, which is how a cancelled query reaches remote probes. The
+// call runs under a "remote <route>" child span carrying the remote's
+// URI, whose trace and span IDs propagate as X-Tat-* request headers
+// so the remote joins the trace. When it did, the span gets the
+// remote's root span ID plus the server-side/wire split of the
+// observed latency (the remote reports its own elapsed time via
+// ServerTimeHeader; the difference is time on the wire).
+func (c *Client) roundTrip(ctx context.Context, route string, body []byte) (*http.Response, error) {
+	ctx, sp := obs.StartSpan(ctx, "remote "+route)
+	defer sp.End()
+	sp.SetAttr("remote", c.URI())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+route, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", batchMediaType)
 	if s := obs.SpanFromContext(ctx); s != nil {
 		req.Header.Set(obs.TraceHeader, s.TraceID())
 		req.Header.Set(obs.SpanHeader, s.ID())
 	}
-	return c.http.Do(req)
-}
-
-// roundTrip is post under a call span with RTT accounting: the call
-// gets a "remote <route>" child span carrying the remote's URI, and —
-// when the endpoint joined the trace — the remote's root span ID plus
-// the server-side/wire split of the observed latency (the remote
-// reports its own elapsed time via ServerTimeHeader; the difference is
-// time on the wire).
-func (c *Client) roundTrip(ctx context.Context, route string, body []byte) (*http.Response, error) {
-	ctx, sp := obs.StartSpan(ctx, "remote "+route)
-	sp.SetAttr("remote", c.URI())
 	start := time.Now()
-	resp, err := c.post(ctx, route, body)
+	resp, err := c.http.Do(req)
 	rtt := time.Since(start)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
 	c.observeRTT(rtt)
@@ -356,7 +396,6 @@ func (c *Client) roundTrip(ctx context.Context, route string, body []byte) (*htt
 			}
 		}
 	}
-	sp.End()
 	return resp, nil
 }
 
@@ -389,17 +428,7 @@ func (c *Client) ExecuteBatch(q source.SubQuery, paramSets []value.Row) ([]*sour
 // ExecuteBatchContext implements source.ContextBatchProber; see
 // ExecuteBatch and ExecuteContext.
 func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, paramSets []value.Row) ([]*source.Result, error) {
-	req := BatchRequest{
-		Language:  string(q.Language),
-		Text:      q.Text,
-		InVars:    q.InVars,
-		ParamSets: paramSets,
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("federation: marshal batch: %w", err)
-	}
-	resp, err := c.roundTrip(ctx, "/batch", body)
+	resp, err := c.roundTrip(ctx, "/batch", appendBatchRequest(nil, q, paramSets))
 	if err != nil {
 		return nil, fmt.Errorf("federation: batch %s: %w", c.baseURL, err)
 	}
@@ -407,24 +436,36 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusError("batch", resp)
 	}
-	var br BatchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&br); err != nil {
+	if ct := resp.Header.Get("Content-Type"); ct != batchMediaType {
+		return nil, fmt.Errorf("federation: batch %s: bad response: media type %q, want %q", c.baseURL, ct, batchMediaType)
+	}
+	out, err := readBatchReply(bufio.NewReader(http.MaxBytesReader(nil, resp.Body, value.MaxFrame)), len(paramSets))
+	if err != nil {
 		return nil, fmt.Errorf("federation: batch %s: bad response: %w", c.baseURL, err)
 	}
-	if br.Error != "" {
-		return nil, fmt.Errorf("federation: remote %s: %s", c.baseURL, br.Error)
-	}
-	if len(br.Results) != len(paramSets) {
-		return nil, fmt.Errorf("federation: batch %s: %d results for %d tuples", c.baseURL, len(br.Results), len(paramSets))
-	}
-	out := make([]*source.Result, len(br.Results))
-	for i, qr := range br.Results {
-		if qr.Error != "" {
-			return nil, fmt.Errorf("federation: remote %s: tuple %d: %s", c.baseURL, i, qr.Error)
-		}
-		out[i] = &source.Result{Cols: qr.Cols, Rows: qr.Rows}
-	}
 	return out, nil
+}
+
+// readBatchReply reads a 200 /batch reply that must hold exactly want
+// results.
+func readBatchReply(r *bufio.Reader, want int) ([]*source.Result, error) {
+	n, err := value.ReadCount(r)
+	if err == nil && n != want {
+		err = fmt.Errorf("%d results for %d tuples", n, want)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var scratch []byte
+	out := make([]*source.Result, n)
+	for i := range out {
+		cols, rows, err := readTable(r, &scratch)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = &source.Result{Cols: cols, Rows: rows}
+	}
+	return out, readEnd(r)
 }
 
 // statusError turns a non-OK response into an error. The status is

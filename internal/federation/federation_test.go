@@ -11,7 +11,7 @@ import (
 )
 
 // loadTable creates s in db and inserts rows; a cell is a Go string,
-// int, float64 or bool, or nil for NULL.
+// int, float64 or bool, a value.Value, or nil for NULL.
 func loadTable(t testing.TB, db *relstore.Database, s relstore.Schema, rows ...[]any) *relstore.Table {
 	t.Helper()
 	tbl, err := db.CreateTable(s)
@@ -30,6 +30,8 @@ func loadTable(t testing.TB, db *relstore.Database, s relstore.Schema, rows ...[
 				row[i] = value.NewFloat(c)
 			case bool:
 				row[i] = value.NewBool(c)
+			case value.Value:
+				row[i] = c
 			}
 		}
 		if err := tbl.Insert(row); err != nil {

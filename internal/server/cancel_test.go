@@ -75,7 +75,7 @@ FROM <sql://seed> OUT(?k) { SELECT k FROM seed }
 FROM <sql://probe> IN(?k) OUT(?k, ?v) { SELECT k, v FROM t WHERE k = ? }
 `
 
-func postCMQContext(ctx context.Context, t *testing.T, h *server.Server, query string) (int, server.QueryResponse) {
+func postCMQContext(ctx context.Context, t *testing.T, h *server.Server, query string) (int, cmqReply) {
 	t.Helper()
 	body, err := json.Marshal(server.QueryRequest{Query: query})
 	if err != nil {
@@ -85,7 +85,7 @@ func postCMQContext(ctx context.Context, t *testing.T, h *server.Server, query s
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	h.Handler().ServeHTTP(rec, req)
-	var qr server.QueryResponse
+	var qr cmqReply
 	if err := json.NewDecoder(rec.Body).Decode(&qr); err != nil {
 		t.Fatalf("decode response: %v", err)
 	}

@@ -79,7 +79,7 @@ func TestServeExplainPlansWithoutExecuting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr server.QueryResponse
+	var qr cmqReply
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestServeExplainBatchCapable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr server.QueryResponse
+	var qr cmqReply
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,8 @@ func TestMutationInvalidationEndToEnd(t *testing.T) {
 	if status != http.StatusOK || first.Cached {
 		t.Fatalf("first query: status %d cached=%v", status, first.Cached)
 	}
-	if len(first.Rows) != 1 || first.Rows[0][0].Str() != "75" {
-		t.Fatalf("pre-mutation rows: %+v", first.Rows)
+	if len(first.Rows) != 1 || string(first.Rows[0]) != row75 {
+		t.Fatalf("pre-mutation rows: %s", first.Rows)
 	}
 	execsBefore := cs.executes.Load()
 
@@ -134,12 +134,12 @@ func TestMutationInvalidationEndToEnd(t *testing.T) {
 	if len(second.Rows) != 2 {
 		t.Fatalf("post-insert rows = %d, want 2: %+v", len(second.Rows), second.Rows)
 	}
-	depts := map[string]bool{}
+	rows := map[string]bool{}
 	for _, r := range second.Rows {
-		depts[r[0].Str()] = true
+		rows[string(r)] = true
 	}
-	if !depts["75"] || !depts["92"] {
-		t.Fatalf("post-insert depts: %+v", second.Rows)
+	if !rows[row75] || !rows[row92] {
+		t.Fatalf("post-insert rows: %s", second.Rows)
 	}
 	if got := cs.executes.Load(); got <= execsBefore {
 		t.Error("new dept probe never reached the source (stale probe answer)")

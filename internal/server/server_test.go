@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tatooine/internal/core"
+	"tatooine/internal/obs"
 	"tatooine/internal/rdf"
 	"tatooine/internal/relstore"
 	"tatooine/internal/server"
@@ -98,7 +99,39 @@ FROM <sql://insee> IN(?dept) OUT(?dept, ?taux)
   { SELECT dept, taux FROM chomage WHERE dept = ? }
 `
 
-func postCMQ(t testing.TB, url, query string) (int, server.QueryResponse) {
+// cmqReply is a /cmq JSON reply as a client reads it. JSON values are
+// write-only, so each row stays raw and is compared with
+// value.AppendRowJSON of the row expected, as bench/ checks replies.
+type cmqReply struct {
+	Cols    []string          `json:"cols"`
+	Rows    []json.RawMessage `json:"rows"`
+	Stats   core.ExecStats    `json:"stats"`
+	Cached  bool              `json:"cached"`
+	Explain *core.ExplainInfo `json:"explain"`
+	Trace   *obs.SpanData     `json:"trace"`
+	Error   string            `json:"error"`
+}
+
+// streamRecord is one record of a streamed /cmq reply, its row raw.
+type streamRecord struct {
+	Cols   []string        `json:"cols"`
+	Row    json.RawMessage `json:"row"`
+	Stats  *core.ExecStats `json:"stats"`
+	Cached *bool           `json:"cached"`
+	Trace  *obs.SpanData   `json:"trace"`
+	Error  string          `json:"error"`
+}
+
+// rowJSON is the JSON text of the reply row of vals.
+func rowJSON(vals ...value.Value) string { return string(value.AppendRowJSON(nil, vals)) }
+
+// The fixture's chomage rows as a reply carries them.
+var (
+	row75 = rowJSON(value.NewString("75"), value.NewFloat(8.4))
+	row92 = rowJSON(value.NewString("92"), value.NewFloat(7.2))
+)
+
+func postCMQ(t testing.TB, url, query string) (int, cmqReply) {
 	t.Helper()
 	body, err := json.Marshal(server.QueryRequest{Query: query})
 	if err != nil {
@@ -109,7 +142,7 @@ func postCMQ(t testing.TB, url, query string) (int, server.QueryResponse) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr server.QueryResponse
+	var qr cmqReply
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatalf("decode response: %v", err)
 	}
@@ -162,8 +195,8 @@ func TestServeCacheHitZeroesSubQueries(t *testing.T) {
 	if first.Stats.SubQueries == 0 {
 		t.Errorf("first request shipped no sub-queries: %+v", first.Stats)
 	}
-	if len(first.Rows) != 1 || first.Rows[0][0].Str() != "75" {
-		t.Fatalf("rows: %+v", first.Rows)
+	if len(first.Rows) != 1 || string(first.Rows[0]) != row75 {
+		t.Fatalf("rows: %s", first.Rows)
 	}
 
 	// Identical up to clause-level whitespace and comments (sub-query
@@ -183,8 +216,8 @@ func TestServeCacheHitZeroesSubQueries(t *testing.T) {
 	if second.Stats.SubQueries != 0 {
 		t.Errorf("cached request reported %d sub-queries", second.Stats.SubQueries)
 	}
-	if len(second.Rows) != 1 || second.Rows[0][0].Str() != "75" {
-		t.Fatalf("cached rows: %+v", second.Rows)
+	if len(second.Rows) != 1 || string(second.Rows[0]) != row75 {
+		t.Fatalf("cached rows: %s", second.Rows)
 	}
 
 	st := srv.Stats()
@@ -236,7 +269,7 @@ func TestServeMalformedQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var qr server.QueryResponse
+		var qr cmqReply
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			t.Errorf("%s: non-JSON error response: %v", name, err)
 		}
@@ -273,7 +306,7 @@ func TestServeRawTextBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("raw body: status %d", resp.StatusCode)
 	}
-	var qr server.QueryResponse
+	var qr cmqReply
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +391,7 @@ func TestServeSingleFlightCoalesces(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	results := make(chan server.QueryResponse, 2)
+	results := make(chan cmqReply, 2)
 	go func() {
 		_, qr := postCMQ(t, ts.URL, testQuery)
 		results <- qr

@@ -56,7 +56,7 @@ func (s perTupleSource) Unwrap() source.DataSource { return s.DataSource }
 
 // postStream POSTs a streamed /cmq request and decodes the NDJSON
 // response line by line.
-func postStream(ctx context.Context, t *testing.T, srv *server.Server, query string, viaAccept bool) (int, string, []server.StreamRecord) {
+func postStream(ctx context.Context, t *testing.T, srv *server.Server, query string, viaAccept bool) (int, string, []streamRecord) {
 	t.Helper()
 	req := server.QueryRequest{Query: query, Stream: !viaAccept}
 	body, err := json.Marshal(req)
@@ -70,13 +70,13 @@ func postStream(ctx context.Context, t *testing.T, srv *server.Server, query str
 	}
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, r)
-	var records []server.StreamRecord
+	var records []streamRecord
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var sr server.StreamRecord
+		var sr streamRecord
 		if err := json.Unmarshal(sc.Bytes(), &sr); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -88,7 +88,7 @@ func postStream(ctx context.Context, t *testing.T, srv *server.Server, query str
 // splitRecords classifies a streamed response into its framing parts
 // and asserts the sequencing: header first, rows in the middle,
 // exactly one terminator (trailer or error) last.
-func splitRecords(t *testing.T, records []server.StreamRecord) (cols []string, rows []value.Row, trailer, errRec *server.StreamRecord) {
+func splitRecords(t *testing.T, records []streamRecord) (cols []string, rows []json.RawMessage, trailer, errRec *streamRecord) {
 	t.Helper()
 	if len(records) == 0 {
 		t.Fatal("empty stream")
@@ -212,10 +212,10 @@ func TestStreamMatchesJSONRows(t *testing.T) {
 				if len(rows) != c.rows || len(qr.Rows) != c.rows {
 					t.Fatalf("streamed %d rows, JSON %d, want %d", len(rows), len(qr.Rows), c.rows)
 				}
-				key := func(rs []value.Row) map[string]int {
+				key := func(rs []json.RawMessage) map[string]int {
 					m := make(map[string]int)
 					for _, r := range rs {
-						m[r.Key()]++
+						m[string(r)]++
 					}
 					return m
 				}

@@ -85,7 +85,7 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr server.QueryResponse
+	var qr cmqReply
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestStreamTraceTrailer(t *testing.T) {
 		t.Fatalf("content type %q, want application/x-ndjson", ct)
 	}
 	dec := json.NewDecoder(resp.Body)
-	var last server.StreamRecord
+	var last streamRecord
 	rows := 0
 	for dec.More() {
-		var rec server.StreamRecord
+		var rec streamRecord
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,13 @@
 package value
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,7 +43,7 @@ func allKindsRow(t testing.TB) Row {
 
 func TestRowCodecRoundTripAllKinds(t *testing.T) {
 	want := allKindsRow(t)
-	got, err := DecodeRow(EncodeRow(want))
+	got, err := DecodeRow(AppendRow(nil, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +61,89 @@ func TestRowCodecRoundTripAllKinds(t *testing.T) {
 }
 
 func TestRowCodecRejectsCorrupt(t *testing.T) {
-	good := EncodeRow(Row{NewString("abc"), NewInt(7)})
+	good := AppendRow(nil, Row{NewString("abc"), NewInt(7)})
 	if _, err := DecodeRow(good); err != nil {
 		t.Fatal(err)
 	}
-	badNanos := EncodeRow(Row{NewTime(time.Unix(0, 0))})
+	badNanos := AppendRow(nil, Row{NewTime(time.Unix(0, 0))})
 	badNanos[len(badNanos)-4] = 0xFF
 	for _, bad := range [][]byte{
 		{},
 		good[:len(good)-1],
 		append(append([]byte(nil), good...), 0xFF),
 		{0, 1, 99},
+		{0, 1, byte(Bool), 2},
 		badNanos,
 	} {
 		if _, err := DecodeRow(bad); err == nil {
 			t.Fatalf("DecodeRow accepted corrupt input %v", bad)
 		}
+	}
+}
+
+// TestAppendRowAllocatesNothing: AppendRow and AppendFrame allocate
+// nothing into a buffer with room.
+func TestAppendRowAllocatesNothing(t *testing.T) {
+	row := allKindsRow(t)
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = AppendFrame(AppendRow(buf[:0], row), row)
+	}); n != 0 {
+		t.Fatalf("AppendRow + AppendFrame: %v allocations", n)
+	}
+}
+
+// TestFrameRoundTrip: frames read back in order, a frame longer than
+// ReadFrame's chunk included, and the end of input after the last is
+// io.ErrUnexpectedEOF.
+func TestFrameRoundTrip(t *testing.T) {
+	rows := []Row{allKindsRow(t), {}, nil, {NewString(strings.Repeat("x", 200<<10)), NewInt(1)}, {NewNull()}}
+	var buf []byte
+	for _, r := range rows {
+		buf = AppendFrame(buf, r)
+	}
+	rd := bufio.NewReader(bytes.NewReader(buf))
+	var scratch []byte
+	for i, want := range rows {
+		got, err := ReadFrame(rd, &scratch)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(got) != len(want) || got.Key() != want.Key() {
+			t.Fatalf("frame %d: %d values, want %d", i, len(got), len(want))
+		}
+	}
+	if _, err := ReadFrame(rd, &scratch); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read past the last frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadFrameRejects: every cut of a frame is io.ErrUnexpectedEOF, a
+// length over MaxFrame is ErrFrameTooLong, and a length that lies costs
+// about what was sent, not what it claims.
+func TestReadFrameRejects(t *testing.T) {
+	frame := AppendFrame(nil, allKindsRow(t))
+	for n := 0; n < len(frame); n++ {
+		var scratch []byte
+		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:n])), &scratch); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("frame cut at %d of %d bytes: %v, want io.ErrUnexpectedEOF", n, len(frame), err)
+		}
+	}
+	var scratch []byte
+	long := binary.AppendUvarint(nil, MaxFrame+1)
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(long)), &scratch); !errors.Is(err, ErrFrameTooLong) {
+		t.Fatalf("frame of MaxFrame+1 bytes: %v, want ErrFrameTooLong", err)
+	}
+	lying := append(binary.AppendUvarint(nil, MaxFrame), make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(lying)), &scratch)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame claiming MaxFrame bytes with 100 sent: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a frame claiming %d bytes with 100 sent allocated %d bytes", MaxFrame, grew)
 	}
 }
 
@@ -122,20 +195,24 @@ func TestKeysMatchReference(t *testing.T) {
 }
 
 // FuzzDecodeRow: arbitrary bytes decode to an error or a row, a decoded
-// row survives a second encode/decode with the same key (keys, not
-// Equal, because NaN != NaN), and every decoded value's key bytes equal
-// the reference's.
+// row encodes back to the same bytes (each row has one encoding) and
+// survives a second encode/decode with the same key (keys, not Equal,
+// because NaN != NaN), and every decoded value's key bytes equal the
+// reference's.
 func FuzzDecodeRow(f *testing.F) {
-	f.Add(EncodeRow(allKindsRow(f)))
-	f.Add(EncodeRow(Row{}))
-	f.Add(EncodeRow(Row{NewFloat(math.NaN()), NewNull()}))
+	f.Add(AppendRow(nil, allKindsRow(f)))
+	f.Add(AppendRow(nil, Row{}))
+	f.Add(AppendRow(nil, Row{NewFloat(math.NaN()), NewNull()}))
 	f.Add([]byte{0, 1, byte(Time), 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		row, err := DecodeRow(b)
 		if err != nil {
 			return
 		}
-		again, err := DecodeRow(EncodeRow(row))
+		if enc := AppendRow(nil, row); !bytes.Equal(enc, b) {
+			t.Fatalf("decoded row %v encodes as %x, read from %x", row, enc, b)
+		}
+		again, err := DecodeRow(AppendRow(nil, row))
 		if err != nil {
 			t.Fatalf("re-encoded row %v does not decode: %v", row, err)
 		}

@@ -38,7 +38,7 @@ func goldenValues() []Value {
 }
 
 // renderGolden writes, per value, its kind, String, accessors, Key,
-// EncodeRow bytes and AppendJSON text, then the Equal and Compare
+// AppendRow bytes and AppendJSON text, then the Equal and Compare
 // matrices over every ordered pair: Equal as 'T' or '.', Compare as
 // '<', '=', '>' when meaningful and 'l', 'e', 'g' when not.
 func renderGolden(vals []Value) string {
@@ -47,7 +47,7 @@ func renderGolden(vals []Value) string {
 		fmt.Fprintf(&b, "%d %s %q int=%d float=%v bool=%v time=%s\n", i, v.Kind(), v.String(),
 			v.Int(), v.Float(), v.Bool(), v.Time().Format(time.RFC3339Nano))
 		fmt.Fprintf(&b, "  key %q\n  row %s\n  json %s\n", v.Key(),
-			hex.EncodeToString(EncodeRow(Row{v})), AppendJSON(nil, v))
+			hex.EncodeToString(AppendRow(nil, Row{v})), AppendJSON(nil, v))
 	}
 	b.WriteString("equal\n")
 	for _, a := range vals {

@@ -1,15 +1,13 @@
 package value
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"sync"
 	"time"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -67,361 +65,11 @@ func AppendRowJSON(buf []byte, r Row) []byte {
 	return append(buf, ']')
 }
 
-// UnmarshalJSON implements json.Unmarshaler. It reads the wire shape
-// {"k":kind,"v":payload} that AppendJSON writes and accepts exactly
-// what encoding/json accepts decoding it into a struct with string
-// fields k and v (see decodeWire), without reflection.
-func (v *Value) UnmarshalJSON(data []byte) error {
-	var scratch [64]byte
-	k, payload, err := decodeWire(data, scratch[:0])
-	if err != nil {
-		return err
-	}
-	switch string(k) {
-	case "null":
-		*v = NewNull()
-	case "string":
-		*v = NewString(string(payload))
-	case "int":
-		parsed, ok := Coerce(NewString(string(payload)), Int)
-		if !ok {
-			return fmt.Errorf("value: bad int payload %q", string(payload))
-		}
-		*v = parsed
-	case "float":
-		parsed, ok := Coerce(NewString(string(payload)), Float)
-		if !ok {
-			return fmt.Errorf("value: bad float payload %q", string(payload))
-		}
-		*v = parsed
-	case "bool":
-		parsed, ok := Coerce(NewString(string(payload)), Bool)
-		if !ok {
-			return fmt.Errorf("value: bad bool payload %q", string(payload))
-		}
-		*v = parsed
-	case "time":
-		t, err := time.Parse(time.RFC3339Nano, string(payload))
-		if err != nil {
-			return fmt.Errorf("value: bad time payload %q: %v", string(payload), err)
-		}
-		*v = NewTime(t)
-	default:
-		return fmt.Errorf("value: unknown kind %q", string(k))
-	}
-	return nil
-}
-
-// maxJSONDepth is encoding/json's limit on nested arrays and objects.
-const maxJSONDepth = 10000
-
-// decodeWire reads data as encoding/json reads it into a struct with
-// string fields k and v, and returns the two fields' text. It is an
-// error unless data is one JSON object, with only whitespace around
-// it. A key matches a field case-insensitively ("K", or the Kelvin
-// sign, is k) after unescaping; the last match wins; a null leaves the
-// field as it was; any other non-string value of k or v is an error;
-// other keys are skipped, but their values must be valid JSON. Strings
-// are unescaped as encoding/json unescapes them, invalid UTF-8 and
-// lone surrogates becoming U+FFFD. The text of an escaped string goes
-// to scratch (or a new buffer); otherwise it aliases data.
-func decodeWire(data, scratch []byte) (k, v []byte, err error) {
-	d := jsonDecoder{data: data}
-	d.space()
-	if !d.consume('{') {
-		return nil, nil, d.fail("wire value is not an object")
-	}
-	d.space()
-	if !d.consume('}') {
-		for {
-			d.space()
-			raw, escaped, err := d.str()
-			if err != nil {
-				return nil, nil, err
-			}
-			var key []byte
-			if key = raw; escaped {
-				var buf [16]byte
-				key = unquote(buf[:0], raw)
-			}
-			isK, isV := bytes.EqualFold(key, []byte("k")), bytes.EqualFold(key, []byte("v"))
-			d.space()
-			if !d.consume(':') {
-				return nil, nil, d.fail("expected ':' after object key")
-			}
-			d.space()
-			switch {
-			case !isK && !isV:
-				if err := d.skip(1); err != nil {
-					return nil, nil, err
-				}
-			case d.literal("null"):
-			default:
-				text, escaped, err := d.str()
-				if err != nil {
-					return nil, nil, err
-				}
-				if escaped {
-					text = unquote(scratch, text)
-					scratch = text[len(text):]
-				}
-				if isK {
-					k = text
-				} else {
-					v = text
-				}
-			}
-			d.space()
-			if d.consume('}') {
-				break
-			}
-			if !d.consume(',') {
-				return nil, nil, d.fail("expected ',' or '}' after object value")
-			}
-		}
-	}
-	d.space()
-	if d.pos != len(d.data) {
-		return nil, nil, d.fail("invalid character after top-level value")
-	}
-	return k, v, nil
-}
-
-// jsonDecoder walks JSON text as encoding/json's scanner does.
-type jsonDecoder struct {
-	data []byte
-	pos  int
-}
-
-func (d *jsonDecoder) fail(msg string) error {
-	return fmt.Errorf("value: decoding JSON at offset %d: %s", d.pos, msg)
-}
-
-// space skips JSON whitespace.
-func (d *jsonDecoder) space() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// consume skips c if it comes next.
-func (d *jsonDecoder) consume(c byte) bool {
-	if d.pos < len(d.data) && d.data[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
-
-// literal skips lit if it comes next.
-func (d *jsonDecoder) literal(lit string) bool {
-	if bytes.HasPrefix(d.data[d.pos:], []byte(lit)) {
-		d.pos += len(lit)
-		return true
-	}
-	return false
-}
-
-// str reads a string and returns its text between the quotes, and
-// whether it must be unquoted: it holds an escape or a non-ASCII byte.
-func (d *jsonDecoder) str() (raw []byte, escaped bool, err error) {
-	if !d.consume('"') {
-		return nil, false, d.fail("expected string")
-	}
-	start := d.pos
-	for d.pos < len(d.data) {
-		c := d.data[d.pos]
-		switch {
-		case c == '"':
-			d.pos++
-			return d.data[start : d.pos-1], escaped, nil
-		case c < 0x20:
-			return nil, false, d.fail("control character in string")
-		case c == '\\':
-			escaped = true
-			if d.pos++; d.pos == len(d.data) {
-				break
-			}
-			switch d.data[d.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.pos++
-			case 'u':
-				d.pos++
-				if _, ok := hex4(d.data[d.pos:]); !ok {
-					return nil, false, d.fail("bad \\u escape")
-				}
-				d.pos += 4
-			default:
-				return nil, false, d.fail("bad escape")
-			}
-		default:
-			escaped = escaped || c >= utf8.RuneSelf
-			d.pos++
-		}
-	}
-	return nil, false, d.fail("unexpected end of string")
-}
-
-// skip reads one value of any type, depth being the number of arrays
-// and objects open around it.
-func (d *jsonDecoder) skip(depth int) error {
-	if d.pos == len(d.data) {
-		return d.fail("unexpected end of JSON input")
-	}
-	switch c := d.data[d.pos]; {
-	case c == '"':
-		_, _, err := d.str()
-		return err
-	case c == '{' || c == '[':
-		if depth++; depth > maxJSONDepth {
-			return d.fail("exceeded max depth")
-		}
-		end := byte('}')
-		if c == '[' {
-			end = ']'
-		}
-		d.pos++
-		d.space()
-		if d.consume(end) {
-			return nil
-		}
-		for {
-			d.space()
-			if c == '{' {
-				if _, _, err := d.str(); err != nil {
-					return err
-				}
-				d.space()
-				if !d.consume(':') {
-					return d.fail("expected ':' after object key")
-				}
-				d.space()
-			}
-			if err := d.skip(depth); err != nil {
-				return err
-			}
-			d.space()
-			if d.consume(end) {
-				return nil
-			}
-			if !d.consume(',') {
-				return d.fail("expected ',' or end of array or object")
-			}
-		}
-	case c == '-' || '0' <= c && c <= '9':
-		return d.number()
-	case d.literal("true"), d.literal("false"), d.literal("null"):
-		return nil
-	}
-	return d.fail("invalid character looking for beginning of value")
-}
-
-// number reads -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func (d *jsonDecoder) number() error {
-	d.consume('-')
-	if !d.consume('0') && d.digits() == 0 {
-		return d.fail("bad number")
-	}
-	if d.consume('.') && d.digits() == 0 {
-		return d.fail("bad number fraction")
-	}
-	if d.consume('e') || d.consume('E') {
-		if !d.consume('+') {
-			d.consume('-')
-		}
-		if d.digits() == 0 {
-			return d.fail("bad number exponent")
-		}
-	}
-	return nil
-}
-
-// digits skips a run of decimal digits and returns its length.
-func (d *jsonDecoder) digits() int {
-	start := d.pos
-	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-		d.pos++
-	}
-	return d.pos - start
-}
-
-// hex4 reads the four hex digits of a \u escape.
-func hex4(b []byte) (rune, bool) {
-	if len(b) < 4 {
-		return 0, false
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, true
-}
-
-// unquote appends the text of a string str has validated to dst, as
-// encoding/json unescapes it: a surrogate pair becomes its rune, and a
-// lone surrogate or a byte of invalid UTF-8 becomes U+FFFD.
-func unquote(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\':
-			i++
-			switch c = raw[i]; c {
-			case 'b':
-				dst = append(dst, '\b')
-			case 'f':
-				dst = append(dst, '\f')
-			case 'n':
-				dst = append(dst, '\n')
-			case 'r':
-				dst = append(dst, '\r')
-			case 't':
-				dst = append(dst, '\t')
-			case 'u':
-				r, _ := hex4(raw[i+1:])
-				i += 5
-				if utf16.IsSurrogate(r) {
-					dec := unicode.ReplacementChar
-					if len(raw) >= i+6 && raw[i] == '\\' && raw[i+1] == 'u' {
-						if r2, ok := hex4(raw[i+2:]); ok {
-							if dec = utf16.DecodeRune(r, r2); dec != unicode.ReplacementChar {
-								i += 6
-							}
-						}
-					}
-					r = dec
-				}
-				dst = utf8.AppendRune(dst, r)
-				continue
-			default: // '"', '\\', '/'
-				dst = append(dst, c)
-			}
-			i++
-		case c < utf8.RuneSelf:
-			dst = append(dst, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(raw[i:])
-			dst = utf8.AppendRune(dst, r)
-			i += size
-		}
-	}
-	return dst
+// UnmarshalJSON refuses every input: the JSON value shape is written,
+// never read (rows cross processes in the row codec). Without it,
+// encoding/json would decode any value as Null.
+func (v *Value) UnmarshalJSON([]byte) error {
+	return errors.New("value: JSON values are write-only")
 }
 
 const hexDigits = "0123456789abcdef"
