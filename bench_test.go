@@ -432,7 +432,7 @@ func BenchmarkSubstrateFulltextSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Execute(f.ds.Tweets, nil); err != nil {
+		if _, err := q.ExecuteBatch(f.ds.Tweets, []value.Row{nil}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -159,9 +159,14 @@
 //     would change (LIMIT, DISTINCT, '?' outside a top-level
 //     equality) run tuple by tuple inside ExecuteBatch; text that is
 //     not one SELECT fails the batch once, with the parse error.
-//   - source.RDFSource and source.DocSource evaluate batches
-//     VALUES-style: parse once, evaluate per tuple in-process. Their
-//     Execute is a batch of one.
+//   - source.RDFSource evaluates batches VALUES-style: parse once,
+//     evaluate per tuple in-process. source.DocSource parses once and
+//     answers the whole batch in one pass over the index
+//     (fulltext.TextQuery.ExecuteBatch): the conditions without a
+//     parameter are read once per batch (a constant-scored fixed part
+//     filters a batch's tuples as a bitmap), and a RETURNed schema path is
+//     read from a per-field column the index builds on first use. Both
+//     sources' Execute is a batch of one.
 //   - federation.Handler serves GET /meta, POST /batch, POST /estimate
 //     and GET /digest. POST /batch is the one data route: a scan or a
 //     single probe travels as a batch of one, and the endpoint answers

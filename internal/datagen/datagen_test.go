@@ -68,11 +68,11 @@ func TestHeadOfStateInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := q.Execute(ds.Tweets, []value.Value{value.NewString(hos.Twitter)})
+	hits, err := q.ExecuteBatch(ds.Tweets, []value.Row{{value.NewString(hos.Twitter)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) == 0 {
+	if len(hits[0]) == 0 {
 		t.Error("head of state has no #SIA2016 tweets — qSIA would be empty")
 	}
 }
@@ -252,12 +252,12 @@ func TestRetweetCountsPresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := q.Execute(ds.Tweets, nil)
+	hits, err := q.ExecuteBatch(ds.Tweets, []value.Row{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != ds.Tweets.Count() {
-		t.Errorf("retweet_count indexed on %d/%d tweets", len(hits), ds.Tweets.Count())
+	if len(hits[0]) != ds.Tweets.Count() {
+		t.Errorf("retweet_count indexed on %d/%d tweets", len(hits[0]), ds.Tweets.Count())
 	}
 }
 

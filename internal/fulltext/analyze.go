@@ -4,17 +4,19 @@
 // in the paper's mixed instance, exposing the same query capabilities
 // the mediator relies on (term/hashtag/field lookup, conjunctions,
 // ranking, stored-field retrieval, term statistics). Its one query
-// form is the SEARCH statement (querytext.go), which TextQuery.Execute
-// evaluates directly against the index.
+// form is the SEARCH statement (querytext.go), which
+// TextQuery.ExecuteBatch evaluates directly against the index for a
+// batch of parameter tuples.
 //
 // Evaluation works on sorted lists: Add appends documents in order, so
 // every posting list holds ascending doc ids, and so does each
 // condition's answer. A keyword condition is its posting list itself,
 // with a constant score. The conjunction goes smallest list first,
-// galloping through the others; no map is built. Still allocated: the
-// intersection, text terms' scored lists, range ids (sorted
-// afterwards), the list of every document when there is no WHERE, and
-// Execute's sorted hits and rows.
+// galloping through the others; a batch's constant-scored fixed
+// conditions are one bitmap, tested per id. No map is built. Still
+// allocated: the intersection, text terms' scored lists, range ids
+// (sorted afterwards), the list of every document when there is no
+// WHERE, and per batch its hits, rows and one cell array.
 package fulltext
 
 import (

@@ -61,7 +61,16 @@ func run(t testing.TB, ix *Index, text string, params ...value.Value) ([]value.R
 	if err != nil {
 		t.Fatalf("%s: %v", text, err)
 	}
-	return q.Execute(ix, params)
+	return execute(q, ix, params)
+}
+
+// execute answers q for one parameter tuple: a batch of one.
+func execute(q *TextQuery, ix *Index, params []value.Value) ([]value.Row, error) {
+	rows, err := q.ExecuteBatch(ix, []value.Row{params})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 // searchIDs runs a statement returning _id first and lists the IDs.
@@ -418,7 +427,7 @@ func TestConcurrentSearches(t *testing.T) {
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			_, err := q.Execute(ix, nil)
+			_, err := execute(q, ix, nil)
 			done <- err
 		}()
 	}
@@ -450,7 +459,7 @@ func TestConcurrentFirstRangeQueries(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			go func() {
 				<-start
-				rows, err := q.Execute(ix, nil)
+				rows, err := execute(q, ix, nil)
 				if err == nil && len(rows) != 2+round { // 469, 300 and the extras
 					err = fmt.Errorf("round %d: retweets >= 100: %v", round, rows)
 				}
@@ -462,6 +471,112 @@ func TestConcurrentFirstRangeQueries(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestConcurrentAddAndBatch runs Add beside ExecuteBatch, which reads
+// the columns Add grows and builds a bitmap of the fixed condition
+// over the documents there are. Each answer must be
+// consistent: right author, score 2, IDs ascending. Run it under -race.
+func TestConcurrentAddAndBatch(t *testing.T) {
+	ix := testIndex(t)
+	q, err := ParseTextQuery(`SEARCH tweets WHERE entities.hashtags = 'SIA2016' AND user.screen_name = ? RETURN _id, user.screen_name, _score`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []value.Row{{value.NewString("jdupont")}, {value.NewString("amartin")}, {value.NewString("nobody")}}
+	check := func() ([]int, error) {
+		res, err := q.ExecuteBatch(ix, batch)
+		if err != nil {
+			return nil, err
+		}
+		counts := make([]int, len(res))
+		for ti, rows := range res {
+			for k, row := range rows {
+				if row[1].Str() != batch[ti][0].Str() || row[2].Float() != 2 ||
+					k > 0 && rows[k-1][0].Str() >= row[0].Str() {
+					return nil, fmt.Errorf("tuple %d: rows %v", ti, rows)
+				}
+			}
+			counts[ti] = len(rows)
+		}
+		return counts, nil
+	}
+	const adds = 200
+	stop := make(chan struct{})
+	errs := make(chan error, 5)
+	go func() {
+		defer close(stop)
+		for i := 0; i < adds; i++ {
+			// IDs descend, so each new document sorts before the last.
+			d := mkTweet(fmt.Sprintf("x%04d", adds-i), []string{"jdupont", "amartin"}[i%2], "salon", []string{"SIA2016"}, i, "2016-03-05T00:00:00Z")
+			if err := ix.Add(d); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for g := 0; g < 4; g++ {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				if _, err := check(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts, err := check()
+	if err != nil || counts[0] != 1+adds/2 || counts[1] != 1+adds/2 || counts[2] != 0 {
+		t.Fatalf("after the adds: counts %v, err %v", counts, err)
+	}
+}
+
+// BenchmarkSearchBatch answers one bind-join batch: 300 screen names
+// against one fixed hashtag, over 5,000 documents shaped like the
+// generated tweets (authors drawn towards the first, 60 % under that
+// hashtag, 8–16 words of text).
+func BenchmarkSearchBatch(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	ix := NewIndex("tweets", tweetSchema())
+	names := make([]value.Row, 300)
+	for i := range names {
+		names[i] = value.Row{value.NewString(fmt.Sprintf("pol%03d", i))}
+	}
+	for i := 0; i < 5000; i++ {
+		author := names[int(300*r.Float64()*r.Float64())][0].Str()
+		tag := diffTags[r.Intn(len(diffTags))]
+		if r.Float64() < 0.6 {
+			tag = "EtatDurgence"
+		}
+		d := mkTweet(fmt.Sprintf("tw%08d", i+1), author, randomText(r, 8+r.Intn(9)), []string{tag},
+			r.Intn(400), diffTimes[r.Intn(len(diffTimes))])
+		if err := ix.Add(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q, err := ParseTextQuery(`SEARCH tweets WHERE user.screen_name = ? AND entities.hashtags = 'EtatDurgence' RETURN _id, user.screen_name`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.ExecuteBatch(ix, names); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fulltext
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"tatooine/internal/doc"
@@ -40,6 +41,12 @@ type numEntry struct {
 }
 
 // Index is an inverted-index document store, safe for concurrent use.
+// Besides the postings it keeps, for ExecuteBatch, per schema path that
+// a query has RETURNed, a column holding each document's first value
+// there (Null when it has none), so that RETURN reads a cell instead of
+// walking the document. The first reader that needs a column builds it
+// in rlockSorted, as the sorting of numeric entries is done there, and
+// Add extends the columns there are.
 type Index struct {
 	mu       sync.RWMutex
 	name     string
@@ -56,6 +63,8 @@ type Index struct {
 
 	docLen   map[string][]uint32 // text field → per-doc token count
 	totalLen map[string]uint64   // text field → total token count
+
+	cols map[string][]value.Value // RETURNed schema path → first value per doc id
 }
 
 // NewIndex creates an empty index with the given schema.
@@ -71,6 +80,7 @@ func NewIndex(name string, schema Schema) *Index {
 		numDirty: make(map[string]bool),
 		docLen:   make(map[string][]uint32),
 		totalLen: make(map[string]uint64),
+		cols:     make(map[string][]value.Value),
 	}
 }
 
@@ -106,6 +116,13 @@ func (ix *Index) Add(d *doc.Document) error {
 
 	for path, ft := range ix.schema {
 		vals := d.Values(path)
+		if col, ok := ix.cols[path]; ok {
+			var first value.Value
+			if len(vals) > 0 {
+				first = vals[0]
+			}
+			ix.cols[path] = append(col, first)
+		}
 		if len(vals) == 0 {
 			continue
 		}
@@ -189,13 +206,14 @@ func (ix *Index) Each(fn func(d *doc.Document) bool) {
 }
 
 // rlockSorted takes the read lock with every numeric field's entries
-// sorted by value. Add only appends entries; the first reader after a
-// write sorts them under the write lock, so readers sharing the read
-// lock never write.
-func (ix *Index) rlockSorted() {
+// sorted by value and a column for each of paths that is a schema path.
+// Add only appends entries; the first reader after a write sorts them,
+// and the first reader of a path builds its column, under the write
+// lock, so readers sharing the read lock never write.
+func (ix *Index) rlockSorted(paths ...string) {
 	for {
 		ix.mu.RLock()
-		if len(ix.numDirty) == 0 {
+		if len(ix.numDirty) == 0 && ix.missingCol(paths) == "" {
 			return
 		}
 		ix.mu.RUnlock()
@@ -205,20 +223,39 @@ func (ix *Index) rlockSorted() {
 			sort.Slice(entries, func(i, j int) bool { return entries[i].val < entries[j].val })
 			delete(ix.numDirty, field)
 		}
+		for path := ix.missingCol(paths); path != ""; path = ix.missingCol(paths) {
+			col, steps := make([]value.Value, len(ix.docs)), strings.Split(path, ".")
+			for i, d := range ix.docs {
+				col[i], _ = d.First(steps)
+			}
+			ix.cols[path] = col
+		}
 		ix.mu.Unlock()
 	}
 }
 
+// missingCol is the first of paths that is a schema path without a
+// column, "" when there is none.
+func (ix *Index) missingCol(paths []string) string {
+	for _, path := range paths {
+		if _, declared := ix.schema[path]; declared {
+			if _, built := ix.cols[path]; !built {
+				return path
+			}
+		}
+	}
+	return ""
+}
+
 // EqualCount returns how many documents the SEARCH condition
-// `field = v` matches, read the way Execute reads it: the posting list
-// on a keyword field, the point range on a numeric or time field. It is
-// -1 when the field is not in the schema.
+// `field = v` matches, read the way ExecuteBatch reads it: the posting
+// list on a keyword field, the point range on a numeric or time field.
+// It is -1 when the field is not in the schema.
 func (ix *Index) EqualCount(field string, v value.Value) int {
 	ix.rlockSorted()
 	defer ix.mu.RUnlock()
-	s, err := ix.condSet(Cond{Field: field, Op: CondEq}, v, value.Value{})
-	if err != nil {
+	if _, declared := ix.schema[field]; !declared {
 		return -1
 	}
-	return len(s.ids)
+	return len(ix.condSet(Cond{Field: field, Op: CondEq}, v, value.Value{}).ids)
 }

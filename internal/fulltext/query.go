@@ -18,99 +18,183 @@ const (
 	bm25B  = 0.75
 )
 
-// Execute answers the statement against ix, params binding its '?'
-// placeholders in order. Each condition reads the index into one
-// docSet; the sets are intersected, the hits ordered (ORDER BY, else
-// descending BM25 score then ID), cut to LIMIT and projected onto the
-// RETURN paths, one row per hit. The pseudo-paths _id and _score yield
-// the document ID and its score.
-func (q *TextQuery) Execute(ix *Index, params []value.Value) ([]value.Row, error) {
-	if len(params) < q.NumParams {
-		return nil, fmt.Errorf("fulltext: query needs %d parameters, got %d", q.NumParams, len(params))
-	}
-	bind := func(v value.Value, param int) value.Value {
-		if param >= 0 {
-			return params[param]
+// ExecuteBatch answers the statement against ix once per parameter
+// tuple, each binding the '?' placeholders in order, all under one read
+// lock; result i holds tuple i's rows. Each condition reads the index
+// into one docSet; the sets are intersected, the hits ordered (ORDER
+// BY, else descending BM25 score then ID), cut to LIMIT and projected
+// onto the RETURN paths, one row per hit. The pseudo-paths _id and
+// _score yield the document ID and its score.
+//
+// The fixed conditions (no '?') are read once per batch. When the
+// batch has more than one tuple and each fixed condition scores a
+// constant, as keyword and range conditions do, their conjunction
+// becomes a bitmap that each tuple's sets are filtered through instead
+// of galloped against. Schema paths are read from the index's columns,
+// and every row of the batch is cut from one cell array.
+func (q *TextQuery) ExecuteBatch(ix *Index, paramSets []value.Row) ([][]value.Row, error) {
+	for _, params := range paramSets {
+		if len(params) < q.NumParams {
+			return nil, fmt.Errorf("fulltext: query needs %d parameters, got %d", q.NumParams, len(params))
 		}
-		return v
 	}
-	ix.rlockSorted()
+	if len(paramSets) == 0 {
+		return nil, nil
+	}
+	ix.rlockSorted(q.Returns...)
 	defer ix.mu.RUnlock()
 	orderBy, sorted := ix.schema[q.OrderBy]
 	if q.OrderBy != "" && !sorted {
 		return nil, fmt.Errorf("fulltext: unknown ORDER BY field %q", q.OrderBy)
 	}
-	sets := make([]docSet, len(q.Conds))
-	for i, c := range q.Conds {
-		s, err := ix.condSet(c, bind(c.Val, c.Param), bind(c.Val2, c.Param2))
-		if err != nil {
-			return nil, err
+	for _, c := range q.Conds {
+		if _, declared := ix.schema[c.Field]; !declared {
+			return nil, fmt.Errorf("fulltext: unknown field %q", c.Field)
 		}
-		sets[i] = s
 	}
-	var set docSet
-	if len(sets) == 0 {
+
+	sets := make([]docSet, len(q.Conds))
+	var fixed []docSet // the answers of the conditions without a parameter
+	konst := true
+	for i, c := range q.Conds {
+		if c.Param < 0 && c.Param2 < 0 {
+			sets[i] = ix.condSet(c, c.Val, c.Val2)
+			fixed = append(fixed, sets[i])
+			konst = konst && sets[i].scores == nil
+		}
+	}
+	bound := len(fixed) < len(q.Conds)
+	var set docSet // the answer, when no condition takes a parameter
+	switch {
+	case !bound && len(sets) == 0:
 		set.ids = make([]int32, len(ix.docs))
 		for i := range set.ids {
 			set.ids[i] = int32(i)
 		}
-	} else {
+	case !bound:
 		set = intersect(sets)
+	case konst && len(fixed) > 0 && len(paramSets) > 1:
+		in := make([]uint64, (len(ix.docs)+63)/64)
+		for _, id := range intersect(fixed).ids {
+			in[id>>6] |= 1 << (id & 63)
+		}
+		for i, c := range q.Conds {
+			if c.Param < 0 && c.Param2 < 0 {
+				sets[i] = docSet{in: in, konst: sets[i].konst}
+			}
+		}
 	}
 
-	type hit struct {
-		d     *doc.Document
-		score float64
-		num   float64 // ORDER BY key of a numeric or time field
-		str   string  // ORDER BY key of a keyword or text field
-	}
-	hits := make([]hit, len(set.ids))
-	for i, id := range set.ids {
-		hits[i] = hit{d: ix.docs[id], score: set.score(i)}
-		if !sorted {
-			continue
-		}
-		if orderBy == NumericField || orderBy == TimeField {
-			hits[i].num = firstNumeric(hits[i].d, q.OrderBy)
-		} else if vals := hits[i].d.Values(q.OrderBy); len(vals) > 0 {
-			hits[i].str = Fold(vals[0].String())
-		}
-	}
-	if sorted {
-		slices.SortStableFunc(hits, func(a, b hit) int {
-			c := cmp.Or(strings.Compare(a.str, b.str), cmp.Compare(a.num, b.num))
-			if q.Desc {
-				return -c
+	tupleSets := make([]docSet, len(paramSets))
+	total := 0
+	for t, params := range paramSets {
+		if bound {
+			for i, c := range q.Conds {
+				if c.Param >= 0 || c.Param2 >= 0 {
+					sets[i] = ix.condSet(c, bind(c.Val, c.Param, params), bind(c.Val2, c.Param2, params))
+				}
 			}
-			return c
-		})
-	} else {
-		slices.SortFunc(hits, func(a, b hit) int {
-			return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.d.ID, b.d.ID))
-		})
+			set = intersect(sets)
+		}
+		tupleSets[t] = set
+		total += len(set.ids)
 	}
-	if q.Limit > 0 && len(hits) > q.Limit {
-		hits = hits[:q.Limit]
+
+	hits := make([]hit, 0, total)
+	ends := make([]int, len(paramSets))
+	for t, set := range tupleSets {
+		start := len(hits)
+		for i, id := range set.ids {
+			hits = append(hits, hit{id: id, score: set.score(i)})
+		}
+		if sorted {
+			ix.orderBy(hits[start:], q.OrderBy, orderBy, q.Desc)
+		} else {
+			slices.SortFunc(hits[start:], func(a, b hit) int {
+				return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(ix.docs[a.id].ID, ix.docs[b.id].ID))
+			})
+		}
+		if q.Limit > 0 && len(hits)-start > q.Limit {
+			hits = hits[:start+q.Limit]
+		}
+		ends[t] = len(hits)
 	}
 
 	width := len(q.Returns)
+	cols := make([][]value.Value, width)
+	for j, path := range q.Returns {
+		cols[j] = ix.cols[path]
+	}
 	cells := make([]value.Value, len(hits)*width)
 	rows := make([]value.Row, len(hits))
 	for i, h := range hits {
 		row := value.Row(cells[i*width : (i+1)*width : (i+1)*width])
 		for j, path := range q.Returns {
-			switch path {
-			case "_id":
-				row[j] = value.NewString(h.d.ID)
-			case "_score":
+			switch {
+			case path == "_id":
+				row[j] = value.NewString(ix.docs[h.id].ID)
+			case path == "_score":
 				row[j] = value.NewFloat(h.score)
+			case cols[j] != nil:
+				row[j] = cols[j][h.id]
 			default:
-				row[j], _ = h.d.First(q.returnSteps[j]) // Null when the path holds nothing
+				row[j], _ = ix.docs[h.id].First(q.returnSteps[j]) // Null when the path holds nothing
 			}
 		}
 		rows[i] = row
 	}
-	return rows, nil
+	out := make([][]value.Row, len(paramSets))
+	start := 0
+	for t, end := range ends {
+		out[t] = rows[start:end:end]
+		start = end
+	}
+	return out, nil
+}
+
+// bind is a condition's operand: params[param], or the literal v when
+// param is -1.
+func bind(v value.Value, param int, params value.Row) value.Value {
+	if param >= 0 {
+		return params[param]
+	}
+	return v
+}
+
+// hit is one document of a tuple's answer: its doc id and its score.
+type hit struct {
+	id    int32
+	score float64
+}
+
+// orderBy sorts hits by field's ORDER BY key: a numeric or time field's
+// first numeric value, else the first value folded; ties keep their
+// order, which is doc id order.
+func (ix *Index) orderBy(hits []hit, field string, ft FieldType, desc bool) {
+	type keyed struct {
+		hit
+		num float64
+		str string
+	}
+	ks := make([]keyed, len(hits))
+	for i, h := range hits {
+		ks[i].hit = h
+		if ft == NumericField || ft == TimeField {
+			ks[i].num = firstNumeric(ix.docs[h.id], field)
+		} else if vals := ix.docs[h.id].Values(field); len(vals) > 0 {
+			ks[i].str = Fold(vals[0].String())
+		}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		c := cmp.Or(strings.Compare(a.str, b.str), cmp.Compare(a.num, b.num))
+		if desc {
+			return -c
+		}
+		return c
+	})
+	for i := range ks {
+		hits[i] = ks[i].hit
+	}
 }
 
 // firstNumeric is a numeric or time field's ORDER BY key: its first
@@ -127,11 +211,14 @@ func firstNumeric(d *doc.Document, field string) float64 {
 // docSet is the answer to one condition, or to their conjunction:
 // ascending doc ids, one score each. Nil scores mean every id scores
 // konst: keyword conditions hand out their posting lists that way,
-// uncopied, so ids are never written to.
+// uncopied, so ids are never written to. A set with in is instead the
+// doc ids whose bits are set there, each scoring konst; only intersect
+// reads it, as a filter.
 type docSet struct {
 	ids    []int32
 	scores []float64
 	konst  float64
+	in     []uint64
 }
 
 func (s docSet) score(i int) float64 {
@@ -141,21 +228,19 @@ func (s docSet) score(i int) float64 {
 	return s.scores[i]
 }
 
-// condSet answers one condition with its bound values v (and v2, the
-// upper bound of BETWEEN). Caller holds the read lock from rlockSorted.
-func (ix *Index) condSet(c Cond, v, v2 value.Value) (docSet, error) {
-	ft, declared := ix.schema[c.Field]
-	if !declared {
-		return docSet{}, fmt.Errorf("fulltext: unknown field %q", c.Field)
-	}
+// condSet answers one condition on a schema field with its bound
+// values v (and v2, the upper bound of BETWEEN). Caller holds the read
+// lock from rlockSorted.
+func (ix *Index) condSet(c Cond, v, v2 value.Value) docSet {
+	ft := ix.schema[c.Field]
 	numeric := ft == NumericField || ft == TimeField
 	switch {
 	case c.Op == CondEq && !numeric:
-		return docSet{ids: ix.keyword[c.Field][Fold(v.String())], konst: 1}, nil
+		return docSet{ids: ix.keyword[c.Field][Fold(v.String())], konst: 1}
 	case c.Op == CondContains:
-		return ix.matchAll(c.Field, ix.analyzer.Tokens(v.String())), nil
+		return ix.matchAll(c.Field, ix.analyzer.Tokens(v.String()))
 	case c.Op == CondPhrase:
-		return ix.phrase(c.Field, ix.analyzer.Tokens(v.String())), nil
+		return ix.phrase(c.Field, ix.analyzer.Tokens(v.String()))
 	}
 	lo, hi := math.Inf(-1), math.Inf(1)
 	ok, ok2 := true, true
@@ -172,9 +257,9 @@ func (ix *Index) condSet(c Cond, v, v2 value.Value) (docSet, error) {
 		hi, ok2 = rangeBound(v2)
 	}
 	if !ok || !ok2 {
-		return docSet{}, nil
+		return docSet{}
 	}
-	return ix.rangeSet(c.Field, lo, hi), nil
+	return ix.rangeSet(c.Field, lo, hi)
 }
 
 // termSet scores one term's postings with BM25.
@@ -277,23 +362,26 @@ func rangeBound(v value.Value) (float64, bool) {
 	return 0, false
 }
 
-// intersect keeps the ids present in every set. The smallest set drives;
-// each other set is galloped through from where its last match left off.
-// Scores are summed in the order of sets, not the driving order, so they
-// are the same whichever set is smallest.
+// intersect keeps the ids present in every set. The smallest list
+// drives; each bitmap is tested and each other list galloped through
+// from where its last match left off. Scores are summed in the order of
+// sets, not the driving order, so they are the same whichever set is
+// smallest. At least one set must be a list.
 func intersect(sets []docSet) docSet {
 	if len(sets) == 1 {
 		return sets[0]
 	}
-	order := make([]int, len(sets))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return len(sets[a].ids) - len(sets[b].ids) })
+	var order, bitmaps []int
 	konst := true
-	for _, s := range sets {
+	for i, s := range sets {
+		if s.in != nil {
+			bitmaps = append(bitmaps, i)
+		} else {
+			order = append(order, i)
+		}
 		konst = konst && s.scores == nil
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(sets[a].ids) - len(sets[b].ids) })
 	at := make([]int, len(sets))
 	sum := func() float64 {
 		s := sets[0].score(at[0])
@@ -302,10 +390,15 @@ func intersect(sets []docSet) docSet {
 		}
 		return s
 	}
-	var out docSet
+	out := docSet{ids: make([]int32, 0, len(sets[order[0]].ids))}
 next:
 	for i, id := range sets[order[0]].ids {
 		at[order[0]] = i
+		for _, j := range bitmaps {
+			if sets[j].in[id>>6]&(1<<(id&63)) == 0 {
+				continue next
+			}
+		}
 		for _, j := range order[1:] {
 			at[j] = gallop(sets[j].ids, at[j], id)
 			if at[j] == len(sets[j].ids) {

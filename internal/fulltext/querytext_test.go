@@ -75,7 +75,7 @@ RETURN _id, retweet_count ORDER BY retweet_count`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := q.Execute(ix, nil)
+	rows, err := execute(q, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTextQueryExecuteScoreAndMissingField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := q.Execute(ix, nil)
+	rows, err := execute(q, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTextQueryExecuteScoreAndMissingField(t *testing.T) {
 func TestTextQueryMissingParams(t *testing.T) {
 	ix := testIndex(t)
 	q, _ := ParseTextQuery(`SEARCH tweets WHERE entities.hashtags = ? RETURN _id`)
-	if _, err := q.Execute(ix, nil); err == nil {
+	if _, err := execute(q, ix, nil); err == nil {
 		t.Error("missing params accepted")
 	}
 }
@@ -122,7 +122,7 @@ func TestTextQueryPhraseViaText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := q.Execute(ix, nil)
+	rows, err := execute(q, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +169,10 @@ func TestAnalyzerIdempotentOnVocab(t *testing.T) {
 }
 
 // FuzzParseTextQuery: any input either fails to parse or yields a query
-// whose Execute on testIndex, with NumParams parameters bound, answers
-// exactly as the map-based reference evaluator does (rows, order, scores
-// bit for bit, and whether it errs); none of it panics.
+// whose ExecuteBatch on testIndex, over 1–8 parameter tuples picked by
+// the input, answers each tuple exactly as the map-based reference
+// evaluator does (rows, order, scores bit for bit, and whether it errs);
+// none of it panics.
 func FuzzParseTextQuery(f *testing.F) {
 	for _, seed := range []string{
 		`SEARCH tweets
@@ -189,25 +190,30 @@ ORDER BY retweet_count DESC LIMIT 50`,
 		"SEARCH tweets RETURN _id LIMIT xx",
 		"SEARCH tweets WHERE retweet_count = ? AND created_at >= 'abc' RETURN _id, _score ORDER BY user.screen_name DESC",
 		"SEARCH tweets WHERE text PHRASE 'salon agriculteurs' RETURN _score, _id ORDER BY nosuch",
+		"SEARCH tweets WHERE entities.hashtags = 'SIA2016' AND user.screen_name = ? RETURN _id, user.screen_name, _score",
+		"SEARCH tweets WHERE text CONTAINS 'solidarité' AND user.screen_name = ? RETURN _score, _id, text",
+		"SEARCH tweets WHERE text CONTAINS ? AND entities.hashtags = 'SIA2016' AND retweet_count >= 10 RETURN _id, _score",
 	} {
 		f.Add(seed)
+	}
+	pool := []value.Value{
+		value.NewString("SIA2016"), value.NewString("jdupont"), value.NewString("solidarité agriculteurs"),
+		value.NewInt(469), value.NewString("2016-03-01T03:42:31Z"), value.NewString("amartin"),
+		value.NewNull(), value.NewString("salon"), value.NewFloat(88), value.NewString("EtatDurgence"),
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		q, err := ParseTextQuery(input)
 		if err != nil {
 			return
 		}
-		params := make([]value.Value, q.NumParams)
-		for i := range params {
-			params[i] = value.NewString("SIA2016")
+		batch := make([]value.Row, 1+len(input)%8)
+		for i := range batch {
+			batch[i] = make(value.Row, q.NumParams)
+			for k := range batch[i] {
+				batch[i][k] = pool[(len(input)+3*i+7*k)%len(pool)]
+			}
 		}
-		ix := testIndex(t)
-		got, err := q.Execute(ix, params)
-		want, refErr := ix.refExecute(q, params)
-		if (err != nil) != (refErr != nil) {
-			t.Fatalf("%q: Execute error %v, reference error %v", input, err, refErr)
-		}
-		if diff := sameRows(got, want); diff != "" {
+		if diff := matchesReference(testIndex(t), q, batch, false); diff != "" {
 			t.Fatalf("%q: %s", input, diff)
 		}
 	})

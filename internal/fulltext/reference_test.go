@@ -14,11 +14,11 @@ import (
 )
 
 // This file keeps a map-based evaluator of SEARCH statements as the
-// reference the differential test and FuzzParseTextQuery compare
-// TextQuery.Execute with. Each condition materializes docID → score by
+// reference the differential test and FuzzParseTextQuery compare each
+// tuple of TextQuery.ExecuteBatch with. Each condition materializes docID → score by
 // scanning; the conjunction intersects by lookup; bounds, ORDER BY keys
 // and projection are worked out here again. Per-posting BM25 scores
-// come from the same termSet as Execute, so the comparison checks how
+// come from the same termSet as ExecuteBatch, so the comparison checks how
 // scores are combined, bit for bit.
 
 func (ix *Index) refExecute(q *TextQuery, params []value.Value) ([]value.Row, error) {
@@ -267,8 +267,14 @@ var (
 
 func randomIndex(r *rand.Rand) *Index {
 	ix := NewIndex("tweets", tweetSchema())
-	n := r.Intn(80)
-	for i := 0; i < n; i++ {
+	addRandomDocs(r, ix, r.Intn(80))
+	return ix
+}
+
+// addRandomDocs adds n random documents to ix (which holds under 900),
+// their IDs in random order against their doc ids.
+func addRandomDocs(r *rand.Rand, ix *Index, n int) {
+	for i, end := ix.Count(), ix.Count()+n; i < end; i++ {
 		d := &doc.Document{ID: fmt.Sprintf("d%03d", r.Intn(1000)*1000+i)}
 		if r.Intn(8) > 0 {
 			d.Set("text", randomText(r, 1+r.Intn(10)))
@@ -294,7 +300,6 @@ func randomIndex(r *rand.Rand) *Index {
 			panic(err)
 		}
 	}
-	return ix
 }
 
 func randomText(r *rand.Rand, n int) string {
@@ -305,29 +310,33 @@ func randomText(r *rand.Rand, n int) string {
 	return strings.Join(words, " ")
 }
 
-// randomOperand is a literal or, while fewer than two are taken, a '?'
-// whose value goes to params. Values mostly suit the field; one in eight
-// is a wild one (NULL, a string that is no number, a float, a tag).
-func randomOperand(r *rand.Rand, field string, params *[]value.Value) string {
-	var v value.Value
+// randomValue is an operand for field: mostly a value that suits it,
+// one in eight a wild one (NULL, a string that is no number, a float, a
+// tag).
+func randomValue(r *rand.Rand, field string) value.Value {
 	switch {
 	case r.Intn(8) == 0:
-		v = []value.Value{value.NewNull(), value.NewString("abc"), value.NewString(diffTags[0]), value.NewFloat(7.5)}[r.Intn(4)]
+		return []value.Value{value.NewNull(), value.NewString("abc"), value.NewString(diffTags[0]), value.NewFloat(7.5)}[r.Intn(4)]
 	case field == "text":
-		v = value.NewString(randomText(r, r.Intn(3)))
+		return value.NewString(randomText(r, r.Intn(3)))
 	case field == "user.screen_name":
-		v = value.NewString(diffUsers[r.Intn(len(diffUsers))])
+		return value.NewString(diffUsers[r.Intn(len(diffUsers))])
 	case field == "entities.hashtags":
-		v = value.NewString(diffTags[r.Intn(len(diffTags))])
+		return value.NewString(diffTags[r.Intn(len(diffTags))])
 	case field == "created_at":
-		v = value.Parse(diffTimes[r.Intn(len(diffTimes))], false)
+		return value.Parse(diffTimes[r.Intn(len(diffTimes))], false)
 	default:
-		v = value.NewInt(int64(r.Intn(22)))
+		return value.NewInt(int64(r.Intn(22)))
 	}
-	if len(*params) < 2 && r.Intn(3) == 0 {
-		*params = append(*params, v)
+}
+
+// randomOperand is a literal or, while fewer than two are taken, a '?'.
+func randomOperand(r *rand.Rand, field string, params *int) string {
+	if *params < 2 && r.Intn(3) == 0 {
+		*params++
 		return "?"
 	}
+	v := randomValue(r, field)
 	switch v.Kind() {
 	case value.Null:
 		return "'abc'"
@@ -338,11 +347,57 @@ func randomOperand(r *rand.Rand, field string, params *[]value.Value) string {
 	}
 }
 
-// randomStatement is a SEARCH statement over the randomIndex schema
-// with its parameter values: 0–3 conditions of every operator, 0–2
-// parameters, RETURN with _id and _score, ORDER BY ASC or DESC, LIMIT.
-func randomStatement(r *rand.Rand) (string, []value.Value) {
-	var params []value.Value
+// randomBatch is 1–8 parameter tuples for q, each '?' drawn as
+// randomValue draws an operand of its condition's field.
+func randomBatch(r *rand.Rand, q *TextQuery) []value.Row {
+	fields := make([]string, q.NumParams)
+	for _, c := range q.Conds {
+		for _, p := range []int{c.Param, c.Param2} {
+			if p >= 0 {
+				fields[p] = c.Field
+			}
+		}
+	}
+	batch := make([]value.Row, 1+r.Intn(8))
+	for t := range batch {
+		batch[t] = make(value.Row, len(fields))
+		for k, f := range fields {
+			batch[t][k] = randomValue(r, f)
+		}
+	}
+	return batch
+}
+
+// matchesReference describes the first tuple whose rows ExecuteBatch
+// gives otherwise than refExecute (rows, order, scores bit for bit, or
+// whether it errs); "" when every tuple agrees. With mustSucceed, an
+// error from either side is a difference too, so a statement that
+// both reject cannot pass unchecked.
+func matchesReference(ix *Index, q *TextQuery, batch []value.Row, mustSucceed bool) string {
+	got, err := q.ExecuteBatch(ix, batch)
+	for t, params := range batch {
+		want, refErr := ix.refExecute(q, params)
+		if (err != nil) != (refErr != nil) || mustSucceed && err != nil {
+			return fmt.Sprintf("tuple %d %v: ExecuteBatch error %v, reference error %v", t, params, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		if diff := sameRows(got[t], want); diff != "" {
+			return fmt.Sprintf("tuple %d %v: %s", t, params, diff)
+		}
+	}
+	if err == nil && len(got) != len(batch) {
+		return fmt.Sprintf("%d results for %d tuples", len(got), len(batch))
+	}
+	return ""
+}
+
+// randomStatement is a SEARCH statement over the randomIndex schema:
+// 0–3 conditions of every operator, 0–2 parameters, RETURN with _id
+// and _score, ORDER BY ASC or DESC, LIMIT.
+func randomStatement(r *rand.Rand) string {
+	params := 0
 	var b strings.Builder
 	b.WriteString("SEARCH tweets")
 	for k, n := 0, r.Intn(4); k < n; k++ {
@@ -385,30 +440,45 @@ func randomStatement(r *rand.Rand) (string, []value.Value) {
 	if r.Intn(3) == 0 {
 		fmt.Fprintf(&b, " LIMIT %d", r.Intn(6))
 	}
-	return b.String(), params
+	return b.String()
 }
 
+// batchStatements pair fixed conditions with parameterised ones, the
+// shapes ExecuteBatch reads the fixed part of once: in a batch of more
+// than one tuple a constant-scored fixed part becomes a bitmap, a
+// scored one is galloped. Scores must still sum in condition order
+// around the fixed conditions.
+var batchStatements = []string{
+	"SEARCH tweets WHERE entities.hashtags = 'SIA2016' AND user.screen_name = ? RETURN _id, user.screen_name, _score",
+	"SEARCH tweets WHERE text CONTAINS 'solidarité' AND user.screen_name = ? RETURN _score, _id, text",
+	"SEARCH tweets WHERE text CONTAINS ? AND entities.hashtags = 'SIA2016' AND retweet_count >= 3 RETURN _id, _score",
+	"SEARCH tweets WHERE text CONTAINS ? AND text PHRASE ? AND created_at <= 2016-03-02T00:00:00Z RETURN _score, _id",
+}
+
+// TestExecuteMatchesReference runs random statements, and the
+// batchStatements, over random indexes in random batches of 1–8
+// tuples, each tuple compared with refExecute; then adds documents, so
+// the columns the statements had built must follow, and runs them
+// again. Every statement here is valid, so an error fails the test.
 func TestExecuteMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 300; round++ {
 		ix := randomIndex(r)
+		texts := slices.Clone(batchStatements)
 		for k := 0; k < 30; k++ {
-			text, params := randomStatement(r)
-			q, err := ParseTextQuery(text)
-			if err != nil {
-				t.Fatalf("round %d: %s: %v", round, text, err)
+			texts = append(texts, randomStatement(r))
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, text := range texts {
+				q, err := ParseTextQuery(text)
+				if err != nil {
+					t.Fatalf("round %d: %s: %v", round, text, err)
+				}
+				if diff := matchesReference(ix, q, randomBatch(r, q), true); diff != "" {
+					t.Fatalf("round %d, pass %d: %s: %s", round, pass, text, diff)
+				}
 			}
-			got, err := q.Execute(ix, params)
-			if err != nil {
-				t.Fatalf("round %d: %s %v: %v", round, text, params, err)
-			}
-			want, err := ix.refExecute(q, params)
-			if err != nil {
-				t.Fatalf("round %d: %s %v: reference: %v", round, text, params, err)
-			}
-			if diff := sameRows(got, want); diff != "" {
-				t.Fatalf("round %d: %s %v: %s", round, text, params, diff)
-			}
+			addRandomDocs(r, ix, r.Intn(20))
 		}
 	}
 }

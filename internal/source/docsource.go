@@ -39,11 +39,11 @@ func (s *DocSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 }
 
 // ExecuteBatch implements BatchProber as a multi-term batch: the
-// SEARCH statement is parsed once and TextQuery.Execute answers it once
-// per parameter tuple against the index, its rows becoming the result
-// as they are. Like the RDF case, the win is parse amortization locally
-// and a single round trip when this index is served behind a federation
-// endpoint.
+// SEARCH statement is parsed once and TextQuery.ExecuteBatch answers
+// every parameter tuple in one pass over the index, reading the
+// conditions without a parameter once; each tuple's rows become its
+// result as they are. Served behind a federation endpoint, the batch is
+// also a single round trip.
 func (s *DocSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	if q.Language != LangSearch {
 		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
@@ -52,13 +52,13 @@ func (s *DocSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, 
 	if err != nil {
 		return nil, err
 	}
+	rows, err := tq.ExecuteBatch(s.ix, paramSets)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*Result, len(paramSets))
-	for i, params := range paramSets {
-		rows, err := tq.Execute(s.ix, params)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = &Result{Cols: tq.Returns, Rows: rows}
+	for i := range out {
+		out[i] = &Result{Cols: tq.Returns, Rows: rows[i]}
 	}
 	return out, nil
 }

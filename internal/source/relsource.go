@@ -86,27 +86,42 @@ func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*
 	origN := len(res.Columns) - nParams
 	cols := res.Columns[:origN]
 	// Split in one pass: bucket rows by their param-column values.
-	// value.Key is Equal-consistent for non-null values (ints and
-	// integral floats share keys), and nulls — which Equal never
-	// matches — are excluded from both sides, so the bucketed split
-	// returns exactly what per-tuple value.Equal filtering would.
+	// splitKey is Equal-consistent for non-null values (ints and
+	// integral floats share keys, −0 keys as 0), and nulls — which
+	// Equal never matches — are excluded from both sides, so the
+	// bucketed split returns exactly what per-tuple value.Equal
+	// filtering would.
 	buckets := make(map[string][]value.Row, len(paramSets))
 	for _, row := range res.Rows {
 		if value.Row(row[origN:]).HasNull() {
 			continue
 		}
-		k := value.Row(row[origN:]).Key()
+		k := splitKey(row[origN:])
 		buckets[k] = append(buckets[k], row[:origN])
 	}
 	out := make([]*Result, len(paramSets))
 	for i, ps := range paramSets {
 		r := &Result{Cols: cols}
 		if !ps.HasNull() {
-			r.Rows = buckets[ps.Key()]
+			r.Rows = buckets[splitKey(ps)]
 		}
 		out[i] = r
 	}
 	return out, nil
+}
+
+// splitKey is r's Key with −0 read as 0: value.Equal does not tell
+// them apart, though value.Key does.
+func splitKey(r value.Row) string {
+	var buf [128]byte
+	b := buf[:0]
+	for _, v := range r {
+		if v.Kind() == value.Float && v.Float() == 0 {
+			v = value.NewFloat(0)
+		}
+		b = value.AppendKeyFrame(b, v)
+	}
+	return string(b)
 }
 
 // rewriteInList rewrites stmt in place for batched evaluation: every
