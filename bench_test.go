@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -463,6 +465,91 @@ func BenchmarkSubstrateBGPJoin(b *testing.B) {
 		if _, err := rdf.Evaluate(f.ds.Graph, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreBGP times the graph work of a persistent instance
+// shaped like bench/'s durable_mutate (6,000 politicians, a 256-page
+// cache): the planner's count of (?, :twitterAccount, ?) and the GRAPH
+// atoms of the e1_rare and e2_facts query classes through
+// EvaluateBound. The same graph also runs in memory (map) and on a
+// store whose cache holds every page (resident), which compares the two
+// graph backends at equal size.
+func BenchmarkStoreBGP(b *testing.B) {
+	cfg := datagen.DefaultConfig()
+	cfg.NumPoliticians = 6000
+	cfg.NumTweets = 0
+	ds, err := datagen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	iri := func(local string) rdf.Term { return rdf.NewIRI(datagen.NS + local) }
+	atom := func(body string) rdf.BGP {
+		q, err := rdf.ParseBGP(strings.ReplaceAll(body, "<:", "<"+datagen.NS), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return q
+	}
+	e1 := atom(`q(?x, ?id) :- ?x <:position> <:headOfState> . ?x <:twitterAccount> ?id`)
+	e2 := atom(`q(?x, ?id, ?dept) :- ?x <:position> <:headOfState> . ?x <:twitterAccount> ?id . ?x <:electedIn> ?dept`)
+
+	persistent := func(b *testing.B, cache int) *rdf.Graph {
+		st, err := store.Open(filepath.Join(b.TempDir(), "g.db"),
+			store.Options{Pager: pager.Options{CacheSize: cache, NoSync: true}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		g, err := rdf.OpenGraph(st, "g")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.Graph.CopyTo(g)
+		if err := st.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	for _, be := range []struct {
+		name  string
+		graph func(b *testing.B) *rdf.Graph
+	}{
+		{"map", func(*testing.B) *rdf.Graph { return ds.Graph }},
+		{"resident", func(b *testing.B) *rdf.Graph { return persistent(b, -1) }},
+		{"cache256", func(b *testing.B) *rdf.Graph { return persistent(b, 256) }},
+	} {
+		b.Run(be.name, func(b *testing.B) {
+			g := be.graph(b)
+			b.Run("count", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if n := g.CountMatch(rdf.Term{}, iri("twitterAccount"), rdf.Term{}); n != cfg.NumPoliticians {
+						b.Fatalf("count = %d, want %d", n, cfg.NumPoliticians)
+					}
+				}
+			})
+			for _, a := range []struct {
+				name string
+				q    rdf.BGP
+			}{{"e1_rare", e1}, {"e2_facts", e2}} {
+				b.Run(a.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						sols, err := rdf.EvaluateBound(g, a.q, nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(sols.Rows) != 1 {
+							b.Fatalf("%d rows, want the one head of state", len(sols.Rows))
+						}
+					}
+				})
+			}
+			if err := g.StoreErr(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

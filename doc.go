@@ -216,8 +216,12 @@
 // without either estimates as unknown (-1, -1), which ranks last.
 // A graph atom's estimate is its smallest pattern count: O(1) on the
 // in-memory graph, which answers every pattern shape from its index
-// sizes and a per-predicate triple count, and a prefix scan on a
-// store-backed one.
+// sizes and a per-predicate triple count. A store-backed graph counts
+// a pattern exactly over the key range of the permutation its bound
+// positions select (the range its match scans), a B-tree leaf at a
+// time: whole leaves add their cell counts and only the leaf where the
+// range ends is searched, so a count costs a page read per leaf, not
+// per triple.
 //
 // One executor (internal/core/exec_stream.go) runs every query. Each
 // DAG node starts at once in its own goroutine and waits only on its

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"tatooine/internal/pager"
 )
@@ -736,10 +737,14 @@ func (t *BTree) Pages() ([]pager.PageID, error) {
 
 // Cursor iterates keys in ascending order. It must not be used across
 // writes to the same tree (callers hold the tree's lock while
-// iterating).
+// iterating). While positioned it holds its leaf's page bytes, so Next,
+// Key and Value within a leaf touch no pager: without a write to the
+// tree those bytes cannot change (the pager copies a page before
+// writing it and never recycles an evicted buffer).
 type Cursor struct {
 	t     *BTree
 	stack []cursorLevel
+	leaf  []byte // the page of the top stack level while valid
 	err   error
 	valid bool
 }
@@ -768,7 +773,7 @@ func (c *Cursor) Seek(key []byte) {
 		c.stack = append(c.stack, cursorLevel{page: id, idx: i})
 		if pageType(p) == typeLeaf {
 			if i < nCells(p) {
-				c.valid = true
+				c.leaf, c.valid = p, true
 				return
 			}
 			c.advance()
@@ -784,19 +789,15 @@ func (c *Cursor) Next() {
 		return
 	}
 	top := &c.stack[len(c.stack)-1]
-	p, err := c.t.pg.View(top.page)
-	if err != nil {
-		c.err, c.valid = err, false
-		return
-	}
 	top.idx++
-	if top.idx < nCells(p) {
+	if top.idx < nCells(c.leaf) {
 		return
 	}
 	c.advance()
 }
 
-// advance pops exhausted levels and descends to the next leaf cell.
+// advance pops the current leaf and descends to the first cell of the
+// next non-empty one.
 func (c *Cursor) advance() {
 	c.valid = false
 	// Pop the exhausted leaf.
@@ -835,7 +836,7 @@ func (c *Cursor) descendMin(id pager.PageID) bool {
 			return false
 		}
 		c.stack = append(c.stack, cursorLevel{page: id, idx: 0})
-		c.valid = true
+		c.leaf, c.valid = p, true
 		return true
 	}
 	for i := 0; i <= nCells(p); i++ {
@@ -862,13 +863,7 @@ func (c *Cursor) Key() []byte {
 	if !c.valid {
 		return nil
 	}
-	top := c.stack[len(c.stack)-1]
-	p, err := c.t.pg.View(top.page)
-	if err != nil {
-		c.err, c.valid = err, false
-		return nil
-	}
-	return append([]byte(nil), cellKey(p, top.idx)...)
+	return append([]byte(nil), cellKey(c.leaf, c.stack[len(c.stack)-1].idx)...)
 }
 
 // Value returns a copy of the current value (following overflow).
@@ -876,16 +871,74 @@ func (c *Cursor) Value() []byte {
 	if !c.valid {
 		return nil
 	}
-	top := c.stack[len(c.stack)-1]
-	p, err := c.t.pg.View(top.page)
-	if err != nil {
-		c.err, c.valid = err, false
-		return nil
-	}
-	v, _, err := c.t.materialize(p, top.idx)
+	v, _, err := c.t.materialize(c.leaf, c.stack[len(c.stack)-1].idx)
 	if err != nil {
 		c.err, c.valid = err, false
 		return nil
 	}
 	return v
+}
+
+// leaves calls fn with each non-empty leaf holding keys >= start, in
+// key order, and the slot of the first such key in it (0 after the
+// first leaf), until fn returns false. Empty leaves are skipped as the
+// cursor skips them.
+func (t *BTree) leaves(start []byte, fn func(p []byte, from int) bool) error {
+	c := t.NewCursor()
+	for c.Seek(start); c.valid; c.advance() {
+		if !fn(c.leaf, c.stack[len(c.stack)-1].idx) {
+			break
+		}
+	}
+	return c.err
+}
+
+// CountPrefix returns the number of keys that start with prefix. It
+// adds whole leaves by their cell count while a leaf's last key still
+// has the prefix and searches only the leaf where the range ends, so it
+// costs one page read per leaf, not per key. The count is exact.
+func (t *BTree) CountPrefix(prefix []byte) (int, error) {
+	n := 0
+	err := t.leaves(prefix, func(p []byte, from int) bool {
+		cells := nCells(p)
+		if bytes.HasPrefix(cellKey(p, cells-1), prefix) {
+			n += cells - from
+			return true
+		}
+		// Keys >= prefix that have it form a run, which ends here.
+		n += sort.Search(cells-from, func(j int) bool {
+			return !bytes.HasPrefix(cellKey(p, from+j), prefix)
+		})
+		return false
+	})
+	return n, err
+}
+
+// Walk calls fn for every pair with key >= start, in ascending key
+// order, until fn returns false. It reads each leaf once and passes
+// sub-slices of the page: key and value are valid only during the call
+// and must be copied to be kept. A value is materialized only when it
+// continues in an overflow chain.
+func (t *BTree) Walk(start []byte, fn func(key, value []byte) bool) error {
+	var err error
+	lerr := t.leaves(start, func(p []byte, from int) bool {
+		for i := from; i < nCells(p); i++ {
+			k := cellKey(p, i)
+			v, ovfl := leafCellValue(p, i)
+			if ovfl != 0 {
+				if v, _, err = t.materialize(p, i); err != nil {
+					return false
+				}
+			}
+			// Cap both slices so an append by fn cannot write into the page.
+			if !fn(k[:len(k):len(k)], v[:len(v):len(v)]) {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return lerr
 }

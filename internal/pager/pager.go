@@ -29,6 +29,7 @@ package pager
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,6 +48,9 @@ type PageID uint32
 // before the free list existed carry zeroes in the last two fields,
 // which reads back as "empty free list" — exactly right.
 const dbMagic = "TATPG001"
+
+// errClosed is what every read of a closed pager returns.
+var errClosed = errors.New("pager: closed")
 
 // Options tune a Pager.
 type Options struct {
@@ -188,8 +192,11 @@ func (p *Pager) PageCount() int {
 }
 
 // View returns the current contents of the page. The returned slice is
-// shared with the pager and MUST NOT be modified or retained across
-// any pager write call; copy if needed.
+// shared with the pager and MUST NOT be modified. Its bytes stay as
+// they are until that page itself is written (Mut, Free or a reusing
+// Allocate): the pager copies a page before its first write in a
+// transaction and never recycles an evicted buffer. After Close every
+// View fails.
 func (p *Pager) View(id PageID) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -197,6 +204,9 @@ func (p *Pager) View(id PageID) ([]byte, error) {
 }
 
 func (p *Pager) viewLocked(id PageID) ([]byte, error) {
+	if p.wal == nil {
+		return nil, errClosed
+	}
 	if id >= PageID(p.pageCount) {
 		return nil, fmt.Errorf("pager: page %d out of range (have %d)", id, p.pageCount)
 	}

@@ -31,6 +31,35 @@ func TestOpenEmptyPathRefused(t *testing.T) {
 	}
 }
 
+// TestViewAfterCloseFails: a closed pager answers every read with an
+// error, for a page its cache still holds and for one it evicted,
+// instead of reaching the files Close released.
+func TestViewAfterCloseFails(t *testing.T) {
+	p, err := Open(tmpDB(t), Options{CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []PageID
+	for i := 0; i < 2; i++ {
+		id, _, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, err := p.View(id); err == nil {
+			t.Fatalf("View(%d) after Close succeeded", id)
+		}
+	}
+}
+
 func TestMemRoundTrip(t *testing.T) {
 	p := residentPager(t)
 	id, page, err := p.Allocate()

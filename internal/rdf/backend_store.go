@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 
 	"tatooine/internal/store"
 )
@@ -9,18 +10,19 @@ import (
 // storeTriples is the B-tree-backed triple backend: the SPO, POS and
 // OSP access paths are three store keyspaces whose 12-byte keys are the
 // dictionary-encoded triple in the respective permutation. Pattern
-// matching becomes prefix cursor scans, so a disk-resident graph probes
-// pages through the pager's cache instead of walking maps — and the
-// triples survive the process.
+// matching and counting become prefix scans and counts over B-tree
+// leaves, so a disk-resident graph probes pages through the pager's
+// cache instead of walking maps — and the triples survive the process.
 //
 // Storage errors cannot surface through the Graph's error-less probe
 // API; the backend treats a failed read as "no triples" and keeps the
 // FIRST error sticky (Graph.StoreErr), which the owning layer checks
 // at commit points. A graph whose store has failed degrades to missing
-// answers, never to wrong ones.
+// answers, never to wrong ones. Readers fail under the graph's shared
+// read lock, so the sticky error is an atomic first-wins pointer.
 type storeTriples struct {
 	spo, pos, osp *store.Keyspace
-	firstErr      error
+	firstErr      atomic.Pointer[error]
 }
 
 func openStoreTriples(st *store.Store, prefix string) (*storeTriples, error) {
@@ -40,12 +42,17 @@ func openStoreTriples(st *store.Store, prefix string) (*storeTriples, error) {
 }
 
 func (b *storeTriples) fail(err error) {
-	if err != nil && b.firstErr == nil {
-		b.firstErr = err
+	if err != nil {
+		b.firstErr.CompareAndSwap(nil, &err)
 	}
 }
 
-func (b *storeTriples) err() error { return b.firstErr }
+func (b *storeTriples) err() error {
+	if p := b.firstErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 func key12(a, b, c TermID) []byte {
 	var k [12]byte
@@ -121,46 +128,62 @@ func (b *storeTriples) contains(s, p, o TermID) bool {
 
 func (b *storeTriples) size() int { return b.spo.Len() }
 
-func (b *storeTriples) match(s, p, o TermID, fn func(s, p, o TermID) bool) {
+// access picks, for a pattern's bound positions, the permutation whose
+// keys start with them, the key prefix, and how a key of that
+// permutation decodes back to (s, p, o). match scans that range and
+// count counts it, so the two cannot disagree.
+func (b *storeTriples) access(s, p, o TermID) (*store.Keyspace, []byte, func(k []byte) (s, p, o TermID)) {
 	switch {
 	case s != NoTerm && p != NoTerm && o != NoTerm:
-		if b.contains(s, p, o) {
-			fn(s, p, o)
-		}
+		return b.spo, key12(s, p, o), fromSPO
 	case s != NoTerm && p != NoTerm:
-		b.scan(b.spo, key8(s, p), func(x, y, z TermID) bool { return fn(x, y, z) })
+		return b.spo, key8(s, p), fromSPO
 	case s != NoTerm && o != NoTerm:
 		// (s,?,o): the OSP permutation has them adjacent.
-		b.scan(b.osp, key8(o, s), func(o2, s2, p2 TermID) bool { return fn(s2, p2, o2) })
+		return b.osp, key8(o, s), fromOSP
 	case s != NoTerm:
-		b.scan(b.spo, key4(s), func(x, y, z TermID) bool { return fn(x, y, z) })
+		return b.spo, key4(s), fromSPO
 	case p != NoTerm && o != NoTerm:
-		b.scan(b.pos, key8(p, o), func(p2, o2, s2 TermID) bool { return fn(s2, p2, o2) })
+		return b.pos, key8(p, o), fromPOS
 	case p != NoTerm:
-		b.scan(b.pos, key4(p), func(p2, o2, s2 TermID) bool { return fn(s2, p2, o2) })
+		return b.pos, key4(p), fromPOS
 	case o != NoTerm:
-		b.scan(b.osp, key4(o), func(o2, s2, p2 TermID) bool { return fn(s2, p2, o2) })
+		return b.osp, key4(o), fromOSP
 	default:
-		b.scan(b.spo, nil, func(x, y, z TermID) bool { return fn(x, y, z) })
+		return b.spo, nil, fromSPO
 	}
 }
 
-// scan walks kv entries under prefix, decoding each 12-byte key in its
-// native permutation order.
-func (b *storeTriples) scan(kv *store.Keyspace, prefix []byte, fn func(a, x, c TermID) bool) {
-	err := kv.Scan(prefix, func(k, _ []byte) bool {
-		a, x, c := id3(k)
-		return fn(a, x, c)
-	})
-	b.fail(err)
+func fromSPO(k []byte) (s, p, o TermID) { return id3(k) }
+
+func fromPOS(k []byte) (s, p, o TermID) {
+	p, o, s = id3(k)
+	return s, p, o
 }
 
+func fromOSP(k []byte) (s, p, o TermID) {
+	o, s, p = id3(k)
+	return s, p, o
+}
+
+func (b *storeTriples) match(s, p, o TermID, fn func(s, p, o TermID) bool) {
+	kv, prefix, decode := b.access(s, p, o)
+	b.fail(kv.Scan(prefix, func(k, _ []byte) bool { return fn(decode(k)) }))
+}
+
+// count counts the pattern's key range a B-tree leaf at a time
+// (store.Keyspace.Count), so planning and the BGP evaluator pay a page
+// read per leaf of the range, not per matching triple.
 func (b *storeTriples) count(s, p, o TermID) int {
 	if s == NoTerm && p == NoTerm && o == NoTerm {
 		return b.size()
 	}
-	n := 0
-	b.match(s, p, o, func(_, _, _ TermID) bool { n++; return true })
+	kv, prefix, _ := b.access(s, p, o)
+	n, err := kv.Count(prefix)
+	if err != nil {
+		b.fail(err)
+		return 0
+	}
 	return n
 }
 

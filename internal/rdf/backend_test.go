@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
+	"tatooine/internal/pager"
 	"tatooine/internal/store"
 )
 
@@ -67,7 +70,9 @@ func TestBackendsAddRemoveContains(t *testing.T) {
 // the vocabulary, returns identical triple sets and counts equal to the
 // number of matches. A second phase removes every triple of one
 // predicate and re-adds some, so per-predicate bookkeeping that drops
-// to zero is exercised too.
+// to zero is exercised too. A last phase adds one predicate over
+// thousands of subjects and deletes a contiguous run of them, so counts
+// and scans cross many B-tree leaves, some of them emptied.
 func TestBackendsMatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	term := func(prefix string, n int) Term {
@@ -170,6 +175,29 @@ func TestBackendsMatchEquivalence(t *testing.T) {
 		t.Fatalf("re-added mem=%d disk=%d of %d p2 triples", am, ad, len(gone)/2)
 	}
 	check("predicate re-added")
+
+	// Multi-leaf phase: one predicate with 3,000 subjects spans dozens
+	// of B-tree leaves in all three permutations (the workload above
+	// fits in a few). Deleting a contiguous run of them empties whole
+	// leaves, which deletes leave in the tree.
+	pBig, oBig := NewIRI("pbig"), NewIRI("obig")
+	big := make([]Triple, 3000)
+	for i := range big {
+		big[i] = Triple{NewIRI(fmt.Sprintf("b%d", i)), pBig, oBig}
+	}
+	if am, ad := mem.AddAll(big), disk.AddAll(big); am != len(big) || ad != am {
+		t.Fatalf("added mem=%d disk=%d of %d big-predicate triples", am, ad, len(big))
+	}
+	preds = append(preds, pBig)
+	objects = append(objects, oBig)
+	for i := 0; i < len(big); i += 97 {
+		subjects = append(subjects, big[i].S)
+	}
+	check("one predicate over many leaves")
+	if rm, rd := len(mem.RemoveBatch(big[500:2500])), len(disk.RemoveBatch(big[500:2500])); rm != 2000 || rd != rm {
+		t.Fatalf("removed mem=%d disk=%d of 2000 big-predicate triples", rm, rd)
+	}
+	check("contiguous delete")
 }
 
 func triplesFromTerms(ts []Term) []Triple {
@@ -273,5 +301,66 @@ func TestStoreGraphPersistAcrossReopen(t *testing.T) {
 	// Pattern probes still work after reopen (dictionary IDs rebuilt).
 	if n := g2.CountMatch(NewIRI("s3"), Term{}, Term{}); n == 0 {
 		t.Fatal("reopened graph: subject probe found nothing")
+	}
+}
+
+// TestConcurrentReadFailuresKeepFirstError runs pattern counts and
+// matches from several goroutines on a store-backed graph whose page
+// reads all fail (a small cache, read after the store closed). Each
+// reader records the failure under the graph's shared read lock; under
+// -race that must be race-free, and StoreErr reports an error after.
+func TestConcurrentReadFailuresKeepFirstError(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "g.db"), store.Options{Pager: pager.Options{CacheSize: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenGraph(st, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []Term{NewIRI("p0"), NewIRI("p1"), NewIRI("p2")}
+	for i := 0; i < 3000; i++ {
+		g.Add(Triple{NewIRI(fmt.Sprintf("s%d", i)), preds[i%3], NewIRI("o")})
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// Counting once puts the predicates in the dictionary's hot cache,
+	// so the probes below reach the triple backend without a page read.
+	for _, p := range preds {
+		if n := g.CountMatch(Term{}, p, Term{}); n != 1000 {
+			t.Fatalf("count %v = %d before close, want 1000", p, n)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The readers start together and yield after each probe, so a
+	// failure is recorded while other readers are between locks: the
+	// record is then ordered after no lock they took.
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 50; i++ {
+				p := preds[(w+i)%len(preds)]
+				if n := g.CountMatch(Term{}, p, Term{}); n != 0 {
+					t.Errorf("count %v = %d on a closed store", p, n)
+				}
+				runtime.Gosched()
+				if ts := g.Match(Term{}, p, Term{}); len(ts) != 0 {
+					t.Errorf("match %v = %d triples on a closed store", p, len(ts))
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if err := g.StoreErr(); err == nil {
+		t.Fatal("reads of a closed store left no StoreErr")
 	}
 }

@@ -13,7 +13,8 @@ import (
 // graph runs the same access paths over B-tree cursors (storeTriples).
 // All methods are called with the Graph's lock held (write lock for
 // add/remove, read lock otherwise), so implementations need no internal
-// locking.
+// locking, except for state a reader writes: the store backend's
+// sticky error is set by concurrent readers.
 type tripleBackend interface {
 	add(s, p, o TermID) bool
 	remove(s, p, o TermID) bool

@@ -9,6 +9,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -240,7 +241,9 @@ func (s *Store) Keyspace(name string) (*Keyspace, error) {
 }
 
 // Commit makes every mutation since the last Commit durable as one
-// atomic transaction.
+// atomic transaction. It must not run beside a Put or Delete on any
+// keyspace (it would copy a page mid-write): the owner serializes
+// writes with commits, while reads may run beside either.
 func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,35 +477,32 @@ func (ks *Keyspace) Delete(key []byte) (bool, error) {
 }
 
 // Scan calls fn for every pair whose key starts with prefix, in
-// ascending key order, until fn returns false.
+// ascending key order, until fn returns false. key and value are
+// sub-slices of a page, valid only during the call: fn copies what it
+// keeps.
 func (ks *Keyspace) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	c := ks.tree.NewCursor()
-	for c.Seek(prefix); c.Valid(); c.Next() {
-		k := c.Key()
-		if !hasPrefix(k, prefix) {
-			break
-		}
-		if !fn(k, c.Value()) {
-			break
-		}
-	}
-	return c.Err()
+	return ks.tree.Walk(prefix, func(k, v []byte) bool {
+		return bytes.HasPrefix(k, prefix) && fn(k, v)
+	})
 }
 
 // ScanFrom calls fn for every pair with key >= start, in ascending key
-// order, until fn returns false (seek-skip iteration).
+// order, until fn returns false (seek-skip iteration). As in Scan, key
+// and value are valid only during the call.
 func (ks *Keyspace) ScanFrom(start []byte, fn func(key, value []byte) bool) error {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	c := ks.tree.NewCursor()
-	for c.Seek(start); c.Valid(); c.Next() {
-		if !fn(c.Key(), c.Value()) {
-			break
-		}
-	}
-	return c.Err()
+	return ks.tree.Walk(start, fn)
+}
+
+// Count returns the number of keys that start with prefix, exactly, at
+// a page read per B-tree leaf in the range.
+func (ks *Keyspace) Count(prefix []byte) (int, error) {
+	ks.mu.RLock()
+	defer ks.mu.RUnlock()
+	return ks.tree.CountPrefix(prefix)
 }
 
 // Len returns the number of keys (maintained, not counted).
@@ -510,19 +510,4 @@ func (ks *Keyspace) Len() int {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	return ks.count
-}
-
-func hasPrefix(k, prefix []byte) bool {
-	if len(prefix) == 0 {
-		return true
-	}
-	if len(k) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if k[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
 }

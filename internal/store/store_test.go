@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tatooine/internal/pager"
@@ -462,4 +464,124 @@ func vacuum(s *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.vacuumLocked()
+}
+
+// TestConcurrentCountAndScanBesideWrites runs Count and Scan on two
+// keyspaces while a writer per keyspace Puts one key range and Deletes
+// another, committing as it goes, so every reader shares its keyspace
+// with a writer and also reads the other. A Count or Scan sees one
+// state: a growing range never shrinks between reads, a shrinking one
+// never grows, and a Scan yields ascending keys that all have the
+// prefix.
+func TestConcurrentCountAndScanBesideWrites(t *testing.T) {
+	runBoth(t, func(t *testing.T, st *Store) {
+		const n = 2000
+		key := func(prefix string, i int) []byte { return []byte(fmt.Sprintf("%s%05d", prefix, i)) }
+		var spaces []*Keyspace
+		for _, name := range []string{"a", "b"} {
+			kv, err := st.Keyspace(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := kv.Put(key("shrink/", i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			spaces = append(spaces, kv)
+		}
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Commit must not run beside a write (it would copy a page the
+		// writer is changing), so writers share commitMu and each
+		// Commit takes it alone; readers take no part in it.
+		var commitMu sync.RWMutex
+		var writers, readers sync.WaitGroup
+		var done atomic.Bool
+		for _, kv := range spaces {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				for i := 0; i < n; i++ {
+					commitMu.RLock()
+					_, perr := kv.Put(key("grow/", i), []byte("v"))
+					_, derr := kv.Delete(key("shrink/", i))
+					commitMu.RUnlock()
+					if perr != nil || derr != nil {
+						t.Error(perr, derr)
+						return
+					}
+					if i%250 == 249 {
+						commitMu.Lock()
+						err := st.Commit()
+						commitMu.Unlock()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		read := func(kv *Keyspace, prefix string, lastCount, lastScan *int, grows bool) {
+			c, err := kv.Count([]byte(prefix))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var prev []byte
+			s := 0
+			if err := kv.Scan([]byte(prefix), func(k, _ []byte) bool {
+				if !bytes.HasPrefix(k, []byte(prefix)) || bytes.Compare(prev, k) >= 0 {
+					t.Errorf("scan of %q yields %q after %q", prefix, k, prev)
+					return false
+				}
+				prev = append(prev[:0], k...)
+				s++
+				return true
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, got := range []struct {
+				what string
+				n    int
+				last *int
+			}{{"count", c, lastCount}, {"scan", s, lastScan}} {
+				if got.n < 0 || got.n > n || (grows && got.n < *got.last) || (!grows && got.n > *got.last) {
+					t.Errorf("%s of %q went %d -> %d", got.what, prefix, *got.last, got.n)
+				}
+				*got.last = got.n
+			}
+		}
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				var grow, shrink [2][2]int // per keyspace: last count, last scan
+				for ks := range shrink {
+					shrink[ks] = [2]int{n, n}
+				}
+				for !done.Load() {
+					for ks, kv := range spaces {
+						read(kv, "grow/", &grow[ks][0], &grow[ks][1], true)
+						read(kv, "shrink/", &shrink[ks][0], &shrink[ks][1], false)
+					}
+				}
+			}()
+		}
+		writers.Wait()
+		done.Store(true)
+		readers.Wait()
+		for _, kv := range spaces {
+			if c, err := kv.Count([]byte("grow/")); err != nil || c != n {
+				t.Fatalf("grow/ count = %d, %v after the writers; want %d", c, err, n)
+			}
+			if c, err := kv.Count([]byte("shrink/")); err != nil || c != 0 {
+				t.Fatalf("shrink/ count = %d, %v after the writers; want 0", c, err)
+			}
+		}
+	})
 }
