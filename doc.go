@@ -143,9 +143,10 @@
 // binding. Sources may implement the optional source.BatchProber
 // capability (ExecuteBatch: one sub-query, many parameter tuples, one
 // native round trip); the executor then chunks a bind join's distinct
-// outer tuples into batches of core.DefaultProbeBatch (64, not
+// outer tuples into batches of core.DefaultProbeBatch (1024, not
 // configurable) and ships each chunk as ONE sub-query, turning
-// O(bindings) round trips into O(bindings/batch). Every batch is
+// O(bindings) round trips into O(bindings/batch): a bind join's
+// surviving tuples normally travel as one request. Every batch is
 // answered: there is no refusal to fall back from. The executor ships
 // every sub-query through one dispatch (a scan, a probe or a batch),
 // and source.ExecuteBatchWith hands a batch to a BatchProber whole and
@@ -192,8 +193,8 @@
 // without executing. bench/'s federated_stream workload, whose sources
 // sit behind a 1 ms delay, reports the collapse as
 // core.batch_probes_per_query and federation.rtts_per_query;
-// BenchmarkBatchedBindJoin isolates it (per-tuple vs batches of 64)
-// against a latency-injected remote.
+// BenchmarkBatchedBindJoin isolates it (256 per-tuple requests vs one
+// batch) against a latency-injected remote.
 //
 // # Pipelined operator-DAG execution
 //
@@ -289,7 +290,12 @@
 // when the LAST one disconnects — a leader's disconnect never poisons
 // coalesced followers. With ExecOptions.Parallel a bind join keeps up
 // to DefaultMaxFanout probes in flight: a GOMAXPROCS-derived bound,
-// clamped to [8, 64].
+// clamped to [8, 64]. Against a batch-capable source the fan-out
+// matters only above DefaultProbeBatch tuples, or when an outer input
+// that would block flushes a partial chunk early. Every
+// federation.Client shares one HTTP transport that keeps up to 64 idle
+// connections per remote, the top of that clamp, so the connections a
+// burst of concurrent probes opens stay open for the next query.
 //
 // # Tuple-level streaming execution
 //

@@ -33,8 +33,12 @@ type ExecOptions struct {
 
 // DefaultProbeBatch is the bind-join batch size: a source that supports
 // batched probes (source.BatchProber) receives the distinct outer
-// tuples in chunks of this many, each chunk one native sub-query.
-const DefaultProbeBatch = 64
+// tuples in chunks of this many, each chunk one native sub-query. It is
+// large enough that a bind join's surviving tuples normally travel as
+// one batch — one round trip to a remote — so the fan-out matters only
+// for larger joins and for partial chunks an outer input that would
+// block flushes early.
+const DefaultProbeBatch = 1024
 
 // DefaultMaxFanout derives the bind-join fan-out bound from the host:
 // probes are I/O-bound (they mostly wait on remote sources), so twice

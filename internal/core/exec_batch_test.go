@@ -176,7 +176,7 @@ func TestBatchedBindJoinMatchesPerProbe(t *testing.T) {
 			t.Fatalf("fixture produced no rows")
 		}
 		// Per-probe ships one probe sub-query per distinct non-null
-		// binding; batched ships ⌈distinct/64⌉ = 2.
+		// binding; batched ships ⌈distinct/DefaultProbeBatch⌉ = 2.
 		if perProbe.Stats.SubQueries != 1+distinct || perProbe.Stats.BatchProbes != 0 {
 			t.Errorf("parallel=%v: per-probe stats: %+v", parallel, perProbe.Stats)
 		}

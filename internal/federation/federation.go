@@ -256,10 +256,44 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
+// maxIdleConnsPerRemote is how many idle connections the shared
+// transport keeps open to one remote: the top of core's bind-join
+// fan-out clamp (DefaultMaxFanout is at most 64), so every connection
+// a burst of concurrent probes opens goes back to the pool, and a
+// steady stream of probes dials nothing. http.DefaultTransport keeps 2;
+// its cap of 100 idle connections over all remotes stays.
+const maxIdleConnsPerRemote = 64
+
+// maxDrain bounds how much of an unread reply body drainClose reads to
+// keep its connection: a longer remainder costs less to redial than to
+// read.
+const maxDrain = 64 << 10
+
+// httpClient is the one HTTP client, and so the one connection pool,
+// every Client shares, the ones Resolver dials per URI included: a
+// Client made for each dynamically discovered URI reuses the pool and
+// leaves no idle connections of its own behind.
+var httpClient = &http.Client{
+	Transport: func() *http.Transport {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = maxIdleConnsPerRemote
+		return t
+	}(),
+	Timeout: 30 * time.Second,
+}
+
+// drainClose reads what is left of a reply body, up to maxDrain, and
+// closes it. A body closed before EOF takes its connection with it, so
+// every route closes through here: a JSON decode stops at the end of
+// the value, and an error reply may be longer than statusError reads.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	_ = body.Close()
+}
+
 // Client is a DataSource backed by a remote federation endpoint.
 type Client struct {
 	baseURL string
-	http    *http.Client
 	meta    MetaResponse
 	// rttEWMA (nanos) smooths observed round-trip latencies; see
 	// ObservedRTT. lastRTTWarn rate-limits the slow-remote warning.
@@ -309,15 +343,12 @@ func (c *Client) observeRTT(d time.Duration) {
 // returned source's URI is the remote's advertised URI when available,
 // else the base URL.
 func Dial(baseURL string) (*Client, error) {
-	c := &Client{
-		baseURL: baseURL,
-		http:    &http.Client{Timeout: 30 * time.Second},
-	}
-	resp, err := c.http.Get(baseURL + "/meta")
+	c := &Client{baseURL: baseURL}
+	resp, err := httpClient.Get(baseURL + "/meta")
 	if err != nil {
 		return nil, fmt.Errorf("federation: dial %s: %w", baseURL, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusError("dial", resp)
 	}
@@ -379,7 +410,7 @@ func (c *Client) roundTrip(ctx context.Context, route string, body []byte) (*htt
 		req.Header.Set(obs.SpanHeader, s.ID())
 	}
 	start := time.Now()
-	resp, err := c.http.Do(req)
+	resp, err := httpClient.Do(req)
 	rtt := time.Since(start)
 	if err != nil {
 		return nil, err
@@ -432,7 +463,7 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 	if err != nil {
 		return nil, fmt.Errorf("federation: batch %s: %w", c.baseURL, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusError("batch", resp)
 	}
@@ -519,12 +550,12 @@ func (c *Client) Estimate(q source.SubQuery, numParams int) (rows, cost int) {
 		return -1, -1
 	}
 	start := time.Now()
-	resp, err := c.http.Post(c.baseURL+"/estimate", "application/json", bytes.NewReader(body))
+	resp, err := httpClient.Post(c.baseURL+"/estimate", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return -1, -1
 	}
 	c.observeRTT(time.Since(start))
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return -1, -1
 	}
@@ -547,11 +578,11 @@ func (c *Client) Estimate(q source.SubQuery, numParams int) (rows, cost int) {
 // computes under its own default budget; the budget argument is
 // accepted for interface compatibility.
 func (c *Client) Digest(_ digest.Budget) (*digest.Digest, error) {
-	resp, err := c.http.Get(c.baseURL + "/digest")
+	resp, err := httpClient.Get(c.baseURL + "/digest")
 	if err != nil {
 		return nil, fmt.Errorf("federation: digest %s: %w", c.baseURL, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		// statusError reads the error body through a bounded reader, so a
 		// misbehaving endpoint cannot balloon memory here either.
