@@ -27,9 +27,7 @@ import (
 // deadAllowed names the declarations in internal/ that no program
 // reaches but that stay, each with the reason it stays. A key is the
 // package name, then the receiver type for a method, then the name.
-var deadAllowed = map[string]string{
-	"federation.Client.ObservedRTT": "ROADMAP 17d's slow-remote warning keys on it",
-}
+var deadAllowed = map[string]string{}
 
 func TestInternalDeclarationsAreReachable(t *testing.T) {
 	l, err := newModuleLoader(".")

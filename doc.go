@@ -147,19 +147,24 @@
 // configurable) and ships each chunk as ONE sub-query, turning
 // O(bindings) round trips into O(bindings/batch): a bind join's
 // surviving tuples normally travel as one request. Every batch is
-// answered: there is no refusal to fall back from. The executor ships
-// every sub-query through one dispatch (a scan, a probe or a batch),
-// and source.ExecuteBatchWith hands a batch to a BatchProber whole and
-// runs it tuple by tuple, checking the context before each, on any
-// other source.
+// answered: there is no refusal to fall back from. Every caller reaches
+// a source through one call, source.ExecuteBatchWith: a scan is a batch
+// of one empty tuple and a lone probe a batch of one. It hands the
+// batch to a BatchProber whole and runs it tuple by tuple
+// (source.ExecuteSerially, checking the context before each) on any
+// other source, and it refuses an answer with the wrong number of
+// results or a nil one, so the executor, the probe cache and the
+// /batch endpoint never check the shape themselves.
 //
 //   - source.RelSource pushes batches down as SQL: each `col = ?`
 //     probe predicate is rewritten into `col IN (v1, ..., vk)` per
-//     batch and the single result is split back per tuple — exactly,
-//     including multi-parameter cross products; shapes whose meaning
-//     would change (LIMIT, DISTINCT, '?' outside a top-level
-//     equality) run tuple by tuple inside ExecuteBatch; text that is
-//     not one SELECT fails the batch once, with the parse error.
+//     batch (a lone probe is `IN (v)`) and the single result is split
+//     back per tuple — exactly, including multi-parameter cross
+//     products; shapes whose meaning would change (LIMIT, DISTINCT,
+//     '?' outside a top-level equality) run tuple by tuple inside
+//     ExecuteBatch; a statement without parameters (a scan) runs once
+//     and its result is every tuple's; text that is not one SELECT
+//     fails the batch once, with the parse error.
 //   - source.RDFSource evaluates batches VALUES-style: parse once,
 //     evaluate per tuple in-process. source.DocSource parses once and
 //     answers the whole batch in one pass over the index
@@ -185,7 +190,9 @@
 //     any other status carries a JSON {"error": ...} body.
 //   - source.Cached answers cached tuples from the probe cache and
 //     forwards only the misses as a smaller batch, filling the cache
-//     per tuple from the batch result.
+//     per tuple from the batch result; a lone probe is a batch of one
+//     on the same path. Each tuple counts as a hit or a miss when it is
+//     looked up, whether or not the fill then succeeds.
 //
 // ExecStats.BatchProbes (and the /stats batchProbes counter) reports
 // how many batched dispatches ran; POST /cmq with {"explain": true}
@@ -280,12 +287,15 @@
 //
 // Execution is cancellable end to end: the POST /cmq request context
 // flows through Instance.ExecuteContext into every DAG node, probe
-// fan-out and federation.Client HTTP round trip
-// (source.ContextExecutor / source.ContextBatchProber), and on into
-// the remote endpoint's /batch, so a disconnected client or an
-// expired deadline stops scheduled nodes, refuses further probes,
-// aborts in-flight remote requests and stops a remote's tuple loop
-// instead of leaking goroutines. The mediator's single-flight guard counts
+// fan-out and source call. source.ExecuteBatchWith refuses a cancelled
+// context before it reaches the source and threads it into a
+// source.ContextBatchProber (a federation.Client's HTTP round trip);
+// source.ExecuteSerially checks it before each tuple and threads it
+// into a source.ContextExecutor. It goes on into the remote endpoint's
+// /batch, so a disconnected client or an expired deadline stops
+// scheduled nodes, refuses further probes, aborts in-flight remote
+// requests and stops a remote's tuple loop instead of leaking
+// goroutines. The mediator's single-flight guard counts
 // interested requests per flight and cancels the shared execution only
 // when the LAST one disconnects — a leader's disconnect never poisons
 // coalesced followers. With ExecOptions.Parallel a bind join keeps up
@@ -350,7 +360,9 @@
 // lengths and counts are uvarints of at most 64 MiB, and each value,
 // length and count has one encoding. ReadFrame refuses a longer frame
 // before it allocates, grows its buffer only as bytes arrive, and
-// reports a cut stream as an error wrapping io.ErrUnexpectedEOF.
+// reports a cut stream as an error wrapping io.ErrUnexpectedEOF. A
+// /batch reply as a whole has no cap: each of its frames and counts is
+// bounded, so a bind join may answer with more than 64 MiB of rows.
 // TestWireFidelity (internal/federation) checks every kind across
 // /batch against the same batch in-process; FuzzBatchHandler and
 // FuzzBatchReply drive arbitrary bytes into both ends.

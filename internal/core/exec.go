@@ -195,10 +195,11 @@ func (ex *executor) newJoin(left, right Iterator, j joinStep) Iterator {
 	})
 }
 
-// ship sends atom a's sub-query to src once and returns its rows laid
-// out by l. With no tuples it is a scan, whose rows are headed by
-// prefix; one unbatched tuple is a probe (unbatched, ts holds at most
-// one); batched sends every tuple as one batch. Each dispatch gets its own child span of sp, observes its
+// ship sends atom a's sub-query to src in one source call and returns
+// its rows laid out by l. With no tuples it is a scan, a batch of one
+// empty tuple whose rows are headed by prefix. batched tells a
+// bind-join batch ("probe-batch", counted in BatchProbes) from a lone
+// probe. Each dispatch gets its own child span of sp, observes its
 // round trip into the per-source probe histogram and counts as one
 // sub-query.
 func (ex *executor) ship(src source.DataSource, a Atom, l *layout, prefix value.Row, ts []paramTuple,
@@ -213,30 +214,20 @@ func (ex *executor) ship(src source.DataSource, a Atom, l *layout, prefix value.
 	}
 	csp := sp.StartChild(name)
 	csp.SetAttr("source", src.URI())
-	start := time.Now()
-	var results []*source.Result
-	var err error
 	if batched {
 		csp.SetAttr("tuples", strconv.Itoa(len(ts)))
-		sets := make([]value.Row, len(ts))
-		for i, t := range ts {
-			sets[i] = t.params
-		}
-		results, err = source.ExecuteBatchWith(ex.ctx, src, a.Sub, sets)
-	} else {
-		var res *source.Result
-		res, err = source.ExecuteWith(ex.ctx, src, a.Sub, ts[0].params)
-		results = []*source.Result{res}
 	}
+	start := time.Now()
+	sets := make([]value.Row, len(ts))
+	for i, t := range ts {
+		sets[i] = t.params
+	}
+	results, err := source.ExecuteBatchWith(ex.ctx, src, a.Sub, sets)
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
 	probeSeconds.With(src.URI()).ObserveSince(start)
-	if len(results) != len(ts) {
-		return nil, fmt.Errorf("core: atom %s: batched probe returned %d results for %d tuples",
-			a.Designator(), len(results), len(ts))
-	}
 	out, rows, err := l.rows(a, ts, results)
 	if err != nil {
 		return nil, err

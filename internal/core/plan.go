@@ -112,9 +112,6 @@ func newLayout(a Atom, outs []string) layout {
 // array, each capped at its width, and never written to afterwards.
 func (l *layout) rows(a Atom, ts []paramTuple, results []*source.Result) (out []value.Row, fetched int, err error) {
 	for _, res := range results {
-		if res == nil {
-			return nil, 0, fmt.Errorf("core: atom %s: probe returned a nil result", a.Designator())
-		}
 		if len(res.Cols) != len(l.outs) {
 			return nil, 0, fmt.Errorf("core: atom %s returned %d columns for %d OUT variables",
 				a.Designator(), len(res.Cols), len(l.outs))

@@ -3,6 +3,7 @@ package federation
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/hex"
 	"fmt"
 	"maps"
@@ -61,7 +62,7 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 	if got := requests.Load(); got != 1 {
 		t.Errorf("batch used %d HTTP requests, want 1", got)
 	}
-	serial, err := source.ExecuteSerially(c, batchQuery, sets)
+	serial, err := source.ExecuteSerially(context.Background(), c, batchQuery, sets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,3 +195,54 @@ FROM <sql://target> IN(?x) OUT(?x, ?y) { SELECT k, v FROM t WHERE k = ? }
 		t.Errorf("a bind join of %d tuples sent %d /batch requests, want 1", n, got)
 	}
 }
+
+// TestRemoteBindJoinOverMaxFrame: a bind join whose one /batch reply is
+// larger than value.MaxFrame (64 MiB) still returns every row. 300 keys
+// bind-join to a remote holding 230 rows per key, each with a
+// 1,000-byte string: about 70 MB in one reply. The client bounds each
+// frame and each count, not the reply.
+func TestRemoteBindJoinOverMaxFrame(t *testing.T) {
+	const keys, perKey = 300, 230
+	pad := value.NewString(strings.Repeat("x", 1000))
+	seed := relstore.NewDatabase("seed")
+	seeds := loadTable(t, seed, relstore.Schema{Name: "seed", Columns: []relstore.Column{{Name: "k", Type: value.String}}})
+	tdb := relstore.NewDatabase("target")
+	targets := loadTable(t, tdb, relstore.Schema{Name: "t", Columns: []relstore.Column{
+		{Name: "k", Type: value.String}, {Name: "pad", Type: value.String}}})
+	for i := range keys {
+		k := value.NewString(fmt.Sprintf("k%d", i))
+		if err := seeds.Insert(value.Row{k}); err != nil {
+			t.Fatal(err)
+		}
+		for range perKey {
+			if err := targets.Insert(value.Row{k, pad}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	srv, rc := serveCounted(t, Handler(source.NewRelSource("sql://target", tdb)))
+	c, err := Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.NewInstance(nil)
+	for _, s := range []source.DataSource{source.NewRelSource("sql://seed", seed), c} {
+		if err := in.AddSource(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := in.Execute(core.MustParseCMQ(`
+QUERY q(?x, ?p)
+FROM <sql://seed> OUT(?x) { SELECT k FROM seed }
+FROM <sql://target> IN(?x) OUT(?x, ?p) { SELECT k, pad FROM t WHERE k = ? }
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != keys*perKey {
+		t.Fatalf("%d rows, want %d", len(res.Rows), keys*perKey)
+	}
+	if got := rc.count("/batch"); got != 1 {
+		t.Errorf("%d /batch requests, want 1", got)
+	}
+}

@@ -130,18 +130,6 @@ func handlerMux(src source.DataSource) http.Handler {
 			writeError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
-		if len(results) != len(paramSets) {
-			writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
-				"federation: source returned %d results for %d tuples", len(results), len(paramSets)))
-			return
-		}
-		for j, res := range results {
-			if res == nil {
-				writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
-					"federation: source returned a nil result for tuple %d", j))
-				return
-			}
-		}
 		w.Header().Set("Content-Type", batchMediaType)
 		_, _ = w.Write(appendBatchReply(nil, results))
 	})
@@ -295,37 +283,15 @@ func drainClose(body io.ReadCloser) {
 type Client struct {
 	baseURL string
 	meta    MetaResponse
-	// rttEWMA (nanos) smooths observed round-trip latencies; see
-	// ObservedRTT. lastRTTWarn rate-limits the slow-remote warning.
-	rttEWMA     atomic.Int64
+	// lastRTTWarn rate-limits the slow-remote warning.
 	lastRTTWarn atomic.Int64
 }
 
-// ObservedRTT returns the smoothed round-trip latency of this remote
-// (an exponentially weighted moving average over /batch and
-// /estimate calls), or zero before any call completed. It is the
-// measured counterpart of the planner's modeled RemoteCostOverheadRTT.
-func (c *Client) ObservedRTT() time.Duration {
-	return time.Duration(c.rttEWMA.Load())
-}
-
-// observeRTT folds one round trip into the EWMA and the per-remote RTT
-// histogram, and warns — at most once a minute per remote — when the
-// observed latency exceeds 10× the modeled RemoteCostOverheadRTT: the
-// planner is then charging this remote far too little, and its plans
-// will over-prefer it.
+// observeRTT records one round trip in the per-remote RTT histogram,
+// and warns — at most once a minute per remote — when it took over 10×
+// the modeled RemoteCostOverheadRTT: the planner is then charging this
+// remote far too little, and its plans will over-prefer it.
 func (c *Client) observeRTT(d time.Duration) {
-	const alpha = 8 // EWMA smoothing: new = old + (obs-old)/alpha
-	for {
-		old := c.rttEWMA.Load()
-		next := int64(d)
-		if old != 0 {
-			next = old + (int64(d)-old)/alpha
-		}
-		if c.rttEWMA.CompareAndSwap(old, next) {
-			break
-		}
-	}
 	remoteRTT.With(c.URI()).ObserveDuration(d)
 	if d > 10*RemoteCostOverheadRTT {
 		now := time.Now().UnixNano()
@@ -470,7 +436,7 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 	if ct := resp.Header.Get("Content-Type"); ct != batchMediaType {
 		return nil, fmt.Errorf("federation: batch %s: bad response: media type %q, want %q", c.baseURL, ct, batchMediaType)
 	}
-	out, err := readBatchReply(bufio.NewReader(http.MaxBytesReader(nil, resp.Body, value.MaxFrame)), len(paramSets))
+	out, err := readBatchReply(bufio.NewReader(resp.Body), len(paramSets))
 	if err != nil {
 		return nil, fmt.Errorf("federation: batch %s: bad response: %w", c.baseURL, err)
 	}
@@ -478,7 +444,9 @@ func (c *Client) ExecuteBatchContext(ctx context.Context, q source.SubQuery, par
 }
 
 // readBatchReply reads a 200 /batch reply that must hold exactly want
-// results.
+// results. The reply has no size cap, so a bind join may answer with
+// any number of rows; value.ReadFrame and ReadCount bound each frame
+// and count and refuse a longer one before allocating for it.
 func readBatchReply(r *bufio.Reader, want int) ([]*source.Result, error) {
 	n, err := value.ReadCount(r)
 	if err == nil && n != want {
@@ -499,20 +467,39 @@ func readBatchReply(r *bufio.Reader, want int) ([]*source.Result, error) {
 	return out, readEnd(r)
 }
 
+// maxErrorBody bounds how much of a non-OK reply statusError reads.
+const maxErrorBody = 8 << 10
+
 // statusError turns a non-OK response into an error. The status is
 // checked before decoding: a non-JSON error body (a proxy 502, a wrong
 // route) must surface as the HTTP status, not as a confusing decode
 // failure; when the endpoint did send a JSON error, its message is
 // included alongside the status.
 func (c *Client) statusError(op string, resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	if msg := errorMessage(body); msg != "" {
+		return fmt.Errorf("federation: %s %s: status %s: %s", op, c.baseURL, resp.Status, msg)
+	}
+	return fmt.Errorf("federation: %s %s: status %s", op, c.baseURL, resp.Status)
+}
+
+// errorMessage returns the message of a JSON {"error": ...} body, or ""
+// when body is not one. A body that maxErrorBody cut inside the message
+// keeps the message's first bytes: the cut string is closed and
+// decoded, less up to five trailing bytes of a split escape.
+func errorMessage(body []byte) string {
 	var envelope struct {
 		Error string `json:"error"`
 	}
-	if json.Unmarshal(body, &envelope) == nil && envelope.Error != "" {
-		return fmt.Errorf("federation: %s %s: status %s: %s", op, c.baseURL, resp.Status, envelope.Error)
+	if json.Unmarshal(body, &envelope) == nil {
+		return envelope.Error
 	}
-	return fmt.Errorf("federation: %s %s: status %s", op, c.baseURL, resp.Status)
+	for cut := len(body); cut > 0 && cut >= len(body)-5; cut-- {
+		if json.Unmarshal(append(body[:cut:cut], `"}`...), &envelope) == nil {
+			return envelope.Error
+		}
+	}
+	return ""
 }
 
 // RemoteCostOverhead is the flat cost a Client adds to the remote's
@@ -527,8 +514,8 @@ const RemoteCostOverhead = 32
 
 // RemoteCostOverheadRTT is the wall-clock round trip RemoteCostOverhead
 // models — the duration the planner implicitly assumes when it charges
-// a remote those 32 cost units. Client.ObservedRTT measures the real
-// value per remote; when the observed RTT exceeds 10× this constant the
+// a remote those 32 cost units. tat_remote_rtt_seconds records the real
+// value per remote; when a round trip exceeds 10× this constant the
 // client logs a warning, because the planner is then under-charging the
 // remote and its plans will over-prefer it. The constant itself stays
 // fixed so plan ordering remains deterministic across runs.

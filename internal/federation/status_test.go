@@ -8,6 +8,7 @@ import (
 
 	"tatooine/internal/digest"
 	"tatooine/internal/source"
+	"tatooine/internal/value"
 )
 
 // brokenProxy serves valid /meta (so Dial succeeds) but answers /batch
@@ -134,5 +135,42 @@ func TestDigestErrorStatusKeepsMessage(t *testing.T) {
 	}
 	if _, err := c.Digest(digest.DefaultBudget()); err == nil || !strings.Contains(err.Error(), "502") {
 		t.Errorf("digest error does not report the HTTP status: %v", err)
+	}
+}
+
+// TestCutErrorKeepsMessage: a /batch error reply longer than the part
+// the client reads (a 10 KiB table name echoed in the message) keeps
+// the message's first bytes instead of dropping it with the cut JSON.
+func TestCutErrorKeepsMessage(t *testing.T) {
+	srv, _ := servedRelSource(t)
+	c, err := Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := "t" + strings.Repeat("x", 10<<10)
+	_, err = c.ExecuteBatch(source.SubQuery{Language: source.LangSQL, Text: "SELECT x FROM " + table}, []value.Row{nil})
+	if err == nil {
+		t.Fatal("a query of an unknown table succeeded")
+	}
+	if !strings.Contains(err.Error(), "422") || !strings.Contains(err.Error(), `unknown table "txxxx`) {
+		t.Errorf("error lost status or message: %.200s", err)
+	}
+	if len(err.Error()) > len(table) {
+		t.Errorf("error is %d bytes: the client read more than the first 8 KiB", len(err.Error()))
+	}
+}
+
+// TestErrorMessageCutInEscape: wherever the cut falls, in a string
+// escape or a multi-byte character included, the message's first bytes
+// survive.
+func TestErrorMessageCutInEscape(t *testing.T) {
+	body := []byte(`{"error":"ab\u003c\"é\ud83d\ude00cd"}`)
+	for cut := len(`{"error":"ab`); cut < len(body); cut++ {
+		if msg := errorMessage(body[:cut]); !strings.HasPrefix(msg, "ab") {
+			t.Errorf("cut at %d (%s): message %q", cut, body[:cut], msg)
+		}
+	}
+	if msg := errorMessage([]byte("<html>502</html>")); msg != "" {
+		t.Errorf("non-JSON body gave message %q", msg)
 	}
 }

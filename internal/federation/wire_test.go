@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
@@ -129,6 +132,43 @@ func TestWireFidelity(t *testing.T) {
 				t.Fatal("the batch returned no rows: the case checks nothing")
 			}
 		})
+	}
+}
+
+// TestClientRefusesOverlongReply: with no cap on the whole reply, a
+// remote that claims a frame or a count over value.MaxFrame is still
+// refused, before the client allocates for the claim.
+func TestClientRefusesOverlongReply(t *testing.T) {
+	over := binary.AppendUvarint(nil, value.MaxFrame+1)
+	for name, body := range map[string][]byte{
+		"result count": over,
+		"column frame": append([]byte{1}, over...),
+		"row count":    append(append([]byte{1}, value.AppendFrame(nil, nil)...), over...),
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /meta", func(w http.ResponseWriter, r *http.Request) {
+			_, _ = w.Write([]byte(`{"uri":"sql://liar","model":"relational","languages":["sql"]}`))
+		})
+		mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", batchMediaType)
+			_, _ = w.Write(body)
+		})
+		srv := httptest.NewServer(mux)
+		c, err := Dial(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = c.ExecuteBatch(batchQuery, codes("75"))
+		runtime.ReadMemStats(&after)
+		srv.Close()
+		if !errors.Is(err, value.ErrFrameTooLong) {
+			t.Errorf("%s over MaxFrame: err = %v, want ErrFrameTooLong", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s over MaxFrame: the client allocated %d bytes", name, grew)
+		}
 	}
 }
 

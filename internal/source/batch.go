@@ -1,10 +1,6 @@
 package source
 
-import (
-	"fmt"
-
-	"tatooine/internal/value"
-)
+import "tatooine/internal/value"
 
 // BatchProber is the optional capability of a DataSource that can
 // evaluate one sub-query for many parameter tuples in a single native
@@ -38,21 +34,6 @@ func CanBatch(s DataSource) bool {
 		return CanBatch(u.Unwrap())
 	}
 	return true
-}
-
-// ExecuteSerially evaluates q once per tuple through plain Execute —
-// the reference semantics of ExecuteBatch. RelSource answers the shapes
-// it cannot push down with it, and the batch tests compare against it.
-func ExecuteSerially(s DataSource, q SubQuery, paramSets []value.Row) ([]*Result, error) {
-	out := make([]*Result, len(paramSets))
-	for i, ps := range paramSets {
-		res, err := s.Execute(q, ps)
-		if err != nil {
-			return nil, fmt.Errorf("source: batch tuple %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // single unwraps the answer of a batch of one tuple.

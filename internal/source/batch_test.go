@@ -1,6 +1,7 @@
 package source_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func assertBatchMatchesSerial(t *testing.T, s source.BatchProber, q source.SubQu
 	if err != nil {
 		t.Fatalf("ExecuteBatch: %v", err)
 	}
-	serial, err := source.ExecuteSerially(s, q, sets)
+	serial, err := source.ExecuteSerially(context.Background(), s, q, sets)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -224,7 +225,7 @@ func TestCachedExecuteBatchForwardsOnlyMisses(t *testing.T) {
 	inner := &recordingBatchSource{uri: "sql://r"}
 	c := source.NewCached(inner, 16)
 
-	// Prime one tuple through the per-tuple path.
+	// Prime one tuple with a lone probe: a batch of one.
 	if _, err := c.Execute(batchTestQuery, tuple("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +242,8 @@ func TestCachedExecuteBatchForwardsOnlyMisses(t *testing.T) {
 			t.Errorf("tuple %d: got %v", i, res[i].Rows[0])
 		}
 	}
-	if inner.batchCalls != 1 || inner.batchSizes[0] != 2 {
-		t.Errorf("inner batches: calls=%d sizes=%v, want one batch of 2", inner.batchCalls, inner.batchSizes)
+	if inner.batchCalls != 2 || inner.batchSizes[1] != 2 {
+		t.Errorf("inner batches: calls=%d sizes=%v, want the probe, then one batch of 2", inner.batchCalls, inner.batchSizes)
 	}
 	// The batch result filled the cache per tuple: no further inner calls.
 	if _, err := c.Execute(batchTestQuery, tuple("b")); err != nil {
@@ -251,7 +252,7 @@ func TestCachedExecuteBatchForwardsOnlyMisses(t *testing.T) {
 	if _, err := c.ExecuteBatch(batchTestQuery, []value.Row{tuple("b"), tuple("c")}); err != nil {
 		t.Fatal(err)
 	}
-	if inner.execCalls != 1 || inner.batchCalls != 1 {
+	if inner.execCalls != 0 || inner.batchCalls != 2 {
 		t.Errorf("inner calls after warm cache: exec=%d batch=%d", inner.execCalls, inner.batchCalls)
 	}
 	st := c.Stats()
@@ -301,8 +302,8 @@ func TestCachedTTLExpiry(t *testing.T) {
 	if _, err := c.Execute(batchTestQuery, tuple("a")); err != nil {
 		t.Fatal(err)
 	}
-	if inner.execCalls != 1 {
-		t.Fatalf("exec calls within TTL: %d", inner.execCalls)
+	if inner.batchCalls != 1 {
+		t.Fatalf("exec calls within TTL: %d", inner.batchCalls)
 	}
 	// Past the TTL: the entry expires, the inner source re-executes, and
 	// the refreshed entry serves again.
@@ -310,14 +311,14 @@ func TestCachedTTLExpiry(t *testing.T) {
 	if _, err := c.Execute(batchTestQuery, tuple("a")); err != nil {
 		t.Fatal(err)
 	}
-	if inner.execCalls != 2 {
-		t.Fatalf("exec calls after expiry: %d", inner.execCalls)
+	if inner.batchCalls != 2 {
+		t.Fatalf("exec calls after expiry: %d", inner.batchCalls)
 	}
 	if _, err := c.Execute(batchTestQuery, tuple("a")); err != nil {
 		t.Fatal(err)
 	}
-	if inner.execCalls != 2 {
-		t.Fatalf("refreshed entry not served: %d", inner.execCalls)
+	if inner.batchCalls != 2 {
+		t.Fatalf("refreshed entry not served: %d", inner.batchCalls)
 	}
 	st := c.Stats()
 	if st.Expired != 1 {

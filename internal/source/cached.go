@@ -2,7 +2,6 @@ package source
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,10 +28,10 @@ type CacheStats struct {
 // lookups. Results are shared between the cache and callers and must
 // be treated as read-only, which the executor already guarantees.
 //
-// Cached is also a BatchProber: batched probes are answered per tuple
-// from the cache, only the missing tuples are forwarded (as a smaller
-// batch when the inner source batches, one by one otherwise), and the
-// batch result fills the cache per tuple.
+// Every call is a batch (a probe is a batch of one): tuples are
+// answered from the cache, only the missing ones are forwarded (as a
+// smaller batch when the inner source batches, one by one otherwise),
+// and the batch result fills the cache per tuple.
 type Cached struct {
 	inner DataSource
 	ttl   time.Duration    // 0 = entries never expire
@@ -166,19 +165,6 @@ func (c *Cached) peek(key string) (*Result, bool) {
 	return e.res, true
 }
 
-// lookup is peek plus hit/miss accounting. Caller must hold c.mu.
-func (c *Cached) lookup(key string) (*Result, bool) {
-	res, ok := c.peek(key)
-	if ok {
-		c.stats.Hits++
-		probeCacheHitTotal.Inc()
-	} else {
-		c.stats.Misses++
-		probeCacheMissTotal.Inc()
-	}
-	return res, ok
-}
-
 // store fills key with res, counting evictions. Caller must hold c.mu.
 func (c *Cached) store(key string, res *Result) {
 	if c.cache.Put(key, cacheEntry{res: res, at: c.now()}) {
@@ -186,62 +172,29 @@ func (c *Cached) store(key string, res *Result) {
 	}
 }
 
-// Execute implements DataSource: a cache hit returns the memoized
-// result without touching the inner source; a miss executes and, on
-// success, stores the result (evicting the least recently used entry
-// when full). Errors are never cached.
+// Execute implements DataSource as a batch of one (see
+// ExecuteBatchContext): a hit returns the memoized result without
+// touching the inner source, a miss executes and, on success, stores
+// the result. Errors are never cached.
 func (c *Cached) Execute(q SubQuery, params []value.Value) (*Result, error) {
-	return c.ExecuteContext(context.Background(), q, params)
+	return single(c.ExecuteBatchContext(context.Background(), q, []value.Row{params}))
 }
 
-// ExecuteContext implements ContextExecutor: hits answer from memory
-// regardless of the context; misses forward it to the inner source so
-// a cancelled query aborts the in-flight fill (cancellation errors
-// are never cached — they are errors like any other).
-func (c *Cached) ExecuteContext(ctx context.Context, q SubQuery, params []value.Value) (*Result, error) {
-	key := cacheKey(c.inner.URI(), q, params)
-
-	c.mu.Lock()
-	res, ok := c.lookup(key)
-	gen := c.gen
-	c.mu.Unlock()
-	if ok {
-		return res, nil
-	}
-
-	// Execute outside the lock; concurrent misses on the same key may
-	// race to fill, which is harmless (last writer wins).
-	res, err := ExecuteWith(ctx, c.inner, q, params)
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	// An Invalidate since the miss means this result may predate the
-	// mutation the invalidation announced: return it to the caller (it
-	// was read before the flush, like any probe that finished a moment
-	// earlier) but do not let it outlive the flush in the cache.
-	if c.gen == gen {
-		c.store(key, res)
-	}
-	c.mu.Unlock()
-	return res, nil
-}
-
-// ExecuteBatch implements BatchProber: cached tuples are answered from
-// the probe cache and only the misses travel to the inner source, as a
-// smaller batch. The batch result fills the cache per tuple, so a later
-// per-tuple probe (or a different batch overlapping this one) hits
-// memory. When the inner source is not a BatchProber the misses run
-// one by one (see ExecuteBatchWith).
+// ExecuteBatch implements BatchProber; see ExecuteBatchContext.
 func (c *Cached) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	return c.ExecuteBatchContext(context.Background(), q, paramSets)
 }
 
-// ExecuteBatchContext implements ContextBatchProber; see ExecuteBatch.
+// ExecuteBatchContext implements ContextBatchProber: cached tuples are
+// answered from memory regardless of ctx, and only the misses travel
+// to the inner source, as a smaller batch under ctx. Every tuple counts
+// as a hit or a miss when it is looked up, whether or not the inner
+// call then succeeds. The misses' results fill the cache per tuple, so
+// a later probe or an overlapping batch hits memory; errors, a
+// cancelled fill among them, are never cached.
 func (c *Cached) ExecuteBatchContext(ctx context.Context, q SubQuery, paramSets []value.Row) ([]*Result, error) {
-	// Build the keys outside the lock (Execute does the same): under a
-	// parallel bind join many chunks contend on this mutex.
+	// Build the keys outside the lock: under a parallel bind join many
+	// chunks contend on this mutex.
 	keys := make([]string, len(paramSets))
 	for i, ps := range paramSets {
 		keys[i] = cacheKey(c.inner.URI(), q, ps)
@@ -256,38 +209,35 @@ func (c *Cached) ExecuteBatchContext(ctx context.Context, q SubQuery, paramSets 
 			missIdx = append(missIdx, i)
 		}
 	}
-	if len(missIdx) == 0 {
-		c.stats.Hits += int64(len(paramSets))
-		c.mu.Unlock()
-		probeCacheHitTotal.Add(int64(len(paramSets)))
-		return out, nil
-	}
+	hits, misses := int64(len(paramSets)-len(missIdx)), int64(len(missIdx))
+	c.stats.Hits += hits
+	c.stats.Misses += misses
 	gen := c.gen
 	c.mu.Unlock()
-
-	misses := make([]value.Row, len(missIdx))
-	for j, i := range missIdx {
-		misses[j] = paramSets[i]
+	probeCacheHitTotal.Add(hits)
+	probeCacheMissTotal.Add(misses)
+	if len(missIdx) == 0 {
+		return out, nil
 	}
-	results, err := ExecuteBatchWith(ctx, c.inner, q, misses)
+
+	// Execute outside the lock; concurrent misses on the same key may
+	// race to fill, which is harmless (last writer wins).
+	sets := make([]value.Row, len(missIdx))
+	for j, i := range missIdx {
+		sets[j] = paramSets[i]
+	}
+	results, err := ExecuteBatchWith(ctx, c.inner, q, sets)
 	if err != nil {
 		return nil, err
 	}
-	if len(results) != len(misses) {
-		return nil, fmt.Errorf("source %s: batched probe returned %d results for %d tuples",
-			c.inner.URI(), len(results), len(misses))
-	}
-
-	probeCacheHitTotal.Add(int64(len(paramSets) - len(missIdx)))
-	probeCacheMissTotal.Add(int64(len(missIdx)))
 	c.mu.Lock()
-	c.stats.Hits += int64(len(paramSets) - len(missIdx))
-	c.stats.Misses += int64(len(missIdx))
 	for j, i := range missIdx {
 		out[i] = results[j]
-		// As in Execute: a batch whose misses were read before an
-		// Invalidate still answers the caller, but must not re-fill the
-		// flushed cache with possibly pre-mutation rows.
+		// An Invalidate since the miss means this result may predate the
+		// mutation the invalidation announced: return it to the caller
+		// (it was read before the flush, like any probe that finished a
+		// moment earlier) but do not let it outlive the flush in the
+		// cache.
 		if c.gen == gen {
 			c.store(keys[i], results[j])
 		}

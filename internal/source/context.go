@@ -28,40 +28,61 @@ type ContextBatchProber interface {
 	ExecuteBatchContext(ctx context.Context, q SubQuery, paramSets []value.Row) ([]*Result, error)
 }
 
-// ExecuteWith evaluates q against s under ctx: an already-cancelled
-// context refuses the dispatch outright, a ContextExecutor gets the
-// context threaded through (so cancellation reaches the wire), and a
-// plain source executes as before — it cannot be interrupted, but the
-// pre-dispatch check still stops a cancelled query from fanning out
-// further probes.
-func ExecuteWith(ctx context.Context, s DataSource, q SubQuery, params []value.Value) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ce, ok := s.(ContextExecutor); ok {
-		return ce.ExecuteContext(ctx, q, params)
-	}
-	return s.Execute(q, params)
-}
-
 // ExecuteBatchWith evaluates q under ctx once per parameter tuple and
-// returns one result per tuple. A BatchProber gets the whole batch (with
-// ctx threaded through when it is a ContextBatchProber); any other
-// source runs one ExecuteWith per tuple, so a cancelled context stops
-// the loop before its next tuple.
+// returns one result per tuple. It is the one way into a source: a scan
+// is a batch of one empty tuple and a probe a batch of one. An
+// already-cancelled context refuses the dispatch outright. A
+// BatchProber gets the whole batch (with ctx threaded through when it
+// is a ContextBatchProber); any other source runs ExecuteSerially. The
+// answer is checked here, for every caller: a wrong number of results
+// or a nil result is an error.
 func ExecuteBatchWith(ctx context.Context, s DataSource, q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var results []*Result
+	var err error
 	switch bp := s.(type) {
 	case ContextBatchProber:
-		return bp.ExecuteBatchContext(ctx, q, paramSets)
+		results, err = bp.ExecuteBatchContext(ctx, q, paramSets)
 	case BatchProber:
-		return bp.ExecuteBatch(q, paramSets)
+		results, err = bp.ExecuteBatch(q, paramSets)
+	default:
+		results, err = ExecuteSerially(ctx, s, q, paramSets)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if len(results) != len(paramSets) {
+		return nil, fmt.Errorf("source %s: %d results for %d tuples", s.URI(), len(results), len(paramSets))
+	}
+	for i, res := range results {
+		if res == nil {
+			return nil, fmt.Errorf("source %s: a nil result for tuple %d", s.URI(), i)
+		}
+	}
+	return results, nil
+}
+
+// ExecuteSerially evaluates q once per tuple — the reference semantics
+// of ExecuteBatch. It checks ctx before each tuple, so a cancelled
+// query stops the loop, and threads ctx into a ContextExecutor.
+// ExecuteBatchWith answers a source that does not batch with it, and
+// RelSource the shapes it cannot push down.
+func ExecuteSerially(ctx context.Context, s DataSource, q SubQuery, paramSets []value.Row) ([]*Result, error) {
+	ce, _ := s.(ContextExecutor)
 	out := make([]*Result, len(paramSets))
 	for i, ps := range paramSets {
-		res, err := ExecuteWith(ctx, s, q, ps)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var res *Result
+		var err error
+		if ce != nil {
+			res, err = ce.ExecuteContext(ctx, q, ps)
+		} else {
+			res, err = s.Execute(q, ps)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("source: batch tuple %d: %w", i, err)
 		}

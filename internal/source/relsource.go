@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"fmt"
 
 	"tatooine/internal/relstore"
@@ -57,8 +58,9 @@ func (s *RelSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 // the tuple on every parameter — so each per-tuple Result is identical
 // to a per-probe Execute. Shapes whose semantics would change under
 // batching (LIMIT/OFFSET, DISTINCT, '?' outside a top-level `col = ?`
-// conjunct) run tuple by tuple (ExecuteSerially). Text that is not one
-// SELECT is refused once, with ParseSelect's error.
+// conjunct) run tuple by tuple (ExecuteSerially). A statement without
+// parameters (a scan) runs once, and its result is every tuple's. Text
+// that is not one SELECT is refused once, with ParseSelect's error.
 func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*Result, err error) {
 	if q.Language != LangSQL {
 		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
@@ -76,12 +78,20 @@ func (s *RelSource) ExecuteBatch(q SubQuery, paramSets []value.Row) (results []*
 			return nil, fmt.Errorf("source %s: ragged batch parameter tuples", s.uri)
 		}
 	}
-	if !rewriteInList(stmt, nParams, paramSets) {
-		return ExecuteSerially(s, q, paramSets)
+	if nParams > 0 && !rewriteInList(stmt, nParams, paramSets) {
+		return ExecuteSerially(context.TODO(), s, q, paramSets)
 	}
 	res, err := s.db.ExecStmt(stmt)
 	if err != nil {
 		return nil, err
+	}
+	if nParams == 0 {
+		r := &Result{Cols: res.Columns, Rows: res.Rows}
+		out := make([]*Result, len(paramSets))
+		for i := range out {
+			out[i] = r
+		}
+		return out, nil
 	}
 	origN := len(res.Columns) - nParams
 	cols := res.Columns[:origN]
@@ -129,6 +139,7 @@ func splitKey(r value.Row) string {
 // such conjunct becomes `col IN (...)` over the batch's distinct
 // values and the referenced columns are appended to the projection.
 // It reports false when the statement shape cannot be batched exactly.
+// nParams is at least 1.
 func rewriteInList(stmt *sqlparse.SelectStmt, nParams int, paramSets []value.Row) bool {
 	if stmt.Star || stmt.Distinct || stmt.Limit >= 0 || stmt.Offset > 0 {
 		return false
@@ -148,8 +159,8 @@ func rewriteInList(stmt *sqlparse.SelectStmt, nParams int, paramSets []value.Row
 			return false
 		}
 	}
-	if nParams == 0 || stmt.Where == nil {
-		return nParams == 0
+	if stmt.Where == nil {
+		return false
 	}
 	conjuncts := sqlparse.Conjuncts(stmt.Where)
 	paramCols := make([]*sqlparse.ColumnRef, nParams)
