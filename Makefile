@@ -43,6 +43,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 10s -parallel 2 ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchReply$$' -fuzztime 10s -parallel 2 ./internal/federation
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSQL$$' -fuzztime 10s -parallel 2 ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz '^FuzzBTreeOps$$' -fuzztime 10s -parallel 2 ./internal/btree
 
 # Observability hygiene: no printf logging outside cmd/, and a booted
 # mediator's GET /metrics must scrape as valid Prometheus text.

@@ -506,7 +506,12 @@
 //     main file. Every pager is file-backed; one whose cache is
 //     unbounded (CacheSize -1) keeps every page resident.
 //   - internal/btree: order-N B-trees over pager pages — insert,
-//     delete, point lookup and ordered range cursors.
+//     delete, point lookup and ordered range cursors. Leaves and
+//     interior pages split by one routine, while the cell that did not
+//     fit is placed: the split point minimizes the larger half's bytes
+//     over the page's cells plus the pending one. A leaf's separator is
+//     its left half's last key; an interior page promotes the first
+//     upper cell.
 //   - internal/store: named keyspaces (one B-tree each) over one
 //     shared pager, so a single Commit covers every keyspace touched
 //     by a mutation. Its only user is the persistent core.Instance,

@@ -13,6 +13,16 @@
 // both halves into fresh pages and rewrites the root in place, so a
 // tree is durably identified by one PageID.
 //
+// Leaves and interior pages split by one rule, while the cell that did
+// not fit is placed: over the page's n cells plus the pending one, the
+// split point s in [1, n] minimizes the larger half's bytes (cells and
+// their slots). The page keeps the first s cells and a fresh right page
+// takes the rest. A leaf's separator is the left half's last key; an
+// interior page promotes cell s, whose key is the separator and whose
+// child becomes the left page's right child, while the right page
+// inherits the old right child. Every cell is under half a page
+// (maxLeafCell, MaxKey), so both halves always fit.
+//
 // Deletes do not rebalance: an underfull (even empty) page stays in the
 // tree and cursors skip it. That trades bounded space slack for
 // simplicity, which suits the mediator's append-mostly workloads.
@@ -305,7 +315,7 @@ type splitResult struct {
 }
 
 // splitRoot absorbs a split of the root itself: the root currently
-// holds the left half (splitPage splits in place). Move that half into
+// holds the left half (placeCell splits in place). Move that half into
 // a fresh page and rewrite the root as a two-child interior node, so
 // the root PageID stays stable for the tree's whole lifetime.
 func (t *BTree) splitRoot(split *splitResult) error {
@@ -318,20 +328,19 @@ func (t *BTree) splitRoot(split *splitResult) error {
 		return err
 	}
 	copy(leftPage, rootPage)
-	// Re-fetch: Allocate may have grown structures, and Mut buffers are
-	// stable per transaction, but be explicit.
-	rootPage, err = t.pg.Mut(t.root)
-	if err != nil {
-		return err
-	}
 	initPage(rootPage, typeInterior)
-	cell := make([]byte, interiorCellHdr+len(split.sep))
-	binary.BigEndian.PutUint16(cell[0:], uint16(len(split.sep)))
-	binary.BigEndian.PutUint32(cell[2:], uint32(leftID))
-	copy(cell[interiorCellHdr:], split.sep)
-	insertCell(rootPage, 0, cell)
+	insertCell(rootPage, 0, interiorCell(split.sep, leftID))
 	setRightChild(rootPage, split.right)
 	return nil
+}
+
+// interiorCell encodes a router cell: keys <= key live under child.
+func interiorCell(key []byte, child pager.PageID) []byte {
+	cell := make([]byte, interiorCellHdr+len(key))
+	binary.BigEndian.PutUint16(cell[0:], uint16(len(key)))
+	binary.BigEndian.PutUint32(cell[2:], uint32(child))
+	copy(cell[interiorCellHdr:], key)
+	return cell
 }
 
 // insertInto inserts into the subtree rooted at id. If the page had to
@@ -351,41 +360,16 @@ func (t *BTree) insertInto(id pager.PageID, key, value []byte) (fresh bool, spli
 	if err != nil || childSplit == nil {
 		return fresh, nil, err
 	}
-	// Absorb the child's split: new router cell (sep -> child), and the
-	// slot that pointed at child now covers the right half.
+	// Absorb the child's split: the slot that led to child now covers
+	// the right half, and a router cell (sep -> child) goes in front of
+	// it.
 	p, err := t.pg.Mut(id)
 	if err != nil {
 		return false, nil, err
 	}
-	i, _ = search(p, childSplit.sep)
-	cell := make([]byte, interiorCellHdr+len(childSplit.sep))
-	binary.BigEndian.PutUint16(cell[0:], uint16(len(childSplit.sep)))
-	binary.BigEndian.PutUint32(cell[2:], uint32(child))
-	copy(cell[interiorCellHdr:], childSplit.sep)
-	if insertCell(p, i, cell) {
-		setInteriorChild(p, i+1, childSplit.right)
-		return fresh, nil, nil
-	}
-	// Parent is full: split it, then retry the router insert into the
-	// correct half.
-	sep, rightID, err := t.splitPage(id)
-	if err != nil {
-		return false, nil, err
-	}
-	target := id
-	if bytes.Compare(childSplit.sep, sep) > 0 {
-		target = rightID
-	}
-	p, err = t.pg.Mut(target)
-	if err != nil {
-		return false, nil, err
-	}
-	i, _ = search(p, childSplit.sep)
-	if !insertCell(p, i, cell) {
-		return false, nil, fmt.Errorf("btree: router insert failed after split")
-	}
-	setInteriorChild(p, i+1, childSplit.right)
-	return fresh, &splitResult{sep: sep, right: rightID}, nil
+	setInteriorChild(p, i, childSplit.right)
+	split, err = t.placeCell(id, p, i, interiorCell(childSplit.sep, child))
+	return fresh, split, err
 }
 
 func (t *BTree) insertLeaf(id pager.PageID, key, value []byte) (bool, *splitResult, error) {
@@ -408,102 +392,64 @@ func (t *BTree) insertLeaf(id pager.PageID, key, value []byte) (bool, *splitResu
 		return false, nil, err
 	}
 	t.live += int64(len(key) + len(value))
-	if insertCell(p, i, cell) {
-		return !exact, nil, nil
-	}
-	split, err := t.splitLeafInsert(id, i, cell)
-	if err != nil {
-		return false, nil, err
-	}
-	return !exact, split, nil
+	split, err := t.placeCell(id, p, i, cell)
+	return !exact, split, err
 }
 
-// splitLeafInsert splits leaf id while placing the pending cell at
-// slot position pos, choosing the split point over the combined cell
-// sequence (existing cells plus the pending one) that best balances
-// bytes between the halves. Splitting first and retrying the insert —
-// the old approach — could strand a near-maxLeafCell cell against a
-// half that the byte-blind split left too full; because maxLeafCell
-// keeps every cell under half a page's usable space, the combined
-// sequence always has a split point where both halves fit.
-func (t *BTree) splitLeafInsert(id pager.PageID, pos int, cell []byte) (*splitResult, error) {
-	p, err := t.pg.Mut(id)
+// placeCell inserts cell at slot pos of page id, whose writable bytes
+// are p. If the cell does not fit, it splits the page in place by the
+// package's split rule and returns the new right page and separator.
+func (t *BTree) placeCell(id pager.PageID, p []byte, pos int, cell []byte) (*splitResult, error) {
+	if insertCell(p, pos, cell) {
+		return nil, nil
+	}
+	rightID, right, err := t.pg.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	n := nCells(p)
-	if n == 0 {
-		return nil, fmt.Errorf("btree: cell of %d bytes cannot fit a page", len(cell))
-	}
-	// Virtual sequence: index pos is the pending cell, the rest are the
-	// existing cells shifted around it. vsize includes the 2-byte slot.
-	vsize := func(j int) int {
+	old, n := bytes.Clone(p), nCells(p)
+	at := func(j int) []byte { // cell j of the combined sequence
 		switch {
 		case j == pos:
-			return len(cell) + 2
-		case j < pos:
-			return cellSize(p, j) + 2
-		default:
-			return cellSize(p, j-1) + 2
+			return cell
+		case j > pos:
+			j--
 		}
+		off := slotOff(old, j)
+		return old[off : off+cellSize(old, j)]
 	}
 	total := 0
 	for j := 0; j <= n; j++ {
-		total += vsize(j)
+		total += len(at(j)) + 2
 	}
-	// Split point s: left keeps virtual [0,s), right takes [s,n+1).
-	// Minimize the larger half.
-	best, bestCost, acc := 1, int(^uint(0)>>1), 0
-	for s := 1; s <= n; s++ {
-		acc += vsize(s - 1)
-		cost := acc
-		if r := total - acc; r > cost {
-			cost = r
-		}
-		if cost < bestCost {
-			best, bestCost = s, cost
+	s, best, acc := 1, total, 0
+	for k := 1; k <= n; k++ {
+		acc += len(at(k-1)) + 2
+		if cost := max(acc, total-acc); cost < best {
+			s, best = k, cost
 		}
 	}
-	s := best
-	rightID, rightPage, err := t.pg.Allocate()
-	if err != nil {
-		return nil, err
+	typ := pageType(old)
+	initPage(p, typ)
+	initPage(right, typ)
+	fits := true
+	for j := 0; j < s; j++ {
+		fits = insertCell(p, j, at(j)) && fits
 	}
-	p, err = t.pg.Mut(id)
-	if err != nil {
-		return nil, err
+	sep, upper := cellKey(p, s-1), s
+	if typ == typeInterior {
+		promoted := at(s)
+		sep, upper = promoted[interiorCellHdr:], s+1
+		setRightChild(p, pager.PageID(binary.BigEndian.Uint32(promoted[2:])))
+		setRightChild(right, rightChild(old))
 	}
-	initPage(rightPage, typeLeaf)
-	for j := s; j <= n; j++ {
-		src := cell
-		if j != pos {
-			oi := j
-			if j > pos {
-				oi = j - 1
-			}
-			off := slotOff(p, oi)
-			src = p[off : off+cellSize(p, oi)]
-		}
-		if !insertCell(rightPage, nCells(rightPage), src) {
-			return nil, fmt.Errorf("btree: split right overflow")
-		}
+	for j := upper; j <= n; j++ {
+		fits = insertCell(right, j-upper, at(j)) && fits
 	}
-	// Trim the moved cells off the left, then place the pending cell if
-	// it belongs there.
-	firstMoved := s
-	if pos < s {
-		firstMoved = s - 1
+	if !fits {
+		return nil, fmt.Errorf("btree: split of page %d overflows a half", id)
 	}
-	for i := n - 1; i >= firstMoved; i-- {
-		removeCell(p, i)
-	}
-	if pos < s {
-		if !insertCell(p, pos, cell) {
-			return nil, fmt.Errorf("btree: split left overflow")
-		}
-	}
-	sep := append([]byte(nil), cellKey(p, nCells(p)-1)...)
-	return &splitResult{sep: sep, right: rightID}, nil
+	return &splitResult{sep: bytes.Clone(sep), right: rightID}, nil
 }
 
 // dropLeafCell removes leaf cell i, frees its overflow chain, and
@@ -580,85 +526,6 @@ func (t *BTree) buildLeafCell(key, value []byte) ([]byte, error) {
 	copy(cell[leafCellHdr:], key)
 	copy(cell[leafCellHdr+len(key):], inline)
 	return cell, nil
-}
-
-// splitPage moves the upper half of page id's cells into a fresh page
-// and returns the separator (max key retained on the left) and the new
-// right page. For interior pages the right page inherits the old
-// rightChild and the left page's rightChild becomes the child of the
-// cell just past the split point (whose router key becomes the
-// separator and is removed — standard B-tree promotion).
-func (t *BTree) splitPage(id pager.PageID) ([]byte, pager.PageID, error) {
-	p, err := t.pg.Mut(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := nCells(p)
-	if n < 2 {
-		return nil, 0, fmt.Errorf("btree: cannot split page with %d cells", n)
-	}
-	// Find the split point by accumulated cell size.
-	total := 0
-	for i := 0; i < n; i++ {
-		total += cellSize(p, i) + 2
-	}
-	mid, acc := 0, 0
-	for mid = 0; mid < n-1; mid++ {
-		acc += cellSize(p, mid) + 2
-		if acc >= total/2 {
-			break
-		}
-	}
-	if mid == 0 {
-		mid = 1
-	}
-	rightID, rightPage, err := t.pg.Allocate()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Allocate may have touched page 0; re-fetch our Mut buffer (same
-	// transaction, still dirty, pointer is stable — but be explicit).
-	p, err = t.pg.Mut(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	typ := pageType(p)
-	initPage(rightPage, typ)
-
-	var sep []byte
-	if typ == typeLeaf {
-		sep = append([]byte(nil), cellKey(p, mid-1)...)
-		for i := mid; i < n; i++ {
-			off := slotOff(p, i)
-			sz := cellSize(p, i)
-			if !insertCell(rightPage, nCells(rightPage), p[off:off+sz]) {
-				return nil, 0, fmt.Errorf("btree: split right overflow")
-			}
-		}
-		for i := n - 1; i >= mid; i-- {
-			removeCell(p, i)
-		}
-	} else {
-		// Promote the key at mid: left keeps cells [0,mid), its
-		// rightChild becomes cell mid's child; right takes (mid, n) and
-		// the old rightChild.
-		sep = append([]byte(nil), cellKey(p, mid)...)
-		promotedChild := interiorChild(p, mid)
-		for i := mid + 1; i < n; i++ {
-			off := slotOff(p, i)
-			sz := cellSize(p, i)
-			if !insertCell(rightPage, nCells(rightPage), p[off:off+sz]) {
-				return nil, 0, fmt.Errorf("btree: split right overflow")
-			}
-		}
-		setRightChild(rightPage, rightChild(p))
-		for i := n - 1; i >= mid; i-- {
-			removeCell(p, i)
-		}
-		setRightChild(p, promotedChild)
-	}
-	compact(p)
-	return sep, rightID, nil
 }
 
 // Delete removes key, reporting whether it was present. Tree pages are

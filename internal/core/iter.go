@@ -98,7 +98,8 @@ func (s *scanIterator) Next() (value.Row, bool, error) {
 // ---------- hash join ----------
 
 // hashJoin joins two inputs on the key positions of a plan-time
-// joinStep; with no keys it degrades to a cross product. The right
+// joinStep; with no keys every row has the empty key, so the join is a
+// cross product. The right
 // input is materialized into a hash table on Open; the left side
 // streams. With a positive budget, a build side that outgrows it
 // spills to a Grace-style partitioned on-disk join instead of growing
@@ -106,14 +107,13 @@ func (s *scanIterator) Next() (value.Row, bool, error) {
 type hashJoin struct {
 	left, right Iterator
 	joinStep
-	table     joinTable
-	rightRows []value.Row // used for cross product
-	cur       value.Row   // current left row
-	matches   []value.Row // pending right matches for cur
-	mi        int
-	key       []byte  // scratch for join keys
-	slab      rowSlab // backing for combined rows
-	closed    bool
+	table   joinTable
+	cur     value.Row   // current left row
+	matches []value.Row // pending right matches for cur
+	mi      int
+	key     []byte  // scratch for join keys
+	slab    rowSlab // backing for combined rows
+	closed  bool
 
 	budget  int64             // build-side byte budget; <= 0 never spills
 	onSpill func(bytes int64) // called with byte deltas as spill files grow
@@ -161,19 +161,6 @@ func (h *hashJoin) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	if len(h.leftKey) == 0 {
-		for {
-			row, ok, err := h.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			h.rightRows = append(h.rightRows, row)
-		}
-		return nil
-	}
 	h.table = newJoinTable()
 	var buildBytes int64
 	for {
@@ -188,7 +175,7 @@ func (h *hashJoin) Open() error {
 		if h.key, null = appendJoinKey(h.key[:0], row, h.rightKey); null {
 			continue // nulls never join
 		}
-		if h.sj == nil && h.budget > 0 {
+		if h.sj == nil && h.budget > 0 && len(h.rightKey) > 0 {
 			if buildBytes += rowFootprint(row); buildBytes > h.budget {
 				// Budget exceeded: switch to the spill path, moving the
 				// rows accumulated so far to disk before continuing.
@@ -275,10 +262,6 @@ func (h *hashJoin) Next() (value.Row, bool, error) {
 		}
 		h.cur = row
 		h.mi = 0
-		if len(h.leftKey) == 0 {
-			h.matches = h.rightRows
-			continue
-		}
 		var null bool
 		if h.key, null = appendJoinKey(h.key[:0], row, h.leftKey); null {
 			h.matches = nil

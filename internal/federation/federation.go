@@ -287,22 +287,31 @@ type Client struct {
 	lastRTTWarn atomic.Int64
 }
 
-// observeRTT records one round trip in the per-remote RTT histogram,
-// and warns — at most once a minute per remote — when it took over 10×
-// the modeled RemoteCostOverheadRTT: the planner is then charging this
-// remote far too little, and its plans will over-prefer it.
-func (c *Client) observeRTT(d time.Duration) {
-	remoteRTT.With(c.URI()).ObserveDuration(d)
-	if d > 10*RemoteCostOverheadRTT {
+// observeRTT records one round trip in the per-remote RTT histogram
+// and returns the remote's own elapsed time from its ServerTimeHeader
+// (ok false if the reply carries none). It warns — at most once a
+// minute per remote — when the time on the wire (the round trip less
+// that server time) took over 10× the modeled RemoteCostOverheadRTT:
+// the planner is then charging this remote far too little, and its
+// plans will over-prefer it. A remote slow to compute is not slow on
+// the wire.
+func (c *Client) observeRTT(resp *http.Response, rtt time.Duration) (server time.Duration, ok bool) {
+	remoteRTT.With(c.URI()).ObserveDuration(rtt)
+	if n, err := strconv.ParseInt(resp.Header.Get(obs.ServerTimeHeader), 10, 64); err == nil && n >= 0 {
+		server, ok = time.Duration(n), true
+	}
+	if wire := rtt - server; wire > 10*RemoteCostOverheadRTT {
 		now := time.Now().UnixNano()
 		last := c.lastRTTWarn.Load()
 		if now-last > int64(time.Minute) && c.lastRTTWarn.CompareAndSwap(last, now) {
 			slog.Warn("federation: remote RTT far above modeled overhead",
 				slog.String("remote", c.URI()),
-				slog.Duration("rtt", d),
+				slog.Duration("rtt", rtt),
+				slog.Duration("wire", wire),
 				slog.Duration("modeled", RemoteCostOverheadRTT))
 		}
 	}
+	return server, ok
 }
 
 // Dial fetches the remote source's metadata and returns a client. The
@@ -381,16 +390,14 @@ func (c *Client) roundTrip(ctx context.Context, route string, body []byte) (*htt
 	if err != nil {
 		return nil, err
 	}
-	c.observeRTT(rtt)
+	server, ok := c.observeRTT(resp, rtt)
 	if rid := resp.Header.Get(obs.SpanHeader); rid != "" {
 		sp.SetAttr("remoteSpan", rid)
 	}
-	if ns := resp.Header.Get(obs.ServerTimeHeader); ns != "" {
-		if n, perr := strconv.ParseInt(ns, 10, 64); perr == nil && n >= 0 {
-			sp.SetAttr("serverNs", ns)
-			if wire := int64(rtt) - n; wire > 0 {
-				sp.SetAttr("wireNs", strconv.FormatInt(wire, 10))
-			}
+	if ok {
+		sp.SetAttr("serverNs", strconv.FormatInt(int64(server), 10))
+		if wire := rtt - server; wire > 0 {
+			sp.SetAttr("wireNs", strconv.FormatInt(int64(wire), 10))
 		}
 	}
 	return resp, nil
@@ -541,7 +548,7 @@ func (c *Client) Estimate(q source.SubQuery, numParams int) (rows, cost int) {
 	if err != nil {
 		return -1, -1
 	}
-	c.observeRTT(time.Since(start))
+	c.observeRTT(resp, time.Since(start))
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return -1, -1

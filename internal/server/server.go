@@ -637,18 +637,7 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	key, epoch := s.generationKey(q.CanonicalKey())
-	if res, ok := s.cacheGet(key); ok {
-		s.hits.Add(1)
-		s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
-			Duration: time.Since(start), Rows: len(res.Rows), CacheHit: true})
-		// A cache hit executed nothing: report zeroed stats so clients
-		// (and benchmarks) can observe that no sub-query was shipped.
-		writeQuery(w, http.StatusOK, QueryResponse{Cols: res.Cols, Rows: res.Rows, Cached: true})
-		return
-	}
-	s.misses.Add(1)
-
-	res, cached, err := s.execute(r.Context(), key, epoch, q)
+	res, from, err := s.execute(r.Context(), key, epoch, q)
 	if err != nil {
 		s.errors.Add(1)
 		s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
@@ -656,17 +645,23 @@ func (s *Server) handleCMQ(w http.ResponseWriter, r *http.Request) {
 		writeQuery(w, http.StatusUnprocessableEntity, QueryResponse{Error: err.Error()})
 		return
 	}
-	resp := QueryResponse{Cols: res.Cols, Rows: res.Rows, Cached: cached}
-	if !cached {
+	// Only the request's own execution reports stats: a cache hit or a
+	// coalesced follower shipped no sub-query. A hit executed nothing
+	// and carries no trace; a follower shares its leader's, the
+	// execution that served it.
+	resp := QueryResponse{Cols: res.Cols, Rows: res.Rows, Cached: from != fromExecution}
+	if from == fromExecution {
 		resp.Stats = res.Stats
 	}
+	var trace *obs.SpanData
+	if from != fromCache {
+		trace = res.Trace
+	}
 	if req.Trace {
-		// Coalesced followers share the leader's trace: the execution
-		// they waited on IS the one that served them.
-		resp.Trace = res.Trace
+		resp.Trace = trace
 	}
 	s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
-		Duration: time.Since(start), Rows: len(res.Rows), CacheHit: cached, Trace: res.Trace})
+		Duration: time.Since(start), Rows: len(res.Rows), CacheHit: resp.Cached, Trace: trace})
 	writeQuery(w, http.StatusOK, resp)
 }
 
@@ -693,40 +688,47 @@ func (s *Server) generationKey(canonical string) (string, uint64) {
 	return strconv.FormatUint(epoch, 10) + "|" + canonical, epoch
 }
 
-// execute runs the query under the single-flight guard: the first
-// caller for a key executes; identical concurrent callers wait and
-// share the leader's result (cached=true for them — they shipped no
-// sub-queries of their own). With result caching disabled the guard is
-// off too: every request executes for itself, directly under its own
-// request context. epoch is the generation the key belongs to: a
-// leader finishing after a newer generation flushed skips the Put —
-// its old-epoch key could never be read again and would only waste
-// LRU slots.
+// origin says where a /cmq answer came from.
+type origin int
+
+const (
+	fromExecution origin = iota // the request's own execution
+	fromFlight                  // an identical in-flight execution it joined
+	fromCache                   // the result cache
+)
+
+// execute answers the query from the result cache, or else under the
+// single-flight guard: the first caller for a key executes; identical
+// concurrent callers wait and share the leader's result. It looks in
+// the cache once, under s.mu, and counts the request there as a hit or
+// a miss (a miss executed or joined an execution). With result caching
+// disabled the guard is off too: every request executes for itself,
+// directly under its own request context. epoch is the generation the
+// key belongs to: a leader finishing after a newer generation flushed
+// skips the Put — its old-epoch key could never be read again and
+// would only waste LRU slots.
 //
 // Cancellation: the leader executes under a context detached from its
 // own request but cancelled as soon as the LAST interested request
 // (leader or coalesced follower) goes away — a disconnected leader
 // whose followers still wait must not abort their shared execution,
 // while a query nobody waits for anymore must stop probing remotes.
-func (s *Server) execute(ctx context.Context, key string, epoch uint64, q *core.CMQ) (res *core.QueryResult, cached bool, err error) {
+func (s *Server) execute(ctx context.Context, key string, epoch uint64, q *core.CMQ) (*core.QueryResult, origin, error) {
 	if s.cache == nil {
-		res, err = s.in.ExecuteContext(ctx, q, s.opts.Exec)
+		s.misses.Add(1)
+		res, err := s.in.ExecuteContext(ctx, q, s.opts.Exec)
 		if err == nil {
-			s.subQueries.Add(int64(res.Stats.SubQueries))
-			s.batchProbes.Add(int64(res.Stats.BatchProbes))
-			s.prunedProbes.Add(int64(res.Stats.PrunedProbes))
+			s.countExecution(res.Stats)
 		}
-		return res, false, err
+		return res, fromExecution, err
 	}
 	s.mu.Lock()
-	// Re-check the cache under the lock: a leader may have finished
-	// (inflight entry gone, result cached) between the handler's
-	// cacheGet and here; without this a request in that window would
-	// become a new leader and re-execute an already-cached query.
 	if res, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
-		return res, true, nil
+		s.hits.Add(1)
+		return res, fromCache, nil
 	}
+	s.misses.Add(1)
 	if call, ok := s.inflight[key]; ok {
 		// The entry being present implies waiters > 0: the drop to zero
 		// removes it under this same mutex, so this join cannot revive a
@@ -737,7 +739,7 @@ func (s *Server) execute(ctx context.Context, key string, epoch uint64, q *core.
 		stop := s.watchFlight(ctx, key, call)
 		defer stop()
 		<-call.done
-		return call.res, true, call.err
+		return call.res, fromFlight, call.err
 	}
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	call := &flightCall{done: make(chan struct{}), cancel: cancel, waiters: 1}
@@ -749,9 +751,7 @@ func (s *Server) execute(ctx context.Context, key string, epoch uint64, q *core.
 	stop()
 	cancel()
 	if call.err == nil {
-		s.subQueries.Add(int64(call.res.Stats.SubQueries))
-		s.batchProbes.Add(int64(call.res.Stats.BatchProbes))
-		s.prunedProbes.Add(int64(call.res.Stats.PrunedProbes))
+		s.countExecution(call.res.Stats)
 	}
 
 	s.mu.Lock()
@@ -766,7 +766,14 @@ func (s *Server) execute(ctx context.Context, key string, epoch uint64, q *core.
 	}
 	s.mu.Unlock()
 	close(call.done)
-	return call.res, false, call.err
+	return call.res, fromExecution, call.err
+}
+
+// countExecution adds one execution's shipped work to the counters.
+func (s *Server) countExecution(stats core.ExecStats) {
+	s.subQueries.Add(int64(stats.SubQueries))
+	s.batchProbes.Add(int64(stats.BatchProbes))
+	s.prunedProbes.Add(int64(stats.PrunedProbes))
 }
 
 func (s *Server) cacheGet(key string) (*core.QueryResult, bool) {

@@ -428,6 +428,57 @@ func TestServeSingleFlightCoalesces(t *testing.T) {
 	}
 }
 
+// TestServeCountsEachRequestOnce: rounds of identical concurrent
+// requests, each round a fresh key. Every request counts once, as a
+// hit or a miss; every miss executed the query or joined an execution;
+// and only those carry a trace, since a cache hit executed nothing.
+func TestServeCountsEachRequestOnce(t *testing.T) {
+	in, cs := fixture(t)
+	srv := server.New(in, server.Options{ProbeCacheSize: -1, Exec: core.ExecOptions{Parallel: true}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const rounds, clients = 20, 12
+	var traced atomic.Int64
+	for r := 0; r < rounds; r++ {
+		body, err := json.Marshal(server.QueryRequest{Query: testQuery + fmt.Sprintf("LIMIT %d\n", r+1), Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/cmq", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var qr cmqReply
+				if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || len(qr.Rows) != 1 {
+					t.Errorf("reply %+v, %v", qr, err)
+				}
+				if qr.Trace != nil {
+					traced.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	st := srv.Stats()
+	if st.Requests != rounds*clients || st.CacheHits+st.CacheMisses != st.Requests {
+		t.Errorf("%d requests, %d hits + %d misses", st.Requests, st.CacheHits, st.CacheMisses)
+	}
+	if executed := cs.executes.Load(); st.CacheMisses != executed+st.Coalesced {
+		t.Errorf("%d misses, but %d executions + %d coalesced", st.CacheMisses, executed, st.Coalesced)
+	}
+	if traced.Load() != st.CacheMisses {
+		t.Errorf("%d replies carry a trace, %d misses", traced.Load(), st.CacheMisses)
+	}
+}
+
 // TestServeLiteralWhitespaceNotConflated is the regression test for the
 // normalization bug: two queries differing only inside a quoted literal
 // must not share a result-cache entry.

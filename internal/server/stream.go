@@ -134,9 +134,7 @@ func (s *Server) handleStreamCMQ(w http.ResponseWriter, r *http.Request, q *core
 		s.ttfrSeconds.ObserveSince(start)
 	}
 	stats := sr.Stats()
-	s.subQueries.Add(int64(stats.SubQueries))
-	s.batchProbes.Add(int64(stats.BatchProbes))
-	s.prunedProbes.Add(int64(stats.PrunedProbes))
+	s.countExecution(stats)
 	trace := sr.Trace() // complete: the stream has ended
 	s.recorder.Record(obs.QueryRecord{Query: req.Query, Start: start,
 		Duration: time.Since(start), Rows: rows, Streamed: true, Trace: trace})
