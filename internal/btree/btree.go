@@ -407,7 +407,9 @@ func (t *BTree) placeCell(id pager.PageID, p []byte, pos int, cell []byte) (*spl
 	if err != nil {
 		return nil, err
 	}
-	old, n := bytes.Clone(p), nCells(p)
+	var buf [pager.PageSize]byte
+	old, n := buf[:], nCells(p)
+	copy(old, p)
 	at := func(j int) []byte { // cell j of the combined sequence
 		switch {
 		case j == pos:
