@@ -139,7 +139,7 @@ func TestInteriorSplitsMatchModel(t *testing.T) {
 					continue
 				}
 				k := key()
-				v := strings.Repeat(string(rune('A'+rng.Intn(26))), rng.Intn(400))
+				v := strings.Repeat(string(rune('A'+rng.Intn(26))), rng.Intn(512))
 				if rng.Intn(10) == 0 {
 					v += strings.Repeat("o", 2000+rng.Intn(6000))
 				}

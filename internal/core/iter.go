@@ -99,11 +99,10 @@ func (s *scanIterator) Next() (value.Row, bool, error) {
 
 // hashJoin joins two inputs on the key positions of a plan-time
 // joinStep; with no keys every row has the empty key, so the join is a
-// cross product. The right
-// input is materialized into a hash table on Open; the left side
-// streams. With a positive budget, a build side that outgrows it
-// spills to a Grace-style partitioned on-disk join instead of growing
-// without bound — see spilljoin.go.
+// cross product. The right input is materialized into a hash table on
+// Open; the left side streams. With a positive budget, a build side
+// that outgrows it spills to a Grace-style partitioned on-disk join
+// instead of growing without bound — see spilljoin.go.
 type hashJoin struct {
 	left, right Iterator
 	joinStep
