@@ -9,6 +9,7 @@ package tatooine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -443,11 +444,12 @@ func BenchmarkSubstrateFulltextSearch(b *testing.B) {
 
 func BenchmarkSubstrateSQLJoin(b *testing.B) {
 	f := fix(b, 5000)
+	s := source.NewRelSource(datagen.INSEEURI, f.ds.INSEE)
+	q := source.SubQuery{Language: source.LangSQL, Text: `SELECT d.name, r.parti, r.voix FROM resultats r
+			JOIN departements d ON r.dept = d.code WHERE r.annee = 2015`}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := f.ds.INSEE.Exec(`SELECT d.name, r.parti, r.voix FROM resultats r
-			JOIN departements d ON r.dept = d.code WHERE r.annee = 2015`)
-		if err != nil {
+		if _, err := s.Execute(q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -624,6 +626,65 @@ func BenchmarkSourceEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkRelBatch measures a relational source answering a bind
+// join's probes: 1,024 key tuples over 10,000 rows and 256 over 256,
+// each sent as one ExecuteBatch, and the lone probe every e2_facts
+// query sends to datagen's chomage table (30 rows), sent as Execute.
+func BenchmarkRelBatch(b *testing.B) {
+	q := source.SubQuery{Language: source.LangSQL, Text: "SELECT k, v FROM t WHERE k = ?", InVars: []string{"k"}}
+	for _, size := range []struct{ tuples, rows int }{{1024, 10000}, {256, 256}} {
+		db := relstore.NewDatabase("b")
+		t, err := db.CreateTable(relstore.Schema{Name: "t", Columns: []relstore.Column{
+			{Name: "k", Type: value.String}, {Name: "v", Type: value.Int}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < size.rows; i++ {
+			if err := t.Insert(value.Row{value.NewString(fmt.Sprintf("k%d", i)), value.NewInt(int64(i))}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sets := make([]value.Row, size.tuples)
+		for i := range sets {
+			sets[i] = value.Row{value.NewString(fmt.Sprintf("k%d", i*size.rows/size.tuples))}
+		}
+		s := source.NewRelSource("sql://b", db)
+		b.Run(fmt.Sprintf("batch_%dx%d", size.tuples, size.rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := s.ExecuteBatch(q, sets)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res) != len(sets) || len(res[len(res)-1].Rows) != 1 {
+					b.Fatalf("last tuple: %v", res[len(res)-1].Rows)
+				}
+			}
+		})
+	}
+
+	insee, err := datagen.GenINSEE(rand.New(rand.NewSource(1)), datagen.DefaultConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := source.NewRelSource(datagen.INSEEURI, insee)
+	probe := source.SubQuery{Language: source.LangSQL, InVars: []string{"d"},
+		Text: "SELECT dept, taux FROM chomage WHERE dept = ? AND annee = 2015"}
+	dept := []value.Value{value.NewString(datagen.Departments[0][0])}
+	b.Run("e2_facts_probe", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := s.Execute(probe, dept)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				b.Fatalf("rows: %v", res.Rows)
+			}
+		}
+	})
+}
+
 // perTupleSource hides a source's ExecuteBatch, so bind joins probe it
 // one tuple at a time; Unwrap keeps its digest reachable.
 type perTupleSource struct{ source.DataSource }
@@ -635,7 +696,7 @@ func (s perTupleSource) Unwrap() source.DataSource { return s.DataSource }
 // an injected per-request latency. perProbe ships one HTTP round trip
 // per distinct binding (the client is registered through
 // perTupleSource, which hides its batches); batched ships the bindings
-// in DefaultProbeBatch-sized IN-list pushdowns, so its 256 bindings
+// in DefaultProbeBatch-sized batches, so its 256 bindings
 // travel as one request. rtts/op counts the HTTP requests per executed
 // query and dials/op the connections the endpoint accepted.
 func BenchmarkBatchedBindJoin(b *testing.B) {

@@ -6,7 +6,7 @@
 // POST /batch is the one data route. A scan or a single probe arrives
 // as a batch of one, and a mediator's batched bind-join probes arrive
 // as one request, pushed down natively when the served source supports
-// source.BatchProber (IN-list rewriting for the relational sources) or
+// source.BatchProber (one pass per batch for the relational sources) or
 // evaluated tuple by tuple otherwise, stopping once the mediator hangs
 // up — either way the per-binding HTTP round trips collapse into one.
 //

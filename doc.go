@@ -156,23 +156,30 @@
 // results or a nil one, so the executor, the probe cache and the
 // /batch endpoint never check the shape themselves.
 //
-//   - source.RelSource pushes batches down as SQL: each `col = ?`
-//     probe predicate is rewritten into `col IN (v1, ..., vk)` per
-//     batch (a lone probe is `IN (v)`) and the single result is split
-//     back per tuple — exactly, including multi-parameter cross
-//     products; shapes whose meaning would change (LIMIT, DISTINCT,
-//     '?' outside a top-level equality) run tuple by tuple inside
-//     ExecuteBatch; a statement without parameters (a scan) runs once
-//     and its result is every tuple's; text that is not one SELECT
-//     fails the batch once, with the parse error.
+//   - source.RelSource parses the SQL once and hands the whole batch to
+//     relstore's Database.ExecBatch, which binds every name first (an
+//     unknown column or function fails whatever the tables hold) and
+//     reads each table once, at one snapshot, for all the tuples. The
+//     joins run once, or once per tuple when an ON holds a '?'. Each
+//     row then runs WHERE's top-level conjuncts in statement order, as
+//     AND runs them: a conjunct without '?' once for the tuples still
+//     live, the first `col = ?` as one hash lookup on the tuples grouped
+//     by their value.Equal key (−0 as 0, an INT and an integral FLOAT
+//     alike, NULL and NaN matching nothing), any other one per live
+//     tuple. Each tuple's rows are then ordered, projected, made
+//     DISTINCT and cut by OFFSET and LIMIT with its own parameters, so
+//     every shape is answered in the one pass, and each tuple gets the
+//     answer it would get alone; the batch fails when a tuple would,
+//     with that tuple's error. Text that is not one SELECT fails the
+//     batch once, with the parse error.
 //   - source.RDFSource evaluates batches VALUES-style: parse once,
 //     evaluate per tuple in-process. source.DocSource parses once and
 //     answers the whole batch in one pass over the index
 //     (fulltext.TextQuery.ExecuteBatch): the conditions without a
 //     parameter are read once per batch (a constant-scored fixed part
 //     filters a batch's tuples as a bitmap), and a RETURNed schema path is
-//     read from a per-field column the index builds on first use. Both
-//     sources' Execute is a batch of one.
+//     read from a per-field column the index builds on first use. The
+//     three sources' Execute is a batch of one.
 //   - federation.Handler serves GET /meta, POST /batch, POST /estimate
 //     and GET /digest. POST /batch is the one data route: a scan or a
 //     single probe travels as a batch of one, and the endpoint answers

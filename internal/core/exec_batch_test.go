@@ -214,9 +214,9 @@ func TestBatchedBindJoinDefaultBatchSize(t *testing.T) {
 }
 
 // TestBatchUnsupportedFallsBackPerTuple checks a bind join against a
-// RelSource shape its IN-list rewrite refuses (a per-probe LIMIT):
-// each chunk still ships as one batch, the source answers it tuple by
-// tuple, and the rows equal per-tuple probes.
+// RelSource shape with a per-probe LIMIT, which the source once
+// answered tuple by tuple: each chunk still ships as one batch, and the
+// rows equal per-tuple probes.
 func TestBatchUnsupportedFallsBackPerTuple(t *testing.T) {
 	build := func() *Instance {
 		in, _ := batchFixtureFill(t, batchFill)

@@ -123,26 +123,12 @@ func TestINSEETables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds.INSEE.Exec("SELECT code FROM departements")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(Departments) {
-		t.Errorf("departements rows: %d", len(res.Rows))
-	}
-	res, err = ds.INSEE.Exec("SELECT filiere FROM agriculture")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 10 {
-		t.Errorf("agriculture rows: %d", len(res.Rows))
-	}
-	res, err = ds.INSEE.Exec("SELECT uri FROM endpoints ORDER BY uri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(RegionalURIs) {
-		t.Errorf("endpoints: %+v", res.Rows)
+	for table, want := range map[string]int{
+		"departements": len(Departments), "agriculture": 10, "endpoints": len(RegionalURIs),
+	} {
+		if n := ds.INSEE.Table(table).RowCount(); n != want {
+			t.Errorf("%s rows: %d, want %d", table, n, want)
+		}
 	}
 }
 

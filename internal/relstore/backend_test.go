@@ -140,7 +140,7 @@ func TestBackendsScanProject(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := db.Exec("SELECT id, pop FROM city WHERE pop >= 18000 ORDER BY id")
+		res, err := exec(db, "SELECT id, pop FROM city WHERE pop >= 18000 ORDER BY id")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestBackendsScanProject(t *testing.T) {
 			t.Fatalf("id, pop query wrong: %v", res.Rows)
 		}
 		// A query that reads every column sees them all.
-		res, err = db.Exec("SELECT * FROM city WHERE id = 7")
+		res, err = exec(db, "SELECT * FROM city WHERE id = 7")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestOrderByProperty(t *testing.T) {
 				return false
 			}
 		}
-		res, err := db.Exec("SELECT k FROM t ORDER BY k")
+		res, err := exec(db, "SELECT k FROM t ORDER BY k")
 		if err != nil || len(res.Rows) != rows {
 			return false
 		}
@@ -98,12 +98,12 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 			a.Insert(value.Row{value.NewInt(int64(rng.Intn(6))), value.NewString(fmt.Sprintf("a%d", i))})
 			b.Insert(value.Row{value.NewInt(int64(rng.Intn(6))), value.NewString(fmt.Sprintf("b%d", i))})
 		}
-		hash, err := db.Exec("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY x, y")
+		hash, err := exec(db, "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY x, y")
 		if err != nil {
 			return false
 		}
 		// The +0 arithmetic defeats equi-join detection → nested loop.
-		loop, err := db.Exec("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k + 0 ORDER BY x, y")
+		loop, err := exec(db, "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k + 0 ORDER BY x, y")
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,13 @@
 package relstore
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"tatooine/internal/sqlparse"
 	"tatooine/internal/value"
 )
 
@@ -37,6 +40,25 @@ func loadTable(t testing.TB, db *Database, s Schema, rows ...[]any) *Table {
 	return tbl
 }
 
+// result is one statement's answer for one tuple.
+type result struct {
+	Columns []string
+	Rows    []value.Row
+}
+
+// exec parses query and runs it as a batch of one tuple.
+func exec(db *Database, query string, params ...value.Value) (*result, error) {
+	stmt, err := sqlparse.ParseSelect(query)
+	if err != nil {
+		return nil, err
+	}
+	cols, rows, err := db.ExecBatch(stmt, []value.Row{params})
+	if err != nil {
+		return nil, err
+	}
+	return &result{cols, rows[0]}, nil
+}
+
 // electionsDB builds a small INSEE/Ministry-of-Interior style database:
 // departements, election results, and agricultural production (the
 // paper's running relational examples).
@@ -65,7 +87,7 @@ func electionsDB(t *testing.T) *Database {
 
 func TestCreateInsertSelect(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec("SELECT name, population FROM departements WHERE code = '75'")
+	res, err := exec(db, "SELECT name, population FROM departements WHERE code = '75'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +171,7 @@ func TestWherePredicates(t *testing.T) {
 		{"SELECT * FROM resultats WHERE year = 2012 OR party = 'LR'", 5},
 	}
 	for _, c := range cases {
-		res, err := db.Exec(c.q)
+		res, err := exec(db, c.q)
 		if err != nil {
 			t.Errorf("%q: %v", c.q, err)
 			continue
@@ -162,21 +184,21 @@ func TestWherePredicates(t *testing.T) {
 
 func TestParamSubstitution(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec("SELECT name FROM departements WHERE code = ?", value.NewString("92"))
+	res, err := exec(db, "SELECT name FROM departements WHERE code = ?", value.NewString("92"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Hauts-de-Seine" {
 		t.Errorf("param query: %+v", res.Rows)
 	}
-	if _, err := db.Exec("SELECT name FROM departements WHERE code = ?"); err == nil {
+	if _, err := exec(db, "SELECT name FROM departements WHERE code = ?"); err == nil {
 		t.Error("missing param accepted")
 	}
 }
 
 func TestJoinHash(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT d.name, r.party, r.votes
+	res, err := exec(db, `SELECT d.name, r.party, r.votes
 		FROM resultats r JOIN departements d ON r.dept = d.code
 		WHERE r.year = 2015 ORDER BY r.votes DESC`)
 	if err != nil {
@@ -196,7 +218,7 @@ func TestLeftJoin(t *testing.T) {
 		[]any{1, "one"}, []any{2, "two"}, []any{3, "three"})
 	loadTable(t, db, Schema{Name: "b", Columns: []Column{{Name: "aid", Type: value.Int}, {Name: "label", Type: value.String}}},
 		[]any{1, "x"}, []any{1, "y"})
-	res, err := db.Exec(`SELECT a.name, b.label FROM a LEFT JOIN b ON a.id = b.aid ORDER BY a.id`)
+	res, err := exec(db, `SELECT a.name, b.label FROM a LEFT JOIN b ON a.id = b.aid ORDER BY a.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +237,37 @@ func TestLeftJoin(t *testing.T) {
 	}
 }
 
+// TestJoinHashKeysByEqual: the equi-join's hash table keys values as
+// value.Equal compares them, so it finds the pairs the nested loop
+// finds: −0 with 0 and an INT with an integral FLOAT, but no NULL or
+// NaN.
+func TestJoinHashKeysByEqual(t *testing.T) {
+	db := NewDatabase("d")
+	loadTable(t, db, Schema{Name: "a", Columns: []Column{{Name: "x", Type: value.Float}}},
+		[]any{math.Copysign(0, -1)}, []any{2.0}, []any{math.NaN()}, []any{nil})
+	loadTable(t, db, Schema{Name: "b", Columns: []Column{{Name: "y", Type: value.Int}, {Name: "f", Type: value.Float}}},
+		[]any{0, math.NaN()}, []any{2, nil}, []any{nil, nil})
+	for _, q := range []string{
+		"SELECT a.x, b.y FROM a JOIN b ON a.x = b.y",
+		"SELECT a.x, b.f FROM a JOIN b ON a.x = b.f",
+	} {
+		hash, err := exec(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop, err := exec(db, q+" + 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(hash.Rows) != fmt.Sprint(loop.Rows) {
+			t.Errorf("%s: hash join %v, nested loop %v", q, hash.Rows, loop.Rows)
+		}
+	}
+}
+
 func TestNestedLoopJoinNonEqui(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT d.name FROM departements d
+	res, err := exec(db, `SELECT d.name FROM departements d
 		JOIN resultats r ON r.votes > d.population`)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +281,7 @@ func TestNestedLoopJoinNonEqui(t *testing.T) {
 
 func TestDistinctRows(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT DISTINCT party FROM resultats ORDER BY party`)
+	res, err := exec(db, `SELECT DISTINCT party FROM resultats ORDER BY party`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +292,7 @@ func TestDistinctRows(t *testing.T) {
 
 func TestOrderByMultipleKeysAndOffset(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT dept, year, votes FROM resultats
+	res, err := exec(db, `SELECT dept, year, votes FROM resultats
 		ORDER BY year DESC, votes ASC LIMIT 3 OFFSET 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +307,7 @@ func TestOrderByMultipleKeysAndOffset(t *testing.T) {
 
 func TestOrderByUnprojectedColumn(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT name FROM departements ORDER BY population DESC`)
+	res, err := exec(db, `SELECT name FROM departements ORDER BY population DESC`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +318,7 @@ func TestOrderByUnprojectedColumn(t *testing.T) {
 
 func TestScalarFunctions(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT LOWER(name), UPPER(code), LENGTH(name) FROM departements WHERE code = '29'`)
+	res, err := exec(db, `SELECT LOWER(name), UPPER(code), LENGTH(name) FROM departements WHERE code = '29'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +330,7 @@ func TestScalarFunctions(t *testing.T) {
 
 func TestArithmeticProjection(t *testing.T) {
 	db := electionsDB(t)
-	res, err := db.Exec(`SELECT votes * 2 AS double, votes / 1000 FROM resultats WHERE dept = '29' AND party = 'LR'`)
+	res, err := exec(db, `SELECT votes * 2 AS double, votes / 1000 FROM resultats WHERE dept = '29' AND party = 'LR'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +344,14 @@ func TestArithmeticProjection(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	db := electionsDB(t)
-	if _, err := db.Exec("SELECT votes / 0 FROM resultats"); err == nil {
-		t.Error("division by zero accepted")
+	for _, q := range []string{
+		"SELECT votes / 0 FROM resultats",
+		"SELECT dept FROM resultats WHERE votes / 0 > 1",
+		"SELECT dept FROM resultats WHERE dept = ? AND votes / 0 > 1",
+	} {
+		if _, err := exec(db, q, value.NewString("75")); err == nil {
+			t.Errorf("%s: division by zero accepted", q)
+		}
 	}
 }
 
@@ -303,7 +359,7 @@ func TestAmbiguousColumn(t *testing.T) {
 	db := NewDatabase("d")
 	loadTable(t, db, Schema{Name: "a", Columns: []Column{{Name: "id", Type: value.Int}}}, []any{1})
 	loadTable(t, db, Schema{Name: "b", Columns: []Column{{Name: "id", Type: value.Int}}}, []any{1})
-	if _, err := db.Exec("SELECT id FROM a JOIN b ON a.id = b.id"); err == nil ||
+	if _, err := exec(db, "SELECT id FROM a JOIN b ON a.id = b.id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("ambiguous column: %v", err)
 	}
@@ -311,11 +367,39 @@ func TestAmbiguousColumn(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	db := electionsDB(t)
-	if _, err := db.Exec("SELECT x FROM nope"); err == nil {
+	if _, err := exec(db, "SELECT x FROM nope"); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := db.Exec("SELECT nope FROM departements"); err == nil {
+	if _, err := exec(db, "SELECT nope FROM departements"); err == nil {
 		t.Error("unknown column accepted")
+	}
+}
+
+// TestUnknownNameIsAnErrorWithoutRows: names bind before any row is
+// read, so an unknown column, function or arity, or a missing
+// parameter, fails the statement whether or not a row reaches it — on
+// an empty table, and behind a conjunct no row passes. In a bind join,
+// which tuples reach the source must not decide whether it fails.
+func TestUnknownNameIsAnErrorWithoutRows(t *testing.T) {
+	db := NewDatabase("d")
+	schema := func(name string) Schema {
+		return Schema{Name: name, Columns: []Column{{Name: "k", Type: value.String}}}
+	}
+	loadTable(t, db, schema("empty"))
+	loadTable(t, db, schema("one"), []any{"a"})
+	for q, want := range map[string]string{
+		"SELECT nosuch FROM empty":                               `unknown column "nosuch"`,
+		"SELECT k FROM empty WHERE nosuch = 1":                   `unknown column "nosuch"`,
+		"SELECT k FROM empty ORDER BY nosuch":                    `unknown column "nosuch"`,
+		"SELECT NOFUNC(k) FROM empty":                            `unknown function "NOFUNC"`,
+		"SELECT LOWER(k, k) FROM empty":                          "LOWER expects 1 argument(s), got 2",
+		"SELECT empty.k FROM empty JOIN one ON empty.k = one.no": `unknown column "one.no"`,
+		"SELECT k FROM empty WHERE k = ?":                        "missing parameter 0",
+		"SELECT k FROM one WHERE k = 'zz' AND nosuch = 1":        `unknown column "nosuch"`,
+	} {
+		if _, err := exec(db, q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %s", q, err, want)
+		}
 	}
 }
 
@@ -335,14 +419,14 @@ func TestIsNull(t *testing.T) {
 	db := NewDatabase("d")
 	loadTable(t, db, Schema{Name: "t", Columns: []Column{{Name: "a", Type: value.Int}, {Name: "b", Type: value.String}}},
 		[]any{1, nil}, []any{2, "x"})
-	res, err := db.Exec("SELECT a FROM t WHERE b IS NULL")
+	res, err := exec(db, "SELECT a FROM t WHERE b IS NULL")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
 		t.Errorf("is null: %+v", res.Rows)
 	}
-	res, _ = db.Exec("SELECT a FROM t WHERE b IS NOT NULL")
+	res, _ = exec(db, "SELECT a FROM t WHERE b IS NOT NULL")
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
 		t.Errorf("is not null: %+v", res.Rows)
 	}
@@ -356,7 +440,7 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 		"SELECT a FROM t WHERE a != NULL",
 		"SELECT a FROM t WHERE a > NULL",
 	} {
-		res, err := db.Exec(q)
+		res, err := exec(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,9 +497,9 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		go func() {
 			tbl.Scan(func(value.Row) bool { return true })
-			_, err := db.Exec("SELECT n FROM t WHERE n >= 0")
+			_, err := exec(db, "SELECT n FROM t WHERE n >= 0")
 			if err == nil {
-				_, err = db.Exec("SELECT a.n FROM t a JOIN t b ON a.n = b.n")
+				_, err = exec(db, "SELECT a.n FROM t a JOIN t b ON a.n = b.n")
 			}
 			done <- err
 		}()
@@ -448,7 +532,7 @@ func TestDistinctOrderBy(t *testing.T) {
 		"SELECT DISTINCT k FROM t ORDER BY k LIMIT 1 OFFSET 1": "b",
 		"SELECT k FROM t ORDER BY v":                           "b a a",
 	} {
-		res, err := db.Exec(q)
+		res, err := exec(db, q)
 		if err != nil {
 			t.Errorf("%s: %v", q, err)
 			continue
@@ -461,7 +545,7 @@ func TestDistinctOrderBy(t *testing.T) {
 			t.Errorf("%s: %v, want %s", q, got, want)
 		}
 	}
-	if _, err := db.Exec("SELECT DISTINCT k FROM t ORDER BY v"); err == nil ||
+	if _, err := exec(db, "SELECT DISTINCT k FROM t ORDER BY v"); err == nil ||
 		!strings.Contains(err.Error(), `ORDER BY key "v"`) {
 		t.Errorf("DISTINCT ordered by a dropped column: err %v, want a refusal naming the key", err)
 	}
@@ -489,7 +573,7 @@ func TestSelectLeavesTableUnchanged(t *testing.T) {
 		`SELECT d.name, r.votes FROM departements d LEFT JOIN resultats r ON r.dept = d.code
 			WHERE r.year = 2015 ORDER BY r.votes`,
 	} {
-		if _, err := db.Exec(q); err != nil {
+		if _, err := exec(db, q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}

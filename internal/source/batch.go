@@ -4,11 +4,11 @@ import "tatooine/internal/value"
 
 // BatchProber is the optional capability of a DataSource that can
 // evaluate one sub-query for many parameter tuples in a single native
-// round trip (IN-list pushdown for SQL, multi-binding BGP evaluation,
-// multi-term search, one HTTP request for a federation client). The
-// executor's bind join chunks its distinct outer tuples and dispatches
-// whole chunks here, turning O(bindings) source round trips into
-// O(bindings / batch).
+// round trip (one pass over each table for SQL, multi-binding BGP
+// evaluation, one pass over the index for search, one HTTP request for
+// a federation client). The executor's bind join chunks its distinct
+// outer tuples and dispatches whole chunks here, turning O(bindings)
+// source round trips into O(bindings / batch).
 type BatchProber interface {
 	DataSource
 	// ExecuteBatch evaluates q once per parameter tuple and returns one

@@ -69,65 +69,6 @@ func assertBatchMatchesSerial(t *testing.T, s source.BatchProber, q source.SubQu
 	}
 }
 
-func TestRelSourceExecuteBatchINListPushdown(t *testing.T) {
-	s := relFixture(t)
-	q := source.SubQuery{
-		Language: source.LangSQL,
-		Text:     "SELECT k, v FROM t WHERE k = ? AND v >= 1",
-		InVars:   []string{"k"},
-	}
-	sets := []value.Row{
-		{value.NewString("a")},
-		{value.NewString("b")},
-		{value.NewString("nope")}, // no matching rows
-		{value.NewString("a")},    // duplicate tuple
-	}
-	assertBatchMatchesSerial(t, s, q, sets)
-}
-
-func TestRelSourceExecuteBatchMultiParamCrossProduct(t *testing.T) {
-	// Two parameters batch into two IN lists whose cross product is a
-	// strict superset of the requested tuples; the per-tuple split must
-	// keep only each tuple's own rows.
-	s := relFixture(t)
-	q := source.SubQuery{
-		Language: source.LangSQL,
-		Text:     "SELECT grp FROM t WHERE k = ? AND v = ?",
-		InVars:   []string{"k", "v"},
-	}
-	sets := []value.Row{
-		{value.NewString("a"), value.NewInt(1)},
-		{value.NewString("b"), value.NewInt(3)}, // (a,3) and (b,1) exist but were not asked for
-	}
-	assertBatchMatchesSerial(t, s, q, sets)
-}
-
-func TestRelSourceExecuteBatchOrderByPreserved(t *testing.T) {
-	s := relFixture(t)
-	q := source.SubQuery{
-		Language: source.LangSQL,
-		Text:     "SELECT k, v FROM t WHERE k = ? ORDER BY v DESC",
-		InVars:   []string{"k"},
-	}
-	sets := []value.Row{{value.NewString("a")}, {value.NewString("b")}}
-	assertBatchMatchesSerial(t, s, q, sets)
-}
-
-// TestRelSourceExecuteBatchUnsupportedShapes: shapes the IN-list
-// rewrite refuses are still answered, tuple by tuple.
-func TestRelSourceExecuteBatchUnsupportedShapes(t *testing.T) {
-	s := relFixture(t)
-	sets := []value.Row{{value.NewString("a")}, {value.NewString("b")}}
-	for _, text := range []string{
-		"SELECT k FROM t WHERE k = ? LIMIT 1",       // per-probe LIMIT ≠ global LIMIT
-		"SELECT DISTINCT k FROM t WHERE k = ?",      // per-probe DISTINCT ≠ global DISTINCT
-		"SELECT k FROM t WHERE v >= ?",              // '?' outside col = ?
-		"SELECT k FROM t WHERE k = ? OR grp = 'g1'", // param under OR
-	} {
-		assertBatchMatchesSerial(t, s, source.SubQuery{Language: source.LangSQL, Text: text, InVars: []string{"p"}}, sets)
-	}
-}
-
 func TestRDFSourceExecuteBatch(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddAll(rdf.MustParse(`

@@ -67,8 +67,7 @@ func ExecuteBatchWith(ctx context.Context, s DataSource, q SubQuery, paramSets [
 // ExecuteSerially evaluates q once per tuple — the reference semantics
 // of ExecuteBatch. It checks ctx before each tuple, so a cancelled
 // query stops the loop, and threads ctx into a ContextExecutor.
-// ExecuteBatchWith answers a source that does not batch with it, and
-// RelSource the shapes it cannot push down.
+// ExecuteBatchWith answers a source that does not batch with it.
 func ExecuteSerially(ctx context.Context, s DataSource, q SubQuery, paramSets []value.Row) ([]*Result, error) {
 	ce, _ := s.(ContextExecutor)
 	out := make([]*Result, len(paramSets))

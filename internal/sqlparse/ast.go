@@ -192,38 +192,6 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// CountParams counts '?' parameters anywhere in the expression tree.
-func CountParams(e Expr) int {
-	switch x := e.(type) {
-	case nil:
-		return 0
-	case *Param:
-		return 1
-	case *BinaryExpr:
-		return CountParams(x.Left) + CountParams(x.Right)
-	case *NotExpr:
-		return CountParams(x.Inner)
-	case *IsNullExpr:
-		return CountParams(x.Inner)
-	case *InExpr:
-		n := CountParams(x.Needle)
-		for _, le := range x.List {
-			n += CountParams(le)
-		}
-		return n
-	case *BetweenExpr:
-		return CountParams(x.X) + CountParams(x.Lo) + CountParams(x.Hi)
-	case *FuncExpr:
-		n := 0
-		for _, a := range x.Args {
-			n += CountParams(a)
-		}
-		return n
-	default:
-		return 0
-	}
-}
-
 // ExprString renders an expression for debugging and plan display.
 func ExprString(e Expr) string {
 	switch x := e.(type) {

@@ -1,7 +1,10 @@
 package sqlparse_test
 
 import (
+	"bytes"
 	"maps"
+	"math"
+	"slices"
 	"testing"
 
 	"tatooine/internal/relstore"
@@ -55,21 +58,27 @@ func fuzzDB(t *testing.T) *relstore.Database {
 	return db
 }
 
-// fuzzParams binds the '?' placeholders of a fuzzed statement; a
-// statement with more placeholders fails with a missing-parameter error.
-var fuzzParams = []value.Value{
-	value.NewString("a"), value.NewInt(1), value.NewFloat(1.5), value.NewNull(),
+// fuzzParams are the tuples a fuzzed statement runs with, as one batch
+// and tuple by tuple: a duplicate, a NULL and −0 among them. A statement
+// with more than four placeholders fails with a missing-parameter
+// error.
+var fuzzParams = []value.Row{
+	{value.NewString("a"), value.NewInt(1), value.NewFloat(1.5), value.NewNull()},
+	{value.NewInt(1), value.NewString("b"), value.NewNull(), value.NewFloat(math.Copysign(0, -1))},
+	{value.NewString("a"), value.NewInt(1), value.NewFloat(1.5), value.NewNull()},
 }
 
 // FuzzParseSQL: SQL text reaches the parser from wire input (POST /batch
 // and /cmq), so any input either fails to parse or yields a SELECT,
-// without a panic; an accepted statement then runs on fuzzDB, again
-// erring or answering without a panic, and text ParseSelect refuses is
-// refused by Exec too. Statements with more than three joins do not
-// run: each join may multiply the rows, and the property is about
-// crashes, not about cross products of the fuzzer's choosing. Whatever
-// the input, fuzzDB keeps its tables and row counts: SQL text only
-// reads. The INSERT and CREATE TABLE seeds must be refused.
+// without a panic. An accepted statement then runs on fuzzDB as one
+// batch of the fuzzParams tuples and as a batch of one per tuple, again
+// erring or answering without a panic, and the two agree: the batch
+// fails exactly when some tuple does, with one failing tuple's error,
+// and otherwise gives each tuple its own columns and rows, in order. Statements with more than three joins do not run: each join
+// may multiply the rows, and the property is about crashes and
+// agreement, not about cross products of the fuzzer's choosing.
+// Whatever the input, fuzzDB keeps its tables and row counts: SQL text
+// only reads. The INSERT and CREATE TABLE seeds must be refused.
 func FuzzParseSQL(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT dept, taux FROM chomage WHERE dept = ? AND annee = 2015",
@@ -84,6 +93,8 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT COUNT(*) FROM t GROUP BY k HAVING SUM(v) > 1",
 		"SELECT k FROM t WHERE k = 'it''s' -- comment",
 		"SELECT 1.5e3, -v FROM t;",
+		"SELECT k FROM t WHERE v / 0 > 1 AND k = ?",
+		"SELECT k FROM t WHERE k = ? LIMIT 1",
 	} {
 		f.Add(seed)
 	}
@@ -91,13 +102,22 @@ func FuzzParseSQL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		db := fuzzDB(t)
 		sel, err := sqlparse.ParseSelect(input)
-		switch {
-		case err != nil:
-			if _, err := db.Exec(input, fuzzParams...); err == nil {
-				t.Errorf("Exec ran %q, which ParseSelect refuses", input)
+		if err == nil && len(sel.Joins) <= 3 {
+			cols, batch, err := db.ExecBatch(sel, fuzzParams)
+			var tupleErrs []string
+			for i, ps := range fuzzParams {
+				oneCols, one, err := db.ExecBatch(sel, []value.Row{ps})
+				if err != nil {
+					tupleErrs = append(tupleErrs, err.Error())
+					continue
+				}
+				if batch != nil && (!slices.Equal(cols, oneCols) || !sameRows(batch[i], one[0])) {
+					t.Errorf("%q tuple %d: batch gave %v %v, alone %v %v", input, i, cols, batch[i], oneCols, one[0])
+				}
 			}
-		case len(sel.Joins) <= 3:
-			db.ExecStmt(sel, fuzzParams...)
+			if (err != nil) != (len(tupleErrs) > 0) || err != nil && !slices.Contains(tupleErrs, err.Error()) {
+				t.Errorf("%q: batch error %v, tuple errors %q", input, err, tupleErrs)
+			}
 		}
 		got := map[string]int{}
 		for _, tbl := range db.Tables() {
@@ -107,4 +127,18 @@ func FuzzParseSQL(f *testing.F) {
 			t.Errorf("%q changed the database: tables %v, want %v", input, got, want)
 		}
 	})
+}
+
+// sameRows reports whether a and b hold the same rows in the same
+// order, value for value as the row codec writes them.
+func sameRows(a, b []value.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(value.AppendRow(nil, a[i]), value.AppendRow(nil, b[i])) {
+			return false
+		}
+	}
+	return true
 }

@@ -351,16 +351,6 @@ func Frame(b *strings.Builder, s string) {
 	b.WriteString(s)
 }
 
-// HasNull reports whether any value in the row is Null.
-func (r Row) HasNull() bool {
-	for _, v := range r {
-		if v.IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
 // Key concatenates the value keys, each framed as Frame frames it;
 // equal rows produce equal keys.
 func (r Row) Key() string {
