@@ -273,33 +273,56 @@ func randomTuples(r *rand.Rand, n int) []value.Row {
 	return sets
 }
 
+// TestRelSourceExecuteBatchINListPushdown: a keyed probe with a
+// residual conjunct, a key no row has and a duplicate tuple.
+func TestRelSourceExecuteBatchINListPushdown(t *testing.T) {
+	assertBatchMatchesSerialAndLiterals(t, "SELECT k, v FROM t WHERE k = ? AND v >= 1", strs("a", "b", "nope", "a"))
+}
+
+// TestRelSourceExecuteBatchMultiParamCrossProduct: two keyed parameters
+// whose cross product holds rows no tuple asked for; each tuple keeps
+// only its own rows.
+func TestRelSourceExecuteBatchMultiParamCrossProduct(t *testing.T) {
+	assertBatchMatchesSerialAndLiterals(t, "SELECT grp FROM t WHERE k = ? AND v = ?", []value.Row{
+		{value.NewString("a"), value.NewInt(1)},
+		{value.NewString("b"), value.NewInt(3)}, // (a,3) and (b,1) exist but were not asked for
+	})
+}
+
+func TestRelSourceExecuteBatchOrderByPreserved(t *testing.T) {
+	assertBatchMatchesSerialAndLiterals(t, "SELECT k, v FROM t WHERE k = ? ORDER BY v DESC", strs("a", "b"))
+}
+
+// TestRelSourceExecuteBatchUnsupportedShapes: the shapes an IN-list
+// rewrite cannot answer — a LIMIT or DISTINCT that holds per tuple, a
+// '?' in a range or under OR — are answered in the same one pass.
+func TestRelSourceExecuteBatchUnsupportedShapes(t *testing.T) {
+	for _, text := range []string{
+		"SELECT k FROM t WHERE k = ? LIMIT 1",
+		"SELECT DISTINCT k FROM t WHERE k = ?",
+		"SELECT k FROM t WHERE v >= ?",
+		"SELECT k FROM t WHERE k = ? OR grp = 'g1'",
+	} {
+		assertBatchMatchesSerialAndLiterals(t, text, strs("a", "b"))
+	}
+	assertBatchMatchesSerialAndLiterals(t, "SELECT k FROM t WHERE v >= ?", []value.Row{{value.NewInt(2)}, {value.NewInt(9)}})
+}
+
+// assertBatchMatchesSerialAndLiterals checks text, a batch over the
+// relational fixture, against per-tuple Execute and against literal
+// substitution.
+func assertBatchMatchesSerialAndLiterals(t *testing.T, text string, sets []value.Row) {
+	t.Helper()
+	s := relFixture(t)
+	assertBatchMatchesSerial(t, s, source.SubQuery{Language: source.LangSQL, Text: text}, sets)
+	checkAgainstLiterals(t, s, text, sets, &batchOutcome{})
+}
+
 // TestRelSourceBatchMatchesLiterals checks RelSource.ExecuteBatch
-// against literal substitution (checkAgainstLiterals): first the shapes
-// the relational fixture pins (a keyed probe with a residual conjunct
-// and duplicate and missing keys, two keyed parameters whose cross
-// product holds rows no tuple asked for, ORDER BY, LIMIT, DISTINCT, a
-// '?' in a range and under OR), then 200 random tables × 30 random
-// statements.
+// against literal substitution (checkAgainstLiterals) over 200 random
+// tables × 30 random statements.
 func TestRelSourceBatchMatchesLiterals(t *testing.T) {
 	var seen batchOutcome
-	fixture := relFixture(t)
-	keys := strs("a", "b", "nope", "a")
-	for _, c := range []struct {
-		text string
-		sets []value.Row
-	}{
-		{"SELECT k, v FROM t WHERE k = ? AND v >= 1", keys},
-		{"SELECT grp FROM t WHERE k = ? AND v = ?",
-			[]value.Row{{value.NewString("a"), value.NewInt(1)}, {value.NewString("b"), value.NewInt(3)}}},
-		{"SELECT k, v FROM t WHERE k = ? ORDER BY v DESC", keys},
-		{"SELECT k FROM t WHERE k = ? LIMIT 1", keys},
-		{"SELECT DISTINCT k FROM t WHERE k = ?", keys},
-		{"SELECT k FROM t WHERE v >= ?", []value.Row{{value.NewInt(2)}, {value.NewInt(9)}}},
-		{"SELECT k FROM t WHERE k = ? OR grp = 'g1'", keys},
-	} {
-		checkAgainstLiterals(t, fixture, c.text, c.sets, &seen)
-	}
-
 	r := rand.New(rand.NewSource(53))
 	for range 200 {
 		s := randomRelSource(t, r)
